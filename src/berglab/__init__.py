@@ -6,12 +6,10 @@ from .poly import ComplexPolynomial, DilationVector, parse_polynomial
 from .measures import (
     DiskRule,
     McSampler,
-    PolydiscRule,
     angular_count_for,
     circle_rule,
     disk_integral,
     disk_rule,
-    polydisc_rule,
     radial_rule,
     stream_for,
     unit_uniforms,
@@ -64,13 +62,11 @@ __all__ = [
     "DilationVector",
     "parse_polynomial",
     "DiskRule",
-    "PolydiscRule",
     "McSampler",
     "angular_count_for",
     "circle_rule",
     "disk_integral",
     "disk_rule",
-    "polydisc_rule",
     "radial_rule",
     "stream_for",
     "unit_uniforms",

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import check_alpha, radial_rule
+from .measures import angular_count_for, check_alpha, radial_rule
 from .norms import (
     NormResult,
-    _abs_pow,
+    _circle_means,
     bergman_norm,
     exact_norm_even_p,
     exact_norm_p2,
@@ -337,16 +337,8 @@ def _phi_values(
     ys = np.asarray(ys, dtype=float)
     if np.any(ys < 0.0):
         raise ValueError("profile argument must be nonnegative")
-    from .measures import angular_count_for
-
-    deg = f.degree
-    m = angles if angles is not None else angular_count_for(deg, q)
-    c = f.dense_coeffs()
-    rad = np.power(ys[:, None], 0.5 * np.arange(deg + 1)[None, :])
-    shells = rad * c[None, :]
-    theta = 2.0 * np.pi * np.arange(m) / m
-    four = np.exp(1j * np.outer(np.arange(deg + 1), theta))
-    return _abs_pow(shells @ four, q).mean(axis=1)
+    m = angles if angles is not None else angular_count_for(f.degree, q)
+    return _circle_means(f.dense_coeffs(), ys.reshape(-1), int(m), q).reshape(ys.shape)
 
 
 def _phi_second_derivative(

@@ -13,6 +13,7 @@ sizes or thread schedules.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -23,12 +24,10 @@ from scipy.special import roots_jacobi
 __all__ = [
     "ALPHA_MIN",
     "DiskRule",
-    "PolydiscRule",
     "McSampler",
     "radial_rule",
     "circle_rule",
     "disk_rule",
-    "polydisc_rule",
     "disk_integral",
     "angular_count_for",
     "stream_for",
@@ -51,14 +50,22 @@ def radial_rule(alpha: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule for the density (alpha-1)(1-t)^(alpha-2) dt on [0, 1].
 
     Returns (t_nodes, weights) with weights summing to 1; exact for
-    polynomials in t of degree <= 2*nodes - 1.
+    polynomials in t of degree <= 2*nodes - 1.  Rules are cached per
+    (alpha, nodes) and shared between callers, so the arrays are read-only.
     """
     a = check_alpha(alpha)
     if nodes < 1:
         raise ValueError("nodes must be >= 1")
-    x, w = roots_jacobi(nodes, a - 2.0, 0.0)
+    return _radial_rule(a, int(nodes))
+
+
+@functools.lru_cache(maxsize=128)
+def _radial_rule(alpha: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = roots_jacobi(nodes, alpha - 2.0, 0.0)
     t = 0.5 * (x + 1.0)
-    weights = (a - 1.0) * 2.0 ** (1.0 - a) * w
+    weights = (alpha - 1.0) * 2.0 ** (1.0 - alpha) * w
+    t.setflags(write=False)
+    weights.setflags(write=False)
     return t, weights
 
 
@@ -106,28 +113,6 @@ class DiskRule:
         return np.sqrt(self.radial_nodes)[:, None] * np.exp(1j * theta)[None, :]
 
 
-@dataclass(frozen=True, eq=False)
-class PolydiscRule:
-    """Product of per-variable disk rules (same alpha in every factor)."""
-
-    factors: tuple[DiskRule, ...]
-
-    def __post_init__(self) -> None:
-        if not self.factors:
-            raise ValueError("at least one factor required")
-        alphas = {r.alpha for r in self.factors}
-        if len(alphas) != 1:
-            raise ValueError("mixed alpha across factors")
-
-    @property
-    def nvars(self) -> int:
-        return len(self.factors)
-
-    @property
-    def alpha(self) -> float:
-        return self.factors[0].alpha
-
-
 def disk_rule(
     alpha: float,
     nodes: int = 64,
@@ -139,21 +124,6 @@ def disk_rule(
     t, w = radial_rule(alpha, nodes)
     m = angles if angles is not None else angular_count_for(degree, p)
     return DiskRule(float(alpha), t, w, int(m))
-
-
-def polydisc_rule(
-    alpha: float, nvars: int, nodes: int = 64, angles: int | tuple[int, ...] = 257
-) -> PolydiscRule:
-    if nvars < 1:
-        raise ValueError("nvars must be >= 1")
-    if isinstance(angles, int):
-        angles = (angles,) * nvars
-    if len(angles) != nvars:
-        raise ValueError("angles length mismatch")
-    t, w = radial_rule(alpha, nodes)
-    return PolydiscRule(
-        tuple(DiskRule(float(alpha), t, w, int(m)) for m in angles)
-    )
 
 
 def disk_integral(integrand, rule: DiskRule) -> float:
@@ -209,8 +179,7 @@ class McSampler:
         if count == 0:
             return np.empty((0, self.nvars), dtype=complex)
         wps = self._words_per_sample()
-        key = np.array([(self.seed ^ self.stream_id) & _MASK64, 0], dtype=np.uint64)
-        gen = np.random.Philox(counter=start * (wps // 4), key=key)
+        gen = _philox(self.seed, self.stream_id, start * (wps // 4))
         raw = gen.random_raw(count * wps).reshape(count, wps)
         unit = (raw >> np.uint64(11)) * 2.0 ** -53
         theta = 2.0 * np.pi * unit[:, 0 : 2 * self.nvars : 2]
@@ -222,8 +191,18 @@ class McSampler:
         return self.sample_block(index, 1)[0]
 
 
+def _philox(seed: int, stream_id: int, counter: int) -> np.random.Philox:
+    """Philox keyed by the two words (seed, stream_id).
+
+    Each key word carries one input, so distinct (seed, stream_id) pairs never
+    share a key; a folded key such as seed ^ stream_id would make (a, b) and
+    (b, a) draw the same numbers.
+    """
+    key = np.array([seed & _MASK64, stream_id & _MASK64], dtype=np.uint64)
+    return np.random.Philox(counter=counter, key=key)
+
+
 def unit_uniforms(seed: int, label: str, count: int) -> np.ndarray:
     """count uniforms in [0, 1) from the labeled Philox stream."""
-    key = np.array([(seed ^ stream_for(label)) & _MASK64, 0], dtype=np.uint64)
-    gen = np.random.Philox(counter=0, key=key)
+    gen = _philox(seed, stream_for(label), 0)
     return (gen.random_raw(count) >> np.uint64(11)) * 2.0 ** -53

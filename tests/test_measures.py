@@ -45,6 +45,17 @@ def test_radial_rule_nodes_inside_unit_interval():
     assert np.all(w > 0.0)
 
 
+def test_cached_radial_rule_is_read_only():
+    t, w = radial_rule(2.75, 10)
+    keep_t, keep_w = t.copy(), w.copy()
+    with pytest.raises(ValueError):
+        t[0] = 0.5
+    with pytest.raises(ValueError):
+        w *= 2.0
+    t2, w2 = radial_rule(2.75, 10)
+    assert np.array_equal(t2, keep_t) and np.array_equal(w2, keep_w)
+
+
 def test_circle_rule_uniform():
     thetas, wt = circle_rule(8)
     assert wt == pytest.approx(1.0 / 8.0)
@@ -99,6 +110,17 @@ def test_sampler_streams_are_independent_addresses():
     base = McSampler(3.0, 1, seed=9, stream_id=0).sample_block(0, 16)
     other = McSampler(3.0, 1, seed=9, stream_id=stream_for("x")).sample_block(0, 16)
     assert not np.array_equal(base, other)
+
+
+def test_swapped_seed_and_stream_do_not_alias():
+    # with a folded key seed ^ stream these pairs would draw the same numbers
+    a, b = 5, stream_for("x")
+    one = McSampler(2.0, 1, seed=a, stream_id=b).sample_block(0, 16)
+    two = McSampler(2.0, 1, seed=b, stream_id=a).sample_block(0, 16)
+    assert not np.array_equal(one, two)
+    u = unit_uniforms(stream_for("y"), "x", 16)
+    v = unit_uniforms(stream_for("x"), "y", 16)
+    assert not np.array_equal(u, v)
 
 
 def test_sampler_points_in_closed_disk():
