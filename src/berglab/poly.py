@@ -9,6 +9,16 @@ Coefficients are double-precision complex.  Structural operations (multiply,
 power, dilate, homogenize) are exact on the term structure; coefficient
 arithmetic carries ordinary floating-point rounding.
 
+A product P*Q is formed by shift-and-add over the dense coefficient box of
+the result, prod_i (deg_i P + deg_i Q + 1) entries: for each term c z^g of P
+in order, c times Q's coefficient array is added into the box at offset g,
+with the real and imaginary parts formed as Python's complex product forms
+them (re = a.re*b.re - a.im*b.im, im = a.re*b.im + a.im*b.re, no fused
+multiply-add).  Each coefficient thus receives the same roundings in the
+same order as in a term-pair loop over a dict, so the two routes give the
+same bits.  The term-pair loop is kept where the box would hold more entries
+than there are term pairs, as for sparse products in many variables.
+
 Three textual formats are accepted by :func:`parse_polynomial`:
 
 * dense univariate coefficient list: ``"1, 0.5, 0, 2j"`` means
@@ -19,6 +29,7 @@ Three textual formats are accepted by :func:`parse_polynomial`:
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -160,12 +171,9 @@ class ComplexPolynomial:
         if isinstance(other, ComplexPolynomial):
             if self.nvars != other.nvars:
                 raise ValueError("variable count mismatch")
-            prod: dict[tuple[int, ...], complex] = {}
-            for g1, c1 in self.terms:
-                for g2, c2 in other.terms:
-                    g = tuple(a + b for a, b in zip(g1, g2))
-                    prod[g] = prod.get(g, 0j) + c1 * c2
-            return ComplexPolynomial.from_terms(self.nvars, prod)
+            if _dense_product_fits(self, other):
+                return _dense_product(self, other)
+            return _pair_product(self, other)
         return ComplexPolynomial(
             self.nvars, tuple((g, complex(other) * c) for g, c in self.terms)
         )
@@ -284,6 +292,43 @@ class ComplexPolynomial:
 
     def __str__(self) -> str:
         return self.to_text()
+
+
+def _dense_product_fits(a: ComplexPolynomial, b: ComplexPolynomial) -> bool:
+    """True when the coefficient box of a*b holds no more entries than there
+    are term pairs, so that shift-and-add over the box costs no more than
+    the term-pair loop."""
+    box = math.prod(
+        x + y + 1 for x, y in zip(a.variable_degrees(), b.variable_degrees())
+    )
+    return box <= len(a.terms) * len(b.terms)
+
+
+def _pair_product(a: ComplexPolynomial, b: ComplexPolynomial) -> ComplexPolynomial:
+    """a*b by a loop over term pairs, summed per exponent in a dict."""
+    prod: dict[tuple[int, ...], complex] = {}
+    for g1, c1 in a.terms:
+        for g2, c2 in b.terms:
+            g = tuple(x + y for x, y in zip(g1, g2))
+            prod[g] = prod.get(g, 0j) + c1 * c2
+    return ComplexPolynomial.from_terms(a.nvars, prod)
+
+
+def _dense_product(a: ComplexPolynomial, b: ComplexPolynomial) -> ComplexPolynomial:
+    """a*b by shift-and-add over the dense box; same bits as the pair loop."""
+    coeffs = b.coeff_array()
+    br, bi = coeffs.real, coeffs.imag
+    shape = tuple(d + n for d, n in zip(a.variable_degrees(), coeffs.shape))
+    real = np.zeros(shape)
+    imag = np.zeros(shape)
+    for g, c in a.terms:
+        window = tuple(slice(e, e + n) for e, n in zip(g, coeffs.shape))
+        real[window] += c.real * br - c.imag * bi
+        imag[window] += c.real * bi + c.imag * br
+    nonzero = np.nonzero((real != 0) | (imag != 0))
+    exponents = zip(*(axis.tolist() for axis in nonzero))
+    values = map(complex, real[nonzero].tolist(), imag[nonzero].tolist())
+    return ComplexPolynomial(a.nvars, tuple(zip(exponents, values)))
 
 
 def _format_complex(c: complex) -> str:

@@ -49,7 +49,7 @@ __all__ = ["SweepConfig", "parse_sweep_config", "load_sweep_config", "run_sweep"
 CHECK_KINDS = ("hyper", "nikolskii", "kulikov", "weissler", "threshold")
 
 _SECTION_KEYS = {
-    "sweep": {"checks", "seed", "method", "nodes", "angles", "samples"},
+    "sweep": {"checks", "seed", "method", "nodes", "angles"},
     "grid": {"tuples", "alpha", "beta", "p", "q", "r", "eps"},
     "corpus": {"polys", "count", "max_degree", "nvars", "kind", "seed"},
     "output": {"path"},
@@ -63,7 +63,6 @@ class SweepConfig:
     method: str = "quad"
     nodes: int | None = None
     angles: int | None = None
-    samples: int | None = None
     tuples: tuple[tuple[float, float, float, float], ...] = ()
     radii: tuple[float, ...] | str = "auto"
     eps: float = 1e-2
@@ -151,7 +150,6 @@ def parse_sweep_config(text: str) -> SweepConfig:
         method = value
     nodes = take_int("sweep", "nodes", None)
     angles = take_int("sweep", "angles", None)
-    samples = take_int("sweep", "samples", None)
 
     tuples: list[tuple[float, float, float, float]] = []
     got = take("grid", "tuples")
@@ -252,7 +250,6 @@ def parse_sweep_config(text: str) -> SweepConfig:
         method=method,
         nodes=nodes,
         angles=angles,
-        samples=samples,
         tuples=tuple(tuples),
         radii=radii,
         eps=eps,

@@ -16,7 +16,7 @@ from berglab.norms import (
     mixed_norm,
     monomial_norm_sq,
 )
-from berglab.poly import ComplexPolynomial, parse_polynomial
+from berglab.poly import ComplexPolynomial, _pair_product, parse_polynomial
 
 z = ComplexPolynomial.variable()
 one = ComplexPolynomial.constant(1.0)
@@ -58,6 +58,35 @@ def test_exact_even_p_frozen_values():
     assert exact_norm_even_p(one, 5.0, 6.0).value == pytest.approx(1.0, rel=1e-15)
     with pytest.raises(ValueError):
         exact_norm_even_p(one + z, 2.0, 3.0)
+
+
+def test_exact_even_p_checks_alpha_before_expanding(monkeypatch):
+    def refuse(self, k):
+        raise AssertionError("P ** s expanded before alpha was checked")
+
+    monkeypatch.setattr(ComplexPolynomial, "__pow__", refuse)
+    with pytest.raises(ValueError, match="alpha"):
+        exact_norm_even_p(one + z, 0.5, 4.0)
+
+
+def test_exact_even_p_high_degree_monomials():
+    c = 0.6 - 0.8j
+    P = ComplexPolynomial.from_terms(1, {(1500,): c})
+    want = abs(c) * monomial_norm_sq(3000, 2.0) ** 0.25
+    assert exact_norm_even_p(P, 2.0, 4.0).value == pytest.approx(want, rel=1e-14)
+    Q = ComplexPolynomial.from_terms(2, {(300, 200): c})
+    want = abs(c) * (monomial_norm_sq(600, 3.0) * monomial_norm_sq(400, 3.0)) ** 0.25
+    assert exact_norm_even_p(Q, 3.0, 4.0).value == pytest.approx(want, rel=1e-14)
+
+
+def test_exact_even_p_high_degree_matches_pair_loop_square():
+    rng = np.random.default_rng(400)
+    P = ComplexPolynomial.from_coeffs(
+        rng.standard_normal(401) + 1j * rng.standard_normal(401)
+    )
+    squared = _pair_product(P, P)
+    want = (exact_norm_p2(squared, 2.0).value ** 2) ** (1.0 / 4.0)
+    assert exact_norm_even_p(P, 2.0, 4.0).value == want
 
 
 def test_quadrature_matches_oracles():

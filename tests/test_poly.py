@@ -3,7 +3,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from berglab.poly import ComplexPolynomial, DilationVector, parse_polynomial
+from berglab.extremal import ExtremalSpec, extremal_poly
+from berglab.poly import (
+    ComplexPolynomial,
+    DilationVector,
+    _dense_product,
+    _dense_product_fits,
+    _pair_product,
+    parse_polynomial,
+)
 
 finite = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 
@@ -135,3 +143,68 @@ def test_dilation_vector_validation():
         DilationVector((1.5,))
     with pytest.raises(ValueError):
         DilationVector((-0.1,))
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(polynomials(nvars=n), polynomials(nvars=n))
+    )
+)
+def test_dense_product_same_bits_as_pair_product(factors):
+    P, Q = factors
+    assert _dense_product(P, Q).terms == _pair_product(P, Q).terms
+
+
+@pytest.mark.parametrize("nvars,degree", [(1, 40), (2, 6), (3, 3)])
+def test_dense_powers_same_bits_as_pair_powers(nvars, degree):
+    # coefficients spread over ten decades so that every sum rounds
+    rng = np.random.default_rng(nvars)
+    shape = (degree + 1,) * nvars
+    mags = 10.0 ** rng.integers(-5, 5, size=(2,) + shape)
+    vals = rng.standard_normal((2,) + shape) * mags
+    P = ComplexPolynomial.from_terms(
+        nvars,
+        {g: complex(vals[0][g], vals[1][g]) for g in np.ndindex(*shape)},
+    )
+    assert _dense_product_fits(P, P)
+    square = _pair_product(P, P)
+    assert _dense_product(P, P).terms == square.terms
+    assert (P ** 2).terms == square.terms
+    cube = _pair_product(P, square)
+    assert _dense_product(P, square).terms == cube.terms
+    assert (P ** 3).terms == cube.terms
+
+
+def test_product_drops_exact_cancellation():
+    one = ComplexPolynomial.constant(1.0)
+    z = ComplexPolynomial.variable()
+    P, Q = one + z, one - z
+    assert _dense_product_fits(P, Q)
+    assert (P * Q).terms == (((0,), 1 + 0j), ((2,), -1 + 0j))
+    assert (P * Q).coeff((1,)) == 0
+
+
+def test_product_zero_constant_scalar_and_mismatch():
+    P = ComplexPolynomial.from_terms(
+        2, {(0, 0): 0.25, (1, 0): 1.5 - 1.0j, (0, 1): -2.0, (1, 1): 0.5j}
+    )
+    zero = ComplexPolynomial.zero(2)
+    assert (P * zero).is_zero and (zero * P).is_zero
+    c = ComplexPolynomial.constant(2.0 - 1.0j, 2)
+    assert _dense_product_fits(c, P) and _dense_product_fits(P, c)
+    expected = tuple((g, (2.0 - 1.0j) * v) for g, v in P.terms)
+    assert (c * P).terms == expected
+    assert (P * c).terms == expected
+    assert (P * (2.0 - 1.0j)).terms == expected
+    assert ((2.0 - 1.0j) * P).terms == expected
+    assert (3 * P).terms == tuple((g, 3 * v) for g, v in P.terms)
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        P * ComplexPolynomial.variable()
+
+
+def test_sparse_many_variable_square_takes_pair_loop():
+    # the n = 16, m = 2 extremal square has 256 term pairs but a 3^16 box
+    base = extremal_poly(ExtremalSpec(1.0, 16, 1))
+    assert len(base.terms) == 16
+    assert not _dense_product_fits(base, base)
+    assert not _dense_product_fits(ComplexPolynomial.constant(1.0, 16), base)

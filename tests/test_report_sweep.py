@@ -126,6 +126,13 @@ def test_parse_config_failures_carry_line_numbers(text, fragment):
         parse_sweep_config(text)
 
 
+def test_parse_config_rejects_samples_key():
+    # no sweep method samples, so the key is unknown rather than ignored
+    with pytest.raises(ValueError) as info:
+        parse_sweep_config("[sweep]\nchecks = hyper\nsamples = 1000\n")
+    assert str(info.value) == "config line 3: unknown key 'samples' in [sweep]"
+
+
 def test_empty_grid_gives_empty_passing_report():
     cfg = parse_sweep_config("[sweep]\nchecks = hyper\n")
     rep = run_sweep(cfg)
