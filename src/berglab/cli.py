@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 import numpy as np
 
@@ -328,11 +329,13 @@ def _cmd_gamma_ratio(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_sweep_config(args.config)
+    start = time.perf_counter()
     report = run_sweep(cfg, jobs=args.jobs)
+    elapsed_s = time.perf_counter() - start
     if cfg.output_path:
         report.write_csv(cfg.output_path)
         if not args.quiet:
-            print(report.summary(), file=sys.stderr)
+            print(report.summary(elapsed_s), file=sys.stderr)
             print(f"report written to {cfg.output_path}", file=sys.stderr)
     else:
         if getattr(args, "out", None) == "json":
@@ -344,7 +347,7 @@ def _cmd_sweep(args) -> int:
         else:
             sys.stdout.write(report.to_csv())
         if not args.quiet:
-            print(report.summary(), file=sys.stderr)
+            print(report.summary(elapsed_s), file=sys.stderr)
     return 0 if report.aggregate_pass else 1
 
 

@@ -1,15 +1,14 @@
 """Structured pass/fail reporting with a stable CSV schema.
 
 Row rendering rules keep the CSV byte-reproducible: floats are written with
-repr (shortest round-trip form), rows are sorted by (check_id, params), and
-wall-clock runtime is kept on the in-memory row for human summaries but is
-never serialized.
+repr (shortest round-trip form) and rows are sorted by (check_id, params).
+Wall-clock time appears only in the human summary, never in the CSV.
 """
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 __all__ = ["CSV_HEADER", "ReportRow", "VerificationReport", "fmt_value"]
 
@@ -56,7 +55,6 @@ class ReportRow:
     est_error: object = None
     hypothesis_ok: bool = True
     note: str = ""
-    runtime_s: float = 0.0
 
     def __post_init__(self) -> None:
         if self.status not in _STATUSES:
@@ -121,21 +119,16 @@ class VerificationReport:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(self.to_csv())
 
-    def summary(self) -> str:
+    def summary(self, elapsed_s: float | None = None) -> str:
+        """One-line verdict and status counts, with the elapsed time if given."""
         c = self.counts()
         total = len(self.rows)
         verdict = "PASS" if self.aggregate_pass else "FAIL"
-        runtime = sum(row.runtime_s for row in self.rows)
         parts = [f"{total} checks"]
         for status in _STATUSES:
             if c[status]:
                 parts.append(f"{c[status]} {status}")
         body = ", ".join(parts)
-        return f"[{verdict}] {body} ({runtime:.1f} s)"
-
-    def with_runtime(self, check_id: str, runtime_s: float) -> None:
-        """Attach a shared runtime to every row of one check."""
-        self.rows = [
-            replace(row, runtime_s=runtime_s) if row.check_id == check_id else row
-            for row in self.rows
-        ]
+        if elapsed_s is None:
+            return f"[{verdict}] {body}"
+        return f"[{verdict}] {body} ({elapsed_s:.1f} s)"

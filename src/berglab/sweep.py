@@ -27,8 +27,11 @@ its config: rerunning one produces byte-identical CSV.
 """
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .corpus import random_polynomials
@@ -380,12 +383,80 @@ def _weissler_radii(cfg: SweepConfig, tup) -> list[float]:
     return list(cfg.radii)
 
 
+# (set, get) thread-count symbol pairs, by OpenBLAS build: the numpy and
+# scipy wheels rename them with a scipy_ prefix and a 64_ ILP64 suffix.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _openblas_thread_controls() -> list:
+    """(set, get) thread-count functions of every OpenBLAS copy in this process.
+
+    Empty where none is found: another BLAS, or no ``/proc/self/maps``.
+    """
+    try:
+        with open(
+            "/proc/self/maps", encoding="utf-8", errors="surrogateescape"
+        ) as maps:
+            # the last of the six fields is the mapped file, where there is one
+            paths = {line.split(None, 5)[-1].strip() for line in maps}
+    except OSError:
+        return []
+    controls = []
+    for path in sorted(paths):
+        if "openblas" not in os.path.basename(path):
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+            try:
+                set_threads = getattr(lib, set_name)
+                get_threads = getattr(lib, get_name)
+            except AttributeError:
+                continue
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            controls.append((set_threads, get_threads))
+            break
+    return controls
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with every loaded OpenBLAS at one thread, then restore.
+
+    The sweep's row pool already keeps every core busy; OpenBLAS's own
+    worker threads would only spin against it.
+    """
+    saved = [
+        (set_threads, get_threads())
+        for set_threads, get_threads in _openblas_thread_controls()
+    ]
+    for set_threads, _ in saved:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for set_threads, count in saved:
+            set_threads(count)
+
+
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> VerificationReport:
     """Execute the configured cross-product of checks.
 
-    Per-row numerical failures become status=error rows; they fail the
-    aggregate but do not abort the sweep.
+    With ``jobs > 1`` rows run on a pool of that many threads, and OpenBLAS,
+    where loaded, runs one thread per row meanwhile.  Per-row numerical
+    failures become status=error rows; they fail the aggregate but do not
+    abort the sweep.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = []
     for kind in cfg.checks:
         if kind == "hyper":
@@ -428,7 +499,7 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> VerificationReport:
 
     report = VerificationReport()
     if jobs > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with _one_blas_thread(), ThreadPoolExecutor(max_workers=jobs) as pool:
             report.extend(pool.map(run_one, tasks))
     else:
         report.extend(run_one(task) for task in tasks)

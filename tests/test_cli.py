@@ -1,6 +1,7 @@
 """Exit codes, output formats, and plumbing of the command line interface."""
 import json
 import math
+import re
 
 import pytest
 
@@ -146,12 +147,18 @@ def test_sweep_cli_round_trip(tmp_path, capsys):
         "[sweep]\nchecks = hyper\n[grid]\ntuples = 2 2 2 4\n"
         f"[corpus]\npolys = 1,1\n[output]\npath = {out_csv}\n"
     )
-    code, _, err = run(["sweep", "--config", str(cfg), "--quiet"], capsys)
+    code, _, err = run(["sweep", "--config", str(cfg)], capsys)
     assert code == 0
+    assert re.match(r"\[PASS\] 1 checks, 1 pass \(\d+\.\d s\)\n", err)
     first = out_csv.read_bytes()
     code, _, _ = run(["sweep", "--config", str(cfg), "--quiet"], capsys)
     assert code == 0
     assert out_csv.read_bytes() == first
+
+    for jobs in ("0", "-1"):
+        code, _, err = run(["--jobs", jobs, "sweep", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "jobs must be at least 1" in err
 
     bad = tmp_path / "bad.cfg"
     bad.write_text("[grid]\ntuples = 1 2\n")

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from berglab import sweep
 from berglab.report import CSV_HEADER, ReportRow, VerificationReport, fmt_value
 from berglab.sweep import parse_sweep_config, run_sweep
 
@@ -55,14 +56,15 @@ def test_aggregate_ignores_out_of_hypothesis_but_not_errors():
 
 
 def test_csv_schema_and_runtime_exclusion():
-    r1 = make_row(runtime_s=1.25)
-    r2 = make_row(runtime_s=77.0)
-    rep1, rep2 = VerificationReport(), VerificationReport()
-    rep1.add(r1)
-    rep2.add(r2)
-    csv1, csv2 = rep1.to_csv(), rep2.to_csv()
-    assert csv1 == csv2
-    assert csv1.splitlines()[0] == ",".join(CSV_HEADER)
+    rep = VerificationReport()
+    rep.add(make_row())
+    csv_text = rep.to_csv()
+    assert csv_text.splitlines()[0] == ",".join(CSV_HEADER)
+    assert csv_text.splitlines()[1] == "demo,a=1,1.0,1.0,pass,,,true,"
+    # wall-clock time reaches the human summary only
+    assert rep.summary(77.0) == "[PASS] 1 checks, 1 pass (77.0 s)"
+    assert rep.summary() == "[PASS] 1 checks, 1 pass"
+    assert rep.to_csv() == csv_text
 
 
 def test_write_csv_deterministic(tmp_path):
@@ -141,12 +143,72 @@ def test_empty_grid_gives_empty_passing_report():
 
 
 def test_sweep_deterministic_and_parallel_identical():
-    cfg = parse_sweep_config(BASE_CONFIG)
+    # one bivariate input, so the pool also runs the two-axis tensor grid
+    cfg = parse_sweep_config(
+        BASE_CONFIG.replace(
+            "(2):0.5\n", "(2):0.5 ; (0,0):1 (1,1):0.5+0.25i (2,0):-0.3\n"
+        )
+    )
     a = run_sweep(cfg).to_csv()
     b = run_sweep(cfg).to_csv()
     c = run_sweep(cfg, jobs=4).to_csv()
     assert a == b == c
-    assert a.count("\n") == 1 + 2 * 2 * 2  # header + checks x tuples x polys
+    assert a.count("\n") == 1 + 2 * 2 * 3  # header + checks x tuples x polys
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_sweep_rejects_jobs_below_one(jobs):
+    cfg = parse_sweep_config(BASE_CONFIG)
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        run_sweep(cfg, jobs=jobs)
+
+
+# the error-row config of test_sweep_records_error_rows_without_dying with a
+# second p > q tuple, since a single row never starts the pool
+ERROR_CONFIG = (
+    "[sweep]\nchecks = kulikov\n[grid]\ntuples = 2 2 4 2, 2 2 4 3\n"
+    "[corpus]\npolys = 1,1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text", [BASE_CONFIG, ERROR_CONFIG], ids=["rows", "error-rows"]
+)
+def test_sweep_pool_pins_openblas_to_one_thread_and_restores(text, monkeypatch):
+    controls = sweep._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded in this process: no thread count to pin")
+    original = [get_threads() for _, get_threads in controls]
+    # two threads before the sweep, so a missed restore shows whatever ran first
+    for set_threads, _ in controls:
+        set_threads(2)
+    before = [2] * len(controls)
+    seen = []
+    for name in ("_hyper_task", "_nikolskii_task", "_kulikov_task"):
+        task = getattr(sweep, name)
+
+        def recording(*args, task=task):
+            seen.append([get_threads() for _, get_threads in controls])
+            return task(*args)
+
+        monkeypatch.setattr(sweep, name, recording)
+    try:
+        rep = run_sweep(parse_sweep_config(text), jobs=2)
+        after = [get_threads() for _, get_threads in controls]
+    finally:
+        for (set_threads, _), count in zip(controls, original):
+            set_threads(count)
+    assert after == before
+    assert seen and all(counts == [1] * len(controls) for counts in seen)
+    if text is ERROR_CONFIG:
+        assert [row.status for row in rep.rows] == ["error", "error"]
+
+
+def test_sweep_pool_without_openblas_gives_same_csv(monkeypatch):
+    cfg = parse_sweep_config(BASE_CONFIG)
+    serial = run_sweep(cfg).to_csv()
+    monkeypatch.setattr(sweep, "_openblas_thread_controls", lambda: [])
+    assert run_sweep(cfg, jobs=2).to_csv() == serial
 
 
 def test_sweep_positive_grid_passes():
