@@ -4,12 +4,9 @@ verification harness.
 """
 from .poly import ComplexPolynomial, DilationVector, parse_polynomial
 from .measures import (
-    DiskRule,
     McSampler,
     angular_count_for,
     circle_rule,
-    disk_integral,
-    disk_rule,
     radial_rule,
     stream_for,
     unit_uniforms,
@@ -29,14 +26,12 @@ from .inequalities import (
     SpaceParams,
     convexity_majorant_check,
     hyper_check,
-    hyper_check_polydisc,
     ibp_identity_check,
     kulikov_check,
     necessity_expansion_check,
     nikolskii_check,
     phi_convexity_check,
     phi_profile,
-    reduction_chain,
     sharp_radius,
     threshold_search,
     weissler_threshold_check,
@@ -61,12 +56,9 @@ __all__ = [
     "ComplexPolynomial",
     "DilationVector",
     "parse_polynomial",
-    "DiskRule",
     "McSampler",
     "angular_count_for",
     "circle_rule",
-    "disk_integral",
-    "disk_rule",
     "radial_rule",
     "stream_for",
     "unit_uniforms",
@@ -82,7 +74,6 @@ __all__ = [
     "HyperParams",
     "sharp_radius",
     "hyper_check",
-    "hyper_check_polydisc",
     "threshold_search",
     "necessity_expansion_check",
     "kulikov_check",
@@ -90,7 +81,6 @@ __all__ = [
     "phi_convexity_check",
     "ibp_identity_check",
     "convexity_majorant_check",
-    "reduction_chain",
     "nikolskii_check",
     "weissler_threshold_check",
     "ExtremalSpec",

@@ -1,35 +1,28 @@
 """The acceptance suite: seven self-contained criteria behind `verify-suite`.
 
 Each criterion runner returns ReportRows; a criterion passes when every
-in-hypothesis row passes.  The suite prints one [PASS]/[FAIL] line per
-criterion, writes the combined machine CSV, and exits nonzero on any
-failure.  Everything is a pure function of the seed, so two runs with the
-same seed produce byte-identical CSV files.
+in-hypothesis row passes.  Rows of a check in the registry (`checks.py`)
+take their verdict from it and keep the criterion's own id and params.
+The suite prints one [PASS]/[FAIL] line per criterion, writes the
+combined machine CSV, and exits nonzero on any failure.  Everything is a
+pure function of the seed, so two runs with the same seed produce
+byte-identical CSV files.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .checks import CHECKS, space_inputs
 from .corpus import random_polynomials
-from .extremal import (
-    ExtremalSpec,
-    extremal_ratio,
-    gamma_ratio_limit_check,
-    stirling_bounds_check,
-)
 from .inequalities import (
     HyperParams,
     convexity_majorant_check,
-    hyper_check,
-    ibp_identity_check,
     necessity_expansion_check,
-    nikolskii_check,
     phi_convexity_check,
     sharp_radius,
-    threshold_search,
 )
 from .norms import bergman_norm, exact_norm_even_p, exact_norm_p2, mixed_norm
 from .poly import ComplexPolynomial
@@ -106,20 +99,15 @@ def c2_sharp_radius(seed: int, nodes_override: int | None = None):
     rows = []
     polys = random_polynomials(50, 1, 8, seed)
     for tup in PARAM_GRID:
-        hp = HyperParams.make(*tup)
-        r0 = sharp_radius(hp)
+        r0 = sharp_radius(HyperParams.make(*tup))
         for i, f in enumerate(polys):
-            res = hyper_check(f, hp, r0)
+            row = CHECKS["hyper"].run(**space_inputs(tup), poly=f, r=r0)
             rows.append(
-                ReportRow(
+                replace(
+                    row,
                     check_id="c2-sharp-radius-contraction",
                     params=_tuple_params(tup, [("r", r0), ("case", i)]),
-                    computed=res.lhs,
-                    target=res.rhs,
-                    status="pass" if res.passed else "fail",
                     method="quadrature",
-                    est_error=0.0,
-                    hypothesis_ok=res.hypothesis_ok,
                 )
             )
     return rows
@@ -129,7 +117,7 @@ def c2_sharp_radius(seed: int, nodes_override: int | None = None):
 
 
 def c3_threshold_recovery(seed: int, nodes_override: int | None = None):
-    """Empirical crossover of the 1 + eps*z family within 5e-3 of the formula.
+    """Empirical crossover of the 1 + eps*z family against the formula.
 
     The fourth tuple pins the radius sqrt(3/8) = 0.61237... to the parameters
     that produce it under the critical-radius formula.
@@ -142,19 +130,12 @@ def c3_threshold_recovery(seed: int, nodes_override: int | None = None):
         (2.0, 1.5, 2.0, 4.0),
     )
     for tup in cases:
-        hp = HyperParams.make(*tup)
-        rep = threshold_search(hp, eps=1e-2)
-        passed = abs(rep.r_star_empirical - rep.r_star_theoretical) <= 5e-3
+        row = CHECKS["threshold"].run(**space_inputs(tup), eps=1e-2)
         rows.append(
-            ReportRow(
+            replace(
+                row,
                 check_id="c3-threshold-recovery",
-                params=_tuple_params(tup, [("eps", rep.epsilon_used)]),
-                computed=rep.r_star_empirical,
-                target=rep.r_star_theoretical,
-                status="pass" if passed else "fail",
-                method="bisection",
-                est_error=rep.bracket_width,
-                hypothesis_ok=hp.hypothesis_ok,
+                params=_tuple_params(tup, [("eps", 1e-2)]),
             )
         )
     return rows
@@ -227,19 +208,16 @@ def c5_profile_machinery(seed: int, nodes_override: int | None = None):
     for name, f in named:
         for beta, beta_prime in ((2.0, 4.0), (3.0, 6.0)):
             for q in (2.0, 4.0):
-                res = ibp_identity_check(f, q, beta, beta_prime)
+                row = CHECKS["ibp"].run(poly=f, q=q, beta=beta, beta_prime=beta_prime)
                 rows.append(
-                    ReportRow(
+                    replace(
+                        row,
                         check_id="c5-profile-machinery",
                         params=(
                             f"check=ibp;f={name};beta={fmt_value(beta)};"
                             f"beta_prime={fmt_value(beta_prime)};q={fmt_value(q)}"
                         ),
-                        computed=res.max_rel_discrepancy,
-                        target=1e-7,
-                        status="pass" if res.passed else "fail",
-                        method="gauss-fd",
-                        est_error=0.0,
+                        note="",
                     )
                 )
     for beta, beta_prime in ((2.0, 4.0), (3.0, 6.0)):
@@ -273,27 +251,16 @@ def c6_nikolskii_isometry(seed: int, nodes_override: int | None = None):
         ("bivar", random_polynomials(25, 2, 5, seed)),
     ]
     for tup in PARAM_GRID:
-        alpha, beta, p, q = tup
         for tag, polys in corpora:
             for i, P in enumerate(polys):
-                res = nikolskii_check(P, alpha, beta, p, q)
-                if not res.hypothesis_ok:
-                    status = "out-of-hypothesis"
-                else:
-                    status = "pass" if res.passed else "fail"
+                row = CHECKS["nikolskii"].run(**space_inputs(tup), poly=P)
                 rows.append(
-                    ReportRow(
+                    replace(
+                        row,
                         check_id="c6-nikolskii-isometry",
                         params=_tuple_params(
                             tup, [("check", "nikolskii"), ("case", f"{tag}-{i:02d}")]
                         ),
-                        computed=res.ratio,
-                        target=res.bound,
-                        status=status,
-                        method="quadrature",
-                        est_error=0.0,
-                        hypothesis_ok=res.hypothesis_ok,
-                        note=f"degree={res.degree}",
                     )
                 )
     zero_free = random_polynomials(10, 1, 5, seed, "zero-free") + random_polynomials(
@@ -327,51 +294,25 @@ def c6_nikolskii_isometry(seed: int, nodes_override: int | None = None):
 
 def c7_sharpness_asymptotics(seed: int, nodes_override: int | None = None):
     """Gaussian-limit ratio, gamma-ratio trend, and the Stirling sandwich."""
-    rows = []
-    rep = extremal_ratio(
-        ExtremalSpec(1.0, 64, 1), 2.0, 2.0, 2.0, 4.0, n_samples=200_000, seed=seed
+    cid = "c7-sharpness-asymptotics"
+    samples = 200_000
+    extremal = CHECKS["extremal"].run(
+        alpha=2.0, beta=2.0, p=2.0, q=4.0, m=1, n=64, samples=samples, seed=seed
     )
-    tol = max(4.0 * rep.ci, 0.03 * rep.target)
-    rows.append(
-        ReportRow(
-            check_id="c7-sharpness-asymptotics",
+    # m_max = 200 runs the ratio over m = 10, 50, 100, 200
+    gamma = CHECKS["gamma-ratio"].run(p=2.0, q=4.0, m_max=200)
+    # the default grid 0.1, 0.5, 1, 2, 5, 10, 50, 100, 400
+    stirling = CHECKS["stirling"].run()
+    return [
+        replace(
+            extremal,
+            check_id=cid,
             params="check=extremal-ratio;m=1;n=64;alpha=2.0;beta=2.0;p=2.0;q=4.0",
-            computed=rep.ratio,
-            target=rep.target,
-            status="pass" if abs(rep.ratio - rep.target) <= tol else "fail",
-            method="monte-carlo",
-            est_error=rep.ci,
-            note=f"tol={fmt_value(tol)};samples={rep.n_samples}",
-        )
-    )
-    gam = gamma_ratio_limit_check(2.0, 4.0, (10, 50, 100, 200))
-    rows.append(
-        ReportRow(
-            check_id="c7-sharpness-asymptotics",
-            params="check=gamma-ratio;p=2.0;q=4.0;m_max=200",
-            computed=gam.values[-1],
-            target=gam.limit,
-            status="pass" if gam.passed else "fail",
-            method="log-gamma",
-            est_error=gam.rel_errors[-1],
-        )
-    )
-    x_grid = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 100.0, 400.0)
-    stir = stirling_bounds_check(x_grid)
-    worst = min(min(stir.lower_margins), min(stir.upper_margins))
-    rows.append(
-        ReportRow(
-            check_id="c7-sharpness-asymptotics",
-            params="check=stirling;grid=0.1..400",
-            computed=worst,
-            target=0.0,
-            status="pass" if stir.passed else "fail",
-            method="log-gamma",
-            est_error=0.0,
-            note="min log-margin over both bounds",
-        )
-    )
-    return rows
+            note=f"{extremal.note};samples={samples}",
+        ),
+        replace(gamma, check_id=cid, params="check=gamma-ratio;p=2.0;q=4.0;m_max=200"),
+        replace(stirling, check_id=cid, params="check=stirling;grid=0.1..400"),
+    ]
 
 
 # ----------------------------------------------------------------- harness
@@ -428,9 +369,7 @@ def run_criterion(
             t0 = time.perf_counter()
             rows = fn(seed, nodes_override=nodes_override)
             dt = time.perf_counter() - t0
-            passed = all(
-                r.status == "pass" for r in rows if r.status != "out-of-hypothesis"
-            )
+            passed = VerificationReport(list(rows)).aggregate_pass
             return CriterionResult(cid, passed, dt, tuple(rows))
     raise ValueError(f"unknown criterion {criterion_id!r}")
 

@@ -1,8 +1,10 @@
 """Command line front end.
 
 One subcommand per library operation plus the sweep runner and the
-acceptance harness.  Exit codes: 0 when every in-hypothesis check passes,
-1 on a verification failure, 2 on a usage or configuration error.
+acceptance harness; the single-check subcommands are built from the
+registry in `checks.py`, so their flags, rows and statuses come from
+there.  Exit codes: 0 when every in-hypothesis check passes, 1 on a
+verification failure, 2 on a usage or configuration error.
 Single-check subcommands emit JSON by default; `--out csv` switches to the
 standard report schema.  Summaries go to stderr so stdout stays parseable.
 """
@@ -16,23 +18,8 @@ import time
 import numpy as np
 
 from .acceptance import verify_suite
-from .extremal import (
-    ExtremalSpec,
-    extremal_ratio,
-    gamma_ratio_limit_check,
-    stirling_bounds_check,
-)
-from .inequalities import (
-    HyperParams,
-    ibp_identity_check,
-    hyper_check,
-    kulikov_check,
-    nikolskii_check,
-    phi_profile,
-    sharp_radius,
-    threshold_search,
-    weissler_threshold_check,
-)
+from .checks import CHECKS
+from .inequalities import phi_profile
 from .measures import McSampler, check_alpha, circle_rule, radial_rule
 from .norms import (
     bergman_norm,
@@ -41,7 +28,7 @@ from .norms import (
     exact_norm_p2,
 )
 from .poly import parse_polynomial
-from .report import CSV_HEADER, ReportRow, VerificationReport, fmt_value
+from .report import CSV_HEADER, VerificationReport, fmt_value
 from .sweep import load_sweep_config, run_sweep
 
 __all__ = ["main"]
@@ -66,12 +53,9 @@ def _parse_space(text: str) -> tuple[float, float]:
     return values["alpha"], values["p"]
 
 
-def _emit_rows(rows, args) -> int:
-    """Print check rows as JSON or CSV; return the aggregate exit code."""
-    report = VerificationReport()
-    report.extend(rows)
-    out = getattr(args, "out", None) or "json"
-    if out == "csv":
+def _emit(report, args, default_out: str, elapsed_s: float | None = None) -> int:
+    """Print a report as JSON or CSV; return the aggregate exit code."""
+    if (args.out or default_out) == "csv":
         sys.stdout.write(report.to_csv())
     else:
         payload = [
@@ -79,7 +63,7 @@ def _emit_rows(rows, args) -> int:
         ]
         print(json.dumps(payload, indent=2, sort_keys=True))
     if not args.quiet:
-        print(report.summary(), file=sys.stderr)
+        print(report.summary(elapsed_s), file=sys.stderr)
     return 0 if report.aggregate_pass else 1
 
 
@@ -109,76 +93,12 @@ def _cmd_norm(args) -> int:
     return 0
 
 
-def _cmd_hyper_check(args) -> int:
-    hp = HyperParams.make(args.alpha, args.beta, args.p, args.q)
-    r = sharp_radius(hp) if args.r is None else args.r
-    f = parse_polynomial(args.poly)
-    res = hyper_check(f, hp, r, method=args.method, nodes=args.nodes, angles=args.angles)
-    if not res.hypothesis_ok:
-        status = "out-of-hypothesis"
-    else:
-        status = "pass" if res.passed else "fail"
-    row = ReportRow(
-        check_id="hyper",
-        params=(
-            f"alpha={fmt_value(args.alpha)};beta={fmt_value(args.beta)};"
-            f"p={fmt_value(args.p)};q={fmt_value(args.q)};r={fmt_value(r)};"
-            f"f={f.to_text()}"
-        ),
-        computed=res.lhs,
-        target=res.rhs,
-        status=status,
-        method=res.method,
-        est_error=0.0,
-        hypothesis_ok=res.hypothesis_ok,
-    )
-    return _emit_rows([row], args)
-
-
-def _cmd_threshold(args) -> int:
-    hp = HyperParams.make(args.alpha, args.beta, args.p, args.q)
-    rep = threshold_search(hp, eps=args.eps, tol=args.tol)
-    gap = abs(rep.r_star_empirical - rep.r_star_theoretical)
-    row = ReportRow(
-        check_id="threshold",
-        params=(
-            f"alpha={fmt_value(args.alpha)};beta={fmt_value(args.beta)};"
-            f"p={fmt_value(args.p)};q={fmt_value(args.q)};eps={fmt_value(args.eps)}"
-        ),
-        computed=rep.r_star_empirical,
-        target=rep.r_star_theoretical,
-        status="pass" if gap <= 5e-3 else "fail",
-        method="bisection",
-        est_error=rep.bracket_width,
-        hypothesis_ok=hp.hypothesis_ok,
-    )
-    return _emit_rows([row], args)
-
-
-def _cmd_nikolskii(args) -> int:
-    P = parse_polynomial(args.poly)
-    res = nikolskii_check(
-        P, args.alpha, args.beta, args.p, args.q, nodes=args.nodes, angles=args.angles
-    )
-    if not res.hypothesis_ok:
-        status = "out-of-hypothesis"
-    else:
-        status = "pass" if res.passed else "fail"
-    row = ReportRow(
-        check_id="nikolskii",
-        params=(
-            f"alpha={fmt_value(args.alpha)};beta={fmt_value(args.beta)};"
-            f"p={fmt_value(args.p)};q={fmt_value(args.q)};f={P.to_text()}"
-        ),
-        computed=res.ratio,
-        target=res.bound,
-        status=status,
-        method="quadrature",
-        est_error=0.0,
-        hypothesis_ok=res.hypothesis_ok,
-        note=f"degree={res.degree}",
-    )
-    return _emit_rows([row], args)
+def _cmd_check(args) -> int:
+    check = args.check
+    given = {name: getattr(args, name) for name in check.names}
+    if "poly" in given:
+        given["poly"] = parse_polynomial(given["poly"])
+    return _emit(VerificationReport([check.run(**given)]), args, "json")
 
 
 def _cmd_phi(args) -> int:
@@ -198,156 +118,17 @@ def _cmd_phi(args) -> int:
     return 0
 
 
-def _cmd_ibp_check(args) -> int:
-    f = parse_polynomial(args.poly)
-    res = ibp_identity_check(
-        f, args.q, args.beta, args.beta_prime, nodes=args.nodes, tol=args.tol
-    )
-    row = ReportRow(
-        check_id="ibp",
-        params=(
-            f"beta={fmt_value(args.beta)};beta_prime={fmt_value(args.beta_prime)};"
-            f"q={fmt_value(args.q)};f={f.to_text()}"
-        ),
-        computed=res.max_rel_discrepancy,
-        target=args.tol,
-        status="pass" if res.passed else "fail",
-        method="gauss-fd",
-        est_error=0.0,
-        note=(
-            f"lhs_dilated={fmt_value(res.lhs_dilated)};"
-            f"lhs_plain={fmt_value(res.lhs_plain)}"
-        ),
-    )
-    return _emit_rows([row], args)
-
-
-def _cmd_kulikov(args) -> int:
-    f = parse_polynomial(args.poly)
-    res = kulikov_check(f, args.alpha, args.p, args.q)
-    row = ReportRow(
-        check_id="kulikov",
-        params=(
-            f"alpha={fmt_value(args.alpha)};p={fmt_value(args.p)};"
-            f"q={fmt_value(args.q)};f={f.to_text()}"
-        ),
-        computed=res.lhs,
-        target=res.rhs,
-        status="pass" if res.passed else "fail",
-        method="quadrature",
-        est_error=0.0,
-        note=f"beta_prime={fmt_value(res.beta_prime)}",
-    )
-    return _emit_rows([row], args)
-
-
-def _cmd_weissler(args) -> int:
-    f = parse_polynomial(args.poly)
-    sharp = (min(args.p / args.q, 1.0)) ** 0.5
-    r = sharp if args.r is None else args.r
-    res = weissler_threshold_check(f, args.p, args.q, r, angles=args.angles)
-    row = ReportRow(
-        check_id="weissler",
-        params=(
-            f"p={fmt_value(args.p)};q={fmt_value(args.q)};"
-            f"r={fmt_value(r)};f={f.to_text()}"
-        ),
-        computed=res.lhs,
-        target=res.rhs,
-        status="pass" if res.passed else "fail",
-        method="quadrature",
-        est_error=0.0,
-        hypothesis_ok=args.p <= args.q,
-        note=f"sharp_r={fmt_value(res.sharp_r)}",
-    )
-    return _emit_rows([row], args)
-
-
-def _cmd_extremal(args) -> int:
-    rep = extremal_ratio(
-        ExtremalSpec(1.0, args.n, args.m),
-        args.alpha,
-        args.beta,
-        args.p,
-        args.q,
-        n_samples=args.samples,
-        seed=args.seed,
-    )
-    tol = max(4.0 * rep.ci, 0.03 * rep.target)
-    row = ReportRow(
-        check_id="extremal",
-        params=(
-            f"alpha={fmt_value(args.alpha)};beta={fmt_value(args.beta)};"
-            f"p={fmt_value(args.p)};q={fmt_value(args.q)};"
-            f"m={args.m};n={args.n};samples={args.samples};seed={args.seed}"
-        ),
-        computed=rep.ratio,
-        target=rep.target,
-        status="pass" if rep.within <= tol else "fail",
-        method="monte-carlo",
-        est_error=rep.ci,
-        note=f"tol={fmt_value(tol)}",
-    )
-    return _emit_rows([row], args)
-
-
-def _cmd_stirling(args) -> int:
-    grid = tuple(float(x) for x in args.grid.split(","))
-    rep = stirling_bounds_check(grid)
-    worst = min(min(rep.lower_margins), min(rep.upper_margins))
-    row = ReportRow(
-        check_id="stirling",
-        params=f"grid={args.grid}",
-        computed=worst,
-        target=0.0,
-        status="pass" if rep.passed else "fail",
-        method="log-gamma",
-        est_error=0.0,
-        note="min log-margin over both bounds",
-    )
-    return _emit_rows([row], args)
-
-
-def _cmd_gamma_ratio(args) -> int:
-    if args.m_max < 2:
-        raise ValueError("--m-max must be at least 2")
-    grid = tuple(m for m in (10, 50, 100) if m < args.m_max) + (args.m_max,)
-    if len(grid) == 1:
-        grid = (max(1, args.m_max // 2), args.m_max)
-    rep = gamma_ratio_limit_check(args.p, args.q, grid)
-    row = ReportRow(
-        check_id="gamma-ratio",
-        params=f"p={fmt_value(args.p)};q={fmt_value(args.q)};m_max={args.m_max}",
-        computed=rep.values[-1],
-        target=rep.limit,
-        status="pass" if rep.passed else "fail",
-        method="log-gamma",
-        est_error=rep.rel_errors[-1],
-    )
-    return _emit_rows([row], args)
-
-
 def _cmd_sweep(args) -> int:
     cfg = load_sweep_config(args.config)
     start = time.perf_counter()
     report = run_sweep(cfg, jobs=args.jobs)
     elapsed_s = time.perf_counter() - start
-    if cfg.output_path:
-        report.write_csv(cfg.output_path)
-        if not args.quiet:
-            print(report.summary(elapsed_s), file=sys.stderr)
-            print(f"report written to {cfg.output_path}", file=sys.stderr)
-    else:
-        if getattr(args, "out", None) == "json":
-            payload = [
-                dict(zip(CSV_HEADER, row.csv_fields()))
-                for row in report.sorted_rows()
-            ]
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            sys.stdout.write(report.to_csv())
-        if not args.quiet:
-            print(report.summary(elapsed_s), file=sys.stderr)
+    if not cfg.output_path:
+        return _emit(report, args, "csv", elapsed_s)
+    report.write_csv(cfg.output_path)
+    if not args.quiet:
+        print(report.summary(elapsed_s), file=sys.stderr)
+        print(f"report written to {cfg.output_path}", file=sys.stderr)
     return 0 if report.aggregate_pass else 1
 
 
@@ -416,39 +197,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s)
     s.set_defaults(handler=_cmd_norm)
 
-    s = subs.add_parser("hyper-check", help="dilation contraction at one radius")
-    s.add_argument("--alpha", type=float, required=True)
-    s.add_argument("--beta", type=float, required=True)
-    s.add_argument("--p", type=float, required=True)
-    s.add_argument("--q", type=float, required=True)
-    s.add_argument("--poly", required=True)
-    s.add_argument("--r", type=float, default=None, help="default: critical radius")
-    s.add_argument("--method", choices=("exact", "quad"), default="quad")
-    s.add_argument("--nodes", type=int, default=None)
-    s.add_argument("--angles", type=int, default=None)
-    _add_common(s)
-    s.set_defaults(handler=_cmd_hyper_check)
-
-    s = subs.add_parser("threshold", help="empirical contraction radius by bisection")
-    s.add_argument("--alpha", type=float, required=True)
-    s.add_argument("--beta", type=float, required=True)
-    s.add_argument("--p", type=float, required=True)
-    s.add_argument("--q", type=float, required=True)
-    s.add_argument("--eps", type=float, default=1e-2)
-    s.add_argument("--tol", type=float, default=1e-4)
-    _add_common(s)
-    s.set_defaults(handler=_cmd_threshold)
-
-    s = subs.add_parser("nikolskii", help="degree-growth norm bound for one P")
-    s.add_argument("--alpha", type=float, required=True)
-    s.add_argument("--beta", type=float, required=True)
-    s.add_argument("--p", type=float, required=True)
-    s.add_argument("--q", type=float, required=True)
-    s.add_argument("--poly", required=True)
-    s.add_argument("--nodes", type=int, default=None)
-    s.add_argument("--angles", type=int, default=None)
-    _add_common(s)
-    s.set_defaults(handler=_cmd_nikolskii)
+    for check in CHECKS.values():
+        s = subs.add_parser(check.command, help=check.help)
+        for param in check.params:
+            if param.name == "seed":  # the global --seed
+                continue
+            s.add_argument(
+                "--" + param.name.replace("_", "-"),
+                type=param.type,
+                default=param.default,
+                required=param.required,
+                choices=param.choices,
+                help=param.help,
+            )
+        _add_common(s)
+        s.set_defaults(handler=_cmd_check, check=check)
 
     s = subs.add_parser("phi", help="circle-mean profile and second derivative")
     s.add_argument("--poly", required=True)
@@ -459,56 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--fd-step", type=float, default=1e-3, dest="fd_step")
     _add_common(s)
     s.set_defaults(handler=_cmd_phi)
-
-    s = subs.add_parser("ibp-check", help="double integration-by-parts identity")
-    s.add_argument("--poly", required=True)
-    s.add_argument("--q", type=float, required=True)
-    s.add_argument("--beta", type=float, required=True)
-    s.add_argument("--beta-prime", type=float, required=True, dest="beta_prime")
-    s.add_argument("--nodes", type=int, default=64)
-    s.add_argument("--tol", type=float, default=1e-7)
-    _add_common(s)
-    s.set_defaults(handler=_cmd_ibp_check)
-
-    s = subs.add_parser("kulikov", help="norm comparison at beta' = q*alpha/p")
-    s.add_argument("--poly", required=True)
-    s.add_argument("--alpha", type=float, required=True)
-    s.add_argument("--p", type=float, required=True)
-    s.add_argument("--q", type=float, required=True)
-    _add_common(s)
-    s.set_defaults(handler=_cmd_kulikov)
-
-    s = subs.add_parser("weissler", help="circle-norm dilation contraction")
-    s.add_argument("--poly", required=True)
-    s.add_argument("--p", type=float, required=True)
-    s.add_argument("--q", type=float, required=True)
-    s.add_argument("--r", type=float, default=None, help="default: sqrt(p/q)")
-    s.add_argument("--angles", type=int, default=None)
-    _add_common(s)
-    s.set_defaults(handler=_cmd_weissler)
-
-    s = subs.add_parser("extremal", help="Monte Carlo extremal-family norm ratio")
-    s.add_argument("--alpha", type=float, required=True)
-    s.add_argument("--beta", type=float, required=True)
-    s.add_argument("--p", type=float, required=True)
-    s.add_argument("--q", type=float, required=True)
-    s.add_argument("--m", type=int, default=1)
-    s.add_argument("--n", type=int, default=64)
-    s.add_argument("--samples", type=int, default=200_000)
-    _add_common(s)
-    s.set_defaults(handler=_cmd_extremal)
-
-    s = subs.add_parser("stirling", help="two-sided factorial bounds on a grid")
-    s.add_argument("--grid", default="0.1,0.5,1,2,5,10,50,100,400")
-    _add_common(s)
-    s.set_defaults(handler=_cmd_stirling)
-
-    s = subs.add_parser("gamma-ratio", help="normalized gamma-ratio limit check")
-    s.add_argument("--p", type=float, required=True)
-    s.add_argument("--q", type=float, required=True)
-    s.add_argument("--m-max", type=int, default=200, dest="m_max")
-    _add_common(s)
-    s.set_defaults(handler=_cmd_gamma_ratio)
 
     s = subs.add_parser("sweep", help="run a config-driven grid of checks")
     s.add_argument("--config", required=True)

@@ -26,7 +26,7 @@ from .norms import (
     exact_norm_p2,
     hardy_norm,
 )
-from .poly import ComplexPolynomial, DilationVector
+from .poly import ComplexPolynomial
 
 __all__ = [
     "SpaceParams",
@@ -35,7 +35,6 @@ __all__ = [
     "ThresholdReport",
     "PhiProfile",
     "hyper_check",
-    "hyper_check_polydisc",
     "threshold_search",
     "necessity_expansion_check",
     "kulikov_check",
@@ -43,7 +42,6 @@ __all__ = [
     "phi_convexity_check",
     "ibp_identity_check",
     "convexity_majorant_check",
-    "reduction_chain",
     "nikolskii_check",
     "weissler_threshold_check",
     "sharp_radius",
@@ -156,29 +154,6 @@ def hyper_check(
         lhs=lhs,
         rhs=rhs,
         r=float(r),
-        hypothesis_ok=hp.hypothesis_ok,
-        method=method,
-    )
-
-
-def hyper_check_polydisc(
-    f: ComplexPolynomial,
-    hp: HyperParams,
-    radii: DilationVector,
-    method: str = "quad",
-    nodes: int | None = None,
-    angles: int | None = None,
-) -> HyperCheckResult:
-    """Componentwise dilation check on the polydisc (tensor quadrature)."""
-    if len(radii) != f.nvars:
-        raise ValueError("radii length must match the variable count")
-    lhs = _norm_for(f.dilate(radii), hp.beta, hp.q, method, nodes, angles).value
-    rhs = _norm_for(f, hp.alpha, hp.p, method, nodes, angles).value
-    return HyperCheckResult(
-        passed=lhs <= rhs * (1.0 + INEQ_SLACK),
-        lhs=lhs,
-        rhs=rhs,
-        r=float(min(radii.radii)),
         hypothesis_ok=hp.hypothesis_ok,
         method=method,
     )
@@ -511,32 +486,6 @@ def convexity_majorant_check(
     margin = (1.0 - ys) ** (beta_prime / beta) - (1.0 - ys * beta_prime / beta)
     worst = float(margin.min())
     return MajorantResult(passed=worst >= -1e-12, min_margin=worst)
-
-
-def reduction_chain(
-    f: ComplexPolynomial, q: float, beta: float, beta_prime: float, nodes: int = 64
-) -> tuple[float, float, float]:
-    """The three Phi''-integrals whose chain drives the sufficiency argument.
-
-    Returns (A, B, C) with
-        A = int_0^{r^2} (1-y/r^2)^beta   Phi''(y) dy,
-        B = int_0^{r^2} (1-y)^beta_prime Phi''(y) dy,
-        C = int_0^1     (1-y)^beta_prime Phi''(y) dy,
-    where r^2 = beta/beta_prime; convexity of Phi forces A <= B <= C.
-    """
-    if q < 2.0:
-        raise ValueError("requires q >= 2")
-    r_sq = beta / beta_prime
-    t_a, w_a = radial_rule(beta + 2.0, nodes)
-    a_val = r_sq * float(w_a @ _phi_second_derivative(f, q, r_sq * t_a)) / (beta + 1.0)
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    y_mid = 0.5 * r_sq * (x + 1.0)
-    b_val = 0.5 * r_sq * float(
-        w @ ((1.0 - y_mid) ** beta_prime * _phi_second_derivative(f, q, y_mid))
-    )
-    t_c, w_c = radial_rule(beta_prime + 2.0, nodes)
-    c_val = float(w_c @ _phi_second_derivative(f, q, t_c)) / (beta_prime + 1.0)
-    return a_val, b_val, c_val
 
 
 # ------------------------------------------------------------ degree bounds

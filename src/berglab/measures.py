@@ -23,12 +23,9 @@ from scipy.special import roots_jacobi
 
 __all__ = [
     "ALPHA_MIN",
-    "DiskRule",
     "McSampler",
     "radial_rule",
     "circle_rule",
-    "disk_rule",
-    "disk_integral",
     "angular_count_for",
     "stream_for",
 ]
@@ -79,65 +76,6 @@ def circle_rule(count: int) -> tuple[np.ndarray, float]:
 def angular_count_for(degree: int, p: float, floor: int = 257) -> int:
     """Default angular point count; alias-free for integer p/2 powers."""
     return max(floor, 4 * degree * math.ceil(max(p, 2.0) / 2.0) + 1)
-
-
-@dataclass(frozen=True, eq=False)
-class DiskRule:
-    """Tensor radial x angular rule for one disk factor."""
-
-    alpha: float
-    radial_nodes: np.ndarray   # squared radii, strictly inside (0, 1)
-    radial_weights: np.ndarray
-    angular_count: int
-
-    def __post_init__(self) -> None:
-        t, w = self.radial_nodes, self.radial_weights
-        if len(t) != len(w) or len(t) == 0:
-            raise ValueError("node/weight length mismatch")
-        if not (np.all(t > 0.0) and np.all(t < 1.0)):
-            raise ValueError("radial nodes must lie strictly inside (0, 1)")
-        if not np.all(w > 0.0):
-            raise ValueError("radial weights must be positive")
-        if abs(w.sum() - 1.0) > 1e-13:
-            raise ValueError(f"radial weights sum to {w.sum()!r}, expected 1")
-        if self.angular_count < 1:
-            raise ValueError("angular_count must be >= 1")
-
-    @property
-    def node_count(self) -> int:
-        return len(self.radial_nodes)
-
-    def points(self) -> np.ndarray:
-        """Complex grid of shape (radial, angular)."""
-        theta, _ = circle_rule(self.angular_count)
-        return np.sqrt(self.radial_nodes)[:, None] * np.exp(1j * theta)[None, :]
-
-
-def disk_rule(
-    alpha: float,
-    nodes: int = 64,
-    angles: int | None = None,
-    degree: int = 0,
-    p: float = 2.0,
-) -> DiskRule:
-    """Build a disk rule; angular count defaults to angular_count_for."""
-    t, w = radial_rule(alpha, nodes)
-    m = angles if angles is not None else angular_count_for(degree, p)
-    return DiskRule(float(alpha), t, w, int(m))
-
-
-def disk_integral(integrand, rule: DiskRule) -> float:
-    """Integrate a pointwise function of z over dA_alpha with the given rule.
-
-    The integrand must accept a complex ndarray and return real values.
-    """
-    z = rule.points()
-    vals = np.asarray(integrand(z), dtype=float)
-    if vals.shape != z.shape:
-        raise ValueError("integrand must evaluate elementwise")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("non-finite integrand value at a quadrature node")
-    return float(rule.radial_weights @ vals.mean(axis=1))
 
 
 # ----------------------------------------------------------------- sampling

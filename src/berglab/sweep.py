@@ -28,28 +28,19 @@ its config: rerunning one produces byte-identical CSV.
 from __future__ import annotations
 
 import ctypes
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
+from .checks import CHECKS, space_inputs
 from .corpus import random_polynomials
-from .inequalities import (
-    HyperParams,
-    hyper_check,
-    kulikov_check,
-    nikolskii_check,
-    sharp_radius,
-    threshold_search,
-    weissler_threshold_check,
-)
 from .poly import ComplexPolynomial, parse_polynomial
 from .report import ReportRow, VerificationReport, fmt_value
 
 __all__ = ["SweepConfig", "parse_sweep_config", "load_sweep_config", "run_sweep"]
 
-CHECK_KINDS = ("hyper", "nikolskii", "kulikov", "weissler", "threshold")
+CHECK_KINDS = tuple(name for name, check in CHECKS.items() if check.sweep)
 
 _SECTION_KEYS = {
     "sweep": {"checks", "seed", "method", "nodes", "angles"},
@@ -269,118 +260,30 @@ def load_sweep_config(path: str) -> SweepConfig:
 # --------------------------------------------------------------- execution
 
 
-def _params_string(pairs) -> str:
-    return ";".join(f"{k}={fmt_value(v)}" for k, v in pairs)
+def _tasks(cfg: SweepConfig):
+    """(check, inputs, described) for every row, in config order.
 
-
-def _status(passed: bool, hypothesis_ok: bool) -> str:
-    if not hypothesis_ok:
-        return "out-of-hypothesis"
-    return "pass" if passed else "fail"
-
-
-def _radii_for(cfg: SweepConfig, tup) -> list[float]:
-    if cfg.radii == "auto":
-        alpha, beta, p, q = tup
-        return [sharp_radius(HyperParams.make(alpha, beta, p, q))]
-    return list(cfg.radii)
-
-
-def _hyper_task(cfg, poly, tup, r):
-    alpha, beta, p, q = tup
-    hp = HyperParams.make(alpha, beta, p, q)
-    res = hyper_check(poly, hp, r, method=cfg.method, nodes=cfg.nodes, angles=cfg.angles)
-    params = _params_string(
-        [("alpha", alpha), ("beta", beta), ("p", p), ("q", q), ("r", r), ("poly", poly)]
-    )
-    return ReportRow(
-        check_id="hyper",
-        params=params,
-        computed=res.lhs,
-        target=res.rhs,
-        status=_status(res.passed, res.hypothesis_ok),
-        method=res.method,
-        est_error=0.0,
-        hypothesis_ok=res.hypothesis_ok,
-    )
-
-
-def _nikolskii_task(cfg, poly, tup):
-    alpha, beta, p, q = tup
-    res = nikolskii_check(poly, alpha, beta, p, q, nodes=cfg.nodes, angles=cfg.angles)
-    params = _params_string(
-        [("alpha", alpha), ("beta", beta), ("p", p), ("q", q), ("poly", poly)]
-    )
-    return ReportRow(
-        check_id="nikolskii",
-        params=params,
-        computed=res.ratio,
-        target=res.bound,
-        status=_status(res.passed, res.hypothesis_ok),
-        method="quadrature",
-        est_error=0.0,
-        hypothesis_ok=res.hypothesis_ok,
-        note=f"degree={res.degree}",
-    )
-
-
-def _kulikov_task(cfg, poly, tup):
-    alpha, _, p, q = tup
-    res = kulikov_check(poly, alpha, p, q)
-    params = _params_string([("alpha", alpha), ("p", p), ("q", q), ("poly", poly)])
-    return ReportRow(
-        check_id="kulikov",
-        params=params,
-        computed=res.lhs,
-        target=res.rhs,
-        status=_status(res.passed, True),
-        method="quadrature",
-        est_error=0.0,
-        note=f"beta_prime={fmt_value(res.beta_prime)}",
-    )
-
-
-def _weissler_task(cfg, poly, tup, r):
-    _, _, p, q = tup
-    res = weissler_threshold_check(poly, p, q, r, angles=cfg.angles)
-    params = _params_string([("p", p), ("q", q), ("r", r), ("poly", poly)])
-    return ReportRow(
-        check_id="weissler",
-        params=params,
-        computed=res.lhs,
-        target=res.rhs,
-        status=_status(res.passed, p <= q),
-        method="quadrature",
-        est_error=0.0,
-        hypothesis_ok=p <= q,
-    )
-
-
-def _threshold_task(cfg, tup):
-    alpha, beta, p, q = tup
-    hp = HyperParams.make(alpha, beta, p, q)
-    rep = threshold_search(hp, eps=cfg.eps)
-    passed = abs(rep.r_star_empirical - rep.r_star_theoretical) <= 5e-3
-    params = _params_string(
-        [("alpha", alpha), ("beta", beta), ("p", p), ("q", q), ("eps", cfg.eps)]
-    )
-    return ReportRow(
-        check_id="threshold",
-        params=params,
-        computed=rep.r_star_empirical,
-        target=rep.r_star_theoretical,
-        status=_status(passed, hp.hypothesis_ok),
-        method="bisection",
-        est_error=rep.bracket_width,
-        hypothesis_ok=hp.hypothesis_ok,
-    )
-
-
-def _weissler_radii(cfg: SweepConfig, tup) -> list[float]:
-    if cfg.radii == "auto":
-        _, _, p, q = tup
-        return [math.sqrt(min(p / q, 1.0))]
-    return list(cfg.radii)
+    A check runs once per polynomial only if it takes one, and once per
+    listed radius only if it takes r; ``r = auto`` leaves r to the check's
+    own default.
+    """
+    settings = {
+        "method": cfg.method,
+        "nodes": cfg.nodes,
+        "angles": cfg.angles,
+        "eps": cfg.eps,
+    }
+    for kind in cfg.checks:
+        check = CHECKS[kind]
+        radii = cfg.radii if "r" in check.names and cfg.radii != "auto" else (None,)
+        polys = cfg.polys if "poly" in check.names else (None,)
+        for tup in cfg.tuples:
+            space = space_inputs(tup)
+            for r in radii:
+                for poly in polys:
+                    pool = {**settings, **space, "r": r, "poly": poly}
+                    inputs = {k: v for k, v in pool.items() if k in check.names}
+                    yield check, inputs, tup if poly is None else poly
 
 
 # (set, get) thread-count symbol pairs, by OpenBLAS build: the numpy and
@@ -431,8 +334,9 @@ def _openblas_thread_controls() -> list:
 def _one_blas_thread():
     """Run the body with every loaded OpenBLAS at one thread, then restore.
 
-    The sweep's row pool already keeps every core busy; OpenBLAS's own
-    worker threads would only spin against it.
+    A row's products are too small to gain from BLAS threads: beside the
+    row pool they spin against it, and on the serial path they burn about
+    twice the CPU for no shorter wall time.
     """
     saved = [
         (set_threads, get_threads())
@@ -450,47 +354,23 @@ def _one_blas_thread():
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> VerificationReport:
     """Execute the configured cross-product of checks.
 
-    With ``jobs > 1`` rows run on a pool of that many threads, and OpenBLAS,
-    where loaded, runs one thread per row meanwhile.  Per-row numerical
+    With ``jobs > 1`` rows run on a pool of that many threads.  Either way
+    OpenBLAS, where loaded, runs one thread per row meanwhile.  Per-row numerical
     failures become status=error rows; they fail the aggregate but do not
     abort the sweep.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    tasks = []
-    for kind in cfg.checks:
-        if kind == "hyper":
-            for tup in cfg.tuples:
-                for r in _radii_for(cfg, tup):
-                    for poly in cfg.polys:
-                        tasks.append(("hyper", (cfg, poly, tup, r), _hyper_task))
-        elif kind == "nikolskii":
-            for tup in cfg.tuples:
-                for poly in cfg.polys:
-                    tasks.append(("nikolskii", (cfg, poly, tup), _nikolskii_task))
-        elif kind == "kulikov":
-            for tup in cfg.tuples:
-                for poly in cfg.polys:
-                    tasks.append(("kulikov", (cfg, poly, tup), _kulikov_task))
-        elif kind == "weissler":
-            for tup in cfg.tuples:
-                for r in _weissler_radii(cfg, tup):
-                    for poly in cfg.polys:
-                        tasks.append(("weissler", (cfg, poly, tup, r), _weissler_task))
-        elif kind == "threshold":
-            for tup in cfg.tuples:
-                tasks.append(("threshold", (cfg, tup), _threshold_task))
+    tasks = list(_tasks(cfg))
 
     def run_one(task):
-        kind, args, fn = task
+        check, inputs, described = task
         try:
-            return fn(*args)
+            return check.run(**inputs)
         except Exception as exc:
-            described = args[1] if len(args) > 1 else None
-            params = _params_string([("input", described)]) if described is not None else ""
             return ReportRow(
-                check_id=kind,
-                params=params,
+                check_id=check.name,
+                params=f"input={fmt_value(described)}",
                 computed=None,
                 target=None,
                 status="error",
@@ -498,9 +378,10 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> VerificationReport:
             )
 
     report = VerificationReport()
-    if jobs > 1 and len(tasks) > 1:
-        with _one_blas_thread(), ThreadPoolExecutor(max_workers=jobs) as pool:
-            report.extend(pool.map(run_one, tasks))
-    else:
-        report.extend(run_one(task) for task in tasks)
+    with _one_blas_thread():
+        if jobs > 1 and len(tasks) > 1:
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                report.extend(pool.map(run_one, tasks))
+        else:
+            report.extend(run_one(task) for task in tasks)
     return report

@@ -3,6 +3,7 @@
 Each test prints a single [PASS]/[FAIL] line with the criterion's stated
 tolerance and asserts both the verdict and the runtime budget.
 """
+import hashlib
 import subprocess
 import sys
 import time
@@ -12,6 +13,9 @@ import pytest
 from berglab.acceptance import run_criterion
 
 SEED = 1729
+# sha256 of the verify-suite CSV at SEED; a change that moves any number in
+# it updates this pin and says so
+SUITE_SHA256 = "49dee31593f8b4ad32583a4a495358f8469f76ce803376a4320a1df6c329710d"
 
 
 def emit(result, tolerance_note):
@@ -105,6 +109,7 @@ def test_c8_determinism_and_wall_clock(tmp_path):
     )
     assert identical
     assert in_budget
+    assert hashlib.sha256(a).hexdigest() == SUITE_SHA256
 
 
 def test_negative_control_names_failing_criterion(tmp_path):

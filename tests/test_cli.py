@@ -1,11 +1,14 @@
 """Exit codes, output formats, and plumbing of the command line interface."""
+import argparse
 import json
 import math
 import re
 
 import pytest
 
-from berglab.cli import main
+from berglab import sweep
+from berglab.cli import build_parser, main
+from berglab.sweep import CHECK_KINDS, parse_sweep_config, run_sweep
 
 
 def run(argv, capsys):
@@ -187,3 +190,108 @@ def test_verify_suite_filter_no_match_is_usage_error(capsys, tmp_path):
     )
     assert code == 2
     assert "matches no criterion" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weissler", "--poly", "1,1", "--p", "4", "--q", "2"],
+        ["threshold", "--alpha", "2", "--beta", "2", "--p", "4", "--q", "2"],
+    ],
+    ids=["weissler", "threshold"],
+)
+def test_out_of_hypothesis_rows_are_labeled_not_judged(argv, capsys):
+    # p > q breaks the hypotheses: the row is labeled and leaves the exit code
+    code, out, _ = run([*argv, "--quiet"], capsys)
+    assert code == 0
+    row = json.loads(out)[0]
+    assert row["status"] == "out-of-hypothesis"
+    assert row["hypothesis_ok"] == "false"
+
+
+# CLI arguments of each sweep kind for the inputs of PARITY_CONFIG
+PARITY_ARGV = {
+    "hyper": ["hyper-check", "--alpha", "2", "--beta", "3", "--p", "2", "--q", "4",
+              "--poly", "1,0.5"],
+    "nikolskii": ["nikolskii", "--alpha", "2", "--beta", "3", "--p", "2", "--q", "4",
+                  "--poly", "1,0.5"],
+    "kulikov": ["kulikov", "--alpha", "2", "--p", "2", "--q", "4", "--poly", "1,0.5"],
+    "weissler": ["weissler", "--p", "2", "--q", "4", "--poly", "1,0.5"],
+    "threshold": ["threshold", "--alpha", "2", "--beta", "3", "--p", "2", "--q", "4"],
+}
+PARITY_CONFIG = (
+    "[sweep]\nchecks = {}\n[grid]\ntuples = 2 3 2 4\n[corpus]\npolys = 1,0.5\n"
+)
+
+
+@pytest.mark.parametrize("kind", sorted(PARITY_ARGV))
+def test_cli_row_equals_one_row_sweep(kind, capsys):
+    assert sorted(PARITY_ARGV) == sorted(CHECK_KINDS)
+    code, out, _ = run(["--out", "csv", "--quiet", *PARITY_ARGV[kind]], capsys)
+    assert code == 0
+    swept = run_sweep(parse_sweep_config(PARITY_CONFIG.format(kind))).to_csv()
+    assert len(swept.splitlines()) == 2
+    assert out == swept
+
+
+# --seed, --jobs, --out and --quiet are accepted after every subcommand too
+COMMON = {opt: "==SUPPRESS==" for opt in ("--seed", "--jobs", "--out", "--quiet")}
+REQUIRED = "<required>"  # stands for the default of a required option
+PARSER_SNAPSHOT = {
+    "": {"--seed": 0, "--jobs": 1, "--out": None, "--quiet": False},
+    "norm": {"--space": REQUIRED, "--poly": REQUIRED, "--method": "quad",
+             "--nodes": None, "--angles": None, "--samples": 200_000},
+    "hyper-check": {"--alpha": REQUIRED, "--beta": REQUIRED, "--p": REQUIRED,
+                    "--q": REQUIRED, "--poly": REQUIRED, "--r": None,
+                    "--method": "quad", "--nodes": None, "--angles": None},
+    "threshold": {"--alpha": REQUIRED, "--beta": REQUIRED, "--p": REQUIRED,
+                  "--q": REQUIRED, "--eps": 0.01, "--tol": 0.0001},
+    "nikolskii": {"--alpha": REQUIRED, "--beta": REQUIRED, "--p": REQUIRED,
+                  "--q": REQUIRED, "--poly": REQUIRED, "--nodes": None,
+                  "--angles": None},
+    "phi": {"--poly": REQUIRED, "--q": REQUIRED, "--ymin": 0.05, "--ymax": 0.9,
+            "--count": 35, "--fd-step": 0.001},
+    "ibp-check": {"--poly": REQUIRED, "--q": REQUIRED, "--beta": REQUIRED,
+                  "--beta-prime": REQUIRED, "--nodes": 64, "--tol": 1e-07},
+    "kulikov": {"--poly": REQUIRED, "--alpha": REQUIRED, "--p": REQUIRED,
+                "--q": REQUIRED},
+    "weissler": {"--poly": REQUIRED, "--p": REQUIRED, "--q": REQUIRED,
+                 "--r": None, "--angles": None},
+    "extremal": {"--alpha": REQUIRED, "--beta": REQUIRED, "--p": REQUIRED,
+                 "--q": REQUIRED, "--m": 1, "--n": 64, "--samples": 200_000},
+    "stirling": {"--grid": "0.1,0.5,1,2,5,10,50,100,400"},
+    "gamma-ratio": {"--p": REQUIRED, "--q": REQUIRED, "--m-max": 200},
+    "sweep": {"--config": REQUIRED},
+    "verify-suite": {"--filter": None, "--csv": "verify_suite.csv",
+                     "--nodes-override": None},
+    "dump-rule": {"--alpha": REQUIRED, "--nodes": 64, "--angles": None},
+}
+SWEEP_KEYS_SNAPSHOT = {
+    "sweep": {"checks", "seed", "method", "nodes", "angles"},
+    "grid": {"tuples", "alpha", "beta", "p", "q", "r", "eps"},
+    "corpus": {"polys", "count", "max_degree", "nvars", "kind", "seed"},
+    "output": {"path"},
+}
+
+
+def _options(parser) -> dict:
+    """option -> default for every option of parser, REQUIRED if required."""
+    return {
+        action.option_strings[0]: REQUIRED if action.required else action.default
+        for action in parser._actions
+        if action.option_strings and not isinstance(action, argparse._HelpAction)
+    }
+
+
+def test_every_option_and_sweep_key_is_snapshotted():
+    # adding, dropping or re-defaulting a knob has to change this snapshot
+    parser = build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    seen = {"": _options(parser)}
+    seen.update((name, _options(sub)) for name, sub in subs.choices.items())
+    expected = {
+        name: {**opts, **COMMON} if name else opts
+        for name, opts in PARSER_SNAPSHOT.items()
+    }
+    assert seen == expected
+    assert sweep._SECTION_KEYS == SWEEP_KEYS_SNAPSHOT

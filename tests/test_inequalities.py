@@ -11,19 +11,17 @@ from berglab.inequalities import (
     SpaceParams,
     convexity_majorant_check,
     hyper_check,
-    hyper_check_polydisc,
     ibp_identity_check,
     kulikov_check,
     necessity_expansion_check,
     nikolskii_check,
     phi_convexity_check,
     phi_profile,
-    reduction_chain,
     sharp_radius,
     threshold_search,
     weissler_threshold_check,
 )
-from berglab.poly import ComplexPolynomial, DilationVector
+from berglab.poly import ComplexPolynomial
 
 z = ComplexPolynomial.variable()
 one = ComplexPolynomial.constant(1.0)
@@ -91,13 +89,14 @@ def test_hyper_check_exact_route_agrees():
 
 
 def test_hyper_polydisc_product_case():
-    # (1+z1)(1+z2) at the critical radius: both sides factor
+    # (1+z1)(1+z2) with one scalar r on both variables at the critical
+    # radius: both sides factor
     f = ComplexPolynomial.from_terms(
         2, {(0, 0): 1.0, (1, 0): 1.0, (0, 1): 1.0, (1, 1): 1.0}
     )
     hp = HyperParams.make(2.0, 2.0, 2.0, 4.0)
     r = sharp_radius(hp)
-    res = hyper_check_polydisc(f, hp, DilationVector.uniform(r, 2))
+    res = hyper_check(f, hp, r)
     assert res.passed
     assert res.lhs == pytest.approx(math.sqrt(25.0 / 12.0), rel=1e-11)
     assert res.rhs == pytest.approx(1.5, rel=1e-11)
@@ -219,14 +218,6 @@ def test_majorant_frozen_point():
 def test_majorant_grid_validation():
     with pytest.raises(ValueError):
         convexity_majorant_check(2.0, 4.0, np.array([0.0, 0.6]))
-
-
-def test_reduction_chain_frozen_values():
-    A, B, C = reduction_chain(one + z, 4.0, 2.0, 4.0)
-    assert A == pytest.approx(1.0 / 3.0, abs=1e-8)
-    assert B == pytest.approx(31.0 / 80.0, abs=1e-8)
-    assert C == pytest.approx(0.4, abs=1e-8)
-    assert A <= B + 1e-12 and B <= C + 1e-12
 
 
 def test_nikolskii_frozen_monomial():

@@ -9,8 +9,6 @@ from berglab.measures import (
     McSampler,
     angular_count_for,
     circle_rule,
-    disk_integral,
-    disk_rule,
     radial_rule,
     stream_for,
     unit_uniforms,
@@ -67,17 +65,6 @@ def test_angular_count_floor_and_growth():
     assert angular_count_for(0, 2.0) == 257
     assert angular_count_for(12, 6.0) == max(257, 4 * 12 * 3 + 1)
     assert angular_count_for(100, 2.0) == 401
-
-
-def test_disk_integral_constants_and_moments():
-    one = lambda z: np.ones_like(z, dtype=float)
-    sq = lambda z: np.abs(z) ** 2
-    re2 = lambda z: z.real ** 2
-    for alpha in (1.5, 2.0, 4.0):
-        rule = disk_rule(alpha, nodes=32, angles=64)
-        assert disk_integral(one, rule) == pytest.approx(1.0, abs=1e-13)
-        assert disk_integral(sq, rule) == pytest.approx(1.0 / alpha, rel=1e-13)
-        assert disk_integral(re2, rule) == pytest.approx(0.5 / alpha, rel=1e-13)
 
 
 def test_product_moment_two_factors():

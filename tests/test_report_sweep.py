@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from berglab import sweep
+from berglab import checks, sweep
 from berglab.report import CSV_HEADER, ReportRow, VerificationReport, fmt_value
 from berglab.sweep import parse_sweep_config, run_sweep
 
@@ -179,29 +179,32 @@ def test_sweep_pool_pins_openblas_to_one_thread_and_restores(text, monkeypatch):
     if not controls:
         pytest.skip("no OpenBLAS loaded in this process: no thread count to pin")
     original = [get_threads() for _, get_threads in controls]
-    # two threads before the sweep, so a missed restore shows whatever ran first
-    for set_threads, _ in controls:
-        set_threads(2)
     before = [2] * len(controls)
     seen = []
-    for name in ("_hyper_task", "_nikolskii_task", "_kulikov_task"):
-        task = getattr(sweep, name)
+    for name in ("hyper_check", "nikolskii_check", "kulikov_check"):
+        fn = getattr(checks, name)
 
-        def recording(*args, task=task):
+        def recording(*args, fn=fn, **kwargs):
             seen.append([get_threads() for _, get_threads in controls])
-            return task(*args)
+            return fn(*args, **kwargs)
 
-        monkeypatch.setattr(sweep, name, recording)
+        monkeypatch.setattr(checks, name, recording)
     try:
-        rep = run_sweep(parse_sweep_config(text), jobs=2)
-        after = [get_threads() for _, get_threads in controls]
+        # the serial path pins too
+        for jobs in (1, 2):
+            # two threads before the sweep, so a missed restore shows
+            for set_threads, _ in controls:
+                set_threads(2)
+            seen.clear()
+            rep = run_sweep(parse_sweep_config(text), jobs=jobs)
+            after = [get_threads() for _, get_threads in controls]
+            assert after == before
+            assert seen and all(counts == [1] * len(controls) for counts in seen)
+            if text is ERROR_CONFIG:
+                assert [row.status for row in rep.rows] == ["error", "error"]
     finally:
         for (set_threads, _), count in zip(controls, original):
             set_threads(count)
-    assert after == before
-    assert seen and all(counts == [1] * len(controls) for counts in seen)
-    if text is ERROR_CONFIG:
-        assert [row.status for row in rep.rows] == ["error", "error"]
 
 
 def test_sweep_pool_without_openblas_gives_same_csv(monkeypatch):
