@@ -1,8 +1,10 @@
 """The acceptance suite: seven self-contained criteria behind `verify-suite`.
 
 Each criterion runner returns ReportRows; a criterion passes when every
-in-hypothesis row passes.  Rows of a check in the registry (`checks.py`)
-take their verdict from it and keep the criterion's own id and params.
+in-hypothesis row passes.  Every row takes its status from `checks.py`:
+rows of a check in the registry take their verdict from it and keep the
+criterion's own id and params, and value-against-target rows use its
+agreement rule.
 The suite prints one [PASS]/[FAIL] line per criterion, writes the
 combined machine CSV, and exits nonzero on any failure.  Everything is a
 pure function of the seed, so two runs with the same seed produce
@@ -15,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .checks import CHECKS, space_inputs
+from .checks import CHECKS, agreement_row, format_params, space_inputs, status
 from .corpus import random_polynomials
 from .inequalities import (
     HyperParams,
@@ -24,9 +26,9 @@ from .inequalities import (
     phi_convexity_check,
     sharp_radius,
 )
-from .norms import bergman_norm, exact_norm_even_p, exact_norm_p2, mixed_norm
+from .norms import bergman_norm, exact_norm_even_p, mixed_norm
 from .poly import ComplexPolynomial
-from .report import ReportRow, VerificationReport, fmt_value
+from .report import ReportRow, VerificationReport
 
 __all__ = ["CriterionResult", "CRITERION_IDS", "run_criterion", "verify_suite"]
 
@@ -38,22 +40,6 @@ PARAM_GRID = (
     (1.5, 2.0, 2.0, 3.0),
     (2.0, 4.0, 0.5, 2.0),
 )
-
-
-def _rel(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(b), 1e-300)
-
-
-def _tuple_params(tup, extra=()) -> str:
-    alpha, beta, p, q = tup
-    pairs = [
-        ("alpha", fmt_value(alpha)),
-        ("beta", fmt_value(beta)),
-        ("p", fmt_value(p)),
-        ("q", fmt_value(q)),
-    ]
-    pairs.extend((k, fmt_value(v)) for k, v in extra)
-    return ";".join(f"{k}={v}" for k, v in pairs)
 
 
 # ------------------------------------------------------------- criterion 1
@@ -70,21 +56,14 @@ def c1_oracle_agreement(seed: int, nodes_override: int | None = None):
     for tag, polys in cases:
         for i, P in enumerate(polys):
             alpha, p = combos[i % len(combos)]
-            if p == 2.0:
-                oracle = exact_norm_p2(P, alpha)
-            else:
-                oracle = exact_norm_even_p(P, alpha, p)
-            quad = bergman_norm(P, alpha, p, nodes=nodes_override)
-            rel = _rel(quad.value, oracle.value)
             rows.append(
-                ReportRow(
-                    check_id="c1-oracle-agreement",
-                    params=f"case={tag}-{i:03d};alpha={fmt_value(alpha)};p={fmt_value(p)}",
-                    computed=quad.value,
-                    target=oracle.value,
-                    status="pass" if rel <= 1e-10 else "fail",
-                    method="quadrature-vs-exact",
-                    est_error=rel,
+                agreement_row(
+                    "c1-oracle-agreement",
+                    format_params(case=f"{tag}-{i:03d}", alpha=alpha, p=p),
+                    bergman_norm(P, alpha, p, nodes=nodes_override).value,
+                    exact_norm_even_p(P, alpha, p).value,
+                    1e-10,
+                    "quadrature-vs-exact",
                     note=f"degree={P.degree}",
                 )
             )
@@ -106,7 +85,7 @@ def c2_sharp_radius(seed: int, nodes_override: int | None = None):
                 replace(
                     row,
                     check_id="c2-sharp-radius-contraction",
-                    params=_tuple_params(tup, [("r", r0), ("case", i)]),
+                    params=format_params(**space_inputs(tup), r=r0, case=i),
                     method="quadrature",
                 )
             )
@@ -135,7 +114,7 @@ def c3_threshold_recovery(seed: int, nodes_override: int | None = None):
             replace(
                 row,
                 check_id="c3-threshold-recovery",
-                params=_tuple_params(tup, [("eps", 1e-2)]),
+                params=format_params(**space_inputs(tup), eps=1e-2),
             )
         )
     return rows
@@ -153,30 +132,27 @@ def c4_necessity_expansion(seed: int, nodes_override: int | None = None):
         rows.append(
             ReportRow(
                 check_id="c4-necessity-expansion",
-                params=f"alpha={fmt_value(alpha)};p={fmt_value(p)};kind=decay",
+                params=format_params(alpha=alpha, p=p, kind="decay"),
                 computed=rep.max_normalized_residual,
                 target=0.0,
-                status="pass" if rep.decay_ok else "fail",
+                status=status(rep.decay_ok),
                 method="exact" if p in (2.0, 4.0) else "quadrature",
                 est_error=0.0,
                 note="residual/eps^3 at worst grid point",
             )
         )
         if (alpha, p) == (2.0, 2.0):
-            for e, r in zip(rep.eps_grid, rep.residuals):
-                form = e ** 4 / 32.0
-                rel = _rel(r, form)
-                rows.append(
-                    ReportRow(
-                        check_id="c4-necessity-expansion",
-                        params=f"alpha=2.0;p=2.0;kind=closed-form;eps={fmt_value(e)}",
-                        computed=r,
-                        target=form,
-                        status="pass" if rel <= 0.10 else "fail",
-                        method="exact",
-                        est_error=rel,
-                    )
+            rows.extend(
+                agreement_row(
+                    "c4-necessity-expansion",
+                    format_params(alpha=alpha, p=p, kind="closed-form", eps=e),
+                    r,
+                    e ** 4 / 32.0,
+                    0.10,
+                    "exact",
                 )
+                for e, r in zip(rep.eps_grid, rep.residuals)
+            )
     return rows
 
 
@@ -193,13 +169,13 @@ def c5_profile_machinery(seed: int, nodes_override: int | None = None):
             rows.append(
                 ReportRow(
                     check_id="c5-profile-machinery",
-                    params=f"check=convexity;case={i:02d};q={fmt_value(q)}",
+                    params=format_params(check="convexity", case=f"{i:02d}", q=q),
                     computed=res.min_phi2,
                     target=-1e-7,
-                    status="pass" if res.passed else "fail",
+                    status=status(res.passed),
                     method="fd-profile",
                     est_error=0.0,
-                    note=f"argmin_y={fmt_value(res.argmin_y)}",
+                    note=format_params(argmin_y=res.argmin_y),
                 )
             )
     z = ComplexPolynomial.variable()
@@ -213,9 +189,8 @@ def c5_profile_machinery(seed: int, nodes_override: int | None = None):
                     replace(
                         row,
                         check_id="c5-profile-machinery",
-                        params=(
-                            f"check=ibp;f={name};beta={fmt_value(beta)};"
-                            f"beta_prime={fmt_value(beta_prime)};q={fmt_value(q)}"
+                        params=format_params(
+                            check="ibp", f=name, beta=beta, beta_prime=beta_prime, q=q
                         ),
                         note="",
                     )
@@ -226,13 +201,12 @@ def c5_profile_machinery(seed: int, nodes_override: int | None = None):
         rows.append(
             ReportRow(
                 check_id="c5-profile-machinery",
-                params=(
-                    f"check=majorant;beta={fmt_value(beta)};"
-                    f"beta_prime={fmt_value(beta_prime)}"
+                params=format_params(
+                    check="majorant", beta=beta, beta_prime=beta_prime
                 ),
                 computed=res.min_margin,
                 target=0.0,
-                status="pass" if res.passed else "fail",
+                status=status(res.passed),
                 method="grid",
                 est_error=0.0,
             )
@@ -258,8 +232,8 @@ def c6_nikolskii_isometry(seed: int, nodes_override: int | None = None):
                     replace(
                         row,
                         check_id="c6-nikolskii-isometry",
-                        params=_tuple_params(
-                            tup, [("check", "nikolskii"), ("case", f"{tag}-{i:02d}")]
+                        params=format_params(
+                            **space_inputs(tup), check="nikolskii", case=f"{tag}-{i:02d}"
                         ),
                     )
                 )
@@ -270,20 +244,15 @@ def c6_nikolskii_isometry(seed: int, nodes_override: int | None = None):
     alpha = 2.0
     for i, P in enumerate(zero_free):
         p = p_cycle[i % 3]
-        Q = P.homogenize(P.degree)
-        lifted = mixed_norm(Q, alpha, p)
-        plain = bergman_norm(P, alpha, p)
-        rel = _rel(lifted.value, plain.value)
         rows.append(
-            ReportRow(
-                check_id="c6-nikolskii-isometry",
-                params=f"check=isometry;case={i:02d};alpha={fmt_value(alpha)};p={fmt_value(p)}",
-                computed=lifted.value,
-                target=plain.value,
-                status="pass" if rel <= 1e-8 else "fail",
-                method="mixed-vs-quadrature",
-                est_error=rel,
-                note=f"degree={P.degree};nvars={P.nvars}",
+            agreement_row(
+                "c6-nikolskii-isometry",
+                format_params(check="isometry", case=f"{i:02d}", alpha=alpha, p=p),
+                mixed_norm(P.homogenize(P.degree), alpha, p).value,
+                bergman_norm(P, alpha, p).value,
+                1e-8,
+                "mixed-vs-quadrature",
+                note=format_params(degree=P.degree, nvars=P.nvars),
             )
         )
     return rows

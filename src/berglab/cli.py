@@ -6,7 +6,9 @@ registry in `checks.py`, so their flags, rows and statuses come from
 there.  Exit codes: 0 when every in-hypothesis check passes, 1 on a
 verification failure, 2 on a usage or configuration error.
 Single-check subcommands emit JSON by default; `--out csv` switches to the
-standard report schema.  Summaries go to stderr so stdout stays parseable.
+standard report schema.  `norm`, `phi` and `dump-rule` print a table through
+one printer (`_print_table`), JSON by default for `norm` and CSV for the
+other two.  Summaries go to stderr so stdout stays parseable.
 """
 from __future__ import annotations
 
@@ -21,12 +23,7 @@ from .acceptance import verify_suite
 from .checks import CHECKS
 from .inequalities import phi_profile
 from .measures import McSampler, check_alpha, circle_rule, radial_rule
-from .norms import (
-    bergman_norm,
-    bergman_norm_mc,
-    exact_norm_even_p,
-    exact_norm_p2,
-)
+from .norms import bergman_norm, bergman_norm_mc, exact_norm_even_p
 from .poly import parse_polynomial
 from .report import CSV_HEADER, VerificationReport, fmt_value
 from .sweep import load_sweep_config, run_sweep
@@ -67,30 +64,31 @@ def _emit(report, args, default_out: str, elapsed_s: float | None = None) -> int
     return 0 if report.aggregate_pass else 1
 
 
+def _print_table(args, default_out: str, header, records, one=False) -> int:
+    """Print records as CSV lines or as a JSON list of objects (one object
+    alone with ``one``), sorted keys, floats in round-trip form."""
+    if (args.out or default_out) == "csv":
+        print(",".join(header))
+        for record in records:
+            print(",".join(fmt_value(value) for value in record))
+    else:
+        payload = [dict(zip(header, record)) for record in records]
+        print(json.dumps(payload[0] if one else payload, sort_keys=True))
+    return 0
+
+
 def _cmd_norm(args) -> int:
     alpha, p = _parse_space(args.space)
     P = parse_polynomial(args.poly)
     if args.method == "exact":
-        if p == 2.0:
-            res = exact_norm_p2(P, alpha)
-        else:
-            res = exact_norm_even_p(P, alpha, p)
+        res = exact_norm_even_p(P, alpha, p)
     elif args.method == "mc":
         sampler = McSampler(alpha, P.nvars, args.seed)
         res = bergman_norm_mc(P, alpha, p, sampler, args.samples)
     else:
         res = bergman_norm(P, alpha, p, nodes=args.nodes, angles=args.angles)
-    if getattr(args, "out", None) == "csv":
-        print("value,method,est_error")
-        print(f"{fmt_value(res.value)},{res.method},{fmt_value(res.est_error)}")
-    else:
-        payload = {
-            "value": res.value,
-            "method": res.method,
-            "est_error": res.est_error,
-        }
-        print(json.dumps(payload, sort_keys=True))
-    return 0
+    record = (res.value, res.method, res.est_error)
+    return _print_table(args, "json", ("value", "method", "est_error"), [record], True)
 
 
 def _cmd_check(args) -> int:
@@ -105,17 +103,8 @@ def _cmd_phi(args) -> int:
     f = parse_polynomial(args.poly)
     ys = np.linspace(args.ymin, args.ymax, args.count)
     prof = phi_profile(f, args.q, ys, h=args.fd_step)
-    if getattr(args, "out", None) == "csv" or args.out is None:
-        print("y,phi,phi2")
-        for y, v, v2 in zip(prof.y_grid, prof.phi, prof.phi2):
-            print(f"{fmt_value(y)},{fmt_value(v)},{fmt_value(v2)}")
-    else:
-        payload = [
-            {"y": y, "phi": v, "phi2": v2}
-            for y, v, v2 in zip(prof.y_grid, prof.phi, prof.phi2)
-        ]
-        print(json.dumps(payload, sort_keys=True))
-    return 0
+    records = zip(prof.y_grid, prof.phi, prof.phi2)
+    return _print_table(args, "csv", ("y", "phi", "phi2"), list(records))
 
 
 def _cmd_sweep(args) -> int:
@@ -154,17 +143,8 @@ def _cmd_dump_rule(args) -> int:
         records.extend(
             ("angular", j, float(th), float(wt)) for j, th in enumerate(thetas)
         )
-    if getattr(args, "out", None) == "json":
-        payload = [
-            {"component": c, "index": i, "node": t, "weight": w}
-            for c, i, t, w in records
-        ]
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print("component,index,node,weight")
-        for c, i, t, w in records:
-            print(f"{c},{i},{fmt_value(t)},{fmt_value(w)}")
-    return 0
+    header = ("component", "index", "node", "weight")
+    return _print_table(args, "csv", header, records)
 
 
 def _add_common(sub) -> None:

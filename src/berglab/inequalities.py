@@ -17,13 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import angular_count_for, check_alpha, radial_rule
+from .measures import check_alpha, radial_rule
 from .norms import (
     NormResult,
-    _circle_means,
     bergman_norm,
+    circle_means,
     exact_norm_even_p,
-    exact_norm_p2,
     hardy_norm,
 )
 from .poly import ComplexPolynomial
@@ -128,11 +127,7 @@ def _norm_for(P: ComplexPolynomial, alpha: float, p: float, method: str,
             angles = 1025
         return bergman_norm(P, alpha, p, nodes=nodes, angles=angles)
     if method == "exact":
-        if p == 2.0:
-            return exact_norm_p2(P, alpha)
-        if p == int(p) and int(p) % 2 == 0:
-            return exact_norm_even_p(P, alpha, p)
-        raise ValueError(f"no exact route for p={p}")
+        return exact_norm_even_p(P, alpha, p)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -164,7 +159,6 @@ class ThresholdReport:
     r_star_empirical: float
     r_star_theoretical: float
     bracket_width: float
-    epsilon_used: float
     r_star_raw: float = 0.0
     r_star_half_eps: float = 0.0
 
@@ -225,7 +219,6 @@ def threshold_search(
         r_star_empirical=float(min(estimate, 1.0)),
         r_star_theoretical=sharp_radius(hp),
         bracket_width=float(max(width, width_half)),
-        epsilon_used=float(eps),
         r_star_raw=float(r_raw),
         r_star_half_eps=float(r_half),
     )
@@ -251,7 +244,7 @@ def necessity_expansion_check(
     """
     check_alpha(alpha)
     eps_desc = tuple(sorted((float(e) for e in eps_grid), reverse=True))
-    use_exact = p == 2.0 or (p == int(p) and int(p) % 2 == 0)
+    use_exact = p == int(p) and int(p) % 2 == 0
     residuals = []
     for e in eps_desc:
         f = ComplexPolynomial.from_coeffs([1.0, e])
@@ -312,8 +305,7 @@ def _phi_values(
     ys = np.asarray(ys, dtype=float)
     if np.any(ys < 0.0):
         raise ValueError("profile argument must be nonnegative")
-    m = angles if angles is not None else angular_count_for(f.degree, q)
-    return _circle_means(f.dense_coeffs(), ys.reshape(-1), int(m), q).reshape(ys.shape)
+    return circle_means(f, q, ys.reshape(-1), angles).reshape(ys.shape)
 
 
 def _phi_second_derivative(

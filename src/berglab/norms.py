@@ -4,11 +4,12 @@ Four evaluation routes are provided and never silently substituted for one
 another:
 
 * ``exact_norm_p2``: Parseval route at p = 2 from monomial moments;
-* ``exact_norm_even_p``: even p reduces to p = 2 via |P|^p = |P^(p/2)|^2;
-  its cost is expanding P^(p/2) by repeated squaring, and each product (see
-  ``poly``) is one vectorised multiply-add over the second factor's
-  coefficients per term of the first, so squaring a degree-d univariate P
-  takes about d^2 flops in numpy and d Python steps;
+* ``exact_norm_even_p``: the exact route for every even p, the one callers
+  use; p = 2 is ``exact_norm_p2`` and larger p reduce to it via
+  |P|^p = |P^(p/2)|^2.  Its cost is expanding P^(p/2) by repeated squaring,
+  and each product (see ``poly``) is one vectorised multiply-add over the
+  second factor's coefficients per term of the first, so squaring a
+  degree-d univariate P takes about d^2 flops in numpy and d Python steps;
 * ``bergman_norm``: tensor Gauss x equispaced quadrature;
 * ``bergman_norm_mc``: Monte Carlo with a counter-based sampler.
 
@@ -24,6 +25,12 @@ once to a weighted sum, so the full grid is never held in memory.  A circle
 variable is one more axis with the single node t = 1.  |P|^p is formed
 from s = re^2 + im^2 by products and square roots of s when 2p is an
 integer and by np.power otherwise, so exact zeros of P stay exactly zero.
+
+``_grid_rule`` is the one place where grids are sized: it turns the
+variables' degrees, alpha, p and the optional node and angle counts into
+the (t, w, M) triple of each axis, for ``bergman_norm``, the disk and
+circle axes of ``mixed_norm``, ``hardy_norm`` and the circle profile
+``circle_means``, and refuses counts below 1.
 """
 from __future__ import annotations
 
@@ -32,13 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import (
-    ALPHA_MIN,
-    McSampler,
-    angular_count_for,
-    check_alpha,
-    radial_rule,
-)
+from .measures import McSampler, angular_count_for, check_alpha, radial_rule
 from .poly import ComplexPolynomial
 
 __all__ = [
@@ -50,12 +51,14 @@ __all__ = [
     "bergman_norm_mc",
     "hardy_norm",
     "mixed_norm",
+    "circle_means",
 ]
 
-# Tensor quadrature defaults per variable count.  The univariate angular
-# floor follows the headline default; product grids use smaller floors (and a
-# reduced node count) because the cost is multiplicative, while alias-freeness
-# for the even-p integrands only needs 2*degree*ceil(p/2)+1 points.
+# Tensor quadrature defaults per variable count: (radial nodes, angular
+# floor).  The univariate angular floor follows the headline default; product
+# grids use smaller floors (and a reduced node count) because the cost is
+# multiplicative, while alias-freeness for the even-p integrands only needs
+# 2*degree*ceil(p/2)+1 points.  Circle variables use the univariate floor.
 _TENSOR_DEFAULTS = {1: (64, 257), 2: (32, 65), 3: (16, 33)}
 
 # The mixed norm wraps a circle average around the disk rule, so its inner
@@ -132,6 +135,8 @@ def exact_norm_even_p(P: ComplexPolynomial, alpha: float, p: float) -> NormResul
     _check_p(p)
     if p != int(p) or int(p) % 2 != 0:
         raise ValueError(f"p must be an even integer, got {p}")
+    if p == 2:
+        return exact_norm_p2(P, alpha)
     s = int(p) // 2
     value_sq = exact_norm_p2(P ** s, alpha).value ** 2
     return NormResult(value_sq ** (1.0 / p), "exact-even-p", 0.0)
@@ -286,34 +291,48 @@ def _power_mean(
     return total
 
 
-def _circle_means(
-    coeffs: np.ndarray, radii_sq: np.ndarray, m: int, p: float
+def _grid_rule(
+    degrees,
+    alpha: float | None,
+    p: float,
+    nodes: int | None = None,
+    angles: int | None = None,
+    defaults: dict = _TENSOR_DEFAULTS,
+) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """The (t, w, M) triple of each variable, given its degree.
+
+    A disk variable (alpha given) takes the Gauss rule of that weight with
+    ``nodes`` radial nodes and ``angles`` angles; with alpha None each
+    variable is a circle, the single node t = 1.  Counts left at None come
+    from ``defaults`` for this many variables, the angles from the degree
+    and p above the table's floor.
+    """
+    for name, count in (("nodes", nodes), ("angles", angles)):
+        if count is not None and count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
+    if len(degrees) not in defaults:
+        raise ValueError(
+            f"tensor quadrature takes at most 3 disk variables, got {len(degrees)}"
+        )
+    k_default, floor = defaults[len(degrees)]
+    if alpha is None:
+        t, w = _CIRCLE
+    else:
+        t, w = radial_rule(alpha, k_default if nodes is None else nodes)
+    return [
+        (t, w, int(angles if angles is not None else angular_count_for(d, p, floor)))
+        for d in degrees
+    ]
+
+
+def circle_means(
+    P: ComplexPolynomial, p: float, radii_sq: np.ndarray, angles: int | None = None
 ) -> np.ndarray:
-    """Mean of |P|^p over m equispaced angles on each circle |z|^2 = y."""
+    """Mean of |P|^p over the equispaced angles on each circle |z|^2 = y."""
+    coeffs = P.dense_coeffs()  # univariate P only
+    [(_, _, m)] = _grid_rule((P.degree,), None, p, angles=angles)
     tiles = _shell_means(coeffs.reshape(1, -1), radii_sq, m, p)
     return np.concatenate([means[0] for _, _, means in tiles])
-
-
-def _auto_rule(
-    P: ComplexPolynomial,
-    alpha: float,
-    p: float,
-    nodes: int | None,
-    angles: int | None,
-) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    n = P.nvars
-    if n not in _TENSOR_DEFAULTS:
-        raise ValueError(
-            "tensor quadrature supports at most 3 variables; use bergman_norm_mc"
-        )
-    k_default, floor = _TENSOR_DEFAULTS[n]
-    k = nodes if nodes is not None else k_default
-    t, w = radial_rule(alpha, k)
-    out = []
-    for d in P.variable_degrees():
-        m = angles if angles is not None else angular_count_for(d, p, floor=floor)
-        out.append((t, w, int(m)))
-    return out
 
 
 def bergman_norm(
@@ -331,7 +350,7 @@ def bergman_norm(
     """
     check_alpha(alpha)
     _check_p(p)
-    triples = _auto_rule(P, alpha, p, nodes, angles)
+    triples = _grid_rule(P.variable_degrees(), alpha, p, nodes, angles)
     if P.is_zero:
         return NormResult(0.0, "quadrature", 0.0)
     mean = _power_mean(P.coeff_array(), triples, p)
@@ -343,10 +362,10 @@ def hardy_norm(P: ComplexPolynomial, p: float, angles: int | None = None) -> Nor
     _check_p(p)
     if P.nvars != 1:
         raise ValueError("hardy_norm expects a univariate polynomial")
+    triples = _grid_rule(P.variable_degrees(), None, p, angles=angles)
     if P.is_zero:
         return NormResult(0.0, "quadrature", 0.0)
-    m = angles if angles is not None else angular_count_for(P.degree, p)
-    mean = _power_mean(P.coeff_array(), [(*_CIRCLE, int(m))], p)
+    mean = _power_mean(P.coeff_array(), triples, p)
     return NormResult(mean ** (1.0 / p), "quadrature", 0.0)
 
 
@@ -369,22 +388,13 @@ def mixed_norm(
     _check_p(p)
     if Q.nvars < 2:
         raise ValueError("mixed_norm needs at least one disk variable plus w")
-    n = Q.nvars - 1
-    if n not in _MIXED_DEFAULTS:
-        raise ValueError("mixed_norm supports at most 3 disk variables")
+    *disk, d_w = Q.variable_degrees()
+    triples = _grid_rule(disk, alpha, p, nodes, angles, _MIXED_DEFAULTS)
+    if angles_w is None:
+        angles_w = max(triples[0][2] - 1, 8)
+    triples += _grid_rule((d_w,), None, p, angles=angles_w)
     if Q.is_zero:
         return NormResult(0.0, "quadrature", 0.0)
-    k_default, floor = _MIXED_DEFAULTS[n]
-    k = nodes if nodes is not None else k_default
-    t, w = radial_rule(alpha, k)
-    degs = Q.variable_degrees()
-    triples = []
-    for d in degs[:-1]:
-        m = angles if angles is not None else angular_count_for(d, p, floor=floor)
-        triples.append((t, w, int(m)))
-    m_inner = triples[0][2]
-    mw = angles_w if angles_w is not None else max(m_inner - 1, 8)
-    triples.append((*_CIRCLE, int(mw)))
     mean = _power_mean(Q.coeff_array(), triples, p)
     return NormResult(mean ** (1.0 / p), "quadrature", 0.0)
 

@@ -56,13 +56,6 @@ class DilationVector:
                 raise ValueError(f"dilation radius {r} outside [0, 1]")
         object.__setattr__(self, "radii", radii)
 
-    @classmethod
-    def uniform(cls, r: float, nvars: int) -> "DilationVector":
-        return cls((float(r),) * nvars)
-
-    def __len__(self) -> int:
-        return len(self.radii)
-
 
 def _canonical_terms(
     nvars: int, items: Iterable[tuple[Sequence[int], complex]]

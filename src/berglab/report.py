@@ -28,9 +28,11 @@ _STATUSES = ("pass", "fail", "out-of-hypothesis", "error")
 
 
 def fmt_value(x) -> str:
-    """Round-trip text form of a scalar; empty string for None."""
+    """Round-trip text form of a scalar; empty string for None, text as is."""
     if x is None:
         return ""
+    if isinstance(x, str):
+        return x
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, int):

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from .checks import CHECKS, space_inputs
 from .corpus import random_polynomials
 from .poly import ComplexPolynomial, parse_polynomial
-from .report import ReportRow, VerificationReport, fmt_value
+from .report import VerificationReport
 
 __all__ = ["SweepConfig", "parse_sweep_config", "load_sweep_config", "run_sweep"]
 
@@ -261,7 +261,7 @@ def load_sweep_config(path: str) -> SweepConfig:
 
 
 def _tasks(cfg: SweepConfig):
-    """(check, inputs, described) for every row, in config order.
+    """(check, inputs) for every row, in config order.
 
     A check runs once per polynomial only if it takes one, and once per
     listed radius only if it takes r; ``r = auto`` leaves r to the check's
@@ -282,8 +282,7 @@ def _tasks(cfg: SweepConfig):
             for r in radii:
                 for poly in polys:
                     pool = {**settings, **space, "r": r, "poly": poly}
-                    inputs = {k: v for k, v in pool.items() if k in check.names}
-                    yield check, inputs, tup if poly is None else poly
+                    yield check, {k: v for k, v in pool.items() if k in check.names}
 
 
 # (set, get) thread-count symbol pairs, by OpenBLAS build: the numpy and
@@ -355,27 +354,20 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> VerificationReport:
     """Execute the configured cross-product of checks.
 
     With ``jobs > 1`` rows run on a pool of that many threads.  Either way
-    OpenBLAS, where loaded, runs one thread per row meanwhile.  Per-row numerical
-    failures become status=error rows; they fail the aggregate but do not
-    abort the sweep.
+    OpenBLAS, where loaded, runs one thread per row meanwhile.  A row whose
+    check raises becomes an error row naming the row's inputs; it fails the
+    aggregate but does not abort the sweep.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = list(_tasks(cfg))
 
     def run_one(task):
-        check, inputs, described = task
+        check, inputs = task
         try:
             return check.run(**inputs)
         except Exception as exc:
-            return ReportRow(
-                check_id=check.name,
-                params=f"input={fmt_value(described)}",
-                computed=None,
-                target=None,
-                status="error",
-                note=f"{type(exc).__name__}: {exc}",
-            )
+            return check.error_row(inputs, exc)
 
     report = VerificationReport()
     with _one_blas_thread():

@@ -105,15 +105,6 @@ def test_phi_csv_output(capsys):
     assert phi2 == pytest.approx(2.0, abs=1e-6)
 
 
-def test_kulikov_usage_error_on_bad_exponents(capsys):
-    code, _, err = run(
-        ["kulikov", "--poly", "1,1", "--alpha", "2", "--p", "4", "--q", "2"],
-        capsys,
-    )
-    assert code == 2
-    assert "error" in err
-
-
 def test_weissler_default_radius(capsys):
     code, out, _ = run(
         ["weissler", "--poly", "1,1", "--p", "2", "--q", "4", "--quiet"], capsys
@@ -197,8 +188,9 @@ def test_verify_suite_filter_no_match_is_usage_error(capsys, tmp_path):
     [
         ["weissler", "--poly", "1,1", "--p", "4", "--q", "2"],
         ["threshold", "--alpha", "2", "--beta", "2", "--p", "4", "--q", "2"],
+        ["kulikov", "--poly", "1,1", "--alpha", "2", "--p", "4", "--q", "2"],
     ],
-    ids=["weissler", "threshold"],
+    ids=["weissler", "threshold", "kulikov"],
 )
 def test_out_of_hypothesis_rows_are_labeled_not_judged(argv, capsys):
     # p > q breaks the hypotheses: the row is labeled and leaves the exit code
@@ -295,3 +287,77 @@ def test_every_option_and_sweep_key_is_snapshotted():
     }
     assert seen == expected
     assert sweep._SECTION_KEYS == SWEEP_KEYS_SNAPSHOT
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["hyper-check", "--alpha", "2", "--beta", "2", "--p", "2", "--q", "4",
+          "--poly", "1,1", "--angles", "0"], "angles"),
+        (["weissler", "--p", "2", "--q", "4", "--poly", "1,1", "--angles", "-3"],
+         "angles"),
+        (["nikolskii", "--alpha", "2", "--beta", "2", "--p", "2", "--q", "4",
+          "--poly", "1,1", "--nodes", "0"], "nodes"),
+    ],
+    ids=["hyper-angles-0", "weissler-angles-neg", "nikolskii-nodes-0"],
+)
+def test_grid_counts_below_one_are_usage_errors_naming_the_input(argv, name, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert f"{name} must be at least 1" in err
+
+
+# The exact stdout of each table command in both formats.
+TABLE_OUTPUTS = {
+    ("norm", "json"): (
+        ["norm", "--space", "alpha=2,p=4", "--poly", "1,1"],
+        '{"est_error": 0.0, "method": "quadrature", "value": 1.3512001548070343}\n',
+    ),
+    ("norm", "csv"): (
+        ["norm", "--space", "alpha=2,p=4", "--poly", "1,1", "--out", "csv"],
+        "value,method,est_error\n1.3512001548070343,quadrature,0.0\n",
+    ),
+    ("phi", "csv"): (
+        ["phi", "--poly", "1,1", "--q", "4", "--ymin", "0.1", "--ymax", "0.5",
+         "--count", "3"],
+        "y,phi,phi2\n"
+        "0.1,1.41,1.9999999992433477\n"
+        "0.30000000000000004,2.2900000000000005,1.999999993470188\n"
+        "0.5,3.2499999999999996,1.9999999911017123\n",
+    ),
+    ("phi", "json"): (
+        ["phi", "--poly", "1,1", "--q", "4", "--ymin", "0.1", "--ymax", "0.5",
+         "--count", "3", "--out", "json"],
+        '[{"phi": 1.41, "phi2": 1.9999999992433477, "y": 0.1}, '
+        '{"phi": 2.2900000000000005, "phi2": 1.999999993470188, '
+        '"y": 0.30000000000000004}, '
+        '{"phi": 3.2499999999999996, "phi2": 1.9999999911017123, "y": 0.5}]\n',
+    ),
+    ("dump-rule", "csv"): (
+        ["dump-rule", "--alpha", "2", "--nodes", "2", "--angles", "2"],
+        "component,index,node,weight\n"
+        "radial,0,0.21132486540518713,0.5\n"
+        "radial,1,0.7886751345948129,0.5\n"
+        "angular,0,0.0,0.5\n"
+        "angular,1,3.141592653589793,0.5\n",
+    ),
+    ("dump-rule", "json"): (
+        ["dump-rule", "--alpha", "2", "--nodes", "2", "--angles", "2", "--out", "json"],
+        '[{"component": "radial", "index": 0, "node": 0.21132486540518713, '
+        '"weight": 0.5}, {"component": "radial", "index": 1, '
+        '"node": 0.7886751345948129, "weight": 0.5}, {"component": "angular", '
+        '"index": 0, "node": 0.0, "weight": 0.5}, {"component": "angular", '
+        '"index": 1, "node": 3.141592653589793, "weight": 0.5}]\n',
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "key", sorted(TABLE_OUTPUTS), ids=["-".join(k) for k in sorted(TABLE_OUTPUTS)]
+)
+def test_table_commands_print_pinned_bytes(key, capsys):
+    argv, expected = TABLE_OUTPUTS[key]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out == expected

@@ -8,7 +8,10 @@ from hypothesis import given, strategies as st
 from berglab.corpus import random_polynomials
 from berglab.measures import McSampler, angular_count_for
 from berglab.norms import (
+    _MIXED_DEFAULTS,
+    _grid_rule,
     bergman_norm,
+    circle_means,
     bergman_norm_mc,
     exact_norm_even_p,
     exact_norm_p2,
@@ -186,6 +189,49 @@ def test_mc_zero_polynomial_and_degenerate_path():
     dead = lambda pts: np.zeros(len(pts), dtype=complex)
     with pytest.raises(RuntimeError):
         bergman_norm_mc(dead, 2.0, 2.0, s, 2_000, nvars=1)
+
+
+def test_exact_even_p_at_two_is_the_p2_route():
+    for P in random_polynomials(5, 2, 6, 3) + [one + z, ComplexPolynomial.zero()]:
+        for alpha in (1.3, 2.0, 4.0):
+            assert exact_norm_even_p(P, alpha, 2.0) == exact_norm_p2(P, alpha)
+
+
+GRID_CALLS = {
+    "bergman": lambda **kw: bergman_norm(one + z, 2.0, 3.0, **kw),
+    "mixed": lambda **kw: mixed_norm((one + z).homogenize(1), 2.0, 3.0, **kw),
+    "hardy": lambda **kw: hardy_norm(one + z, 3.0, **kw),
+    "circle-means": lambda **kw: circle_means(one + z, 3.0, np.array([0.5]), **kw),
+}
+
+
+@pytest.mark.parametrize("count", [0, -3])
+@pytest.mark.parametrize("kind", sorted(GRID_CALLS))
+def test_grid_counts_below_one_are_refused(kind, count):
+    with pytest.raises(ValueError, match=f"angles must be at least 1, got {count}"):
+        GRID_CALLS[kind](angles=count)
+    if kind in ("bergman", "mixed"):
+        with pytest.raises(ValueError, match=f"nodes must be at least 1, got {count}"):
+            GRID_CALLS[kind](nodes=count)
+
+
+def test_grid_rule_default_sizes():
+    # (radial nodes, angles) per axis: the tensor and mixed tables, and the
+    # univariate floor for circle variables
+    def sizes(rule):
+        return [(len(t), m) for t, _, m in rule]
+
+    assert sizes(_grid_rule((5,), 2.0, 4.0)) == [(64, 257)]
+    assert sizes(_grid_rule((100,), 2.0, 4.0)) == [(64, 801)]
+    assert sizes(_grid_rule((5, 3), 2.0, 4.0)) == [(32, 65), (32, 65)]
+    assert sizes(_grid_rule((5, 3), 2.0, 4.0, defaults=_MIXED_DEFAULTS)) == [
+        (24, 41), (24, 33)
+    ]
+    assert sizes(_grid_rule((1, 1, 1), 2.0, 2.0)) == [(16, 33)] * 3
+    assert sizes(_grid_rule((7,), None, 3.0)) == [(1, 257)]
+    assert sizes(_grid_rule((5, 3), 2.0, 4.0, nodes=3, angles=9)) == [(3, 9)] * 2
+    with pytest.raises(ValueError, match="at most 3 disk variables, got 4"):
+        _grid_rule((1, 1, 1, 1), 2.0, 2.0)
 
 
 def test_quadrature_reports_zero_est_error():

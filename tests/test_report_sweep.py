@@ -1,4 +1,6 @@
 """Report formatting and the config-driven sweep runner."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,19 @@ def test_fmt_value_round_trip_precision():
     assert fmt_value(0.1) == "0.1"
     assert float(fmt_value(1.0 / 3.0)) == 1.0 / 3.0
     assert fmt_value(np.float64(0.25)) == "0.25"
+
+
+@pytest.mark.parametrize(
+    "computed, target, status",
+    [(1.0 + 1e-11, 1.0, "pass"), (1.0 - 1e-9, 1.0, "fail"), (0.0, 0.0, "pass")],
+)
+def test_agreement_row_judges_the_relative_gap(computed, target, status):
+    row = checks.agreement_row("demo", "a=1", computed, target, 1e-10, "m", note="n")
+    assert row.status == status
+    assert row.est_error == abs(computed - target) / max(abs(target), 1e-300)
+    assert (row.computed, row.target, row.method, row.note) == (
+        computed, target, "m", "n"
+    )
 
 
 def test_report_row_status_validated():
@@ -154,6 +169,9 @@ def test_sweep_deterministic_and_parallel_identical():
     c = run_sweep(cfg, jobs=4).to_csv()
     assert a == b == c
     assert a.count("\n") == 1 + 2 * 2 * 3  # header + checks x tuples x polys
+    assert hashlib.sha256(a.encode("utf-8")).hexdigest() == (
+        "c6b03f65800ed4d416efb0af16076ef8d21ab6fc13d19ddaa6e37755be9a12c5"
+    )
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
@@ -164,10 +182,10 @@ def test_sweep_rejects_jobs_below_one(jobs):
 
 
 # the error-row config of test_sweep_records_error_rows_without_dying with a
-# second p > q tuple, since a single row never starts the pool
+# second tuple, since a single row never starts the pool
 ERROR_CONFIG = (
-    "[sweep]\nchecks = kulikov\n[grid]\ntuples = 2 2 4 2, 2 2 4 3\n"
-    "[corpus]\npolys = 1,1\n"
+    "[sweep]\nchecks = nikolskii\n[grid]\ntuples = 2 2 2 4, 2 3 2 4\n"
+    "[corpus]\npolys = 0\n"
 )
 
 
@@ -223,7 +241,7 @@ def test_sweep_positive_grid_passes():
 
 def test_sweep_records_error_rows_without_dying():
     cfg = parse_sweep_config(
-        "[sweep]\nchecks = kulikov\n[grid]\ntuples = 2 2 4 2\n[corpus]\npolys = 1,1\n"
+        "[sweep]\nchecks = nikolskii\n[grid]\ntuples = 2 2 2 4\n[corpus]\npolys = 0\n"
     )
     rep = run_sweep(cfg)
     rows = rep.sorted_rows()
@@ -231,6 +249,40 @@ def test_sweep_records_error_rows_without_dying():
     assert rows[0].status == "error"
     assert "ValueError" in rows[0].note
     assert not rep.aggregate_pass
+
+
+def test_sweep_error_rows_name_every_input_of_their_row():
+    rows = run_sweep(parse_sweep_config(ERROR_CONFIG)).sorted_rows()
+    assert [row.params for row in rows] == [
+        "alpha=2.0;beta=2.0;p=2.0;q=4.0;poly=(0):0",
+        "alpha=2.0;beta=3.0;p=2.0;q=4.0;poly=(0):0",
+    ]
+    assert all(row.status == "error" and row.check_id == "nikolskii" for row in rows)
+    # an explicit radius is an input of hyper rows, error rows included
+    cfg = parse_sweep_config(
+        "[sweep]\nchecks = hyper\n[grid]\ntuples = 0.5 2 2 4\nr = 0.5\n"
+        "[corpus]\npolys = 1,1\n"
+    )
+    [row] = run_sweep(cfg).rows
+    assert row.status == "error"
+    assert row.params == "alpha=0.5;beta=2.0;p=2.0;q=4.0;r=0.5;poly=(0):1.0 (1):1.0"
+
+
+def test_kulikov_rows_with_p_above_q_are_out_of_hypothesis():
+    cfg = parse_sweep_config(
+        "[sweep]\nchecks = kulikov, threshold\n[grid]\ntuples = 2 2 4 2, 2 2 4 3\n"
+        "[corpus]\npolys = 1,1\n"
+    )
+    rep = run_sweep(cfg)
+    assert [row.status for row in rep.rows] == ["out-of-hypothesis"] * 4
+    assert rep.aggregate_pass
+    kulikov = [row for row in rep.sorted_rows() if row.check_id == "kulikov"]
+    assert [row.params for row in kulikov] == [
+        "alpha=2.0;p=4.0;q=2.0;poly=(0):1.0 (1):1.0",
+        "alpha=2.0;p=4.0;q=3.0;poly=(0):1.0 (1):1.0",
+    ]
+    assert all(row.computed is None and row.target is None for row in kulikov)
+    assert all(row.hypothesis_ok is False for row in kulikov)
 
 
 def test_sweep_threshold_rows_need_no_polys():
