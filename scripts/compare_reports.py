@@ -1,0 +1,50 @@
+#!/usr/bin/env python3
+"""Compare two report CSVs of the same rows: status changes and value drift.
+
+    python scripts/compare_reports.py OLD.csv NEW.csv
+
+Both files must hold the same rows in the same order (check_id, params),
+else the script exits 2.  It prints every status change, then per check_id
+the worst absolute and relative change of computed, target and est_error
+(relative to the larger of the two magnitudes), and exits 1 on any status
+change.
+"""
+import csv
+import sys
+
+FIELDS = ("computed", "target", "est_error")
+
+
+def compare(old_path: str, new_path: str) -> int:
+    with open(old_path, newline="") as f_old, open(new_path, newline="") as f_new:
+        old, new = list(csv.DictReader(f_old)), list(csv.DictReader(f_new))
+    if [(r["check_id"], r["params"]) for r in old] != [
+        (r["check_id"], r["params"]) for r in new
+    ]:
+        print("the reports do not hold the same rows in the same order")
+        return 2
+    worst: dict = {}
+    changed = 0
+    for a, b in zip(old, new):
+        if a["status"] != b["status"]:
+            changed += 1
+            print(f"{a['check_id']},{a['params']}: {a['status']} -> {b['status']}")
+        per = worst.setdefault(a["check_id"], {f: (0.0, 0.0) for f in FIELDS})
+        for f in FIELDS:
+            if a[f] and b[f] and float(a[f]) != float(b[f]):
+                x, y = float(a[f]), float(b[f])
+                gap = abs(x - y)
+                rel = gap / max(abs(x), abs(y))
+                per[f] = (max(per[f][0], gap), max(per[f][1], rel))
+    for check_id, per in worst.items():
+        drift = (f"{f} abs={g:.3g} rel={r:.3g}" for f, (g, r) in per.items())
+        print(check_id, " ".join(drift))
+    print(f"{changed} status changes over {len(old)} rows")
+    return 1 if changed else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        print("usage: compare_reports.py OLD.csv NEW.csv", file=sys.stderr)
+        sys.exit(2)
+    sys.exit(compare(sys.argv[1], sys.argv[2]))

@@ -22,7 +22,7 @@ import numpy as np
 from .acceptance import verify_suite
 from .checks import CHECKS
 from .inequalities import phi_profile
-from .measures import McSampler, check_alpha, circle_rule, radial_rule
+from .measures import McSampler, check_alpha, check_counts, circle_rule, radial_rule
 from .norms import bergman_norm, bergman_norm_mc, exact_norm_even_p
 from .poly import parse_polynomial
 from .report import CSV_HEADER, VerificationReport, fmt_value
@@ -133,12 +133,13 @@ def _cmd_verify_suite(args) -> int:
 
 def _cmd_dump_rule(args) -> int:
     check_alpha(args.alpha)
+    check_counts(angles=args.angles)
     nodes, weights = radial_rule(args.alpha, args.nodes)
     records = [
         ("radial", i, float(t), float(w))
         for i, (t, w) in enumerate(zip(nodes, weights))
     ]
-    if args.angles:
+    if args.angles is not None:
         thetas, wt = circle_rule(args.angles)
         records.extend(
             ("angular", j, float(th), float(wt)) for j, th in enumerate(thetas)

@@ -43,6 +43,13 @@ def check_alpha(alpha: float) -> float:
     return a
 
 
+def check_counts(**counts: int | None) -> None:
+    """Refuse a grid count given below 1, naming the argument."""
+    for name, count in counts.items():
+        if count is not None and count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
+
+
 def radial_rule(alpha: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule for the density (alpha-1)(1-t)^(alpha-2) dt on [0, 1].
 
@@ -51,8 +58,7 @@ def radial_rule(alpha: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     (alpha, nodes) and shared between callers, so the arrays are read-only.
     """
     a = check_alpha(alpha)
-    if nodes < 1:
-        raise ValueError("nodes must be >= 1")
+    check_counts(nodes=nodes)
     return _radial_rule(a, int(nodes))
 
 
@@ -68,13 +74,17 @@ def _radial_rule(alpha: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 def circle_rule(count: int) -> tuple[np.ndarray, float]:
     """Equispaced angles on [0, 2 pi) with uniform weight 1/count."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    check_counts(count=count)
     return 2.0 * np.pi * np.arange(count) / count, 1.0 / count
 
 
 def angular_count_for(degree: int, p: float, floor: int = 257) -> int:
-    """Default angular point count; alias-free for integer p/2 powers."""
+    """Angular point count 4*degree*ceil(p/2) + 1, at least ``floor``.
+
+    ``norms`` sizes grids with it only at p other than an even integer, where
+    no finite count is exact and this is a resolution heuristic.  At even
+    p = 2s it uses 2*degree*s + 1, above the degree*s + 1 that is exact.
+    """
     return max(floor, 4 * degree * math.ceil(max(p, 2.0) / 2.0) + 1)
 
 

@@ -31,6 +31,15 @@ variables' degrees, alpha, p and the optional node and angle counts into
 the (t, w, M) triple of each axis, for ``bergman_norm``, the disk and
 circle axes of ``mixed_norm``, ``hardy_norm`` and the circle profile
 ``circle_means``, and refuses counts below 1.
+
+When a quadrature norm is exact: at even p = 2s, |P|^p = |P^s|^2 is a
+polynomial, and the default grid sizes each axis from its own degree d so
+that it integrates that polynomial exactly (see ``_grid_rule``), as long as
+d*s <= 2K - 1 for the table's radial node count K; above that the node count
+is capped at K.  There, and only there, the reported ``est_error = 0.0`` is
+honest: the value is exact up to rounding.  At other p, at capped high
+degree, and on grids pinned by explicit ``nodes``/``angles``, exactness is
+not guaranteed and ``est_error = 0.0`` states no bound.
 """
 from __future__ import annotations
 
@@ -39,7 +48,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import McSampler, angular_count_for, check_alpha, radial_rule
+from .measures import (
+    McSampler,
+    angular_count_for,
+    check_alpha,
+    check_counts,
+    radial_rule,
+)
 from .poly import ComplexPolynomial
 
 __all__ = [
@@ -54,11 +69,12 @@ __all__ = [
     "circle_means",
 ]
 
-# Tensor quadrature defaults per variable count: (radial nodes, angular
-# floor).  The univariate angular floor follows the headline default; product
-# grids use smaller floors (and a reduced node count) because the cost is
-# multiplicative, while alias-freeness for the even-p integrands only needs
-# 2*degree*ceil(p/2)+1 points.  Circle variables use the univariate floor.
+# Tensor quadrature table per variable count: (radial nodes, angular floor).
+# It sizes the grid at p other than an even integer, where no finite rule is
+# exact; product grids use smaller floors (and a reduced node count) because
+# the cost is multiplicative.  Circle variables use the univariate floor.  At
+# even p the grid is sized from the degree instead, and the node count here
+# only caps it, so high degrees cost no more than the table.
 _TENSOR_DEFAULTS = {1: (64, 257), 2: (32, 65), 3: (16, 33)}
 
 # The mixed norm wraps a circle average around the disk rule, so its inner
@@ -133,13 +149,19 @@ def exact_norm_even_p(P: ComplexPolynomial, alpha: float, p: float) -> NormResul
     """A^p_alpha norm for even integer p via |P|^p = |P^(p/2)|^2."""
     check_alpha(alpha)
     _check_p(p)
-    if p != int(p) or int(p) % 2 != 0:
+    s = _even_half(p)
+    if s is None:
         raise ValueError(f"p must be an even integer, got {p}")
-    if p == 2:
+    if s == 1:
         return exact_norm_p2(P, alpha)
-    s = int(p) // 2
     value_sq = exact_norm_p2(P ** s, alpha).value ** 2
     return NormResult(value_sq ** (1.0 / p), "exact-even-p", 0.0)
+
+
+def _even_half(p: float) -> int | None:
+    """s when p = 2s for an integer s, else None."""
+    s = float(p) / 2.0
+    return int(s) if s.is_integer() else None
 
 
 def _abs_pow(values: np.ndarray, p: float) -> np.ndarray:
@@ -303,26 +325,30 @@ def _grid_rule(
 
     A disk variable (alpha given) takes the Gauss rule of that weight with
     ``nodes`` radial nodes and ``angles`` angles; with alpha None each
-    variable is a circle, the single node t = 1.  Counts left at None come
-    from ``defaults`` for this many variables, the angles from the degree
-    and p above the table's floor.
+    variable is a circle, the single node t = 1.  Counts left at None are
+    sized per axis.  At even p = 2s an axis of degree d carries |P^s|^2, of
+    degree d*s in t = |z|^2 and trigonometric degree d*s in the angle, so
+    ceil((d*s + 1)/2) Gauss nodes (capped at the table's node count) and
+    M = 2*d*s + 1 > d*s angles integrate it exactly.  At other p the nodes
+    come from ``defaults`` for this many variables and the angles from the
+    degree and p above the table's floor.
     """
-    for name, count in (("nodes", nodes), ("angles", angles)):
-        if count is not None and count < 1:
-            raise ValueError(f"{name} must be at least 1, got {count}")
+    check_counts(nodes=nodes, angles=angles)
     if len(degrees) not in defaults:
         raise ValueError(
             f"tensor quadrature takes at most 3 disk variables, got {len(degrees)}"
         )
-    k_default, floor = defaults[len(degrees)]
-    if alpha is None:
-        t, w = _CIRCLE
-    else:
-        t, w = radial_rule(alpha, k_default if nodes is None else nodes)
-    return [
-        (t, w, int(angles if angles is not None else angular_count_for(d, p, floor)))
-        for d in degrees
-    ]
+    k_table, floor = defaults[len(degrees)]
+    s = _even_half(p)
+    triples = []
+    for d in degrees:
+        if s is not None:
+            k, m = min(d * s // 2 + 1, k_table), 2 * d * s + 1
+        else:
+            k, m = k_table, angular_count_for(d, p, floor)
+        t, w = _CIRCLE if alpha is None else radial_rule(alpha, nodes or k)
+        triples.append((t, w, int(angles or m)))
+    return triples
 
 
 def circle_means(
@@ -344,9 +370,10 @@ def bergman_norm(
 ) -> NormResult:
     """Quadrature A^p_alpha(D^n) norm over the tensor rule.
 
-    For polynomial integrands within the rule's exactness range the result is
-    exact up to rounding; est_error is reported as 0 and accuracy should be
-    confirmed by a doubling test where it matters.
+    At even p on the default grid, below the node cap of ``_grid_rule``, the
+    rule is exact for |P|^p and the result is exact up to rounding, so
+    est_error = 0 is honest.  Elsewhere (other p, capped high degree, pinned
+    nodes or angles) est_error is also reported as 0 but bounds nothing.
     """
     check_alpha(alpha)
     _check_p(p)
@@ -379,18 +406,20 @@ def mixed_norm(
 ) -> NormResult:
     """Mixed norm with the last variable on the circle, the rest on disks.
 
-    The circle variable is one more axis of the tensor rule.  Its default
-    point count is chosen incommensurate with the disk angular grids, so
-    agreement with the plain Bergman norm is a genuine consistency check
-    rather than a grid coincidence.
+    The circle variable is one more axis of the tensor rule.  At even p its
+    default point count comes from its own degree, which is exact; at other
+    p it is chosen incommensurate with the disk angular grids, so agreement
+    with the plain Bergman norm is a genuine consistency check rather than a
+    grid coincidence.
     """
     check_alpha(alpha)
     _check_p(p)
+    check_counts(angles_w=angles_w)
     if Q.nvars < 2:
         raise ValueError("mixed_norm needs at least one disk variable plus w")
     *disk, d_w = Q.variable_degrees()
     triples = _grid_rule(disk, alpha, p, nodes, angles, _MIXED_DEFAULTS)
-    if angles_w is None:
+    if angles_w is None and _even_half(p) is None:
         angles_w = max(triples[0][2] - 1, 8)
     triples += _grid_rule((d_w,), None, p, angles=angles_w)
     if Q.is_zero:

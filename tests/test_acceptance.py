@@ -15,7 +15,7 @@ from berglab.acceptance import run_criterion
 SEED = 1729
 # sha256 of the verify-suite CSV at SEED; a change that moves any number in
 # it updates this pin and says so
-SUITE_SHA256 = "49dee31593f8b4ad32583a4a495358f8469f76ce803376a4320a1df6c329710d"
+SUITE_SHA256 = "638f570b6f4319c3e7ebb84cc0f5a61d0a1e8c4cb2fdb9912bac1d3ce58524f9"
 
 
 def emit(result, tolerance_note):

@@ -298,8 +298,11 @@ def test_every_option_and_sweep_key_is_snapshotted():
          "angles"),
         (["nikolskii", "--alpha", "2", "--beta", "2", "--p", "2", "--q", "4",
           "--poly", "1,1", "--nodes", "0"], "nodes"),
+        (["dump-rule", "--alpha", "2", "--angles", "0"], "angles"),
+        (["dump-rule", "--alpha", "2", "--angles", "-3"], "angles"),
     ],
-    ids=["hyper-angles-0", "weissler-angles-neg", "nikolskii-nodes-0"],
+    ids=["hyper-angles-0", "weissler-angles-neg", "nikolskii-nodes-0",
+         "dump-rule-angles-0", "dump-rule-angles-neg"],
 )
 def test_grid_counts_below_one_are_usage_errors_naming_the_input(argv, name, capsys):
     code, out, err = run(argv, capsys)
@@ -322,17 +325,17 @@ TABLE_OUTPUTS = {
         ["phi", "--poly", "1,1", "--q", "4", "--ymin", "0.1", "--ymax", "0.5",
          "--count", "3"],
         "y,phi,phi2\n"
-        "0.1,1.41,1.9999999992433477\n"
-        "0.30000000000000004,2.2900000000000005,1.999999993470188\n"
-        "0.5,3.2499999999999996,1.9999999911017123\n",
+        "0.1,1.4100000000000001,2.0000000005756156\n"
+        "0.30000000000000004,2.2900000000000005,1.9999999958386638\n"
+        "0.5,3.25,1.9999999933221584\n",
     ),
     ("phi", "json"): (
         ["phi", "--poly", "1,1", "--q", "4", "--ymin", "0.1", "--ymax", "0.5",
          "--count", "3", "--out", "json"],
-        '[{"phi": 1.41, "phi2": 1.9999999992433477, "y": 0.1}, '
-        '{"phi": 2.2900000000000005, "phi2": 1.999999993470188, '
+        '[{"phi": 1.4100000000000001, "phi2": 2.0000000005756156, "y": 0.1}, '
+        '{"phi": 2.2900000000000005, "phi2": 1.9999999958386638, '
         '"y": 0.30000000000000004}, '
-        '{"phi": 3.2499999999999996, "phi2": 1.9999999911017123, "y": 0.5}]\n',
+        '{"phi": 3.25, "phi2": 1.9999999933221584, "y": 0.5}]\n',
     ),
     ("dump-rule", "csv"): (
         ["dump-rule", "--alpha", "2", "--nodes", "2", "--angles", "2"],

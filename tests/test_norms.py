@@ -213,25 +213,70 @@ def test_grid_counts_below_one_are_refused(kind, count):
     if kind in ("bergman", "mixed"):
         with pytest.raises(ValueError, match=f"nodes must be at least 1, got {count}"):
             GRID_CALLS[kind](nodes=count)
+    if kind == "mixed":
+        with pytest.raises(ValueError, match=f"angles_w must be at least 1, got {count}"):
+            GRID_CALLS[kind](angles_w=count)
 
 
 def test_grid_rule_default_sizes():
-    # (radial nodes, angles) per axis: the tensor and mixed tables, and the
-    # univariate floor for circle variables
+    # (radial nodes, angles) per axis.  At other than even p: the tensor and
+    # mixed tables, and the univariate floor for circle variables
     def sizes(rule):
         return [(len(t), m) for t, _, m in rule]
 
-    assert sizes(_grid_rule((5,), 2.0, 4.0)) == [(64, 257)]
-    assert sizes(_grid_rule((100,), 2.0, 4.0)) == [(64, 801)]
-    assert sizes(_grid_rule((5, 3), 2.0, 4.0)) == [(32, 65), (32, 65)]
-    assert sizes(_grid_rule((5, 3), 2.0, 4.0, defaults=_MIXED_DEFAULTS)) == [
+    assert sizes(_grid_rule((5,), 2.0, 3.0)) == [(64, 257)]
+    assert sizes(_grid_rule((100,), 2.0, 3.0)) == [(64, 801)]
+    assert sizes(_grid_rule((5, 3), 2.0, 3.0)) == [(32, 65), (32, 65)]
+    assert sizes(_grid_rule((5, 3), 2.0, 3.0, defaults=_MIXED_DEFAULTS)) == [
         (24, 41), (24, 33)
     ]
-    assert sizes(_grid_rule((1, 1, 1), 2.0, 2.0)) == [(16, 33)] * 3
+    assert sizes(_grid_rule((1, 1, 1), 2.0, 0.5)) == [(16, 33)] * 3
     assert sizes(_grid_rule((7,), None, 3.0)) == [(1, 257)]
+    # at p = 2s each axis of degree d: ceil((d*s + 1)/2) nodes, capped at the
+    # table's count, and 2*d*s + 1 angles
+    assert sizes(_grid_rule((4,), 2.0, 2.0)) == [(3, 9)]
+    assert sizes(_grid_rule((5,), 2.0, 4.0)) == [(6, 21)]
+    assert sizes(_grid_rule((1500,), 2.0, 4.0)) == [(64, 6001)]
+    assert sizes(_grid_rule((5, 3), 2.0, 4.0)) == [(6, 21), (4, 13)]
+    assert sizes(_grid_rule((40, 0), 2.0, 4.0)) == [(32, 161), (1, 1)]
+    assert sizes(_grid_rule((40, 1), 2.0, 4.0, defaults=_MIXED_DEFAULTS)) == [
+        (24, 161), (2, 5)
+    ]
+    assert sizes(_grid_rule((3,), None, 6.0)) == [(1, 19)]
     assert sizes(_grid_rule((5, 3), 2.0, 4.0, nodes=3, angles=9)) == [(3, 9)] * 2
     with pytest.raises(ValueError, match="at most 3 disk variables, got 4"):
         _grid_rule((1, 1, 1, 1), 2.0, 2.0)
+
+
+def _box_polynomial(degrees, seed):
+    """Random complex coefficients on every monomial with exponents <= degrees."""
+    rng = np.random.default_rng(seed)
+    terms = {
+        gamma: complex(*rng.uniform(-1.0, 1.0, 2))
+        for gamma in np.ndindex(*(d + 1 for d in degrees))
+    }
+    return ComplexPolynomial.from_terms(len(degrees), terms)
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0, 6.0])
+@pytest.mark.parametrize("degrees", [(7,), (1, 5), (5, 1), (1, 5, 2)])
+def test_even_p_default_grid_is_exact(degrees, p):
+    # every axis is sized from its own degree: a skewed axis on another
+    # axis's rule under-resolves
+    P = _box_polynomial(degrees, seed=sum(degrees))
+    for alpha in (1.5, 2.0, 4.0):
+        quad = bergman_norm(P, alpha, p).value
+        assert quad == pytest.approx(exact_norm_even_p(P, alpha, p).value, rel=1e-13)
+
+
+def test_mixed_norm_circle_axis_sized_from_its_own_degree():
+    # Q = 1 + z + w^4 at p = 4: |Q|^4 = |Q^2|^2 has angular degree 8 in w.
+    # Deriving the circle axis from the disk axis, max(5 - 1, 8) = 8 angles,
+    # aliases it
+    Q = parse_polynomial("(0,0):1;(1,0):1;(0,4):1")
+    reference = mixed_norm(Q, 2.0, 4.0, angles_w=101).value
+    assert mixed_norm(Q, 2.0, 4.0).value == pytest.approx(reference, rel=1e-13)
+    assert abs(mixed_norm(Q, 2.0, 4.0, angles_w=8).value / reference - 1) > 1e-2
 
 
 def test_quadrature_reports_zero_est_error():

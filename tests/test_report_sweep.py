@@ -1,5 +1,8 @@
 """Report formatting and the config-driven sweep runner."""
 import hashlib
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,7 +173,7 @@ def test_sweep_deterministic_and_parallel_identical():
     assert a == b == c
     assert a.count("\n") == 1 + 2 * 2 * 3  # header + checks x tuples x polys
     assert hashlib.sha256(a.encode("utf-8")).hexdigest() == (
-        "c6b03f65800ed4d416efb0af16076ef8d21ab6fc13d19ddaa6e37755be9a12c5"
+        "c02e5b801aafd2c7e83d1008d913b0849428679a6e9e6706e6fe8e53357c01b1"
     )
 
 
@@ -291,3 +294,37 @@ def test_sweep_threshold_rows_need_no_polys():
     rows = rep.sorted_rows()
     assert len(rows) == 1
     assert rows[0].status == "pass"
+
+
+def test_compare_reports_prints_status_changes_and_worst_drift(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "compare_reports.py"
+    old = [make_row(params="a=1", computed=2.0), make_row(params="a=2")]
+    new = [make_row(params="a=1", computed=2.0 + 1e-12),
+           make_row(params="a=2", status="fail")]
+    paths = {}
+    for name, rows in (("old", old), ("new", new), ("short", new[:1])):
+        paths[name] = str(tmp_path / f"{name}.csv")
+        VerificationReport(rows).write_csv(paths[name])
+
+    def compare(a, b):
+        proc = subprocess.run(
+            [sys.executable, str(script), paths[a], paths[b]],
+            capture_output=True, text=True,
+        )
+        return proc.returncode, proc.stdout
+
+    assert compare("old", "old") == (
+        0,
+        "demo computed abs=0 rel=0 target abs=0 rel=0 est_error abs=0 rel=0\n"
+        "0 status changes over 2 rows\n",
+    )
+    code, out = compare("old", "new")
+    assert code == 1
+    assert out.splitlines() == [
+        "demo,a=2: pass -> fail",
+        "demo computed abs=1e-12 rel=5e-13 target abs=0 rel=0 est_error abs=0 rel=0",
+        "1 status changes over 2 rows",
+    ]
+    assert compare("old", "short") == (
+        2, "the reports do not hold the same rows in the same order\n"
+    )
