@@ -11,7 +11,8 @@ import csv
 import sys
 from dataclasses import dataclass
 
-from berglab.inequalities import HyperParams, sharp_radius, threshold_search
+from berglab.checks import INEQ_SLACK
+from berglab.inequalities import sharp_radius, threshold_search
 
 
 @dataclass(frozen=True)
@@ -25,14 +26,14 @@ class ScanConfig:
 
 
 def run_scan(cfg: ScanConfig, out) -> None:
-    hp = HyperParams.make(cfg.alpha, cfg.beta, cfg.p, cfg.q)
-    r0 = sharp_radius(hp)
+    space = (cfg.alpha, cfg.beta, cfg.p, cfg.q)
+    r0 = sharp_radius(*space)
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(
         ["eps", "r_raw", "r_refined", "formula", "raw_error", "refined_error"]
     )
     for eps in cfg.eps_values:
-        rep = threshold_search(hp, eps=eps, tol=cfg.tol)
+        rep = threshold_search(*space, slack=INEQ_SLACK, eps=eps, tol=cfg.tol)
         writer.writerow(
             [
                 repr(eps),

@@ -22,19 +22,13 @@ from .norms import (
     monomial_norm_sq,
 )
 from .inequalities import (
-    HyperParams,
-    SpaceParams,
     convexity_majorant_check,
-    hyper_check,
     ibp_identity_check,
-    kulikov_check,
     necessity_expansion_check,
-    nikolskii_check,
     phi_convexity_check,
     phi_profile,
     sharp_radius,
     threshold_search,
-    weissler_threshold_check,
 )
 from .extremal import (
     ExtremalSpec,
@@ -70,19 +64,13 @@ __all__ = [
     "hardy_norm",
     "mixed_norm",
     "monomial_norm_sq",
-    "SpaceParams",
-    "HyperParams",
     "sharp_radius",
-    "hyper_check",
     "threshold_search",
     "necessity_expansion_check",
-    "kulikov_check",
     "phi_profile",
     "phi_convexity_check",
     "ibp_identity_check",
     "convexity_majorant_check",
-    "nikolskii_check",
-    "weissler_threshold_check",
     "ExtremalSpec",
     "extremal_poly",
     "extremal_ratio",

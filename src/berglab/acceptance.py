@@ -3,8 +3,9 @@
 Each criterion runner returns ReportRows; a criterion passes when every
 in-hypothesis row passes.  Every row takes its status from `checks.py`:
 rows of a check in the registry take their verdict from it and keep the
-criterion's own id and params, and value-against-target rows use its
-agreement rule.
+criterion's own id and params, value-against-target rows use its
+agreement rule, and the c4 decay and c5 convexity and majorant rows its
+rules for those library checks.
 The suite prints one [PASS]/[FAIL] line per criterion, writes the
 combined machine CSV, and exits nonzero on any failure.  Everything is a
 pure function of the seed, so two runs with the same seed produce
@@ -17,10 +18,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .checks import CHECKS, agreement_row, format_params, space_inputs, status
+from .checks import (
+    CHECKS,
+    CONVEXITY_FLOOR,
+    agreement_row,
+    convex,
+    cubic_decay,
+    format_params,
+    majorant_holds,
+    space_inputs,
+    status,
+)
 from .corpus import random_polynomials
 from .inequalities import (
-    HyperParams,
     convexity_majorant_check,
     necessity_expansion_check,
     phi_convexity_check,
@@ -78,7 +88,7 @@ def c2_sharp_radius(seed: int, nodes_override: int | None = None):
     rows = []
     polys = random_polynomials(50, 1, 8, seed)
     for tup in PARAM_GRID:
-        r0 = sharp_radius(HyperParams.make(*tup))
+        r0 = sharp_radius(*tup)
         for i, f in enumerate(polys):
             row = CHECKS["hyper"].run(**space_inputs(tup), poly=f, r=r0)
             rows.append(
@@ -135,8 +145,8 @@ def c4_necessity_expansion(seed: int, nodes_override: int | None = None):
                 params=format_params(alpha=alpha, p=p, kind="decay"),
                 computed=rep.max_normalized_residual,
                 target=0.0,
-                status=status(rep.decay_ok),
-                method="exact" if p in (2.0, 4.0) else "quadrature",
+                status=status(cubic_decay(rep.eps_grid, rep.residuals)),
+                method=rep.method,
                 est_error=0.0,
                 note="residual/eps^3 at worst grid point",
             )
@@ -171,8 +181,8 @@ def c5_profile_machinery(seed: int, nodes_override: int | None = None):
                     check_id="c5-profile-machinery",
                     params=format_params(check="convexity", case=f"{i:02d}", q=q),
                     computed=res.min_phi2,
-                    target=-1e-7,
-                    status=status(res.passed),
+                    target=-CONVEXITY_FLOOR,
+                    status=status(convex(res.min_phi2)),
                     method="fd-profile",
                     est_error=0.0,
                     note=format_params(argmin_y=res.argmin_y),
@@ -197,16 +207,16 @@ def c5_profile_machinery(seed: int, nodes_override: int | None = None):
                 )
     for beta, beta_prime in ((2.0, 4.0), (3.0, 6.0)):
         grid = np.linspace(0.0, beta / beta_prime, 101)
-        res = convexity_majorant_check(beta, beta_prime, grid)
+        margin = convexity_majorant_check(beta, beta_prime, grid)
         rows.append(
             ReportRow(
                 check_id="c5-profile-machinery",
                 params=format_params(
                     check="majorant", beta=beta, beta_prime=beta_prime
                 ),
-                computed=res.min_margin,
+                computed=margin,
                 target=0.0,
-                status=status(res.passed),
+                status=status(majorant_holds(margin)),
                 method="grid",
                 est_error=0.0,
             )

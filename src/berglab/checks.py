@@ -1,26 +1,32 @@
-"""The registry of single checks behind `berglab <check>`, `sweep` and `verify-suite`.
+"""The registry of single checks behind `berglab <check>`, `sweep` and
+`verify-suite`, and the one place where verdicts are formed.
 
 Each entry of ``CHECKS`` holds one check: the schema of its parameters
 (names, types, defaults, required flags), the inputs its rows name, a
-``run`` that calls the library function and builds the report row, and its
-pass rule.  The CLI makes one subcommand per entry from the schema; the
-sweep takes its check kinds (the entries with ``sweep=True``) and their
-rows, error rows included, from here; the acceptance criteria take their
-verdicts from ``run`` and relabel the rows with their own ids and params.
+``run`` that measures and builds the report row, and its pass rule.  The
+CLI makes one subcommand per entry from the schema; the sweep takes its
+check kinds (the entries with ``sweep=True``) and their rows, error rows
+included, from here; the acceptance criteria take their verdicts from
+``run`` and relabel the rows with their own ids and params.
 
-Decisions owned here and made nowhere else:
+The library functions only measure.  Every pass rule is written here once:
 
 - the status rule (``status``): a row whose inputs break the theorem's
-  hypotheses is ``out-of-hypothesis`` whatever its verdict, else ``pass``
-  or ``fail``; a check that raised gives an ``error`` row;
+  hypotheses (``hypotheses_hold``) is ``out-of-hypothesis`` whatever its
+  verdict, else ``pass`` or ``fail``; a check that raised gives an
+  ``error`` row;
+- the inequality rule (``report.at_most``): the two-norm rows (hyper,
+  nikolskii, kulikov, weissler) and the threshold bisection pass when the bounded side is at most the bound up
+  to ``INEQ_SLACK`` (``NIKOLSKII_SLACK`` for the degree-growth ratio);
 - the agreement rule (``agreement_row``): a value agrees with its target
   when rel = |computed - target| / max(|target|, 1e-300) <= tol, and the
   row reports rel as its est_error (the oracle rows of c1, the closed-form
   rows of c4 and the isometry rows of c6);
-- the threshold gate: the bisected crossover radius must land within
-  ``THRESHOLD_GATE`` of the formula;
-- the extremal tolerance: the Monte Carlo ratio must land within
-  max(4 CI, 3% of the limit) of its Gaussian limit;
+- the gates and tolerances of the other entries: ``THRESHOLD_GATE``, the
+  extremal max(4 CI, 3% of the limit), the IBP tolerance, the strict
+  Stirling bounds and the gamma-ratio trend;
+- the rules of the library checks that c4 and c5 run directly: ``convex``
+  (down to ``CONVEXITY_FLOOR``), ``majorant_holds`` and ``cubic_decay``;
 - the row form: params are ``key=value`` pairs joined by ``;``
   (``format_params``), a check's rows name its ``shown`` inputs in that
   order, error rows too, and for the same inputs `berglab <check> --out
@@ -39,24 +45,36 @@ from .extremal import (
     stirling_bounds_check,
 )
 from .inequalities import (
-    HyperParams,
     hyper_check,
     ibp_identity_check,
     kulikov_check,
     nikolskii_check,
     sharp_radius,
     threshold_search,
-    weissler_threshold_check,
 )
-from .report import ReportRow, fmt_value
+from .norms import hardy_norm
+from .report import ReportRow, at_most, fmt_value
 
 __all__ = [
-    "CHECKS", "Check", "Param", "THRESHOLD_GATE",
-    "agreement_row", "format_params", "space_inputs", "status",
+    "CHECKS", "CONVEXITY_FLOOR", "Check", "INEQ_SLACK", "Param", "THRESHOLD_GATE",
+    "agreement_row", "convex", "cubic_decay", "format_params", "hypotheses_hold",
+    "majorant_holds", "space_inputs", "status",
 ]
+
+# Relative slack of the inequality rows: sharp up to rounding is a pass.
+INEQ_SLACK = 1e-10
+NIKOLSKII_SLACK = 1e-9
 
 # Largest |empirical - formula| crossover radius a threshold row passes with.
 THRESHOLD_GATE = 5e-3
+
+# Finite-difference noise floor: Phi'' >= -CONVEXITY_FLOOR counts as convex.
+CONVEXITY_FLOOR = 1e-7
+
+
+def hypotheses_hold(alpha: float, beta: float, p: float, q: float) -> bool:
+    """The theorem's hypotheses: p <= q, q >= 2 and beta*p <= alpha*q."""
+    return p <= q and q >= 2.0 and beta * p <= alpha * q
 
 
 def status(passed: bool, hypothesis_ok: bool = True) -> str:
@@ -64,6 +82,25 @@ def status(passed: bool, hypothesis_ok: bool = True) -> str:
     if not hypothesis_ok:
         return "out-of-hypothesis"
     return "pass" if passed else "fail"
+
+
+def convex(min_phi2: float) -> bool:
+    return min_phi2 >= -CONVEXITY_FLOOR
+
+
+def majorant_holds(min_margin: float) -> bool:
+    """The tangent-line margin is nonnegative up to rounding."""
+    return min_margin >= -1e-12
+
+
+def cubic_decay(eps_grid, residuals) -> bool:
+    """Residuals on a decreasing eps grid fall like eps^3 within a factor
+    4/3: R(e2) <= R(e1) * (e2/e1)^3 * 4/3 at consecutive points."""
+    pairs = list(zip(eps_grid, residuals))
+    return all(
+        r2 <= r1 * (e2 / e1) ** 3 * (4.0 / 3.0) + 1e-15
+        for (e1, r1), (e2, r2) in zip(pairs, pairs[1:])
+    )
 
 
 def format_params(**values) -> str:
@@ -147,11 +184,27 @@ def space_inputs(tup) -> dict:
 
 # The default radii, derived from the other inputs.
 def _critical_radius(i: dict) -> float:
-    return sharp_radius(HyperParams.make(i["alpha"], i["beta"], i["p"], i["q"]))
+    return sharp_radius(i["alpha"], i["beta"], i["p"], i["q"])
 
 
 def _hardy_radius(i: dict) -> float:
     return math.sqrt(min(i["p"] / i["q"], 1.0))
+
+
+def _bound_row(
+    computed, bound, slack=INEQ_SLACK, hypothesis_ok=True, method="quadrature", note=""
+) -> dict:
+    """The fields of a row judging computed <= bound up to a relative slack."""
+    passed = at_most(computed, bound, slack)
+    return dict(
+        computed=computed,
+        target=bound,
+        status=status(passed, hypothesis_ok),
+        method=method,
+        est_error=0.0,
+        hypothesis_ok=hypothesis_ok,
+        note=note,
+    )
 
 
 ALPHA = Param("alpha", required=True)
@@ -179,16 +232,9 @@ ANGLES = Param("angles", int)
     sweep=True,
 )
 def _hyper(alpha, beta, p, q, poly, r, method, nodes, angles) -> dict:
-    hp = HyperParams.make(alpha, beta, p, q)
-    res = hyper_check(poly, hp, r, method=method, nodes=nodes, angles=angles)
-    return dict(
-        computed=res.lhs,
-        target=res.rhs,
-        status=status(res.passed, res.hypothesis_ok),
-        method=res.method,
-        est_error=0.0,
-        hypothesis_ok=res.hypothesis_ok,
-    )
+    lhs, rhs = hyper_check(poly, alpha, beta, p, q, r, method, nodes, angles)
+    in_hypothesis = hypotheses_hold(alpha, beta, p, q)
+    return _bound_row(lhs, rhs, hypothesis_ok=in_hypothesis, method=method)
 
 
 @_register(
@@ -200,16 +246,10 @@ def _hyper(alpha, beta, p, q, poly, r, method, nodes, angles) -> dict:
     sweep=True,
 )
 def _nikolskii(alpha, beta, p, q, poly, nodes, angles) -> dict:
-    res = nikolskii_check(poly, alpha, beta, p, q, nodes=nodes, angles=angles)
-    return dict(
-        computed=res.ratio,
-        target=res.bound,
-        status=status(res.passed, res.hypothesis_ok),
-        method="quadrature",
-        est_error=0.0,
-        hypothesis_ok=res.hypothesis_ok,
-        note=f"degree={res.degree}",
-    )
+    ratio, bound = nikolskii_check(poly, alpha, beta, p, q, nodes, angles)
+    in_hypothesis = hypotheses_hold(alpha, beta, p, q)
+    note = f"degree={poly.degree}"
+    return _bound_row(ratio, bound, NIKOLSKII_SLACK, in_hypothesis, note=note)
 
 
 @_register(
@@ -224,15 +264,8 @@ def _kulikov(poly, alpha, p, q) -> dict:
     if q < p:  # outside the embedding's hypotheses, which kulikov_check refuses
         out = status(False, hypothesis_ok=False)
         return dict(computed=None, target=None, status=out, hypothesis_ok=False)
-    res = kulikov_check(poly, alpha, p, q)
-    return dict(
-        computed=res.lhs,
-        target=res.rhs,
-        status=status(res.passed),
-        method="quadrature",
-        est_error=0.0,
-        note=f"beta_prime={fmt_value(res.beta_prime)}",
-    )
+    lhs, rhs = kulikov_check(poly, alpha, p, q)
+    return _bound_row(lhs, rhs, note=f"beta_prime={fmt_value(q * alpha / p)}")
 
 
 @_register(
@@ -248,15 +281,12 @@ def _kulikov(poly, alpha, p, q) -> dict:
     sweep=True,
 )
 def _weissler(poly, p, q, r, angles) -> dict:
-    res = weissler_threshold_check(poly, p, q, r, angles=angles)
-    return dict(
-        computed=res.lhs,
-        target=res.rhs,
-        status=status(res.passed, p <= q),
-        method="quadrature",
-        est_error=0.0,
-        hypothesis_ok=p <= q,
-    )
+    """Hardy-space dilation; contraction holds exactly for r^2 <= p/q."""
+    if not (0.0 <= r <= 1.0):
+        raise ValueError(f"r must lie in [0, 1], got {r}")
+    lhs = hardy_norm(poly.dilate(r), q, angles=angles).value
+    rhs = hardy_norm(poly, p, angles=angles).value
+    return _bound_row(lhs, rhs, hypothesis_ok=p <= q)
 
 
 @_register(
@@ -268,16 +298,16 @@ def _weissler(poly, p, q, r, angles) -> dict:
     sweep=True,
 )
 def _threshold(alpha, beta, p, q, eps, tol) -> dict:
-    hp = HyperParams.make(alpha, beta, p, q)
-    rep = threshold_search(hp, eps=eps, tol=tol)
+    rep = threshold_search(alpha, beta, p, q, slack=INEQ_SLACK, eps=eps, tol=tol)
     gap = abs(rep.r_star_empirical - rep.r_star_theoretical)
+    in_hypothesis = hypotheses_hold(alpha, beta, p, q)
     return dict(
         computed=rep.r_star_empirical,
         target=rep.r_star_theoretical,
-        status=status(gap <= THRESHOLD_GATE, hp.hypothesis_ok),
+        status=status(gap <= THRESHOLD_GATE, in_hypothesis),
         method="bisection",
         est_error=rep.bracket_width,
-        hypothesis_ok=hp.hypothesis_ok,
+        hypothesis_ok=in_hypothesis,
     )
 
 
@@ -294,11 +324,11 @@ def _threshold(alpha, beta, p, q, eps, tol) -> dict:
     ("beta", "beta_prime", "q", "poly"),
 )
 def _ibp(poly, q, beta, beta_prime, nodes, tol) -> dict:
-    res = ibp_identity_check(poly, q, beta, beta_prime, nodes=nodes, tol=tol)
+    res = ibp_identity_check(poly, q, beta, beta_prime, nodes=nodes)
     return dict(
         computed=res.max_rel_discrepancy,
         target=tol,
-        status=status(res.passed),
+        status=status(res.max_rel_discrepancy <= tol),
         method="gauss-fd",
         est_error=0.0,
         note=format_params(lhs_dilated=res.lhs_dilated, lhs_plain=res.lhs_plain),
@@ -326,7 +356,7 @@ def _extremal(alpha, beta, p, q, m, n, samples, seed) -> dict:
     return dict(
         computed=rep.ratio,
         target=rep.target,
-        status=status(rep.within <= tol),
+        status=status(abs(rep.ratio - rep.target) <= tol),
         method="monte-carlo",
         est_error=rep.ci,
         note=f"tol={fmt_value(tol)}",
@@ -342,10 +372,11 @@ def _extremal(alpha, beta, p, q, m, n, samples, seed) -> dict:
 )
 def _stirling(grid) -> dict:
     rep = stirling_bounds_check(tuple(float(x) for x in grid.split(",")))
+    worst = min(min(rep.lower_margins), min(rep.upper_margins))
     return dict(
-        computed=min(min(rep.lower_margins), min(rep.upper_margins)),
+        computed=worst,
         target=0.0,
-        status=status(rep.passed),
+        status=status(worst > 0.0),  # both bounds hold strictly
         method="log-gamma",
         est_error=0.0,
         note="min log-margin over both bounds",
@@ -366,10 +397,13 @@ def _gamma_ratio(p, q, m_max) -> dict:
     if len(grid) == 1:
         grid = (max(1, m_max // 2), m_max)
     rep = gamma_ratio_limit_check(p, q, grid)
+    first, last = rep.rel_errors[0], rep.rel_errors[-1]
+    # the relative error does not grow along the grid, and is below 2% by m = 200
+    passed = last <= first + 1e-15 and (grid[-1] < 200 or last <= 0.02)
     return dict(
         computed=rep.values[-1],
         target=rep.limit,
-        status=status(rep.passed),
+        status=status(passed),
         method="log-gamma",
         est_error=rep.rel_errors[-1],
     )

@@ -1,14 +1,15 @@
-"""Dilation, degree-growth, and convexity checks behind the sharp inequalities.
+"""Measurements behind the sharp inequalities: threshold, expansion, profile.
 
-The central claim verified here: the dilation T_r f(z) = f(rz) maps
-A^p_alpha(D) contractively into A^q_beta(D), for every f, exactly when
+The central claim: the dilation T_r f(z) = f(rz) maps A^p_alpha(D)
+contractively into A^q_beta(D), for every f, exactly when
 r^2 <= beta*p / (alpha*q), given 1 < alpha, beta, 0 < p <= q, q >= 2 and
-beta*p <= alpha*q.  The polydisc and degree-bound (Nikolskii-type) variants,
-the circle-profile convexity machinery used in the sufficiency argument, and
-the Hardy-space threshold r^2 <= p/q are exercised by the other checks.
-
-All pass/fail comparisons use an explicit relative slack so that genuinely
-sharp configurations (equality up to rounding) are not misreported.
+beta*p <= alpha*q.  Here are the measurements that claim rests on: the
+critical radius and its empirical crossover, the second-order expansion of
+the norm, the two sides of the dilation, degree-growth and embedding
+inequalities, and the circle-profile convexity machinery of the sufficiency
+argument.  Each function returns what it measured and judges nothing; every
+pass rule, slack and floor lives in `checks.py`.  The two-sided measurements
+keep their ``*_check`` names, which ``perfbench/run.py`` times by name.
 """
 from __future__ import annotations
 
@@ -20,35 +21,29 @@ import numpy as np
 from .measures import check_alpha, radial_rule
 from .norms import (
     NormResult,
+    _check_p,
+    _even_half,
     bergman_norm,
     circle_means,
     exact_norm_even_p,
-    hardy_norm,
 )
 from .poly import ComplexPolynomial
+from .report import at_most
 
 __all__ = [
-    "SpaceParams",
-    "HyperParams",
-    "HyperCheckResult",
     "ThresholdReport",
     "PhiProfile",
     "hyper_check",
+    "nikolskii_check",
+    "kulikov_check",
     "threshold_search",
     "necessity_expansion_check",
-    "kulikov_check",
     "phi_profile",
     "phi_convexity_check",
     "ibp_identity_check",
     "convexity_majorant_check",
-    "nikolskii_check",
-    "weissler_threshold_check",
     "sharp_radius",
 ]
-
-# Relative slack for inequality verdicts.
-INEQ_SLACK = 1e-10
-NIKOLSKII_SLACK = 1e-9
 
 # Finite-difference steps: the profile second derivative uses Richardson over
 # (h, h/2); the one-sided first derivative at 0 uses the smaller step.
@@ -56,67 +51,12 @@ FD_H2 = 1e-3
 FD_H1 = 1e-4
 
 
-@dataclass(frozen=True)
-class SpaceParams:
-    """One weighted Bergman space A^p_alpha."""
-
-    alpha: float
-    p: float
-
-    def __post_init__(self) -> None:
-        check_alpha(self.alpha)
-        if not (0 < self.p <= 64):
-            raise ValueError(f"p must lie in (0, 64], got {self.p}")
-
-
-@dataclass(frozen=True)
-class HyperParams:
-    """Source space A^p_alpha and target space A^q_beta of the dilation."""
-
-    source: SpaceParams
-    target: SpaceParams
-
-    @property
-    def alpha(self) -> float:
-        return self.source.alpha
-
-    @property
-    def p(self) -> float:
-        return self.source.p
-
-    @property
-    def beta(self) -> float:
-        return self.target.alpha
-
-    @property
-    def q(self) -> float:
-        return self.target.p
-
-    @property
-    def hypothesis_ok(self) -> bool:
-        """True when the parameters satisfy the theorem's hypotheses."""
-        return (
-            self.p <= self.q and self.q >= 2.0 and self.beta * self.p <= self.alpha * self.q
-        )
-
-    @classmethod
-    def make(cls, alpha: float, beta: float, p: float, q: float) -> "HyperParams":
-        return cls(SpaceParams(alpha, p), SpaceParams(beta, q))
-
-
-def sharp_radius(hp: HyperParams) -> float:
+def sharp_radius(alpha: float, beta: float, p: float, q: float) -> float:
     """The critical dilation radius sqrt(beta*p/(alpha*q)), capped at 1."""
-    return min(1.0, math.sqrt(hp.beta * hp.p / (hp.alpha * hp.q)))
-
-
-@dataclass(frozen=True)
-class HyperCheckResult:
-    passed: bool
-    lhs: float
-    rhs: float
-    r: float
-    hypothesis_ok: bool
-    method: str
+    for weight, exponent in ((alpha, p), (beta, q)):
+        check_alpha(weight)
+        _check_p(exponent)
+    return min(1.0, math.sqrt(beta * p / (alpha * q)))
 
 
 def _norm_for(P: ComplexPolynomial, alpha: float, p: float, method: str,
@@ -133,25 +73,51 @@ def _norm_for(P: ComplexPolynomial, alpha: float, p: float, method: str,
 
 def hyper_check(
     f: ComplexPolynomial,
-    hp: HyperParams,
+    alpha: float,
+    beta: float,
+    p: float,
+    q: float,
     r: float,
     method: str = "quad",
     nodes: int | None = None,
     angles: int | None = None,
-) -> HyperCheckResult:
-    """Does ||f(r .)||_{A^q_beta} <= ||f||_{A^p_alpha} hold at this radius?"""
+) -> tuple[float, float]:
+    """The two sides of ||f(r .)||_{A^q_beta} <= ||f||_{A^p_alpha}."""
     if not (0.0 <= r <= 1.0):
         raise ValueError(f"r must lie in [0, 1], got {r}")
-    lhs = _norm_for(f.dilate(r), hp.beta, hp.q, method, nodes, angles).value
-    rhs = _norm_for(f, hp.alpha, hp.p, method, nodes, angles).value
-    return HyperCheckResult(
-        passed=lhs <= rhs * (1.0 + INEQ_SLACK),
-        lhs=lhs,
-        rhs=rhs,
-        r=float(r),
-        hypothesis_ok=hp.hypothesis_ok,
-        method=method,
-    )
+    lhs = _norm_for(f.dilate(r), beta, q, method, nodes, angles).value
+    rhs = _norm_for(f, alpha, p, method, nodes, angles).value
+    return lhs, rhs
+
+
+def nikolskii_check(
+    P: ComplexPolynomial,
+    alpha: float,
+    beta: float,
+    p: float,
+    q: float,
+    nodes: int | None = None,
+    angles: int | None = None,
+) -> tuple[float, float]:
+    """The two sides of ||P||_{A^q_beta} / ||P||_{A^p_alpha} <= C^m, with
+    C = sqrt(alpha q / (beta p)) and m the total degree of P."""
+    if P.is_zero:
+        raise ValueError("the zero polynomial has no norm ratio")
+    num = bergman_norm(P, beta, q, nodes=nodes, angles=angles).value
+    den = bergman_norm(P, alpha, p, nodes=nodes, angles=angles).value
+    return num / den, math.sqrt(alpha * q / (beta * p)) ** P.degree
+
+
+def kulikov_check(
+    f: ComplexPolynomial, alpha: float, p: float, q: float
+) -> tuple[float, float]:
+    """The two sides of the undilated embedding
+    ||f||_{A^q_{q alpha / p}} <= ||f||_{A^p_alpha}, for q >= p."""
+    if q < p:
+        raise ValueError("requires q >= p")
+    rhs = bergman_norm(f, alpha, p).value
+    lhs = bergman_norm(f, q * alpha / p, q).value
+    return lhs, rhs
 
 
 @dataclass(frozen=True)
@@ -160,7 +126,6 @@ class ThresholdReport:
     r_star_theoretical: float
     bracket_width: float
     r_star_raw: float = 0.0
-    r_star_half_eps: float = 0.0
 
     def __post_init__(self) -> None:
         if not (self.bracket_width > 0.0):
@@ -168,14 +133,15 @@ class ThresholdReport:
 
 
 def _bisect_threshold(
-    hp: HyperParams, eps: float, tol: float, scan_points: int = 21
+    space: tuple, slack: float, eps: float, tol: float, scan_points: int = 21
 ) -> tuple[float, float]:
     """Largest passing radius for the test family 1 + eps*z, with bracket width."""
+    alpha, beta, p, q = space
     f = ComplexPolynomial.from_coeffs([1.0, eps])
-    rhs = bergman_norm(f, hp.alpha, hp.p).value * (1.0 + INEQ_SLACK)
+    rhs = bergman_norm(f, alpha, p).value
 
     def passes(r: float) -> bool:
-        return bergman_norm(f.dilate(r), hp.beta, hp.q).value <= rhs
+        return at_most(bergman_norm(f.dilate(r), beta, q).value, rhs, slack)
 
     grid = np.linspace(0.0, 1.0, scan_points)
     flags = [passes(r) for r in grid]
@@ -199,39 +165,47 @@ def _bisect_threshold(
 
 
 def threshold_search(
-    hp: HyperParams, eps: float = 1e-2, tol: float = 1e-4, refine: bool = True
+    alpha: float,
+    beta: float,
+    p: float,
+    q: float,
+    *,
+    slack: float,
+    eps: float = 1e-2,
+    tol: float = 1e-4,
+    refine: bool = True,
 ) -> ThresholdReport:
     """Empirical crossover radius of the dilation inequality.
 
-    The test family is f = 1 + eps*z, whose crossover approaches the critical
-    radius quadratically in eps; with refine=True the search is repeated at
-    eps/2 and Richardson-extrapolated in eps^2.
+    A radius passes when the dilated norm is at most the plain one up to the
+    relative ``slack`` (``report.at_most``).  The test family is
+    f = 1 + eps*z, whose crossover approaches the critical radius
+    quadratically in eps; with refine=True the search is repeated at eps/2
+    and Richardson-extrapolated in eps^2.
     """
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0, 1)")
-    r_raw, width = _bisect_threshold(hp, eps, tol)
+    space = (alpha, beta, p, q)
+    r_raw, width = _bisect_threshold(space, slack, eps, tol)
     r_half, width_half = r_raw, width
     estimate = r_raw
     if refine:
-        r_half, width_half = _bisect_threshold(hp, eps / 2.0, tol)
+        r_half, width_half = _bisect_threshold(space, slack, eps / 2.0, tol)
         estimate = r_half + (r_half - r_raw) / 3.0
     return ThresholdReport(
         r_star_empirical=float(min(estimate, 1.0)),
-        r_star_theoretical=sharp_radius(hp),
+        r_star_theoretical=sharp_radius(*space),
         bracket_width=float(max(width, width_half)),
         r_star_raw=float(r_raw),
-        r_star_half_eps=float(r_half),
     )
 
 
 @dataclass(frozen=True)
 class ExpansionReport:
-    alpha: float
-    p: float
+    method: str  # "exact" at even p, else "quadrature"
     eps_grid: tuple[float, ...]
     residuals: tuple[float, ...]
     max_normalized_residual: float
-    decay_ok: bool
 
 
 def necessity_expansion_check(
@@ -239,57 +213,23 @@ def necessity_expansion_check(
 ) -> ExpansionReport:
     """Residual of ||1 + eps z||_{A^p_alpha} = 1 + p/(4 alpha) eps^2 + O(eps^3).
 
-    Checks cubic-or-better decay: R(eps') <= R(eps) * (eps'/eps)^3 * 4/3 for
-    consecutive grid points.  Norms use the exact route when p admits one.
+    Residuals are reported on the grid sorted by decreasing eps, with their
+    worst ratio to eps^3.  Norms take the exact route at even p.
     """
     check_alpha(alpha)
     eps_desc = tuple(sorted((float(e) for e in eps_grid), reverse=True))
-    use_exact = p == int(p) and int(p) % 2 == 0
+    exact = _even_half(p) is not None
     residuals = []
     for e in eps_desc:
         f = ComplexPolynomial.from_coeffs([1.0, e])
-        method = "exact" if use_exact else "quad"
-        value = _norm_for(f, alpha, p, method).value
+        value = _norm_for(f, alpha, p, "exact" if exact else "quad").value
         residuals.append(abs(value - 1.0 - p * e * e / (4.0 * alpha)))
-    decay_ok = True
-    for (e1, r1), (e2, r2) in zip(
-        zip(eps_desc, residuals), zip(eps_desc[1:], residuals[1:])
-    ):
-        if r2 > r1 * (e2 / e1) ** 3 * (4.0 / 3.0) + 1e-15:
-            decay_ok = False
     max_norm = max(r / e ** 3 for e, r in zip(eps_desc, residuals))
     return ExpansionReport(
-        alpha=float(alpha),
-        p=float(p),
+        method="exact" if exact else "quadrature",
         eps_grid=eps_desc,
         residuals=tuple(residuals),
         max_normalized_residual=float(max_norm),
-        decay_ok=decay_ok,
-    )
-
-
-@dataclass(frozen=True)
-class KulikovResult:
-    passed: bool
-    lhs: float
-    rhs: float
-    beta_prime: float
-
-
-def kulikov_check(
-    f: ComplexPolynomial, alpha: float, p: float, q: float
-) -> KulikovResult:
-    """Undilated embedding ||f||_{A^q_{q alpha / p}} <= ||f||_{A^p_alpha}."""
-    if q < p:
-        raise ValueError("requires q >= p")
-    beta_prime = q * alpha / p
-    lhs = bergman_norm(f, beta_prime, q).value
-    rhs = bergman_norm(f, alpha, p).value
-    return KulikovResult(
-        passed=lhs <= rhs * (1.0 + INEQ_SLACK),
-        lhs=lhs,
-        rhs=rhs,
-        beta_prime=beta_prime,
     )
 
 
@@ -367,30 +307,21 @@ def phi_profile(
 
 @dataclass(frozen=True)
 class ConvexityResult:
-    passed: bool
     min_phi2: float
     argmin_y: float
 
 
-def phi_convexity_check(
-    f: ComplexPolynomial, q: float, y_grid, noise_floor: float = 1e-7
-) -> ConvexityResult:
-    """Convexity of the profile in y for q >= 2 up to the FD noise floor."""
+def phi_convexity_check(f: ComplexPolynomial, q: float, y_grid) -> ConvexityResult:
+    """Smallest second derivative of the profile in y on the grid, for q >= 2."""
     if q < 2.0:
         raise ValueError("convexity requires q >= 2")
     prof = phi_profile(f, q, y_grid)
-    values = np.asarray(prof.phi2)
-    k = int(np.argmin(values))
-    return ConvexityResult(
-        passed=bool(values[k] >= -noise_floor),
-        min_phi2=float(values[k]),
-        argmin_y=float(prof.y_grid[k]),
-    )
+    k = int(np.argmin(prof.phi2))
+    return ConvexityResult(min_phi2=prof.phi2[k], argmin_y=prof.y_grid[k])
 
 
 @dataclass(frozen=True)
 class IbpResult:
-    passed: bool
     max_rel_discrepancy: float
     lhs_dilated: float
     rhs_dilated: float
@@ -404,7 +335,6 @@ def ibp_identity_check(
     beta: float,
     beta_prime: float,
     nodes: int = 64,
-    tol: float = 1e-7,
 ) -> IbpResult:
     """Double integration-by-parts identities for the circle profile.
 
@@ -450,7 +380,6 @@ def ibp_identity_check(
         abs(lhs_plain - rhs_plain) / scale2,
     )
     return IbpResult(
-        passed=rel <= tol,
         max_rel_discrepancy=float(rel),
         lhs_dilated=lhs_dilated,
         rhs_dilated=rhs_dilated,
@@ -459,16 +388,11 @@ def ibp_identity_check(
     )
 
 
-@dataclass(frozen=True)
-class MajorantResult:
-    passed: bool
-    min_margin: float
+def convexity_majorant_check(beta: float, beta_prime: float, y_grid) -> float:
+    """Worst margin of the tangent-line bound (1-y)^(beta'/beta) >= 1 - y*beta'/beta.
 
-
-def convexity_majorant_check(
-    beta: float, beta_prime: float, y_grid
-) -> MajorantResult:
-    """Tangent-line bound (1-y)^(beta'/beta) >= 1 - y*beta'/beta on [0, beta/beta']."""
+    The grid must lie in [0, beta/beta'].
+    """
     check_alpha(beta)
     if beta_prime < beta:
         raise ValueError("requires beta_prime >= beta")
@@ -476,73 +400,4 @@ def convexity_majorant_check(
     if np.any(ys < 0.0) or np.any(ys > beta / beta_prime + 1e-15):
         raise ValueError("grid must lie in [0, beta/beta_prime]")
     margin = (1.0 - ys) ** (beta_prime / beta) - (1.0 - ys * beta_prime / beta)
-    worst = float(margin.min())
-    return MajorantResult(passed=worst >= -1e-12, min_margin=worst)
-
-
-# ------------------------------------------------------------ degree bounds
-
-
-@dataclass(frozen=True)
-class NikolskiiResult:
-    passed: bool
-    ratio: float
-    bound: float
-    degree: int
-    hypothesis_ok: bool
-
-
-def nikolskii_check(
-    P: ComplexPolynomial,
-    alpha: float,
-    beta: float,
-    p: float,
-    q: float,
-    nodes: int | None = None,
-    angles: int | None = None,
-) -> NikolskiiResult:
-    """Degree-growth bound ||P||_{A^q_beta} <= C^m ||P||_{A^p_alpha}.
-
-    C = sqrt(alpha q / (beta p)) and m is the total degree of P.
-    """
-    if P.is_zero:
-        raise ValueError("the zero polynomial has no norm ratio")
-    hp = HyperParams.make(alpha, beta, p, q)
-    m = P.degree
-    bound = math.sqrt(alpha * q / (beta * p)) ** m
-    num = bergman_norm(P, beta, q, nodes=nodes, angles=angles).value
-    den = bergman_norm(P, alpha, p, nodes=nodes, angles=angles).value
-    ratio = num / den
-    return NikolskiiResult(
-        passed=ratio <= bound * (1.0 + NIKOLSKII_SLACK),
-        ratio=ratio,
-        bound=bound,
-        degree=m,
-        hypothesis_ok=hp.hypothesis_ok,
-    )
-
-
-@dataclass(frozen=True)
-class WeisslerResult:
-    passed: bool
-    lhs: float
-    rhs: float
-    r: float
-    sharp_r: float
-
-
-def weissler_threshold_check(
-    f: ComplexPolynomial, p: float, q: float, r: float, angles: int | None = None
-) -> WeisslerResult:
-    """Hardy-space dilation check; contraction holds exactly for r^2 <= p/q."""
-    if not (0.0 <= r <= 1.0):
-        raise ValueError(f"r must lie in [0, 1], got {r}")
-    lhs = hardy_norm(f.dilate(r), q, angles=angles).value
-    rhs = hardy_norm(f, p, angles=angles).value
-    return WeisslerResult(
-        passed=lhs <= rhs * (1.0 + INEQ_SLACK),
-        lhs=lhs,
-        rhs=rhs,
-        r=float(r),
-        sharp_r=math.sqrt(min(p / q, 1.0)),
-    )
+    return float(margin.min())

@@ -91,6 +91,14 @@ _BLOCK_POINTS = 1 << 16
 # against OpenBLAS 0.3.31 on a 2-core Xeon VM for M from 257 to 12001.
 _FFT_COEFFS_PER_LOG2_ANGLE = 16
 
+# A quadrature norm whose largest kernel array (see ``_grid_bytes``) would
+# take more than this many bytes is refused with a ValueError before any of
+# them, or the coefficient array, is allocated.  No acceptance criterion or
+# benchmark workload counts more than 3.6 MiB, and no test that expects a
+# value more than 66 MiB (trivariate degree 6 at p = 3); bivariate degree
+# (1000, 1000) at p = 4 counts 1.9 GiB.
+_GRID_BYTES_BUDGET = 1 << 29
+
 # The (t, w) pair of a circle variable: one node at |z| = 1.
 _CIRCLE = (np.ones(1), np.ones(1))
 
@@ -290,6 +298,43 @@ def _shell_means(lead: np.ndarray, t: np.ndarray, m: int, p: float):
             yield r0, k0, means.reshape(shells.shape[:2])
 
 
+def _axis_order(triples) -> list[int]:
+    """Axes by grid size, smallest first: the last one is streamed."""
+    return sorted(range(len(triples)), key=lambda i: len(triples[i][0]) * triples[i][2])
+
+
+def _grid_bytes(shape, triples) -> int:
+    """Bytes of the largest arrays ``_power_mean`` builds, worked out from the
+    coefficient shape and the (t, w, M) triples alone: each lead step's
+    output, the last of which is the lead array, at 16 bytes a value.  Tiles,
+    shells and Fourier matrices are left out; they are smaller or streamed.
+    """
+    order = _axis_order(triples)
+    dims = [shape[i] for i in order]
+    largest = math.prod(dims)
+    for j, i in enumerate(order[:-1]):
+        dims[j] = len(triples[i][0]) * triples[i][2]
+        largest = max(largest, math.prod(dims))
+    return 16 * largest
+
+
+def _quadrature_norm(P: ComplexPolynomial, triples, p: float) -> NormResult:
+    """The norm of P on the tensor rule, refused above _GRID_BYTES_BUDGET
+    before the coefficient array or any grid array is allocated."""
+    if P.is_zero:
+        return NormResult(0.0, "quadrature", 0.0)
+    shape = tuple(d + 1 for d in P.variable_degrees())
+    need = _grid_bytes(shape, triples)
+    if need > _GRID_BYTES_BUDGET:
+        sizes = ", ".join(f"({len(t)}, {m})" for t, _, m in triples)
+        raise ValueError(
+            f"quadrature grid too large: (nodes, angles) {sizes} need about "
+            f"{need >> 20} MiB, above the budget of {_GRID_BYTES_BUDGET >> 20} MiB"
+        )
+    mean = _power_mean(P.coeff_array(), triples, p)
+    return NormResult(mean ** (1.0 / p), "quadrature", 0.0)
+
+
 def _power_mean(
     coeff: np.ndarray, triples: list[tuple[np.ndarray, np.ndarray, int]], p: float
 ) -> float:
@@ -301,7 +346,7 @@ def _power_mean(
     """
     if coeff.ndim != len(triples):
         raise ValueError("rule does not match variable count")
-    order = sorted(range(coeff.ndim), key=lambda i: len(triples[i][0]) * triples[i][2])
+    order = _axis_order(triples)
     lead, w_lead = _lead_values(
         coeff.transpose(order), [triples[i] for i in order[:-1]]
     )
@@ -378,10 +423,7 @@ def bergman_norm(
     check_alpha(alpha)
     _check_p(p)
     triples = _grid_rule(P.variable_degrees(), alpha, p, nodes, angles)
-    if P.is_zero:
-        return NormResult(0.0, "quadrature", 0.0)
-    mean = _power_mean(P.coeff_array(), triples, p)
-    return NormResult(mean ** (1.0 / p), "quadrature", 0.0)
+    return _quadrature_norm(P, triples, p)
 
 
 def hardy_norm(P: ComplexPolynomial, p: float, angles: int | None = None) -> NormResult:
@@ -390,10 +432,7 @@ def hardy_norm(P: ComplexPolynomial, p: float, angles: int | None = None) -> Nor
     if P.nvars != 1:
         raise ValueError("hardy_norm expects a univariate polynomial")
     triples = _grid_rule(P.variable_degrees(), None, p, angles=angles)
-    if P.is_zero:
-        return NormResult(0.0, "quadrature", 0.0)
-    mean = _power_mean(P.coeff_array(), triples, p)
-    return NormResult(mean ** (1.0 / p), "quadrature", 0.0)
+    return _quadrature_norm(P, triples, p)
 
 
 def mixed_norm(
@@ -422,10 +461,7 @@ def mixed_norm(
     if angles_w is None and _even_half(p) is None:
         angles_w = max(triples[0][2] - 1, 8)
     triples += _grid_rule((d_w,), None, p, angles=angles_w)
-    if Q.is_zero:
-        return NormResult(0.0, "quadrature", 0.0)
-    mean = _power_mean(Q.coeff_array(), triples, p)
-    return NormResult(mean ** (1.0 / p), "quadrature", 0.0)
+    return _quadrature_norm(Q, triples, p)
 
 
 def bergman_norm_mc(

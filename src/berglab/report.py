@@ -10,7 +10,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 
-__all__ = ["CSV_HEADER", "ReportRow", "VerificationReport", "fmt_value"]
+__all__ = ["CSV_HEADER", "ReportRow", "VerificationReport", "at_most", "fmt_value"]
 
 CSV_HEADER = (
     "check_id",
@@ -44,6 +44,12 @@ def fmt_value(x) -> str:
         return repr(float(x))
     except (TypeError, ValueError):
         return str(x)
+
+
+def at_most(computed: float, bound: float, slack: float) -> bool:
+    """computed <= bound * (1 + slack): the one upper-bound comparison, used
+    by the inequality rows and the threshold bisection with a relative slack."""
+    return computed <= bound * (1.0 + slack)
 
 
 @dataclass(frozen=True)

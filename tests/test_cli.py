@@ -50,6 +50,23 @@ def test_norm_bad_space_is_usage_error(capsys):
     assert "error" in err
 
 
+def test_oversized_norm_grid_is_a_usage_error(capsys):
+    argv = ["norm", "--space", "alpha=2,p=4", "--poly", "(1000,1000):1"]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "quadrature grid too large" in err
+
+
+def test_kulikov_zero_exponent_is_a_usage_error(capsys):
+    # the A^p_alpha norm refuses p = 0 before beta' = q*alpha/p divides by it
+    argv = ["kulikov", "--poly", "1,1", "--alpha", "2", "--p", "0", "--q", "2"]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "exponent p must lie in (0, 64], got 0.0" in err
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

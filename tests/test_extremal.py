@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from berglab.checks import CHECKS
 from berglab.extremal import (
     ExtremalSpec,
     extremal_evaluator,
@@ -98,7 +99,7 @@ def test_per_degree_attainment_grows_toward_limit():
 
 def test_stirling_bounds_frozen_point():
     rep = stirling_bounds_check((0.5,))
-    assert rep.passed
+    assert CHECKS["stirling"].run(grid="0.5").status == "pass"
     base = 0.5 * math.log(2 * math.pi) + 1.0 * math.log(0.5) - 0.5
     lg = math.lgamma(1.5)
     assert math.exp(base) < math.gamma(1.5) < math.exp(base + 1.0 / 6.0)
@@ -107,9 +108,12 @@ def test_stirling_bounds_frozen_point():
 
 def test_stirling_bounds_full_grid():
     rep = stirling_bounds_check((0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 100.0, 400.0))
-    assert rep.passed
     assert min(rep.lower_margins) > 0.0
     assert min(rep.upper_margins) > 0.0
+    # the registry's default grid is this one, and its row is the worst margin
+    row = CHECKS["stirling"].run()
+    assert row.status == "pass"
+    assert row.computed == min(min(rep.lower_margins), min(rep.upper_margins))
 
 
 def test_stirling_rejects_nonpositive():
@@ -119,7 +123,9 @@ def test_stirling_rejects_nonpositive():
 
 def test_gamma_ratio_trend_and_limit():
     rep = gamma_ratio_limit_check(2.0, 4.0, (10, 50, 100, 200))
-    assert rep.passed
+    row = CHECKS["gamma-ratio"].run(p=2.0, q=4.0, m_max=200)
+    assert row.status == "pass"
+    assert (row.computed, row.est_error) == (rep.values[-1], rep.rel_errors[-1])
     assert rep.limit == pytest.approx(math.sqrt(2.0), rel=1e-15)
     assert rep.rel_errors[-1] <= 0.02
     assert rep.rel_errors[-1] <= rep.rel_errors[0]

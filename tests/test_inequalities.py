@@ -1,14 +1,24 @@
-"""Dilation contraction, threshold search, profile machinery, degree bounds."""
+"""Dilation contraction, threshold search, profile machinery, degree bounds.
+
+The library functions only measure, so their verdicts are tested through
+the rows of the `checks.py` registry and its pass rules.
+"""
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from berglab.checks import (
+    CHECKS,
+    INEQ_SLACK,
+    convex,
+    cubic_decay,
+    hypotheses_hold,
+    majorant_holds,
+)
 from berglab.corpus import random_polynomials
 from berglab.inequalities import (
-    HyperParams,
-    SpaceParams,
     convexity_majorant_check,
     hyper_check,
     ibp_identity_check,
@@ -19,73 +29,88 @@ from berglab.inequalities import (
     phi_profile,
     sharp_radius,
     threshold_search,
-    weissler_threshold_check,
 )
 from berglab.poly import ComplexPolynomial
+from berglab.report import at_most
 
 z = ComplexPolynomial.variable()
 one = ComplexPolynomial.constant(1.0)
 
 
-def test_space_params_validation():
-    with pytest.raises(ValueError):
-        SpaceParams(1.0, 2.0)
-    with pytest.raises(ValueError):
-        SpaceParams(2.0, 0.0)
-    with pytest.raises(ValueError):
-        SpaceParams(2.0, 100.0)
+def hyper(f, alpha, beta, p, q, **kw):
+    return CHECKS["hyper"].run(alpha=alpha, beta=beta, p=p, q=q, poly=f, **kw)
+
+
+def test_space_validation_by_the_norms_and_the_radius():
+    # weights must exceed 1 and exponents lie in (0, 64]: the norms refuse
+    # the rest, and so does the critical radius the default r comes from
+    for alpha, p in ((1.0, 2.0), (2.0, 0.0), (2.0, 100.0)):
+        with pytest.raises(ValueError):
+            hyper(one + z, alpha, 2.0, p, 4.0, r=0.5)
+        with pytest.raises(ValueError):
+            hyper(one + z, alpha, 2.0, p, 4.0)
+        with pytest.raises(ValueError):
+            sharp_radius(2.0, alpha, 2.0, p)
 
 
 def test_hypothesis_flag():
-    assert HyperParams.make(2.0, 2.0, 2.0, 4.0).hypothesis_ok
-    assert HyperParams.make(2.0, 4.0, 0.5, 2.0).hypothesis_ok
+    assert hypotheses_hold(2.0, 2.0, 2.0, 4.0)
+    assert hypotheses_hold(2.0, 4.0, 0.5, 2.0)
     # p > q
-    assert not HyperParams.make(2.0, 2.0, 4.0, 2.0).hypothesis_ok
+    assert not hypotheses_hold(2.0, 2.0, 4.0, 2.0)
     # q < 2
-    assert not HyperParams.make(2.0, 2.0, 1.0, 1.5).hypothesis_ok
+    assert not hypotheses_hold(2.0, 2.0, 1.0, 1.5)
     # beta p > alpha q
-    assert not HyperParams.make(1.5, 4.0, 2.0, 2.0).hypothesis_ok
+    assert not hypotheses_hold(1.5, 4.0, 2.0, 2.0)
 
 
 def test_sharp_radius_formula():
-    assert sharp_radius(HyperParams.make(2.0, 3.0, 2.0, 4.0)) == pytest.approx(
+    assert sharp_radius(2.0, 3.0, 2.0, 4.0) == pytest.approx(
         math.sqrt(6.0 / 8.0), rel=1e-15
     )
-    assert sharp_radius(HyperParams.make(2.0, 2.0, 2.0, 4.0)) == pytest.approx(
-        math.sqrt(0.5), rel=1e-15
-    )
-    assert sharp_radius(HyperParams.make(2.0, 1.5, 2.0, 4.0)) == pytest.approx(
+    assert sharp_radius(2.0, 2.0, 2.0, 4.0) == pytest.approx(math.sqrt(0.5), rel=1e-15)
+    assert sharp_radius(2.0, 1.5, 2.0, 4.0) == pytest.approx(
         math.sqrt(3.0 / 8.0), rel=1e-15
     )
     # formula value above 1 is clamped
-    assert sharp_radius(HyperParams.make(1.5, 4.0, 2.0, 2.0)) == 1.0
+    assert sharp_radius(1.5, 4.0, 2.0, 2.0) == 1.0
+
+
+def test_at_most_allows_the_relative_slack_only():
+    assert at_most(1.0, 1.0, 0.0)
+    assert at_most(1.0 + 5e-11, 1.0, INEQ_SLACK)
+    assert not at_most(1.0 + 2e-10, 1.0, INEQ_SLACK)
 
 
 def test_hyper_check_frozen_pass():
-    hp = HyperParams.make(2.0, 2.0, 2.0, 4.0)
-    res = hyper_check(one + z, hp, sharp_radius(hp))
-    assert res.passed
-    assert res.lhs == pytest.approx((25.0 / 12.0) ** 0.25, rel=1e-12)
-    assert res.rhs == pytest.approx(math.sqrt(1.5), rel=1e-12)
+    row = hyper(one + z, 2.0, 2.0, 2.0, 4.0)
+    assert row.status == "pass" and row.hypothesis_ok
+    assert "r=0.7071067811865476" in row.params
+    assert row.computed == pytest.approx((25.0 / 12.0) ** 0.25, rel=1e-12)
+    assert row.target == pytest.approx(math.sqrt(1.5), rel=1e-12)
+    r = sharp_radius(2.0, 2.0, 2.0, 4.0)
+    assert hyper_check(one + z, 2.0, 2.0, 2.0, 4.0, r) == (row.computed, row.target)
 
 
 def test_hyper_check_frozen_fail_above_threshold():
-    f = one + z * 0.001
-    hp = HyperParams.make(2.0, 3.0, 2.0, 4.0)
-    res = hyper_check(f, hp, 0.88)
-    assert not res.passed
+    row = hyper(one + z * 0.001, 2.0, 3.0, 2.0, 4.0, r=0.88)
+    assert row.status == "fail"
     # second-order expansion predicts the violation size (eps^2/4)(q r^2/beta - p/alpha)
     predicted = (0.001 ** 2 / 4.0) * (4.0 * 0.88 ** 2 / 3.0 - 1.0)
-    assert res.lhs - res.rhs == pytest.approx(predicted, rel=5e-3)
+    assert row.computed - row.target == pytest.approx(predicted, rel=5e-3)
 
 
 def test_hyper_check_exact_route_agrees():
-    hp = HyperParams.make(2.0, 2.0, 2.0, 4.0)
-    r = sharp_radius(hp)
-    a = hyper_check(one + z, hp, r, method="quad")
-    b = hyper_check(one + z, hp, r, method="exact")
-    assert a.lhs == pytest.approx(b.lhs, rel=1e-12)
-    assert a.rhs == pytest.approx(b.rhs, rel=1e-12)
+    a = hyper(one + z, 2.0, 2.0, 2.0, 4.0, method="quad")
+    b = hyper(one + z, 2.0, 2.0, 2.0, 4.0, method="exact")
+    assert (a.method, b.method) == ("quad", "exact")
+    assert a.computed == pytest.approx(b.computed, rel=1e-12)
+    assert a.target == pytest.approx(b.target, rel=1e-12)
+
+
+def test_hyper_rejects_radius_outside_unit_interval():
+    with pytest.raises(ValueError, match="r must lie in"):
+        hyper(one + z, 2.0, 2.0, 2.0, 4.0, r=1.5)
 
 
 def test_hyper_polydisc_product_case():
@@ -94,31 +119,28 @@ def test_hyper_polydisc_product_case():
     f = ComplexPolynomial.from_terms(
         2, {(0, 0): 1.0, (1, 0): 1.0, (0, 1): 1.0, (1, 1): 1.0}
     )
-    hp = HyperParams.make(2.0, 2.0, 2.0, 4.0)
-    r = sharp_radius(hp)
-    res = hyper_check(f, hp, r)
-    assert res.passed
-    assert res.lhs == pytest.approx(math.sqrt(25.0 / 12.0), rel=1e-11)
-    assert res.rhs == pytest.approx(1.5, rel=1e-11)
+    row = hyper(f, 2.0, 2.0, 2.0, 4.0)
+    assert row.status == "pass"
+    assert row.computed == pytest.approx(math.sqrt(25.0 / 12.0), rel=1e-11)
+    assert row.target == pytest.approx(1.5, rel=1e-11)
 
 
 def test_threshold_recovers_formula():
-    hp = HyperParams.make(2.0, 2.0, 2.0, 4.0)
-    rep = threshold_search(hp, eps=1e-2)
+    rep = threshold_search(2.0, 2.0, 2.0, 4.0, slack=INEQ_SLACK, eps=1e-2)
     assert abs(rep.r_star_empirical - math.sqrt(0.5)) <= 5e-3
     assert rep.bracket_width <= 2e-4
 
 
 def test_threshold_all_pass_degenerate():
-    hp = HyperParams.make(2.0, 2.0, 2.0, 2.0)
-    rep = threshold_search(hp, eps=1e-2)
+    rep = threshold_search(2.0, 2.0, 2.0, 2.0, slack=INEQ_SLACK, eps=1e-2)
     assert rep.r_star_empirical == 1.0
     assert rep.r_star_theoretical == 1.0
 
 
 def test_necessity_expansion_closed_form():
     rep = necessity_expansion_check(2.0, 2.0)
-    assert rep.decay_ok
+    assert rep.method == "exact"
+    assert cubic_decay(rep.eps_grid, rep.residuals)
     for e, r in zip(rep.eps_grid, rep.residuals):
         assert r == pytest.approx(e ** 4 / 32.0, rel=0.1)
 
@@ -126,26 +148,37 @@ def test_necessity_expansion_closed_form():
 @pytest.mark.parametrize("alpha,p", [(2.0, 4.0), (3.0, 2.5)])
 def test_necessity_expansion_decay(alpha, p):
     rep = necessity_expansion_check(alpha, p)
-    assert rep.decay_ok
+    assert rep.method == ("exact" if p == 4.0 else "quadrature")
+    assert cubic_decay(rep.eps_grid, rep.residuals)
     assert rep.max_normalized_residual < 1.0
 
 
-def test_kulikov_frozen_values():
-    res = kulikov_check(one + z, 2.0, 2.0, 4.0)
-    assert res.passed
-    assert res.beta_prime == pytest.approx(4.0)
-    assert res.lhs == pytest.approx(2.1 ** 0.25, rel=1e-12)
-    assert res.rhs == pytest.approx(math.sqrt(1.5), rel=1e-12)
+def test_cubic_decay_rule_fails_slower_decay():
+    # halving eps allows at most (1/8) * 4/3 of the previous residual
+    assert cubic_decay((4e-2, 2e-2), (1.0, 0.16))
+    assert not cubic_decay((4e-2, 2e-2), (1.0, 0.17))
 
-    res = kulikov_check(z, 2.0, 2.0, 4.0)
-    assert res.passed
-    assert res.lhs == pytest.approx(0.1 ** 0.25, rel=1e-12)
-    assert res.rhs == pytest.approx(math.sqrt(0.5), rel=1e-12)
+
+def test_kulikov_frozen_values():
+    row = CHECKS["kulikov"].run(poly=one + z, alpha=2.0, p=2.0, q=4.0)
+    assert row.status == "pass"
+    assert row.note == "beta_prime=4.0"
+    assert row.computed == pytest.approx(2.1 ** 0.25, rel=1e-12)
+    assert row.target == pytest.approx(math.sqrt(1.5), rel=1e-12)
+    assert kulikov_check(one + z, 2.0, 2.0, 4.0) == (row.computed, row.target)
+
+    row = CHECKS["kulikov"].run(poly=z, alpha=2.0, p=2.0, q=4.0)
+    assert row.status == "pass"
+    assert row.computed == pytest.approx(0.1 ** 0.25, rel=1e-12)
+    assert row.target == pytest.approx(math.sqrt(0.5), rel=1e-12)
 
 
 def test_kulikov_requires_ordered_exponents():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="requires q >= p"):
         kulikov_check(one + z, 2.0, 4.0, 2.0)
+    row = CHECKS["kulikov"].run(poly=one + z, alpha=2.0, p=4.0, q=2.0)
+    assert row.status == "out-of-hypothesis" and not row.hypothesis_ok
+    assert row.computed is None and row.target is None
 
 
 def test_phi_profile_monomials():
@@ -178,41 +211,50 @@ def test_phi_convexity_requires_q_at_least_two():
 @pytest.mark.parametrize("q", [2.0, 3.0, 4.0])
 def test_phi_convexity_passes(q):
     res = phi_convexity_check(one + z + z * z, q, np.linspace(0.05, 0.9, 20))
-    assert res.passed
+    assert convex(res.min_phi2)
     assert res.min_phi2 >= -1e-7
+    assert not convex(-2e-7)
 
 
 def test_ibp_identity_monomial():
+    row = CHECKS["ibp"].run(poly=z, q=2.0, beta=2.0, beta_prime=4.0)
+    assert row.status == "pass" and row.target == 1e-7
     res = ibp_identity_check(z, 2.0, 2.0, 4.0)
-    assert res.passed
     # both displays evaluate to the A^2_{beta'} mass of z, here 1/(beta'... ) = 1/4
     assert res.lhs_dilated == pytest.approx(0.25, abs=1e-9)
     assert res.lhs_plain == pytest.approx(0.25, abs=1e-9)
     assert res.max_rel_discrepancy <= 1e-9
+    assert row.computed == res.max_rel_discrepancy
 
 
 def test_ibp_identity_constant_keeps_boundary_term():
     # for f = 1 every integral term vanishes and both sides must equal phi(0)
+    assert CHECKS["ibp"].run(poly=one, q=2.0, beta=2.0, beta_prime=4.0).status == "pass"
     res = ibp_identity_check(one, 2.0, 2.0, 4.0)
-    assert res.passed
     assert res.lhs_dilated == pytest.approx(1.0, rel=1e-12)
     assert res.rhs_dilated == pytest.approx(1.0, rel=1e-9)
     assert res.lhs_plain == pytest.approx(1.0, rel=1e-12)
 
 
 def test_ibp_identity_trinomial():
-    res = ibp_identity_check(one + z + z * z, 4.0, 3.0, 6.0)
-    assert res.passed
-    assert res.max_rel_discrepancy <= 1e-7
+    f = one + z + z * z
+    row = CHECKS["ibp"].run(poly=f, q=4.0, beta=3.0, beta_prime=6.0)
+    assert row.status == "pass"
+    assert row.computed <= 1e-7
+    # a tolerance below the measured discrepancy fails the row
+    assert row.computed > 0.0
+    tight = CHECKS["ibp"].run(poly=f, q=4.0, beta=3.0, beta_prime=6.0, tol=0.0)
+    assert tight.status == "fail"
 
 
 def test_majorant_frozen_point():
     grid = np.linspace(0.0, 0.5, 101)
-    res = convexity_majorant_check(2.0, 4.0, grid)
-    assert res.passed
+    margin = convexity_majorant_check(2.0, 4.0, grid)
+    assert majorant_holds(margin)
     # midpoint check: (1-y)^2 vs 1-2y at y=1/4
     assert 0.75 ** 2 - 0.5 == pytest.approx(0.0625)
-    assert res.min_margin >= -1e-12
+    assert margin >= -1e-12
+    assert not majorant_holds(-1e-11)
 
 
 def test_majorant_grid_validation():
@@ -220,53 +262,56 @@ def test_majorant_grid_validation():
         convexity_majorant_check(2.0, 4.0, np.array([0.0, 0.6]))
 
 
+def nikolskii(P, alpha, beta, p, q):
+    return CHECKS["nikolskii"].run(alpha=alpha, beta=beta, p=p, q=q, poly=P)
+
+
 def test_nikolskii_frozen_monomial():
-    res = nikolskii_check(z, 2.0, 2.0, 2.0, 4.0)
-    assert res.passed and res.hypothesis_ok
-    assert res.degree == 1
-    assert res.ratio == pytest.approx((1.0 / 3.0) ** 0.25 / math.sqrt(0.5), rel=1e-12)
-    assert res.bound == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    row = nikolskii(z, 2.0, 2.0, 2.0, 4.0)
+    assert row.status == "pass" and row.hypothesis_ok
+    assert row.note == "degree=1"
+    assert row.computed == pytest.approx((1.0 / 3.0) ** 0.25 / math.sqrt(0.5), rel=1e-12)
+    assert row.target == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert nikolskii_check(z, 2.0, 2.0, 2.0, 4.0) == (row.computed, row.target)
 
 
 def test_nikolskii_constant_attains_equality():
-    res = nikolskii_check(ComplexPolynomial.constant(2.0), 2.0, 2.0, 2.0, 4.0)
-    assert res.passed
-    assert res.degree == 0
-    assert res.ratio == pytest.approx(1.0, rel=1e-12)
-    assert res.bound == 1.0
+    row = nikolskii(ComplexPolynomial.constant(2.0), 2.0, 2.0, 2.0, 4.0)
+    assert row.status == "pass"
+    assert row.note == "degree=0"
+    assert row.computed == pytest.approx(1.0, rel=1e-12)
+    assert row.target == 1.0
 
 
 def test_nikolskii_rejects_zero_and_labels_hypothesis():
     with pytest.raises(ValueError):
-        nikolskii_check(ComplexPolynomial.zero(), 2.0, 2.0, 2.0, 4.0)
-    res = nikolskii_check(z, 2.0, 2.0, 4.0, 2.0)
-    assert not res.hypothesis_ok
+        nikolskii(ComplexPolynomial.zero(), 2.0, 2.0, 2.0, 4.0)
+    row = nikolskii(z, 2.0, 2.0, 4.0, 2.0)
+    assert row.status == "out-of-hypothesis" and not row.hypothesis_ok
 
 
 def test_weissler_frozen_pass_and_fail():
-    res = weissler_threshold_check(one + z, 2.0, 4.0, math.sqrt(0.5))
-    assert res.passed
-    assert res.lhs == pytest.approx((13.0 / 4.0) ** 0.25, rel=1e-12)
-    assert res.rhs == pytest.approx(math.sqrt(2.0), rel=1e-12)
-    assert res.sharp_r == pytest.approx(math.sqrt(0.5), rel=1e-15)
+    row = CHECKS["weissler"].run(poly=one + z, p=2.0, q=4.0)
+    assert row.status == "pass"
+    # the default radius is the sharp one, sqrt(p/q)
+    assert "r=0.7071067811865476" in row.params
+    assert row.computed == pytest.approx((13.0 / 4.0) ** 0.25, rel=1e-12)
+    assert row.target == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
-    bad = weissler_threshold_check(one + z * 0.001, 2.0, 4.0, 0.75)
-    assert not bad.passed
+    bad = CHECKS["weissler"].run(poly=one + z * 0.001, p=2.0, q=4.0, r=0.75)
+    assert bad.status == "fail"
     predicted = (0.001 ** 2 / 4.0) * (4.0 * 0.75 ** 2 - 2.0)
-    assert bad.lhs - bad.rhs == pytest.approx(predicted, rel=5e-3)
+    assert bad.computed - bad.target == pytest.approx(predicted, rel=5e-3)
 
 
 @given(st.integers(0, 10 ** 6))
 def test_hyper_random_zero_free_at_sharp_radius(seed):
     f = random_polynomials(1, 1, 6, seed)[0]
-    hp = HyperParams.make(2.0, 3.0, 2.0, 4.0)
-    res = hyper_check(f, hp, sharp_radius(hp))
-    assert res.passed
+    assert hyper(f, 2.0, 3.0, 2.0, 4.0).status == "pass"
 
 
 @given(st.floats(0.0, 1.0))
 def test_hyper_below_sharp_radius_everywhere(frac):
-    hp = HyperParams.make(1.5, 2.0, 2.0, 3.0)
-    r = frac * sharp_radius(hp)
-    res = hyper_check(one + z - (z * z) * 0.5, hp, r)
-    assert res.passed
+    r = frac * sharp_radius(1.5, 2.0, 2.0, 3.0)
+    row = hyper(one + z - (z * z) * 0.5, 1.5, 2.0, 2.0, 3.0, r=r)
+    assert row.status == "pass"

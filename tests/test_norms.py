@@ -1,5 +1,6 @@
 """Norm engine: exact oracles, quadrature, Monte Carlo, mixed norms."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import given, strategies as st
 from berglab.corpus import random_polynomials
 from berglab.measures import McSampler, angular_count_for
 from berglab.norms import (
+    _GRID_BYTES_BUDGET,
     _MIXED_DEFAULTS,
+    _grid_bytes,
     _grid_rule,
     bergman_norm,
     circle_means,
@@ -216,6 +219,46 @@ def test_grid_counts_below_one_are_refused(kind, count):
     if kind == "mixed":
         with pytest.raises(ValueError, match=f"angles_w must be at least 1, got {count}"):
             GRID_CALLS[kind](angles_w=count)
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    """Peak bytes tracemalloc sees while fn runs."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oversized_grid_is_refused_before_anything_is_allocated(monkeypatch):
+    # (32, 4001) per axis: a lead array of 32 * 4001 * 1001 values, 1.9 GiB
+    P = parse_polynomial("(1000,1000):1")
+    triples = _grid_rule((1000, 1000), 2.0, 4.0)
+    assert [(len(t), m) for t, _, m in triples] == [(32, 4001)] * 2
+    assert _grid_bytes((1001, 1001), triples) == 16 * 32 * 4001 * 1001
+    assert _grid_bytes((1001, 1001), triples) > 3 * _GRID_BYTES_BUDGET
+
+    def no_coefficients(self):
+        raise AssertionError("coefficient array built before the refusal")
+
+    monkeypatch.setattr(ComplexPolynomial, "coeff_array", no_coefficients)
+
+    def refused():
+        with pytest.raises(ValueError, match="quadrature grid too large"):
+            bergman_norm(P, 2.0, 4.0)
+
+    assert traced_peak(refused) < 1 << 20
+
+
+@pytest.mark.parametrize("text, p", [("(40,40):1 (0,0):1", 2.0), ("(6,6,6):1", 3.0)])
+def test_grid_bytes_never_exceeds_the_traced_peak(text, p):
+    # the count is a lower bound of what the kernel holds, so a refusal
+    # never overstates the need
+    P = parse_polynomial(text)
+    triples = _grid_rule(P.variable_degrees(), 2.0, p)
+    counted = _grid_bytes(tuple(d + 1 for d in P.variable_degrees()), triples)
+    assert counted <= traced_peak(bergman_norm, P, 2.0, p)
 
 
 def test_grid_rule_default_sizes():
