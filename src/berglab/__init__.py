@@ -3,14 +3,7 @@ dilation / degree-growth inequality checks, with a reproducible
 verification harness.
 """
 from .poly import ComplexPolynomial, DilationVector, parse_polynomial
-from .measures import (
-    McSampler,
-    angular_count_for,
-    circle_rule,
-    radial_rule,
-    stream_for,
-    unit_uniforms,
-)
+from .measures import McSampler, circle_rule, radial_rule, stream_for, unit_uniforms
 from .norms import (
     NormResult,
     bergman_norm,
@@ -51,7 +44,6 @@ __all__ = [
     "DilationVector",
     "parse_polynomial",
     "McSampler",
-    "angular_count_for",
     "circle_rule",
     "radial_rule",
     "stream_for",

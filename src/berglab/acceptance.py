@@ -52,6 +52,11 @@ PARAM_GRID = (
 )
 
 
+def _relabel(row: ReportRow, check_id: str, params: dict, **fields) -> ReportRow:
+    """A registry row under the criterion's own check_id and params."""
+    return replace(row, check_id=check_id, params=format_params(**params), **fields)
+
+
 # ------------------------------------------------------------- criterion 1
 
 
@@ -85,20 +90,15 @@ def c1_oracle_agreement(seed: int, nodes_override: int | None = None):
 
 def c2_sharp_radius(seed: int, nodes_override: int | None = None):
     """Contraction at the critical radius on the 50-polynomial grid."""
+    cid = "c2-sharp-radius-contraction"
     rows = []
     polys = random_polynomials(50, 1, 8, seed)
     for tup in PARAM_GRID:
         r0 = sharp_radius(*tup)
         for i, f in enumerate(polys):
             row = CHECKS["hyper"].run(**space_inputs(tup), poly=f, r=r0)
-            rows.append(
-                replace(
-                    row,
-                    check_id="c2-sharp-radius-contraction",
-                    params=format_params(**space_inputs(tup), r=r0, case=i),
-                    method="quadrature",
-                )
-            )
+            params = dict(**space_inputs(tup), r=r0, case=i)
+            rows.append(_relabel(row, cid, params, method="quadrature"))
     return rows
 
 
@@ -119,14 +119,9 @@ def c3_threshold_recovery(seed: int, nodes_override: int | None = None):
         (2.0, 1.5, 2.0, 4.0),
     )
     for tup in cases:
-        row = CHECKS["threshold"].run(**space_inputs(tup), eps=1e-2)
-        rows.append(
-            replace(
-                row,
-                check_id="c3-threshold-recovery",
-                params=format_params(**space_inputs(tup), eps=1e-2),
-            )
-        )
+        inputs = dict(**space_inputs(tup), eps=1e-2)
+        row = CHECKS["threshold"].run(**inputs)
+        rows.append(_relabel(row, "c3-threshold-recovery", inputs))
     return rows
 
 
@@ -195,16 +190,10 @@ def c5_profile_machinery(seed: int, nodes_override: int | None = None):
         for beta, beta_prime in ((2.0, 4.0), (3.0, 6.0)):
             for q in (2.0, 4.0):
                 row = CHECKS["ibp"].run(poly=f, q=q, beta=beta, beta_prime=beta_prime)
-                rows.append(
-                    replace(
-                        row,
-                        check_id="c5-profile-machinery",
-                        params=format_params(
-                            check="ibp", f=name, beta=beta, beta_prime=beta_prime, q=q
-                        ),
-                        note="",
-                    )
+                params = dict(
+                    check="ibp", f=name, beta=beta, beta_prime=beta_prime, q=q
                 )
+                rows.append(_relabel(row, "c5-profile-machinery", params, note=""))
     for beta, beta_prime in ((2.0, 4.0), (3.0, 6.0)):
         grid = np.linspace(0.0, beta / beta_prime, 101)
         margin = convexity_majorant_check(beta, beta_prime, grid)
@@ -238,15 +227,10 @@ def c6_nikolskii_isometry(seed: int, nodes_override: int | None = None):
         for tag, polys in corpora:
             for i, P in enumerate(polys):
                 row = CHECKS["nikolskii"].run(**space_inputs(tup), poly=P)
-                rows.append(
-                    replace(
-                        row,
-                        check_id="c6-nikolskii-isometry",
-                        params=format_params(
-                            **space_inputs(tup), check="nikolskii", case=f"{tag}-{i:02d}"
-                        ),
-                    )
+                params = dict(
+                    **space_inputs(tup), check="nikolskii", case=f"{tag}-{i:02d}"
                 )
+                rows.append(_relabel(row, "c6-nikolskii-isometry", params))
     zero_free = random_polynomials(10, 1, 5, seed, "zero-free") + random_polynomials(
         10, 2, 5, seed, "zero-free"
     )
@@ -275,22 +259,22 @@ def c7_sharpness_asymptotics(seed: int, nodes_override: int | None = None):
     """Gaussian-limit ratio, gamma-ratio trend, and the Stirling sandwich."""
     cid = "c7-sharpness-asymptotics"
     samples = 200_000
-    extremal = CHECKS["extremal"].run(
-        alpha=2.0, beta=2.0, p=2.0, q=4.0, m=1, n=64, samples=samples, seed=seed
-    )
+    spec = dict(m=1, n=64, alpha=2.0, beta=2.0, p=2.0, q=4.0)
+    extremal = CHECKS["extremal"].run(**spec, samples=samples, seed=seed)
     # m_max = 200 runs the ratio over m = 10, 50, 100, 200
-    gamma = CHECKS["gamma-ratio"].run(p=2.0, q=4.0, m_max=200)
+    trend = dict(p=2.0, q=4.0, m_max=200)
+    gamma = CHECKS["gamma-ratio"].run(**trend)
     # the default grid 0.1, 0.5, 1, 2, 5, 10, 50, 100, 400
     stirling = CHECKS["stirling"].run()
     return [
-        replace(
+        _relabel(
             extremal,
-            check_id=cid,
-            params="check=extremal-ratio;m=1;n=64;alpha=2.0;beta=2.0;p=2.0;q=4.0",
+            cid,
+            dict(check="extremal-ratio", **spec),
             note=f"{extremal.note};samples={samples}",
         ),
-        replace(gamma, check_id=cid, params="check=gamma-ratio;p=2.0;q=4.0;m_max=200"),
-        replace(stirling, check_id=cid, params="check=stirling;grid=0.1..400"),
+        _relabel(gamma, cid, dict(check="gamma-ratio", **trend)),
+        _relabel(stirling, cid, dict(check="stirling", grid="0.1..400")),
     ]
 
 

@@ -52,7 +52,7 @@ from .inequalities import (
     sharp_radius,
     threshold_search,
 )
-from .norms import hardy_norm
+from .norms import _check_p, hardy_norm
 from .report import ReportRow, at_most, fmt_value
 
 __all__ = [
@@ -188,7 +188,8 @@ def _critical_radius(i: dict) -> float:
 
 
 def _hardy_radius(i: dict) -> float:
-    return math.sqrt(min(i["p"] / i["q"], 1.0))
+    p, q = _check_p(i["p"]), _check_p(i["q"], "q")
+    return math.sqrt(min(p / q, 1.0))
 
 
 def _bound_row(

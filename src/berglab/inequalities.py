@@ -20,7 +20,6 @@ import numpy as np
 
 from .measures import check_alpha, radial_rule
 from .norms import (
-    NormResult,
     _check_p,
     _even_half,
     bergman_norm,
@@ -53,22 +52,10 @@ FD_H1 = 1e-4
 
 def sharp_radius(alpha: float, beta: float, p: float, q: float) -> float:
     """The critical dilation radius sqrt(beta*p/(alpha*q)), capped at 1."""
-    for weight, exponent in ((alpha, p), (beta, q)):
+    for weight, exponent, name in ((alpha, p, "p"), (beta, q, "q")):
         check_alpha(weight)
-        _check_p(exponent)
+        _check_p(exponent, name)
     return min(1.0, math.sqrt(beta * p / (alpha * q)))
-
-
-def _norm_for(P: ComplexPolynomial, alpha: float, p: float, method: str,
-              nodes: int | None = None, angles: int | None = None) -> NormResult:
-    if method == "quad":
-        if p < 1.0 and P.nvars == 1 and angles is None:
-            # |P|^p has cusps at interior zeros for p < 1; extra angles are cheap
-            angles = 1025
-        return bergman_norm(P, alpha, p, nodes=nodes, angles=angles)
-    if method == "exact":
-        return exact_norm_even_p(P, alpha, p)
-    raise ValueError(f"unknown method {method!r}")
 
 
 def hyper_check(
@@ -85,8 +72,14 @@ def hyper_check(
     """The two sides of ||f(r .)||_{A^q_beta} <= ||f||_{A^p_alpha}."""
     if not (0.0 <= r <= 1.0):
         raise ValueError(f"r must lie in [0, 1], got {r}")
-    lhs = _norm_for(f.dilate(r), beta, q, method, nodes, angles).value
-    rhs = _norm_for(f, alpha, p, method, nodes, angles).value
+    if method == "quad":
+        lhs = bergman_norm(f.dilate(r), beta, q, nodes, angles).value
+        rhs = bergman_norm(f, alpha, p, nodes, angles).value
+    elif method == "exact":
+        lhs = exact_norm_even_p(f.dilate(r), beta, q).value
+        rhs = exact_norm_even_p(f, alpha, p).value
+    else:
+        raise ValueError(f"unknown method {method!r}")
     return lhs, rhs
 
 
@@ -173,25 +166,21 @@ def threshold_search(
     slack: float,
     eps: float = 1e-2,
     tol: float = 1e-4,
-    refine: bool = True,
 ) -> ThresholdReport:
     """Empirical crossover radius of the dilation inequality.
 
     A radius passes when the dilated norm is at most the plain one up to the
     relative ``slack`` (``report.at_most``).  The test family is
     f = 1 + eps*z, whose crossover approaches the critical radius
-    quadratically in eps; with refine=True the search is repeated at eps/2
-    and Richardson-extrapolated in eps^2.
+    quadratically in eps, so the search is repeated at eps/2 and
+    Richardson-extrapolated in eps^2.
     """
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0, 1)")
     space = (alpha, beta, p, q)
     r_raw, width = _bisect_threshold(space, slack, eps, tol)
-    r_half, width_half = r_raw, width
-    estimate = r_raw
-    if refine:
-        r_half, width_half = _bisect_threshold(space, slack, eps / 2.0, tol)
-        estimate = r_half + (r_half - r_raw) / 3.0
+    r_half, width_half = _bisect_threshold(space, slack, eps / 2.0, tol)
+    estimate = r_half + (r_half - r_raw) / 3.0
     return ThresholdReport(
         r_star_empirical=float(min(estimate, 1.0)),
         r_star_theoretical=sharp_radius(*space),
@@ -222,7 +211,7 @@ def necessity_expansion_check(
     residuals = []
     for e in eps_desc:
         f = ComplexPolynomial.from_coeffs([1.0, e])
-        value = _norm_for(f, alpha, p, "exact" if exact else "quad").value
+        value = (exact_norm_even_p if exact else bergman_norm)(f, alpha, p).value
         residuals.append(abs(value - 1.0 - p * e * e / (4.0 * alpha)))
     max_norm = max(r / e ** 3 for e, r in zip(eps_desc, residuals))
     return ExpansionReport(
@@ -236,18 +225,6 @@ def necessity_expansion_check(
 # ------------------------------------------------------- circle profile Phi
 
 
-def _phi_values(
-    f: ComplexPolynomial, q: float, ys: np.ndarray, angles: int | None = None
-) -> np.ndarray:
-    """Circle means Phi(y) of |f(sqrt(y) e^{i theta})|^q, vectorized in y."""
-    if f.nvars != 1:
-        raise ValueError("profile is defined for univariate f")
-    ys = np.asarray(ys, dtype=float)
-    if np.any(ys < 0.0):
-        raise ValueError("profile argument must be nonnegative")
-    return circle_means(f, q, ys.reshape(-1), angles).reshape(ys.shape)
-
-
 def _phi_second_derivative(
     f: ComplexPolynomial, q: float, ys: np.ndarray, h: float = FD_H2
 ) -> np.ndarray:
@@ -258,7 +235,7 @@ def _phi_second_derivative(
         raise ValueError("grid point too close to 0 or 1 for the stencil")
     offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
     pts = ys[:, None] + hs[:, None] * offsets[None, :]
-    phi = _phi_values(f, q, pts.reshape(-1)).reshape(pts.shape)
+    phi = circle_means(f, q, pts.ravel()).reshape(pts.shape)
     d_h = (phi[:, 0] - 2.0 * phi[:, 2] + phi[:, 4]) / hs ** 2
     d_half = (phi[:, 1] - 2.0 * phi[:, 2] + phi[:, 3]) / (0.5 * hs) ** 2
     return (4.0 * d_half - d_h) / 3.0
@@ -267,7 +244,7 @@ def _phi_second_derivative(
 def _phi_derivative_at_zero(f: ComplexPolynomial, q: float, h: float = FD_H1) -> float:
     """One-sided 3-point derivative of the profile at y = 0, Richardson-refined."""
     ys = np.array([0.0, 0.5 * h, h, 2.0 * h])
-    phi = _phi_values(f, q, ys)
+    phi = circle_means(f, q, ys)
     d_h = (-3.0 * phi[0] + 4.0 * phi[2] - phi[3]) / (2.0 * h)
     d_half = (-3.0 * phi[0] + 4.0 * phi[1] - phi[2]) / h
     return float((4.0 * d_half - d_h) / 3.0)
@@ -295,7 +272,7 @@ def phi_profile(
     ys = np.asarray(y_grid, dtype=float)
     if np.any(ys <= 0.0) or np.any(ys >= 1.0):
         raise ValueError("grid point too close to 0 or 1 for the stencil")
-    phi = _phi_values(f, q, ys)
+    phi = circle_means(f, q, ys)
     phi2 = _phi_second_derivative(f, q, ys, h=h)
     return PhiProfile(
         q=float(q),
@@ -355,13 +332,13 @@ def ibp_identity_check(
         raise ValueError("requires beta_prime >= beta")
     r_sq = beta / beta_prime
 
-    phi0 = float(_phi_values(f, q, np.array([0.0]))[0])
+    phi0 = float(circle_means(f, q, np.array([0.0]))[0])
     dphi0 = _phi_derivative_at_zero(f, q)
 
     t_b, w_b = radial_rule(beta, nodes)
-    lhs_dilated = float(w_b @ _phi_values(f, q, r_sq * t_b))
+    lhs_dilated = float(w_b @ circle_means(f, q, r_sq * t_b))
     t_bp, w_bp = radial_rule(beta_prime, nodes)
-    lhs_plain = float(w_bp @ _phi_values(f, q, t_bp))
+    lhs_plain = float(w_bp @ circle_means(f, q, t_bp))
 
     t_in, w_in = radial_rule(beta + 2.0, nodes)
     phi2 = _phi_second_derivative(f, q, r_sq * t_in)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,6 @@ __all__ = [
     "McSampler",
     "radial_rule",
     "circle_rule",
-    "angular_count_for",
     "stream_for",
 ]
 
@@ -76,16 +74,6 @@ def circle_rule(count: int) -> tuple[np.ndarray, float]:
     """Equispaced angles on [0, 2 pi) with uniform weight 1/count."""
     check_counts(count=count)
     return 2.0 * np.pi * np.arange(count) / count, 1.0 / count
-
-
-def angular_count_for(degree: int, p: float, floor: int = 257) -> int:
-    """Angular point count 4*degree*ceil(p/2) + 1, at least ``floor``.
-
-    ``norms`` sizes grids with it only at p other than an even integer, where
-    no finite count is exact and this is a resolution heuristic.  At even
-    p = 2s it uses 2*degree*s + 1, above the degree*s + 1 that is exact.
-    """
-    return max(floor, 4 * degree * math.ceil(max(p, 2.0) / 2.0) + 1)
 
 
 # ----------------------------------------------------------------- sampling

@@ -48,13 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import (
-    McSampler,
-    angular_count_for,
-    check_alpha,
-    check_counts,
-    radial_rule,
-)
+from .measures import McSampler, check_alpha, check_counts, radial_rule
 from .poly import ComplexPolynomial
 
 __all__ = [
@@ -76,6 +70,10 @@ __all__ = [
 # even p the grid is sized from the degree instead, and the node count here
 # only caps it, so high degrees cost no more than the table.
 _TENSOR_DEFAULTS = {1: (64, 257), 2: (32, 65), 3: (16, 33)}
+
+# The angle floor of a single variable at p < 1, where |P|^p has cusps at the
+# zeros of P on the circles; extra angles are cheap for one variable.
+_CUSP_FLOOR = 1025
 
 # The mixed norm wraps a circle average around the disk rule, so its inner
 # grids are leaner again; key is the number of disk variables.
@@ -114,10 +112,10 @@ class NormResult:
             raise ValueError(f"norm value {self.value!r} not finite nonnegative")
 
 
-def _check_p(p: float) -> float:
+def _check_p(p: float, name: str = "p") -> float:
     p = float(p)
     if not (0 < p <= 64):
-        raise ValueError(f"exponent p must lie in (0, 64], got {p}")
+        raise ValueError(f"exponent {name} must lie in (0, 64], got {p}")
     return p
 
 
@@ -374,9 +372,10 @@ def _grid_rule(
     sized per axis.  At even p = 2s an axis of degree d carries |P^s|^2, of
     degree d*s in t = |z|^2 and trigonometric degree d*s in the angle, so
     ceil((d*s + 1)/2) Gauss nodes (capped at the table's node count) and
-    M = 2*d*s + 1 > d*s angles integrate it exactly.  At other p the nodes
-    come from ``defaults`` for this many variables and the angles from the
-    degree and p above the table's floor.
+    M = 2*d*s + 1 > d*s angles integrate it exactly.  At other p no finite
+    rule is exact: the nodes come from ``defaults`` for this many variables
+    and the angles are 4*d*ceil(p/2) + 1 (p taken as at least 2), at least
+    the table's floor, or _CUSP_FLOOR for a single variable at p < 1.
     """
     check_counts(nodes=nodes, angles=angles)
     if len(degrees) not in defaults:
@@ -384,13 +383,15 @@ def _grid_rule(
             f"tensor quadrature takes at most 3 disk variables, got {len(degrees)}"
         )
     k_table, floor = defaults[len(degrees)]
+    if p < 1.0 and len(degrees) == 1:
+        floor = _CUSP_FLOOR
     s = _even_half(p)
     triples = []
     for d in degrees:
         if s is not None:
             k, m = min(d * s // 2 + 1, k_table), 2 * d * s + 1
         else:
-            k, m = k_table, angular_count_for(d, p, floor)
+            k, m = k_table, max(floor, 4 * d * math.ceil(max(p, 2.0) / 2.0) + 1)
         t, w = _CIRCLE if alpha is None else radial_rule(alpha, nodes or k)
         triples.append((t, w, int(angles or m)))
     return triples

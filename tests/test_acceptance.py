@@ -15,7 +15,7 @@ from berglab.acceptance import run_criterion
 SEED = 1729
 # sha256 of the verify-suite CSV at SEED; a change that moves any number in
 # it updates this pin and says so
-SUITE_SHA256 = "638f570b6f4319c3e7ebb84cc0f5a61d0a1e8c4cb2fdb9912bac1d3ce58524f9"
+SUITE_SHA256 = "4bd428ff200a0a64c5563c9a49dc7df2baec3cbb38be0bcdba25cf5a005f237c"
 
 
 def emit(result, tolerance_note):

@@ -67,6 +67,25 @@ def test_kulikov_zero_exponent_is_a_usage_error(capsys):
     assert "exponent p must lie in (0, 64], got 0.0" in err
 
 
+def test_one_norm_has_one_value_in_every_command(capsys):
+    # ||0.5 - z + z^2||_{A^0.5_2}: the norm itself, the undilated side of the
+    # dilation at r = 1 and the A^p_alpha side of the embedding
+    poly = ["--poly", "0.5,-1,1"]
+    norm_argv = ["norm", "--space", "alpha=2,p=0.5", *poly]
+    hyper_argv = ["hyper-check", "--alpha", "2", "--beta", "2", "--p", "0.5",
+                  "--q", "2", "--r", "1", *poly]
+    kulikov_argv = ["kulikov", "--alpha", "2", "--p", "0.5", "--q", "2", *poly]
+    code, out, _ = run(norm_argv, capsys)
+    assert code == 0
+    values = [json.loads(out)["value"]]
+    for argv in (hyper_argv, kulikov_argv):
+        code, out, _ = run(argv, capsys)
+        assert code in (0, 1)
+        [row] = json.loads(out)
+        values.append(float(row["target"]))
+    assert values == [0.721307484914008] * 3
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -307,25 +326,34 @@ def test_every_option_and_sweep_key_is_snapshotted():
 
 
 @pytest.mark.parametrize(
-    "argv, name",
+    "argv, message",
     [
         (["hyper-check", "--alpha", "2", "--beta", "2", "--p", "2", "--q", "4",
-          "--poly", "1,1", "--angles", "0"], "angles"),
+          "--poly", "1,1", "--angles", "0"], "angles must be at least 1"),
         (["weissler", "--p", "2", "--q", "4", "--poly", "1,1", "--angles", "-3"],
-         "angles"),
+         "angles must be at least 1"),
         (["nikolskii", "--alpha", "2", "--beta", "2", "--p", "2", "--q", "4",
-          "--poly", "1,1", "--nodes", "0"], "nodes"),
-        (["dump-rule", "--alpha", "2", "--angles", "0"], "angles"),
-        (["dump-rule", "--alpha", "2", "--angles", "-3"], "angles"),
+          "--poly", "1,1", "--nodes", "0"], "nodes must be at least 1"),
+        (["dump-rule", "--alpha", "2", "--angles", "0"], "angles must be at least 1"),
+        (["dump-rule", "--alpha", "2", "--angles", "-3"], "angles must be at least 1"),
+        # the default radius sqrt(p/q) is derived only after q is checked
+        (["weissler", "--poly", "1,1", "--p", "2", "--q", "0"],
+         "exponent q must lie in (0, 64], got 0.0"),
+        (["weissler", "--poly", "1,1", "--p", "2", "--q", "-1"],
+         "exponent q must lie in (0, 64], got -1.0"),
     ],
     ids=["hyper-angles-0", "weissler-angles-neg", "nikolskii-nodes-0",
-         "dump-rule-angles-0", "dump-rule-angles-neg"],
+         "dump-rule-angles-0", "dump-rule-angles-neg", "weissler-q-0",
+         "weissler-q-neg"],
 )
-def test_grid_counts_below_one_are_usage_errors_naming_the_input(argv, name, capsys):
+def test_grid_counts_below_one_are_usage_errors_naming_the_input(
+    argv, message, capsys
+):
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
-    assert f"{name} must be at least 1" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 # The exact stdout of each table command in both formats.

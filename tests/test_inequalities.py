@@ -106,6 +106,8 @@ def test_hyper_check_exact_route_agrees():
     assert (a.method, b.method) == ("quad", "exact")
     assert a.computed == pytest.approx(b.computed, rel=1e-12)
     assert a.target == pytest.approx(b.target, rel=1e-12)
+    with pytest.raises(ValueError, match="unknown method 'mc'"):
+        hyper_check(one + z, 2.0, 2.0, 2.0, 4.0, 0.5, method="mc")
 
 
 def test_hyper_rejects_radius_outside_unit_interval():

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from berglab.inequalities import _phi_values
 from berglab.measures import radial_rule
 from berglab.norms import (
     _abs_pow,
     _fourier_matrix,
     _power_mean,
+    circle_means,
     mixed_norm,
 )
 from berglab.poly import ComplexPolynomial
@@ -113,7 +113,7 @@ def test_phi_values_match_brute_force(q):
             (math.sqrt(y) * np.exp(1j * theta))[:, None])) ** q))
         for y in ys
     ]
-    got = _phi_values(f, q, ys, angles=m)
+    got = circle_means(f, q, ys, angles=m)
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from berglab.measures import (
     McSampler,
-    angular_count_for,
     circle_rule,
     radial_rule,
     stream_for,
@@ -59,12 +58,6 @@ def test_circle_rule_uniform():
     assert wt == pytest.approx(1.0 / 8.0)
     assert thetas[0] == 0.0
     assert np.allclose(np.diff(thetas), math.pi / 4.0)
-
-
-def test_angular_count_floor_and_growth():
-    assert angular_count_for(0, 2.0) == 257
-    assert angular_count_for(12, 6.0) == max(257, 4 * 12 * 3 + 1)
-    assert angular_count_for(100, 2.0) == 401
 
 
 def test_product_moment_two_factors():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from berglab.corpus import random_polynomials
-from berglab.measures import McSampler, angular_count_for
+from berglab.measures import McSampler
 from berglab.norms import (
     _GRID_BYTES_BUDGET,
     _MIXED_DEFAULTS,
@@ -165,7 +165,7 @@ def test_hardy_bergman_trend():
 def test_quadrature_doubling_stability():
     # doubling both node counts moves a converged value by < 1e-11
     P = random_polynomials(1, 1, 8, seed=4, kind="zero-free")[0]
-    m = angular_count_for(P.degree, 3.5)
+    [(_, _, m)] = _grid_rule((P.degree,), 2.0, 3.5)
     a = bergman_norm(P, 2.0, 3.5, nodes=64, angles=m).value
     b = bergman_norm(P, 2.0, 3.5, nodes=128, angles=2 * m + 1).value
     assert abs(a - b) <= 1e-11 * abs(b)
@@ -275,6 +275,13 @@ def test_grid_rule_default_sizes():
     ]
     assert sizes(_grid_rule((1, 1, 1), 2.0, 0.5)) == [(16, 33)] * 3
     assert sizes(_grid_rule((7,), None, 3.0)) == [(1, 257)]
+    # a single variable at p < 1 (disk, circle or the disk of a mixed norm)
+    # has 1025 angles unless they are given
+    assert sizes(_grid_rule((5,), 2.0, 0.5)) == [(64, 1025)]
+    assert sizes(_grid_rule((5,), None, 0.5)) == [(1, 1025)]
+    assert sizes(_grid_rule((5,), 2.0, 0.5, defaults=_MIXED_DEFAULTS)) == [(64, 1025)]
+    assert sizes(_grid_rule((5,), 2.0, 0.5, angles=257)) == [(64, 257)]
+    assert sizes(_grid_rule((5, 3), 2.0, 0.5)) == [(32, 65), (32, 65)]
     # at p = 2s each axis of degree d: ceil((d*s + 1)/2) nodes, capped at the
     # table's count, and 2*d*s + 1 angles
     assert sizes(_grid_rule((4,), 2.0, 2.0)) == [(3, 9)]
@@ -289,6 +296,21 @@ def test_grid_rule_default_sizes():
     assert sizes(_grid_rule((5, 3), 2.0, 4.0, nodes=3, angles=9)) == [(3, 9)] * 2
     with pytest.raises(ValueError, match="at most 3 disk variables, got 4"):
         _grid_rule((1, 1, 1, 1), 2.0, 2.0)
+
+
+def test_grid_rule_angle_floor_and_growth():
+    # at p other than an even integer an axis of degree d has
+    # 4*d*ceil(p/2) + 1 angles (p taken as at least 2), at least the floor
+    def angles(degrees, p):
+        return [m for _, _, m in _grid_rule(degrees, 2.0, p)]
+
+    assert angles((0,), 3.0) == [257]
+    assert angles((12,), 5.5) == [257]
+    assert angles((30,), 5.5) == [4 * 30 * 3 + 1]
+    assert angles((100,), 1.5) == [4 * 100 + 1]
+    assert angles((300,), 0.5) == [4 * 300 + 1]
+    assert angles((20, 3), 3.0) == [4 * 20 * 2 + 1, 65]
+    assert angles((5, 5, 5), 2.5) == [4 * 5 * 2 + 1] * 3
 
 
 def _box_polynomial(degrees, seed):

@@ -1,20 +1,26 @@
-"""Smoke runs of the plotting scripts on tiny inputs."""
+"""Smoke runs of the scripts on tiny inputs."""
 import csv
 import importlib.util
 from pathlib import Path
 
 import pytest
 
+from berglab.report import ReportRow, VerificationReport
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_script(name, argv, tmp_path):
     """Run scripts/<name>.py's main with --out; return the CSV rows."""
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
     out = tmp_path / f"{name}.csv"
-    assert module.main([*argv, "--out", str(out)]) == 0
+    assert load_script(name).main([*argv, "--out", str(out)]) == 0
     with open(out, newline="", encoding="utf-8") as handle:
         return list(csv.reader(handle))
 
@@ -42,3 +48,25 @@ def test_sharpness_curve_writes_one_row_per_degree(tmp_path):
     assert [row[0] for row in rows[1:]] == ["1", "2"]
     for row in rows[1:]:
         assert float(row[1]) > 0.0 and float(row[2]) > 0.0
+
+
+def test_compare_reports_exit_codes(tmp_path, capsys):
+    compare = load_script("compare_reports").compare
+
+    def report(name, rows):
+        path = tmp_path / f"{name}.csv"
+        VerificationReport([ReportRow("c1", *row) for row in rows]).write_csv(path)
+        return str(path)
+
+    old = report("old", [("case=a", 1.0, 1.0, "pass"), ("case=b", 2.0, 1.0, "fail")])
+    assert compare(old, old) == 0
+    assert "0 status changes over 2 rows" in capsys.readouterr().out
+    new = report("new", [("case=a", 1.0, 1.0, "pass"), ("case=b", 0.5, 1.0, "pass")])
+    assert compare(old, new) == 1
+    out = capsys.readouterr().out
+    assert "c1,case=b: fail -> pass" in out
+    assert "c1 computed abs=1.5 rel=0.75" in out
+    assert "1 status changes over 2 rows" in out
+    fewer = report("fewer", [("case=a", 1.0, 1.0, "pass")])
+    assert compare(old, fewer) == 2
+    assert "do not hold the same rows" in capsys.readouterr().out
