@@ -283,6 +283,8 @@ def _kulikov(poly, alpha, p, q) -> dict:
 )
 def _weissler(poly, p, q, r, angles) -> dict:
     """Hardy-space dilation; contraction holds exactly for r^2 <= p/q."""
+    _check_p(p)
+    _check_p(q, "q")
     if not (0.0 <= r <= 1.0):
         raise ValueError(f"r must lie in [0, 1], got {r}")
     lhs = hardy_norm(poly.dilate(r), q, angles=angles).value

@@ -70,6 +70,8 @@ def hyper_check(
     angles: int | None = None,
 ) -> tuple[float, float]:
     """The two sides of ||f(r .)||_{A^q_beta} <= ||f||_{A^p_alpha}."""
+    _check_p(p)
+    _check_p(q, "q")
     if not (0.0 <= r <= 1.0):
         raise ValueError(f"r must lie in [0, 1], got {r}")
     if method == "quad":

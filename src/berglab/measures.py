@@ -115,13 +115,25 @@ class McSampler:
         if count == 0:
             return np.empty((0, self.nvars), dtype=complex)
         wps = self._words_per_sample()
+        n = self.nvars
         gen = _philox(self.seed, self.stream_id, start * (wps // 4))
         raw = gen.random_raw(count * wps).reshape(count, wps)
-        unit = (raw >> np.uint64(11)) * 2.0 ** -53
-        theta = 2.0 * np.pi * unit[:, 0 : 2 * self.nvars : 2]
-        u = unit[:, 1 : 2 * self.nvars : 2]
-        t = 1.0 - np.power(1.0 - u, 1.0 / (self.alpha - 1.0))
-        return np.sqrt(t) * np.exp(1j * theta)
+        raw >>= np.uint64(11)
+        # Two (count, nvars) buffers, every ufunc in place.  The 2**-53
+        # scaling and the zero parts of 1j*theta and of t are exact, so the
+        # bits are those of sqrt(1 - (1-u)**(1/(alpha-1))) * exp(1j*theta);
+        # tests/test_measures.py pins them.
+        t = np.multiply(raw[:, 1 : 2 * n : 2], 2.0**-53)
+        np.subtract(1.0, t, out=t)
+        np.power(t, 1.0 / (self.alpha - 1.0), out=t)
+        np.subtract(1.0, t, out=t)
+        np.sqrt(t, out=t)
+        z = np.zeros((count, n), dtype=complex)
+        np.multiply(raw[:, 0 : 2 * n : 2], 2.0**-53, out=z.imag)
+        np.multiply(z.imag, 2.0 * np.pi, out=z.imag)
+        np.exp(z, out=z)
+        np.multiply(z, t, out=z)
+        return z
 
     def sample_point(self, index: int) -> np.ndarray:
         return self.sample_block(index, 1)[0]

@@ -333,9 +333,9 @@ def _openblas_thread_controls() -> list:
 def _one_blas_thread():
     """Run the body with every loaded OpenBLAS at one thread, then restore.
 
-    A row's products are too small to gain from BLAS threads: beside the
-    row pool they spin against it, and on the serial path they burn about
-    twice the CPU for no shorter wall time.
+    The products of a sweep row or an acceptance criterion are too small
+    to gain from BLAS threads: beside a thread pool they spin against it,
+    and inline they burn about twice the CPU for no shorter wall time.
     """
     saved = [
         (set_threads, get_threads())
@@ -350,6 +350,21 @@ def _one_blas_thread():
             set_threads(count)
 
 
+def map_on_pool(fn, items, workers: int) -> list:
+    """``[fn(item) for item in items]``, on a pool of ``workers`` threads.
+
+    Runs inline when there is one worker or one item.  Either way every
+    loaded OpenBLAS runs one thread meanwhile, and results come back in
+    input order; an exception from ``fn`` propagates once the pool is done.
+    """
+    items = list(items)
+    with _one_blas_thread():
+        if workers > 1 and len(items) > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(fn, items))
+        return [fn(item) for item in items]
+
+
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> VerificationReport:
     """Execute the configured cross-product of checks.
 
@@ -360,7 +375,6 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> VerificationReport:
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    tasks = list(_tasks(cfg))
 
     def run_one(task):
         check, inputs = task
@@ -369,11 +383,4 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> VerificationReport:
         except Exception as exc:
             return check.error_row(inputs, exc)
 
-    report = VerificationReport()
-    with _one_blas_thread():
-        if jobs > 1 and len(tasks) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                report.extend(pool.map(run_one, tasks))
-        else:
-            report.extend(run_one(task) for task in tasks)
-    return report
+    return VerificationReport(map_on_pool(run_one, _tasks(cfg), jobs))

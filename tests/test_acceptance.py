@@ -6,10 +6,12 @@ tolerance and asserts both the verdict and the runtime budget.
 import hashlib
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
+from berglab import acceptance
 from berglab.acceptance import run_criterion
 
 SEED = 1729
@@ -126,3 +128,58 @@ def test_filter_selects_single_criterion(tmp_path):
     lines = [l for l in proc.stdout.splitlines() if l.startswith("[")]
     assert len(lines) == 1
     assert "c7-sharpness-asymptotics" in lines[0]
+
+
+def _suite_on_cores(cores, csv_path, monkeypatch):
+    """verify_suite as if the process could run on ``cores`` cores.
+
+    Returns (exit code, CSV bytes, emitted lines, threads that ran criteria).
+    """
+    monkeypatch.setattr(
+        acceptance.os, "sched_getaffinity", lambda pid: set(range(cores))
+    )
+    threads = set()
+
+    def recording(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return run_criterion(*args, **kwargs)
+
+    monkeypatch.setattr(acceptance, "run_criterion", recording)
+    lines = []
+    code = acceptance.verify_suite(seed=SEED, csv_path=str(csv_path), emit=lines.append)
+    return code, csv_path.read_bytes(), lines, threads
+
+
+def test_pooled_and_serial_suites_are_identical(tmp_path, monkeypatch):
+    # the cheap criteria c1-c5 stand in for the whole suite
+    monkeypatch.setattr(acceptance, "_RUNNERS", acceptance._RUNNERS[:5])
+    serial = _suite_on_cores(1, tmp_path / "serial.csv", monkeypatch)
+    pooled = _suite_on_cores(2, tmp_path / "pooled.csv", monkeypatch)
+    assert serial[0] == pooled[0] == 0
+    assert serial[1] == pooled[1]
+    verdicts = [
+        [line.split(" (")[0] for line in run[2] if line.startswith("[")]
+        for run in (serial, pooled)
+    ]
+    expected = [f"[PASS] {cid}" for cid in acceptance.CRITERION_IDS[:5]]
+    assert verdicts == [expected, expected]
+    assert serial[2][-2].startswith("all 5 criteria pass (")
+    assert serial[2][-2].endswith(" s wall, 1 worker)")
+    assert pooled[2][-2].endswith(" s wall, 2 workers)")
+    # one core runs inline; two run every criterion off the calling thread
+    assert serial[3] == {threading.get_ident()}
+    assert threading.get_ident() not in pooled[3]
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_an_exception_in_a_criterion_propagates(cores, tmp_path, monkeypatch):
+    def broken(seed, nodes_override=None):
+        raise RuntimeError("criterion broke")
+
+    runners = acceptance._RUNNERS
+    monkeypatch.setattr(
+        acceptance, "_RUNNERS", (runners[3], ("c9-broken", (), broken), runners[2])
+    )
+    with pytest.raises(RuntimeError, match="criterion broke"):
+        _suite_on_cores(cores, tmp_path / "broken.csv", monkeypatch)
+    assert not (tmp_path / "broken.csv").exists()

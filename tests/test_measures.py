@@ -1,4 +1,5 @@
 """Quadrature rules and the deterministic sampler."""
+import hashlib
 import math
 
 import numpy as np
@@ -120,6 +121,32 @@ def test_sampler_radial_law_moment():
     est = float(t.mean())
     sigma = float(t.std()) / math.sqrt(len(t))
     assert abs(est - 1.0 / alpha) <= 4.0 * sigma
+
+
+# sha256 of sample_block(1001, 257).view(np.uint64) for seed 1729 and stream
+# stream_for("pin"): the sampler's output bits, recorded before the in-place
+# rewrite of sample_block.  alpha != 2 takes the np.power path with an
+# exponent other than 1.
+SAMPLER_SHA256 = {
+    (1.7, 1): "a870784fd3297f405bcfd1d18157153723b629663d64b75b935f5bc936e84d68",
+    (1.7, 3): "c0117a500a99b317124982aaec4c0cfd3da7886dbba56a602660f3d362fce73b",
+    (1.7, 64): "390c201574a07a7096af4dda4a374ff1db8066baca717a2bc30930900952c961",
+    (2.0, 1): "d18d9ff8b00e599a8aabee9ad42771789b07b97cc8357fb678b6ec54db05618d",
+    (2.0, 3): "ee09f1e161bd6b762ae5c8c18f07028681e99c04f24c3f07873188071a0f5323",
+    (2.0, 64): "6b600dd9f594cfbbc9f6669927b4ec1522e71ca6b5bfb893c0b0e16bb61ea68b",
+    (3.0, 1): "6fbd148ae0e1094dd4efa5eb7720844a2dde1a227d9fa1f9a6c019ee21ae6c3f",
+    (3.0, 3): "74b68bbaa9c36fefccf2850b3ee263c91a2a45f04c4f19ef05fff259d5b4bf61",
+    (3.0, 64): "ee823c6225ad4bb7919c7c2a3224da92d47202e59e1d0692821cd5e2f994e6df",
+}
+
+
+@pytest.mark.parametrize("alpha, nvars", sorted(SAMPLER_SHA256))
+def test_sampler_bits_are_pinned(alpha, nvars):
+    s = McSampler(alpha, nvars, seed=1729, stream_id=stream_for("pin"))
+    block = s.sample_block(1001, 257)
+    assert block.shape == (257, nvars) and block.dtype == np.complex128
+    digest = hashlib.sha256(block.view(np.uint64).tobytes()).hexdigest()
+    assert digest == SAMPLER_SHA256[(alpha, nvars)]
 
 
 def test_sample_point_agrees_with_block():
