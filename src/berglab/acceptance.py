@@ -13,10 +13,11 @@ byte-identical CSV files.
 
 The criteria run concurrently, one thread per available core (at most
 one per criterion, inline on one core), with every loaded OpenBLAS pinned
-to one thread meanwhile.  Results are collected in criterion order and
-the Monte Carlo samples are counter-based, so the lines and the CSV are
-the same on any number of cores.  A criterion's time is its own wall
-time, which overlaps the others'; the closing line gives the suite's.
+to one thread meanwhile.  The two slow criteria start first; results are
+collected in criterion order and the Monte Carlo samples are
+counter-based, so the lines and the CSV are the same on any number of
+cores.  A criterion's time is its own wall time, which overlaps the
+others'; the closing line gives the suite's.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ from .checks import (
     cubic_decay,
     format_params,
     majorant_holds,
+    profile_method,
     space_inputs,
     status,
 )
@@ -179,17 +181,17 @@ def c5_profile_machinery(seed: int, nodes_override: int | None = None):
     y_grid = np.linspace(0.05, 0.9, 35)
     for i, f in enumerate(random_polynomials(20, 1, 6, seed)):
         for q in (2.0, 3.0, 4.0):
-            res = phi_convexity_check(f, q, y_grid)
+            min_phi2, argmin_y = phi_convexity_check(f, q, y_grid)
             rows.append(
                 ReportRow(
                     check_id="c5-profile-machinery",
                     params=format_params(check="convexity", case=f"{i:02d}", q=q),
-                    computed=res.min_phi2,
+                    computed=min_phi2,
                     target=-CONVEXITY_FLOOR,
-                    status=status(convex(res.min_phi2)),
-                    method="fd-profile",
+                    status=status(convex(min_phi2)),
+                    method=profile_method(q),
                     est_error=0.0,
-                    note=format_params(argmin_y=res.argmin_y),
+                    note=format_params(argmin_y=argmin_y),
                 )
             )
     z = ComplexPolynomial.variable()
@@ -325,6 +327,9 @@ _RUNNERS = (
 
 CRITERION_IDS = tuple(cid for cid, _, _ in _RUNNERS)
 
+# Started first: they take seconds and the others tenths, so no worker idles.
+_LONGEST = ("c6-nikolskii-isometry", "c7-sharpness-asymptotics")
+
 
 def _matches(filter_text: str | None, cid: str, aliases) -> bool:
     if not filter_text:
@@ -364,10 +369,11 @@ def verify_suite(
     t0 = time.perf_counter()
     results = map_on_pool(
         lambda cid: run_criterion(cid, seed=seed, nodes_override=nodes_override),
-        selected,
+        sorted(selected, key=lambda cid: cid not in _LONGEST),
         workers,
     )
     wall = time.perf_counter() - t0
+    results.sort(key=lambda result: selected.index(result.criterion_id))
     report = VerificationReport()
     failures = []
     for result in results:

@@ -26,7 +26,8 @@ The library functions only measure.  Every pass rule is written here once:
   extremal max(4 CI, 3% of the limit), the IBP tolerance, the strict
   Stirling bounds and the gamma-ratio trend;
 - the rules of the library checks that c4 and c5 run directly: ``convex``
-  (down to ``CONVEXITY_FLOOR``), ``majorant_holds`` and ``cubic_decay``;
+  (down to ``CONVEXITY_FLOOR``), ``majorant_holds`` and ``cubic_decay``,
+  and the method of the profile rows (``profile_method``);
 - the row form: params are ``key=value`` pairs joined by ``;``
   (``format_params``), a check's rows name its ``shown`` inputs in that
   order, error rows too, and for the same inputs `berglab <check> --out
@@ -52,13 +53,13 @@ from .inequalities import (
     sharp_radius,
     threshold_search,
 )
-from .norms import _check_p, hardy_norm
+from .norms import _check_p, _even_half, hardy_norm
 from .report import ReportRow, at_most, fmt_value
 
 __all__ = [
     "CHECKS", "CONVEXITY_FLOOR", "Check", "INEQ_SLACK", "Param", "THRESHOLD_GATE",
     "agreement_row", "convex", "cubic_decay", "format_params", "hypotheses_hold",
-    "majorant_holds", "space_inputs", "status",
+    "majorant_holds", "profile_method", "space_inputs", "status",
 ]
 
 # Relative slack of the inequality rows: sharp up to rounding is a pass.
@@ -68,7 +69,9 @@ NIKOLSKII_SLACK = 1e-9
 # Largest |empirical - formula| crossover radius a threshold row passes with.
 THRESHOLD_GATE = 5e-3
 
-# Finite-difference noise floor: Phi'' >= -CONVEXITY_FLOOR counts as convex.
+# Rounding floor: Phi'' >= -CONVEXITY_FLOOR counts as convex.  At even q the
+# profile's Phi'' is exact up to rounding, far inside it; at other q the
+# angular quadrature error of Phi'' can exceed it, so there it is no bound.
 CONVEXITY_FLOOR = 1e-7
 
 
@@ -82,6 +85,11 @@ def status(passed: bool, hypothesis_ok: bool = True) -> str:
     if not hypothesis_ok:
         return "out-of-hypothesis"
     return "pass" if passed else "fail"
+
+
+def profile_method(q: float) -> str:
+    """The method of profile rows: the angle rule is exact at even q only."""
+    return "laplacian-exact" if _even_half(q) is not None else "laplacian-quadrature"
 
 
 def convex(min_phi2: float) -> bool:
@@ -332,7 +340,7 @@ def _ibp(poly, q, beta, beta_prime, nodes, tol) -> dict:
         computed=res.max_rel_discrepancy,
         target=tol,
         status=status(res.max_rel_discrepancy <= tol),
-        method="gauss-fd",
+        method=profile_method(q),
         est_error=0.0,
         note=format_params(lhs_dilated=res.lhs_dilated, lhs_plain=res.lhs_plain),
     )

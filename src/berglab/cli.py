@@ -102,7 +102,7 @@ def _cmd_check(args) -> int:
 def _cmd_phi(args) -> int:
     f = parse_polynomial(args.poly)
     ys = np.linspace(args.ymin, args.ymax, args.count)
-    prof = phi_profile(f, args.q, ys, h=args.fd_step)
+    prof = phi_profile(f, args.q, ys)
     records = zip(prof.y_grid, prof.phi, prof.phi2)
     return _print_table(args, "csv", ("y", "phi", "phi2"), list(records))
 
@@ -200,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ymin", type=float, default=0.05)
     s.add_argument("--ymax", type=float, default=0.9)
     s.add_argument("--count", type=int, default=35)
-    s.add_argument("--fd-step", type=float, default=1e-3, dest="fd_step")
     _add_common(s)
     s.set_defaults(handler=_cmd_phi)
 

@@ -7,9 +7,12 @@ beta*p <= alpha*q.  Here are the measurements that claim rests on: the
 critical radius and its empirical crossover, the second-order expansion of
 the norm, the two sides of the dilation, degree-growth and embedding
 inequalities, and the circle-profile convexity machinery of the sufficiency
-argument.  Each function returns what it measured and judges nothing; every
-pass rule, slack and floor lives in `checks.py`.  The two-sided measurements
-keep their ``*_check`` names, which ``perfbench/run.py`` times by name.
+argument.  The profile Phi(y), the mean of |f|^q on |z|^2 = y, and its Phi''
+(by the Laplacian identity) come from ``norms``, Phi(0) and Phi'(0) from
+the two lowest coefficients of f.  Each function returns what it measured
+and judges nothing; every pass rule, slack and floor lives in `checks.py`.
+The two-sided measurements keep their ``*_check`` names, which
+``perfbench/run.py`` times by name.
 """
 from __future__ import annotations
 
@@ -23,6 +26,7 @@ from .norms import (
     _check_p,
     _even_half,
     bergman_norm,
+    circle_curvature,
     circle_means,
     exact_norm_even_p,
 )
@@ -43,12 +47,6 @@ __all__ = [
     "convexity_majorant_check",
     "sharp_radius",
 ]
-
-# Finite-difference steps: the profile second derivative uses Richardson over
-# (h, h/2); the one-sided first derivative at 0 uses the smaller step.
-FD_H2 = 1e-3
-FD_H1 = 1e-4
-
 
 def sharp_radius(alpha: float, beta: float, p: float, q: float) -> float:
     """The critical dilation radius sqrt(beta*p/(alpha*q)), capped at 1."""
@@ -227,29 +225,9 @@ def necessity_expansion_check(
 # ------------------------------------------------------- circle profile Phi
 
 
-def _phi_second_derivative(
-    f: ComplexPolynomial, q: float, ys: np.ndarray, h: float = FD_H2
-) -> np.ndarray:
-    """Richardson-refined central second difference of the profile."""
-    ys = np.asarray(ys, dtype=float)
-    hs = np.minimum(h, np.minimum(ys, 1.0 - ys) / 2.0)
-    if np.any(hs <= 0.0):
-        raise ValueError("grid point too close to 0 or 1 for the stencil")
-    offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-    pts = ys[:, None] + hs[:, None] * offsets[None, :]
-    phi = circle_means(f, q, pts.ravel()).reshape(pts.shape)
-    d_h = (phi[:, 0] - 2.0 * phi[:, 2] + phi[:, 4]) / hs ** 2
-    d_half = (phi[:, 1] - 2.0 * phi[:, 2] + phi[:, 3]) / (0.5 * hs) ** 2
-    return (4.0 * d_half - d_h) / 3.0
-
-
-def _phi_derivative_at_zero(f: ComplexPolynomial, q: float, h: float = FD_H1) -> float:
-    """One-sided 3-point derivative of the profile at y = 0, Richardson-refined."""
-    ys = np.array([0.0, 0.5 * h, h, 2.0 * h])
-    phi = circle_means(f, q, ys)
-    d_h = (-3.0 * phi[0] + 4.0 * phi[2] - phi[3]) / (2.0 * h)
-    d_half = (-3.0 * phi[0] + 4.0 * phi[1] - phi[2]) / h
-    return float((4.0 * d_half - d_h) / 3.0)
+def _phi_slope_at_zero(f: ComplexPolynomial, q: float) -> float:
+    """Phi'(0) = (q^2/4) |f(0)|^(q-2) |f'(0)|^2, for q >= 2."""
+    return 0.25 * q * q * abs(f.coeff((0,))) ** (q - 2.0) * abs(f.coeff((1,))) ** 2
 
 
 @dataclass(frozen=True)
@@ -267,15 +245,13 @@ class PhiProfile:
             raise ValueError("profile values must be nonnegative")
 
 
-def phi_profile(
-    f: ComplexPolynomial, q: float, y_grid, h: float = FD_H2
-) -> PhiProfile:
+def phi_profile(f: ComplexPolynomial, q: float, y_grid) -> PhiProfile:
     """Profile values and second derivatives on a grid inside (0, 1)."""
     ys = np.asarray(y_grid, dtype=float)
     if np.any(ys <= 0.0) or np.any(ys >= 1.0):
-        raise ValueError("grid point too close to 0 or 1 for the stencil")
+        raise ValueError("profile grid points must lie in (0, 1)")
     phi = circle_means(f, q, ys)
-    phi2 = _phi_second_derivative(f, q, ys, h=h)
+    phi2 = circle_curvature(f, q, ys) / ys ** 2
     return PhiProfile(
         q=float(q),
         y_grid=tuple(float(y) for y in ys),
@@ -284,19 +260,13 @@ def phi_profile(
     )
 
 
-@dataclass(frozen=True)
-class ConvexityResult:
-    min_phi2: float
-    argmin_y: float
-
-
-def phi_convexity_check(f: ComplexPolynomial, q: float, y_grid) -> ConvexityResult:
-    """Smallest second derivative of the profile in y on the grid, for q >= 2."""
+def phi_convexity_check(f: ComplexPolynomial, q: float, y_grid) -> tuple[float, float]:
+    """The smallest Phi'' on the grid and the y where it is taken, for q >= 2."""
     if q < 2.0:
         raise ValueError("convexity requires q >= 2")
     prof = phi_profile(f, q, y_grid)
     k = int(np.argmin(prof.phi2))
-    return ConvexityResult(min_phi2=prof.phi2[k], argmin_y=prof.y_grid[k])
+    return prof.phi2[k], prof.y_grid[k]
 
 
 @dataclass(frozen=True)
@@ -324,47 +294,27 @@ def ibp_identity_check(
 
     equal Phi(0) + Phi'(0)/beta' plus 1/beta' times the corresponding
     Phi''-integral (over [0, r^2] against (1-y/r^2)^beta, respectively over
-    [0, 1] against (1-y)^beta').  All four sides are evaluated numerically
-    and the worst relative mismatch is reported.
+    [0, 1] against (1-y)^beta').  Phi(0) = |f(0)|^q and Phi'(0) come from
+    the two lowest coefficients, the integrals from Gauss-Jacobi rules over
+    ``circle_means`` and ``circle_curvature``; the worst relative mismatch
+    is reported.
     """
     if q < 2.0:
         raise ValueError("requires q >= 2")
     check_alpha(beta)
     if beta_prime < beta:
         raise ValueError("requires beta_prime >= beta")
-    r_sq = beta / beta_prime
-
-    phi0 = float(circle_means(f, q, np.array([0.0]))[0])
-    dphi0 = _phi_derivative_at_zero(f, q)
-
-    t_b, w_b = radial_rule(beta, nodes)
-    lhs_dilated = float(w_b @ circle_means(f, q, r_sq * t_b))
-    t_bp, w_bp = radial_rule(beta_prime, nodes)
-    lhs_plain = float(w_bp @ circle_means(f, q, t_bp))
-
-    t_in, w_in = radial_rule(beta + 2.0, nodes)
-    phi2 = _phi_second_derivative(f, q, r_sq * t_in)
-    integral_dilated = r_sq * float(w_in @ phi2) / (beta + 1.0)
-    t_in2, w_in2 = radial_rule(beta_prime + 2.0, nodes)
-    phi2_plain = _phi_second_derivative(f, q, t_in2)
-    integral_plain = float(w_in2 @ phi2_plain) / (beta_prime + 1.0)
-
-    rhs_dilated = phi0 + dphi0 / beta_prime + integral_dilated / beta_prime
-    rhs_plain = phi0 + dphi0 / beta_prime + integral_plain / beta_prime
-
-    scale1 = max(abs(lhs_dilated), abs(rhs_dilated), 1e-30)
-    scale2 = max(abs(lhs_plain), abs(rhs_plain), 1e-30)
-    rel = max(
-        abs(lhs_dilated - rhs_dilated) / scale1,
-        abs(lhs_plain - rhs_plain) / scale2,
-    )
-    return IbpResult(
-        max_rel_discrepancy=float(rel),
-        lhs_dilated=lhs_dilated,
-        rhs_dilated=rhs_dilated,
-        lhs_plain=lhs_plain,
-        rhs_plain=rhs_plain,
-    )
+    head = abs(f.coeff((0,))) ** q + _phi_slope_at_zero(f, q) / beta_prime
+    sides = []  # (lhs, rhs) of the dilated display, then of the plain one
+    for weight, scale in ((beta, beta / beta_prime), (beta_prime, 1.0)):
+        t, w = radial_rule(weight, nodes)
+        lhs = float(w @ circle_means(f, q, scale * t))
+        t, w = radial_rule(weight + 2.0, nodes)
+        phi2 = circle_curvature(f, q, scale * t) / (scale * t) ** 2
+        integral = scale * float(w @ phi2) / (weight + 1.0)
+        sides.append((lhs, head + integral / beta_prime))
+    rel = max(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30) for lhs, rhs in sides)
+    return IbpResult(rel, *sides[0], *sides[1])
 
 
 def convexity_majorant_check(beta: float, beta_prime: float, y_grid) -> float:

@@ -15,22 +15,25 @@ another:
 
 All quadrature (Bergman, Hardy and mixed norms, and the circle profile of
 the inequality checks) goes through one kernel, ``_power_mean`` with its
-streaming core ``_shell_means``, the only place where coefficients become
-grid values.  It evaluates P one axis at a time: scale the coefficients by
-the radial powers t^(a/2), then sum over the equispaced angles, by a
-(g x M) Fourier matmul when the axis has few coefficients and by an inverse
-FFT when it has many (on equispaced angles the two are the same DFT).  The
-last axis is streamed in blocks of about 2^16 grid points, each reduced at
-once to a weighted sum, so the full grid is never held in memory.  A circle
-variable is one more axis with the single node t = 1.  |P|^p is formed
-from s = re^2 + im^2 by products and square roots of s when 2p is an
-integer and by np.power otherwise, so exact zeros of P stay exactly zero.
+streaming tile evaluator ``_tiles``, the only place where coefficients
+become grid values.  It evaluates P one axis at a time: scale the
+coefficients by the radial powers t^(a/2), then sum over the equispaced
+angles, by a (g x M) Fourier matmul when the axis has few coefficients and
+by an inverse FFT when it has many (on equispaced angles the two are the
+same DFT).  The last axis is streamed in tiles of about 2^16 grid points,
+so the full grid is never held in memory.  A circle variable is one more
+axis with the single node t = 1.  Each tile is reduced at once, to circle
+means of |P|^p by ``_shell_means``, or, for the profile's Phi'', together
+with the tile of z P' by the Laplacian identity (``circle_curvature``).
+|P|^p is formed from s = re^2 + im^2 by products and square roots of s
+when 2p is a positive integer and by np.power otherwise, so exact zeros of
+P stay exactly zero.
 
 ``_grid_rule`` is the one place where grids are sized: it turns the
 variables' degrees, alpha, p and the optional node and angle counts into
 the (t, w, M) triple of each axis, for ``bergman_norm``, the disk and
 circle axes of ``mixed_norm``, ``hardy_norm`` and the circle profile
-``circle_means``, and refuses counts below 1.
+``circle_means`` and ``circle_curvature``, and refuses counts below 1.
 
 When a quadrature norm is exact: at even p = 2s, |P|^p = |P^s|^2 is a
 polynomial, and the default grid sizes each axis from its own degree d so
@@ -61,6 +64,7 @@ __all__ = [
     "hardy_norm",
     "mixed_norm",
     "circle_means",
+    "circle_curvature",
 ]
 
 # Tensor quadrature table per variable count: (radial nodes, angular floor).
@@ -184,10 +188,10 @@ def _sq_pow(s: np.ndarray, p: float) -> np.ndarray:
     When 2p is an integer, s^(p/2) = (s^(1/4))^(2p) is an integer power of
     s, sqrt(s) or sqrt(sqrt(s)), whichever root suffices: s itself at p = 2,
     s^k when p/2 = k.  Square roots and products cost a fraction of a
-    general np.power, which handles every other p.
+    general np.power, which handles every other p, p <= 0 included.
     """
     quarters = 2.0 * float(p)
-    if not quarters.is_integer():
+    if quarters <= 0.0 or not quarters.is_integer():
         return np.power(s, 0.5 * float(p), out=s)
     k, roots = int(quarters), 2
     while roots and k % 2 == 0:
@@ -261,13 +265,13 @@ def _lead_values(
     return np.moveaxis(values, 0, -1).reshape(-1, coeff.shape[-1]), weights
 
 
-def _shell_means(lead: np.ndarray, t: np.ndarray, m: int, p: float):
-    """Stream the last axis: circle means of |P|^p per lead row and shell.
+def _tiles(lead: np.ndarray, t: np.ndarray, m: int):
+    """Stream the last axis: P's values on tiles of lead rows x radial nodes.
 
-    Works through tiles of lead rows x radial nodes of about _BLOCK_POINTS
-    grid points each and yields (r0, k0, means) per tile, means[i, j] being
-    the mean over the m angles at lead row r0 + i and node k0 + j.  The full
-    grid is never held in memory; tile-sized buffers are reused.
+    Yields (r0, k0, (rows, nodes), values) per tile of about _BLOCK_POINTS
+    points, values[i * nodes + j] holding the m angles at lead row r0 + i and
+    node k0 + j.  The values buffer is reused, so it is only valid (and may
+    be overwritten) until the next tile.
     """
     g = lead.shape[1]
     radial = _radial_powers(t, g)
@@ -275,25 +279,34 @@ def _shell_means(lead: np.ndarray, t: np.ndarray, m: int, p: float):
     nodes_step = min(len(t), max(1, _BLOCK_POINTS // m))
     rows_step = min(lead.shape[0], max(1, _BLOCK_POINTS // (nodes_step * m)))
     values = np.empty((rows_step * nodes_step, m), dtype=complex)
-    powers = np.empty((rows_step * nodes_step, m))
-    mean_weights = np.full(m, 1.0 / m)
-    pair_weights = np.full(2 * m, 1.0 / m)
     for r0 in range(0, lead.shape[0], rows_step):
         rows = lead[r0 : r0 + rows_step, None, :]
         for k0 in range(0, len(t), nodes_step):
             shells = rows * radial[k0 : k0 + nodes_step]
             size = shells.shape[0] * shells.shape[1]
             grid = _angular_sum(shells, fourier, m, out=values[:size])
-            # re^2 and im^2 in place, a contiguous pass; at p = 2 the angle
-            # mean sums them directly, otherwise they are paired into s first
-            parts = grid.view(np.float64)
-            np.square(parts, out=parts)
-            if p == 2.0:
-                means = parts @ pair_weights
-            else:
-                sq = np.add(parts[:, 0::2], parts[:, 1::2], out=powers[:size])
-                means = _sq_pow(sq, p) @ mean_weights
-            yield r0, k0, means.reshape(shells.shape[:2])
+            yield r0, k0, shells.shape[:2], grid
+
+
+def _shell_means(lead: np.ndarray, t: np.ndarray, m: int, p: float):
+    """Yields (r0, k0, means) per tile of ``_tiles``, means[i, j] being the
+    circle mean of |P|^p at lead row r0 + i and node k0 + j."""
+    powers = None
+    mean_weights = np.full(m, 1.0 / m)
+    pair_weights = np.full(2 * m, 1.0 / m)
+    for r0, k0, shape, grid in _tiles(lead, t, m):
+        # re^2 and im^2 in place, a contiguous pass; at p = 2 the angle mean
+        # sums them directly, otherwise they are paired into s first
+        parts = grid.view(np.float64)
+        np.square(parts, out=parts)
+        if p == 2.0:
+            means = parts @ pair_weights
+        else:
+            if powers is None:  # the first tile is the largest
+                powers = np.empty(grid.shape)
+            sq = np.add(parts[:, 0::2], parts[:, 1::2], out=powers[: len(grid)])
+            means = _sq_pow(sq, p) @ mean_weights
+        yield r0, k0, means.reshape(shape)
 
 
 def _axis_order(triples) -> list[int]:
@@ -405,6 +418,28 @@ def circle_means(
     [(_, _, m)] = _grid_rule((P.degree,), None, p, angles=angles)
     tiles = _shell_means(coeffs.reshape(1, -1), radii_sq, m, p)
     return np.concatenate([means[0] for _, _, means in tiles])
+
+
+def circle_curvature(
+    P: ComplexPolynomial, p: float, radii_sq: np.ndarray, angles: int | None = None
+) -> np.ndarray:
+    """y^2 Phi''(y) on each circle |z|^2 = y, Phi being ``circle_means``.
+
+    With g = z P', Delta |P|^p = p^2 |P|^(p-2) |P'|^2 makes y^2 Phi'' the
+    mean of |P|^(p-2) ((p^2/4) |g|^2 - (p/2) Re(conj(P) g)) over the angles
+    of ``circle_means``, which integrate it exactly at even p.  P and g are
+    evaluated in lockstep on the same tiles.
+    """
+    coeffs = P.dense_coeffs().reshape(1, -1)  # univariate P only
+    [(_, _, m)] = _grid_rule((P.degree,), None, p, angles=angles)
+    slopes = coeffs * np.arange(coeffs.shape[1])
+    out = []
+    tiles = zip(_tiles(coeffs, radii_sq, m), _tiles(slopes, radii_sq, m))
+    for (*_, f), (*_, g) in tiles:
+        cross = f.real * g.real + f.imag * g.imag
+        both = (0.25 * p * p) * _abs_pow(g, 2.0) - (0.5 * p) * cross
+        out.append(np.mean(_abs_pow(f, p - 2.0) * both, axis=1))
+    return np.concatenate(out)
 
 
 def bergman_norm(

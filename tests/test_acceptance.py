@@ -17,7 +17,7 @@ from berglab.acceptance import run_criterion
 SEED = 1729
 # sha256 of the verify-suite CSV at SEED; a change that moves any number in
 # it updates this pin and says so
-SUITE_SHA256 = "4bd428ff200a0a64c5563c9a49dc7df2baec3cbb38be0bcdba25cf5a005f237c"
+SUITE_SHA256 = "ac157f191075419054a36c746fa72d175a75571d5b196bbb95b6b55b535911f0"
 
 
 def emit(result, tolerance_note):
@@ -169,6 +169,23 @@ def test_pooled_and_serial_suites_are_identical(tmp_path, monkeypatch):
     # one core runs inline; two run every criterion off the calling thread
     assert serial[3] == {threading.get_ident()}
     assert threading.get_ident() not in pooled[3]
+
+
+def test_slow_criteria_start_first_and_print_in_criterion_order(monkeypatch):
+    started = []
+
+    def instant(cid, seed, nodes_override=None):
+        started.append(cid)
+        return acceptance.CriterionResult(cid, True, 0.0, ())
+
+    # one core runs the criteria inline, in the order they are handed over
+    monkeypatch.setattr(acceptance.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(acceptance, "run_criterion", instant)
+    lines = []
+    assert acceptance.verify_suite(seed=SEED, csv_path="", emit=lines.append) == 0
+    ids = acceptance.CRITERION_IDS
+    assert started == [*ids[5:], *ids[:5]]
+    assert [line.split(" (")[0] for line in lines[:-1]] == [f"[PASS] {c}" for c in ids]
 
 
 @pytest.mark.parametrize("cores", [1, 2])

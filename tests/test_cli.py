@@ -138,7 +138,7 @@ def test_phi_csv_output(capsys):
     assert len(lines) == 6
     y, phi, phi2 = (float(v) for v in lines[1].split(","))
     assert phi == pytest.approx(1.0 + 4.0 * y + y * y, rel=1e-12)
-    assert phi2 == pytest.approx(2.0, abs=1e-6)
+    assert phi2 == pytest.approx(2.0, abs=1e-12)
 
 
 def test_weissler_default_radius(capsys):
@@ -278,7 +278,7 @@ PARSER_SNAPSHOT = {
                   "--q": REQUIRED, "--poly": REQUIRED, "--nodes": None,
                   "--angles": None},
     "phi": {"--poly": REQUIRED, "--q": REQUIRED, "--ymin": 0.05, "--ymax": 0.9,
-            "--count": 35, "--fd-step": 0.001},
+            "--count": 35},
     "ibp-check": {"--poly": REQUIRED, "--q": REQUIRED, "--beta": REQUIRED,
                   "--beta-prime": REQUIRED, "--nodes": 64, "--tol": 1e-07},
     "kulikov": {"--poly": REQUIRED, "--alpha": REQUIRED, "--p": REQUIRED,
@@ -380,17 +380,17 @@ TABLE_OUTPUTS = {
         ["phi", "--poly", "1,1", "--q", "4", "--ymin", "0.1", "--ymax", "0.5",
          "--count", "3"],
         "y,phi,phi2\n"
-        "0.1,1.4100000000000001,2.0000000005756156\n"
-        "0.30000000000000004,2.2900000000000005,1.9999999958386638\n"
-        "0.5,3.25,1.9999999933221584\n",
+        "0.1,1.4100000000000001,1.9999999999999973\n"
+        "0.30000000000000004,2.2900000000000005,2.0000000000000004\n"
+        "0.5,3.25,2.000000000000002\n",
     ),
     ("phi", "json"): (
         ["phi", "--poly", "1,1", "--q", "4", "--ymin", "0.1", "--ymax", "0.5",
          "--count", "3", "--out", "json"],
-        '[{"phi": 1.4100000000000001, "phi2": 2.0000000005756156, "y": 0.1}, '
-        '{"phi": 2.2900000000000005, "phi2": 1.9999999958386638, '
+        '[{"phi": 1.4100000000000001, "phi2": 1.9999999999999973, "y": 0.1}, '
+        '{"phi": 2.2900000000000005, "phi2": 2.0000000000000004, '
         '"y": 0.30000000000000004}, '
-        '{"phi": 3.25, "phi2": 1.9999999933221584, "y": 0.5}]\n',
+        '{"phi": 3.25, "phi2": 2.000000000000002, "y": 0.5}]\n',
     ),
     ("dump-rule", "csv"): (
         ["dump-rule", "--alpha", "2", "--nodes", "2", "--angles", "2"],

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import binom
 
 from berglab.checks import (
     CHECKS,
@@ -16,9 +17,11 @@ from berglab.checks import (
     cubic_decay,
     hypotheses_hold,
     majorant_holds,
+    profile_method,
 )
 from berglab.corpus import random_polynomials
 from berglab.inequalities import (
+    _phi_slope_at_zero,
     convexity_majorant_check,
     hyper_check,
     ibp_identity_check,
@@ -195,7 +198,41 @@ def test_phi_profile_binomial_q4():
     ys = np.linspace(0.1, 0.8, 8)
     prof = phi_profile(one + z, 4.0, ys)
     assert np.allclose(prof.phi, 1.0 + 4.0 * ys + ys ** 2, rtol=1e-12)
-    assert np.allclose(prof.phi2, 2.0, atol=1e-6)
+    assert np.allclose(prof.phi2, 2.0, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("q", [2.0, 4.0])
+def test_phi2_is_exact_at_even_q(q):
+    # at q = 2s, Phi(y) = sum_k |c_k(f^s)|^2 y^k is a polynomial in y
+    ys = np.linspace(0.05, 0.9, 35)
+    for f in random_polynomials(10, 1, 6, 1729):
+        c = (f ** int(q / 2)).dense_coeffs()
+        k = np.arange(len(c))
+        want = ys[:, None] ** np.maximum(k - 2, 0) @ (k * (k - 1) * np.abs(c) ** 2)
+        prof = phi_profile(f, q, ys)
+        err = np.abs(np.array(prof.phi2) - want) / np.maximum(np.abs(want), 1.0)
+        assert err.max() <= 1e-12
+    assert profile_method(q) == "laplacian-exact"
+
+
+@pytest.mark.parametrize("q", [2.5, 3.0])
+def test_phi2_matches_binomial_series_at_non_even_q(q):
+    # for f = 1 + z, Phi(y) = sum_k binom(q/2, k)^2 y^k
+    ys = np.linspace(0.05, 0.9, 18)
+    k = np.arange(2000)
+    terms = k * (k - 1) * binom(q / 2, k) ** 2
+    want = ys[:, None] ** np.maximum(k - 2, 0) @ terms
+    prof = phi_profile(one + z, q, ys)
+    err = np.abs(np.array(prof.phi2) - want) / np.maximum(np.abs(want), 1.0)
+    assert err.max() <= 1e-9
+    assert profile_method(q) == "laplacian-quadrature"
+
+
+@pytest.mark.parametrize(
+    "f, q, slope", [(z, 2.0, 1.0), (z, 4.0, 0.0), (one + z, 3.0, 2.25), (one, 3.0, 0.0)]
+)
+def test_phi_slope_at_zero(f, q, slope):
+    assert _phi_slope_at_zero(f, q) == slope
 
 
 def test_phi_profile_grid_validation():
@@ -212,15 +249,17 @@ def test_phi_convexity_requires_q_at_least_two():
 
 @pytest.mark.parametrize("q", [2.0, 3.0, 4.0])
 def test_phi_convexity_passes(q):
-    res = phi_convexity_check(one + z + z * z, q, np.linspace(0.05, 0.9, 20))
-    assert convex(res.min_phi2)
-    assert res.min_phi2 >= -1e-7
+    ys = np.linspace(0.05, 0.9, 20)
+    min_phi2, _ = phi_convexity_check(one + z + z * z, q, ys)
+    assert convex(min_phi2)
+    assert min_phi2 >= -1e-7
     assert not convex(-2e-7)
 
 
 def test_ibp_identity_monomial():
     row = CHECKS["ibp"].run(poly=z, q=2.0, beta=2.0, beta_prime=4.0)
     assert row.status == "pass" and row.target == 1e-7
+    assert row.method == "laplacian-exact"
     res = ibp_identity_check(z, 2.0, 2.0, 4.0)
     # both displays evaluate to the A^2_{beta'} mass of z, here 1/(beta'... ) = 1/4
     assert res.lhs_dilated == pytest.approx(0.25, abs=1e-9)

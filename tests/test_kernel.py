@@ -10,6 +10,7 @@ from berglab.norms import (
     _abs_pow,
     _fourier_matrix,
     _power_mean,
+    circle_curvature,
     circle_means,
     mixed_norm,
 )
@@ -117,6 +118,27 @@ def test_phi_values_match_brute_force(q):
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
+# (degree, angles, radii): 3000 radii at 29 angles span two tiles; the
+# degree-200 polynomial at 257 angles is summed by FFT.
+@pytest.mark.parametrize("degree, m, count", [(6, 29, 3000), (200, 257, 5)])
+@pytest.mark.parametrize("q", [2.0, 3.0, 4.0])
+def test_circle_curvature_matches_brute_force(q, degree, m, count):
+    f = dense_polynomial((degree,), seed=11)
+    c = f.dense_coeffs()
+    ys = np.linspace(0.01, 0.95, count)
+    theta = 2.0 * np.pi * np.arange(m) / m
+    zs = np.sqrt(ys)[:, None] * np.exp(1j * theta)[None, :]
+    values = np.polynomial.polynomial.polyval(zs, c)
+    g = zs * np.polynomial.polynomial.polyval(zs, np.polynomial.polynomial.polyder(c))
+    weight = np.abs(values) ** (q - 2.0)
+    square = (q * q / 4.0) * np.abs(g) ** 2
+    cross = (q / 2.0) * (np.conj(values) * g).real
+    want = np.mean(weight * (square - cross), axis=1)
+    scale = np.mean(weight * (square + np.abs(cross)), axis=1)
+    got = circle_curvature(f, q, ys, angles=m)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
 def test_abs_pow_keeps_exact_zeros():
     values = np.array([0.0, 0j, 3.0 + 4.0j, -2.0j])
     got = _abs_pow(values, 0.5)
@@ -125,7 +147,9 @@ def test_abs_pow_keeps_exact_zeros():
     assert got[2:] == pytest.approx([math.sqrt(5.0), math.sqrt(2.0)], rel=1e-15)
 
 
-@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.7, 4.0, 6.0, 7.0, 64.0])
+@pytest.mark.parametrize(
+    "p", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.7, 4.0, 6.0, 7.0, 64.0]
+)
 def test_abs_pow_matches_abs_power(p):
     rng = np.random.default_rng(1)
     values = rng.standard_normal(200) + 1j * rng.standard_normal(200)
