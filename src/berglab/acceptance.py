@@ -327,7 +327,7 @@ _RUNNERS = (
 
 CRITERION_IDS = tuple(cid for cid, _, _ in _RUNNERS)
 
-# Started first: they take seconds and the others tenths, so no worker idles.
+# Started first: they take seconds, the other five a quarter second together.
 _LONGEST = ("c6-nikolskii-isometry", "c7-sharpness-asymptotics")
 
 

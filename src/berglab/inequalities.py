@@ -246,7 +246,9 @@ class PhiProfile:
 
 
 def phi_profile(f: ComplexPolynomial, q: float, y_grid) -> PhiProfile:
-    """Profile values and second derivatives on a grid inside (0, 1)."""
+    """Profile values and second derivatives on a grid inside (0, 1), q >= 2."""
+    if q < 2.0:  # circle_curvature's weight |f|^(q-2) is singular at zeros of f
+        raise ValueError("the circle profile requires q >= 2")
     ys = np.asarray(y_grid, dtype=float)
     if np.any(ys <= 0.0) or np.any(ys >= 1.0):
         raise ValueError("profile grid points must lie in (0, 1)")
@@ -262,8 +264,6 @@ def phi_profile(f: ComplexPolynomial, q: float, y_grid) -> PhiProfile:
 
 def phi_convexity_check(f: ComplexPolynomial, q: float, y_grid) -> tuple[float, float]:
     """The smallest Phi'' on the grid and the y where it is taken, for q >= 2."""
-    if q < 2.0:
-        raise ValueError("convexity requires q >= 2")
     prof = phi_profile(f, q, y_grid)
     k = int(np.argmin(prof.phi2))
     return prof.phi2[k], prof.y_grid[k]

@@ -420,9 +420,7 @@ def circle_means(
     return np.concatenate([means[0] for _, _, means in tiles])
 
 
-def circle_curvature(
-    P: ComplexPolynomial, p: float, radii_sq: np.ndarray, angles: int | None = None
-) -> np.ndarray:
+def circle_curvature(P: ComplexPolynomial, p: float, radii_sq: np.ndarray) -> np.ndarray:
     """y^2 Phi''(y) on each circle |z|^2 = y, Phi being ``circle_means``.
 
     With g = z P', Delta |P|^p = p^2 |P|^(p-2) |P'|^2 makes y^2 Phi'' the
@@ -431,7 +429,7 @@ def circle_curvature(
     evaluated in lockstep on the same tiles.
     """
     coeffs = P.dense_coeffs().reshape(1, -1)  # univariate P only
-    [(_, _, m)] = _grid_rule((P.degree,), None, p, angles=angles)
+    [(_, _, m)] = _grid_rule((P.degree,), None, p)
     slopes = coeffs * np.arange(coeffs.shape[1])
     out = []
     tiles = zip(_tiles(coeffs, radii_sq, m), _tiles(slopes, radii_sq, m))

@@ -141,6 +141,16 @@ def test_phi_csv_output(capsys):
     assert phi2 == pytest.approx(2.0, abs=1e-12)
 
 
+def test_phi_below_q_two_is_a_usage_error(capsys):
+    # the identity's weight |f|^(q-2) is singular at a zero of f on a circle
+    argv = ["phi", "--poly=-0.5,1", "--q", "1.5", "--ymin", "0.25", "--ymax", "0.25",
+            "--count", "1"]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "requires q >= 2" in err
+
+
 def test_weissler_default_radius(capsys):
     code, out, _ = run(
         ["weissler", "--poly", "1,1", "--p", "2", "--q", "4", "--quiet"], capsys

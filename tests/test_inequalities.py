@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import binom
 
+from berglab import inequalities
 from berglab.checks import (
     CHECKS,
     INEQ_SLACK,
@@ -286,6 +287,14 @@ def test_ibp_identity_trinomial():
     assert row.computed > 0.0
     tight = CHECKS["ibp"].run(poly=f, q=4.0, beta=3.0, beta_prime=6.0, tol=0.0)
     assert tight.status == "fail"
+
+
+def test_ibp_identity_catches_a_wrong_boundary_slope(monkeypatch):
+    # with Phi'(0) taken as 0 (it is 4 here) the identity breaks at the default tol
+    monkeypatch.setattr(inequalities, "_phi_slope_at_zero", lambda f, q: 0.0)
+    row = CHECKS["ibp"].run(poly=one + z + z * z, q=4.0, beta=3.0, beta_prime=6.0)
+    assert row.status == "fail"
+    assert row.computed > 1e-2
 
 
 def test_majorant_frozen_point():

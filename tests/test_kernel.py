@@ -9,6 +9,7 @@ from berglab.measures import radial_rule
 from berglab.norms import (
     _abs_pow,
     _fourier_matrix,
+    _grid_rule,
     _power_mean,
     circle_curvature,
     circle_means,
@@ -118,14 +119,19 @@ def test_phi_values_match_brute_force(q):
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-# (degree, angles, radii): 3000 radii at 29 angles span two tiles; the
-# degree-200 polynomial at 257 angles is summed by FFT.
-@pytest.mark.parametrize("degree, m, count", [(6, 29, 3000), (200, 257, 5)])
-@pytest.mark.parametrize("q", [2.0, 3.0, 4.0])
-def test_circle_curvature_matches_brute_force(q, degree, m, count):
+# On the default angles, 6000 radii at q = 2 (13 angles) and 3000 at q = 3
+# and 4 (257 and 25 angles) span several tiles; degree 200 (401 to 1601
+# angles) is summed by FFT.
+@pytest.mark.parametrize(
+    "q, degree, count",
+    [(2.0, 6, 6000), (3.0, 6, 3000), (4.0, 6, 3000),
+     (2.0, 200, 5), (3.0, 200, 5), (4.0, 200, 5)],
+)
+def test_circle_curvature_matches_brute_force(q, degree, count):
     f = dense_polynomial((degree,), seed=11)
     c = f.dense_coeffs()
     ys = np.linspace(0.01, 0.95, count)
+    [(_, _, m)] = _grid_rule((degree,), None, q)
     theta = 2.0 * np.pi * np.arange(m) / m
     zs = np.sqrt(ys)[:, None] * np.exp(1j * theta)[None, :]
     values = np.polynomial.polynomial.polyval(zs, c)
@@ -135,7 +141,7 @@ def test_circle_curvature_matches_brute_force(q, degree, m, count):
     cross = (q / 2.0) * (np.conj(values) * g).real
     want = np.mean(weight * (square - cross), axis=1)
     scale = np.mean(weight * (square + np.abs(cross)), axis=1)
-    got = circle_curvature(f, q, ys, angles=m)
+    got = circle_curvature(f, q, ys)
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
