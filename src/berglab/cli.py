@@ -101,6 +101,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_phi(args) -> int:
     f = parse_polynomial(args.poly)
+    check_counts(count=args.count)
     ys = np.linspace(args.ymin, args.ymax, args.count)
     prof = phi_profile(f, args.q, ys)
     records = zip(prof.y_grid, prof.phi, prof.phi2)

@@ -250,8 +250,8 @@ def phi_profile(f: ComplexPolynomial, q: float, y_grid) -> PhiProfile:
     if q < 2.0:  # circle_curvature's weight |f|^(q-2) is singular at zeros of f
         raise ValueError("the circle profile requires q >= 2")
     ys = np.asarray(y_grid, dtype=float)
-    if np.any(ys <= 0.0) or np.any(ys >= 1.0):
-        raise ValueError("profile grid points must lie in (0, 1)")
+    if not ys.size or np.any(ys <= 0.0) or np.any(ys >= 1.0):
+        raise ValueError("the profile grid needs points, all inside (0, 1)")
     phi = circle_means(f, q, ys)
     phi2 = circle_curvature(f, q, ys) / ys ** 2
     return PhiProfile(

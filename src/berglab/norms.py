@@ -43,10 +43,15 @@ is capped at K.  There, and only there, the reported ``est_error = 0.0`` is
 honest: the value is exact up to rounding.  At other p, at capped high
 degree, and on grids pinned by explicit ``nodes``/``angles``, exactness is
 not guaranteed and ``est_error = 0.0`` states no bound.
+
+One ``sweep.map_on_pool`` call computes each distinct ``bergman_norm`` once
+(see ``memo_scope``); a call outside any pool always computes.
 """
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +108,18 @@ _GRID_BYTES_BUDGET = 1 << 29
 
 # The (t, w) pair of a circle variable: one node at |z| = 1.
 _CIRCLE = (np.ones(1), np.ones(1))
+
+_MEMO: ContextVar[dict] = ContextVar("bergman_norm_memo")
+
+
+@contextmanager
+def memo_scope():
+    """A memo of ``bergman_norm`` results for the body, or the outer scope's."""
+    token = _MEMO.set(_MEMO.get({}))
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
 
 
 @dataclass(frozen=True)
@@ -453,11 +470,17 @@ def bergman_norm(
     rule is exact for |P|^p and the result is exact up to rounding, so
     est_error = 0 is honest.  Elsewhere (other p, capped high degree, pinned
     nodes or angles) est_error is also reported as 0 but bounds nothing.
+    One ``sweep.map_on_pool`` call computes each distinct call once (see
+    ``memo_scope``; a raise stores nothing); outside a pool every call computes.
     """
     check_alpha(alpha)
     _check_p(p)
-    triples = _grid_rule(P.variable_degrees(), alpha, p, nodes, angles)
-    return _quadrature_norm(P, triples, p)
+    memo = _MEMO.get({})  # a throwaway dict outside any scope
+    key = (P, float(alpha), float(p), nodes, angles)
+    if key not in memo:
+        triples = _grid_rule(P.variable_degrees(), alpha, p, nodes, angles)
+        memo[key] = _quadrature_norm(P, triples, p)
+    return memo[key]
 
 
 def hardy_norm(P: ComplexPolynomial, p: float, angles: int | None = None) -> NormResult:

@@ -27,6 +27,7 @@ its config: rerunning one produces byte-identical CSV.
 """
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 
 from .checks import CHECKS, space_inputs
 from .corpus import random_polynomials
+from .norms import memo_scope
 from .poly import ComplexPolynomial, parse_polynomial
 from .report import VerificationReport
 
@@ -356,12 +358,15 @@ def map_on_pool(fn, items, workers: int) -> list:
     Runs inline when there is one worker or one item.  Either way every
     loaded OpenBLAS runs one thread meanwhile, and results come back in
     input order; an exception from ``fn`` propagates once the pool is done.
+    The call is one ``norms.memo_scope``: it computes each distinct Bergman
+    quadrature norm once, in its workers too; a nested call shares the memo.
     """
     items = list(items)
-    with _one_blas_thread():
+    with _one_blas_thread(), memo_scope():
         if workers > 1 and len(items) > 1:
+            context = contextvars.copy_context()  # pool threads start empty
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(fn, items))
+                return list(pool.map(lambda item: context.copy().run(fn, item), items))
         return [fn(item) for item in items]
 
 
@@ -369,7 +374,8 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> VerificationReport:
     """Execute the configured cross-product of checks.
 
     With ``jobs > 1`` rows run on a pool of that many threads.  Either way
-    OpenBLAS, where loaded, runs one thread per row meanwhile.  A row whose
+    OpenBLAS, where loaded, runs one thread per row meanwhile, and each
+    distinct Bergman quadrature norm is computed once.  A row whose
     check raises becomes an error row naming the row's inputs; it fails the
     aggregate but does not abort the sweep.
     """

@@ -360,11 +360,15 @@ def test_every_option_and_sweep_key_is_snapshotted():
         (["hyper-check", "--poly", "1,1", "--alpha", "2", "--beta", "2",
           "--p", "2", "--q", "0", "--r", "0.5", "--method", "exact"],
          "exponent q must lie in (0, 64], got 0.0"),
+        (["phi", "--poly", "1,1", "--q", "4", "--count", "0"],
+         "count must be at least 1, got 0"),
+        (["phi", "--poly", "1,1", "--q", "4", "--count", "-3"],
+         "count must be at least 1, got -3"),
     ],
     ids=["hyper-angles-0", "weissler-angles-neg", "nikolskii-nodes-0",
          "dump-rule-angles-0", "dump-rule-angles-neg", "weissler-q-0",
          "weissler-q-neg", "weissler-q-0-explicit-r", "hyper-q-0-explicit-r",
-         "hyper-exact-q-0-explicit-r"],
+         "hyper-exact-q-0-explicit-r", "phi-count-0", "phi-count-negative"],
 )
 def test_grid_counts_below_one_are_usage_errors_naming_the_input(
     argv, message, capsys

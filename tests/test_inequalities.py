@@ -241,6 +241,9 @@ def test_phi_profile_grid_validation():
         phi_profile(z, 2.0, np.array([0.0, 0.5]))
     with pytest.raises(ValueError):
         phi_profile(z, 2.0, np.array([0.5, 1.0]))
+    # refused before the kernel, whose tiling divides by the point count
+    with pytest.raises(ValueError, match="the profile grid needs points"):
+        phi_profile(one + z, 4, [])
 
 
 def test_phi_convexity_requires_q_at_least_two():

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from berglab import checks, sweep
+from berglab import checks, inequalities, norms, sweep
 from berglab.report import CSV_HEADER, ReportRow, VerificationReport, fmt_value
 from berglab.sweep import parse_sweep_config, run_sweep
 
@@ -294,6 +294,68 @@ def test_sweep_threshold_rows_need_no_polys():
     rows = rep.sorted_rows()
     assert len(rows) == 1
     assert rows[0].status == "pass"
+
+
+SWEEP_BIVAR = Path(__file__).resolve().parents[1] / "perfbench" / "sweep-bivar.cfg"
+
+
+def count_calls(monkeypatch, module, name):
+    """A list that grows by one at each call of module.name from here on."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_sweep_computes_each_distinct_norm_once_per_run(monkeypatch):
+    # each polynomial asks for 24 bergman_norm calls, 14 of them distinct:
+    # hyper, nikolskii and kulikov share their right-hand sides
+    grids = count_calls(monkeypatch, norms, "_power_mean")
+    asked = count_calls(monkeypatch, inequalities, "bergman_norm")
+    cfg = sweep.load_sweep_config(str(SWEEP_BIVAR))
+    for _ in range(2):  # a second run evaluates as many: nothing outlives a run
+        grids.clear()
+        asked.clear()
+        serial = run_sweep(cfg).to_csv()
+        assert (len(asked), len(grids)) == (240, 140)
+    # more workers than cores share the memo, switching threads often; two
+    # rows run at once may both compute a norm, never change one
+    grids.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = run_sweep(cfg, jobs=4).to_csv()
+    finally:
+        sys.setswitchinterval(interval)
+    assert pooled == serial
+    assert 140 <= len(grids) < 240
+    # outside any pool every call computes
+    grids.clear()
+    P = cfg.polys[0]
+    assert norms.bergman_norm(P, 2.0, 0.5) == norms.bergman_norm(P, 2.0, 0.5)
+    assert len(grids) == 2
+
+
+def test_a_raising_norm_is_never_served_from_the_memo(monkeypatch):
+    # two identical rows whose first norm asks for the same grid far above
+    # _GRID_BYTES_BUDGET: each computes and fails on its own
+    sized = count_calls(monkeypatch, norms, "_grid_bytes")
+    cfg = parse_sweep_config(
+        "[sweep]\nchecks = nikolskii\nnodes = 1000\nangles = 20000\n"
+        "[grid]\ntuples = 2 2 2 4, 2 2 2 4\n[corpus]\npolys = (1,1):1\n"
+    )
+    rows = run_sweep(cfg).rows
+    assert len(sized) == 2
+    assert [row.params for row in rows] == [
+        "alpha=2.0;beta=2.0;p=2.0;q=4.0;poly=(1,1):1.0"
+    ] * 2
+    assert all(row.status == "error" for row in rows)
+    assert all("quadrature grid too large" in row.note for row in rows)
 
 
 def test_compare_reports_prints_status_changes_and_worst_drift(tmp_path):
