@@ -2,7 +2,7 @@
 dilation / degree-growth inequality checks, with a reproducible
 verification harness.
 """
-from .poly import ComplexPolynomial, DilationVector, parse_polynomial
+from .poly import ComplexPolynomial, parse_polynomial
 from .measures import McSampler, circle_rule, radial_rule, stream_for, unit_uniforms
 from .norms import (
     NormResult,
@@ -41,7 +41,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ComplexPolynomial",
-    "DilationVector",
     "parse_polynomial",
     "McSampler",
     "circle_rule",

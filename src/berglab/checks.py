@@ -178,11 +178,11 @@ CHECKS: dict[str, Check] = {}
 
 
 def _register(name, command, help, params, shown, sweep=False):
-    def add(build):
+    def register(build):
         CHECKS[name] = Check(name, command, help, tuple(params), shown, build, sweep)
         return build
 
-    return add
+    return register
 
 
 def space_inputs(tup) -> dict:
@@ -361,7 +361,7 @@ def _ibp(poly, q, beta, beta_prime, nodes, tol) -> dict:
 )
 def _extremal(alpha, beta, p, q, m, n, samples, seed) -> dict:
     rep = extremal_ratio(
-        ExtremalSpec(1.0, n, m), alpha, beta, p, q, n_samples=samples, seed=seed
+        ExtremalSpec(n, m), alpha, beta, p, q, n_samples=samples, seed=seed
     )
     tol = max(4.0 * rep.ci, 0.03 * rep.target)
     return dict(

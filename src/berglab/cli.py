@@ -84,7 +84,7 @@ def _cmd_norm(args) -> int:
         res = exact_norm_even_p(P, alpha, p)
     elif args.method == "mc":
         sampler = McSampler(alpha, P.nvars, args.seed)
-        res = bergman_norm_mc(P, alpha, p, sampler, args.samples)
+        res = bergman_norm_mc(P, p, sampler, args.samples)
     else:
         res = bergman_norm(P, alpha, p, nodes=args.nodes, angles=args.angles)
     record = (res.value, res.method, res.est_error)

@@ -1,9 +1,9 @@
 """Sharpness machinery: normalized coordinate sums and their moment limits.
 
-The family p_{a,n} = sqrt(a/n) * (z_1 + ... + z_n) is normalized so that
-exact_norm_p2(p_{a,n}, a) = 1.  As n grows, its distribution under the
-product disk measure tends to a complex Gaussian, so the A^p norms of powers
-tend to Gaussian absolute moments: ||p_{1,n}^m||_{A^p_alpha} tends to
+The family p_n = (z_1 + ... + z_n) / sqrt(n) has exact_norm_p2(p_n, alpha)
+= 1/sqrt(alpha).  As n grows, its distribution under the product disk
+measure tends to a complex Gaussian, so the A^p norms of powers tend to
+Gaussian absolute moments: ||p_n^m||_{A^p_alpha} tends to
 (1/sqrt(alpha))^m * Gamma(mp/2 + 1)^(1/p).  Ratios of such norms therefore
 approach the degree-growth constant, which is how sharpness is exhibited
 numerically.  Everything here is either a log-gamma evaluation or a Monte
@@ -40,25 +40,18 @@ EXPANSION_NVARS_CAP = 16
 
 @dataclass(frozen=True)
 class ExtremalSpec:
-    """Parameters of the family (sqrt(alpha/n) * sum_i z_i)^m.
+    """Parameters of the family ((z_1 + ... + z_n) / sqrt(n))^m."""
 
-    alpha = 1 is allowed: it only scales coefficients, while norms are always
-    taken in spaces with weight parameter > 1.
-    """
-
-    alpha: float
     n: int
     m: int
 
     def __post_init__(self) -> None:
-        if self.alpha < 1.0:
-            raise ValueError("family parameter alpha must be >= 1")
         if self.n < 1 or self.m < 1:
             raise ValueError("need n >= 1 and m >= 1")
 
     @property
     def scale(self) -> float:
-        return math.sqrt(self.alpha / self.n)
+        return math.sqrt(1.0 / self.n)
 
 
 def extremal_poly(spec: ExtremalSpec) -> ComplexPolynomial:
@@ -79,15 +72,15 @@ def extremal_poly(spec: ExtremalSpec) -> ComplexPolynomial:
 
 
 def extremal_evaluator(spec: ExtremalSpec):
-    """Closure computing (sqrt(alpha/n) * sum z_i)^m on (N, n) sample arrays."""
+    """Closure computing (sum z_i / sqrt(n))^m on (N, n) sample arrays."""
 
-    def evaluate(points: np.ndarray) -> np.ndarray:
+    def family(points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=complex)
         if pts.ndim != 2 or pts.shape[1] != spec.n:
             raise ValueError(f"points must have shape (N, {spec.n})")
         return (spec.scale * pts.sum(axis=1)) ** spec.m
 
-    return evaluate
+    return family
 
 
 def gaussian_moment(m: int, p: float) -> float:
@@ -117,19 +110,16 @@ def extremal_ratio(
 ) -> ExtremalRatioReport:
     """Monte Carlo estimate of ||f^m||_{A^q_beta} / ||f^m||_{A^p_alpha}.
 
-    The family is taken with unit scale parameter (spec.alpha = 1); the
-    limiting value is (alpha/beta)^(m/2) * gaussian_moment(m,q) /
+    The limiting value is (alpha/beta)^(m/2) * gaussian_moment(m,q) /
     gaussian_moment(m,p).  The two norms use different sampling laws, hence
     independent labeled streams; ci is the 1-sigma delta-method error of the
     ratio.
     """
-    if spec.alpha != 1.0:
-        raise ValueError("the ratio limit is stated for the unit-scale family")
     evaluate = extremal_evaluator(spec)
     num_sampler = McSampler(beta, spec.n, seed, stream_for("extremal-q"))
     den_sampler = McSampler(alpha, spec.n, seed, stream_for("extremal-p"))
-    num = bergman_norm_mc(evaluate, beta, q, num_sampler, n_samples, nvars=spec.n)
-    den = bergman_norm_mc(evaluate, alpha, p, den_sampler, n_samples, nvars=spec.n)
+    num = bergman_norm_mc(evaluate, q, num_sampler, n_samples)
+    den = bergman_norm_mc(evaluate, p, den_sampler, n_samples)
     ratio = num.value / den.value
     rel = math.hypot(num.est_error / num.value, den.est_error / den.value)
     target = (alpha / beta) ** (0.5 * spec.m) * gaussian_moment(
@@ -231,7 +221,7 @@ def sharpness_exhibit(
     per-degree reading attainment^(1/m), reported alongside.
     """
     rep = extremal_ratio(
-        ExtremalSpec(1.0, n, m), alpha, beta, p, q, n_samples=n_samples, seed=seed
+        ExtremalSpec(n, m), alpha, beta, p, q, n_samples=n_samples, seed=seed
     )
     constant = math.sqrt(alpha * q / (beta * p))
     bound = constant ** m

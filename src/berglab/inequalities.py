@@ -126,7 +126,7 @@ class ThresholdReport:
 
 
 def _bisect_threshold(
-    space: tuple, slack: float, eps: float, tol: float, scan_points: int = 21
+    space: tuple, slack: float, eps: float, tol: float
 ) -> tuple[float, float]:
     """Largest passing radius for the test family 1 + eps*z, with bracket width."""
     alpha, beta, p, q = space
@@ -136,7 +136,7 @@ def _bisect_threshold(
     def passes(r: float) -> bool:
         return at_most(bergman_norm(f.dilate(r), beta, q).value, rhs, slack)
 
-    grid = np.linspace(0.0, 1.0, scan_points)
+    grid = np.linspace(0.0, 1.0, 21)
     flags = [passes(r) for r in grid]
     if all(flags):
         return 1.0, tol
@@ -177,6 +177,8 @@ def threshold_search(
     """
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0, 1)")
+    if not (tol > 0):  # the bisection cannot narrow below adjacent floats
+        raise ValueError(f"tol must be positive, got {tol}")
     space = (alpha, beta, p, q)
     r_raw, width = _bisect_threshold(space, slack, eps, tol)
     r_half, width_half = _bisect_threshold(space, slack, eps / 2.0, tol)

@@ -11,7 +11,8 @@ another:
   second factor's coefficients per term of the first, so squaring a
   degree-d univariate P takes about d^2 flops in numpy and d Python steps;
 * ``bergman_norm``: tensor Gauss x equispaced quadrature;
-* ``bergman_norm_mc``: Monte Carlo with a counter-based sampler.
+* ``bergman_norm_mc``: Monte Carlo with a counter-based sampler, whose
+  alpha and variable count it takes.
 
 All quadrature (Bergman, Hardy and mixed norms, and the circle profile of
 the inequality checks) goes through one kernel, ``_power_mean`` with its
@@ -34,6 +35,12 @@ variables' degrees, alpha, p and the optional node and angle counts into
 the (t, w, M) triple of each axis, for ``bergman_norm``, the disk and
 circle axes of ``mixed_norm``, ``hardy_norm`` and the circle profile
 ``circle_means`` and ``circle_curvature``, and refuses counts below 1.
+Only ``bergman_norm`` (nodes and angles) and ``hardy_norm`` (angles) take
+counts from their callers; the mixed norm and the circle profile always
+use the default grid.  ``_quadrature_norm`` refuses, before allocating
+anything, a grid whose kernel arrays (the Fourier matrices and the first
+streamed tile included) would take more than ``_GRID_BYTES_BUDGET`` at
+once; ``_grid_bytes`` counts them.
 
 When a quadrature norm is exact: at even p = 2s, |P|^p = |P^s|^2 is a
 polynomial, and the default grid sizes each axis from its own degree d so
@@ -98,12 +105,13 @@ _BLOCK_POINTS = 1 << 16
 # against OpenBLAS 0.3.31 on a 2-core Xeon VM for M from 257 to 12001.
 _FFT_COEFFS_PER_LOG2_ANGLE = 16
 
-# A quadrature norm whose largest kernel array (see ``_grid_bytes``) would
-# take more than this many bytes is refused with a ValueError before any of
+# A quadrature norm whose kernel arrays (see ``_grid_bytes``) would take more
+# than this many bytes at once is refused with a ValueError before any of
 # them, or the coefficient array, is allocated.  No acceptance criterion or
-# benchmark workload counts more than 3.6 MiB, and no test that expects a
-# value more than 66 MiB (trivariate degree 6 at p = 3); bivariate degree
-# (1000, 1000) at p = 4 counts 1.9 GiB.
+# benchmark workload counts more than 4.8 MiB, and no test that expects a
+# value more than 67 MiB (trivariate degree 6 at p = 3); bivariate degree
+# (1000, 1000) at p = 4 counts 1.9 GiB, and one variable at 10^9 angles
+# about 75 GiB, nearly all of it the Fourier matrix while it is built.
 _GRID_BYTES_BUDGET = 1 << 29
 
 # The (t, w) pair of a circle variable: one node at |z| = 1.
@@ -229,13 +237,18 @@ def _radial_powers(t: np.ndarray, g: int) -> np.ndarray:
     return np.power(t[:, None], 0.5 * np.arange(g)[None, :])
 
 
-def _fourier_matrix(g: int, m: int) -> np.ndarray | None:
-    """(g x m) matrix exp(2 pi i a j / m), or None where an FFT is cheaper.
+def _uses_fft(g: int, m: int) -> bool:
+    """True where an FFT is cheaper than a (g x m) Fourier matmul.
 
     The matrix also covers g > m, where coefficients alias onto the same
     angles and a length-m FFT would drop them.
     """
-    if _FFT_COEFFS_PER_LOG2_ANGLE * math.log2(m) < g <= m:
+    return _FFT_COEFFS_PER_LOG2_ANGLE * math.log2(m) < g <= m
+
+
+def _fourier_matrix(g: int, m: int) -> np.ndarray | None:
+    """(g x m) matrix exp(2 pi i a j / m), or None where ``_uses_fft``."""
+    if _uses_fft(g, m):
         return None
     phase = np.outer(np.arange(g), np.arange(m)) % m
     return np.exp((2j * np.pi / m) * phase)
@@ -282,6 +295,12 @@ def _lead_values(
     return np.moveaxis(values, 0, -1).reshape(-1, coeff.shape[-1]), weights
 
 
+def _tile_shape(rows: int, nodes: int, m: int) -> tuple[int, int]:
+    """(lead rows, radial nodes) of a full tile of about _BLOCK_POINTS points."""
+    nodes_step = min(nodes, max(1, _BLOCK_POINTS // m))
+    return min(rows, max(1, _BLOCK_POINTS // (nodes_step * m))), nodes_step
+
+
 def _tiles(lead: np.ndarray, t: np.ndarray, m: int):
     """Stream the last axis: P's values on tiles of lead rows x radial nodes.
 
@@ -293,8 +312,7 @@ def _tiles(lead: np.ndarray, t: np.ndarray, m: int):
     g = lead.shape[1]
     radial = _radial_powers(t, g)
     fourier = _fourier_matrix(g, m)
-    nodes_step = min(len(t), max(1, _BLOCK_POINTS // m))
-    rows_step = min(lead.shape[0], max(1, _BLOCK_POINTS // (nodes_step * m)))
+    rows_step, nodes_step = _tile_shape(lead.shape[0], len(t), m)
     values = np.empty((rows_step * nodes_step, m), dtype=complex)
     for r0 in range(0, lead.shape[0], rows_step):
         rows = lead[r0 : r0 + rows_step, None, :]
@@ -331,19 +349,36 @@ def _axis_order(triples) -> list[int]:
     return sorted(range(len(triples)), key=lambda i: len(triples[i][0]) * triples[i][2])
 
 
+def _fourier_bytes(g: int, m: int) -> tuple[int, int]:
+    """(while built, once built) bytes of ``_fourier_matrix(g, m)``: an
+    8-byte phase table and two 16-byte complex tables, then one of these."""
+    return (0, 0) if _uses_fft(g, m) else (40 * g * m, 16 * g * m)
+
+
 def _grid_bytes(shape, triples) -> int:
-    """Bytes of the largest arrays ``_power_mean`` builds, worked out from the
-    coefficient shape and the (t, w, M) triples alone: each lead step's
-    output, the last of which is the lead array, at 16 bytes a value.  Tiles,
-    shells and Fourier matrices are left out; they are smaller or streamed.
+    """Bytes that ``_power_mean`` holds at once at its peak, worked out from
+    the coefficient shape and the (t, w, M) triples alone, at 16 bytes a
+    complex value.  Counted: each lead step's input beside its Fourier
+    matrix, first while that is built, then with the step's output; and the
+    lead array with the last axis's radial power table beside its Fourier
+    matrix, likewise, then with the first streamed tile (shells and values).
+    Smaller temporaries are left out, so the count is a lower bound.
     """
     order = _axis_order(triples)
     dims = [shape[i] for i in order]
-    largest = math.prod(dims)
+    largest = 0
     for j, i in enumerate(order[:-1]):
+        held = 16 * math.prod(dims)
+        building, built = _fourier_bytes(shape[i], triples[i][2])
         dims[j] = len(triples[i][0]) * triples[i][2]
-        largest = max(largest, math.prod(dims))
-    return 16 * largest
+        largest = max(largest, held + building, held + built + 16 * math.prod(dims))
+    g, (t, _, m) = shape[order[-1]], triples[order[-1]]
+    rows = math.prod(dims[:-1])
+    held = 16 * rows * g + 8 * len(t) * g
+    building, built = _fourier_bytes(g, m)
+    tile_rows, tile_nodes = _tile_shape(rows, len(t), m)
+    tile = 16 * tile_rows * tile_nodes * (g + m)
+    return max(largest, held + building, held + built + tile)
 
 
 def _quadrature_norm(P: ComplexPolynomial, triples, p: float) -> NormResult:
@@ -427,12 +462,11 @@ def _grid_rule(
     return triples
 
 
-def circle_means(
-    P: ComplexPolynomial, p: float, radii_sq: np.ndarray, angles: int | None = None
-) -> np.ndarray:
-    """Mean of |P|^p over the equispaced angles on each circle |z|^2 = y."""
+def circle_means(P: ComplexPolynomial, p: float, radii_sq: np.ndarray) -> np.ndarray:
+    """Mean of |P|^p on each circle |z|^2 = y, over the angles ``_grid_rule``
+    gives a circle variable of P's degree (exact at even p)."""
     coeffs = P.dense_coeffs()  # univariate P only
-    [(_, _, m)] = _grid_rule((P.degree,), None, p, angles=angles)
+    [(_, _, m)] = _grid_rule((P.degree,), None, p)
     tiles = _shell_means(coeffs.reshape(1, -1), radii_sq, m, p)
     return np.concatenate([means[0] for _, _, means in tiles])
 
@@ -492,52 +526,35 @@ def hardy_norm(P: ComplexPolynomial, p: float, angles: int | None = None) -> Nor
     return _quadrature_norm(P, triples, p)
 
 
-def mixed_norm(
-    Q: ComplexPolynomial,
-    alpha: float,
-    p: float,
-    nodes: int | None = None,
-    angles: int | None = None,
-    angles_w: int | None = None,
-) -> NormResult:
+def mixed_norm(Q: ComplexPolynomial, alpha: float, p: float) -> NormResult:
     """Mixed norm with the last variable on the circle, the rest on disks.
 
-    The circle variable is one more axis of the tensor rule.  At even p its
-    default point count comes from its own degree, which is exact; at other
-    p it is chosen incommensurate with the disk angular grids, so agreement
-    with the plain Bergman norm is a genuine consistency check rather than a
-    grid coincidence.
+    The circle variable is one more axis of the tensor rule, on the grid
+    ``_grid_rule`` sizes with the ``_MIXED_DEFAULTS`` table.  At even p its
+    angle count comes from its own degree, which is exact; at other p it is
+    one less than the first disk axis's, incommensurate with the disk
+    angular grids, so agreement with the plain Bergman norm is a genuine
+    consistency check rather than a grid coincidence.
     """
     check_alpha(alpha)
     _check_p(p)
-    check_counts(angles_w=angles_w)
     if Q.nvars < 2:
         raise ValueError("mixed_norm needs at least one disk variable plus w")
     *disk, d_w = Q.variable_degrees()
-    triples = _grid_rule(disk, alpha, p, nodes, angles, _MIXED_DEFAULTS)
-    if angles_w is None and _even_half(p) is None:
-        angles_w = max(triples[0][2] - 1, 8)
-    triples += _grid_rule((d_w,), None, p, angles=angles_w)
+    triples = _grid_rule(disk, alpha, p, defaults=_MIXED_DEFAULTS)
+    circle_angles = None if _even_half(p) is not None else max(triples[0][2] - 1, 8)
+    triples += _grid_rule((d_w,), None, p, angles=circle_angles)
     return _quadrature_norm(Q, triples, p)
 
 
-def bergman_norm_mc(
-    P,
-    alpha: float,
-    p: float,
-    sampler: McSampler,
-    n_samples: int,
-    nvars: int | None = None,
-) -> NormResult:
-    """Monte Carlo A^p_alpha norm; est_error is the delta-method 1-sigma.
+def bergman_norm_mc(P, p: float, sampler: McSampler, n_samples: int) -> NormResult:
+    """Monte Carlo A^p_alpha(D^n) norm, alpha and n being the sampler's;
+    est_error is the delta-method 1-sigma.
 
-    P may be a ComplexPolynomial or a callable mapping an (N, nvars) complex
-    array to values of the function.
+    P may be a ComplexPolynomial in the sampler's n variables or a callable
+    mapping an (N, n) complex array to values of the function.
     """
-    check_alpha(alpha)
     _check_p(p)
-    if sampler.alpha != float(alpha):
-        raise ValueError("sampler alpha does not match the requested norm")
     n_samples = int(n_samples)
     if n_samples < 2:
         raise ValueError("need at least two samples")
@@ -549,8 +566,6 @@ def bergman_norm_mc(
         evaluate = P.evaluate_many
     else:
         evaluate = P
-        if nvars is not None and nvars != sampler.nvars:
-            raise ValueError("sampler dimension does not match nvars")
     chunk = 16384
     acc = 0.0
     acc_sq = 0.0

@@ -38,23 +38,8 @@ import numpy as np
 
 __all__ = [
     "ComplexPolynomial",
-    "DilationVector",
     "parse_polynomial",
 ]
-
-
-@dataclass(frozen=True)
-class DilationVector:
-    """Per-variable dilation radii, each in [0, 1]."""
-
-    radii: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        radii = tuple(float(r) for r in self.radii)
-        for r in radii:
-            if not (0.0 <= r <= 1.0):
-                raise ValueError(f"dilation radius {r} outside [0, 1]")
-        object.__setattr__(self, "radii", radii)
 
 
 def _canonical_terms(
@@ -188,23 +173,12 @@ class ComplexPolynomial:
 
     # ------------------------------------------------------------- operations
 
-    def dilate(self, r) -> "ComplexPolynomial":
-        """Coefficientwise dilation: c_gamma -> c_gamma * prod_i r_i^gamma_i."""
-        if isinstance(r, DilationVector):
-            radii = r.radii
-        elif np.isscalar(r):
-            radii = (float(r),) * self.nvars
-        else:
-            radii = DilationVector(tuple(r)).radii
-        if len(radii) != self.nvars:
-            raise ValueError("dilation vector length mismatch")
-        for x in radii:
-            if not (0.0 <= x <= 1.0):
-                raise ValueError(f"dilation radius {x} outside [0, 1]")
-        new = tuple(
-            (g, c * np.prod([radii[i] ** g[i] for i in range(self.nvars)]))
-            for g, c in self.terms
-        )
+    def dilate(self, r: float) -> "ComplexPolynomial":
+        """P(r z) for one radius r in [0, 1]: c_gamma -> c_gamma * prod_i r^gamma_i."""
+        r = float(r)
+        if not (0.0 <= r <= 1.0):
+            raise ValueError(f"dilation radius {r} outside [0, 1]")
+        new = tuple((g, c * np.prod([r ** e for e in g])) for g, c in self.terms)
         return ComplexPolynomial(self.nvars, new)
 
     def homogenize(self, m: int) -> "ComplexPolynomial":
@@ -224,10 +198,6 @@ class ComplexPolynomial:
             key = g[:-1]
             acc[key] = acc.get(key, 0j) + c * w ** g[-1]
         return ComplexPolynomial.from_terms(self.nvars - 1, acc)
-
-    def evaluate(self, point) -> complex:
-        pts = np.asarray(point, dtype=complex).reshape(1, -1)
-        return complex(self.evaluate_many(pts)[0])
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at an (N, nvars) array of complex points."""
@@ -344,7 +314,7 @@ def _parse_complex(token: str) -> complex:
         raise ValueError(f"cannot parse coefficient {token!r}") from exc
 
 
-def parse_polynomial(text: str, nvars: int | None = None) -> ComplexPolynomial:
+def parse_polynomial(text: str) -> ComplexPolynomial:
     """Parse the dense, sparse, or JSON polynomial format."""
     s = text.strip()
     if not s:
@@ -366,10 +336,6 @@ def parse_polynomial(text: str, nvars: int | None = None) -> ComplexPolynomial:
         if len(widths) != 1:
             raise ValueError("inconsistent exponent lengths")
         width = widths.pop()
-        if nvars is not None and nvars != width:
-            raise ValueError(f"expected {nvars} variables, found {width}")
         return ComplexPolynomial(width, tuple(items))
     coeffs = [_parse_complex(tok) for tok in s.split(",")]
-    if nvars not in (None, 1):
-        raise ValueError("dense coefficient lists are univariate")
     return ComplexPolynomial.from_coeffs(coeffs)

@@ -86,9 +86,6 @@ class ReportRow:
 class VerificationReport:
     rows: list = field(default_factory=list)
 
-    def add(self, row: ReportRow) -> None:
-        self.rows.append(row)
-
     def extend(self, rows) -> None:
         self.rows.extend(rows)
 

@@ -44,6 +44,11 @@ __all__ = ["SweepConfig", "parse_sweep_config", "load_sweep_config", "run_sweep"
 
 CHECK_KINDS = tuple(name for name, check in CHECKS.items() if check.sweep)
 
+# The [sweep] method and [grid] eps settings take their choices and defaults
+# from the registry, as the CLI flags of the checks do.
+_METHOD = next(p for p in CHECKS["hyper"].params if p.name == "method")
+_EPS = next(p for p in CHECKS["threshold"].params if p.name == "eps")
+
 _SECTION_KEYS = {
     "sweep": {"checks", "seed", "method", "nodes", "angles"},
     "grid": {"tuples", "alpha", "beta", "p", "q", "r", "eps"},
@@ -56,12 +61,12 @@ _SECTION_KEYS = {
 class SweepConfig:
     checks: tuple[str, ...] = ("hyper",)
     seed: int = 0
-    method: str = "quad"
+    method: str = _METHOD.default
     nodes: int | None = None
     angles: int | None = None
     tuples: tuple[tuple[float, float, float, float], ...] = ()
     radii: tuple[float, ...] | str = "auto"
-    eps: float = 1e-2
+    eps: float = _EPS.default
     polys: tuple[ComplexPolynomial, ...] = ()
     output_path: str | None = None
 
@@ -137,12 +142,13 @@ def parse_sweep_config(text: str) -> SweepConfig:
         checks = names
 
     seed = take_int("sweep", "seed", 0)
-    method = "quad"
+    method = _METHOD.default
     got = take("sweep", "method")
     if got is not None:
         value, line_no = got
-        if value not in ("quad", "exact"):
-            raise _fail(line_no, f"method must be quad or exact, got {value!r}")
+        if value not in _METHOD.choices:
+            choices = " or ".join(_METHOD.choices)
+            raise _fail(line_no, f"method must be {choices}, got {value!r}")
         method = value
     nodes = take_int("sweep", "nodes", None)
     angles = take_int("sweep", "angles", None)
@@ -203,7 +209,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
             for r in radii:
                 if not (0.0 <= r <= 1.0):
                     raise _fail(line_no, f"radius {r} outside [0, 1]")
-    eps = take_float("grid", "eps", 1e-2)
+    eps = take_float("grid", "eps", _EPS.default)
     if not (0.0 < eps < 1.0):
         raise _fail(take("grid", "eps")[1], f"eps must lie in (0, 1), got {eps}")
 

@@ -4,13 +4,16 @@ Each test prints a single [PASS]/[FAIL] line with the criterion's stated
 tolerance and asserts both the verdict and the runtime budget.
 """
 import hashlib
+import os
 import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import berglab
 from berglab import acceptance
 from berglab.acceptance import run_criterion
 
@@ -78,6 +81,10 @@ def test_c7_sharpness_asymptotics():
 
 
 def _run_suite(csv_path, *extra):
+    """The CLI in a fresh process, importing the berglab this process tests."""
+    src = str(Path(berglab.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     argv = [
         sys.executable,
         "-m",
@@ -90,7 +97,7 @@ def _run_suite(csv_path, *extra):
         *extra,
     ]
     t0 = time.monotonic()
-    proc = subprocess.run(argv, capture_output=True, text=True)
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
     return proc, time.monotonic() - t0
 
 

@@ -1,13 +1,17 @@
 """Exit codes, output formats, and plumbing of the command line interface."""
 import argparse
+import inspect
 import json
 import math
 import re
+import time
 
 import pytest
 
-from berglab import sweep
+import berglab
+from berglab import inequalities, measures, norms, sweep
 from berglab.cli import build_parser, main
+from berglab.poly import ComplexPolynomial
 from berglab.sweep import CHECK_KINDS, parse_sweep_config, run_sweep
 
 
@@ -56,6 +60,63 @@ def test_oversized_norm_grid_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "quadrature grid too large" in err
+
+
+def test_huge_angle_count_is_a_usage_error_before_the_kernel(capsys, monkeypatch):
+    # one variable at 10^9 angles: a 30 GiB Fourier matrix, a 15 GiB tile
+    def no_kernel(*args):
+        raise AssertionError("kernel reached before the refusal")
+
+    monkeypatch.setattr(norms, "_power_mean", no_kernel)
+    argv = ["norm", "--space", "alpha=2,p=2", "--poly", "1,1", "--angles", "1000000000"]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "quadrature grid too large" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dump-rule", "--alpha", "2", "--nodes", "100000"],
+        ["norm", "--space", "alpha=2,p=2", "--poly", "(1,1):1",
+         "--nodes", "100000", "--angles", "1000"],
+        ["ibp-check", "--poly", "1,1", "--q", "4", "--beta", "2",
+         "--beta-prime", "3", "--nodes", "100000"],
+        ["verify-suite", "--filter", "oracle", "--nodes-override", "100000"],
+    ],
+    ids=["dump-rule", "norm", "ibp-check", "verify-suite"],
+)
+def test_oversized_radial_rule_is_a_usage_error_before_it_is_built(
+    argv, capsys, monkeypatch, tmp_path
+):
+    def no_build(*args):
+        raise AssertionError("roots_jacobi called above the cap")
+
+    monkeypatch.setattr(measures, "roots_jacobi", no_build)
+    if argv[0] == "verify-suite":
+        argv = argv + ["--csv", str(tmp_path / "suite.csv")]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: nodes must be at most 4096, got 100000\n"
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_threshold_nonpositive_tol_is_a_usage_error(tol, capsys, monkeypatch):
+    # with tol <= 0 the bisection would never end; no norm is computed
+    def no_norm(*args, **kwargs):
+        raise AssertionError("a norm computed before tol was checked")
+
+    monkeypatch.setattr(inequalities, "bergman_norm", no_norm)
+    argv = ["threshold", "--alpha", "2", "--beta", "2", "--p", "2", "--q", "4",
+            "--tol", tol]
+    start = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == f"error: tol must be positive, got {float(tol)}\n"
 
 
 def test_kulikov_zero_exponent_is_a_usage_error(capsys):
@@ -312,6 +373,65 @@ SWEEP_KEYS_SNAPSHOT = {
 }
 
 
+# parameters and defaults of every public callable: a knob that comes back
+# has to change this snapshot
+SIGNATURE_SNAPSHOT = {
+    "ComplexPolynomial": "(nvars, terms)",
+    "ComplexPolynomial.dilate": "(self, r)",
+    "parse_polynomial": "(text)",
+    "McSampler": "(alpha, nvars, seed, stream_id=0)",
+    "circle_rule": "(count)",
+    "radial_rule": "(alpha, nodes)",
+    "stream_for": "(label)",
+    "unit_uniforms": "(seed, label, count)",
+    "NormResult": "(value, method, est_error)",
+    "bergman_norm": "(P, alpha, p, nodes=None, angles=None)",
+    "bergman_norm_mc": "(P, p, sampler, n_samples)",
+    "exact_norm_even_p": "(P, alpha, p)",
+    "exact_norm_p2": "(P, alpha)",
+    "hardy_norm": "(P, p, angles=None)",
+    "mixed_norm": "(Q, alpha, p)",
+    "norms.circle_means": "(P, p, radii_sq)",
+    "monomial_norm_sq": "(k, alpha)",
+    "sharp_radius": "(alpha, beta, p, q)",
+    "threshold_search": "(alpha, beta, p, q, *, slack, eps=0.01, tol=0.0001)",
+    "necessity_expansion_check": "(alpha, p, eps_grid=(0.04, 0.02, 0.01))",
+    "phi_profile": "(f, q, y_grid)",
+    "phi_convexity_check": "(f, q, y_grid)",
+    "ibp_identity_check": "(f, q, beta, beta_prime, nodes=64)",
+    "convexity_majorant_check": "(beta, beta_prime, y_grid)",
+    "ExtremalSpec": "(n, m)",
+    "extremal_poly": "(spec)",
+    "extremal_ratio": "(spec, alpha, beta, p, q, n_samples=200000, seed=0)",
+    "gaussian_moment": "(m, p)",
+    "gamma_ratio_limit_check": "(p, q, m_grid)",
+    "stirling_bounds_check": "(x_grid)",
+    "sharpness_exhibit": "(alpha, beta, p, q, m, n=64, n_samples=200000, seed=0)",
+    "multi_indices": "(nvars, max_degree)",
+    "random_polynomials": "(count, nvars, max_degree, seed, kind='unit-box')",
+    "ReportRow": "(check_id, params, computed, target, status, method='', "
+                 "est_error=None, hypothesis_ok=True, note='')",
+    "VerificationReport": "(rows=<factory>)",
+    "SweepConfig": "(checks=('hyper',), seed=0, method='quad', nodes=None, "
+                   "angles=None, tuples=(), radii='auto', eps=0.01, polys=(), "
+                   "output_path=None)",
+    "parse_sweep_config": "(text)",
+    "load_sweep_config": "(path)",
+    "run_sweep": "(cfg, jobs=1)",
+    "run_criterion": "(criterion_id, seed=1729, nodes_override=None)",
+    "verify_suite": "(seed=1729, filter_text=None, csv_path='verify_suite.csv', "
+                    "nodes_override=None, quiet=False, "
+                    "emit=<built-in function print>)",
+}
+
+
+def _bare_signature(fn) -> str:
+    """The parameters and defaults of fn, annotations dropped."""
+    sig = inspect.signature(fn)
+    params = [p.replace(annotation=p.empty) for p in sig.parameters.values()]
+    return str(sig.replace(parameters=params, return_annotation=sig.empty))
+
+
 def _options(parser) -> dict:
     """option -> default for every option of parser, REQUIRED if required."""
     return {
@@ -333,6 +453,14 @@ def test_every_option_and_sweep_key_is_snapshotted():
     }
     assert seen == expected
     assert sweep._SECTION_KEYS == SWEEP_KEYS_SNAPSHOT
+
+
+def test_every_library_signature_is_snapshotted():
+    public = {name: getattr(berglab, name) for name in berglab.__all__}
+    seen = {name: _bare_signature(obj) for name, obj in public.items() if callable(obj)}
+    seen["norms.circle_means"] = _bare_signature(norms.circle_means)
+    seen["ComplexPolynomial.dilate"] = _bare_signature(ComplexPolynomial.dilate)
+    assert seen == SIGNATURE_SNAPSHOT
 
 
 @pytest.mark.parametrize(

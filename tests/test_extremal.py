@@ -20,28 +20,31 @@ from berglab.norms import bergman_norm_mc, exact_norm_p2
 
 
 def test_extremal_poly_expansion():
-    P = extremal_poly(ExtremalSpec(2.0, 2, 1))
-    assert P.coeff((1, 0)) == pytest.approx(1.0)
-    assert P.coeff((0, 1)) == pytest.approx(1.0)
-    Q = extremal_poly(ExtremalSpec(2.0, 2, 2))
-    assert Q.coeff((2, 0)) == pytest.approx(1.0)
-    assert Q.coeff((1, 1)) == pytest.approx(2.0)
+    # (z_1 + z_2) / sqrt(2) and its square (z_1^2 + 2 z_1 z_2 + z_2^2) / 2
+    P = extremal_poly(ExtremalSpec(2, 1))
+    assert P.coeff((1, 0)) == pytest.approx(math.sqrt(0.5))
+    assert P.coeff((0, 1)) == pytest.approx(math.sqrt(0.5))
+    Q = extremal_poly(ExtremalSpec(2, 2))
+    assert Q.coeff((2, 0)) == pytest.approx(0.5)
+    assert Q.coeff((1, 1)) == pytest.approx(1.0)
     assert Q.degree == 2
 
 
 @pytest.mark.parametrize("alpha,n", [(2.0, 1), (2.0, 4), (1.5, 9), (3.0, 16)])
 def test_extremal_family_is_p2_normalized(alpha, n):
-    P = extremal_poly(ExtremalSpec(alpha, n, 1))
-    assert exact_norm_p2(P, alpha).value == pytest.approx(1.0, rel=1e-13)
+    # ||sum z_i / sqrt(n)||_{A^2_alpha}^2 = n * (1/n) * ||z||^2 = 1/alpha
+    P = extremal_poly(ExtremalSpec(n, 1))
+    value = exact_norm_p2(P, alpha).value
+    assert math.sqrt(alpha) * value == pytest.approx(1.0, rel=1e-13)
 
 
 def test_extremal_expansion_cap():
     with pytest.raises(ValueError):
-        extremal_poly(ExtremalSpec(1.0, 17, 1))
+        extremal_poly(ExtremalSpec(17, 1))
 
 
 def test_extremal_evaluator_matches_expansion():
-    spec = ExtremalSpec(1.0, 3, 2)
+    spec = ExtremalSpec(3, 2)
     P = extremal_poly(spec)
     ev = extremal_evaluator(spec)
     pts = McSampler(2.0, 3, seed=5).sample_block(0, 50)
@@ -57,25 +60,20 @@ def test_gaussian_moment_values():
 
 def test_extremal_ratio_same_space_is_one():
     rep = extremal_ratio(
-        ExtremalSpec(1.0, 16, 1), 2.0, 2.0, 2.0, 2.0, n_samples=20_000, seed=3
+        ExtremalSpec(16, 1), 2.0, 2.0, 2.0, 2.0, n_samples=20_000, seed=3
     )
     assert rep.target == pytest.approx(1.0, rel=1e-14)
     assert abs(rep.ratio - 1.0) <= 4.0 * rep.ci
 
 
-def test_extremal_ratio_requires_unit_scale():
-    with pytest.raises(ValueError):
-        extremal_ratio(ExtremalSpec(2.0, 8, 1), 2.0, 2.0, 2.0, 4.0)
-
-
 def test_mc_cross_check_against_expanded_polynomial():
     # where the expansion is tractable the MC evaluator must agree with the
     # exact coefficient oracle on the same quantity
-    spec = ExtremalSpec(1.0, 16, 2)
+    spec = ExtremalSpec(16, 2)
     P = extremal_poly(spec)
     exact = exact_norm_p2(P, 2.0).value
     sampler = McSampler(2.0, 16, seed=9)
-    est = bergman_norm_mc(extremal_evaluator(spec), 2.0, 2.0, sampler, 100_000, nvars=16)
+    est = bergman_norm_mc(extremal_evaluator(spec), 2.0, sampler, 100_000)
     assert abs(est.value - exact) <= 4.0 * est.est_error
 
 

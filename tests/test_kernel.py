@@ -7,13 +7,14 @@ import pytest
 
 from berglab.measures import radial_rule
 from berglab.norms import (
+    _CIRCLE,
     _abs_pow,
     _fourier_matrix,
     _grid_rule,
     _power_mean,
+    _quadrature_norm,
     circle_curvature,
     circle_means,
-    mixed_norm,
 )
 from berglab.poly import ComplexPolynomial
 
@@ -98,8 +99,10 @@ def substitute_last_reference(Q, alpha, p, nodes, angles, angles_w):
 @pytest.mark.parametrize("degrees", [(2, 3), (1, 2, 2)])
 @pytest.mark.parametrize("p", [0.5, 2.0, 3.0, 4.0])
 def test_mixed_norm_matches_substitute_last_loop(degrees, p):
+    # the kernel with the last axis on the circle, as mixed_norm runs it
     Q = dense_polynomial(degrees, seed=7)
-    got = mixed_norm(Q, 2.0, p, nodes=4, angles=9, angles_w=11).value
+    triples = [rule(2.0, 4, 9)] * (Q.nvars - 1) + [(*_CIRCLE, 11)]
+    got = _quadrature_norm(Q, triples, p).value
     want = substitute_last_reference(Q, 2.0, p, 4, 9, 11)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -108,14 +111,14 @@ def test_mixed_norm_matches_substitute_last_loop(degrees, p):
 def test_phi_values_match_brute_force(q):
     f = dense_polynomial((6,), seed=11)
     ys = np.array([0.0, 0.1, 0.55, 0.9])
-    m = 29
+    [(_, _, m)] = _grid_rule((6,), None, q)
     theta = 2.0 * np.pi * np.arange(m) / m
     want = [
         float(np.mean(np.abs(f.evaluate_many(
             (math.sqrt(y) * np.exp(1j * theta))[:, None])) ** q))
         for y in ys
     ]
-    got = circle_means(f, q, ys, angles=m)
+    got = circle_means(f, q, ys)
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 

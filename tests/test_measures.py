@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from berglab import measures
 from berglab.measures import (
     McSampler,
     circle_rule,
@@ -35,6 +36,21 @@ def test_radial_rule_moment_table(alpha):
     for k in range(2 * K):
         exact = radial_moment(alpha, k)
         assert float(w @ t ** k) == pytest.approx(exact, rel=1e-13)
+
+
+def test_radial_rule_refuses_more_nodes_than_the_cap_before_building(monkeypatch):
+    # the cap admits the 1,501-node rule of a degree-1500 axis at p = 2
+    assert measures._RADIAL_NODES_CAP >= 1501
+    assert len(radial_rule(2.0, 1501)[0]) == 1501
+
+    def no_build(*args):
+        raise AssertionError("roots_jacobi called above the cap")
+
+    monkeypatch.setattr(measures, "roots_jacobi", no_build)
+    for nodes in (measures._RADIAL_NODES_CAP + 1, 100_000):
+        message = f"nodes must be at most {measures._RADIAL_NODES_CAP}, got {nodes}"
+        with pytest.raises(ValueError, match=message):
+            radial_rule(3.5, nodes)
 
 
 def test_radial_rule_nodes_inside_unit_interval():
@@ -153,7 +169,7 @@ def test_sample_point_agrees_with_block():
     s = McSampler(2.0, 2, seed=21)
     block = s.sample_block(0, 5)
     for i in range(5):
-        assert np.array_equal(s.sample_point(i), block[i])
+        assert np.array_equal(s.sample_block(i, 1)[0], block[i])
 
 
 @given(st.integers(0, 2 ** 31), st.text(max_size=12))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from berglab import norms
 from berglab.corpus import random_polynomials
 from berglab.measures import McSampler
 from berglab.norms import (
@@ -13,8 +14,9 @@ from berglab.norms import (
     _MIXED_DEFAULTS,
     _grid_bytes,
     _grid_rule,
+    _quadrature_norm,
+    _uses_fft,
     bergman_norm,
-    circle_means,
     bergman_norm_mc,
     exact_norm_even_p,
     exact_norm_p2,
@@ -174,24 +176,24 @@ def test_quadrature_doubling_stability():
 def test_mc_within_four_sigma_of_exact():
     P = ComplexPolynomial.from_terms(2, {(1, 0): 1.0, (0, 1): 1.0})
     s = McSampler(2.0, 2, seed=17)
-    res = bergman_norm_mc(P, 2.0, 2.0, s, 100_000)
+    res = bergman_norm_mc(P, 2.0, s, 100_000)
     assert res.method == "monte-carlo"
     assert abs(res.value - 1.0) <= 4.0 * res.est_error
 
 
 def test_mc_constant_is_exact():
     s = McSampler(2.0, 1, seed=1)
-    res = bergman_norm_mc(one, 2.0, 2.0, s, 2_000)
+    res = bergman_norm_mc(one, 2.0, s, 2_000)
     assert res.value == pytest.approx(1.0, rel=1e-15)
     assert res.est_error == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mc_zero_polynomial_and_degenerate_path():
     s = McSampler(2.0, 1, seed=1)
-    assert bergman_norm_mc(ComplexPolynomial.zero(), 2.0, 2.0, s, 2_000).value == 0.0
+    assert bergman_norm_mc(ComplexPolynomial.zero(), 2.0, s, 2_000).value == 0.0
     dead = lambda pts: np.zeros(len(pts), dtype=complex)
     with pytest.raises(RuntimeError):
-        bergman_norm_mc(dead, 2.0, 2.0, s, 2_000, nvars=1)
+        bergman_norm_mc(dead, 2.0, s, 2_000)
 
 
 def test_exact_even_p_at_two_is_the_p2_route():
@@ -202,9 +204,7 @@ def test_exact_even_p_at_two_is_the_p2_route():
 
 GRID_CALLS = {
     "bergman": lambda **kw: bergman_norm(one + z, 2.0, 3.0, **kw),
-    "mixed": lambda **kw: mixed_norm((one + z).homogenize(1), 2.0, 3.0, **kw),
     "hardy": lambda **kw: hardy_norm(one + z, 3.0, **kw),
-    "circle-means": lambda **kw: circle_means(one + z, 3.0, np.array([0.5]), **kw),
 }
 
 
@@ -213,12 +213,9 @@ GRID_CALLS = {
 def test_grid_counts_below_one_are_refused(kind, count):
     with pytest.raises(ValueError, match=f"angles must be at least 1, got {count}"):
         GRID_CALLS[kind](angles=count)
-    if kind in ("bergman", "mixed"):
+    if kind == "bergman":
         with pytest.raises(ValueError, match=f"nodes must be at least 1, got {count}"):
             GRID_CALLS[kind](nodes=count)
-    if kind == "mixed":
-        with pytest.raises(ValueError, match=f"angles_w must be at least 1, got {count}"):
-            GRID_CALLS[kind](angles_w=count)
 
 
 def traced_peak(fn, *args, **kwargs) -> int:
@@ -232,11 +229,12 @@ def traced_peak(fn, *args, **kwargs) -> int:
 
 
 def test_oversized_grid_is_refused_before_anything_is_allocated(monkeypatch):
-    # (32, 4001) per axis: a lead array of 32 * 4001 * 1001 values, 1.9 GiB
+    # (32, 4001) per axis, summed by FFT: the first lead step holds the
+    # coefficients beside the lead array of 32 * 4001 * 1001 values, 1.9 GiB
     P = parse_polynomial("(1000,1000):1")
     triples = _grid_rule((1000, 1000), 2.0, 4.0)
     assert [(len(t), m) for t, _, m in triples] == [(32, 4001)] * 2
-    assert _grid_bytes((1001, 1001), triples) == 16 * 32 * 4001 * 1001
+    assert _grid_bytes((1001, 1001), triples) == 16 * (1001 + 32 * 4001) * 1001
     assert _grid_bytes((1001, 1001), triples) > 3 * _GRID_BYTES_BUDGET
 
     def no_coefficients(self):
@@ -259,6 +257,33 @@ def test_grid_bytes_never_exceeds_the_traced_peak(text, p):
     triples = _grid_rule(P.variable_degrees(), 2.0, p)
     counted = _grid_bytes(tuple(d + 1 for d in P.variable_degrees()), triples)
     assert counted <= traced_peak(bergman_norm, P, 2.0, p)
+
+
+@pytest.mark.parametrize(
+    "coeffs, angles", [((1, 1), 100_001), ((1,) * 300, 150_001), ((1,) * 20, 31)]
+)
+def test_univariate_grid_bytes_count_the_fourier_matrix_and_tile(coeffs, angles):
+    # one variable has no lead step: the count is the streamed axis's Fourier
+    # matrix (none where an FFT sums it) and tile, still within the traced peak
+    P, g = ComplexPolynomial.from_coeffs(coeffs), len(coeffs)
+    triples = _grid_rule((P.degree,), 2.0, 3.0, nodes=2, angles=angles)
+    counted = _grid_bytes((g,), triples)
+    assert counted >= max(0 if _uses_fft(g, angles) else 40 * g * angles, 16 * angles)
+    assert counted <= traced_peak(bergman_norm, P, 2.0, 3.0, nodes=2, angles=angles)
+
+
+def test_huge_angle_count_for_one_variable_is_refused(monkeypatch):
+    # a (2 x 10^9) Fourier matrix would take 30 GiB, the first tile 15 GiB
+    def no_kernel(*args):
+        raise AssertionError("kernel reached before the refusal")
+
+    monkeypatch.setattr(norms, "_power_mean", no_kernel)
+
+    def refused():
+        with pytest.raises(ValueError, match="quadrature grid too large"):
+            bergman_norm(one + z, 2.0, 2.0, angles=10**9)
+
+    assert traced_peak(refused) < 1 << 20
 
 
 def test_grid_rule_default_sizes():
@@ -339,9 +364,15 @@ def test_mixed_norm_circle_axis_sized_from_its_own_degree():
     # Deriving the circle axis from the disk axis, max(5 - 1, 8) = 8 angles,
     # aliases it
     Q = parse_polynomial("(0,0):1;(1,0):1;(0,4):1")
-    reference = mixed_norm(Q, 2.0, 4.0, angles_w=101).value
+    disk = _grid_rule((1,), 2.0, 4.0, defaults=_MIXED_DEFAULTS)
+
+    def on_circle_angles(count):
+        circle = _grid_rule((4,), None, 4.0, angles=count)
+        return _quadrature_norm(Q, disk + circle, 4.0)
+
+    reference = on_circle_angles(101).value
     assert mixed_norm(Q, 2.0, 4.0).value == pytest.approx(reference, rel=1e-13)
-    assert abs(mixed_norm(Q, 2.0, 4.0, angles_w=8).value / reference - 1) > 1e-2
+    assert abs(on_circle_angles(8).value / reference - 1) > 1e-2
 
 
 def test_quadrature_reports_zero_est_error():

@@ -53,10 +53,11 @@ def test_report_row_status_validated():
 
 
 def test_report_sorting_and_counts():
-    rep = VerificationReport()
-    rep.add(make_row(check_id="b", params="x=2"))
-    rep.add(make_row(check_id="a", params="x=9"))
-    rep.add(make_row(check_id="a", params="x=1", status="fail"))
+    rep = VerificationReport([
+        make_row(check_id="b", params="x=2"),
+        make_row(check_id="a", params="x=9"),
+        make_row(check_id="a", params="x=1", status="fail"),
+    ])
     ordered = [(r.check_id, r.params) for r in rep.sorted_rows()]
     assert ordered == [("a", "x=1"), ("a", "x=9"), ("b", "x=2")]
     counts = rep.counts()
@@ -65,17 +66,17 @@ def test_report_sorting_and_counts():
 
 
 def test_aggregate_ignores_out_of_hypothesis_but_not_errors():
-    rep = VerificationReport()
-    rep.add(make_row(status="pass"))
-    rep.add(make_row(params="a=2", status="out-of-hypothesis", hypothesis_ok=False))
+    rep = VerificationReport([
+        make_row(status="pass"),
+        make_row(params="a=2", status="out-of-hypothesis", hypothesis_ok=False),
+    ])
     assert rep.aggregate_pass
-    rep.add(make_row(params="a=3", status="error", note="boom"))
+    rep.extend([make_row(params="a=3", status="error", note="boom")])
     assert not rep.aggregate_pass
 
 
 def test_csv_schema_and_runtime_exclusion():
-    rep = VerificationReport()
-    rep.add(make_row())
+    rep = VerificationReport([make_row()])
     csv_text = rep.to_csv()
     assert csv_text.splitlines()[0] == ",".join(CSV_HEADER)
     assert csv_text.splitlines()[1] == "demo,a=1,1.0,1.0,pass,,,true,"
@@ -86,8 +87,7 @@ def test_csv_schema_and_runtime_exclusion():
 
 
 def test_write_csv_deterministic(tmp_path):
-    rep = VerificationReport()
-    rep.add(make_row(computed=1.0 / 3.0, est_error=2e-16))
+    rep = VerificationReport([make_row(computed=1.0 / 3.0, est_error=2e-16)])
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     rep.write_csv(p1)
     rep.write_csv(p2)
