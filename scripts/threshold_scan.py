@@ -9,31 +9,20 @@ the raw column.  Output is plot-ready CSV on stdout or --out.
 import argparse
 import csv
 import sys
-from dataclasses import dataclass
 
 from berglab.checks import INEQ_SLACK
 from berglab.inequalities import sharp_radius, threshold_search
 
 
-@dataclass(frozen=True)
-class ScanConfig:
-    alpha: float
-    beta: float
-    p: float
-    q: float
-    eps_values: tuple[float, ...]
-    tol: float
-
-
-def run_scan(cfg: ScanConfig, out) -> None:
-    space = (cfg.alpha, cfg.beta, cfg.p, cfg.q)
+def run_scan(space, eps_values, tol: float, out) -> None:
+    """One CSV row per eps for the (alpha, beta, p, q) space."""
     r0 = sharp_radius(*space)
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(
         ["eps", "r_raw", "r_refined", "formula", "raw_error", "refined_error"]
     )
-    for eps in cfg.eps_values:
-        rep = threshold_search(*space, slack=INEQ_SLACK, eps=eps, tol=cfg.tol)
+    for eps in eps_values:
+        rep = threshold_search(*space, slack=INEQ_SLACK, eps=eps, tol=tol)
         writer.writerow(
             [
                 repr(eps),
@@ -61,19 +50,13 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default=None, help="CSV path (default stdout)")
     args = ap.parse_args(argv)
 
-    cfg = ScanConfig(
-        alpha=args.alpha,
-        beta=args.beta,
-        p=args.p,
-        q=args.q,
-        eps_values=tuple(float(x) for x in args.eps.split(",") if x.strip()),
-        tol=args.tol,
-    )
+    space = (args.alpha, args.beta, args.p, args.q)
+    eps_values = [float(x) for x in args.eps.split(",") if x.strip()]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            run_scan(cfg, fh)
+            run_scan(space, eps_values, args.tol, fh)
     else:
-        run_scan(cfg, sys.stdout)
+        run_scan(space, eps_values, args.tol, sys.stdout)
     return 0
 
 

@@ -3,12 +3,13 @@
 One subcommand per library operation plus the sweep runner and the
 acceptance harness; the single-check subcommands are built from the
 registry in `checks.py`, so their flags, rows and statuses come from
-there.  Exit codes: 0 when every in-hypothesis check passes, 1 on a
-verification failure, 2 on a usage or configuration error.
-Single-check subcommands emit JSON by default; `--out csv` switches to the
-standard report schema.  `norm`, `phi` and `dump-rule` print a table through
-one printer (`_print_table`), JSON by default for `norm` and CSV for the
-other two.  Summaries go to stderr so stdout stays parseable.
+there.  A subcommand takes only the options its handler reads, after its
+name: `--seed` (norm, extremal, verify-suite), `--jobs` (sweep), `--out
+csv|json` (all but verify-suite; JSON by default for norm and the checks,
+CSV for phi, dump-rule and sweep) and `--quiet` (the checks, sweep,
+verify-suite).  Summaries go to stderr so stdout stays parseable.  Exit
+codes: 0 when every in-hypothesis check passes, 1 on a verification
+failure, 2 on a usage or configuration error.
 """
 from __future__ import annotations
 
@@ -99,9 +100,15 @@ def _cmd_check(args) -> int:
     return _emit(VerificationReport([check.run(**given)]), args, "json")
 
 
+# Largest `phi --count`: about 216 bytes of profile and records per point.
+_PHI_COUNT_CAP = 100_000
+
+
 def _cmd_phi(args) -> int:
     f = parse_polynomial(args.poly)
     check_counts(count=args.count)
+    if args.count > _PHI_COUNT_CAP:
+        raise ValueError(f"count must be at most {_PHI_COUNT_CAP}, got {args.count}")
     ys = np.linspace(args.ymin, args.ymax, args.count)
     prof = phi_profile(f, args.q, ys)
     records = zip(prof.y_grid, prof.phi, prof.phi2)
@@ -149,11 +156,19 @@ def _cmd_dump_rule(args) -> int:
     return _print_table(args, "csv", header, records)
 
 
-def _add_common(sub) -> None:
-    sub.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    sub.add_argument("--jobs", type=int, default=argparse.SUPPRESS)
-    sub.add_argument("--out", choices=("csv", "json"), default=argparse.SUPPRESS)
-    sub.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS)
+# The options that several subcommands read.
+_SHARED = {
+    "--seed": dict(type=int, default=0, help="RNG seed"),
+    "--out": dict(choices=("csv", "json"), default=None, help="output format"),
+    "--quiet": dict(action="store_true", help="suppress summaries"),
+}
+
+
+def _set_handler(sub, handler, *options) -> None:
+    """sub runs handler and takes the shared options that handler reads."""
+    sub.set_defaults(handler=handler)
+    for option in options:
+        sub.add_argument(option, **_SHARED[option])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,12 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="berglab",
         description="Weighted Bergman/Hardy norms and sharp inequality checks.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="top-level RNG seed")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
-    parser.add_argument(
-        "--out", choices=("csv", "json"), default=None, help="output format"
-    )
-    parser.add_argument("--quiet", action="store_true", help="suppress summaries")
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("norm", help="norm of a polynomial in one weighted space")
@@ -176,14 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--nodes", type=int, default=None)
     s.add_argument("--angles", type=int, default=None)
     s.add_argument("--samples", type=int, default=200_000)
-    _add_common(s)
-    s.set_defaults(handler=_cmd_norm)
+    _set_handler(s, _cmd_norm, "--seed", "--out")
 
     for check in CHECKS.values():
         s = subs.add_parser(check.command, help=check.help)
         for param in check.params:
-            if param.name == "seed":  # the global --seed
-                continue
             s.add_argument(
                 "--" + param.name.replace("_", "-"),
                 type=param.type,
@@ -192,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
                 choices=param.choices,
                 help=param.help,
             )
-        _add_common(s)
-        s.set_defaults(handler=_cmd_check, check=check)
+        _set_handler(s, _cmd_check, "--out", "--quiet")
+        s.set_defaults(check=check)
 
     s = subs.add_parser("phi", help="circle-mean profile and second derivative")
     s.add_argument("--poly", required=True)
@@ -201,13 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ymin", type=float, default=0.05)
     s.add_argument("--ymax", type=float, default=0.9)
     s.add_argument("--count", type=int, default=35)
-    _add_common(s)
-    s.set_defaults(handler=_cmd_phi)
+    _set_handler(s, _cmd_phi, "--out")
 
     s = subs.add_parser("sweep", help="run a config-driven grid of checks")
     s.add_argument("--config", required=True)
-    _add_common(s)
-    s.set_defaults(handler=_cmd_sweep)
+    s.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
+    _set_handler(s, _cmd_sweep, "--out", "--quiet")
 
     s = subs.add_parser("verify-suite", help="run the acceptance criteria")
     s.add_argument("--filter", default=None, help="substring of criterion ids")
@@ -219,15 +224,13 @@ def build_parser() -> argparse.ArgumentParser:
         dest="nodes_override",
         help="force a radial node count (negative-control hook)",
     )
-    _add_common(s)
-    s.set_defaults(handler=_cmd_verify_suite)
+    _set_handler(s, _cmd_verify_suite, "--seed", "--quiet")
 
     s = subs.add_parser("dump-rule", help="dump quadrature nodes/weights as CSV")
     s.add_argument("--alpha", type=float, required=True)
     s.add_argument("--nodes", type=int, default=64)
     s.add_argument("--angles", type=int, default=None)
-    _add_common(s)
-    s.set_defaults(handler=_cmd_dump_rule)
+    _set_handler(s, _cmd_dump_rule, "--out")
 
     return parser
 
@@ -237,12 +240,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ValueError) else 1
 
 
 if __name__ == "__main__":

@@ -17,21 +17,31 @@ coefficients come from one labeled counter-based stream.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 
 from .measures import unit_uniforms
 from .poly import ComplexPolynomial
 
-__all__ = ["multi_indices", "random_polynomials"]
+__all__ = ["KINDS", "multi_indices", "random_polynomials"]
+
+KINDS = ("unit-box", "zero-free")
+
+
+# Most exponent entries a corpus holds: count * C(nvars + max_degree, nvars)
+# coefficients of nvars exponents each.  The suite's largest corpora hold
+# 1,300 and 1,120, and one polynomial of degree 1,500 holds 1,501.
+_CORPUS_ENTRIES_CAP = 100_000
 
 
 def multi_indices(nvars: int, max_degree: int) -> list[tuple[int, ...]]:
-    """All exponent tuples with total degree <= max_degree, sorted."""
-    out = [
-        g
-        for g in itertools.product(range(max_degree + 1), repeat=nvars)
-        if sum(g) <= max_degree
-    ]
-    return sorted(out)
+    """All exponent tuples with total degree <= max_degree, sorted.
+
+    The prefix sums of such a tuple are a nondecreasing sequence in
+    [0, max_degree], and both orders agree, so each tuple is built once.
+    """
+    sums = itertools.combinations_with_replacement(range(max_degree + 1), nvars)
+    return [tuple(map(operator.sub, s, (0, *s))) for s in sums]
 
 
 def random_polynomials(
@@ -45,8 +55,19 @@ def random_polynomials(
         raise ValueError("count must be nonnegative")
     if nvars < 1 or max_degree < 0:
         raise ValueError("need nvars >= 1 and max_degree >= 0")
-    if kind not in ("unit-box", "zero-free"):
+    if kind not in KINDS:
         raise ValueError(f"unknown corpus kind {kind!r}")
+    if count == 0:
+        return []
+    # C(n + d, n) >= 2^min(n, d), so from min(n, d) = 17 on any corpus is
+    # over the cap and math.comb is never asked for a huge binomial
+    small = min(nvars, max_degree) < 17
+    terms = math.comb(nvars + max_degree, nvars) if small else math.inf
+    if count * terms * nvars > _CORPUS_ENTRIES_CAP:
+        raise ValueError(
+            f"{count} polynomials in {nvars} variables of degree {max_degree} "
+            f"exceed {_CORPUS_ENTRIES_CAP} exponent entries"
+        )
     gammas = multi_indices(nvars, max_degree)
     label = f"corpus/{kind}/n{nvars}/d{max_degree}"
     draws = unit_uniforms(seed, label, 2 * count * len(gammas))

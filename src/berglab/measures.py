@@ -36,6 +36,11 @@ ALPHA_MIN = 1.0 + 1e-6
 # 0.6 s at 4,096 on a 2-core Xeon VM, but 33 s at 32,000.
 _RADIAL_NODES_CAP = 4096
 
+# Largest sample block drawn at once: its Philox words and its two
+# (count, nvars) buffers, complex and real.  c7's blocks of 16,384 samples
+# in 64 variables take 40 MiB.
+_BLOCK_BYTES_BUDGET = 1 << 28
+
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
@@ -117,13 +122,22 @@ class McSampler:
         return -(-need // 4) * 4  # padded to the Philox counter granularity
 
     def sample_block(self, start: int, count: int) -> np.ndarray:
-        """Samples with indices start .. start+count-1, shape (count, nvars)."""
+        """Samples with indices start .. start+count-1, shape (count, nvars).
+
+        A block above _BLOCK_BYTES_BUDGET is refused before anything is drawn.
+        """
         if start < 0 or count < 0:
             raise ValueError("start and count must be nonnegative")
         if count == 0:
             return np.empty((0, self.nvars), dtype=complex)
         wps = self._words_per_sample()
         n = self.nvars
+        need = count * (8 * wps + 24 * n)
+        if need > _BLOCK_BYTES_BUDGET:
+            raise ValueError(
+                f"a block of {count} samples in n={n} variables needs "
+                f"{need >> 20} MiB, above the budget of {_BLOCK_BYTES_BUDGET >> 20} MiB"
+            )
         gen = _philox(self.seed, self.stream_id, start * (wps // 4))
         raw = gen.random_raw(count * wps).reshape(count, wps)
         raw >>= np.uint64(11)

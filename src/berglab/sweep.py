@@ -2,7 +2,9 @@
 
 The config is deliberately dependency-free: ``[section]`` headers and one
 ``key = value`` pair per line, lists comma-separated, ``#`` starts a comment
-line.  Parsing fails fast with the offending line number.  Example::
+line.  ``_SECTION_KEYS`` lists the fourteen keys of the four sections, and
+each value goes through one reader, so an unknown section or key, a
+repeated key or a bad value fails fast with its line number.  Example::
 
     [sweep]
     checks = hyper, nikolskii, threshold
@@ -21,9 +23,11 @@ line.  Parsing fails fast with the offending line number.  Example::
     [output]
     path = sweep.csv
 
-Polynomial lists in ``[corpus] polys`` are separated by ``;`` because the
-dense polynomial format itself uses commas.  A sweep is a pure function of
-its config: rerunning one produces byte-identical CSV.
+``[corpus] count`` random polynomials are drawn from the ``[sweep]`` seed;
+``nvars``, ``max_degree`` and ``kind`` shape them and are refused without a
+positive count.  Polynomial lists in ``[corpus] polys`` are separated by
+``;`` because the dense polynomial format itself uses commas.  A sweep is a
+pure function of its config: rerunning one produces byte-identical CSV.
 """
 from __future__ import annotations
 
@@ -35,7 +39,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .checks import CHECKS, space_inputs
-from .corpus import random_polynomials
+from .corpus import KINDS, random_polynomials
 from .norms import memo_scope
 from .poly import ComplexPolynomial, parse_polynomial
 from .report import VerificationReport
@@ -51,8 +55,8 @@ _EPS = next(p for p in CHECKS["threshold"].params if p.name == "eps")
 
 _SECTION_KEYS = {
     "sweep": {"checks", "seed", "method", "nodes", "angles"},
-    "grid": {"tuples", "alpha", "beta", "p", "q", "r", "eps"},
-    "corpus": {"polys", "count", "max_degree", "nvars", "kind", "seed"},
+    "grid": {"tuples", "r", "eps"},
+    "corpus": {"polys", "count", "max_degree", "nvars", "kind"},
     "output": {"path"},
 }
 
@@ -77,6 +81,81 @@ def _fail(line_no: int, message: str) -> ValueError:
 
 def _split_list(raw: str) -> list[str]:
     return [part.strip() for part in raw.split(",") if part.strip()]
+
+
+# Converters of the config values: each takes the text after ``=`` and
+# raises ValueError on a bad value, which the reader prefixes with the line.
+
+
+def _checks(value: str) -> tuple[str, ...]:
+    names = tuple(name.lower() for name in _split_list(value))
+    for name in names:
+        if name not in CHECK_KINDS:
+            raise ValueError(f"unknown check {name!r}; valid: {', '.join(CHECK_KINDS)}")
+    if not names:
+        raise ValueError("checks list is empty")
+    return names
+
+
+def _choice(*choices: str):
+    def convert(value: str) -> str:
+        if value not in choices:
+            raise ValueError(f"must be {' or '.join(choices)}, got {value!r}")
+        return value
+
+    return convert
+
+
+def _tuples(value: str) -> tuple[tuple[float, float, float, float], ...]:
+    tuples = []
+    for chunk in _split_list(value):
+        parts = chunk.split()
+        if len(parts) != 4:
+            raise ValueError(
+                f"each tuple needs four numbers 'alpha beta p q', got {chunk!r}"
+            )
+        tuples.append(tuple(float(x) for x in parts))
+    return tuple(tuples)
+
+
+def _radii(value: str) -> tuple[float, ...] | str:
+    if value.lower() == "auto":
+        return "auto"
+    radii = tuple(float(x) for x in _split_list(value))
+    for r in radii:
+        if not (0.0 <= r <= 1.0):
+            raise ValueError(f"radius {r} outside [0, 1]")
+    return radii
+
+
+def _eps(value: str) -> float:
+    eps = float(value)
+    if not (0.0 < eps < 1.0):
+        raise ValueError(f"must lie in (0, 1), got {eps}")
+    return eps
+
+
+def _polys(value: str) -> tuple[ComplexPolynomial, ...]:
+    polys = []
+    for chunk in value.split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        try:
+            polys.append(parse_polynomial(chunk))
+        except ValueError as exc:
+            raise ValueError(f"bad polynomial {chunk!r}: {exc}") from None
+    return tuple(polys)
+
+
+def _path(value: str) -> str:
+    if not value:
+        raise ValueError("output path is empty")
+    return value
+
+
+def _needs_count(value: str):
+    raise ValueError("needs a positive [corpus] count")
 
 
 def parse_sweep_config(text: str) -> SweepConfig:
@@ -104,159 +183,42 @@ def parse_sweep_config(text: str) -> SweepConfig:
             raise _fail(line_no, f"duplicate key {key!r} in [{section}]")
         entries[(section, key)] = (value, line_no)
 
-    def take(section: str, key: str) -> tuple[str, int] | None:
-        return entries.get((section, key))
-
-    def take_int(section: str, key: str, default: int | None) -> int | None:
-        got = take(section, key)
+    def read(section: str, key: str, convert, default=None):
+        """convert(value) of the key, default where it is not given; a
+        ValueError from convert is reraised naming the key and its line."""
+        got = entries.get((section, key))
         if got is None:
             return default
         value, line_no = got
         try:
-            return int(value)
-        except ValueError:
-            raise _fail(line_no, f"{key} must be an integer, got {value!r}") from None
+            return convert(value)
+        except ValueError as exc:
+            raise _fail(line_no, f"{key}: {exc}") from None
 
-    def take_float(section: str, key: str, default: float) -> float:
-        got = take(section, key)
-        if got is None:
-            return default
-        value, line_no = got
-        try:
-            return float(value)
-        except ValueError:
-            raise _fail(line_no, f"{key} must be a number, got {value!r}") from None
-
-    checks: tuple[str, ...] = ("hyper",)
-    got = take("sweep", "checks")
-    if got is not None:
-        value, line_no = got
-        names = tuple(name.lower() for name in _split_list(value))
-        for name in names:
-            if name not in CHECK_KINDS:
-                raise _fail(
-                    line_no, f"unknown check {name!r}; valid: {', '.join(CHECK_KINDS)}"
-                )
-        if not names:
-            raise _fail(line_no, "checks list is empty")
-        checks = names
-
-    seed = take_int("sweep", "seed", 0)
-    method = _METHOD.default
-    got = take("sweep", "method")
-    if got is not None:
-        value, line_no = got
-        if value not in _METHOD.choices:
-            choices = " or ".join(_METHOD.choices)
-            raise _fail(line_no, f"method must be {choices}, got {value!r}")
-        method = value
-    nodes = take_int("sweep", "nodes", None)
-    angles = take_int("sweep", "angles", None)
-
-    tuples: list[tuple[float, float, float, float]] = []
-    got = take("grid", "tuples")
-    axis_keys = [k for k in ("alpha", "beta", "p", "q") if take("grid", k) is not None]
-    if got is not None and axis_keys:
-        raise _fail(
-            got[1], "give either tuples or the alpha/beta/p/q axis lists, not both"
-        )
-    if got is not None:
-        value, line_no = got
-        for chunk in _split_list(value):
-            parts = chunk.split()
-            if len(parts) != 4:
-                raise _fail(
-                    line_no,
-                    f"each tuple needs four numbers 'alpha beta p q', got {chunk!r}",
-                )
-            try:
-                tuples.append(tuple(float(x) for x in parts))
-            except ValueError:
-                raise _fail(line_no, f"non-numeric tuple entry in {chunk!r}") from None
-    elif axis_keys:
-        axes = {}
-        for key in ("alpha", "beta", "p", "q"):
-            got_axis = take("grid", key)
-            if got_axis is None:
-                present = take("grid", axis_keys[0])
-                raise _fail(
-                    present[1], f"axis lists need all of alpha/beta/p/q; missing {key}"
-                )
-            value, line_no = got_axis
-            try:
-                axes[key] = [float(x) for x in _split_list(value)]
-            except ValueError:
-                raise _fail(line_no, f"{key} list must be numeric") from None
-            if not axes[key]:
-                raise _fail(line_no, f"{key} list is empty")
-        for a in axes["alpha"]:
-            for b in axes["beta"]:
-                for pp in axes["p"]:
-                    for qq in axes["q"]:
-                        tuples.append((a, b, pp, qq))
-
-    radii: tuple[float, ...] | str = "auto"
-    got = take("grid", "r")
-    if got is not None:
-        value, line_no = got
-        if value.lower() == "auto":
-            radii = "auto"
-        else:
-            try:
-                radii = tuple(float(x) for x in _split_list(value))
-            except ValueError:
-                raise _fail(line_no, f"r must be auto or numbers, got {value!r}") from None
-            for r in radii:
-                if not (0.0 <= r <= 1.0):
-                    raise _fail(line_no, f"radius {r} outside [0, 1]")
-    eps = take_float("grid", "eps", _EPS.default)
-    if not (0.0 < eps < 1.0):
-        raise _fail(take("grid", "eps")[1], f"eps must lie in (0, 1), got {eps}")
-
-    polys: list[ComplexPolynomial] = []
-    got = take("corpus", "polys")
-    if got is not None:
-        value, line_no = got
-        for chunk in value.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            try:
-                polys.append(parse_polynomial(chunk))
-            except ValueError as exc:
-                raise _fail(line_no, f"bad polynomial {chunk!r}: {exc}") from None
-    count = take_int("corpus", "count", 0)
-    if count:
-        nvars = take_int("corpus", "nvars", 1)
-        max_degree = take_int("corpus", "max_degree", 4)
-        kind = "unit-box"
-        got = take("corpus", "kind")
-        if got is not None:
-            value, line_no = got
-            if value not in ("unit-box", "zero-free"):
-                raise _fail(line_no, f"kind must be unit-box or zero-free, got {value!r}")
-            kind = value
-        corpus_seed = take_int("corpus", "seed", seed)
-        polys.extend(random_polynomials(count, nvars, max_degree, corpus_seed, kind))
-
-    output_path = None
-    got = take("output", "path")
-    if got is not None:
-        output_path = got[0]
-        if not output_path:
-            raise _fail(got[1], "output path is empty")
-
+    seed = read("sweep", "seed", int, 0)
+    nvars = read("corpus", "nvars", int, 1)
+    max_degree = read("corpus", "max_degree", int, 4)
+    kind = read("corpus", "kind", _choice(*KINDS), KINDS[0])
+    generated = read(
+        "corpus",
+        "count",
+        lambda count: random_polynomials(int(count), nvars, max_degree, seed, kind),
+        [],
+    )
+    if not generated:
+        for key in ("nvars", "max_degree", "kind"):
+            read("corpus", key, _needs_count)
     return SweepConfig(
-        checks=checks,
+        checks=read("sweep", "checks", _checks, ("hyper",)),
         seed=seed,
-        method=method,
-        nodes=nodes,
-        angles=angles,
-        tuples=tuple(tuples),
-        radii=radii,
-        eps=eps,
-        polys=tuple(polys),
-        output_path=output_path,
+        method=read("sweep", "method", _choice(*_METHOD.choices), _METHOD.default),
+        nodes=read("sweep", "nodes", int),
+        angles=read("sweep", "angles", int),
+        tuples=read("grid", "tuples", _tuples, ()),
+        radii=read("grid", "r", _radii, "auto"),
+        eps=read("grid", "eps", _eps, _EPS.default),
+        polys=read("corpus", "polys", _polys, ()) + tuple(generated),
+        output_path=read("output", "path", _path),
     )
 
 

@@ -9,7 +9,7 @@ import time
 import pytest
 
 import berglab
-from berglab import inequalities, measures, norms, sweep
+from berglab import cli, corpus, inequalities, measures, norms, sweep
 from berglab.cli import build_parser, main
 from berglab.poly import ComplexPolynomial
 from berglab.sweep import CHECK_KINDS, parse_sweep_config, run_sweep
@@ -38,8 +38,8 @@ def test_norm_exact_and_mc_methods(capsys):
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(math.sqrt(1.5), rel=1e-14)
     code, out, _ = run(
-        ["--seed", "4", "norm", "--space", "alpha=2,p=2", "--poly", "1,1",
-         "--method", "mc", "--samples", "20000"],
+        ["norm", "--space", "alpha=2,p=2", "--poly", "1,1",
+         "--method", "mc", "--samples", "20000", "--seed", "4"],
         capsys,
     )
     assert code == 0
@@ -119,6 +119,53 @@ def test_threshold_nonpositive_tol_is_a_usage_error(tol, capsys, monkeypatch):
     assert err == f"error: tol must be positive, got {float(tol)}\n"
 
 
+def test_oversized_sample_block_is_a_usage_error_before_drawing(capsys, monkeypatch):
+    # 16,384 samples in 10^6 variables: 244 GiB of Philox words in one call
+    def no_draw(*args):
+        raise AssertionError("Philox reached above the block budget")
+
+    monkeypatch.setattr(measures, "_philox", no_draw)
+    argv = ["extremal", "--alpha", "2", "--beta", "2", "--p", "2", "--q", "4",
+            "--n", "1000000"]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: a block of 16384 samples in n=1000000 variables")
+
+
+def test_phi_count_above_the_cap_is_a_usage_error_before_the_grid(
+    capsys, monkeypatch
+):
+    def no_grid(*args):
+        raise AssertionError("grid built above the count cap")
+
+    monkeypatch.setattr(cli.np, "linspace", no_grid)
+    argv = ["phi", "--poly", "1,1", "--q", "4", "--count", "1000000"]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: count must be at most 100000, got 1000000\n"
+
+
+def test_oversized_sweep_corpus_is_a_usage_error_before_enumerating(
+    tmp_path, capsys, monkeypatch
+):
+    # C(1003, 3) = 167,668,501 coefficients of three exponents each
+    def no_walk(*args):
+        raise AssertionError("multi-indices enumerated above the cap")
+
+    monkeypatch.setattr(corpus, "multi_indices", no_walk)
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("[corpus]\ncount = 1\nnvars = 3\nmax_degree = 1000\n")
+    code, out, err = run(["sweep", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: config line 2: count: 1 polynomials in 3 variables of degree 1000 "
+        "exceed 100000 exponent entries\n"
+    )
+
+
 def test_kulikov_zero_exponent_is_a_usage_error(capsys):
     # the A^p_alpha norm refuses p = 0 before beta' = q*alpha/p divides by it
     argv = ["kulikov", "--poly", "1,1", "--alpha", "2", "--p", "0", "--q", "2"]
@@ -145,6 +192,32 @@ def test_one_norm_has_one_value_in_every_command(capsys):
         [row] = json.loads(out)
         values.append(float(row["target"]))
     assert values == [0.721307484914008] * 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--seed", "4", "norm", "--space", "alpha=2,p=2", "--poly", "1,1"],
+        ["verify-suite", "--filter", "oracle", "--jobs", "2"],
+        ["verify-suite", "--filter", "oracle", "--out", "json"],
+        ["sweep", "--config", "unused.cfg", "--seed", "3"],
+        ["stirling", "--seed", "3"],
+        ["phi", "--poly", "1,1", "--q", "4", "--quiet"],
+    ],
+    ids=["before-norm", "verify-suite-jobs", "verify-suite-out", "sweep-seed",
+         "stirling-seed", "phi-quiet"],
+)
+def test_an_option_the_subcommand_does_not_read_is_a_usage_error(
+    argv, capsys, tmp_path
+):
+    if argv[0] == "verify-suite":
+        argv = argv + ["--csv", str(tmp_path / "suite.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: berglab" in captured.err
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -190,7 +263,7 @@ def test_threshold_command(capsys):
 def test_phi_csv_output(capsys):
     code, out, _ = run(
         ["phi", "--poly", "1,1", "--q", "4", "--ymin", "0.1", "--ymax", "0.5",
-         "--count", "5", "--quiet"],
+         "--count", "5"],
         capsys,
     )
     assert code == 0
@@ -257,7 +330,7 @@ def test_sweep_cli_round_trip(tmp_path, capsys):
     assert out_csv.read_bytes() == first
 
     for jobs in ("0", "-1"):
-        code, _, err = run(["--jobs", jobs, "sweep", "--config", str(cfg)], capsys)
+        code, _, err = run(["sweep", "--config", str(cfg), "--jobs", jobs], capsys)
         assert code == 2
         assert "jobs must be at least 1" in err
 
@@ -326,49 +399,53 @@ PARITY_CONFIG = (
 @pytest.mark.parametrize("kind", sorted(PARITY_ARGV))
 def test_cli_row_equals_one_row_sweep(kind, capsys):
     assert sorted(PARITY_ARGV) == sorted(CHECK_KINDS)
-    code, out, _ = run(["--out", "csv", "--quiet", *PARITY_ARGV[kind]], capsys)
+    code, out, _ = run([*PARITY_ARGV[kind], "--out", "csv", "--quiet"], capsys)
     assert code == 0
     swept = run_sweep(parse_sweep_config(PARITY_CONFIG.format(kind))).to_csv()
     assert len(swept.splitlines()) == 2
     assert out == swept
 
 
-# --seed, --jobs, --out and --quiet are accepted after every subcommand too
-COMMON = {opt: "==SUPPRESS==" for opt in ("--seed", "--jobs", "--out", "--quiet")}
 REQUIRED = "<required>"  # stands for the default of a required option
+REPORT = {"--out": None, "--quiet": False}  # the options of the single checks
 PARSER_SNAPSHOT = {
-    "": {"--seed": 0, "--jobs": 1, "--out": None, "--quiet": False},
+    "": {},
     "norm": {"--space": REQUIRED, "--poly": REQUIRED, "--method": "quad",
-             "--nodes": None, "--angles": None, "--samples": 200_000},
+             "--nodes": None, "--angles": None, "--samples": 200_000,
+             "--seed": 0, "--out": None},
     "hyper-check": {"--alpha": REQUIRED, "--beta": REQUIRED, "--p": REQUIRED,
                     "--q": REQUIRED, "--poly": REQUIRED, "--r": None,
-                    "--method": "quad", "--nodes": None, "--angles": None},
+                    "--method": "quad", "--nodes": None, "--angles": None,
+                    **REPORT},
     "threshold": {"--alpha": REQUIRED, "--beta": REQUIRED, "--p": REQUIRED,
-                  "--q": REQUIRED, "--eps": 0.01, "--tol": 0.0001},
+                  "--q": REQUIRED, "--eps": 0.01, "--tol": 0.0001, **REPORT},
     "nikolskii": {"--alpha": REQUIRED, "--beta": REQUIRED, "--p": REQUIRED,
                   "--q": REQUIRED, "--poly": REQUIRED, "--nodes": None,
-                  "--angles": None},
+                  "--angles": None, **REPORT},
     "phi": {"--poly": REQUIRED, "--q": REQUIRED, "--ymin": 0.05, "--ymax": 0.9,
-            "--count": 35},
+            "--count": 35, "--out": None},
     "ibp-check": {"--poly": REQUIRED, "--q": REQUIRED, "--beta": REQUIRED,
-                  "--beta-prime": REQUIRED, "--nodes": 64, "--tol": 1e-07},
+                  "--beta-prime": REQUIRED, "--nodes": 64, "--tol": 1e-07,
+                  **REPORT},
     "kulikov": {"--poly": REQUIRED, "--alpha": REQUIRED, "--p": REQUIRED,
-                "--q": REQUIRED},
+                "--q": REQUIRED, **REPORT},
     "weissler": {"--poly": REQUIRED, "--p": REQUIRED, "--q": REQUIRED,
-                 "--r": None, "--angles": None},
+                 "--r": None, "--angles": None, **REPORT},
     "extremal": {"--alpha": REQUIRED, "--beta": REQUIRED, "--p": REQUIRED,
-                 "--q": REQUIRED, "--m": 1, "--n": 64, "--samples": 200_000},
-    "stirling": {"--grid": "0.1,0.5,1,2,5,10,50,100,400"},
-    "gamma-ratio": {"--p": REQUIRED, "--q": REQUIRED, "--m-max": 200},
-    "sweep": {"--config": REQUIRED},
+                 "--q": REQUIRED, "--m": 1, "--n": 64, "--samples": 200_000,
+                 "--seed": 0, **REPORT},
+    "stirling": {"--grid": "0.1,0.5,1,2,5,10,50,100,400", **REPORT},
+    "gamma-ratio": {"--p": REQUIRED, "--q": REQUIRED, "--m-max": 200, **REPORT},
+    "sweep": {"--config": REQUIRED, "--jobs": 1, "--out": None, "--quiet": False},
     "verify-suite": {"--filter": None, "--csv": "verify_suite.csv",
-                     "--nodes-override": None},
-    "dump-rule": {"--alpha": REQUIRED, "--nodes": 64, "--angles": None},
+                     "--nodes-override": None, "--seed": 0, "--quiet": False},
+    "dump-rule": {"--alpha": REQUIRED, "--nodes": 64, "--angles": None,
+                  "--out": None},
 }
 SWEEP_KEYS_SNAPSHOT = {
     "sweep": {"checks", "seed", "method", "nodes", "angles"},
-    "grid": {"tuples", "alpha", "beta", "p", "q", "r", "eps"},
-    "corpus": {"polys", "count", "max_degree", "nvars", "kind", "seed"},
+    "grid": {"tuples", "r", "eps"},
+    "corpus": {"polys", "count", "max_degree", "nvars", "kind"},
     "output": {"path"},
 }
 
@@ -447,12 +524,11 @@ def test_every_option_and_sweep_key_is_snapshotted():
     (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     seen = {"": _options(parser)}
     seen.update((name, _options(sub)) for name, sub in subs.choices.items())
-    expected = {
-        name: {**opts, **COMMON} if name else opts
-        for name, opts in PARSER_SNAPSHOT.items()
-    }
-    assert seen == expected
+    assert seen == PARSER_SNAPSHOT
     assert sweep._SECTION_KEYS == SWEEP_KEYS_SNAPSHOT
+    shared = ("--seed", "--jobs", "--out", "--quiet")
+    assert sum(opt in shared for opts in seen.values() for opt in opts) == 28
+    assert sum(map(len, SWEEP_KEYS_SNAPSHOT.values())) == 14
 
 
 def test_every_library_signature_is_snapshotted():

@@ -1,8 +1,12 @@
 """Polynomial arithmetic, dilation, homogenization, parsing."""
+import itertools
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from berglab.corpus import multi_indices
 from berglab.extremal import ExtremalSpec, extremal_poly
 from berglab.poly import (
     ComplexPolynomial,
@@ -204,3 +208,17 @@ def test_sparse_many_variable_square_takes_pair_loop():
     assert len(base.terms) == 16
     assert not _dense_product_fits(base, base)
     assert not _dense_product_fits(ComplexPolynomial.constant(1.0, 16), base)
+
+
+@pytest.mark.parametrize("nvars, max_degree", [(1, 0), (1, 12), (2, 6), (3, 4), (5, 3)])
+def test_multi_indices_are_the_sorted_tuples_of_bounded_degree(nvars, max_degree):
+    box = itertools.product(range(max_degree + 1), repeat=nvars)
+    expected = sorted(g for g in box if sum(g) <= max_degree)
+    assert multi_indices(nvars, max_degree) == expected
+
+
+def test_multi_indices_never_walk_the_box():
+    # the box (max_degree + 1)^nvars holds 3^40 tuples, the answer 861
+    start = time.perf_counter()
+    assert len(multi_indices(40, 2)) == 861
+    assert time.perf_counter() - start < 1.0

@@ -2,14 +2,17 @@
 import hashlib
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from berglab import checks, inequalities, norms, sweep
+from berglab.corpus import random_polynomials
+from berglab.poly import parse_polynomial
 from berglab.report import CSV_HEADER, ReportRow, VerificationReport, fmt_value
-from berglab.sweep import parse_sweep_config, run_sweep
+from berglab.sweep import SweepConfig, parse_sweep_config, run_sweep
 
 
 def make_row(**kw):
@@ -119,13 +122,6 @@ def test_parse_config_round_trip():
     assert cfg.polys[1].coeff((2,)) == 0.5
 
 
-def test_parse_config_axis_cross_product():
-    cfg = parse_sweep_config(
-        "[grid]\nalpha = 2, 3\nbeta = 2\np = 2\nq = 4\n"
-    )
-    assert cfg.tuples == ((2.0, 2.0, 2.0, 4.0), (3.0, 2.0, 2.0, 4.0))
-
-
 @pytest.mark.parametrize(
     "text,fragment",
     [
@@ -134,16 +130,68 @@ def test_parse_config_axis_cross_product():
         ("[sweep]\nbogus = 1\n", "line 2"),
         ("key = 1\n", "line 1"),
         ("[grid]\ntuples = 2 2 2\n", "four numbers"),
-        ("[grid]\ntuples = 2 2 2 4\nalpha = 2\n", "not both"),
         ("[grid]\neps = 2\n", "eps"),
         ("[grid]\nr = 1.5\n", "outside"),
         ("[sweep]\nchecks = sideways\n", "unknown check"),
         ("[corpus]\npolys = ((\n", "bad polynomial"),
+        ("[grid]\nalpha = 2, 3\n", "unknown key 'alpha' in \\[grid\\]"),
+        ("[corpus]\ncount = 1\nseed = 3\n", "line 3: unknown key 'seed'"),
     ],
 )
 def test_parse_config_failures_carry_line_numbers(text, fragment):
     with pytest.raises(ValueError, match=fragment):
         parse_sweep_config(text)
+
+
+def test_every_config_key_reaches_the_config_or_the_corpus(tmp_path):
+    out = tmp_path / "rows.csv"
+    text = (
+        "[sweep]\nchecks = threshold, kulikov\nseed = 3\nmethod = exact\n"
+        "nodes = 7\nangles = 9\n"
+        "[grid]\ntuples = 2 3 2 4\nr = 0.5, 0.25\neps = 0.02\n"
+        "[corpus]\npolys = 1,1\ncount = 2\nnvars = 2\nmax_degree = 3\n"
+        "kind = zero-free\n"
+        f"[output]\npath = {out}\n"
+    )
+    given, section = {}, None
+    for line in text.splitlines():
+        if line.startswith("["):
+            section = line[1:-1]
+            given[section] = set()
+        else:
+            given[section].add(line.split(" = ")[0])
+    assert given == sweep._SECTION_KEYS
+    cfg = parse_sweep_config(text)
+    assert cfg == SweepConfig(
+        checks=("threshold", "kulikov"),
+        seed=3,
+        method="exact",
+        nodes=7,
+        angles=9,
+        tuples=((2.0, 3.0, 2.0, 4.0),),
+        radii=(0.5, 0.25),
+        eps=0.02,
+        polys=(parse_polynomial("1,1"), *random_polynomials(2, 2, 3, 3, "zero-free")),
+        output_path=str(out),
+    )
+    default = SweepConfig()
+    for field in fields(SweepConfig):
+        assert getattr(cfg, field.name) != getattr(default, field.name)
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("[corpus]\npolys = 1,1\nnvars = 2\n", "config line 3: nvars"),
+        ("[corpus]\nmax_degree = 3\n", "config line 2: max_degree"),
+        ("[corpus]\ncount = 0\nkind = zero-free\n", "config line 3: kind"),
+    ],
+    ids=["nvars", "max_degree", "kind-count-0"],
+)
+def test_corpus_shape_without_a_positive_count_is_refused(text, line):
+    with pytest.raises(ValueError) as info:
+        parse_sweep_config(text)
+    assert str(info.value) == f"{line}: needs a positive [corpus] count"
 
 
 def test_parse_config_rejects_samples_key():
