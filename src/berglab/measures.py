@@ -58,6 +58,13 @@ def check_counts(**counts: int | None) -> None:
             raise ValueError(f"{name} must be at least 1, got {count}")
 
 
+def check_nodes(nodes: int) -> None:
+    """Refuse a radial node count below 1 or above _RADIAL_NODES_CAP."""
+    check_counts(nodes=nodes)
+    if nodes > _RADIAL_NODES_CAP:
+        raise ValueError(f"nodes must be at most {_RADIAL_NODES_CAP}, got {nodes}")
+
+
 def radial_rule(alpha: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule for the density (alpha-1)(1-t)^(alpha-2) dt on [0, 1].
 
@@ -67,9 +74,7 @@ def radial_rule(alpha: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     More than _RADIAL_NODES_CAP nodes are refused before anything is built.
     """
     a = check_alpha(alpha)
-    check_counts(nodes=nodes)
-    if nodes > _RADIAL_NODES_CAP:
-        raise ValueError(f"nodes must be at most {_RADIAL_NODES_CAP}, got {nodes}")
+    check_nodes(nodes)
     return _radial_rule(a, int(nodes))
 
 

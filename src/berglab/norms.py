@@ -15,20 +15,30 @@ another:
   alpha and variable count it takes.
 
 All quadrature (Bergman, Hardy and mixed norms, and the circle profile of
-the inequality checks) goes through one kernel, ``_power_mean`` with its
-streaming tile evaluator ``_tiles``, the only place where coefficients
-become grid values.  It evaluates P one axis at a time: scale the
-coefficients by the radial powers t^(a/2), then sum over the equispaced
-angles, by a (g x M) Fourier matmul when the axis has few coefficients and
-by an inverse FFT when it has many (on equispaced angles the two are the
-same DFT).  The last axis is streamed in tiles of about 2^16 grid points,
-so the full grid is never held in memory.  A circle variable is one more
-axis with the single node t = 1.  Each tile is reduced at once, to circle
-means of |P|^p by ``_shell_means``, or, for the profile's Phi'', together
-with the tile of z P' by the Laplacian identity (``circle_curvature``).
-|P|^p is formed from s = re^2 + im^2 by products and square roots of s
-when 2p is a positive integer and by np.power otherwise, so exact zeros of
-P stay exactly zero.
+the inequality checks) goes through one kernel, ``_power_mean``, the only
+place where coefficients become grid values.  It evaluates P one axis at a
+time: scale the coefficients by the radial powers t^(a/2), then sum over the
+equispaced angles, by a (g x M) Fourier matmul when the axis has few
+coefficients and by an inverse FFT when it has many (on equispaced angles
+the two are the same DFT).  The last axis is streamed in tiles of about
+2^16 grid points, so the full grid is never held in memory, and each tile
+is reduced at once to circle means of |P|^p by ``_shell_means``.  A circle
+variable is one more axis with the single node t = 1.
+
+Where the FFT sums the last axis, ``_tiles`` gives P's values and |P|^p is
+formed from s = re^2 + im^2.  Where a matmul would, ``_squares`` never forms
+P's values: by Fejer-Riesz s = |P|^2 on a circle is a real trigonometric
+polynomial whose 2g - 1 coefficients are the lag products of P's
+coefficients there, so s comes from one real matmul with a cosine and sine
+basis.  That s is a sum of terms as large as sum_b |u_b|^2, the u_b being
+P's coefficients on the circle, so its absolute error is a few eps times
+that sum (the tests allow 4 g eps times it) wherever it is taken.  Near a
+zero of P, where s itself is that small, s may round below 0 and is then
+clamped at 0; an exact zero of P need not give s = 0 exactly.
+The profile's Phi'' (``circle_curvature``) needs P and z P' themselves and
+takes both from ``_tiles``, by the Laplacian identity.  |P|^p is formed from
+s by products and square roots of s when 2p is a positive integer and by
+np.power otherwise (see ``_sq_pow``).
 
 ``_grid_rule`` is the one place where grids are sized: it turns the
 variables' degrees, alpha, p and the optional node and angle counts into
@@ -38,9 +48,9 @@ circle axes of ``mixed_norm``, ``hardy_norm`` and the circle profile
 Only ``bergman_norm`` (nodes and angles) and ``hardy_norm`` (angles) take
 counts from their callers; the mixed norm and the circle profile always
 use the default grid.  ``_quadrature_norm`` refuses, before allocating
-anything, a grid whose kernel arrays (the Fourier matrices and the first
-streamed tile included) would take more than ``_GRID_BYTES_BUDGET`` at
-once; ``_grid_bytes`` counts them.
+anything, a grid whose kernel arrays (the Fourier matrices, the real basis
+and the first streamed tile included) would take more than
+``_GRID_BYTES_BUDGET`` at once; ``_grid_bytes`` counts them.
 
 When a quadrature norm is exact: at even p = 2s, |P|^p = |P^s|^2 is a
 polynomial, and the default grid sizes each axis from its own degree d so
@@ -99,10 +109,14 @@ _MIXED_DEFAULTS = {1: (64, 257), 2: (24, 33), 3: (12, 17)}
 _BLOCK_POINTS = 1 << 16
 
 # An axis with g coefficients and M angles is summed by FFT once g exceeds
-# this many times log2(M), by a (g x M) Fourier matmul below that.  The matmul
-# costs about g multiply-adds per grid point and the FFT a larger constant
-# times log2(M); 16 is the crossover measured with numpy 2.4's pocketfft
-# against OpenBLAS 0.3.31 on a 2-core Xeon VM for M from 257 to 12001.
+# this many times log2(M), by a matmul below that.  The complex (g x M)
+# Fourier matmul costs about g multiply-adds per grid point and the FFT a
+# larger constant times log2(M); 16 is the crossover measured against that
+# complex matmul, with numpy 2.4's pocketfft and OpenBLAS 0.3.31 on a 2-core
+# Xeon VM for M from 257 to 12001.  The streamed axis takes the real matmul
+# of ``_squares`` instead, whose own crossover was not measured (the FFT still
+# won at g = 201, M = 801 and 64 nodes: 2.0 against 7.4 ms on one BLAS
+# thread), so both axes share this value.
 _FFT_COEFFS_PER_LOG2_ANGLE = 16
 
 # A quadrature norm whose kernel arrays (see ``_grid_bytes``) would take more
@@ -111,7 +125,8 @@ _FFT_COEFFS_PER_LOG2_ANGLE = 16
 # benchmark workload counts more than 4.8 MiB, and no test that expects a
 # value more than 67 MiB (trivariate degree 6 at p = 3); bivariate degree
 # (1000, 1000) at p = 4 counts 1.9 GiB, and one variable at 10^9 angles
-# about 75 GiB, nearly all of it the Fourier matrix while it is built.
+# 52 GiB: the real basis with its phase and angle tables while it is built,
+# beside the s and scratch buffers of one tile.
 _GRID_BYTES_BUDGET = 1 << 29
 
 # The (t, w) pair of a circle variable: one node at |z| = 1.
@@ -207,29 +222,43 @@ def _abs_pow(values: np.ndarray, p: float) -> np.ndarray:
     return _sq_pow(s, p)
 
 
-def _sq_pow(s: np.ndarray, p: float) -> np.ndarray:
+def _sq_pow(s: np.ndarray, p: float, scratch: np.ndarray | None = None) -> np.ndarray:
     """s^(p/2) for s >= 0, computed in place in s.
 
-    When 2p is an integer, s^(p/2) = (s^(1/4))^(2p) is an integer power of
-    s, sqrt(s) or sqrt(sqrt(s)), whichever root suffices: s itself at p = 2,
-    s^k when p/2 = k.  Square roots and products cost a fraction of a
-    general np.power, which handles every other p, p <= 0 included.
+    When 2p is an integer, 2p = 4n + f with f < 4 and s^(p/2) = s^n s^(f/4).
+    The root factor is sqrt(s) (f = 2), sqrt(sqrt(s)) (f = 1) or their
+    product (f = 3), taken in place when n = 0 and otherwise into
+    ``scratch`` (an array of s's shape, overwritten; allocated where None),
+    which then gathers the factors s^(2^j) of the set low bits of n while s
+    is squared up to its top bit.  So p = 3 is one square root into scratch
+    and one product, p = 4 one square in place; only f = 3 with n > 0 (p =
+    3.5, 5.5, ...) takes a temporary, for s^(1/4).  Square roots and products
+    cost a fraction of a general np.power, which handles every other p,
+    p <= 0 included.
     """
-    quarters = 2.0 * float(p)
-    if quarters <= 0.0 or not quarters.is_integer():
+    twice = 2.0 * float(p)
+    if twice <= 0.0 or not twice.is_integer():
         return np.power(s, 0.5 * float(p), out=s)
-    k, roots = int(quarters), 2
-    while roots and k % 2 == 0:
-        k, roots = k // 2, roots - 1
-    for _ in range(roots):
+    n, f = divmod(int(twice), 4)
+    if n == 0:
+        if f == 3:
+            half = np.sqrt(s, out=scratch)
+            return np.multiply(np.sqrt(half, out=s), half, out=s)
         np.sqrt(s, out=s)
-    odd = None  # product of the factors s^(2^j) for the set low bits of k
-    while k > 1:
-        if k & 1:
-            odd = s.copy() if odd is None else np.multiply(odd, s, out=odd)
+        return np.sqrt(s, out=s) if f == 1 else s
+    acc = None  # the product of every factor but the top power of s
+    if f:
+        acc = np.sqrt(s, out=scratch)
+        if f == 1:
+            np.sqrt(acc, out=acc)
+        elif f == 3:
+            acc *= np.sqrt(acc)
+    while n > 1:
+        if n & 1:
+            acc = np.positive(s, out=scratch) if acc is None else np.multiply(acc, s, out=acc)
         np.square(s, out=s)
-        k >>= 1
-    return s if odd is None else np.multiply(s, odd, out=s)
+        n >>= 1
+    return s if acc is None else np.multiply(s, acc, out=s)
 
 
 def _radial_powers(t: np.ndarray, g: int) -> np.ndarray:
@@ -323,11 +352,85 @@ def _tiles(lead: np.ndarray, t: np.ndarray, m: int):
             yield r0, k0, shells.shape[:2], grid
 
 
+def _square_basis(g: int, m: int) -> np.ndarray:
+    """(2g - 1, m) real matrix with rows -2 sin(d theta_j) for 0 < d < g, then
+    1, then 2 cos(d theta_j) for 0 < d < g, theta_j = 2 pi j / m, the phase
+    d j taken mod m as in ``_fourier_matrix``."""
+    basis = np.empty((2 * g - 1, m))
+    basis[g - 1] = 1.0
+    phase = np.outer(np.arange(1, g), np.arange(m))
+    phase %= m
+    angle = phase * (2.0 * np.pi / m)
+    np.multiply(np.sin(angle, out=basis[: g - 1]), -2.0, out=basis[: g - 1])
+    np.multiply(np.cos(angle, out=basis[g:]), 2.0, out=basis[g:])
+    return basis
+
+
+def _lag_products(v: np.ndarray) -> np.ndarray:
+    """(2, g, rows, g) array holding the imaginary, then the real parts of
+    v[r, b + d] conj(v[r, b]) at [., d, r, b], zero where b + d >= g, for
+    the (rows, g) coefficient rows v."""
+    rows, g = v.shape
+    padded = np.zeros((rows, 2 * g - 1), dtype=complex)
+    padded[:, :g] = v
+    shifted = padded[:, np.add.outer(np.arange(g), np.arange(g))]  # [r, d, b]
+    lags = np.multiply(shifted.transpose(1, 0, 2), v.conj())
+    planes = np.empty((2, g, rows, g))
+    planes[0] = lags.imag
+    planes[1] = lags.real
+    return planes
+
+
+def _squares(lead: np.ndarray, t: np.ndarray, m: int, s: np.ndarray):
+    """Stream |P|^2 on the last axis without P's values: yields
+    (r0, k0, (rows, nodes), s) per tile of ``_tiles``, written into ``s``
+    and clamped at 0 against rounding.
+
+    By Fejer-Riesz, with u_b = v_b t^(b/2) the coefficients at lead row v and
+    node t, |sum_b u_b e^(i b theta)|^2 is the real trigonometric polynomial
+    c_0 + sum_(0<d<g) 2 (Re c_d cos(d theta) - Im c_d sin(d theta)), whose
+    coefficients are the lag products c_d = sum_b u_(b+d) conj(u_b)
+    = t^(d/2) sum_b v_(b+d) conj(v_b) t^b.  Per tile the sums over b are one
+    real (2 g rows, g) @ (g, nodes) matmul and s one real
+    (rows nodes, 2g - 1) @ ``_square_basis`` matmul; Im c_0 = 0 is dropped.
+    """
+    g = lead.shape[1]
+    basis = _square_basis(g, m)
+    radial = _radial_powers(t, g)
+    rows_step, nodes_step = _tile_shape(lead.shape[0], len(t), m)
+    for r0 in range(0, lead.shape[0], rows_step):
+        lags = _lag_products(lead[r0 : r0 + rows_step])
+        rows = lags.shape[2]
+        for k0 in range(0, len(t), nodes_step):
+            half = radial[k0 : k0 + nodes_step].T  # t_k^(d/2) at [d, k]
+            nodes = half.shape[1]
+            coef = (lags.reshape(-1, g) @ np.square(half)).reshape(2, g, rows, nodes)
+            coef *= half[:, None, :]
+            size = rows * nodes
+            coef = coef.reshape(2 * g, size)[1:]
+            sq = np.matmul(coef.T, basis, out=s[:size])
+            if sq.min() < 0.0:  # a read costs a third of the rewrite
+                np.maximum(sq, 0.0, out=sq)
+            yield r0, k0, (rows, nodes), sq
+
+
 def _shell_means(lead: np.ndarray, t: np.ndarray, m: int, p: float):
     """Yields (r0, k0, means) per tile of ``_tiles``, means[i, j] being the
-    circle mean of |P|^p at lead row r0 + i and node k0 + j."""
-    powers = None
+    circle mean of |P|^p at lead row r0 + i and node k0 + j.
+
+    Where ``_uses_fft`` the tiles of P's values are squared into s;
+    elsewhere ``_squares`` writes s = |P|^2 directly.  The s buffer and the
+    scratch of ``_sq_pow`` are allocated once, for the first (largest) tile.
+    """
+    rows_step, nodes_step = _tile_shape(lead.shape[0], len(t), m)
+    s = np.empty((rows_step * nodes_step, m))
+    scratch = np.empty_like(s)
     mean_weights = np.full(m, 1.0 / m)
+    if not _uses_fft(lead.shape[1], m):
+        for r0, k0, shape, sq in _squares(lead, t, m, s):
+            means = _sq_pow(sq, p, scratch[: len(sq)]) @ mean_weights
+            yield r0, k0, means.reshape(shape)
+        return
     pair_weights = np.full(2 * m, 1.0 / m)
     for r0, k0, shape, grid in _tiles(lead, t, m):
         # re^2 and im^2 in place, a contiguous pass; at p = 2 the angle mean
@@ -337,10 +440,8 @@ def _shell_means(lead: np.ndarray, t: np.ndarray, m: int, p: float):
         if p == 2.0:
             means = parts @ pair_weights
         else:
-            if powers is None:  # the first tile is the largest
-                powers = np.empty(grid.shape)
-            sq = np.add(parts[:, 0::2], parts[:, 1::2], out=powers[: len(grid)])
-            means = _sq_pow(sq, p) @ mean_weights
+            sq = np.add(parts[:, 0::2], parts[:, 1::2], out=s[: len(grid)])
+            means = _sq_pow(sq, p, scratch[: len(grid)]) @ mean_weights
         yield r0, k0, means.reshape(shape)
 
 
@@ -360,9 +461,12 @@ def _grid_bytes(shape, triples) -> int:
     the coefficient shape and the (t, w, M) triples alone, at 16 bytes a
     complex value.  Counted: each lead step's input beside its Fourier
     matrix, first while that is built, then with the step's output; and the
-    lead array with the last axis's radial power table beside its Fourier
-    matrix, likewise, then with the first streamed tile (shells and values).
-    Smaller temporaries are left out, so the count is a lower bound.
+    lead array with the last axis's radial power table and the s and scratch
+    buffers of ``_shell_means``, then per route.  Where ``_uses_fft``: the
+    first streamed tile (shells and values).  Elsewhere: ``_square_basis``
+    with its phase and angle tables while it is built, then the basis with
+    the first row block's lag planes and the tile's lag sums.  Smaller
+    temporaries are left out, so the count is a lower bound.
     """
     order = _axis_order(triples)
     dims = [shape[i] for i in order]
@@ -374,11 +478,14 @@ def _grid_bytes(shape, triples) -> int:
         largest = max(largest, held + building, held + built + 16 * math.prod(dims))
     g, (t, _, m) = shape[order[-1]], triples[order[-1]]
     rows = math.prod(dims[:-1])
-    held = 16 * rows * g + 8 * len(t) * g
-    building, built = _fourier_bytes(g, m)
     tile_rows, tile_nodes = _tile_shape(rows, len(t), m)
-    tile = 16 * tile_rows * tile_nodes * (g + m)
-    return max(largest, held + building, held + built + tile)
+    points = tile_rows * tile_nodes
+    held = 16 * rows * g + 8 * len(t) * g + 16 * points * m
+    if _uses_fft(g, m):
+        return max(largest, held + 16 * points * (g + m))
+    building, built = 8 * m * (4 * g - 3), 8 * m * (2 * g - 1)
+    lags = 16 * g * tile_rows * (g + tile_nodes)
+    return max(largest, held + building, held + built + lags)
 
 
 def _quadrature_norm(P: ComplexPolynomial, triples, p: float) -> NormResult:

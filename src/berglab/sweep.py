@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 from .checks import CHECKS, space_inputs
 from .corpus import KINDS, random_polynomials
+from .measures import check_counts, check_nodes
 from .norms import memo_scope
 from .poly import ComplexPolynomial, parse_polynomial
 from .report import VerificationReport
@@ -154,6 +155,18 @@ def _path(value: str) -> str:
     return value
 
 
+def _nodes(value: str) -> int:
+    nodes = int(value)
+    check_nodes(nodes)
+    return nodes
+
+
+def _angles(value: str) -> int:
+    angles = int(value)
+    check_counts(angles=angles)
+    return angles
+
+
 def _needs_count(value: str):
     raise ValueError("needs a positive [corpus] count")
 
@@ -212,8 +225,8 @@ def parse_sweep_config(text: str) -> SweepConfig:
         checks=read("sweep", "checks", _checks, ("hyper",)),
         seed=seed,
         method=read("sweep", "method", _choice(*_METHOD.choices), _METHOD.default),
-        nodes=read("sweep", "nodes", int),
-        angles=read("sweep", "angles", int),
+        nodes=read("sweep", "nodes", _nodes),
+        angles=read("sweep", "angles", _angles),
         tuples=read("grid", "tuples", _tuples, ()),
         radii=read("grid", "r", _radii, "auto"),
         eps=read("grid", "eps", _eps, _EPS.default),

@@ -20,7 +20,7 @@ from berglab.acceptance import run_criterion
 SEED = 1729
 # sha256 of the verify-suite CSV at SEED; a change that moves any number in
 # it updates this pin and says so
-SUITE_SHA256 = "ac157f191075419054a36c746fa72d175a75571d5b196bbb95b6b55b535911f0"
+SUITE_SHA256 = "95625c32be1fef9496ff605367a751ae9e2b21812044f604e885ea0f07349021"
 
 
 def emit(result, tolerance_note):

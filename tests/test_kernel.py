@@ -1,20 +1,28 @@
 """The tensor-grid kernel against brute-force evaluation on the explicit grid."""
 import itertools
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from berglab.measures import radial_rule
 from berglab.norms import (
     _CIRCLE,
     _abs_pow,
+    _axis_order,
     _fourier_matrix,
     _grid_rule,
     _power_mean,
     _quadrature_norm,
+    _squares,
+    _tile_shape,
+    _uses_fft,
     circle_curvature,
     circle_means,
+    hardy_norm,
 )
 from berglab.poly import ComplexPolynomial
 
@@ -73,9 +81,61 @@ def test_power_mean_matches_brute_force(degrees, grid, p):
 
 
 def test_cases_cover_both_angular_methods():
+    # lead axes are summed by the Fourier matmul or the FFT; the streamed
+    # axis by the lag products of _squares, aliased where g > M, or the FFT
     sizes = [(d + 1, m) for degrees, grid in CASES for d, (_, m) in zip(degrees, grid)]
     assert any(_fourier_matrix(g, m) is None for g, m in sizes)
     assert any(_fourier_matrix(g, m) is not None for g, m in sizes)
+    routes = set()
+    for degrees, grid in CASES:
+        i = _axis_order([(range(k), None, m) for k, m in grid])[-1]
+        g, m = degrees[i] + 1, grid[i][1]
+        routes.add("fft" if _uses_fft(g, m) else "lags" if g <= m else "aliased lags")
+    assert routes == {"fft", "lags", "aliased lags"}
+
+
+@pytest.mark.parametrize("coeffs, angles", [((-1, 0, 0, 0, 0, 1), None), ((1, 1), 64)])
+def test_exact_zeros_of_p_on_the_grid(coeffs, angles):
+    # z^5 - 1 vanishes on 5 of its default 1025 angles and 1 + z on one of
+    # 64; |P|^0.5 is steepest there, so a rounding residue would show
+    P = ComplexPolynomial.from_coeffs(coeffs)
+    [(_, _, m)] = _grid_rule((P.degree,), None, 0.5, angles=angles)
+    assert m == (angles or 1025)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = hardy_norm(P, 0.5, angles=angles).value
+    with mpmath.workdps(40):
+        root = mpmath.mpf(0)
+        for j in range(m):
+            z = mpmath.expjpi(mpmath.mpf(2 * j) / m)
+            root += mpmath.sqrt(abs(mpmath.polyval(list(reversed(coeffs)), z)))
+        want = float((root / m) ** 2)
+    assert math.isfinite(got)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+@given(
+    st.lists(st.complex_numbers(max_magnitude=1.0), min_size=1, max_size=8),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+    st.integers(2, 40),
+)
+def test_streamed_squares_are_nonnegative_and_match_complex_evaluation(coeffs, t, m):
+    # s of _squares against |P|^2 evaluated in long double: off by at most
+    # 4 g eps sum_b |u_b|^2 (plus what underflows the double range), never
+    # negative or NaN
+    v, t = np.array([coeffs]), np.array(t)
+    g = v.shape[1]
+    assert not _uses_fft(g, m)
+    rows, nodes = _tile_shape(1, len(t), m)
+    [(_, _, _, s)] = _squares(v, t, m, np.empty((rows * nodes, m)))
+    assert not np.any(np.isnan(s)) and np.all(s >= 0.0)
+    pi = 4 * np.arctan(np.longdouble(1))
+    phase = (np.outer(np.arange(g), np.arange(m)) % m).astype(np.longdouble)
+    u = v[0] * np.sqrt(t.astype(np.longdouble))[:, None] ** np.arange(g)
+    want = np.abs(u @ np.exp(2j * pi * phase / m)) ** 2
+    mass = np.sum(np.abs(u) ** 2, axis=1)[:, None]
+    tol = 4 * g * np.finfo(float).eps * mass + np.finfo(float).tiny
+    assert np.all(np.abs(s - want) <= tol)
 
 
 def test_power_mean_streams_many_blocks():
@@ -157,7 +217,7 @@ def test_abs_pow_keeps_exact_zeros():
 
 
 @pytest.mark.parametrize(
-    "p", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.7, 4.0, 6.0, 7.0, 64.0]
+    "p", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 3.7, 4.0, 5.5, 6.0, 7.0, 7.5, 64.0]
 )
 def test_abs_pow_matches_abs_power(p):
     rng = np.random.default_rng(1)

@@ -263,17 +263,23 @@ def test_grid_bytes_never_exceeds_the_traced_peak(text, p):
     "coeffs, angles", [((1, 1), 100_001), ((1,) * 300, 150_001), ((1,) * 20, 31)]
 )
 def test_univariate_grid_bytes_count_the_fourier_matrix_and_tile(coeffs, angles):
-    # one variable has no lead step: the count is the streamed axis's Fourier
-    # matrix (none where an FFT sums it) and tile, still within the traced peak
+    # one variable has no lead step: where an FFT sums the streamed axis the
+    # count is its tile of values, elsewhere the real basis with its phase
+    # and angle tables while it is built, beside the s and scratch buffers;
+    # still within the traced peak
     P, g = ComplexPolynomial.from_coeffs(coeffs), len(coeffs)
     triples = _grid_rule((P.degree,), 2.0, 3.0, nodes=2, angles=angles)
     counted = _grid_bytes((g,), triples)
-    assert counted >= max(0 if _uses_fft(g, angles) else 40 * g * angles, 16 * angles)
+    if _uses_fft(g, angles):
+        assert counted >= 16 * angles
+    else:
+        assert counted >= 8 * angles * (4 * g - 3) + 16 * angles
     assert counted <= traced_peak(bergman_norm, P, 2.0, 3.0, nodes=2, angles=angles)
 
 
 def test_huge_angle_count_for_one_variable_is_refused(monkeypatch):
-    # a (2 x 10^9) Fourier matrix would take 30 GiB, the first tile 15 GiB
+    # the (3 x 10^9) real basis would take 22 GiB, 37 GiB while it is built,
+    # and the s and scratch buffers of the first tile 15 GiB
     def no_kernel(*args):
         raise AssertionError("kernel reached before the refusal")
 

@@ -136,6 +136,9 @@ def test_parse_config_round_trip():
         ("[corpus]\npolys = ((\n", "bad polynomial"),
         ("[grid]\nalpha = 2, 3\n", "unknown key 'alpha' in \\[grid\\]"),
         ("[corpus]\ncount = 1\nseed = 3\n", "line 3: unknown key 'seed'"),
+        ("[sweep]\nnodes = 0\n", "line 2: nodes: nodes must be at least 1, got 0"),
+        ("[sweep]\nangles = 0\n", "line 2: angles: angles must be at least 1, got 0"),
+        ("[sweep]\nnodes = 4097\n", "line 2: nodes: nodes must be at most 4096"),
     ],
 )
 def test_parse_config_failures_carry_line_numbers(text, fragment):
@@ -221,7 +224,7 @@ def test_sweep_deterministic_and_parallel_identical():
     assert a == b == c
     assert a.count("\n") == 1 + 2 * 2 * 3  # header + checks x tuples x polys
     assert hashlib.sha256(a.encode("utf-8")).hexdigest() == (
-        "c02e5b801aafd2c7e83d1008d913b0849428679a6e9e6706e6fe8e53357c01b1"
+        "5705ee34cee767bf778a252cbb6e66e3e994cdf2757cd2c0173584fa0963c9bf"
     )
 
 
