@@ -25,16 +25,17 @@ the two are the same DFT).  The last axis is streamed in tiles of about
 is reduced at once to circle means of |P|^p by ``_shell_means``.  A circle
 variable is one more axis with the single node t = 1.
 
-Where the FFT sums the last axis, ``_tiles`` gives P's values and |P|^p is
-formed from s = re^2 + im^2.  Where a matmul would, ``_squares`` never forms
-P's values: by Fejer-Riesz s = |P|^2 on a circle is a real trigonometric
-polynomial whose 2g - 1 coefficients are the lag products of P's
-coefficients there, so s comes from one real matmul with a cosine and sine
-basis.  That s is a sum of terms as large as sum_b |u_b|^2, the u_b being
-P's coefficients on the circle, so its absolute error is a few eps times
-that sum (the tests allow 4 g eps times it) wherever it is taken.  Near a
-zero of P, where s itself is that small, s may round below 0 and is then
-clamped at 0; an exact zero of P need not give s = 0 exactly.
+Where the FFT sums the last axis, or its g coefficients alias onto fewer
+angles (g > M), ``_tiles`` gives P's values and |P|^p is formed from
+s = re^2 + im^2.  Elsewhere ``_squares`` never forms P's values: by
+Fejer-Riesz s = |P|^2 on a circle is a real trigonometric polynomial whose
+2g - 1 coefficients are the lag products of P's coefficients there, so s
+comes from one real matmul with a cosine and sine basis.  That s is a sum
+of terms as large as sum_b |u_b|^2, the u_b being P's coefficients on the
+circle, so its absolute error is a few eps times that sum (the tests allow
+4 g eps times it) wherever it is taken.  Near a zero of P, where s itself
+is that small, s may round below 0 and is then clamped at 0; an exact zero
+of P need not give s = 0 exactly.
 The profile's Phi'' (``circle_curvature``) needs P and z P' themselves and
 takes both from ``_tiles``, by the Laplacian identity.  |P|^p is formed from
 s by products and square roots of s when 2p is a positive integer and by
@@ -113,10 +114,10 @@ _BLOCK_POINTS = 1 << 16
 # Fourier matmul costs about g multiply-adds per grid point and the FFT a
 # larger constant times log2(M); 16 is the crossover measured against that
 # complex matmul, with numpy 2.4's pocketfft and OpenBLAS 0.3.31 on a 2-core
-# Xeon VM for M from 257 to 12001.  The streamed axis takes the real matmul
-# of ``_squares`` instead, whose own crossover was not measured (the FFT still
-# won at g = 201, M = 801 and 64 nodes: 2.0 against 7.4 ms on one BLAS
-# thread), so both axes share this value.
+# Xeon VM for M from 257 to 12001.  Below it the streamed axis takes the real
+# matmul of ``_squares`` instead (where g <= M), whose own crossover was not
+# measured (the FFT still won at g = 201, M = 801 and 64 nodes: 2.0 against
+# 7.4 ms on one BLAS thread), so both axes share this value.
 _FFT_COEFFS_PER_LOG2_ANGLE = 16
 
 # A quadrature norm whose kernel arrays (see ``_grid_bytes``) would take more
@@ -125,8 +126,8 @@ _FFT_COEFFS_PER_LOG2_ANGLE = 16
 # benchmark workload counts more than 4.8 MiB, and no test that expects a
 # value more than 67 MiB (trivariate degree 6 at p = 3); bivariate degree
 # (1000, 1000) at p = 4 counts 1.9 GiB, and one variable at 10^9 angles
-# 52 GiB: the real basis with its phase and angle tables while it is built,
-# beside the s and scratch buffers of one tile.
+# 45 GiB at p = 2: the real basis with its phase and angle tables while it
+# is built, beside the s buffer of one tile (52 GiB at p = 3, with scratch).
 _GRID_BYTES_BUDGET = 1 << 29
 
 # The (t, w) pair of a circle variable: one node at |z| = 1.
@@ -266,6 +267,15 @@ def _radial_powers(t: np.ndarray, g: int) -> np.ndarray:
     return np.power(t[:, None], 0.5 * np.arange(g)[None, :])
 
 
+def _uses_scratch(p: float) -> bool:
+    """True where ``_sq_pow`` writes into its scratch array."""
+    twice = 2.0 * float(p)
+    if twice <= 0.0 or not twice.is_integer():
+        return False
+    n, f = divmod(int(twice), 4)
+    return f == 3 if n == 0 else f > 0 or n & (n - 1) > 0
+
+
 def _uses_fft(g: int, m: int) -> bool:
     """True where an FFT is cheaper than a (g x m) Fourier matmul.
 
@@ -273,6 +283,13 @@ def _uses_fft(g: int, m: int) -> bool:
     angles and a length-m FFT would drop them.
     """
     return _FFT_COEFFS_PER_LOG2_ANGLE * math.log2(m) < g <= m
+
+
+def _uses_lags(g: int, m: int) -> bool:
+    """True where ``_squares`` streams an axis of g coefficients and m angles:
+    where a matmul sums it and g <= m.  Above m its (g x g) lag planes would
+    outgrow the (g x m) Fourier matrix, so aliased axes take ``_tiles``."""
+    return g <= m and not _uses_fft(g, m)
 
 
 def _fourier_matrix(g: int, m: int) -> np.ndarray | None:
@@ -330,6 +347,14 @@ def _tile_shape(rows: int, nodes: int, m: int) -> tuple[int, int]:
     return min(rows, max(1, _BLOCK_POINTS // (nodes_step * m))), nodes_step
 
 
+def _lag_tile_shape(rows: int, nodes: int, m: int, g: int) -> tuple[int, int]:
+    """``_tile_shape`` of ``_squares``: at most about _BLOCK_POINTS lag
+    products per row block, so few nodes and many rows do not make the
+    (g x g) lag planes of a block outgrow the tile."""
+    rows_step, nodes_step = _tile_shape(rows, nodes, m)
+    return min(rows_step, max(1, _BLOCK_POINTS // (g * g))), nodes_step
+
+
 def _tiles(lead: np.ndarray, t: np.ndarray, m: int):
     """Stream the last axis: P's values on tiles of lead rows x radial nodes.
 
@@ -355,7 +380,7 @@ def _tiles(lead: np.ndarray, t: np.ndarray, m: int):
 def _square_basis(g: int, m: int) -> np.ndarray:
     """(2g - 1, m) real matrix with rows -2 sin(d theta_j) for 0 < d < g, then
     1, then 2 cos(d theta_j) for 0 < d < g, theta_j = 2 pi j / m, the phase
-    d j taken mod m as in ``_fourier_matrix``."""
+    d j taken mod m as in ``_fourier_matrix`` so the angles stay below 2 pi."""
     basis = np.empty((2 * g - 1, m))
     basis[g - 1] = 1.0
     phase = np.outer(np.arange(1, g), np.arange(m))
@@ -369,22 +394,36 @@ def _square_basis(g: int, m: int) -> np.ndarray:
 def _lag_products(v: np.ndarray) -> np.ndarray:
     """(2, g, rows, g) array holding the imaginary, then the real parts of
     v[r, b + d] conj(v[r, b]) at [., d, r, b], zero where b + d >= g, for
-    the (rows, g) coefficient rows v."""
+    the (rows, g) coefficient rows v.  The complex products are formed in
+    place, so at most two arrays of rows g^2 values are held."""
     rows, g = v.shape
     padded = np.zeros((rows, 2 * g - 1), dtype=complex)
     padded[:, :g] = v
-    shifted = padded[:, np.add.outer(np.arange(g), np.arange(g))]  # [r, d, b]
-    lags = np.multiply(shifted.transpose(1, 0, 2), v.conj())
+    shifts = np.add.outer(np.arange(g), np.arange(g))[:, None, :]
+    lags = padded[np.arange(rows)[:, None], shifts]  # v[r, b + d] at [d, r, b]
+    lags *= v.conj()
     planes = np.empty((2, g, rows, g))
     planes[0] = lags.imag
     planes[1] = lags.real
     return planes
 
 
+def _lag_sums(lags: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """(2g - 1, rows nodes) array of the Im c_d (0 < d < g), then Re c_d
+    (0 <= d < g), c_d = t^(d/2) sum_b v_(b+d) conj(v_b) t^b, from the lag
+    planes of ``_lag_products`` and the (g, nodes) table ``half`` of
+    t_k^(d/2) at [d, k]; the column of (r, k) is r nodes + k."""
+    _, g, rows, _ = lags.shape
+    nodes = half.shape[1]
+    sums = (lags.reshape(-1, g) @ np.square(half)).reshape(2, g, rows, nodes)
+    sums *= half[:, None, :]
+    return sums.reshape(2 * g, rows * nodes)[1:]
+
+
 def _squares(lead: np.ndarray, t: np.ndarray, m: int, s: np.ndarray):
     """Stream |P|^2 on the last axis without P's values: yields
-    (r0, k0, (rows, nodes), s) per tile of ``_tiles``, written into ``s``
-    and clamped at 0 against rounding.
+    (r0, k0, (rows, nodes), s) per tile of ``_lag_tile_shape``, written into
+    ``s`` and clamped at 0 against rounding.
 
     By Fejer-Riesz, with u_b = v_b t^(b/2) the coefficients at lead row v and
     node t, |sum_b u_b e^(i b theta)|^2 is the real trigonometric polynomial
@@ -395,44 +434,47 @@ def _squares(lead: np.ndarray, t: np.ndarray, m: int, s: np.ndarray):
     (rows nodes, 2g - 1) @ ``_square_basis`` matmul; Im c_0 = 0 is dropped.
     """
     g = lead.shape[1]
-    basis = _square_basis(g, m)
     radial = _radial_powers(t, g)
-    rows_step, nodes_step = _tile_shape(lead.shape[0], len(t), m)
+    basis = _square_basis(g, m)
+    rows_step, nodes_step = _lag_tile_shape(lead.shape[0], len(t), m, g)
     for r0 in range(0, lead.shape[0], rows_step):
         lags = _lag_products(lead[r0 : r0 + rows_step])
         rows = lags.shape[2]
         for k0 in range(0, len(t), nodes_step):
             half = radial[k0 : k0 + nodes_step].T  # t_k^(d/2) at [d, k]
-            nodes = half.shape[1]
-            coef = (lags.reshape(-1, g) @ np.square(half)).reshape(2, g, rows, nodes)
-            coef *= half[:, None, :]
-            size = rows * nodes
-            coef = coef.reshape(2 * g, size)[1:]
-            sq = np.matmul(coef.T, basis, out=s[:size])
+            size = rows * half.shape[1]
+            sq = np.matmul(_lag_sums(lags, half).T, basis, out=s[:size])
             if sq.min() < 0.0:  # a read costs a third of the rewrite
                 np.maximum(sq, 0.0, out=sq)
-            yield r0, k0, (rows, nodes), sq
+            yield r0, k0, (rows, half.shape[1]), sq
+        del lags  # the next block's products are formed without these
 
 
 def _shell_means(lead: np.ndarray, t: np.ndarray, m: int, p: float):
-    """Yields (r0, k0, means) per tile of ``_tiles``, means[i, j] being the
-    circle mean of |P|^p at lead row r0 + i and node k0 + j.
+    """Yields (r0, k0, means) per tile, means[i, j] being the circle mean of
+    |P|^p at lead row r0 + i and node k0 + j.
 
-    Where ``_uses_fft`` the tiles of P's values are squared into s;
-    elsewhere ``_squares`` writes s = |P|^2 directly.  The s buffer and the
-    scratch of ``_sq_pow`` are allocated once, for the first (largest) tile.
+    Where ``_uses_lags``, ``_squares`` writes s = |P|^2 directly; elsewhere
+    the tiles of P's values are squared into s, and once paired the first
+    half of a tile is the scratch of ``_sq_pow``.  The s buffer, and where
+    ``_uses_scratch`` the lag route's scratch, are allocated once, for the
+    first (largest) tile; at p = 2 the tiles of values need no s.
     """
-    rows_step, nodes_step = _tile_shape(lead.shape[0], len(t), m)
-    s = np.empty((rows_step * nodes_step, m))
-    scratch = np.empty_like(s)
+    g = lead.shape[1]
     mean_weights = np.full(m, 1.0 / m)
-    if not _uses_fft(lead.shape[1], m):
-        for r0, k0, shape, sq in _squares(lead, t, m, s):
-            means = _sq_pow(sq, p, scratch[: len(sq)]) @ mean_weights
-            yield r0, k0, means.reshape(shape)
+    if _uses_lags(g, m):
+        rows_step, nodes_step = _lag_tile_shape(lead.shape[0], len(t), m, g)
+        shape = (rows_step * nodes_step, m)
+        s = np.empty(shape)
+        scratch = np.empty(shape) if _uses_scratch(p) else None
+        for r0, k0, tile, sq in _squares(lead, t, m, s):
+            part = None if scratch is None else scratch[: len(sq)]
+            yield r0, k0, (_sq_pow(sq, p, part) @ mean_weights).reshape(tile)
         return
+    rows_step, nodes_step = _tile_shape(lead.shape[0], len(t), m)
+    s = None if p == 2.0 else np.empty((rows_step * nodes_step, m))
     pair_weights = np.full(2 * m, 1.0 / m)
-    for r0, k0, shape, grid in _tiles(lead, t, m):
+    for r0, k0, tile, grid in _tiles(lead, t, m):
         # re^2 and im^2 in place, a contiguous pass; at p = 2 the angle mean
         # sums them directly, otherwise they are paired into s first
         parts = grid.view(np.float64)
@@ -441,8 +483,9 @@ def _shell_means(lead: np.ndarray, t: np.ndarray, m: int, p: float):
             means = parts @ pair_weights
         else:
             sq = np.add(parts[:, 0::2], parts[:, 1::2], out=s[: len(grid)])
-            means = _sq_pow(sq, p, scratch[: len(grid)]) @ mean_weights
-        yield r0, k0, means.reshape(shape)
+            spent = parts.reshape(-1)[: sq.size].reshape(sq.shape)
+            means = _sq_pow(sq, p, spent) @ mean_weights
+        yield r0, k0, means.reshape(tile)
 
 
 def _axis_order(triples) -> list[int]:
@@ -456,17 +499,19 @@ def _fourier_bytes(g: int, m: int) -> tuple[int, int]:
     return (0, 0) if _uses_fft(g, m) else (40 * g * m, 16 * g * m)
 
 
-def _grid_bytes(shape, triples) -> int:
+def _grid_bytes(shape, triples, p: float) -> int:
     """Bytes that ``_power_mean`` holds at once at its peak, worked out from
-    the coefficient shape and the (t, w, M) triples alone, at 16 bytes a
+    the coefficient shape, the (t, w, M) triples and p alone, at 16 bytes a
     complex value.  Counted: each lead step's input beside its Fourier
     matrix, first while that is built, then with the step's output; and the
     lead array with the last axis's radial power table and the s and scratch
-    buffers of ``_shell_means``, then per route.  Where ``_uses_fft``: the
-    first streamed tile (shells and values).  Elsewhere: ``_square_basis``
-    with its phase and angle tables while it is built, then the basis with
-    the first row block's lag planes and the tile's lag sums.  Smaller
-    temporaries are left out, so the count is a lower bound.
+    buffers that ``_shell_means`` allocates, then per route.  Where
+    ``_uses_lags``: ``_square_basis`` with its phase and angle tables while
+    it is built, then the basis with the first row block's lag products
+    while they are formed, and with its lag planes and the tile's lag sums.
+    Elsewhere: the Fourier matrix (none where ``_uses_fft``), likewise, then
+    with the first streamed tile (shells and values).  Smaller temporaries
+    are left out, so the count is a lower bound.
     """
     order = _axis_order(triples)
     dims = [shape[i] for i in order]
@@ -478,14 +523,20 @@ def _grid_bytes(shape, triples) -> int:
         largest = max(largest, held + building, held + built + 16 * math.prod(dims))
     g, (t, _, m) = shape[order[-1]], triples[order[-1]]
     rows = math.prod(dims[:-1])
-    tile_rows, tile_nodes = _tile_shape(rows, len(t), m)
-    points = tile_rows * tile_nodes
-    held = 16 * rows * g + 8 * len(t) * g + 16 * points * m
-    if _uses_fft(g, m):
-        return max(largest, held + 16 * points * (g + m))
-    building, built = 8 * m * (4 * g - 3), 8 * m * (2 * g - 1)
-    lags = 16 * g * tile_rows * (g + tile_nodes)
-    return max(largest, held + building, held + built + lags)
+    held = 16 * rows * g + 8 * len(t) * g
+    if _uses_lags(g, m):
+        tile_rows, tile_nodes = _lag_tile_shape(rows, len(t), m, g)
+        points = tile_rows * tile_nodes
+        held += 8 * points * m * (1 + _uses_scratch(p))
+        building, built = 8 * m * (4 * g - 3), 8 * m * (2 * g - 1)
+        planes = 16 * tile_rows * g * g
+        tile = max(2 * planes, planes + 16 * g * points)
+    else:
+        points = math.prod(_tile_shape(rows, len(t), m))
+        held += 0 if p == 2.0 else 8 * points * m
+        building, built = _fourier_bytes(g, m)
+        tile = 16 * points * (g + m)
+    return max(largest, held + building, held + built + tile)
 
 
 def _quadrature_norm(P: ComplexPolynomial, triples, p: float) -> NormResult:
@@ -494,7 +545,7 @@ def _quadrature_norm(P: ComplexPolynomial, triples, p: float) -> NormResult:
     if P.is_zero:
         return NormResult(0.0, "quadrature", 0.0)
     shape = tuple(d + 1 for d in P.variable_degrees())
-    need = _grid_bytes(shape, triples)
+    need = _grid_bytes(shape, triples, p)
     if need > _GRID_BYTES_BUDGET:
         sizes = ", ".join(f"({len(t)}, {m})" for t, _, m in triples)
         raise ValueError(

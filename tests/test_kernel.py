@@ -20,6 +20,7 @@ from berglab.norms import (
     _squares,
     _tile_shape,
     _uses_fft,
+    _uses_lags,
     circle_curvature,
     circle_means,
     hardy_norm,
@@ -82,7 +83,8 @@ def test_power_mean_matches_brute_force(degrees, grid, p):
 
 def test_cases_cover_both_angular_methods():
     # lead axes are summed by the Fourier matmul or the FFT; the streamed
-    # axis by the lag products of _squares, aliased where g > M, or the FFT
+    # axis by the lag products of _squares, by the Fourier matmul of _tiles
+    # where g > M aliases, or the FFT
     sizes = [(d + 1, m) for degrees, grid in CASES for d, (_, m) in zip(degrees, grid)]
     assert any(_fourier_matrix(g, m) is None for g, m in sizes)
     assert any(_fourier_matrix(g, m) is not None for g, m in sizes)
@@ -90,8 +92,8 @@ def test_cases_cover_both_angular_methods():
     for degrees, grid in CASES:
         i = _axis_order([(range(k), None, m) for k, m in grid])[-1]
         g, m = degrees[i] + 1, grid[i][1]
-        routes.add("fft" if _uses_fft(g, m) else "lags" if g <= m else "aliased lags")
-    assert routes == {"fft", "lags", "aliased lags"}
+        routes.add("fft" if _uses_fft(g, m) else "lags" if _uses_lags(g, m) else "aliased")
+    assert routes == {"fft", "lags", "aliased"}
 
 
 @pytest.mark.parametrize("coeffs, angles", [((-1, 0, 0, 0, 0, 1), None), ((1, 1), 64)])

@@ -234,8 +234,8 @@ def test_oversized_grid_is_refused_before_anything_is_allocated(monkeypatch):
     P = parse_polynomial("(1000,1000):1")
     triples = _grid_rule((1000, 1000), 2.0, 4.0)
     assert [(len(t), m) for t, _, m in triples] == [(32, 4001)] * 2
-    assert _grid_bytes((1001, 1001), triples) == 16 * (1001 + 32 * 4001) * 1001
-    assert _grid_bytes((1001, 1001), triples) > 3 * _GRID_BYTES_BUDGET
+    assert _grid_bytes((1001, 1001), triples, 4.0) == 16 * (1001 + 32 * 4001) * 1001
+    assert _grid_bytes((1001, 1001), triples, 4.0) > 3 * _GRID_BYTES_BUDGET
 
     def no_coefficients(self):
         raise AssertionError("coefficient array built before the refusal")
@@ -255,7 +255,7 @@ def test_grid_bytes_never_exceeds_the_traced_peak(text, p):
     # never overstates the need
     P = parse_polynomial(text)
     triples = _grid_rule(P.variable_degrees(), 2.0, p)
-    counted = _grid_bytes(tuple(d + 1 for d in P.variable_degrees()), triples)
+    counted = _grid_bytes(tuple(d + 1 for d in P.variable_degrees()), triples, p)
     assert counted <= traced_peak(bergman_norm, P, 2.0, p)
 
 
@@ -269,7 +269,7 @@ def test_univariate_grid_bytes_count_the_fourier_matrix_and_tile(coeffs, angles)
     # still within the traced peak
     P, g = ComplexPolynomial.from_coeffs(coeffs), len(coeffs)
     triples = _grid_rule((P.degree,), 2.0, 3.0, nodes=2, angles=angles)
-    counted = _grid_bytes((g,), triples)
+    counted = _grid_bytes((g,), triples, 3.0)
     if _uses_fft(g, angles):
         assert counted >= 16 * angles
     else:
@@ -277,9 +277,28 @@ def test_univariate_grid_bytes_count_the_fourier_matrix_and_tile(coeffs, angles)
     assert counted <= traced_peak(bergman_norm, P, 2.0, 3.0, nodes=2, angles=angles)
 
 
+@pytest.mark.parametrize(
+    "P, nodes, angles",
+    [
+        (ComplexPolynomial.from_coeffs(np.linspace(-1.0, 1.0, 4001)), 1, 9),
+        (parse_polynomial("(30,30):1 (1,0):1"), 2, 31),
+    ],
+    ids=["aliased-4000", "lags-many-rows"],
+)
+def test_grid_bytes_track_the_traced_peak(P, nodes, angles):
+    # 4001 coefficients on 9 angles alias through the Fourier matmul, and
+    # 62 lead rows of 31 coefficients on 2 nodes take lag planes of up to
+    # _BLOCK_POINTS products per block: on both the count is close to the
+    # traced peak, so a refusal is not far off what the grid would take
+    triples = _grid_rule(P.variable_degrees(), 2.0, 3.0, nodes=nodes, angles=angles)
+    counted = _grid_bytes(tuple(d + 1 for d in P.variable_degrees()), triples, 3.0)
+    peak = traced_peak(bergman_norm, P, 2.0, 3.0, nodes=nodes, angles=angles)
+    assert counted <= peak <= 1.25 * counted
+
+
 def test_huge_angle_count_for_one_variable_is_refused(monkeypatch):
     # the (3 x 10^9) real basis would take 22 GiB, 37 GiB while it is built,
-    # and the s and scratch buffers of the first tile 15 GiB
+    # and the s buffer of the first tile 7.5 GiB
     def no_kernel(*args):
         raise AssertionError("kernel reached before the refusal")
 

@@ -2,6 +2,8 @@
 import hashlib
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -277,6 +279,51 @@ def test_sweep_pool_pins_openblas_to_one_thread_and_restores(text, monkeypatch):
     finally:
         for (set_threads, _), count in zip(controls, original):
             set_threads(count)
+
+
+def test_pool_worker_of_the_first_item_exits_last(monkeypatch):
+    # the first item is the quickest here, yet its worker outlives the rest
+    ended = []
+
+    class Recording(threading.Thread):
+        def __init__(self, target, args):
+            super().__init__(target=target, args=args)
+            self.first = args[0]
+
+        def run(self):
+            super().run()
+            ended.append(self.first)
+
+    monkeypatch.setattr(sweep.threading, "Thread", Recording)
+    started = {}
+
+    def quick_first(item):
+        started[item] = threading.get_ident()
+        time.sleep(0.0 if item == 0 else 0.05)
+        return item * item
+
+    assert sweep.map_on_pool(quick_first, range(5), 3) == [0, 1, 4, 9, 16]
+    assert sorted(ended) == [0, 1, 2] and ended[-1] == 0
+    assert len({started[i] for i in range(3)}) == 3  # worker i starts on item i
+
+
+def test_pool_runs_each_item_once_under_contention():
+    # more workers than cores and a short switch interval: an item claimed
+    # twice or never would show in the call counts
+    calls = [0] * 2000
+
+    def square(item):
+        calls[item] += 1
+        return item * item
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = sweep.map_on_pool(square, range(len(calls)), 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [i * i for i in range(len(calls))]
+    assert calls == [1] * len(calls)
 
 
 def test_sweep_pool_without_openblas_gives_same_csv(monkeypatch):
