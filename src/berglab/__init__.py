@@ -25,7 +25,7 @@ from .inequalities import (
 )
 from .extremal import (
     ExtremalSpec,
-    extremal_poly,
+    exact_sum_power_norm,
     extremal_ratio,
     gamma_ratio_limit_check,
     gaussian_moment,
@@ -63,7 +63,7 @@ __all__ = [
     "ibp_identity_check",
     "convexity_majorant_check",
     "ExtremalSpec",
-    "extremal_poly",
+    "exact_sum_power_norm",
     "extremal_ratio",
     "gaussian_moment",
     "gamma_ratio_limit_check",

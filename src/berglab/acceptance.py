@@ -11,16 +11,20 @@ combined machine CSV, and exits nonzero on any failure.  Everything is a
 pure function of the seed, so two runs with the same seed produce
 byte-identical CSV files.
 
-The criteria run concurrently, one thread per available core (at most
-one per criterion, inline on one core), with every loaded OpenBLAS pinned
-to one thread meanwhile.  The two slow criteria start first; results are
-collected in criterion order and the Monte Carlo samples are
+A criterion runs as one or more parts: c6 as its Nikol'skii-bound rows
+and its isometry rows, which take about a second each, every other
+criterion as one.  The parts run concurrently, one thread per available
+core (at most one per part, inline on one core), with every loaded
+OpenBLAS pinned to one thread meanwhile.  The parts of the two slow
+criteria start first; a criterion's rows are its parts' rows in part
+order, criteria come in criterion order, and the Monte Carlo samples are
 counter-based, so the lines and the CSV are the same on any number of
-cores.  A criterion's time is its own wall time, which overlaps the
-others'; the closing line gives the suite's.
+cores.  A criterion's time is the sum of its parts' wall times, which
+overlap the others'; the closing line gives the suite's.
 """
 from __future__ import annotations
 
+import itertools
 import os
 import time
 from dataclasses import dataclass, replace
@@ -227,8 +231,8 @@ def c5_profile_machinery(seed: int, nodes_override: int | None = None):
 # ------------------------------------------------------------- criterion 6
 
 
-def c6_nikolskii_isometry(seed: int, nodes_override: int | None = None):
-    """Degree-growth bound on the grid plus the homogenization isometry."""
+def c6_nikolskii(seed: int, nodes_override: int | None = None):
+    """Degree-growth bound on the parameter grid."""
     rows = []
     corpora = [
         ("univ", random_polynomials(25, 1, 5, seed)),
@@ -242,6 +246,12 @@ def c6_nikolskii_isometry(seed: int, nodes_override: int | None = None):
                     **space_inputs(tup), check="nikolskii", case=f"{tag}-{i:02d}"
                 )
                 rows.append(_relabel(row, "c6-nikolskii-isometry", params))
+    return rows
+
+
+def c6_isometry(seed: int, nodes_override: int | None = None):
+    """Homogenization isometry: the mixed norm of the homogenized polynomial."""
+    rows = []
     zero_free = random_polynomials(10, 1, 5, seed, "zero-free") + random_polynomials(
         10, 2, 5, seed, "zero-free"
     )
@@ -269,7 +279,8 @@ def c6_nikolskii_isometry(seed: int, nodes_override: int | None = None):
 def c7_sharpness_asymptotics(seed: int, nodes_override: int | None = None):
     """Gaussian-limit ratio, gamma-ratio trend, and the Stirling sandwich."""
     cid = "c7-sharpness-asymptotics"
-    samples = 200_000
+    # the p side is exact and |f|^2 the control variate: 1-sigma about 1.5e-3
+    samples = 40_000
     spec = dict(m=1, n=64, alpha=2.0, beta=2.0, p=2.0, q=4.0)
     extremal = CHECKS["extremal"].run(**spec, samples=samples, seed=seed)
     # m_max = 200 runs the ratio over m = 10, 50, 100, 200
@@ -309,15 +320,21 @@ class CriterionResult:
         return body
 
 
-# Aliases let --filter select a criterion by the name of any check it
-# contains (e.g. "stirling" picks the asymptotics criterion).
+# Each criterion: its id, the aliases that let --filter select it by the
+# name of any check it contains (e.g. "stirling" picks the asymptotics
+# criterion), and its parts, whose rows in this order are its rows.
 _RUNNERS = (
     ("c1-oracle-agreement", ("norm", "quadrature"), c1_oracle_agreement),
     ("c2-sharp-radius-contraction", ("hyper", "dilation"), c2_sharp_radius),
     ("c3-threshold-recovery", ("bisection",), c3_threshold_recovery),
     ("c4-necessity-expansion", ("residual",), c4_necessity_expansion),
     ("c5-profile-machinery", ("phi", "ibp", "convexity", "majorant"), c5_profile_machinery),
-    ("c6-nikolskii-isometry", ("homogenization", "degree"), c6_nikolskii_isometry),
+    (
+        "c6-nikolskii-isometry",
+        ("homogenization", "degree"),
+        c6_nikolskii,
+        c6_isometry,
+    ),
     (
         "c7-sharpness-asymptotics",
         ("extremal", "stirling", "gamma-ratio"),
@@ -325,9 +342,10 @@ _RUNNERS = (
     ),
 )
 
-CRITERION_IDS = tuple(cid for cid, _, _ in _RUNNERS)
+CRITERION_IDS = tuple(cid for cid, *_ in _RUNNERS)
 
-# Started first: they take seconds, the other five a quarter second together.
+# Their parts start first: each c6 part takes about 1 s and c7 0.25 s, the
+# other five criteria a quarter second together.
 _LONGEST = ("c6-nikolskii-isometry", "c7-sharpness-asymptotics")
 
 
@@ -338,17 +356,44 @@ def _matches(filter_text: str | None, cid: str, aliases) -> bool:
     return needle in cid or any(needle in a for a in aliases)
 
 
+def _part_ids(cid: str, parts) -> list[str]:
+    """A lone part goes by its criterion's id, more by id/1, id/2, ..."""
+    if len(parts) == 1:
+        return [cid]
+    return [f"{cid}/{i}" for i in range(1, len(parts) + 1)]
+
+
+def _parts(run_id: str) -> list:
+    """The parts that a criterion id or a part id names."""
+    for cid, _, *parts in _RUNNERS:
+        if run_id == cid:
+            return parts
+        for part_id, part in zip(_part_ids(cid, parts), parts):
+            if run_id == part_id:
+                return [part]
+    raise ValueError(f"unknown criterion {run_id!r}")
+
+
+def _joined(run_id: str, results) -> CriterionResult:
+    """One result from the results of parts, in part order."""
+    rows = tuple(row for result in results for row in result.rows)
+    passed = all(result.passed for result in results)
+    return CriterionResult(run_id, passed, sum(r.runtime_s for r in results), rows)
+
+
 def run_criterion(
     criterion_id: str, seed: int = 1729, nodes_override: int | None = None
 ) -> CriterionResult:
-    for cid, _, fn in _RUNNERS:
-        if cid == criterion_id:
-            t0 = time.perf_counter()
-            rows = fn(seed, nodes_override=nodes_override)
-            dt = time.perf_counter() - t0
-            passed = VerificationReport(list(rows)).aggregate_pass
-            return CriterionResult(cid, passed, dt, tuple(rows))
-    raise ValueError(f"unknown criterion {criterion_id!r}")
+    """Run a criterion's parts in order, or one part given its part id
+    (``c6-nikolskii-isometry/2``); runtime_s is the sum of the parts' times."""
+    results = []
+    for part in _parts(criterion_id):
+        t0 = time.perf_counter()
+        rows = tuple(part(seed, nodes_override=nodes_override))
+        dt = time.perf_counter() - t0
+        passed = VerificationReport(list(rows)).aggregate_pass
+        results.append(CriterionResult(criterion_id, passed, dt, rows))
+    return _joined(criterion_id, results)
 
 
 def verify_suite(
@@ -360,20 +405,28 @@ def verify_suite(
     emit=print,
 ) -> int:
     """Run the acceptance criteria; returns 0 on success, 1 on any failure."""
-    selected = [
-        cid for cid, aliases, _ in _RUNNERS if _matches(filter_text, cid, aliases)
+    parts = [  # (criterion id, part id) of each selected part, in table order
+        (cid, part_id)
+        for cid, aliases, *runners in _RUNNERS
+        if _matches(filter_text, cid, aliases)
+        for part_id in _part_ids(cid, runners)
     ]
-    if not selected:
+    if not parts:
         raise ValueError(f"filter {filter_text!r} matches no criterion")
-    workers = min(len(os.sched_getaffinity(0)), len(selected))
+    workers = min(len(os.sched_getaffinity(0)), len(parts))
     t0 = time.perf_counter()
-    results = map_on_pool(
-        lambda cid: run_criterion(cid, seed=seed, nodes_override=nodes_override),
-        sorted(selected, key=lambda cid: cid not in _LONGEST),
+    pooled = sorted(parts, key=lambda part: part[0] not in _LONGEST)
+    done = map_on_pool(
+        lambda part: run_criterion(part[1], seed=seed, nodes_override=nodes_override),
+        pooled,
         workers,
     )
     wall = time.perf_counter() - t0
-    results.sort(key=lambda result: selected.index(result.criterion_id))
+    by_part = dict(zip(pooled, done))
+    results = [
+        _joined(cid, [by_part[part] for part in group])
+        for cid, group in itertools.groupby(parts, key=lambda part: part[0])
+    ]
     report = VerificationReport()
     failures = []
     for result in results:
@@ -392,7 +445,7 @@ def verify_suite(
     if failures:
         emit(f"FAILED criteria: {', '.join(failures)} {timing}")
     elif not quiet:
-        emit(f"all {len(selected)} criteria pass {timing}")
+        emit(f"all {len(results)} criteria pass {timing}")
     if csv_path and not quiet:
         emit(f"report written to {csv_path}")
     return 1 if failures else 0

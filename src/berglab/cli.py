@@ -27,7 +27,7 @@ from .measures import McSampler, check_alpha, check_counts, circle_rule, radial_
 from .norms import bergman_norm, bergman_norm_mc, exact_norm_even_p
 from .poly import parse_polynomial
 from .report import CSV_HEADER, VerificationReport, fmt_value
-from .sweep import load_sweep_config, run_sweep
+from .sweep import _one_blas_thread, load_sweep_config, run_sweep
 
 __all__ = ["main"]
 
@@ -239,7 +239,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        with _one_blas_thread():
+            return args.handler(args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 1

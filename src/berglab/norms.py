@@ -12,7 +12,8 @@ another:
   degree-d univariate P takes about d^2 flops in numpy and d Python steps;
 * ``bergman_norm``: tensor Gauss x equispaced quadrature;
 * ``bergman_norm_mc``: Monte Carlo with a counter-based sampler, whose
-  alpha and variable count it takes.
+  alpha and variable count it takes, and |P|^2 as control variate (see
+  ``_mc_norm``, which ``extremal`` also uses).
 
 All quadrature (Bergman, Hardy and mixed norms, and the circle profile of
 the inequality checks) goes through one kernel, ``_power_mean``, the only
@@ -710,34 +711,86 @@ def bergman_norm_mc(P, p: float, sampler: McSampler, n_samples: int) -> NormResu
     est_error is the delta-method 1-sigma.
 
     P may be a ComplexPolynomial in the sampler's n variables or a callable
-    mapping an (N, n) complex array to values of the function.
+    mapping an (N, n) complex array to values of the function.  For a
+    polynomial, |P|^2 is the control variate of ``_mc_norm``, its exact mean
+    being exact_norm_p2(P)^2; a callable is sampled plainly.
     """
-    _check_p(p)
+    p, n_samples = _mc_counts(p, n_samples)
+    if not isinstance(P, ComplexPolynomial):
+        return _mc_norm(P, p, sampler, n_samples)
+    if P.nvars != sampler.nvars:
+        raise ValueError("sampler dimension does not match the polynomial")
+    if P.is_zero:
+        return NormResult(0.0, "monte-carlo", 0.0)
+    control = exact_norm_p2(P, sampler.alpha).value ** 2
+    return _mc_norm(P.evaluate_many, p, sampler, n_samples, control)
+
+
+def _mc_counts(p: float, n_samples: int) -> tuple[float, int]:
+    """p and n_samples checked: p in (0, 64] and at least two samples."""
+    p = _check_p(p)
     n_samples = int(n_samples)
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    if isinstance(P, ComplexPolynomial):
-        if P.nvars != sampler.nvars:
-            raise ValueError("sampler dimension does not match the polynomial")
-        if P.is_zero:
-            return NormResult(0.0, "monte-carlo", 0.0)
-        evaluate = P.evaluate_many
-    else:
-        evaluate = P
+    return p, n_samples
+
+
+def _mc_norm(
+    evaluate,
+    p: float,
+    sampler: McSampler,
+    n_samples: int,
+    control_mean: float | None = None,
+) -> NormResult:
+    """The A^p norm of f from its values at the sampler's first n_samples points.
+
+    ``evaluate`` maps an (N, n) array of points to f's values there.  Given
+    ``control_mean``, the exact mean of y = |f|^2, y is a control variate
+    for x = |f|^p (Glasserman, Monte Carlo Methods in Financial Engineering,
+    2004, section 4.1): the mean of x is estimated as mean(x) - b (mean(y) -
+    control_mean) with b = cov(x, y) / var(y), and its 1-sigma is that of
+    the residuals x - b y over n - 2 degrees of freedom.  b is fitted on the
+    same samples, which biases the estimate by O(1/N), well below its
+    1-sigma (tests/test_norms.py measures it).  At p = 2, where the control
+    would be x itself, and below three samples the mean is plain.  est_error
+    carries the 1-sigma of the mean to the norm by the delta method.
+    """
+    p, n_samples = _mc_counts(p, n_samples)
+    fit = control_mean is not None and p != 2.0 and n_samples > 2
     chunk = 16384
-    acc = 0.0
-    acc_sq = 0.0
+    acc = acc_sq = 0.0  # sums of x and x^2
+    acc_d = acc_dd = acc_xd = 0.0  # sums of d = y - control_mean, d^2 and x d
     for lo in range(0, n_samples, chunk):
         count = min(chunk, n_samples - lo)
-        vals = _abs_pow(np.asarray(evaluate(sampler.sample_block(lo, count))), p)
-        acc += float(vals.sum())
-        acc_sq += float((vals * vals).sum())
+        values = np.asarray(evaluate(sampler.sample_block(lo, count)))
+        if fit:
+            y = _abs_pow(values, 2.0)
+            x = _sq_pow(y.copy(), p)
+            d = y - control_mean
+            acc_d += float(d.sum())
+            acc_dd += float((d * d).sum())
+            acc_xd += float((x * d).sum())
+        else:
+            x = _abs_pow(values, p)
+        acc += float(x.sum())
+        acc_sq += float((x * x).sum())
     mean = acc / n_samples
-    var = max(acc_sq - n_samples * mean * mean, 0.0) / (n_samples - 1)
-    se_mean = math.sqrt(var / n_samples)
+    sxx = acc_sq - n_samples * mean * mean
     if mean == 0.0:
         # a nonzero integrand hit zero at every sample point
         raise RuntimeError("degenerate Monte Carlo estimate: all samples are zero")
+    dof = n_samples - 1
+    if fit:
+        mean_d = acc_d / n_samples
+        sdd = acc_dd - n_samples * mean_d * mean_d
+        if sdd > 0.0:
+            b = (acc_xd - n_samples * mean * mean_d) / sdd
+            mean -= b * mean_d
+            sxx -= b * b * sdd
+            dof -= 1
+        if not mean > 0.0:
+            raise RuntimeError(f"control-variate estimate {mean!r} is not positive")
+    se_mean = math.sqrt(max(sxx, 0.0) / dof / n_samples)
     value = mean ** (1.0 / p)
     est = se_mean * value / (p * mean)
     return NormResult(value, "monte-carlo", est)

@@ -16,11 +16,12 @@ import pytest
 import berglab
 from berglab import acceptance
 from berglab.acceptance import run_criterion
+from berglab.report import VerificationReport
 
 SEED = 1729
 # sha256 of the verify-suite CSV at SEED; a change that moves any number in
 # it updates this pin and says so
-SUITE_SHA256 = "95625c32be1fef9496ff605367a751ae9e2b21812044f604e885ea0f07349021"
+SUITE_SHA256 = "2db27eae9e849c6f44ffc8e3d4d76b44f8506f1ef3b01b441da8cac7c9b02318"
 
 
 def emit(result, tolerance_note):
@@ -80,6 +81,18 @@ def test_c7_sharpness_asymptotics():
     assert res.runtime_s < 30.0
 
 
+@pytest.mark.parametrize("seed", [SEED, 7])
+def test_c7_ratio_agrees_with_the_exact_finite_n_ratio(seed):
+    res = run_criterion("c7-sharpness-asymptotics", seed=seed)
+    [row] = [r for r in res.rows if "check=extremal-ratio" in r.params]
+    # (1/(3n) + (n-1)/(2n))^(1/4) / (1/sqrt 2) at n = 64
+    exact = 1.1876556347068343
+    assert row.status == "pass"
+    assert row.est_error <= 2.0e-3
+    assert abs(row.computed - exact) <= 4.0 * row.est_error
+    assert row.note.endswith(";samples=40000")
+
+
 def _run_suite(csv_path, *extra):
     """The CLI in a fresh process, importing the berglab this process tests."""
     src = str(Path(berglab.__file__).resolve().parents[1])
@@ -137,7 +150,7 @@ def test_filter_selects_single_criterion(tmp_path):
     assert "c7-sharpness-asymptotics" in lines[0]
 
 
-def _suite_on_cores(cores, csv_path, monkeypatch):
+def _suite_on_cores(cores, csv_path, monkeypatch, filter_text=None):
     """verify_suite as if the process could run on ``cores`` cores.
 
     Returns (exit code, CSV bytes, emitted lines, threads that ran criteria).
@@ -153,7 +166,9 @@ def _suite_on_cores(cores, csv_path, monkeypatch):
 
     monkeypatch.setattr(acceptance, "run_criterion", recording)
     lines = []
-    code = acceptance.verify_suite(seed=SEED, csv_path=str(csv_path), emit=lines.append)
+    code = acceptance.verify_suite(
+        seed=SEED, filter_text=filter_text, csv_path=str(csv_path), emit=lines.append
+    )
     return code, csv_path.read_bytes(), lines, threads
 
 
@@ -181,18 +196,45 @@ def test_pooled_and_serial_suites_are_identical(tmp_path, monkeypatch):
 def test_slow_criteria_start_first_and_print_in_criterion_order(monkeypatch):
     started = []
 
-    def instant(cid, seed, nodes_override=None):
-        started.append(cid)
-        return acceptance.CriterionResult(cid, True, 0.0, ())
+    def instant(part_id):
+        def part(seed, nodes_override=None):
+            started.append(part_id)
+            return ()
 
-    # one core runs the criteria inline, in the order they are handed over
+        return part
+
+    # the same table with every part recording its id when it starts
+    runners = [
+        (cid, aliases, *(instant(pid) for pid in acceptance._part_ids(cid, parts)))
+        for cid, aliases, *parts in acceptance._RUNNERS
+    ]
+    # one core runs the parts inline, in the order they are handed over
     monkeypatch.setattr(acceptance.os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(acceptance, "run_criterion", instant)
+    monkeypatch.setattr(acceptance, "_RUNNERS", tuple(runners))
     lines = []
     assert acceptance.verify_suite(seed=SEED, csv_path="", emit=lines.append) == 0
     ids = acceptance.CRITERION_IDS
-    assert started == [*ids[5:], *ids[:5]]
+    c6, c7 = ids[5:]
+    assert started == [f"{c6}/1", f"{c6}/2", c7, *ids[:5]]
     assert [line.split(" (")[0] for line in lines[:-1]] == [f"[PASS] {c}" for c in ids]
+
+
+def test_a_criterion_run_alone_equals_its_rows_in_a_pooled_suite(tmp_path, monkeypatch):
+    cid = "c6-nikolskii-isometry"
+    alone = run_criterion(cid, seed=SEED)
+    code, csv_bytes, lines, threads = _suite_on_cores(
+        2, tmp_path / "c6.csv", monkeypatch, "nikolskii-isometry"
+    )
+    assert code == 0
+    # the two parts ran on two pool threads, and the verdict line is c6's
+    assert len(threads) == 2 and threading.get_ident() not in threads
+    assert [line.split(" (")[0] for line in lines if line.startswith("[")] == [
+        f"[PASS] {cid}"
+    ]
+    assert csv_bytes == VerificationReport(list(alone.rows)).to_csv().encode()
+    # run alone, the parts come in order: the 200 bound rows, then the isometry
+    checks = [row.params.split("check=")[1].split(";")[0] for row in alone.rows]
+    assert checks == ["nikolskii"] * 200 + ["isometry"] * 20
 
 
 @pytest.mark.parametrize("cores", [1, 2])

@@ -48,6 +48,34 @@ def test_norm_exact_and_mc_methods(capsys):
     assert abs(data["value"] - math.sqrt(1.5)) < 5.0 * data["est_error"]
 
 
+def test_every_command_runs_with_one_blas_thread_and_restores(capsys, monkeypatch):
+    controls = sweep._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded in this process: no thread count to pin")
+    original = [get_threads() for _, get_threads in controls]
+    seen = []
+
+    def handler(args):
+        seen.append([get_threads() for _, get_threads in controls])
+        with sweep._one_blas_thread():  # a pool inside the command
+            seen.append([get_threads() for _, get_threads in controls])
+        seen.append([get_threads() for _, get_threads in controls])
+        raise ValueError("bad input")
+
+    monkeypatch.setattr(cli, "_cmd_norm", handler)
+    try:
+        # two threads before the command, so a missed restore shows
+        for set_threads, _ in controls:
+            set_threads(2)
+        code, _, err = run(["norm", "--space", "alpha=2,p=2", "--poly", "1"], capsys)
+        assert (code, err) == (2, "error: bad input\n")
+        assert seen == [[1] * len(controls)] * 3
+        assert [get_threads() for _, get_threads in controls] == [2] * len(controls)
+    finally:
+        for (set_threads, _), count in zip(controls, original):
+            set_threads(count)
+
+
 def test_norm_bad_space_is_usage_error(capsys):
     code, _, err = run(["norm", "--space", "alpha=2", "--poly", "1,1"], capsys)
     assert code == 2
@@ -487,7 +515,7 @@ SIGNATURE_SNAPSHOT = {
     "ibp_identity_check": "(f, q, beta, beta_prime, nodes=64)",
     "convexity_majorant_check": "(beta, beta_prime, y_grid)",
     "ExtremalSpec": "(n, m)",
-    "extremal_poly": "(spec)",
+    "exact_sum_power_norm": "(n, m, alpha, p)",
     "extremal_ratio": "(spec, alpha, beta, p, q, n_samples=200000, seed=0)",
     "gaussian_moment": "(m, p)",
     "gamma_ratio_limit_check": "(p, q, m_grid)",

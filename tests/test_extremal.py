@@ -7,8 +7,8 @@ import pytest
 from berglab.checks import CHECKS
 from berglab.extremal import (
     ExtremalSpec,
+    exact_sum_power_norm,
     extremal_evaluator,
-    extremal_poly,
     extremal_ratio,
     gamma_ratio_limit_check,
     gaussian_moment,
@@ -16,39 +16,84 @@ from berglab.extremal import (
     stirling_bounds_check,
 )
 from berglab.measures import McSampler
-from berglab.norms import bergman_norm_mc, exact_norm_p2
+from berglab.norms import bergman_norm_mc, exact_norm_even_p
+from berglab.poly import ComplexPolynomial
 
 
-def test_extremal_poly_expansion():
-    # (z_1 + z_2) / sqrt(2) and its square (z_1^2 + 2 z_1 z_2 + z_2^2) / 2
-    P = extremal_poly(ExtremalSpec(2, 1))
-    assert P.coeff((1, 0)) == pytest.approx(math.sqrt(0.5))
-    assert P.coeff((0, 1)) == pytest.approx(math.sqrt(0.5))
-    Q = extremal_poly(ExtremalSpec(2, 2))
-    assert Q.coeff((2, 0)) == pytest.approx(0.5)
-    assert Q.coeff((1, 1)) == pytest.approx(1.0)
-    assert Q.degree == 2
+def coordinate_sum(n: int) -> ComplexPolynomial:
+    """(z_1 + ... + z_n) / sqrt(n), expanded."""
+    unit = lambda i: tuple(int(j == i) for j in range(n))
+    return ComplexPolynomial.from_terms(n, {unit(i): n ** -0.5 for i in range(n)})
 
 
 @pytest.mark.parametrize("alpha,n", [(2.0, 1), (2.0, 4), (1.5, 9), (3.0, 16)])
 def test_extremal_family_is_p2_normalized(alpha, n):
     # ||sum z_i / sqrt(n)||_{A^2_alpha}^2 = n * (1/n) * ||z||^2 = 1/alpha
-    P = extremal_poly(ExtremalSpec(n, 1))
-    value = exact_norm_p2(P, alpha).value
-    assert math.sqrt(alpha) * value == pytest.approx(1.0, rel=1e-13)
-
-
-def test_extremal_expansion_cap():
-    with pytest.raises(ValueError):
-        extremal_poly(ExtremalSpec(17, 1))
+    value = exact_sum_power_norm(n, 1, alpha, 2.0)
+    assert math.sqrt(alpha) * value == pytest.approx(1.0, rel=1e-14)
 
 
 def test_extremal_evaluator_matches_expansion():
     spec = ExtremalSpec(3, 2)
-    P = extremal_poly(spec)
+    P = coordinate_sum(3) ** 2
     ev = extremal_evaluator(spec)
     pts = McSampler(2.0, 3, seed=5).sample_block(0, 50)
     assert np.allclose(ev(pts), P.evaluate_many(pts), rtol=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1.3, 2.0, 4.0])
+def test_exact_sum_power_norm_matches_the_expanded_oracle(alpha):
+    P = coordinate_sum(4) ** 3
+    for p in (2.0, 4.0, 6.0):
+        expanded = exact_norm_even_p(P, alpha, p).value
+        assert exact_sum_power_norm(4, 3, alpha, p) == pytest.approx(expanded, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 1000])
+def test_exact_sum_power_norm_closed_form_at_alpha_2(n):
+    # E|z|^2 = 1/2 and E|z|^4 = 1/3 under dA_2, so
+    # ||f||^4 = (n/3 + 2 n(n-1)/4) / n^2 = 1/(3n) + (n-1)/(2n)
+    closed = 1.0 / (3 * n) + (n - 1) / (2 * n)
+    assert exact_sum_power_norm(n, 1, 2.0, 4.0) ** 4 == pytest.approx(closed, rel=1e-14)
+
+
+def test_exact_sum_power_norm_far_out_against_multiprecision():
+    # m = 60, n = 16384 and p = 4 (K = 120): the unscaled coefficient is
+    # about 1e-235 and (K!)^2 about 1e398, so both need the scaled form;
+    # the reference sums the unscaled series in 30-digit arithmetic
+    mpmath = pytest.importorskip("mpmath")
+    n, m, alpha, p = 16384, 60, 2.0, 4
+    K = m * p // 2
+    mpmath.mp.dps = 30
+    w = [1 / ((k + 1) * mpmath.factorial(k) ** 2) for k in range(K + 1)]
+
+    def times(a, b):
+        return [mpmath.fsum(a[i] * b[j - i] for i in range(j + 1)) for j in range(K + 1)]
+
+    power, base, rest = [mpmath.mpf(1)] + [mpmath.mpf(0)] * K, w, n
+    while rest:
+        if rest & 1:
+            power = times(power, base)
+        rest >>= 1
+        if rest:
+            base = times(base, base)
+    norm_p = mpmath.factorial(K) ** 2 * power[K] / mpmath.mpf(n) ** K
+    reference = float(norm_p ** (mpmath.mpf(1) / p))
+    value = exact_sum_power_norm(n, m, alpha, p)
+    assert value == pytest.approx(reference, rel=1e-12)
+    # below the Gaussian limit, as at m = 1 (1/(3n) + (n-1)/(2n) < 1/2)
+    assert value < (1 / math.sqrt(alpha)) ** m * gaussian_moment(m, p)
+    for big_p in (8.0, 64.0):
+        assert 0.0 < exact_sum_power_norm(n, m, 100.0, big_p) < math.inf
+
+
+def test_exact_sum_power_norm_validation():
+    with pytest.raises(ValueError, match="even integer"):
+        exact_sum_power_norm(4, 1, 2.0, 3.0)
+    with pytest.raises(ValueError):
+        exact_sum_power_norm(0, 1, 2.0, 2.0)
+    with pytest.raises(ValueError):
+        exact_sum_power_norm(4, 1, 1.0, 2.0)
 
 
 def test_gaussian_moment_values():
@@ -67,14 +112,26 @@ def test_extremal_ratio_same_space_is_one():
 
 
 def test_mc_cross_check_against_expanded_polynomial():
-    # where the expansion is tractable the MC evaluator must agree with the
-    # exact coefficient oracle on the same quantity
+    # the plain Monte Carlo evaluator must agree with the exact norm of the
+    # expanded family, here from its closed form
     spec = ExtremalSpec(16, 2)
-    P = extremal_poly(spec)
-    exact = exact_norm_p2(P, 2.0).value
+    exact = exact_sum_power_norm(16, 2, 2.0, 2.0)
     sampler = McSampler(2.0, 16, seed=9)
     est = bergman_norm_mc(extremal_evaluator(spec), 2.0, sampler, 100_000)
     assert abs(est.value - exact) <= 4.0 * est.est_error
+
+
+def test_extremal_ratio_p_side_is_exact():
+    # with the denominator exact at p = 2, the ratio at q = 4 is one sampled
+    # norm over 1/sqrt(alpha), and its ci that norm's 1-sigma times sqrt(alpha)
+    spec = ExtremalSpec(8, 1)
+    rep = extremal_ratio(spec, 2.0, 2.0, 2.0, 4.0, n_samples=20_000, seed=5)
+    exact = exact_sum_power_norm(8, 1, 2.0, 4.0) * math.sqrt(2.0)
+    assert 0.0 < rep.ci < 2e-3 * rep.ratio
+    assert abs(rep.ratio - exact) <= 4.0 * rep.ci
+    # at p = 3 the denominator is sampled too, and the ci grows
+    odd = extremal_ratio(spec, 2.0, 2.0, 3.0, 4.0, n_samples=20_000, seed=5)
+    assert odd.ci > rep.ci
 
 
 def test_per_degree_attainment_grows_toward_limit():

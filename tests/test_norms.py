@@ -8,12 +8,13 @@ from hypothesis import given, strategies as st
 
 from berglab import norms
 from berglab.corpus import random_polynomials
-from berglab.measures import McSampler
+from berglab.measures import McSampler, stream_for
 from berglab.norms import (
     _GRID_BYTES_BUDGET,
     _MIXED_DEFAULTS,
     _grid_bytes,
     _grid_rule,
+    _mc_norm,
     _quadrature_norm,
     _uses_fft,
     bergman_norm,
@@ -194,6 +195,61 @@ def test_mc_zero_polynomial_and_degenerate_path():
     dead = lambda pts: np.zeros(len(pts), dtype=complex)
     with pytest.raises(RuntimeError):
         bergman_norm_mc(dead, 2.0, s, 2_000)
+
+
+# A bivariate degree-5 polynomial of the corpus: the control variate's tests
+CV_POLY = random_polynomials(1, 2, 5, 3)[0]
+
+
+def _cv_samples(sampler, count, p):
+    """x = |P|^p and y = |P|^2 at the sampler's first count points."""
+    y = np.abs(CV_POLY.evaluate_many(sampler.sample_block(0, count))) ** 2
+    return y ** (0.5 * p), y
+
+
+def test_mc_control_variate_within_four_sigma_over_20_seeds():
+    exact = exact_norm_even_p(CV_POLY, 2.0, 4.0).value
+    hits = 0
+    for seed in range(20):
+        sampler = McSampler(2.0, 2, seed)
+        res = bergman_norm_mc(CV_POLY, 4.0, sampler, 20_000)
+        hits += abs(res.value - exact) <= 4.0 * res.est_error
+        # the same samples without the control: about twice the 1-sigma
+        plain = bergman_norm_mc(CV_POLY.evaluate_many, 4.0, sampler, 20_000)
+        assert res.est_error < 0.7 * plain.est_error
+    assert hits >= 19
+
+
+def test_mc_control_variate_with_a_shifted_mean_misses():
+    # negative control: a control mean 1% off moves the estimate by > 4 sigma
+    sampler = McSampler(2.0, 2, 1729)
+    control = exact_norm_p2(CV_POLY, 2.0).value ** 2
+    right = _mc_norm(CV_POLY.evaluate_many, 4.0, sampler, 200_000, control)
+    wrong = _mc_norm(CV_POLY.evaluate_many, 4.0, sampler, 200_000, 1.01 * control)
+    assert abs(wrong.value - right.value) > 4.0 * right.est_error
+    exact = exact_norm_even_p(CV_POLY, 2.0, 4.0).value
+    assert abs(wrong.value - exact) > 4.0 * wrong.est_error
+
+
+@pytest.mark.parametrize("p", [0.5, 3.0, 4.0])
+def test_mc_control_variate_bias_is_below_a_tenth_sigma(p):
+    # Fitting b on the samples it corrects biases the mean by O(1/N).  An
+    # estimate with b fixed in advance is unbiased, so the mean over seeds of
+    # the difference of the two is that bias.  The difference varies far
+    # less than either estimate, so 20 seeds resolve it to about 0.01 sigma.
+    control = exact_norm_p2(CV_POLY, 2.0).value ** 2
+    x, y = _cv_samples(McSampler(2.0, 2, 0, stream_for("fixed-b")), 200_000, p)
+    fixed_b = np.cov(x, y)[0, 1] / np.var(y, ddof=1)
+    diffs, sigmas = [], []
+    for seed in range(20):
+        sampler = McSampler(2.0, 2, seed)
+        res = bergman_norm_mc(CV_POLY, p, sampler, 20_000)
+        mean = res.value ** p
+        x, y = _cv_samples(sampler, 20_000, p)
+        diffs.append(mean - (x.mean() - fixed_b * (y.mean() - control)))
+        sigmas.append(res.est_error * p * mean / res.value)
+    bias, spread = np.mean(diffs), np.std(diffs, ddof=1) / math.sqrt(len(diffs))
+    assert abs(bias) + 4.0 * spread < 0.1 * min(sigmas)
 
 
 def test_exact_even_p_at_two_is_the_p2_route():

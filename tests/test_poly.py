@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from berglab.corpus import multi_indices
-from berglab.extremal import ExtremalSpec, extremal_poly
 from berglab.poly import (
     ComplexPolynomial,
     _dense_product,
@@ -204,7 +203,8 @@ def test_product_zero_constant_scalar_and_mismatch():
 
 def test_sparse_many_variable_square_takes_pair_loop():
     # the n = 16, m = 2 extremal square has 256 term pairs but a 3^16 box
-    base = extremal_poly(ExtremalSpec(16, 1))
+    unit = lambda i: tuple(int(j == i) for j in range(16))
+    base = ComplexPolynomial.from_terms(16, {unit(i): 0.25 for i in range(16)})
     assert len(base.terms) == 16
     assert not _dense_product_fits(base, base)
     assert not _dense_product_fits(ComplexPolynomial.constant(1.0, 16), base)
