@@ -1,13 +1,14 @@
 """The registry of single checks behind `berglab <check>`, `sweep` and
-`verify-suite`, and the one place where verdicts are formed.
+`verify-suite`, and the one place where rows and verdicts are formed.
 
 Each entry of ``CHECKS`` holds one check: the schema of its parameters
 (names, types, defaults, required flags), the inputs its rows name, a
 ``run`` that measures and builds the report row, and its pass rule.  The
-CLI makes one subcommand per entry from the schema; the sweep takes its
-check kinds (the entries with ``sweep=True``) and their rows, error rows
-included, from here; the acceptance criteria take their verdicts from
-``run`` and relabel the rows with their own ids and params.
+CLI makes a subcommand of each entry with a ``command``, the sweep takes
+its check kinds (``sweep=True``) and their rows, error rows included, from
+here, and every acceptance row is the ``run`` of an entry, relabeled with
+its criterion's id and params.  Five entries make acceptance rows only:
+oracle, expansion, convexity, majorant and isometry.
 
 The library functions only measure.  Every pass rule is written here once:
 
@@ -16,22 +17,20 @@ The library functions only measure.  Every pass rule is written here once:
   verdict, else ``pass`` or ``fail``; a check that raised gives an
   ``error`` row;
 - the inequality rule (``report.at_most``): the two-norm rows (hyper,
-  nikolskii, kulikov, weissler) and the threshold bisection pass when the bounded side is at most the bound up
-  to ``INEQ_SLACK`` (``NIKOLSKII_SLACK`` for the degree-growth ratio);
-- the agreement rule (``agreement_row``): a value agrees with its target
-  when rel = |computed - target| / max(|target|, 1e-300) <= tol, and the
-  row reports rel as its est_error (the oracle rows of c1, the closed-form
-  rows of c4 and the isometry rows of c6);
-- the gates and tolerances of the other entries: ``THRESHOLD_GATE``, the
-  extremal max(4 CI, 3% of the limit), the IBP tolerance, the strict
-  Stirling bounds and the gamma-ratio trend;
-- the rules of the library checks that c4 and c5 run directly: ``convex``
-  (down to ``CONVEXITY_FLOOR``), ``majorant_holds`` and ``cubic_decay``,
-  and the method of the profile rows (``profile_method``);
+  nikolskii, kulikov, weissler) and the threshold bisection pass when the
+  bounded side is at most the bound up to ``INEQ_SLACK``
+  (``NIKOLSKII_SLACK`` for the degree-growth ratio);
+- the agreement rule (``agreement_row``): rel = |computed - target| /
+  max(|target|, 1e-300) is at most ``ORACLE_TOL``, ``CLOSED_FORM_TOL`` or
+  ``ISOMETRY_TOL``, and is the row's est_error;
+- the other gates and tolerances: ``THRESHOLD_GATE``, the extremal max(4
+  CI, 3% of the limit), the IBP tolerance, the strict Stirling bounds, the
+  gamma-ratio trend, ``cubic_decay``, ``convex`` (down to
+  ``CONVEXITY_FLOOR``) and ``majorant_holds``;
 - the row form: params are ``key=value`` pairs joined by ``;``
   (``format_params``), a check's rows name its ``shown`` inputs in that
-  order, error rows too, and for the same inputs `berglab <check> --out
-  csv` and a one-row sweep print the same row.
+  order, and `berglab <check> --out csv` and a one-row sweep print the
+  same row for the same inputs.
 """
 from __future__ import annotations
 
@@ -46,14 +45,24 @@ from .extremal import (
     stirling_bounds_check,
 )
 from .inequalities import (
+    convexity_majorant_check,
     hyper_check,
     ibp_identity_check,
     kulikov_check,
+    necessity_expansion_check,
     nikolskii_check,
+    phi_convexity_check,
     sharp_radius,
     threshold_search,
 )
-from .norms import _check_p, _even_half, hardy_norm
+from .norms import (
+    _check_p,
+    _even_half,
+    bergman_norm,
+    exact_norm_even_p,
+    hardy_norm,
+    mixed_norm,
+)
 from .report import ReportRow, at_most, fmt_value
 
 __all__ = [
@@ -73,6 +82,13 @@ THRESHOLD_GATE = 5e-3
 # profile's Phi'' is exact up to rounding, far inside it; at other q the
 # angular quadrature error of Phi'' can exceed it, so there it is no bound.
 CONVEXITY_FLOOR = 1e-7
+
+# Relative tolerances of the agreement rows: quadrature against the exact
+# oracle, the expansion residual against its eps^4/32 closed form, and the
+# mixed norm of the homogenized polynomial against its Bergman norm.
+ORACLE_TOL = 1e-10
+CLOSED_FORM_TOL = 0.10
+ISOMETRY_TOL = 1e-8
 
 
 def hypotheses_hold(alpha: float, beta: float, p: float, q: float) -> bool:
@@ -116,12 +132,25 @@ def format_params(**values) -> str:
     return ";".join(f"{key}={fmt_value(value)}" for key, value in values.items())
 
 
-def agreement_row(check_id, params, computed, target, tol, method, note=""):
-    """Row of a value that must match its target to relative tolerance tol."""
-    rel = abs(computed - target) / max(abs(target), 1e-300)
-    return ReportRow(
-        check_id, params, computed, target, status(rel <= tol), method, rel, note=note
+def _verdict(
+    computed, target, passed, method, est_error=0.0, note="", hypothesis_ok=True
+) -> dict:
+    """The fields of a judged row after its check_id and params."""
+    return dict(
+        computed=computed,
+        target=target,
+        status=status(passed, hypothesis_ok),
+        method=method,
+        est_error=est_error,
+        hypothesis_ok=hypothesis_ok,
+        note=note,
     )
+
+
+def agreement_row(computed, target, tol, method, note="") -> dict:
+    """The fields of a row whose value must match target to relative tol."""
+    rel = abs(computed - target) / max(abs(target), 1e-300)
+    return _verdict(computed, target, rel <= tol, method, rel, note)
 
 
 @dataclass(frozen=True)
@@ -143,7 +172,7 @@ class Param:
 @dataclass(frozen=True)
 class Check:
     name: str  # the check_id of its rows
-    command: str  # the CLI subcommand
+    command: str | None  # the CLI subcommand, None for acceptance rows only
     help: str
     params: tuple[Param, ...]
     shown: tuple[str, ...]  # the inputs its rows name in params, in order
@@ -177,7 +206,7 @@ class Check:
 CHECKS: dict[str, Check] = {}
 
 
-def _register(name, command, help, params, shown, sweep=False):
+def _register(name, command, help, params, shown=(), sweep=False):
     def register(build):
         CHECKS[name] = Check(name, command, help, tuple(params), shown, build, sweep)
         return build
@@ -205,15 +234,7 @@ def _bound_row(
 ) -> dict:
     """The fields of a row judging computed <= bound up to a relative slack."""
     passed = at_most(computed, bound, slack)
-    return dict(
-        computed=computed,
-        target=bound,
-        status=status(passed, hypothesis_ok),
-        method=method,
-        est_error=0.0,
-        hypothesis_ok=hypothesis_ok,
-        note=note,
-    )
+    return _verdict(computed, bound, passed, method, 0.0, note, hypothesis_ok)
 
 
 ALPHA = Param("alpha", required=True)
@@ -221,6 +242,7 @@ BETA = Param("beta", required=True)
 P = Param("p", required=True)
 Q = Param("q", required=True)
 POLY = Param("poly", str, required=True)
+BETA_PRIME = Param("beta_prime", required=True)
 NODES = Param("nodes", int)
 ANGLES = Param("angles", int)
 
@@ -312,12 +334,12 @@ def _threshold(alpha, beta, p, q, eps, tol) -> dict:
     rep = threshold_search(alpha, beta, p, q, slack=INEQ_SLACK, eps=eps, tol=tol)
     gap = abs(rep.r_star_empirical - rep.r_star_theoretical)
     in_hypothesis = hypotheses_hold(alpha, beta, p, q)
-    return dict(
-        computed=rep.r_star_empirical,
-        target=rep.r_star_theoretical,
-        status=status(gap <= THRESHOLD_GATE, in_hypothesis),
-        method="bisection",
-        est_error=rep.bracket_width,
+    return _verdict(
+        rep.r_star_empirical,
+        rep.r_star_theoretical,
+        gap <= THRESHOLD_GATE,
+        "bisection",
+        rep.bracket_width,
         hypothesis_ok=in_hypothesis,
     )
 
@@ -327,8 +349,7 @@ def _threshold(alpha, beta, p, q, eps, tol) -> dict:
     "ibp-check",
     "double integration-by-parts identity",
     (
-        POLY, Q, BETA,
-        Param("beta_prime", required=True),
+        POLY, Q, BETA, BETA_PRIME,
         Param("nodes", int, 64),
         Param("tol", default=1e-7),
     ),
@@ -336,14 +357,9 @@ def _threshold(alpha, beta, p, q, eps, tol) -> dict:
 )
 def _ibp(poly, q, beta, beta_prime, nodes, tol) -> dict:
     res = ibp_identity_check(poly, q, beta, beta_prime, nodes=nodes)
-    return dict(
-        computed=res.max_rel_discrepancy,
-        target=tol,
-        status=status(res.max_rel_discrepancy <= tol),
-        method=profile_method(q),
-        est_error=0.0,
-        note=format_params(lhs_dilated=res.lhs_dilated, lhs_plain=res.lhs_plain),
-    )
+    gap = res.max_rel_discrepancy
+    note = format_params(lhs_dilated=res.lhs_dilated, lhs_plain=res.lhs_plain)
+    return _verdict(gap, tol, gap <= tol, profile_method(q), note=note)
 
 
 @_register(
@@ -364,14 +380,9 @@ def _extremal(alpha, beta, p, q, m, n, samples, seed) -> dict:
         ExtremalSpec(n, m), alpha, beta, p, q, n_samples=samples, seed=seed
     )
     tol = max(4.0 * rep.ci, 0.03 * rep.target)
-    return dict(
-        computed=rep.ratio,
-        target=rep.target,
-        status=status(abs(rep.ratio - rep.target) <= tol),
-        method="monte-carlo",
-        est_error=rep.ci,
-        note=f"tol={fmt_value(tol)}",
-    )
+    passed = abs(rep.ratio - rep.target) <= tol
+    note = f"tol={fmt_value(tol)}"
+    return _verdict(rep.ratio, rep.target, passed, "monte-carlo", rep.ci, note)
 
 
 @_register(
@@ -384,14 +395,9 @@ def _extremal(alpha, beta, p, q, m, n, samples, seed) -> dict:
 def _stirling(grid) -> dict:
     rep = stirling_bounds_check(tuple(float(x) for x in grid.split(",")))
     worst = min(min(rep.lower_margins), min(rep.upper_margins))
-    return dict(
-        computed=worst,
-        target=0.0,
-        status=status(worst > 0.0),  # both bounds hold strictly
-        method="log-gamma",
-        est_error=0.0,
-        note="min log-margin over both bounds",
-    )
+    passed = worst > 0.0  # both bounds hold strictly
+    note = "min log-margin over both bounds"
+    return _verdict(worst, 0.0, passed, "log-gamma", note=note)
 
 
 @_register(
@@ -411,10 +417,80 @@ def _gamma_ratio(p, q, m_max) -> dict:
     first, last = rep.rel_errors[0], rep.rel_errors[-1]
     # the relative error does not grow along the grid, and is below 2% by m = 200
     passed = last <= first + 1e-15 and (grid[-1] < 200 or last <= 0.02)
-    return dict(
-        computed=rep.values[-1],
-        target=rep.limit,
-        status=status(passed),
-        method="log-gamma",
-        est_error=rep.rel_errors[-1],
+    return _verdict(rep.values[-1], rep.limit, passed, "log-gamma", last)
+
+
+# The entries below have no subcommand: they make acceptance rows only, so
+# their rows name no inputs; each criterion gives its rows their params.
+@_register(
+    "oracle",
+    None,
+    "quadrature norm against the exact even-p oracle",
+    (POLY, ALPHA, P, NODES),
+)
+def _oracle(poly, alpha, p, nodes) -> dict:
+    return agreement_row(
+        bergman_norm(poly, alpha, p, nodes=nodes).value,
+        exact_norm_even_p(poly, alpha, p).value,
+        ORACLE_TOL,
+        "quadrature-vs-exact",
+        note=f"degree={poly.degree}",
+    )
+
+
+@_register(
+    "expansion",
+    None,
+    "quadratic-coefficient expansion of ||1 + eps z||",
+    (ALPHA, P, Param("kind", str, "decay"), Param("eps")),
+)
+def _expansion(alpha, p, kind, eps) -> dict:
+    """Cubic decay of the residuals on the default eps grid, or, at
+    alpha = p = 2 only, the residual at eps against its closed form eps^4/32."""
+    if kind == "closed-form":
+        [residual] = necessity_expansion_check(alpha, p, (eps,)).residuals
+        return agreement_row(residual, eps ** 4 / 32.0, CLOSED_FORM_TOL, "exact")
+    rep = necessity_expansion_check(alpha, p)
+    passed = cubic_decay(rep.eps_grid, rep.residuals)
+    note = "residual/eps^3 at worst grid point"
+    return _verdict(rep.max_normalized_residual, 0.0, passed, rep.method, note=note)
+
+
+@_register(
+    "convexity",
+    None,
+    "smallest Phi'' of the circle profile on a y grid",
+    (POLY, Q, Param("y_grid", required=True)),
+)
+def _convexity(poly, q, y_grid) -> dict:
+    min_phi2, argmin_y = phi_convexity_check(poly, q, y_grid)
+    note = format_params(argmin_y=argmin_y)
+    method = profile_method(q)
+    return _verdict(min_phi2, -CONVEXITY_FLOOR, convex(min_phi2), method, note=note)
+
+
+@_register(
+    "majorant",
+    None,
+    "tangent-line majorant on a y grid in [0, beta/beta']",
+    (BETA, BETA_PRIME, Param("y_grid", required=True)),
+)
+def _majorant(beta, beta_prime, y_grid) -> dict:
+    margin = convexity_majorant_check(beta, beta_prime, y_grid)
+    return _verdict(margin, 0.0, majorant_holds(margin), "grid")
+
+
+@_register(
+    "isometry",
+    None,
+    "mixed norm of the homogenized P against its Bergman norm",
+    (POLY, ALPHA, P),
+)
+def _isometry(poly, alpha, p) -> dict:
+    return agreement_row(
+        mixed_norm(poly.homogenize(poly.degree), alpha, p).value,
+        bergman_norm(poly, alpha, p).value,
+        ISOMETRY_TOL,
+        "mixed-vs-quadrature",
+        note=format_params(degree=poly.degree, nvars=poly.nvars),
     )

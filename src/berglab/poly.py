@@ -24,7 +24,8 @@ Three textual formats are accepted by :func:`parse_polynomial`:
 * dense univariate coefficient list: ``"1, 0.5, 0, 2j"`` means
   1 + 0.5 z + 2j z^3;
 * sparse exponent map: ``"(1,2):0.5+0.3i (0,0):1"`` (``i`` or ``j`` works);
-* the JSON wire format produced by :meth:`ComplexPolynomial.to_json`.
+* JSON: ``{"nvars": 1, "terms": [{"gamma": [2], "re": 1.0, "im": -0.5}]}``
+  means (1 - 0.5j) z^2.
 """
 from __future__ import annotations
 
@@ -220,16 +221,6 @@ class ComplexPolynomial:
         return out
 
     # -------------------------------------------------------------- formats
-
-    def to_json(self) -> str:
-        payload = {
-            "nvars": self.nvars,
-            "terms": [
-                {"gamma": list(g), "re": c.real, "im": c.imag}
-                for g, c in self.terms
-            ],
-        }
-        return json.dumps(payload, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ComplexPolynomial":

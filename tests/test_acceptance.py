@@ -3,6 +3,7 @@
 Each test prints a single [PASS]/[FAIL] line with the criterion's stated
 tolerance and asserts both the verdict and the runtime budget.
 """
+import argparse
 import hashlib
 import os
 import subprocess
@@ -14,14 +15,18 @@ from pathlib import Path
 import pytest
 
 import berglab
-from berglab import acceptance
+from berglab import acceptance, sweep
 from berglab.acceptance import run_criterion
+from berglab.checks import CHECKS
+from berglab.cli import build_parser
 from berglab.report import VerificationReport
 
 SEED = 1729
 # sha256 of the verify-suite CSV at SEED; a change that moves any number in
 # it updates this pin and says so
 SUITE_SHA256 = "2db27eae9e849c6f44ffc8e3d4d76b44f8506f1ef3b01b441da8cac7c9b02318"
+# the same at seed 7, so that the byte-identity gate covers a second seed
+SUITE_SHA256_SEED_7 = "f5342f350bbde7b46b51c2eaecaa0eeebb14627e0d5552a12f09a03237885c45"
 
 
 def emit(result, tolerance_note):
@@ -134,6 +139,33 @@ def test_c8_determinism_and_wall_clock(tmp_path):
     assert hashlib.sha256(a).hexdigest() == SUITE_SHA256
 
 
+def test_suite_csv_at_a_second_seed(tmp_path):
+    csv_path = tmp_path / "seed7.csv"
+    assert acceptance.verify_suite(seed=7, csv_path=str(csv_path), quiet=True) == 0
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == SUITE_SHA256_SEED_7
+
+
+def test_every_table_entry_names_a_registered_check():
+    named = {
+        entry[0]
+        for _, _, *tables in acceptance._CRITERIA
+        for table in tables
+        for entry in table(SEED)
+    }
+    assert named <= set(CHECKS)
+    rows_only = {name for name, check in CHECKS.items() if check.command is None}
+    assert rows_only == {"oracle", "expansion", "convexity", "majorant", "isometry"}
+    assert rows_only <= named
+    # the entries without a command give no subcommand and no sweep kind
+    parser = build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    commands = {check.command for check in CHECKS.values()} - {None}
+    others = {"norm", "phi", "sweep", "verify-suite", "dump-rule"}
+    assert set(subs.choices) == commands | others
+    kinds = ("hyper", "nikolskii", "kulikov", "weissler", "threshold")
+    assert sweep.CHECK_KINDS == kinds
+
+
 def test_negative_control_names_failing_criterion(tmp_path):
     proc, _ = _run_suite(
         tmp_path / "bad.csv", "--nodes-override", "1", "--filter", "oracle"
@@ -174,7 +206,7 @@ def _suite_on_cores(cores, csv_path, monkeypatch, filter_text=None):
 
 def test_pooled_and_serial_suites_are_identical(tmp_path, monkeypatch):
     # the cheap criteria c1-c5 stand in for the whole suite
-    monkeypatch.setattr(acceptance, "_RUNNERS", acceptance._RUNNERS[:5])
+    monkeypatch.setattr(acceptance, "_CRITERIA", acceptance._CRITERIA[:5])
     serial = _suite_on_cores(1, tmp_path / "serial.csv", monkeypatch)
     pooled = _suite_on_cores(2, tmp_path / "pooled.csv", monkeypatch)
     assert serial[0] == pooled[0] == 0
@@ -196,21 +228,22 @@ def test_pooled_and_serial_suites_are_identical(tmp_path, monkeypatch):
 def test_slow_criteria_start_first_and_print_in_criterion_order(monkeypatch):
     started = []
 
-    def instant(part_id):
-        def part(seed, nodes_override=None):
+    def recording(part_id):
+        def table(seed):
             started.append(part_id)
-            return ()
+            return [("stirling", {}, dict(part=part_id))]
 
-        return part
+        return table
 
-    # the same table with every part recording its id when it starts
-    runners = [
-        (cid, aliases, *(instant(pid) for pid in acceptance._part_ids(cid, parts)))
-        for cid, aliases, *parts in acceptance._RUNNERS
+    # the same criteria with each part a one-row table that records its id
+    # when it starts
+    criteria = [
+        (cid, aliases, *(recording(pid) for pid in acceptance._part_ids(cid, tables)))
+        for cid, aliases, *tables in acceptance._CRITERIA
     ]
     # one core runs the parts inline, in the order they are handed over
     monkeypatch.setattr(acceptance.os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(acceptance, "_RUNNERS", tuple(runners))
+    monkeypatch.setattr(acceptance, "_CRITERIA", tuple(criteria))
     lines = []
     assert acceptance.verify_suite(seed=SEED, csv_path="", emit=lines.append) == 0
     ids = acceptance.CRITERION_IDS
@@ -239,13 +272,14 @@ def test_a_criterion_run_alone_equals_its_rows_in_a_pooled_suite(tmp_path, monke
 
 @pytest.mark.parametrize("cores", [1, 2])
 def test_an_exception_in_a_criterion_propagates(cores, tmp_path, monkeypatch):
-    def broken(seed, nodes_override=None):
-        raise RuntimeError("criterion broke")
+    def broken(seed):
+        # a grid the stirling check cannot parse makes its run raise
+        return [("stirling", dict(grid="0.1,broken"), {})]
 
-    runners = acceptance._RUNNERS
+    criteria = acceptance._CRITERIA
     monkeypatch.setattr(
-        acceptance, "_RUNNERS", (runners[3], ("c9-broken", (), broken), runners[2])
+        acceptance, "_CRITERIA", (criteria[3], ("c9-broken", (), broken), criteria[2])
     )
-    with pytest.raises(RuntimeError, match="criterion broke"):
+    with pytest.raises(ValueError, match="broken"):
         _suite_on_cores(cores, tmp_path / "broken.csv", monkeypatch)
     assert not (tmp_path / "broken.csv").exists()

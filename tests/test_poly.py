@@ -79,9 +79,14 @@ def test_homogenization_degree_and_slice(P):
     assert abs(Q.evaluate_many(lifted)[0] - P.evaluate_many(pts)[0]) < 1e-14
 
 
-@given(polynomials())
-def test_json_round_trip(P):
-    assert ComplexPolynomial.from_json(P.to_json()).terms == P.terms
+def test_json_input_format():
+    text = (
+        '{"nvars": 2, "terms": [{"gamma": [0, 0], "re": 1.0, "im": 0.0},'
+        ' {"gamma": [2, 1], "re": 0.5, "im": -0.25}]}'
+    )
+    P = parse_polynomial(text)
+    assert P.nvars == 2
+    assert P.terms == (((0, 0), 1 + 0j), ((2, 1), 0.5 - 0.25j))
 
 
 @given(polynomials())

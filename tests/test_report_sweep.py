@@ -44,7 +44,8 @@ def test_fmt_value_round_trip_precision():
     [(1.0 + 1e-11, 1.0, "pass"), (1.0 - 1e-9, 1.0, "fail"), (0.0, 0.0, "pass")],
 )
 def test_agreement_row_judges_the_relative_gap(computed, target, status):
-    row = checks.agreement_row("demo", "a=1", computed, target, 1e-10, "m", note="n")
+    judged = checks.agreement_row(computed, target, 1e-10, "m", note="n")
+    row = ReportRow("demo", "a=1", **judged)
     assert row.status == status
     assert row.est_error == abs(computed - target) / max(abs(target), 1e-300)
     assert (row.computed, row.target, row.method, row.note) == (
