@@ -1,32 +1,30 @@
 """The acceptance suite: seven self-contained criteria behind `verify-suite`.
 
-A criterion is made of parts, each a table: a function of the seed whose
-entries are (check, inputs, label) or (check, inputs, label, fields).  One
-loop turns each entry into a row: the run of that `checks.py` check on the
-inputs, under the criterion's id with the label as its params, and with
-the fields the criterion sets itself (a callable gets the check's row).
+Each criterion is one table: a function of the seed whose entries are
+(check, inputs, label) or (check, inputs, label, fields).  One loop turns
+each entry into a row: that `checks.py` check built on the inputs, under
+the criterion's id with the label as its params, and with the fields the
+criterion sets itself (a callable gets the check's value of that field).
 So every row takes its status from the registry; a criterion passes when
 every in-hypothesis row passes.  The suite prints one [PASS]/[FAIL] line
 per criterion, writes the combined machine CSV, and exits nonzero on any
 failure.  Everything is a pure function of the seed, so two runs with the
 same seed produce byte-identical CSV files.
 
-Parts run concurrently, one thread per available core (at most one per
-part, inline on one core), with every loaded OpenBLAS pinned to one thread
-meanwhile.  c6 has two parts, its Nikol'skii-bound rows and its isometry
-rows, which take about a second each; they and c7 start first.  A
-criterion's rows are its parts' rows in part order, criteria come in
-criterion order, and the Monte Carlo samples are counter-based, so the
-lines and the CSV are the same on any number of cores.  A criterion's time
-is the sum of its parts' wall times, which overlap the others'; the
-closing line gives the suite's.
+The rows of the selected criteria run concurrently, row by row, on one
+thread per available core (inline on one core), with every loaded
+OpenBLAS pinned to one thread meanwhile.  They are handed over last entry
+first (see `verify_suite`).  A criterion's rows come back in table order,
+criteria in criterion order, and the Monte Carlo samples are
+counter-based, so the lines and the CSV are the same on any number of
+cores.  A criterion's time is the sum of its row times, which overlap
+other rows; the closing line gives the suite's wall time.
 """
 from __future__ import annotations
 
-import itertools
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +33,7 @@ from .corpus import random_polynomials
 from .inequalities import sharp_radius
 from .norms import bergman_norm  # noqa: F401  perfbench's tracer tests patch it here
 from .poly import ComplexPolynomial
-from .report import VerificationReport
+from .report import ReportRow, VerificationReport
 from .sweep import map_on_pool
 
 __all__ = ["CriterionResult", "CRITERION_IDS", "run_criterion", "verify_suite"]
@@ -154,13 +152,14 @@ def c5_profile_machinery(seed: int):
 # ------------------------------------------------------------- criterion 6
 
 
-def c6_nikolskii(seed: int):
-    """Degree-growth bound on the parameter grid."""
+def c6_nikolskii_isometry(seed: int):
+    """Degree-growth bound on the parameter grid, then the homogenization
+    isometry: the mixed norm of the homogenized polynomial."""
     corpora = [
         ("univ", random_polynomials(25, 1, 5, seed)),
         ("bivar", random_polynomials(25, 2, 5, seed)),
     ]
-    return [
+    entries = [
         (
             "nikolskii",
             dict(**space_inputs(tup), poly=P),
@@ -170,15 +169,10 @@ def c6_nikolskii(seed: int):
         for tag, polys in corpora
         for i, P in enumerate(polys)
     ]
-
-
-def c6_isometry(seed: int):
-    """Homogenization isometry: the mixed norm of the homogenized polynomial."""
     zero_free = random_polynomials(10, 1, 5, seed, "zero-free") + random_polynomials(
         10, 2, 5, seed, "zero-free"
     )
     p_cycle = (2.0, 3.5, 4.0)
-    entries = []
     for i, P in enumerate(zero_free):
         space = dict(alpha=2.0, p=p_cycle[i % 3])
         label = dict(check="isometry", case=f"{i:02d}", **space)
@@ -201,7 +195,7 @@ def c7_sharpness_asymptotics(seed: int):
             "extremal",
             dict(**spec, samples=samples, seed=seed),
             dict(check="extremal-ratio", **spec),
-            {"note": lambda row: f"{row.note};samples={samples}"},
+            {"note": lambda note: f"{note};samples={samples}"},
         ),
         ("gamma-ratio", trend, dict(check="gamma-ratio", **trend)),
         # the default grid 0.1, 0.5, 1, 2, 5, 10, 50, 100, 400
@@ -231,8 +225,7 @@ class CriterionResult:
 
 # Each criterion: its id, the aliases that let --filter select it by the
 # name of any check it contains (e.g. "stirling" picks the asymptotics
-# criterion), and the tables of its parts, whose rows in this order are
-# its rows.
+# criterion), and its table, whose rows in this order are its rows.
 _CRITERIA = (
     ("c1-oracle-agreement", ("norm", "quadrature"), c1_oracle_agreement),
     ("c2-sharp-radius-contraction", ("hyper", "dilation"), c2_sharp_radius),
@@ -243,12 +236,7 @@ _CRITERIA = (
         ("phi", "ibp", "convexity", "majorant"),
         c5_profile_machinery,
     ),
-    (
-        "c6-nikolskii-isometry",
-        ("homogenization", "degree"),
-        c6_nikolskii,
-        c6_isometry,
-    ),
+    ("c6-nikolskii-isometry", ("homogenization", "degree"), c6_nikolskii_isometry),
     (
         "c7-sharpness-asymptotics",
         ("extremal", "stirling", "gamma-ratio"),
@@ -258,10 +246,6 @@ _CRITERIA = (
 
 CRITERION_IDS = tuple(cid for cid, *_ in _CRITERIA)
 
-# Their parts start first: each c6 part takes about 1 s and c7 0.25 s, the
-# other five criteria a quarter second together.
-_LONGEST = ("c6-nikolskii-isometry", "c7-sharpness-asymptotics")
-
 
 def _matches(filter_text: str | None, cid: str, aliases) -> bool:
     if not filter_text:
@@ -270,53 +254,41 @@ def _matches(filter_text: str | None, cid: str, aliases) -> bool:
     return needle in cid or any(needle in a for a in aliases)
 
 
-def _part_ids(cid: str, parts) -> list[str]:
-    """A lone part goes by its criterion's id, more by id/1, id/2, ..."""
-    if len(parts) == 1:
-        return [cid]
-    return [f"{cid}/{i}" for i in range(1, len(parts) + 1)]
+def _tasks(cid: str, table, seed: int, nodes_override: int | None) -> list:
+    """(criterion id, entry) for each entry of a criterion's table."""
+    # the node override reaches c1's oracle entries only
+    args = (seed, nodes_override) if table is c1_oracle_agreement else (seed,)
+    return [(cid, entry) for entry in table(*args)]
 
 
-def _parts(run_id: str) -> tuple[str, list]:
-    """The criterion id, and the tables of the parts that a criterion id or
-    a part id names."""
-    for cid, _, *tables in _CRITERIA:
-        if run_id == cid:
-            return cid, tables
-        for part_id, table in zip(_part_ids(cid, tables), tables):
-            if run_id == part_id:
-                return cid, [table]
-    raise ValueError(f"unknown criterion {run_id!r}")
+def _timed_row(task) -> tuple:
+    """The row of a task's entry, and the seconds it took."""
+    t0 = time.perf_counter()
+    cid, (name, inputs, label, *fields) = task
+    check = CHECKS[name]
+    values = check.build(**check.filled(inputs))
+    for key, value in (fields[0] if fields else {}).items():
+        values[key] = value(values[key]) if callable(value) else value
+    row = ReportRow(cid, format_params(**label), **values)
+    return row, time.perf_counter() - t0
 
 
-def _row(cid: str, check: str, inputs: dict, label: dict, fields=None):
-    """The row of an entry's check under the criterion's id and params."""
-    row = CHECKS[check].run(**inputs)
-    fields = {k: v(row) if callable(v) else v for k, v in (fields or {}).items()}
-    return replace(row, check_id=cid, params=format_params(**label), **fields)
-
-
-def _joined(run_id: str, results) -> CriterionResult:
-    """One result from the results of parts, in part order."""
-    rows = tuple(row for result in results for row in result.rows)
-    passed = all(result.passed for result in results)
-    return CriterionResult(run_id, passed, sum(r.runtime_s for r in results), rows)
+def _result(cid: str, timed) -> CriterionResult:
+    """A criterion's result from its timed rows, in table order."""
+    rows = tuple(row for row, _ in timed)
+    passed = VerificationReport(list(rows)).aggregate_pass
+    return CriterionResult(cid, passed, sum(seconds for _, seconds in timed), rows)
 
 
 def run_criterion(
     criterion_id: str, seed: int = 1729, nodes_override: int | None = None
 ) -> CriterionResult:
-    """Run a criterion's parts in order, or one part given its part id
-    (``c6-nikolskii-isometry/2``)."""
-    cid, tables = _parts(criterion_id)
-    t0 = time.perf_counter()
-    rows = []
-    for table in tables:
-        # the node override reaches c1's oracle entries only
-        args = (seed, nodes_override) if table is c1_oracle_agreement else (seed,)
-        rows += [_row(cid, *entry) for entry in table(*args)]
-    passed = VerificationReport(rows).aggregate_pass
-    return CriterionResult(criterion_id, passed, time.perf_counter() - t0, tuple(rows))
+    """Run one criterion's rows inline, in table order."""
+    for cid, _, table in _CRITERIA:
+        if cid == criterion_id:
+            tasks = _tasks(cid, table, seed, nodes_override)
+            return _result(cid, [_timed_row(task) for task in tasks])
+    raise ValueError(f"unknown criterion {criterion_id!r}")
 
 
 def verify_suite(
@@ -328,28 +300,35 @@ def verify_suite(
     emit=print,
 ) -> int:
     """Run the acceptance criteria; returns 0 on success, 1 on any failure."""
-    parts = [  # (criterion id, part id) of each selected part, in table order
-        (cid, part_id)
-        for cid, aliases, *tables in _CRITERIA
+    selected = {
+        cid: table
+        for cid, aliases, table in _CRITERIA
         if _matches(filter_text, cid, aliases)
-        for part_id in _part_ids(cid, tables)
-    ]
-    if not parts:
+    }
+    if not selected:
         raise ValueError(f"filter {filter_text!r} matches no criterion")
-    workers = min(len(os.sched_getaffinity(0)), len(parts))
-    t0 = time.perf_counter()
-    pooled = sorted(parts, key=lambda part: part[0] not in _LONGEST)
-    done = map_on_pool(
-        lambda part: run_criterion(part[1], seed=seed, nodes_override=nodes_override),
-        pooled,
-        workers,
-    )
-    wall = time.perf_counter() - t0
-    by_part = dict(zip(pooled, done))
-    results = [
-        _joined(cid, [by_part[part] for part in group])
-        for cid, group in itertools.groupby(parts, key=lambda part: part[0])
+    if nodes_override is not None and CRITERION_IDS[0] not in selected:
+        raise ValueError(
+            f"nodes_override reaches only {CRITERION_IDS[0]}, "
+            f"which filter {filter_text!r} does not select"
+        )
+    tasks = [
+        task
+        for cid, table in selected.items()
+        for task in _tasks(cid, table, seed, nodes_override)
     ]
+    workers = min(len(os.sched_getaffinity(0)), len(tasks))
+    t0 = time.perf_counter()
+    # Handed over last entry first, not first entry first, for memory: on 2
+    # cores, peak RSS over 8 suites in one process stays at about 114 MB
+    # this way, and the other way it is 118 MB after one suite and 128 MB
+    # after a few (ru_maxrss after each suite).
+    timed = map_on_pool(_timed_row, tasks[::-1], workers)[::-1]
+    wall = time.perf_counter() - t0
+    by_criterion = {cid: [] for cid in selected}
+    for (cid, _), done in zip(tasks, timed):
+        by_criterion[cid].append(done)
+    results = [_result(cid, rows) for cid, rows in by_criterion.items()]
     report = VerificationReport()
     failures = []
     for result in results:

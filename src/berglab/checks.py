@@ -6,9 +6,10 @@ Each entry of ``CHECKS`` holds one check: the schema of its parameters
 ``run`` that measures and builds the report row, and its pass rule.  The
 CLI makes a subcommand of each entry with a ``command``, the sweep takes
 its check kinds (``sweep=True``) and their rows, error rows included, from
-here, and every acceptance row is the ``run`` of an entry, relabeled with
-its criterion's id and params.  Five entries make acceptance rows only:
-oracle, expansion, convexity, majorant and isometry.
+here, and every acceptance row is the ``build`` of an entry on its
+``filled`` inputs, under its criterion's id and params (the shown inputs
+are not formatted there).  Five entries make acceptance rows only: oracle,
+expansion, convexity, majorant and isometry.
 
 The library functions only measure.  Every pass rule is written here once:
 
@@ -188,13 +189,19 @@ class Check:
         shown = {k: inputs[k] for k in self.shown if inputs.get(k) is not None}
         return format_params(**shown)
 
-    def run(self, **given) -> ReportRow:
-        """The check's row; optional parameters left out take their defaults."""
+    def filled(self, given: dict) -> dict:
+        """The inputs of a run: optional parameters left out take their
+        defaults, derived ones left at None are derived."""
         inputs = {p.name: p.default for p in self.params if not p.required}
         inputs.update(given)
         for param in self.params:
             if param.derive is not None and inputs[param.name] is None:
                 inputs[param.name] = param.derive(inputs)
+        return inputs
+
+    def run(self, **given) -> ReportRow:
+        """The check's row, its params formed from the shown inputs."""
+        inputs = self.filled(given)
         return ReportRow(self.name, self.describe(inputs), **self.build(**inputs))
 
     def error_row(self, given: dict, exc: Exception) -> ReportRow:

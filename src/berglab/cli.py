@@ -80,6 +80,9 @@ def _print_table(args, default_out: str, header, records, one=False) -> int:
 
 def _cmd_norm(args) -> int:
     alpha, p = _parse_space(args.space)
+    for name in ("nodes", "angles"):
+        if args.method != "quad" and getattr(args, name) is not None:
+            raise ValueError(f"--{name} applies to --method quad only")
     P = parse_polynomial(args.poly)
     if args.method == "exact":
         res = exact_norm_even_p(P, alpha, p)

@@ -378,29 +378,30 @@ def _map_on_threads(fn, items: list, workers: int) -> list:
 def map_on_pool(fn, items, workers: int) -> list:
     """``[fn(item) for item in items]``, on ``workers`` threads.
 
-    Runs inline when there is one worker or one item, and otherwise on at
-    most one new thread per item (see ``_map_on_threads``).  Either way
-    every loaded OpenBLAS runs one thread meanwhile, and results come back
-    in input order; an exception from ``fn`` propagates once every item is
-    done.  The call is one ``norms.memo_scope``: it computes each distinct
-    Bergman quadrature norm once, in its workers too; a nested call shares
-    the memo.
+    Runs inline when there is one worker, one item or one available core,
+    and otherwise on new threads, at most one per item and one per core
+    (see ``_map_on_threads``).  Either way every loaded OpenBLAS runs one
+    thread meanwhile, and results come back in input order; an exception
+    from ``fn`` propagates once every item is done.  The call is one
+    ``norms.memo_scope``: it computes each distinct Bergman quadrature norm
+    once, in its workers too; a nested call shares the memo.
     """
     items = list(items)
+    workers = min(workers, len(items), len(os.sched_getaffinity(0)))
     with _one_blas_thread(), memo_scope():
-        if workers > 1 and len(items) > 1:
-            return _map_on_threads(fn, items, min(workers, len(items)))
+        if workers > 1:
+            return _map_on_threads(fn, items, workers)
         return [fn(item) for item in items]
 
 
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> VerificationReport:
     """Execute the configured cross-product of checks.
 
-    With ``jobs > 1`` rows run on a pool of that many threads.  Either way
-    OpenBLAS, where loaded, runs one thread per row meanwhile, and each
-    distinct Bergman quadrature norm is computed once.  A row whose
-    check raises becomes an error row naming the row's inputs; it fails the
-    aggregate but does not abort the sweep.
+    With ``jobs > 1`` rows run on a pool of that many threads, at most one
+    per available core.  Either way OpenBLAS, where loaded, runs one
+    thread per row meanwhile, and each distinct Bergman quadrature norm is
+    computed once.  A row whose check raises becomes an error row naming
+    the row's inputs; it fails the aggregate but does not abort the sweep.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")

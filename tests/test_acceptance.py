@@ -16,7 +16,7 @@ import pytest
 
 import berglab
 from berglab import acceptance, sweep
-from berglab.acceptance import run_criterion
+from berglab.acceptance import _timed_row, run_criterion
 from berglab.checks import CHECKS
 from berglab.cli import build_parser
 from berglab.report import VerificationReport
@@ -146,12 +146,8 @@ def test_suite_csv_at_a_second_seed(tmp_path):
 
 
 def test_every_table_entry_names_a_registered_check():
-    named = {
-        entry[0]
-        for _, _, *tables in acceptance._CRITERIA
-        for table in tables
-        for entry in table(SEED)
-    }
+    assert all(len(criterion) == 3 for criterion in acceptance._CRITERIA)
+    named = {entry[0] for _, _, table in acceptance._CRITERIA for entry in table(SEED)}
     assert named <= set(CHECKS)
     rows_only = {name for name, check in CHECKS.items() if check.command is None}
     assert rows_only == {"oracle", "expansion", "convexity", "majorant", "isometry"}
@@ -185,18 +181,18 @@ def test_filter_selects_single_criterion(tmp_path):
 def _suite_on_cores(cores, csv_path, monkeypatch, filter_text=None):
     """verify_suite as if the process could run on ``cores`` cores.
 
-    Returns (exit code, CSV bytes, emitted lines, threads that ran criteria).
+    Returns (exit code, CSV bytes, emitted lines, threads that ran rows).
     """
     monkeypatch.setattr(
         acceptance.os, "sched_getaffinity", lambda pid: set(range(cores))
     )
     threads = set()
 
-    def recording(*args, **kwargs):
+    def recording(task):
         threads.add(threading.get_ident())
-        return run_criterion(*args, **kwargs)
+        return _timed_row(task)
 
-    monkeypatch.setattr(acceptance, "run_criterion", recording)
+    monkeypatch.setattr(acceptance, "_timed_row", recording)
     lines = []
     code = acceptance.verify_suite(
         seed=SEED, filter_text=filter_text, csv_path=str(csv_path), emit=lines.append
@@ -220,36 +216,37 @@ def test_pooled_and_serial_suites_are_identical(tmp_path, monkeypatch):
     assert serial[2][-2].startswith("all 5 criteria pass (")
     assert serial[2][-2].endswith(" s wall, 1 worker)")
     assert pooled[2][-2].endswith(" s wall, 2 workers)")
-    # one core runs inline; two run every criterion off the calling thread
+    # one core runs inline; two run every row off the calling thread
     assert serial[3] == {threading.get_ident()}
     assert threading.get_ident() not in pooled[3]
 
 
-def test_slow_criteria_start_first_and_print_in_criterion_order(monkeypatch):
+def test_the_last_entry_starts_first_and_lines_print_in_criterion_order(monkeypatch):
     started = []
 
-    def recording(part_id):
-        def table(seed):
-            started.append(part_id)
-            return [("stirling", {}, dict(part=part_id))]
+    def recording(task):
+        started.append(task[1][2]["entry"])
+        return _timed_row(task)
 
-        return table
+    def table(cid):
+        return lambda seed: [("stirling", {}, dict(entry=f"{cid}:{i}")) for i in (1, 2)]
 
-    # the same criteria with each part a one-row table that records its id
-    # when it starts
-    criteria = [
-        (cid, aliases, *(recording(pid) for pid in acceptance._part_ids(cid, tables)))
-        for cid, aliases, *tables in acceptance._CRITERIA
-    ]
-    # one core runs the parts inline, in the order they are handed over
+    # the same criteria, each a table of two one-row stirling entries
+    criteria = [(cid, aliases, table(cid)) for cid, aliases, _ in acceptance._CRITERIA]
+    # one core runs the rows inline, in the order they are handed over
     monkeypatch.setattr(acceptance.os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(acceptance, "_CRITERIA", tuple(criteria))
+    monkeypatch.setattr(acceptance, "_timed_row", recording)
     lines = []
     assert acceptance.verify_suite(seed=SEED, csv_path="", emit=lines.append) == 0
     ids = acceptance.CRITERION_IDS
-    c6, c7 = ids[5:]
-    assert started == [f"{c6}/1", f"{c6}/2", c7, *ids[:5]]
+    assert started == [f"{cid}:{i}" for cid in reversed(ids) for i in (2, 1)]
     assert [line.split(" (")[0] for line in lines[:-1]] == [f"[PASS] {c}" for c in ids]
+
+
+def test_run_criterion_takes_criterion_ids_only():
+    with pytest.raises(ValueError, match="unknown criterion"):
+        run_criterion("c6-nikolskii-isometry/1")
 
 
 def test_a_criterion_run_alone_equals_its_rows_in_a_pooled_suite(tmp_path, monkeypatch):
@@ -259,13 +256,13 @@ def test_a_criterion_run_alone_equals_its_rows_in_a_pooled_suite(tmp_path, monke
         2, tmp_path / "c6.csv", monkeypatch, "nikolskii-isometry"
     )
     assert code == 0
-    # the two parts ran on two pool threads, and the verdict line is c6's
+    # its rows ran on both pool threads, and the verdict line is c6's
     assert len(threads) == 2 and threading.get_ident() not in threads
     assert [line.split(" (")[0] for line in lines if line.startswith("[")] == [
         f"[PASS] {cid}"
     ]
     assert csv_bytes == VerificationReport(list(alone.rows)).to_csv().encode()
-    # run alone, the parts come in order: the 200 bound rows, then the isometry
+    # in table order: the 200 bound rows, then the isometry rows
     checks = [row.params.split("check=")[1].split(";")[0] for row in alone.rows]
     assert checks == ["nikolskii"] * 200 + ["isometry"] * 20
 

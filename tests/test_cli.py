@@ -82,6 +82,24 @@ def test_norm_bad_space_is_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "extra, option",
+    [
+        (["--method", "exact", "--nodes", "5"], "--nodes"),
+        (["--method", "mc", "--nodes", "3"], "--nodes"),
+        (["--method", "exact", "--angles", "7"], "--angles"),
+        (["--method", "mc", "--angles", "7", "--samples", "100"], "--angles"),
+    ],
+    ids=["exact-nodes", "mc-nodes", "exact-angles", "mc-angles"],
+)
+def test_norm_grid_options_outside_quadrature_are_usage_errors(extra, option, capsys):
+    argv = ["norm", "--space", "alpha=2,p=4", "--poly", "1,1", *extra]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert f"error: {option} applies to --method quad only" in err
+
+
 def test_oversized_norm_grid_is_a_usage_error(capsys):
     argv = ["norm", "--space", "alpha=2,p=4", "--poly", "(1000,1000):1"]
     code, out, err = run(argv, capsys)
@@ -398,6 +416,19 @@ def test_verify_suite_filter_no_match_is_usage_error(capsys, tmp_path):
     )
     assert code == 2
     assert "matches no criterion" in err
+
+
+def test_verify_suite_nodes_override_outside_c1_is_usage_error(capsys, tmp_path):
+    csv_path = tmp_path / "x.csv"
+    code, out, err = run(
+        ["verify-suite", "--nodes-override", "1", "--filter", "stirling",
+         "--csv", str(csv_path)],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "nodes_override reaches only c1-oracle-agreement" in err
+    assert not csv_path.exists()
 
 
 @pytest.mark.parametrize(

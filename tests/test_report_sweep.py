@@ -296,6 +296,7 @@ def test_pool_worker_of_the_first_item_exits_last(monkeypatch):
             ended.append(self.first)
 
     monkeypatch.setattr(sweep.threading, "Thread", Recording)
+    monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: set(range(3)))
     started = {}
 
     def quick_first(item):
@@ -308,9 +309,10 @@ def test_pool_worker_of_the_first_item_exits_last(monkeypatch):
     assert len({started[i] for i in range(3)}) == 3  # worker i starts on item i
 
 
-def test_pool_runs_each_item_once_under_contention():
+def test_pool_runs_each_item_once_under_contention(monkeypatch):
     # more workers than cores and a short switch interval: an item claimed
     # twice or never would show in the call counts
+    monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: set(range(8)))
     calls = [0] * 2000
 
     def square(item):
@@ -325,6 +327,25 @@ def test_pool_runs_each_item_once_under_contention():
         sys.setswitchinterval(interval)
     assert got == [i * i for i in range(len(calls))]
     assert calls == [1] * len(calls)
+
+
+@pytest.mark.parametrize("cores, expected", [(1, []), (2, [2]), (3, [3])])
+def test_pool_starts_at_most_one_thread_per_core(cores, expected, monkeypatch):
+    # record the worker count instead of starting that many threads
+    counts = []
+
+    def recording(fn, items, workers):
+        counts.append(workers)
+        return [fn(item) for item in items]
+
+    monkeypatch.setattr(sweep, "_map_on_threads", recording)
+    monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: set(range(cores)))
+    assert sweep.map_on_pool(abs, range(-500, 0), 10_000) == list(range(500, 0, -1))
+    assert counts == expected
+    counts.clear()
+    cfg = parse_sweep_config(BASE_CONFIG)
+    run_sweep(cfg, jobs=10_000)
+    assert counts == expected
 
 
 def test_sweep_pool_without_openblas_gives_same_csv(monkeypatch):
