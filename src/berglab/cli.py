@@ -78,17 +78,24 @@ def _print_table(args, default_out: str, header, records, one=False) -> int:
     return 0
 
 
+# The `norm` options that one method reads; None stands for not given.
+_NORM_METHOD_OPTIONS = {
+    "nodes": "quad", "angles": "quad", "samples": "mc", "seed": "mc"
+}
+
+
 def _cmd_norm(args) -> int:
     alpha, p = _parse_space(args.space)
-    for name in ("nodes", "angles"):
-        if args.method != "quad" and getattr(args, name) is not None:
-            raise ValueError(f"--{name} applies to --method quad only")
+    for name, method in _NORM_METHOD_OPTIONS.items():
+        if args.method != method and getattr(args, name) is not None:
+            raise ValueError(f"--{name} applies to --method {method} only")
     P = parse_polynomial(args.poly)
     if args.method == "exact":
         res = exact_norm_even_p(P, alpha, p)
     elif args.method == "mc":
-        sampler = McSampler(alpha, P.nvars, args.seed)
-        res = bergman_norm_mc(P, p, sampler, args.samples)
+        seed = 0 if args.seed is None else args.seed
+        samples = 200_000 if args.samples is None else args.samples
+        res = bergman_norm_mc(P, p, McSampler(alpha, P.nvars, seed), samples)
     else:
         res = bergman_norm(P, alpha, p, nodes=args.nodes, angles=args.angles)
     record = (res.value, res.method, res.est_error)
@@ -187,8 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--method", choices=("exact", "quad", "mc"), default="quad")
     s.add_argument("--nodes", type=int, default=None)
     s.add_argument("--angles", type=int, default=None)
-    s.add_argument("--samples", type=int, default=200_000)
+    s.add_argument("--samples", type=int, default=None, help="default 200000")
     _set_handler(s, _cmd_norm, "--seed", "--out")
+    s.set_defaults(seed=None)  # seed 0 unless given, and given for mc only
 
     for check in CHECKS.values():
         if check.command is None:  # makes acceptance rows only

@@ -48,11 +48,13 @@ the (t, w, M) triple of each axis, for ``bergman_norm``, the disk and
 circle axes of ``mixed_norm``, ``hardy_norm`` and the circle profile
 ``circle_means`` and ``circle_curvature``, and refuses counts below 1.
 Only ``bergman_norm`` (nodes and angles) and ``hardy_norm`` (angles) take
-counts from their callers; the mixed norm and the circle profile always
-use the default grid.  ``_quadrature_norm`` refuses, before allocating
-anything, a grid whose kernel arrays (the Fourier matrices, the real basis
-and the first streamed tile included) would take more than
-``_GRID_BYTES_BUDGET`` at once; ``_grid_bytes`` counts them.
+counts from their callers; the mixed norm pins them on the rungs of its
+ladder at p other than an even integer (see ``mixed_norm``), and the
+circle profile always uses the default grid.  ``_quadrature_norm``
+refuses, before allocating anything, a grid whose kernel arrays (the
+Fourier matrices, the real basis and the first streamed tile included)
+would take more than ``_GRID_BYTES_BUDGET`` at once; ``_grid_bytes``
+counts them.
 
 When a quadrature norm is exact: at even p = 2s, |P|^p = |P^s|^2 is a
 polynomial, and the default grid sizes each axis from its own degree d so
@@ -61,7 +63,10 @@ d*s <= 2K - 1 for the table's radial node count K; above that the node count
 is capped at K.  There, and only there, the reported ``est_error = 0.0`` is
 honest: the value is exact up to rounding.  At other p, at capped high
 degree, and on grids pinned by explicit ``nodes``/``angles``, exactness is
-not guaranteed and ``est_error = 0.0`` states no bound.
+not guaranteed and the ``est_error = 0.0`` of ``bergman_norm`` and
+``hardy_norm`` states no bound.  The mixed norm at other p reports the gap
+between its last two rungs instead, an estimate of the coarser rung's
+error (see ``mixed_norm``).
 
 One ``sweep.map_on_pool`` call computes each distinct ``bergman_norm`` once
 (see ``memo_scope``); a call outside any pool always computes.
@@ -104,8 +109,16 @@ _TENSOR_DEFAULTS = {1: (64, 257), 2: (32, 65), 3: (16, 33)}
 _CUSP_FLOOR = 1025
 
 # The mixed norm wraps a circle average around the disk rule, so its inner
-# grids are leaner again; key is the number of disk variables.
+# grids are leaner again; key is the number of disk variables.  At even p it
+# only caps the node count, as above; at other p it sizes the ladder's cap,
+# the finest rung ``mixed_norm`` evaluates.
 _MIXED_DEFAULTS = {1: (64, 257), 2: (24, 33), 3: (12, 17)}
+
+# The mixed norm's ladder at p other than an even integer stops once two
+# successive rungs agree to this relative gap: ISOMETRY_TOL / 100 of
+# ``checks`` (which this module cannot import; a test ties the two), so the
+# grid takes at most 1% of an isometry row's tolerance.
+_MIXED_GAP_TOL = 1e-10
 
 # The kernel streams the last axis in blocks of about this many grid points.
 _BLOCK_POINTS = 1 << 16
@@ -540,11 +553,9 @@ def _grid_bytes(shape, triples, p: float) -> int:
     return max(largest, held + building, held + built + tile)
 
 
-def _quadrature_norm(P: ComplexPolynomial, triples, p: float) -> NormResult:
-    """The norm of P on the tensor rule, refused above _GRID_BYTES_BUDGET
-    before the coefficient array or any grid array is allocated."""
-    if P.is_zero:
-        return NormResult(0.0, "quadrature", 0.0)
+def _refuse_oversized(P: ComplexPolynomial, triples, p: float) -> None:
+    """Raise ValueError where the kernel arrays of P on the tensor rule would
+    take more than _GRID_BYTES_BUDGET; nothing is allocated to find out."""
     shape = tuple(d + 1 for d in P.variable_degrees())
     need = _grid_bytes(shape, triples, p)
     if need > _GRID_BYTES_BUDGET:
@@ -553,6 +564,14 @@ def _quadrature_norm(P: ComplexPolynomial, triples, p: float) -> NormResult:
             f"quadrature grid too large: (nodes, angles) {sizes} need about "
             f"{need >> 20} MiB, above the budget of {_GRID_BYTES_BUDGET >> 20} MiB"
         )
+
+
+def _quadrature_norm(P: ComplexPolynomial, triples, p: float) -> NormResult:
+    """The norm of P on the tensor rule, refused above _GRID_BYTES_BUDGET
+    before the coefficient array or any grid array is allocated."""
+    if P.is_zero:
+        return NormResult(0.0, "quadrature", 0.0)
+    _refuse_oversized(P, triples, p)
     mean = _power_mean(P.coeff_array(), triples, p)
     return NormResult(mean ** (1.0 / p), "quadrature", 0.0)
 
@@ -688,22 +707,67 @@ def hardy_norm(P: ComplexPolynomial, p: float, angles: int | None = None) -> Nor
 def mixed_norm(Q: ComplexPolynomial, alpha: float, p: float) -> NormResult:
     """Mixed norm with the last variable on the circle, the rest on disks.
 
-    The circle variable is one more axis of the tensor rule, on the grid
-    ``_grid_rule`` sizes with the ``_MIXED_DEFAULTS`` table.  At even p its
-    angle count comes from its own degree, which is exact; at other p it is
-    one less than the first disk axis's, incommensurate with the disk
-    angular grids, so agreement with the plain Bergman norm is a genuine
-    consistency check rather than a grid coincidence.
+    The circle variable is one more axis of the tensor rule.  At even p the
+    grid is the one ``_grid_rule`` sizes with the ``_MIXED_DEFAULTS`` table,
+    each axis from its own degree, which is exact (est_error = 0).  At other
+    p no grid is exact, and the table's grid is only the cap of a ladder of
+    rungs, whose node and angle counts are pinned alike on every disk axis.
+    With d the largest of Q's variable degrees and the cap's half being its
+    node count and its largest disk angle count M halved ((M + 1) // 2):
+
+    * the companion has d // 2 + 1 nodes and 2 d + 1 angles, the grid that
+      integrates |Q|^2 exactly, so that no two rungs alias Q alike;
+    * each next rung doubles both counts (k nodes and m angles become 2 k
+      and 2 m - 1) while it stays within the cap's half, and the climb stops
+      at the first rung that agrees with the one before to
+      ``_MIXED_GAP_TOL`` relative;
+    * failing that, it ends with the cap's half and the cap, so the last two
+      rungs again differ by a doubling of both counts.
+
+    The value is the last rung's, and est_error the gap |fine - coarse| to
+    the rung before it: the coarser rung's error less the finer one's, so it
+    bounds the finer one's wherever a doubling at least halves the error.
+    On a zero-free Q, |Q|^p is analytic and both rules converge
+    geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014), so a few
+    coarse rungs settle it; where Q has zeros on the polydisc, |Q|^p has
+    cusps or kinks there and the ladder climbs to the cap.  The cap is
+    refused above _GRID_BYTES_BUDGET before any rung runs.
+
+    On every grid at other p the circle takes one angle less than the first
+    disk axis (at least 8), incommensurate with the disk angular grids, so
+    agreement with the plain Bergman norm is a genuine consistency check
+    rather than a grid coincidence.
     """
     check_alpha(alpha)
     _check_p(p)
     if Q.nvars < 2:
         raise ValueError("mixed_norm needs at least one disk variable plus w")
     *disk, d_w = Q.variable_degrees()
-    triples = _grid_rule(disk, alpha, p, defaults=_MIXED_DEFAULTS)
-    circle_angles = None if _even_half(p) is not None else max(triples[0][2] - 1, 8)
-    triples += _grid_rule((d_w,), None, p, angles=circle_angles)
-    return _quadrature_norm(Q, triples, p)
+
+    def rule(nodes=None, angles=None):
+        triples = _grid_rule(disk, alpha, p, nodes, angles, defaults=_MIXED_DEFAULTS)
+        circle = None if _even_half(p) is not None else max(triples[0][2] - 1, 8)
+        return triples + _grid_rule((d_w,), None, p, angles=circle)
+
+    cap = rule()
+    if _even_half(p) is not None or Q.is_zero:
+        return _quadrature_norm(Q, cap, p)
+    _refuse_oversized(Q, cap, p)
+    half = ((len(cap[0][0]) + 1) // 2, (max(m for _, _, m in cap[:-1]) + 1) // 2)
+    d = max(*disk, d_w)
+    nodes, angles = min(d // 2 + 1, half[0]), min(2 * d + 1, half[1])
+    coarse = _quadrature_norm(Q, rule(nodes, angles), p).value
+    while 2 * nodes <= half[0] and 2 * angles - 1 <= half[1]:
+        nodes, angles = 2 * nodes, 2 * angles - 1
+        fine = _quadrature_norm(Q, rule(nodes, angles), p).value
+        gap = abs(fine - coarse)
+        if gap <= _MIXED_GAP_TOL * fine:
+            return NormResult(fine, "quadrature", gap)
+        coarse = fine
+    if (nodes, angles) != half:
+        coarse = _quadrature_norm(Q, rule(*half), p).value
+    fine = _quadrature_norm(Q, cap, p).value
+    return NormResult(fine, "quadrature", abs(fine - coarse))
 
 
 def bergman_norm_mc(P, p: float, sampler: McSampler, n_samples: int) -> NormResult:

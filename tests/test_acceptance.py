@@ -19,14 +19,15 @@ from berglab import acceptance, sweep
 from berglab.acceptance import _timed_row, run_criterion
 from berglab.checks import CHECKS
 from berglab.cli import build_parser
+from berglab.poly import ComplexPolynomial
 from berglab.report import VerificationReport
 
 SEED = 1729
 # sha256 of the verify-suite CSV at SEED; a change that moves any number in
 # it updates this pin and says so
-SUITE_SHA256 = "2db27eae9e849c6f44ffc8e3d4d76b44f8506f1ef3b01b441da8cac7c9b02318"
+SUITE_SHA256 = "cebee53156497a113f48443ca79971705dfa764218ac325cf450abea111735e9"
 # the same at seed 7, so that the byte-identity gate covers a second seed
-SUITE_SHA256_SEED_7 = "f5342f350bbde7b46b51c2eaecaa0eeebb14627e0d5552a12f09a03237885c45"
+SUITE_SHA256_SEED_7 = "066e84923b4dfb0b154f3cf187903a514f3ad70c74d09231c7707a580e7a5b37"
 
 
 def emit(result, tolerance_note):
@@ -84,6 +85,25 @@ def test_c7_sharpness_asymptotics():
     emit(res, "ratio within max(4*CI, 3%); gamma-ratio within 2%")
     assert res.passed
     assert res.runtime_s < 30.0
+
+
+def test_a_broken_homogenization_fails_the_isometry_rows(monkeypatch):
+    def off_by_one(self, m):  # the first term's w exponent is one too high
+        terms = [(g + (m - sum(g),), c) for g, c in self.terms]
+        (g, c), *rest = terms
+        return ComplexPolynomial(self.nvars + 1, ((g[:-1] + (g[-1] + 1,), c), *rest))
+
+    monkeypatch.setattr(ComplexPolynomial, "homogenize", off_by_one)
+    check = CHECKS["isometry"]
+    statuses = {}
+    for name, inputs, _ in acceptance.c6_nikolskii_isometry(SEED):
+        if name == "isometry":
+            row = check.build(**check.filled(inputs))
+            statuses.setdefault(inputs["p"], set()).add(row["status"])
+    # At p = 2 the squared mixed norm is sum |c_gamma|^2 mom(gamma) whatever
+    # the w exponents, the monomials staying orthogonal, so only the other
+    # exponents can see the fault
+    assert statuses == {2.0: {"pass"}, 3.5: {"fail"}, 4.0: {"fail"}}
 
 
 @pytest.mark.parametrize("seed", [SEED, 7])

@@ -100,6 +100,36 @@ def test_norm_grid_options_outside_quadrature_are_usage_errors(extra, option, ca
     assert f"error: {option} applies to --method quad only" in err
 
 
+@pytest.mark.parametrize(
+    "extra, option",
+    [
+        (["--samples", "5", "--seed", "3"], "--samples"),
+        (["--method", "quad", "--seed", "3"], "--seed"),
+        (["--method", "exact", "--seed", "0"], "--seed"),
+        (["--method", "exact", "--samples", "200000"], "--samples"),
+    ],
+    ids=["quad-samples-seed", "quad-seed", "exact-seed-0", "exact-samples"],
+)
+def test_norm_sampling_options_outside_monte_carlo_are_usage_errors(
+    extra, option, capsys
+):
+    # given at their former defaults too: None stands for not given
+    argv = ["norm", "--space", "alpha=2,p=4", "--poly", "1,1", *extra]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert f"error: {option} applies to --method mc only" in err
+
+
+def test_norm_mc_defaults_are_seed_0_and_200000_samples(capsys):
+    argv = ["norm", "--space", "alpha=2,p=3", "--poly", "1,1", "--method", "mc"]
+    code, implicit, _ = run(argv, capsys)
+    assert code == 0
+    code, explicit, _ = run([*argv, "--seed", "0", "--samples", "200000"], capsys)
+    assert code == 0
+    assert implicit == explicit
+
+
 def test_oversized_norm_grid_is_a_usage_error(capsys):
     argv = ["norm", "--space", "alpha=2,p=4", "--poly", "(1000,1000):1"]
     code, out, err = run(argv, capsys)
@@ -479,8 +509,8 @@ REPORT = {"--out": None, "--quiet": False}  # the options of the single checks
 PARSER_SNAPSHOT = {
     "": {},
     "norm": {"--space": REQUIRED, "--poly": REQUIRED, "--method": "quad",
-             "--nodes": None, "--angles": None, "--samples": 200_000,
-             "--seed": 0, "--out": None},
+             "--nodes": None, "--angles": None, "--samples": None,
+             "--seed": None, "--out": None},
     "hyper-check": {"--alpha": REQUIRED, "--beta": REQUIRED, "--p": REQUIRED,
                     "--q": REQUIRED, "--poly": REQUIRED, "--r": None,
                     "--method": "quad", "--nodes": None, "--angles": None,

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from berglab import norms
+from berglab import checks, norms
 from berglab.corpus import random_polynomials
 from berglab.measures import McSampler, stream_for
 from berglab.norms import (
     _GRID_BYTES_BUDGET,
     _MIXED_DEFAULTS,
+    _MIXED_GAP_TOL,
     _grid_bytes,
     _grid_rule,
     _mc_norm,
@@ -454,6 +455,107 @@ def test_mixed_norm_circle_axis_sized_from_its_own_degree():
     reference = on_circle_angles(101).value
     assert mixed_norm(Q, 2.0, 4.0).value == pytest.approx(reference, rel=1e-13)
     assert abs(on_circle_angles(8).value / reference - 1) > 1e-2
+
+
+def _on_the_cap(Q, alpha, p):
+    """The mixed norm of Q on the ladder's cap at p other than an even
+    integer: the _MIXED_DEFAULTS grid, the circle one angle below the first
+    disk axis."""
+    *disk, d_w = Q.variable_degrees()
+    triples = _grid_rule(disk, alpha, p, defaults=_MIXED_DEFAULTS)
+    triples += _grid_rule((d_w,), None, p, angles=max(triples[0][2] - 1, 8))
+    return _quadrature_norm(Q, triples, p).value
+
+
+def test_mixed_gap_tol_is_a_hundredth_of_the_isometry_tol():
+    assert _MIXED_GAP_TOL == checks.ISOMETRY_TOL / 100
+
+
+# The truth for a mixed norm: the Bergman norm of P, which the isometry
+# makes the mixed norm of its homogenization, on a grid far finer than the
+# ladder's cap.  Per (corpus, p), a bivariate degree-5 polynomial at seed
+# 1729 and its norm on 128 x 260, pinned because each takes 4-6 s (10^9
+# grid points): bergman_norm(P, 2.0, p, nodes=128, angles=260).value.
+BIVARIATE_TRUTHS = {
+    ("zero-free", 0.5): 1.0000525652083767,
+    ("zero-free", 3.0): 1.000235025118955,
+    ("zero-free", 3.5): 1.0006082771096292,
+    ("unit-box", 0.5): 1.1910038262403768,
+    ("unit-box", 3.0): 2.1117502186025914,
+    ("unit-box", 3.5): 2.4903179537967697,
+}
+
+
+def _truth_case(kind, nvars, p):
+    """The polynomial of a truth case: one per p, in the order 0.5, 3, 3.5."""
+    return random_polynomials(3, nvars, 5, 1729, kind)[(0.5, 3.0, 3.5).index(p)]
+
+
+def test_a_pinned_truth_reproduces():
+    P = _truth_case("zero-free", 2, 3.0)
+    truth = bergman_norm(P, 2.0, 3.0, nodes=128, angles=260).value
+    assert truth == pytest.approx(BIVARIATE_TRUTHS["zero-free", 3.0], rel=1e-13)
+
+
+# The univariate case is at p = 0.5, where the cap has the 1,025 angles of
+# the cusp floor; there 128 x 260 errs by up to 1.3e-5, more than the cap
+# itself (64 x 1025), so its truth is computed on 512 x 16400.
+TRUTH_CASES = [(kind, 2, p) for kind, p in BIVARIATE_TRUTHS] + [("unit-box", 1, 0.5)]
+
+
+@pytest.mark.parametrize("kind, nvars, p", TRUTH_CASES)
+def test_mixed_norm_est_error_bounds_its_error(kind, nvars, p):
+    P = _truth_case(kind, nvars, p)
+    Q = P.homogenize(P.degree)
+    res = mixed_norm(Q, 2.0, p)
+    if nvars == 2:
+        truth = BIVARIATE_TRUTHS[kind, p]
+    else:
+        truth = bergman_norm(P, 2.0, p, nodes=512, angles=16400).value
+    # up to the rounding of sums over 10^9 grid points
+    assert abs(res.value - truth) <= res.est_error + 1e-13 * truth
+    if kind == "unit-box":  # zeros on the polydisc: the ladder climbs to the cap
+        assert res.value == _on_the_cap(Q, 2.0, p)
+        assert res.est_error > _MIXED_GAP_TOL * res.value
+    else:
+        assert res.est_error <= _MIXED_GAP_TOL * res.value
+
+
+def test_mixed_norm_ladder_is_not_fooled_by_aliasing():
+    Q = (one + 0.5 * z ** 12).homogenize(12)
+    assert abs(mixed_norm(Q, 2.0, 3.5).value / _on_the_cap(Q, 2.0, 3.5) - 1.0) <= 1e-10
+    # A homogenization's disk integral is the same at every w on the circle,
+    # so circle aliasing cannot show on one.  1 + w^24 / 2 is w alone: w^24
+    # is 1 at each of 8 or 12 circle angles, so two rungs of fixed size (7
+    # and 13 disk angles) or sized from the disk degree alone agree on 1.5.
+    # Its norm is the H^3.5 norm of 1 + w / 2.
+    Q = ComplexPolynomial.from_terms(2, {(0, 0): 1.0, (0, 24): 0.5})
+    truth = hardy_norm(one + 0.5 * z, 3.5).value
+    assert abs(mixed_norm(Q, 2.0, 3.5).value / truth - 1.0) <= 1e-10
+
+
+def test_mixed_norm_at_even_p_is_the_exact_grid_alone(monkeypatch):
+    seen = []
+
+    def record(Q, triples, p):
+        seen.append([(len(t), m) for t, _, m in triples])
+        return _quadrature_norm(Q, triples, p)
+
+    monkeypatch.setattr(norms, "_quadrature_norm", record)
+    Q = random_polynomials(1, 2, 5, 1729, "zero-free")[0].homogenize(5)
+    assert mixed_norm(Q, 2.0, 4.0).est_error == 0.0
+    assert seen == [[(6, 21), (6, 21), (1, 21)]]
+
+
+def test_mixed_norm_refuses_an_oversized_cap_before_any_rung(monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("a rung ran before the refusal")
+
+    monkeypatch.setattr(norms, "_power_mean", no_kernel)
+    Q = parse_polynomial("(100,100,0):1;(0,0,0):1")
+    # the cap: 24 nodes and 4 * 100 * 2 + 1 angles per disk axis
+    with pytest.raises(ValueError, match=r"\(nodes, angles\) \(24, 801\), \(24, 801\)"):
+        mixed_norm(Q, 2.0, 3.5)
 
 
 def test_quadrature_reports_zero_est_error():
