@@ -6,13 +6,33 @@
 Both files must hold the same rows in the same order (check_id, params),
 else the script exits 2.  It prints every status change, then per check_id
 the worst absolute and relative change of computed, target and est_error
-(relative to the larger of the two magnitudes), and exits 1 on any status
-change.
+(relative to the larger of the two magnitudes) and the worst drift as a
+share of the old margin, (|change of computed| + |change of target|) /
+|old target - old computed|, so a row that moved close to its bound shows
+(inf where a row at its bound moved at all); it exits 1 on any status
+change.  The share reads a margin only on rows that bound computed by
+target: on an agreement row, where computed is meant to equal target, a
+move of one rounding unit can read 1 or more.
 """
 import csv
+import math
 import sys
 
 FIELDS = ("computed", "target", "est_error")
+
+
+def margin_share(a: dict, b: dict) -> float:
+    """(|change of computed| + |change of target|) / |old margin| of one row;
+    0 where either row lacks a value or nothing moved."""
+    try:
+        old_c, old_t, new_c, new_t = (float(r[f]) for r in (a, b) for f in FIELDS[:2])
+    except ValueError:
+        return 0.0
+    drift = abs(new_c - old_c) + abs(new_t - old_t)
+    margin = abs(old_t - old_c)
+    if not drift:
+        return 0.0
+    return drift / margin if margin else math.inf
 
 
 def compare(old_path: str, new_path: str) -> int:
@@ -24,6 +44,7 @@ def compare(old_path: str, new_path: str) -> int:
         print("the reports do not hold the same rows in the same order")
         return 2
     worst: dict = {}
+    shares: dict = {}
     changed = 0
     for a, b in zip(old, new):
         if a["status"] != b["status"]:
@@ -36,9 +57,10 @@ def compare(old_path: str, new_path: str) -> int:
                 gap = abs(x - y)
                 rel = gap / max(abs(x), abs(y))
                 per[f] = (max(per[f][0], gap), max(per[f][1], rel))
+        shares[a["check_id"]] = max(shares.get(a["check_id"], 0.0), margin_share(a, b))
     for check_id, per in worst.items():
         drift = (f"{f} abs={g:.3g} rel={r:.3g}" for f, (g, r) in per.items())
-        print(check_id, " ".join(drift))
+        print(check_id, " ".join(drift), f"drift/margin={shares[check_id]:.3g}")
     print(f"{changed} status changes over {len(old)} rows")
     return 1 if changed else 0
 

@@ -21,6 +21,14 @@ The library functions only measure.  Every pass rule is written here once:
   nikolskii, kulikov, weissler) and the threshold bisection pass when the
   bounded side is at most the bound up to ``INEQ_SLACK``
   (``NIKOLSKII_SLACK`` for the degree-growth ratio);
+- the settle rule (``_Settle``): a hyper, nikolskii or kulikov row at p or q
+  other than an even integer, with no pinned nodes or angles, climbs the
+  companion-grid ladder of ``norms._ladder`` and is judged on the first
+  rung after the companion where its margin |bound - computed| is at least
+  ``SETTLE_MULTIPLE`` times the gap (the change of computed plus that of
+  bound from the rung before) and above the slack, else on the cap, the
+  default grid; the gap is the row's est_error, which elsewhere on these
+  rows is 0.0;
 - the agreement rule (``agreement_row``): rel = |computed - target| /
   max(|target|, 1e-300) is at most ``ORACLE_TOL``, ``CLOSED_FORM_TOL`` or
   ``ISOMETRY_TOL``, and is the row's est_error;
@@ -59,6 +67,7 @@ from .inequalities import (
 from .norms import (
     _check_p,
     _even_half,
+    _laddered_bergman_norm,
     bergman_norm,
     exact_norm_even_p,
     hardy_norm,
@@ -90,6 +99,10 @@ CONVEXITY_FLOOR = 1e-7
 ORACLE_TOL = 1e-10
 CLOSED_FORM_TOL = 0.10
 ISOMETRY_TOL = 1e-8
+
+# A two-norm row on the ladder is judged once its margin is at least this
+# many times the gap between its last two rungs (see ``_Settle``).
+SETTLE_MULTIPLE = 1000
 
 
 def hypotheses_hold(alpha: float, beta: float, p: float, q: float) -> bool:
@@ -236,12 +249,35 @@ def _hardy_radius(i: dict) -> float:
     return math.sqrt(min(p / q, 1.0))
 
 
+@dataclass
+class _Settle:
+    """The settle rule of a two-norm row on the ladder: its verdict is
+    settled once the margin |bound - computed| is at least SETTLE_MULTIPLE
+    times the gap and above the row's relative slack, so a row at its bound
+    climbs to the cap.  ``gap`` keeps the last gap it was asked about, 0.0
+    for a row that did not climb."""
+
+    slack: float
+    gap: float = 0.0
+
+    def __call__(self, computed: float, bound: float, gap: float) -> bool:
+        self.gap = gap
+        margin = abs(bound - computed)
+        return margin >= SETTLE_MULTIPLE * gap and margin > self.slack * abs(bound)
+
+
 def _bound_row(
-    computed, bound, slack=INEQ_SLACK, hypothesis_ok=True, method="quadrature", note=""
+    computed,
+    bound,
+    slack=INEQ_SLACK,
+    hypothesis_ok=True,
+    method="quadrature",
+    note="",
+    est_error=0.0,
 ) -> dict:
     """The fields of a row judging computed <= bound up to a relative slack."""
     passed = at_most(computed, bound, slack)
-    return _verdict(computed, bound, passed, method, 0.0, note, hypothesis_ok)
+    return _verdict(computed, bound, passed, method, est_error, note, hypothesis_ok)
 
 
 ALPHA = Param("alpha", required=True)
@@ -270,9 +306,12 @@ ANGLES = Param("angles", int)
     sweep=True,
 )
 def _hyper(alpha, beta, p, q, poly, r, method, nodes, angles) -> dict:
-    lhs, rhs = hyper_check(poly, alpha, beta, p, q, r, method, nodes, angles)
+    rule = _Settle(INEQ_SLACK)
+    lhs, rhs = hyper_check(poly, alpha, beta, p, q, r, method, nodes, angles, rule)
     in_hypothesis = hypotheses_hold(alpha, beta, p, q)
-    return _bound_row(lhs, rhs, hypothesis_ok=in_hypothesis, method=method)
+    return _bound_row(
+        lhs, rhs, hypothesis_ok=in_hypothesis, method=method, est_error=rule.gap
+    )
 
 
 @_register(
@@ -284,10 +323,13 @@ def _hyper(alpha, beta, p, q, poly, r, method, nodes, angles) -> dict:
     sweep=True,
 )
 def _nikolskii(alpha, beta, p, q, poly, nodes, angles) -> dict:
-    ratio, bound = nikolskii_check(poly, alpha, beta, p, q, nodes, angles)
+    rule = _Settle(NIKOLSKII_SLACK)
+    ratio, bound = nikolskii_check(poly, alpha, beta, p, q, nodes, angles, rule)
     in_hypothesis = hypotheses_hold(alpha, beta, p, q)
     note = f"degree={poly.degree}"
-    return _bound_row(ratio, bound, NIKOLSKII_SLACK, in_hypothesis, note=note)
+    return _bound_row(
+        ratio, bound, NIKOLSKII_SLACK, in_hypothesis, note=note, est_error=rule.gap
+    )
 
 
 @_register(
@@ -302,8 +344,10 @@ def _kulikov(poly, alpha, p, q) -> dict:
     if q < p:  # outside the embedding's hypotheses, which kulikov_check refuses
         out = status(False, hypothesis_ok=False)
         return dict(computed=None, target=None, status=out, hypothesis_ok=False)
-    lhs, rhs = kulikov_check(poly, alpha, p, q)
-    return _bound_row(lhs, rhs, note=f"beta_prime={fmt_value(q * alpha / p)}")
+    rule = _Settle(INEQ_SLACK)
+    lhs, rhs = kulikov_check(poly, alpha, p, q, settled=rule)
+    note = f"beta_prime={fmt_value(q * alpha / p)}"
+    return _bound_row(lhs, rhs, note=note, est_error=rule.gap)
 
 
 @_register(
@@ -496,7 +540,7 @@ def _majorant(beta, beta_prime, y_grid) -> dict:
 def _isometry(poly, alpha, p) -> dict:
     return agreement_row(
         mixed_norm(poly.homogenize(poly.degree), alpha, p).value,
-        bergman_norm(poly, alpha, p).value,
+        _laddered_bergman_norm(poly, alpha, p).value,
         ISOMETRY_TOL,
         "mixed-vs-quadrature",
         note=format_params(degree=poly.degree, nvars=poly.nvars),

@@ -25,6 +25,8 @@ from .measures import check_alpha, radial_rule
 from .norms import (
     _check_p,
     _even_half,
+    _ladder,
+    _ladder_cap,
     bergman_norm,
     circle_curvature,
     circle_means,
@@ -56,6 +58,49 @@ def sharp_radius(alpha: float, beta: float, p: float, q: float) -> float:
     return min(1.0, math.sqrt(beta * p / (alpha * q)))
 
 
+def _two_norms(sides, judge, nodes=None, angles=None, settled=None):
+    """judge(first, second) of the norms of two sides, each a (P, alpha, p)
+    triple, evaluated in order: a (computed, bound) pair.
+
+    By default both norms are ``bergman_norm`` on the grid of ``nodes`` and
+    ``angles`` (each side's default grid where None).  Given ``settled``,
+    with neither count pinned and a side at p other than an even integer,
+    they climb ``norms._ladder`` instead, its cap being the larger of those
+    sides' default grids: such a side is evaluated with each rung's counts
+    pinned, a side at even p once on its exact default grid, and the climb
+    stops at the first rung after the companion where
+    settled(computed, bound, gap) holds, gap being the change of computed
+    plus that of bound from the rung before, or at the cap, where both sides
+    take their default grids.
+    """
+    if settled is None or nodes is not None or angles is not None or all(
+        _even_half(p) is not None for _, _, p in sides
+    ):
+        return judge(*(bergman_norm(*side, nodes, angles).value for side in sides))
+    fixed, caps = [], []
+    for P, alpha, p in sides:
+        exact = _even_half(p) is not None
+        fixed.append(bergman_norm(P, alpha, p).value if exact else None)
+        if not exact:
+            caps.append(_ladder_cap(P, alpha, p))
+    degree = max(max(P.variable_degrees()) for P, _, _ in sides)
+    cap = (max(k for k, _ in caps), max(m for _, m in caps))
+    last = None
+    for rung in _ladder(degree, cap):
+        counts = rung or (None, None)
+        norms = (
+            bergman_norm(*side, *counts).value if value is None else value
+            for side, value in zip(sides, fixed)
+        )
+        computed, bound = judge(*norms)
+        if last is not None:
+            gap = abs(computed - last[0]) + abs(bound - last[1])
+            if settled(computed, bound, gap):
+                break
+        last = computed, bound
+    return computed, bound
+
+
 def hyper_check(
     f: ComplexPolynomial,
     alpha: float,
@@ -66,21 +111,23 @@ def hyper_check(
     method: str = "quad",
     nodes: int | None = None,
     angles: int | None = None,
+    settled=None,
 ) -> tuple[float, float]:
-    """The two sides of ||f(r .)||_{A^q_beta} <= ||f||_{A^p_alpha}."""
+    """The two sides of ||f(r .)||_{A^q_beta} <= ||f||_{A^p_alpha}; f is
+    dilated once.  ``settled`` lets the quadrature climb the ladder (see
+    ``_two_norms``)."""
     _check_p(p)
     _check_p(q, "q")
     if not (0.0 <= r <= 1.0):
         raise ValueError(f"r must lie in [0, 1], got {r}")
     if method == "quad":
-        lhs = bergman_norm(f.dilate(r), beta, q, nodes, angles).value
-        rhs = bergman_norm(f, alpha, p, nodes, angles).value
-    elif method == "exact":
+        sides = ((f.dilate(r), beta, q), (f, alpha, p))
+        return _two_norms(sides, lambda lhs, rhs: (lhs, rhs), nodes, angles, settled)
+    if method == "exact":
         lhs = exact_norm_even_p(f.dilate(r), beta, q).value
         rhs = exact_norm_even_p(f, alpha, p).value
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return lhs, rhs
+        return lhs, rhs
+    raise ValueError(f"unknown method {method!r}")
 
 
 def nikolskii_check(
@@ -91,26 +138,31 @@ def nikolskii_check(
     q: float,
     nodes: int | None = None,
     angles: int | None = None,
+    settled=None,
 ) -> tuple[float, float]:
     """The two sides of ||P||_{A^q_beta} / ||P||_{A^p_alpha} <= C^m, with
-    C = sqrt(alpha q / (beta p)) and m the total degree of P."""
+    C = sqrt(alpha q / (beta p)) and m the total degree of P.  ``settled``
+    lets the quadrature climb the ladder (see ``_two_norms``)."""
     if P.is_zero:
         raise ValueError("the zero polynomial has no norm ratio")
-    num = bergman_norm(P, beta, q, nodes=nodes, angles=angles).value
-    den = bergman_norm(P, alpha, p, nodes=nodes, angles=angles).value
-    return num / den, math.sqrt(alpha * q / (beta * p)) ** P.degree
+    bound = math.sqrt(alpha * q / (beta * p)) ** P.degree
+    sides = ((P, beta, q), (P, alpha, p))
+    return _two_norms(sides, lambda num, den: (num / den, bound), nodes, angles, settled)
 
 
 def kulikov_check(
-    f: ComplexPolynomial, alpha: float, p: float, q: float
+    f: ComplexPolynomial, alpha: float, p: float, q: float, settled=None
 ) -> tuple[float, float]:
     """The two sides of the undilated embedding
-    ||f||_{A^q_{q alpha / p}} <= ||f||_{A^p_alpha}, for q >= p."""
+    ||f||_{A^q_{q alpha / p}} <= ||f||_{A^p_alpha}, for q >= p.  ``settled``
+    lets the quadrature climb the ladder (see ``_two_norms``)."""
     if q < p:
         raise ValueError("requires q >= p")
-    rhs = bergman_norm(f, alpha, p).value
-    lhs = bergman_norm(f, q * alpha / p, q).value
-    return lhs, rhs
+    check_alpha(alpha)  # the A^p_alpha side's checks, before q alpha / p
+    _check_p(p)
+    # the A^p_alpha side first, as its grid errors have always been the ones named
+    sides = ((f, alpha, p), (f, q * alpha / p, q))
+    return _two_norms(sides, lambda rhs, lhs: (lhs, rhs), settled=settled)
 
 
 @dataclass(frozen=True)

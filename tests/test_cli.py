@@ -11,6 +11,7 @@ import pytest
 import berglab
 from berglab import cli, corpus, inequalities, measures, norms, sweep
 from berglab.cli import build_parser, main
+from berglab.checks import SETTLE_MULTIPLE
 from berglab.poly import ComplexPolynomial
 from berglab.sweep import CHECK_KINDS, parse_sweep_config, run_sweep
 
@@ -138,6 +139,20 @@ def test_oversized_norm_grid_is_a_usage_error(capsys):
     assert "quadrature grid too large" in err
 
 
+def test_an_oversized_cap_is_refused_before_any_rung(capsys, monkeypatch):
+    # a verdict row climbs no ladder whose cap, the default grid, is refused
+    def no_kernel(*args):
+        raise AssertionError("a rung ran before the refusal")
+
+    monkeypatch.setattr(norms, "_power_mean", no_kernel)
+    argv = ["nikolskii", "--alpha", "1.5", "--beta", "2", "--p", "2", "--q", "3",
+            "--poly", "(400,400):1"]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "quadrature grid too large" in err
+
+
 def test_huge_angle_count_is_a_usage_error_before_the_kernel(capsys, monkeypatch):
     # one variable at 10^9 angles: a 30 GiB Fourier matrix, a 15 GiB tile
     def no_kernel(*args):
@@ -149,6 +164,46 @@ def test_huge_angle_count_is_a_usage_error_before_the_kernel(capsys, monkeypatch
     assert code == 2
     assert out == ""
     assert "quadrature grid too large" in err
+
+
+# Output at p or q other than an even integer on grids the ladder does not
+# reach: rows with pinned nodes or angles and `norm`, as printed before the
+# verdict rows climbed the ladder
+UNLADDERED_OUTPUT = [
+    (
+        ["hyper-check", "--alpha", "2", "--beta", "4", "--p", "0.5", "--q", "2",
+         "--poly", "0.5,-1,1", "--nodes", "12", "--angles", "40", "--out", "csv"],
+        "check_id,params,computed,target,status,method,est_error,hypothesis_ok,note\n"
+        "hyper,alpha=2.0;beta=4.0;p=0.5;q=2.0;r=0.7071067811865476;"
+        "poly=(0):0.5 (1):-1.0 (2):1.0,0.6324555320336757,0.721296132727252,"
+        "pass,quad,0.0,true,\n",
+    ),
+    (
+        ["nikolskii", "--alpha", "1.5", "--beta", "2", "--p", "2", "--q", "3",
+         "--poly", "(1,0):1 (0,2):-0.5 (1,1):0.25j", "--angles", "21", "--out", "csv"],
+        "check_id,params,computed,target,status,method,est_error,hypothesis_ok,note\n"
+        'nikolskii,"alpha=1.5;beta=2.0;p=2.0;q=3.0;poly=(0,2):-0.5 (1,0):1.0 '
+        '(1,1):0.25i",0.9049872987551646,1.1249999999999998,pass,quadrature,0.0,'
+        "true,degree=2\n",
+    ),
+    (
+        ["norm", "--space", "alpha=2,p=0.5", "--poly", "0.5,-1,1"],
+        '{"est_error": 0.0, "method": "quadrature", "value": 0.7213074849140083}\n',
+    ),
+    (
+        ["norm", "--space", "alpha=1.5,p=3", "--poly", "(1,0):1 (0,2):-0.5 (1,1):0.25j"],
+        '{"est_error": 0.0, "method": "quadrature", "value": 0.9615121262680089}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", UNLADDERED_OUTPUT, ids=["hyper", "nikolskii", "norm-1", "norm-2"]
+)
+def test_pinned_grids_and_norm_keep_their_output(argv, expected, capsys):
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out == expected
 
 
 @pytest.mark.parametrize(
@@ -253,21 +308,31 @@ def test_kulikov_zero_exponent_is_a_usage_error(capsys):
 
 def test_one_norm_has_one_value_in_every_command(capsys):
     # ||0.5 - z + z^2||_{A^0.5_2}: the norm itself, the undilated side of the
-    # dilation at r = 1 and the A^p_alpha side of the embedding
+    # dilation at r = 1 and the A^p_alpha side of the embedding.  On one
+    # pinned grid all three are the same value; on the default grid the two
+    # verdict rows settle on a rung of the ladder below it, so they agree
+    # with the norm within SETTLE_MULTIPLE times their est_error
     poly = ["--poly", "0.5,-1,1"]
     norm_argv = ["norm", "--space", "alpha=2,p=0.5", *poly]
     hyper_argv = ["hyper-check", "--alpha", "2", "--beta", "2", "--p", "0.5",
                   "--q", "2", "--r", "1", *poly]
     kulikov_argv = ["kulikov", "--alpha", "2", "--p", "0.5", "--q", "2", *poly]
-    code, out, _ = run(norm_argv, capsys)
-    assert code == 0
-    values = [json.loads(out)["value"]]
+    grid = ["--nodes", "16", "--angles", "33"]
+    values = []
+    for argv in (norm_argv, norm_argv + grid):
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        values.append(json.loads(out)["value"])
+    assert values[0] == 0.7213074849140083
+    code, out, _ = run(hyper_argv + grid, capsys)
+    [row] = json.loads(out)
+    assert float(row["target"]) == values[1] and float(row["est_error"]) == 0.0
     for argv in (hyper_argv, kulikov_argv):
         code, out, _ = run(argv, capsys)
         assert code in (0, 1)
         [row] = json.loads(out)
-        values.append(float(row["target"]))
-    assert values == [0.7213074849140083] * 3
+        gap = float(row["est_error"])
+        assert 0.0 < abs(float(row["target"]) - values[0]) <= SETTLE_MULTIPLE * gap
 
 
 @pytest.mark.parametrize(

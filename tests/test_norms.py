@@ -15,6 +15,8 @@ from berglab.norms import (
     _MIXED_GAP_TOL,
     _grid_bytes,
     _grid_rule,
+    _ladder,
+    _laddered_bergman_norm,
     _mc_norm,
     _quadrature_norm,
     _uses_fft,
@@ -532,6 +534,75 @@ def test_mixed_norm_ladder_is_not_fooled_by_aliasing():
     Q = ComplexPolynomial.from_terms(2, {(0, 0): 1.0, (0, 24): 0.5})
     truth = hardy_norm(one + 0.5 * z, 3.5).value
     assert abs(mixed_norm(Q, 2.0, 3.5).value / truth - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "degree, cap, rungs",
+    [
+        # bivariate bergman_norm at p = 3: companion, one doubling, the half
+        (5, (32, 65), [(3, 11), (6, 21), (16, 33)]),
+        # univariate at p = 0.5: the cusp floor's 1,025 angles
+        (8, (64, 1025), [(5, 17), (10, 33), (20, 65), (32, 513)]),
+        # a doubling of the angles alone would pass the half: the half next
+        (3, (16, 33), [(2, 7), (4, 13), (8, 17)]),
+        # a companion above the cap's half is clipped to it
+        (100, (32, 65), [(16, 33)]),
+    ],
+)
+def test_ladder_rungs_end_with_the_half_and_the_cap(degree, cap, rungs):
+    assert list(_ladder(degree, cap)) == rungs + [None]
+
+
+def test_ladder_does_not_repeat_a_half_it_doubled_into():
+    assert list(_ladder(1, (8, 17))) == [(1, 3), (2, 5), (4, 9), None]
+
+
+# mixed_norm's (value, est_error) before its rungs moved to ``_ladder``: the
+# homogenization of the first seed-1729 degree-5 polynomial of each corpus.
+# At (2, "zero-free", 0.5) the cap's half agrees with the doubling before it,
+# so a stop there, not at doublings only, would end the climb early
+MIXED_BEFORE_THE_SHARED_LADDER = {
+    (1, "unit-box", 0.5): (1.1366513036699595, 3.3587053427375224e-06),
+    (2, "unit-box", 3.0): (1.85645697842116, 1.0318464616076994e-07),
+    (2, "zero-free", 3.5): (1.0003641916065473, 1.2592149545298525e-12),
+    (2, "zero-free", 0.5): (1.0000525652083718, 0.0),
+    (1, "zero-free", 3.5): (1.0026025424735412, 2.220446049250313e-16),
+}
+
+
+@pytest.mark.parametrize("case", MIXED_BEFORE_THE_SHARED_LADDER)
+def test_mixed_norm_is_unchanged_on_the_shared_ladder(case):
+    nvars, kind, p = case
+    P = random_polynomials(1, nvars, 5, 1729, kind)[0]
+    res = mixed_norm(P.homogenize(P.degree), 2.0, p)
+    assert (res.value, res.est_error) == MIXED_BEFORE_THE_SHARED_LADDER[case]
+
+
+def test_laddered_bergman_norm_stops_early_only_without_zeros(monkeypatch):
+    # zero-free: |P|^3.5 is analytic, and the cap's half (16, 33) agrees with
+    # the doubling (6, 21) before it, so the cap is never evaluated
+    P = random_polynomials(1, 2, 5, 1729, "zero-free")[0]
+    rungs = []
+    fn = norms.bergman_norm
+
+    def recording(P, alpha, p, nodes=None, angles=None):
+        rungs.append((nodes, angles))
+        return fn(P, alpha, p, nodes, angles)
+
+    monkeypatch.setattr(norms, "bergman_norm", recording)
+    res = _laddered_bergman_norm(P, 2.0, 3.5)
+    monkeypatch.undo()
+    assert rungs == [(3, 11), (6, 21), (16, 33)]
+    assert res.est_error <= _MIXED_GAP_TOL * res.value
+    cap = bergman_norm(P, 2.0, 3.5).value
+    assert abs(res.value - cap) <= _MIXED_GAP_TOL * cap
+    # zeros on the bidisc: the ladder climbs to the cap, the default grid
+    P = random_polynomials(1, 2, 5, 1729, "unit-box")[0]
+    res = _laddered_bergman_norm(P, 2.0, 3.5)
+    assert res.value == bergman_norm(P, 2.0, 3.5).value
+    assert res.est_error > _MIXED_GAP_TOL * res.value
+    # at even p the default grid is exact, and it is the only one
+    assert _laddered_bergman_norm(P, 2.0, 4.0) == bergman_norm(P, 2.0, 4.0)
 
 
 def test_mixed_norm_at_even_p_is_the_exact_grid_alone(monkeypatch):

@@ -433,19 +433,28 @@ def count_calls(monkeypatch, module, name):
 
 
 def test_a_sweep_computes_each_distinct_norm_once_per_run(monkeypatch):
-    # each polynomial asks for 24 bergman_norm calls, 14 of them distinct:
-    # hyper, nikolskii and kulikov share their right-hand sides
+    # hyper, nikolskii and kulikov share their right-hand sides, and rows
+    # climbing the ladder share its rungs: every distinct call is one grid
     grids = count_calls(monkeypatch, norms, "_power_mean")
-    asked = count_calls(monkeypatch, inequalities, "bergman_norm")
+    asked = []
+    fn = inequalities.bergman_norm
+
+    def recording(P, alpha, p, nodes=None, angles=None):
+        asked.append((P, float(alpha), float(p), nodes, angles))
+        return fn(P, alpha, p, nodes, angles)
+
+    monkeypatch.setattr(inequalities, "bergman_norm", recording)
     cfg = sweep.load_sweep_config(str(SWEEP_BIVAR))
     for _ in range(2):  # a second run evaluates as many: nothing outlives a run
         grids.clear()
         asked.clear()
         serial = run_sweep(cfg).to_csv()
-        assert (len(asked), len(grids)) == (240, 140)
+        distinct = len(set(asked))
+        assert len(grids) == distinct < len(asked)
     # more workers than cores share the memo, switching threads often; two
     # rows run at once may both compute a norm, never change one
     grids.clear()
+    asked.clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -453,7 +462,7 @@ def test_a_sweep_computes_each_distinct_norm_once_per_run(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert pooled == serial
-    assert 140 <= len(grids) < 240
+    assert distinct <= len(grids) < len(asked)
     # outside any pool every call computes
     grids.clear()
     P = cfg.polys[0]
@@ -497,14 +506,17 @@ def test_compare_reports_prints_status_changes_and_worst_drift(tmp_path):
 
     assert compare("old", "old") == (
         0,
-        "demo computed abs=0 rel=0 target abs=0 rel=0 est_error abs=0 rel=0\n"
+        "demo computed abs=0 rel=0 target abs=0 rel=0 est_error abs=0 rel=0 "
+        "drift/margin=0\n"
         "0 status changes over 2 rows\n",
     )
     code, out = compare("old", "new")
     assert code == 1
     assert out.splitlines() == [
         "demo,a=2: pass -> fail",
-        "demo computed abs=1e-12 rel=5e-13 target abs=0 rel=0 est_error abs=0 rel=0",
+        # the moved row's margin is |1 - 2|
+        "demo computed abs=1e-12 rel=5e-13 target abs=0 rel=0 est_error abs=0 rel=0 "
+        "drift/margin=1e-12",
         "1 status changes over 2 rows",
     ]
     assert compare("old", "short") == (

@@ -66,7 +66,45 @@ def test_compare_reports_exit_codes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "c1,case=b: fail -> pass" in out
     assert "c1 computed abs=1.5 rel=0.75" in out
+    assert out.splitlines()[1].endswith(" drift/margin=1.5")  # 1.5 over 2 - 1
     assert "1 status changes over 2 rows" in out
     fewer = report("fewer", [("case=a", 1.0, 1.0, "pass")])
     assert compare(old, fewer) == 2
     assert "do not hold the same rows" in capsys.readouterr().out
+
+
+def test_compare_reports_prints_drift_as_a_share_of_the_margin(tmp_path, capsys):
+    compare = load_script("compare_reports").compare
+
+    def report(name, rows):
+        path = tmp_path / f"{name}.csv"
+        VerificationReport([ReportRow(*row) for row in rows]).write_csv(path)
+        return str(path)
+
+    old = report("old", [
+        ("c2", "case=a", 0.9, 1.0, "pass"),  # margin 0.1
+        ("c2", "case=b", 0.5, 1.0, "pass"),  # margin 0.5
+        ("c6", "case=a", 1.0, 1.0, "pass"),  # at its bound
+        ("c7", "case=a", None, None, "error"),
+    ])
+    new = report("new", [
+        ("c2", "case=a", 0.9, 1.005, "pass"),  # the target moves: 0.005 / 0.1
+        ("c2", "case=b", 0.51, 1.0, "pass"),  # 0.01 / 0.5
+        ("c6", "case=a", 1.0, 1.0, "pass"),
+        ("c7", "case=a", None, None, "error"),
+    ])
+    assert compare(old, new) == 0
+    lines = capsys.readouterr().out.splitlines()
+    shares = {line.split()[0]: line.split()[-1] for line in lines[:-1]}
+    assert shares == {
+        "c2": "drift/margin=0.05", "c6": "drift/margin=0", "c7": "drift/margin=0"
+    }
+    moved = report("moved", [
+        ("c2", "case=a", 0.9, 1.0, "pass"),
+        ("c2", "case=b", 0.5, 1.0, "pass"),
+        ("c6", "case=a", 1.0 + 1e-12, 1.0, "pass"),
+        ("c7", "case=a", None, None, "error"),
+    ])
+    assert compare(old, moved) == 0
+    [c6] = [line for line in capsys.readouterr().out.splitlines() if line[:3] == "c6 "]
+    assert c6.endswith(" drift/margin=inf")  # a row at its bound moved
