@@ -5,14 +5,16 @@
 
 Both files must hold the same rows in the same order (check_id, params),
 else the script exits 2.  It prints every status change, then per check_id
-the worst absolute and relative change of computed, target and est_error
-(relative to the larger of the two magnitudes) and the worst drift as a
-share of the old margin, (|change of computed| + |change of target|) /
+and ``check=`` entry of params (so a criterion's bound rows and agreement
+rows get a line each) the worst absolute and relative change of computed,
+target and est_error (relative to the larger of the two magnitudes) and
+the worst drift as a share of the old margin, (|change of computed| + |change of target|) /
 |old target - old computed|, so a row that moved close to its bound shows
 (inf where a row at its bound moved at all); it exits 1 on any status
 change.  The share reads a margin only on rows that bound computed by
 target: on an agreement row, where computed is meant to equal target, a
-move of one rounding unit can read 1 or more.
+move of one rounding unit can read 1 or more, which is why those rows
+are kept apart.
 """
 import csv
 import math
@@ -35,6 +37,12 @@ def margin_share(a: dict, b: dict) -> float:
     return drift / margin if margin else math.inf
 
 
+def group(row: dict) -> str:
+    """The row's check_id, and the ``check=`` entry of its params if any."""
+    entries = [e for e in row["params"].split(";") if e.startswith("check=")]
+    return " ".join([row["check_id"], *entries])
+
+
 def compare(old_path: str, new_path: str) -> int:
     with open(old_path, newline="") as f_old, open(new_path, newline="") as f_new:
         old, new = list(csv.DictReader(f_old)), list(csv.DictReader(f_new))
@@ -50,17 +58,18 @@ def compare(old_path: str, new_path: str) -> int:
         if a["status"] != b["status"]:
             changed += 1
             print(f"{a['check_id']},{a['params']}: {a['status']} -> {b['status']}")
-        per = worst.setdefault(a["check_id"], {f: (0.0, 0.0) for f in FIELDS})
+        key = group(a)
+        per = worst.setdefault(key, {f: (0.0, 0.0) for f in FIELDS})
         for f in FIELDS:
             if a[f] and b[f] and float(a[f]) != float(b[f]):
                 x, y = float(a[f]), float(b[f])
                 gap = abs(x - y)
                 rel = gap / max(abs(x), abs(y))
                 per[f] = (max(per[f][0], gap), max(per[f][1], rel))
-        shares[a["check_id"]] = max(shares.get(a["check_id"], 0.0), margin_share(a, b))
-    for check_id, per in worst.items():
+        shares[key] = max(shares.get(key, 0.0), margin_share(a, b))
+    for key, per in worst.items():
         drift = (f"{f} abs={g:.3g} rel={r:.3g}" for f, (g, r) in per.items())
-        print(check_id, " ".join(drift), f"drift/margin={shares[check_id]:.3g}")
+        print(key, " ".join(drift), f"drift/margin={shares[key]:.3g}")
     print(f"{changed} status changes over {len(old)} rows")
     return 1 if changed else 0
 

@@ -23,12 +23,10 @@ The library functions only measure.  Every pass rule is written here once:
   (``NIKOLSKII_SLACK`` for the degree-growth ratio);
 - the settle rule (``_Settle``): a hyper, nikolskii or kulikov row at p or q
   other than an even integer, with no pinned nodes or angles, climbs the
-  companion-grid ladder of ``norms._ladder`` and is judged on the first
-  rung after the companion where its margin |bound - computed| is at least
-  ``SETTLE_MULTIPLE`` times the gap (the change of computed plus that of
-  bound from the rung before) and above the slack, else on the cap, the
-  default grid; the gap is the row's est_error, which elsewhere on these
-  rows is 0.0;
+  companion-grid ladder with ``norms._climb``, which stops where this rule
+  holds: the margin |bound - computed| is at least ``SETTLE_MULTIPLE``
+  times the gap and above the slack.  The gap is the row's est_error,
+  which elsewhere on these rows is 0.0;
 - the agreement rule (``agreement_row``): rel = |computed - target| /
   max(|target|, 1e-300) is at most ``ORACLE_TOL``, ``CLOSED_FORM_TOL`` or
   ``ISOMETRY_TOL``, and is the row's est_error;

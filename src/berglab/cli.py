@@ -110,7 +110,8 @@ def _cmd_check(args) -> int:
     return _emit(VerificationReport([check.run(**given)]), args, "json")
 
 
-# Largest `phi --count`: about 216 bytes of profile and records per point.
+# Largest `phi --count` (about 216 bytes of profile and records per point)
+# and `dump-rule --angles` (one record per angle).
 _PHI_COUNT_CAP = 100_000
 
 
@@ -152,6 +153,8 @@ def _cmd_verify_suite(args) -> int:
 def _cmd_dump_rule(args) -> int:
     check_alpha(args.alpha)
     check_counts(angles=args.angles)
+    if args.angles is not None and args.angles > _PHI_COUNT_CAP:
+        raise ValueError(f"angles must be at most {_PHI_COUNT_CAP}, got {args.angles}")
     nodes, weights = radial_rule(args.alpha, args.nodes)
     records = [
         ("radial", i, float(t), float(w))

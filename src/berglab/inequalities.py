@@ -24,8 +24,8 @@ import numpy as np
 from .measures import check_alpha, radial_rule
 from .norms import (
     _check_p,
+    _climb,
     _even_half,
-    _ladder,
     _ladder_cap,
     bergman_norm,
     circle_curvature,
@@ -65,13 +65,10 @@ def _two_norms(sides, judge, nodes=None, angles=None, settled=None):
     By default both norms are ``bergman_norm`` on the grid of ``nodes`` and
     ``angles`` (each side's default grid where None).  Given ``settled``,
     with neither count pinned and a side at p other than an even integer,
-    they climb ``norms._ladder`` instead, its cap being the larger of those
-    sides' default grids: such a side is evaluated with each rung's counts
-    pinned, a side at even p once on its exact default grid, and the climb
-    stops at the first rung after the companion where
-    settled(computed, bound, gap) holds, gap being the change of computed
-    plus that of bound from the rung before, or at the cap, where both sides
-    take their default grids.
+    the pair climbs ``norms._climb`` with that rule instead, the ladder's cap
+    being the larger of those sides' default grids: such a side is evaluated
+    with each rung's counts pinned, a side at even p once on its exact
+    default grid.
     """
     if settled is None or nodes is not None or angles is not None or all(
         _even_half(p) is not None for _, _, p in sides
@@ -85,20 +82,15 @@ def _two_norms(sides, judge, nodes=None, angles=None, settled=None):
             caps.append(_ladder_cap(P, alpha, p))
     degree = max(max(P.variable_degrees()) for P, _, _ in sides)
     cap = (max(k for k, _ in caps), max(m for _, m in caps))
-    last = None
-    for rung in _ladder(degree, cap):
+
+    def values_on(rung):
         counts = rung or (None, None)
-        norms = (
+        return judge(*(
             bergman_norm(*side, *counts).value if value is None else value
             for side, value in zip(sides, fixed)
-        )
-        computed, bound = judge(*norms)
-        if last is not None:
-            gap = abs(computed - last[0]) + abs(bound - last[1])
-            if settled(computed, bound, gap):
-                break
-        last = computed, bound
-    return computed, bound
+        ))
+
+    return _climb(degree, cap, values_on, settled)[0]
 
 
 def hyper_check(

@@ -58,11 +58,12 @@ tile included) would take more than ``_GRID_BYTES_BUDGET`` at once;
 The ladder: at p other than an even integer no finite grid is exact, and
 a norm can be climbed on the rungs of ``_ladder`` below a cap, its default
 grid: the companion grid exact for |P|^2, doublings of both counts within
-the cap's half, the cap's half, and the cap.  ``_climb`` stops at the first rung that
-agrees with the one before to ``_MIXED_GAP_TOL``; the Bergman side of the
-isometry rows (``_laddered_bergman_norm``) climbs so, and ``mixed_norm``
-too, stopping at doublings only.  The verdict rows (hyper, nikolskii,
-kulikov) climb both of their norms together on one ladder in
+the cap's half, the cap's half, and the cap.  ``_climb`` is the one loop
+over those rungs, and a rule it is given decides where it stops.
+``mixed_norm`` and the Bergman side of the isometry rows
+(``_laddered_bergman_norm``) stop at the first rung that agrees with the
+one before to ``_MIXED_GAP_TOL`` (``_gap_settled``).  The verdict rows
+(hyper, nikolskii, kulikov) climb both of their norms together in
 ``inequalities`` and stop where the settle rule of ``checks`` says their
 margin dwarfs the gap.  ``bergman_norm`` itself never climbs: `berglab
 norm` and every caller that names a grid get that grid.
@@ -127,11 +128,11 @@ _CUSP_FLOOR = 1025
 # the finest rung ``mixed_norm`` evaluates.
 _MIXED_DEFAULTS = {1: (64, 257), 2: (24, 33), 3: (12, 17)}
 
-# ``_climb`` (the mixed norm, and the Bergman side of the isometry rows, at p
-# other than an even integer) stops once a rung agrees with the one before
-# to this relative gap: ISOMETRY_TOL / 100 of ``checks`` (which this
-# module cannot import; a test ties the two), so each side's grid takes at
-# most 1% of an isometry row's tolerance.
+# The mixed norm, and the Bergman side of the isometry rows, at p other
+# than an even integer stop climbing once a rung agrees with the one before
+# to this relative gap (``_gap_settled``): ISOMETRY_TOL / 100 of ``checks``
+# (which this module cannot import; a test ties the two), so each side's
+# gap is at most 1% of an isometry row's tolerance.
 _MIXED_GAP_TOL = 1e-10
 
 # The kernel streams the last axis in blocks of about this many grid points.
@@ -763,44 +764,45 @@ def _ladder_cap(P: ComplexPolynomial, alpha: float, p: float) -> tuple[int, int]
 
 
 def _climb(
-    degree: int, cap: tuple[int, int], value_on, doublings_only: bool = False
-) -> NormResult:
-    """A norm on ``_ladder(degree, cap)``, ``value_on(rung)`` being its value
-    on a rung (None for the cap).
-
-    The climb stops at the first rung that agrees with the one before to
-    ``_MIXED_GAP_TOL`` relative, else at the cap; with ``doublings_only``,
-    only at a rung that doubles both counts of the one before, so never at
-    the cap's half unless a doubling reached it.  The value is the last
-    rung's, and est_error the gap |fine - coarse| to the rung before it: the
-    coarser rung's error less the finer one's, so it bounds the finer one's
-    wherever the step at least halves the error.
+    degree: int, cap: tuple[int, int], values_on, settled
+) -> tuple[tuple[float, ...], float]:
+    """The one climb of ``_ladder(degree, cap)``: ``values_on(rung)`` is a
+    tuple of floats on a rung (None for the cap), and the climb stops at the
+    first rung after the companion where settled(*values, gap) holds, gap
+    being the sum of the entries' |changes| from the rung before, else at
+    the cap.  Returns (values, gap) of the last rung: the gap is the coarser
+    rung's error less the finer one's, so it bounds the finer one's wherever
+    the step at least halves the error.
     """
-    last = coarse = None
+    last = None
     for rung in _ladder(degree, cap):
-        fine = value_on(rung)
-        if coarse is not None:
-            gap = abs(fine - coarse)
-            doubled = rung == (2 * last[0], 2 * last[1] - 1)
-            if gap <= _MIXED_GAP_TOL * fine and (doubled or not doublings_only):
+        values = values_on(rung)
+        if last is not None:
+            gap = sum(abs(new - old) for new, old in zip(values, last))
+            if settled(*values, gap):
                 break
-        last, coarse = rung, fine
-    return NormResult(fine, "quadrature", gap)
+        last = values
+    return values, gap
+
+
+def _gap_settled(value: float, gap: float) -> bool:
+    """``_climb``'s stop for one norm: two rungs agree to ``_MIXED_GAP_TOL``."""
+    return gap <= _MIXED_GAP_TOL * value
 
 
 def _laddered_bergman_norm(P: ComplexPolynomial, alpha: float, p: float) -> NormResult:
     """``bergman_norm`` on the default grid at even p, where it is exact, and
-    at other p climbed on P's ladder with ``_climb``'s gap stop at any rung,
-    each rung one ``bergman_norm`` call with pinned counts.  On two
-    variables the doublings of the companion outgrow the cap's half after
-    one step, so stopping at doublings only would reach the cap."""
+    at other p climbed on P's ladder by ``_climb`` with ``_gap_settled``,
+    each rung one ``bergman_norm`` call with pinned counts."""
     if _even_half(p) is not None:
         return bergman_norm(P, alpha, p)
-    return _climb(
+    (value,), gap = _climb(
         max(P.variable_degrees()),
         _ladder_cap(P, alpha, p),
-        lambda rung: bergman_norm(P, alpha, p, *(rung or (None, None))).value,
+        lambda rung: (bergman_norm(P, alpha, p, *(rung or (None, None))).value,),
+        _gap_settled,
     )
+    return NormResult(value, "quadrature", gap)
 
 
 def mixed_norm(Q: ComplexPolynomial, alpha: float, p: float) -> NormResult:
@@ -812,12 +814,11 @@ def mixed_norm(Q: ComplexPolynomial, alpha: float, p: float) -> NormResult:
     p no grid is exact, and the table's grid is only the cap of ``_ladder``,
     d being the largest of Q's variable degrees, the circle's included, and
     the cap's angle count the largest of its disk axes'; each rung pins its
-    counts alike on every disk axis, and ``_climb`` stops at the first
-    doubling that agrees with the rung before to ``_MIXED_GAP_TOL``.  On a
-    zero-free Q, |Q|^p is analytic and both rules converge geometrically
-    (Trefethen & Weideman, SIAM Rev. 56, 2014), so a few coarse rungs settle
-    it; where Q has zeros on the polydisc, |Q|^p has cusps or kinks there
-    and the ladder climbs to the cap.  The cap is refused above
+    counts alike on every disk axis, and ``_climb`` stops at
+    ``_gap_settled``.  On a zero-free Q, |Q|^p is analytic and both rules
+    converge geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014), so a
+    few coarse rungs settle it; where Q has zeros on the polydisc, |Q|^p has
+    cusps or kinks there and the ladder climbs higher, often to the cap.  The cap is refused above
     _GRID_BYTES_BUDGET before any rung runs.
 
     On every grid at other p the circle takes one angle less than the first
@@ -840,15 +841,13 @@ def mixed_norm(Q: ComplexPolynomial, alpha: float, p: float) -> NormResult:
     if _even_half(p) is not None or Q.is_zero:
         return _quadrature_norm(Q, cap, p)
     _refuse_oversized(Q, cap, p)
-    # doublings only, the rule this norm has had since its ladder landed:
-    # stopping at the cap's half too would move its value by up to 1.5e-11
-    # relative (12 of 144 zero-free and unit-box cases checked)
-    return _climb(
+    (value,), gap = _climb(
         max(*disk, d_w),
         _cap_counts(cap[:-1]),
-        lambda rung: _quadrature_norm(Q, cap if rung is None else rule(*rung), p).value,
-        doublings_only=True,
+        lambda rung: (_quadrature_norm(Q, rule(*rung) if rung else cap, p).value,),
+        _gap_settled,
     )
+    return NormResult(value, "quadrature", gap)
 
 
 def bergman_norm_mc(P, p: float, sampler: McSampler, n_samples: int) -> NormResult:

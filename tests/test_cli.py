@@ -278,6 +278,20 @@ def test_phi_count_above_the_cap_is_a_usage_error_before_the_grid(
     assert err == "error: count must be at most 100000, got 1000000\n"
 
 
+def test_dump_rule_angles_above_the_cap_is_a_usage_error_before_the_rule(
+    capsys, monkeypatch
+):
+    def no_rule(*args):
+        raise AssertionError("circle rule built above the angle cap")
+
+    monkeypatch.setattr(cli, "circle_rule", no_rule)
+    argv = ["dump-rule", "--alpha", "2", "--angles", str(cli._PHI_COUNT_CAP + 1)]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: angles must be at most 100000, got 100001\n"
+
+
 def test_oversized_sweep_corpus_is_a_usage_error_before_enumerating(
     tmp_path, capsys, monkeypatch
 ):

@@ -13,6 +13,7 @@ from berglab.norms import (
     _GRID_BYTES_BUDGET,
     _MIXED_DEFAULTS,
     _MIXED_GAP_TOL,
+    _climb,
     _grid_bytes,
     _grid_rule,
     _ladder,
@@ -557,15 +558,79 @@ def test_ladder_does_not_repeat_a_half_it_doubled_into():
     assert list(_ladder(1, (8, 17))) == [(1, 3), (2, 5), (4, 9), None]
 
 
+# _ladder(8, (64, 1025)): the companion, two doublings, the half, the cap
+CLIMB_RUNGS = [(5, 17), (10, 33), (20, 65), (32, 513), None]
+
+
+def _synthetic_climb(values, settled):
+    """_climb over CLIMB_RUNGS with values[i] on the i-th rung; returns its
+    result, the rungs it evaluated and the arguments settled was given."""
+    table = dict(zip(CLIMB_RUNGS, values))
+    evaluated, judged = [], []
+
+    def values_on(rung):
+        evaluated.append(rung)
+        return table[rung]
+
+    def judging(*args):
+        judged.append(args)
+        return settled(*args)
+
+    return _climb(8, (64, 1025), values_on, judging), evaluated, judged
+
+
+def test_climb_judges_each_rung_after_the_companion_against_the_one_before():
+    values = [(1.0, 4.0), (1.5, 3.75), (1.25, 3.5), (1.125, 3.5), (1.0, 3.5)]
+    # settled first at the third rung: gap 0.25 + 0.25, not at the second's
+    # 0.5 + 0.25; the companion is never judged alone
+    result, evaluated, judged = _synthetic_climb(values, lambda a, b, gap: gap <= 0.5)
+    assert result == ((1.25, 3.5), 0.5)
+    assert evaluated == CLIMB_RUNGS[:3]
+    assert judged == [(1.5, 3.75, 0.75), (1.25, 3.5, 0.5)]
+
+
+def test_climb_that_never_settles_ends_on_the_cap():
+    values = [(1.0,), (2.0,), (4.0,), (8.0,), (8.5,)]
+    result, evaluated, judged = _synthetic_climb(values, lambda value, gap: False)
+    assert result == ((8.5,), 0.5)  # the cap's value and its gap to the half
+    assert evaluated == CLIMB_RUNGS
+    assert [gap for _, gap in judged] == [1.0, 2.0, 4.0, 0.5]
+
+
+def test_mixed_norm_stops_at_the_cap_s_half_like_every_climb(monkeypatch):
+    # the first seed-1729 zero-free bivariate polynomial of degree 5 at
+    # p = 0.5: below the (24, 33) cap its ladder is the companion (3, 11) and
+    # the cap's half (12, 17), since a doubling (6, 21) would pass the half's
+    # 17 angles.  The half agrees with the companion to _MIXED_GAP_TOL, so
+    # the climb ends there, and the cap is never evaluated
+    P = random_polynomials(1, 2, 5, 1729, "zero-free")[0]
+    grids, values = [], []
+
+    def recording(Q, triples, p):
+        grids.append([(len(t), m) for t, _, m in triples])
+        res = _quadrature_norm(Q, triples, p)
+        values.append(res.value)
+        return res
+
+    monkeypatch.setattr(norms, "_quadrature_norm", recording)
+    res = mixed_norm(P.homogenize(P.degree), 2.0, 0.5)
+    assert grids == [[(3, 11), (3, 11), (1, 10)], [(12, 17), (12, 17), (1, 16)]]
+    assert res.value == values[1]
+    assert res.est_error == abs(values[1] - values[0]) > 0.0
+
+
 # mixed_norm's (value, est_error) before its rungs moved to ``_ladder``: the
 # homogenization of the first seed-1729 degree-5 polynomial of each corpus.
-# At (2, "zero-free", 0.5) the cap's half agrees with the doubling before it,
-# so a stop there, not at doublings only, would end the climb early
+# At (2, "zero-free", 0.5) the climb now stops at the cap's half, whose value
+# is the cap's bit for bit (their gap was the 0.0 of the climb that stopped
+# at doublings only), so the value is the same and est_error is the gap from
+# the companion to the half.  Each rung is one deterministic kernel call, so
+# the comparison is exact.
 MIXED_BEFORE_THE_SHARED_LADDER = {
     (1, "unit-box", 0.5): (1.1366513036699595, 3.3587053427375224e-06),
     (2, "unit-box", 3.0): (1.85645697842116, 1.0318464616076994e-07),
     (2, "zero-free", 3.5): (1.0003641916065473, 1.2592149545298525e-12),
-    (2, "zero-free", 0.5): (1.0000525652083718, 0.0),
+    (2, "zero-free", 0.5): (1.0000525652083718, 1.9806378759312793e-13),
     (1, "zero-free", 3.5): (1.0026025424735412, 2.220446049250313e-16),
 }
 

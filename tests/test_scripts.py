@@ -108,3 +108,21 @@ def test_compare_reports_prints_drift_as_a_share_of_the_margin(tmp_path, capsys)
     assert compare(old, moved) == 0
     [c6] = [line for line in capsys.readouterr().out.splitlines() if line[:3] == "c6 "]
     assert c6.endswith(" drift/margin=inf")  # a row at its bound moved
+    # a bound row and an agreement row of one criterion: the agreement row's
+    # one-ulp tie reads inf on a line of its own, apart from the bound row's
+    mixed = [
+        ("c8", "p=3;check=nikolskii;case=a", 0.5, 1.0),
+        ("c8", "check=isometry;case=a", 1.0, 1.0),
+    ]
+    old = report("old-mixed", [(*row, "pass") for row in mixed])
+    new = report("new-mixed", [
+        ("c8", "p=3;check=nikolskii;case=a", 0.51, 1.0, "pass"),  # 0.01 / 0.5
+        ("c8", "check=isometry;case=a", 1.0 + 2.0 ** -52, 1.0, "pass"),
+    ])
+    assert compare(old, new) == 0
+    lines = capsys.readouterr().out.splitlines()
+    shares = {" ".join(line.split()[:2]): line.split()[-1] for line in lines[:-1]}
+    assert shares == {
+        "c8 check=nikolskii": "drift/margin=0.02",
+        "c8 check=isometry": "drift/margin=inf",
+    }
