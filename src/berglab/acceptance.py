@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import CHECKS, format_params, space_inputs
+from .checks import CHECKS, IBP_TOL, format_params, space_inputs
 from .corpus import random_polynomials
 from .inequalities import sharp_radius
 from .norms import bergman_norm  # noqa: F401  perfbench's tracer tests patch it here
@@ -138,7 +138,9 @@ def c5_profile_machinery(seed: int):
     for name, f in named:
         for beta, beta_prime in pairs:
             for q in (2.0, 4.0):
-                inputs = dict(poly=f, q=q, beta=beta, beta_prime=beta_prime)
+                inputs = dict(
+                    poly=f, q=q, beta=beta, beta_prime=beta_prime, tol=IBP_TOL
+                )
                 label = dict(check="ibp", f=name, beta=beta, beta_prime=beta_prime)
                 entries.append(("ibp", inputs, dict(**label, q=q), {"note": ""}))
     for beta, beta_prime in pairs:

@@ -1,10 +1,16 @@
 """Quadrature rules and the deterministic sampler."""
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import roots_jacobi
 
 from berglab import measures
 from berglab.measures import (
@@ -23,12 +29,22 @@ def radial_moment(alpha: float, k: int) -> float:
     )
 
 
+def radial_moments(alpha: float, count: int) -> np.ndarray:
+    """The first count moments as the running product m_k = m_{k-1} k/(alpha+k-1):
+    within 1.7e-12 at k = 3000 for alpha near 1, where the lgamma form errs by 6e-12."""
+    return np.cumprod([1.0] + [k / (alpha + k - 1.0) for k in range(1, count)])
+
+
 def test_radial_rule_first_moment_alpha3():
     t, w = radial_rule(3.0, 32)
     assert float(w @ t) == pytest.approx(1.0 / 3.0, abs=1e-14)
 
 
-@pytest.mark.parametrize("alpha", [1.25, 2.0, 3.0, 5.5])
+# The weight parameters alpha the reference tests run over, ALPHA_MIN to 100.
+REFERENCE_ALPHAS = [1.0 + 1e-6, 1.01, 1.3, 2.0, 4.0, 8.0, 30.0, 100.0]
+
+
+@pytest.mark.parametrize("alpha", sorted({1.25, 3.0, 5.5, *REFERENCE_ALPHAS}))
 def test_radial_rule_moment_table(alpha):
     K = 12
     t, w = radial_rule(alpha, K)
@@ -44,13 +60,92 @@ def test_radial_rule_refuses_more_nodes_than_the_cap_before_building(monkeypatch
     assert len(radial_rule(2.0, 1501)[0]) == 1501
 
     def no_build(*args):
-        raise AssertionError("roots_jacobi called above the cap")
+        raise AssertionError("_gauss_jacobi called above the cap")
 
-    monkeypatch.setattr(measures, "roots_jacobi", no_build)
+    monkeypatch.setattr(measures, "_gauss_jacobi", no_build)
     for nodes in (measures._RADIAL_NODES_CAP + 1, 100_000):
         message = f"nodes must be at most {measures._RADIAL_NODES_CAP}, got {nodes}"
         with pytest.raises(ValueError, match=message):
             radial_rule(3.5, nodes)
+
+
+@pytest.mark.parametrize("alpha", REFERENCE_ALPHAS)
+def test_radial_rule_matches_scipy_roots_jacobi(alpha):
+    for nodes in (1, 2, 3, 5, 13, 64, 257, 1501):
+        t, w = radial_rule(alpha, nodes)
+        x, ref = roots_jacobi(nodes, alpha - 2.0, 0.0)
+        assert np.max(np.abs(t - 0.5 * (x + 1.0))) <= 4.5e-16
+        ref = (alpha - 1.0) * 2.0 ** (1.0 - alpha) * ref
+        # below alpha = 1.3 the weight of the node nearest t = 1 is the
+        # sensitive one, and there scipy's rule is the one that misses the
+        # moments (see the next test)
+        assert np.max(np.abs(w - ref)) <= (1e-6 if alpha < 1.3 else 1e-9)
+
+
+@pytest.mark.parametrize("alpha", [1.0 + 1e-6, 1.01])
+@pytest.mark.parametrize("nodes", [257, 1501])
+def test_radial_rule_moments_near_alpha_min(alpha, nodes):
+    # every moment the rule should integrate; the rule meets them to
+    # 1.1e-12, scipy's roots_jacobi only to 2.4e-10 (257 nodes) and 2.1e-7
+    # (1,501 nodes)
+    t, w = radial_rule(alpha, nodes)
+    exact = radial_moments(alpha, 2 * nodes)
+    got = np.array([float(w @ t ** k) for k in range(2 * nodes)])
+    assert np.max(np.abs(got / exact - 1.0)) <= 1e-11
+
+
+def test_radial_rule_at_alpha_1000():
+    # up to 94 Newton steps, where scipy's roots_jacobi returns nan nodes;
+    # moments below 1e-280 would lose their relative precision and are left out
+    t, w = radial_rule(1000.0, 257)
+    exact = radial_moments(1000.0, 514)
+    got = np.array([float(w @ t ** k) for k in range(514)])
+    kept = exact > 1e-280
+    assert kept.sum() > 100
+    assert np.max(np.abs(got[kept] / exact[kept] - 1.0)) <= 1e-11
+
+
+def test_largest_rule_at_alpha_100_stays_finite():
+    # unscaled, sum p_j^2 near t = 1 passes the float range here
+    measures._radial_rule.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t, w = radial_rule(100.0, measures._RADIAL_NODES_CAP)
+    assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
+    assert float(w.sum()) == pytest.approx(1.0, abs=1e-14)
+    assert np.all(np.diff(t) > 0.0) and t[0] > 0.0 and t[-1] < 1.0
+
+
+@pytest.mark.parametrize("alpha, nodes", [(1.0 + 1e-6, 257), (2.0, 64), (30.0, 257)])
+def test_rebuilt_radial_rule_is_bit_identical(alpha, nodes):
+    t, w = (a.copy() for a in radial_rule(alpha, nodes))
+    measures._radial_rule.cache_clear()
+    t2, w2 = radial_rule(alpha, nodes)
+    assert t.tobytes() == t2.tobytes() and w.tobytes() == w2.tobytes()
+
+
+def test_unsettled_or_broken_rule_raises(monkeypatch):
+    # alpha = 1e6 is beyond what the recurrence in x resolves: the roots
+    # settle, but the weights do not sum to 1
+    with pytest.raises(RuntimeError, match="is not a Gauss rule"):
+        measures._gauss_jacobi(1e6, 5)
+    monkeypatch.setattr(measures, "_NEWTON_STEPS", 2)
+    with pytest.raises(RuntimeError, match="did not settle in 2 Newton steps"):
+        measures._gauss_jacobi(30.0, 64)
+
+
+def test_importing_berglab_does_not_import_scipy():
+    # a fresh process, importing the berglab this process tests
+    src = str(Path(measures.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    code = (
+        "import sys, berglab, berglab.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    argv = [sys.executable, "-c", code]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_radial_rule_nodes_inside_unit_interval():

@@ -227,7 +227,7 @@ def test_sweep_deterministic_and_parallel_identical():
     assert a == b == c
     assert a.count("\n") == 1 + 2 * 2 * 3  # header + checks x tuples x polys
     assert hashlib.sha256(a.encode("utf-8")).hexdigest() == (
-        "5705ee34cee767bf778a252cbb6e66e3e994cdf2757cd2c0173584fa0963c9bf"
+        "b3ea96b7f88cb8cbacf3630bd7ab59f0f84abf60d89057cbe5846cce9892a56e"
     )
 
 
