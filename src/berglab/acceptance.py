@@ -74,15 +74,12 @@ def c1_oracle_agreement(seed: int, nodes_override: int | None = None):
 def c2_sharp_radius(seed: int):
     """Contraction at the critical radius on the 50-polynomial grid."""
     polys = random_polynomials(50, 1, 8, seed)
-    quadrature = {"method": "quadrature"}
-    entries = []
-    for tup in PARAM_GRID:
-        space = dict(**space_inputs(tup), r=sharp_radius(*tup))
-        entries += [
-            ("hyper", dict(**space, poly=f), dict(**space, case=i), quadrature)
-            for i, f in enumerate(polys)
-        ]
-    return entries
+    spaces = [dict(**space_inputs(tup), r=sharp_radius(*tup)) for tup in PARAM_GRID]
+    return [
+        ("hyper", dict(**space, poly=f), dict(**space, case=i))
+        for space in spaces
+        for i, f in enumerate(polys)
+    ]
 
 
 # ------------------------------------------------------------- criterion 3
@@ -321,10 +318,10 @@ def verify_suite(
     ]
     workers = min(len(os.sched_getaffinity(0)), len(tasks))
     t0 = time.perf_counter()
-    # Handed over last entry first, not first entry first, for memory: on 2
-    # cores, peak RSS over 8 suites in one process stays at about 114 MB
-    # this way, and the other way it is 118 MB after one suite and 128 MB
-    # after a few (ru_maxrss after each suite).
+    # Handed over last entry first, so the long c6 and c7 rows start first:
+    # on 2 cores, suites back to back in one process (perfbench `suite`, 3
+    # runs each) take 0.51-0.59 s and peak at 87.4-87.5 MB this way, and
+    # 0.79-0.87 s and 104.8-105.2 MB first entry first.
     timed = map_on_pool(_timed_row, tasks[::-1], workers)[::-1]
     wall = time.perf_counter() - t0
     by_criterion = {cid: [] for cid in selected}

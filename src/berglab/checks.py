@@ -21,12 +21,14 @@ The library functions only measure.  Every pass rule is written here once:
   nikolskii, kulikov, weissler) and the threshold bisection pass when the
   bounded side is at most the bound up to ``INEQ_SLACK``
   (``NIKOLSKII_SLACK`` for the degree-growth ratio);
-- the settle rule (``_Settle``): a hyper, nikolskii or kulikov row at p or q
-  other than an even integer, with no pinned nodes or angles, climbs the
-  companion-grid ladder with ``norms._climb``, which stops where this rule
-  holds: the margin |bound - computed| is at least ``SETTLE_MULTIPLE``
-  times the gap and above the slack.  The gap is the row's est_error,
-  which elsewhere on these rows is 0.0;
+- the settle rule (``_settles``), a predicate of (computed, bound, gap) for
+  a row's slack: a hyper, nikolskii or kulikov row at p or q other than an
+  even integer, with no pinned nodes or angles, climbs the companion-grid
+  ladder with ``norms._climbed_norms``, which stops where the margin
+  |bound - computed| is at least ``SETTLE_MULTIPLE`` times the gap and
+  above the slack.  The check returns the gap, which is the row's
+  est_error; on a pinned grid, at even p and q, and by the exact method it
+  is 0.0;
 - the agreement rule (``agreement_row``): rel = |computed - target| /
   max(|target|, 1e-300) is at most ``ORACLE_TOL``, ``CLOSED_FORM_TOL`` or
   ``ISOMETRY_TOL``, and is the row's est_error;
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .extremal import (
@@ -64,8 +67,9 @@ from .inequalities import (
 )
 from .norms import (
     _check_p,
+    _climbed_norms,
     _even_half,
-    _laddered_bergman_norm,
+    _gap_settled,
     bergman_norm,
     exact_norm_even_p,
     hardy_norm,
@@ -107,7 +111,7 @@ CLOSED_FORM_TOL = 0.10
 ISOMETRY_TOL = 1e-8
 
 # A two-norm row on the ladder is judged once its margin is at least this
-# many times the gap between its last two rungs (see ``_Settle``).
+# many times the gap between its last two rungs (see ``_settles``).
 SETTLE_MULTIPLE = 1000
 
 
@@ -255,31 +259,23 @@ def _hardy_radius(i: dict) -> float:
     return math.sqrt(min(p / q, 1.0))
 
 
-@dataclass
-class _Settle:
+def _settles(computed: float, bound: float, gap: float, slack=INEQ_SLACK) -> bool:
     """The settle rule of a two-norm row on the ladder: its verdict is
     settled once the margin |bound - computed| is at least SETTLE_MULTIPLE
     times the gap and above the row's relative slack, so a row at its bound
-    climbs to the cap.  ``gap`` keeps the last gap it was asked about, 0.0
-    for a row that did not climb."""
-
-    slack: float
-    gap: float = 0.0
-
-    def __call__(self, computed: float, bound: float, gap: float) -> bool:
-        self.gap = gap
-        margin = abs(bound - computed)
-        return margin >= SETTLE_MULTIPLE * gap and margin > self.slack * abs(bound)
+    climbs to the cap."""
+    margin = abs(bound - computed)
+    return margin >= SETTLE_MULTIPLE * gap and margin > slack * abs(bound)
 
 
 def _bound_row(
     computed,
     bound,
+    est_error=0.0,
     slack=INEQ_SLACK,
     hypothesis_ok=True,
     method="quadrature",
     note="",
-    est_error=0.0,
 ) -> dict:
     """The fields of a row judging computed <= bound up to a relative slack."""
     passed = at_most(computed, bound, slack)
@@ -312,12 +308,10 @@ ANGLES = Param("angles", int)
     sweep=True,
 )
 def _hyper(alpha, beta, p, q, poly, r, method, nodes, angles) -> dict:
-    rule = _Settle(INEQ_SLACK)
-    lhs, rhs = hyper_check(poly, alpha, beta, p, q, r, method, nodes, angles, rule)
+    sides = hyper_check(poly, alpha, beta, p, q, r, method, nodes, angles, _settles)
     in_hypothesis = hypotheses_hold(alpha, beta, p, q)
-    return _bound_row(
-        lhs, rhs, hypothesis_ok=in_hypothesis, method=method, est_error=rule.gap
-    )
+    method = "exact" if method == "exact" else "quadrature"
+    return _bound_row(*sides, hypothesis_ok=in_hypothesis, method=method)
 
 
 @_register(
@@ -329,13 +323,11 @@ def _hyper(alpha, beta, p, q, poly, r, method, nodes, angles) -> dict:
     sweep=True,
 )
 def _nikolskii(alpha, beta, p, q, poly, nodes, angles) -> dict:
-    rule = _Settle(NIKOLSKII_SLACK)
-    ratio, bound = nikolskii_check(poly, alpha, beta, p, q, nodes, angles, rule)
+    rule = partial(_settles, slack=NIKOLSKII_SLACK)
+    sides = nikolskii_check(poly, alpha, beta, p, q, nodes, angles, rule)
     in_hypothesis = hypotheses_hold(alpha, beta, p, q)
     note = f"degree={poly.degree}"
-    return _bound_row(
-        ratio, bound, NIKOLSKII_SLACK, in_hypothesis, note=note, est_error=rule.gap
-    )
+    return _bound_row(*sides, NIKOLSKII_SLACK, in_hypothesis, note=note)
 
 
 @_register(
@@ -350,10 +342,8 @@ def _kulikov(poly, alpha, p, q) -> dict:
     if q < p:  # outside the embedding's hypotheses, which kulikov_check refuses
         out = status(False, hypothesis_ok=False)
         return dict(computed=None, target=None, status=out, hypothesis_ok=False)
-    rule = _Settle(INEQ_SLACK)
-    lhs, rhs = kulikov_check(poly, alpha, p, q, settled=rule)
-    note = f"beta_prime={fmt_value(q * alpha / p)}"
-    return _bound_row(lhs, rhs, note=note, est_error=rule.gap)
+    sides = kulikov_check(poly, alpha, p, q, _settles)
+    return _bound_row(*sides, note=f"beta_prime={fmt_value(q * alpha / p)}")
 
 
 @_register(
@@ -544,10 +534,7 @@ def _majorant(beta, beta_prime, y_grid) -> dict:
     (POLY, ALPHA, P),
 )
 def _isometry(poly, alpha, p) -> dict:
-    return agreement_row(
-        mixed_norm(poly.homogenize(poly.degree), alpha, p).value,
-        _laddered_bergman_norm(poly, alpha, p).value,
-        ISOMETRY_TOL,
-        "mixed-vs-quadrature",
-        note=format_params(degree=poly.degree, nvars=poly.nvars),
-    )
+    mixed = mixed_norm(poly.homogenize(poly.degree), alpha, p).value
+    (bergman,), _ = _climbed_norms([(poly, alpha, p)], lambda v: (v,), _gap_settled)
+    note = format_params(degree=poly.degree, nvars=poly.nvars)
+    return agreement_row(mixed, bergman, ISOMETRY_TOL, "mixed-vs-quadrature", note)

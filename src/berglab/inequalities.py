@@ -24,9 +24,8 @@ import numpy as np
 from .measures import check_alpha, radial_rule
 from .norms import (
     _check_p,
-    _climb,
+    _climbed_norms,
     _even_half,
-    _ladder_cap,
     bergman_norm,
     circle_curvature,
     circle_means,
@@ -59,38 +58,17 @@ def sharp_radius(alpha: float, beta: float, p: float, q: float) -> float:
 
 
 def _two_norms(sides, judge, nodes=None, angles=None, settled=None):
-    """judge(first, second) of the norms of two sides, each a (P, alpha, p)
-    triple, evaluated in order: a (computed, bound) pair.
-
-    By default both norms are ``bergman_norm`` on the grid of ``nodes`` and
-    ``angles`` (each side's default grid where None).  Given ``settled``,
-    with neither count pinned and a side at p other than an even integer,
-    the pair climbs ``norms._climb`` with that rule instead, the ladder's cap
-    being the larger of those sides' default grids: such a side is evaluated
-    with each rung's counts pinned, a side at even p once on its exact
-    default grid.
-    """
-    if settled is None or nodes is not None or angles is not None or all(
-        _even_half(p) is not None for _, _, p in sides
-    ):
-        return judge(*(bergman_norm(*side, nodes, angles).value for side in sides))
-    fixed, caps = [], []
-    for P, alpha, p in sides:
-        exact = _even_half(p) is not None
-        fixed.append(bergman_norm(P, alpha, p).value if exact else None)
-        if not exact:
-            caps.append(_ladder_cap(P, alpha, p))
-    degree = max(max(P.variable_degrees()) for P, _, _ in sides)
-    cap = (max(k for k, _ in caps), max(m for _, m in caps))
-
-    def values_on(rung):
-        counts = rung or (None, None)
-        return judge(*(
-            bergman_norm(*side, *counts).value if value is None else value
-            for side, value in zip(sides, fixed)
-        ))
-
-    return _climb(degree, cap, values_on, settled)[0]
+    """judge(first, second) of the norms of two (P, alpha, p) sides, a
+    (computed, bound) pair, with its est_error: on a grid pinned by ``nodes``
+    or ``angles`` both norms are ``bergman_norm`` there, with est_error 0.0;
+    else ``norms._climbed_norms`` climbs them with the rule ``settled`` (to
+    the cap, the default grids, without one) and the est_error is its gap."""
+    if nodes is None and angles is None:
+        values, gap = _climbed_norms(sides, judge, settled)
+    else:
+        values = judge(*(bergman_norm(*side, nodes, angles).value for side in sides))
+        gap = 0.0
+    return (*values, gap)
 
 
 def hyper_check(
@@ -104,10 +82,10 @@ def hyper_check(
     nodes: int | None = None,
     angles: int | None = None,
     settled=None,
-) -> tuple[float, float]:
-    """The two sides of ||f(r .)||_{A^q_beta} <= ||f||_{A^p_alpha}; f is
-    dilated once.  ``settled`` lets the quadrature climb the ladder (see
-    ``_two_norms``)."""
+) -> tuple[float, float, float]:
+    """The two sides of ||f(r .)||_{A^q_beta} <= ||f||_{A^p_alpha} and their
+    est_error (see ``_two_norms``; 0.0 by the exact method); f is dilated
+    once."""
     _check_p(p)
     _check_p(q, "q")
     if not (0.0 <= r <= 1.0):
@@ -118,7 +96,7 @@ def hyper_check(
     if method == "exact":
         lhs = exact_norm_even_p(f.dilate(r), beta, q).value
         rhs = exact_norm_even_p(f, alpha, p).value
-        return lhs, rhs
+        return lhs, rhs, 0.0
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -131,10 +109,10 @@ def nikolskii_check(
     nodes: int | None = None,
     angles: int | None = None,
     settled=None,
-) -> tuple[float, float]:
+) -> tuple[float, float, float]:
     """The two sides of ||P||_{A^q_beta} / ||P||_{A^p_alpha} <= C^m, with
-    C = sqrt(alpha q / (beta p)) and m the total degree of P.  ``settled``
-    lets the quadrature climb the ladder (see ``_two_norms``)."""
+    C = sqrt(alpha q / (beta p)) and m the total degree of P, and their
+    est_error (see ``_two_norms``)."""
     if P.is_zero:
         raise ValueError("the zero polynomial has no norm ratio")
     bound = math.sqrt(alpha * q / (beta * p)) ** P.degree
@@ -144,10 +122,10 @@ def nikolskii_check(
 
 def kulikov_check(
     f: ComplexPolynomial, alpha: float, p: float, q: float, settled=None
-) -> tuple[float, float]:
+) -> tuple[float, float, float]:
     """The two sides of the undilated embedding
-    ||f||_{A^q_{q alpha / p}} <= ||f||_{A^p_alpha}, for q >= p.  ``settled``
-    lets the quadrature climb the ladder (see ``_two_norms``)."""
+    ||f||_{A^q_{q alpha / p}} <= ||f||_{A^p_alpha}, for q >= p, and their
+    est_error (see ``_two_norms``)."""
     if q < p:
         raise ValueError("requires q >= p")
     check_alpha(alpha)  # the A^p_alpha side's checks, before q alpha / p

@@ -60,13 +60,15 @@ a norm can be climbed on the rungs of ``_ladder`` below a cap, its default
 grid: the companion grid exact for |P|^2, doublings of both counts within
 the cap's half, the cap's half, and the cap.  ``_climb`` is the one loop
 over those rungs, and a rule it is given decides where it stops.
-``mixed_norm`` and the Bergman side of the isometry rows
-(``_laddered_bergman_norm``) stop at the first rung that agrees with the
-one before to ``_MIXED_GAP_TOL`` (``_gap_settled``).  The verdict rows
-(hyper, nikolskii, kulikov) climb both of their norms together in
-``inequalities`` and stop where the settle rule of ``checks`` says their
-margin dwarfs the gap.  ``bergman_norm`` itself never climbs: `berglab
-norm` and every caller that names a grid get that grid.
+``mixed_norm`` climbs its own grid, ``_climbed_norms`` the Bergman norms:
+the sides at p other than an even integer together, a side at even p once
+on its exact default grid.  ``mixed_norm`` and the isometry rows' Bergman
+side stop at the first rung that agrees with the one before to
+``_MIXED_GAP_TOL`` (``_gap_settled``).  The verdict rows (hyper,
+nikolskii, kulikov) on no pinned grid stop where the settle rule of
+``checks`` says their margin dwarfs the gap, and without a rule climb to
+the cap, their default grids.  ``bergman_norm`` itself never climbs:
+`berglab norm` and every caller that names a grid get that grid.
 
 When a quadrature norm is exact: at even p = 2s, |P|^p = |P^s|^2 is a
 polynomial, and the default grid sizes each axis from its own degree d so
@@ -752,17 +754,6 @@ def _cap_counts(triples) -> tuple[int, int]:
     return len(triples[0][0]), max(m for _, _, m in triples)
 
 
-def _ladder_cap(P: ComplexPolynomial, alpha: float, p: float) -> tuple[int, int]:
-    """The cap of P's ladder at p, the counts of ``bergman_norm``'s default
-    grid, after the checks that norm makes on its inputs and its grid."""
-    check_alpha(alpha)
-    _check_p(p)
-    triples = _grid_rule(P.variable_degrees(), alpha, p)
-    if not P.is_zero:
-        _refuse_oversized(P, triples, p)
-    return _cap_counts(triples)
-
-
 def _climb(
     degree: int, cap: tuple[int, int], values_on, settled
 ) -> tuple[tuple[float, ...], float]:
@@ -790,19 +781,44 @@ def _gap_settled(value: float, gap: float) -> bool:
     return gap <= _MIXED_GAP_TOL * value
 
 
-def _laddered_bergman_norm(P: ComplexPolynomial, alpha: float, p: float) -> NormResult:
-    """``bergman_norm`` on the default grid at even p, where it is exact, and
-    at other p climbed on P's ladder by ``_climb`` with ``_gap_settled``,
-    each rung one ``bergman_norm`` call with pinned counts."""
-    if _even_half(p) is not None:
-        return bergman_norm(P, alpha, p)
-    (value,), gap = _climb(
-        max(P.variable_degrees()),
-        _ladder_cap(P, alpha, p),
-        lambda rung: (bergman_norm(P, alpha, p, *(rung or (None, None))).value,),
-        _gap_settled,
-    )
-    return NormResult(value, "quadrature", gap)
+def _climbed_norms(sides, judge, settled=None) -> tuple[tuple[float, ...], float]:
+    """The one climb of Bergman norms: judge(*norms) of the ``bergman_norm``
+    of each (P, alpha, p) side, a tuple of floats, and its gap.
+
+    A side at even p is one ``bergman_norm`` on its exact default grid.  The
+    sides at other p, after the checks ``bergman_norm`` makes on them, climb
+    ``_climb`` together, each rung one ``bergman_norm`` per such side with
+    the rung's counts pinned on every disk axis; the cap is the largest of
+    their default grids, refused above _GRID_BYTES_BUDGET before any rung
+    runs.  The climb stops where ``settled`` holds (see ``_climb``) and,
+    without a rule, on the cap, whose values are the default grids'.  The gap
+    is 0.0 where every side is at even p.
+    """
+    fixed, caps = [], []
+    for P, alpha, p in sides:
+        if _even_half(p) is not None:
+            fixed.append(bergman_norm(P, alpha, p).value)
+            continue
+        check_alpha(alpha)
+        _check_p(p)
+        triples = _grid_rule(P.variable_degrees(), alpha, p)
+        if not P.is_zero:
+            _refuse_oversized(P, triples, p)
+        fixed.append(None)
+        caps.append(_cap_counts(triples))
+    if not caps:
+        return judge(*fixed), 0.0
+    degree = max(max(P.variable_degrees()) for P, _, _ in sides)
+    cap = (max(k for k, _ in caps), max(m for _, m in caps))
+
+    def values_on(rung):
+        counts = rung or (None, None)
+        return judge(*(
+            bergman_norm(*side, *counts).value if value is None else value
+            for side, value in zip(sides, fixed)
+        ))
+
+    return _climb(degree, cap, values_on, settled or (lambda *values_and_gap: False))
 
 
 def mixed_norm(Q: ComplexPolynomial, alpha: float, p: float) -> NormResult:
@@ -818,8 +834,8 @@ def mixed_norm(Q: ComplexPolynomial, alpha: float, p: float) -> NormResult:
     ``_gap_settled``.  On a zero-free Q, |Q|^p is analytic and both rules
     converge geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014), so a
     few coarse rungs settle it; where Q has zeros on the polydisc, |Q|^p has
-    cusps or kinks there and the ladder climbs higher, often to the cap.  The cap is refused above
-    _GRID_BYTES_BUDGET before any rung runs.
+    cusps or kinks there and the ladder climbs higher, often to the cap.
+    The cap is refused above _GRID_BYTES_BUDGET before any rung runs.
 
     On every grid at other p the circle takes one angle less than the first
     disk axis (at least 8), incommensurate with the disk angular grids, so

@@ -342,9 +342,10 @@ def _map_on_threads(fn, items: list, workers: int) -> list:
     the malloc arena of the thread that exited last, so the next call's
     worker 0, started first, gets this call's worker 0's arena, and the
     first item's memory stays in one arena over repeated calls.  With a
-    thread pool the exit order varied, and repeated ``verify_suite`` calls
-    on 2 cores spread the memory of c6 and c7 over both arenas: about
-    4.7 MB more peak RSS after a few calls.
+    thread pool the exit order varies, and ``verify_suite`` calls back to
+    back on 2 cores spread the memory of c6 and c7 over both arenas: a
+    ``ThreadPoolExecutor`` here peaked at 105.7-105.8 MB against
+    87.4-87.5 MB (perfbench `suite`, 3 runs each).
     """
     context = contextvars.copy_context()  # new threads start empty
     claim = itertools.count(workers).__next__

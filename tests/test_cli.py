@@ -176,7 +176,7 @@ UNLADDERED_OUTPUT = [
         "check_id,params,computed,target,status,method,est_error,hypothesis_ok,note\n"
         "hyper,alpha=2.0;beta=4.0;p=0.5;q=2.0;r=0.7071067811865476;"
         "poly=(0):0.5 (1):-1.0 (2):1.0,0.6324555320336759,0.7212961327272517,"
-        "pass,quad,0.0,true,\n",
+        "pass,quadrature,0.0,true,\n",
     ),
     (
         ["nikolskii", "--alpha", "1.5", "--beta", "2", "--p", "2", "--q", "3",

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import binom
 
-from berglab import acceptance, inequalities
+from berglab import acceptance, inequalities, norms
 from berglab.checks import (
     CHECKS,
     INEQ_SLACK,
@@ -96,7 +96,7 @@ def test_hyper_check_frozen_pass():
     assert row.computed == pytest.approx((25.0 / 12.0) ** 0.25, rel=1e-12)
     assert row.target == pytest.approx(math.sqrt(1.5), rel=1e-12)
     r = sharp_radius(2.0, 2.0, 2.0, 4.0)
-    assert hyper_check(one + z, 2.0, 2.0, 2.0, 4.0, r) == (row.computed, row.target)
+    assert hyper_check(one + z, 2.0, 2.0, 2.0, 4.0, r) == (row.computed, row.target, 0.0)
 
 
 def test_hyper_check_frozen_fail_above_threshold():
@@ -110,7 +110,7 @@ def test_hyper_check_frozen_fail_above_threshold():
 def test_hyper_check_exact_route_agrees():
     a = hyper(one + z, 2.0, 2.0, 2.0, 4.0, method="quad")
     b = hyper(one + z, 2.0, 2.0, 2.0, 4.0, method="exact")
-    assert (a.method, b.method) == ("quad", "exact")
+    assert (a.method, b.method) == ("quadrature", "exact")
     assert a.computed == pytest.approx(b.computed, rel=1e-12)
     assert a.target == pytest.approx(b.target, rel=1e-12)
     with pytest.raises(ValueError, match="unknown method 'mc'"):
@@ -174,7 +174,7 @@ def test_kulikov_frozen_values():
     assert row.note == "beta_prime=4.0"
     assert row.computed == pytest.approx(2.1 ** 0.25, rel=1e-12)
     assert row.target == pytest.approx(math.sqrt(1.5), rel=1e-12)
-    assert kulikov_check(one + z, 2.0, 2.0, 4.0) == (row.computed, row.target)
+    assert kulikov_check(one + z, 2.0, 2.0, 4.0) == (row.computed, row.target, 0.0)
 
     row = CHECKS["kulikov"].run(poly=z, alpha=2.0, p=2.0, q=4.0)
     assert row.status == "pass"
@@ -328,7 +328,7 @@ def test_nikolskii_frozen_monomial():
     assert row.note == "degree=1"
     assert row.computed == pytest.approx((1.0 / 3.0) ** 0.25 / math.sqrt(0.5), rel=1e-12)
     assert row.target == pytest.approx(math.sqrt(2.0), rel=1e-15)
-    assert nikolskii_check(z, 2.0, 2.0, 2.0, 4.0) == (row.computed, row.target)
+    assert nikolskii_check(z, 2.0, 2.0, 2.0, 4.0) == (row.computed, row.target, 0.0)
 
 
 def test_nikolskii_constant_attains_equality():
@@ -385,23 +385,23 @@ def _suite_row(criterion, index, seed=1729):
 
 def _on_the_default_grid(name, inputs):
     """(computed, bound) of a hyper or nikolskii row on the default grid,
-    the ladder's cap."""
+    the ladder's cap, where a check without a settle rule ends."""
     P, alpha, beta, p, q = (inputs[k] for k in ("poly", "alpha", "beta", "p", "q"))
     if name == "hyper":
-        return hyper_check(P, alpha, beta, p, q, inputs["r"])
-    return nikolskii_check(P, alpha, beta, p, q)
+        return hyper_check(P, alpha, beta, p, q, inputs["r"])[:2]
+    return nikolskii_check(P, alpha, beta, p, q)[:2]
 
 
 def _recording_norms(monkeypatch):
-    """The (p, nodes) of every bergman_norm call the checks make."""
+    """The (p, nodes) of every bergman_norm call the climb makes."""
     calls = []
-    fn = inequalities.bergman_norm
+    fn = norms.bergman_norm
 
     def recording(P, alpha, p, nodes=None, angles=None):
         calls.append((p, nodes))
         return fn(P, alpha, p, nodes, angles)
 
-    monkeypatch.setattr(inequalities, "bergman_norm", recording)
+    monkeypatch.setattr(norms, "bergman_norm", recording)
     return calls
 
 
@@ -445,6 +445,53 @@ def test_a_rows_even_side_is_one_call_on_its_exact_grid(monkeypatch):
     assert row.computed == exact_side.value and row.est_error > 0.0
 
 
+def test_a_check_without_a_rule_climbs_to_the_cap():
+    # one variable at p = 3: the cap is the default grid, 64 nodes x 257
+    # angles, the rung before it the cap's half, 32 x 129; q = 4 is exact
+    P = random_polynomials(1, 1, 4, 1729)[0]
+    r = sharp_radius(2.0, 2.0, 3.0, 4.0)
+    cap = bergman_norm(P, 2.0, 3.0).value
+    half = bergman_norm(P, 2.0, 3.0, 32, 129).value
+    dilated = bergman_norm(P.dilate(r), 2.0, 4.0).value
+    assert hyper_check(P, 2.0, 2.0, 3.0, 4.0, r) == (dilated, cap, abs(cap - half))
+    num = bergman_norm(P, 2.0, 4.0).value
+    ratio, bound, est_error = nikolskii_check(P, 2.0, 2.0, 3.0, 4.0)
+    assert (ratio, bound) == (num / cap, math.sqrt(4.0 / 3.0) ** P.degree)
+    assert est_error == abs(num / cap - num / half) > 0.0
+
+
+# one variable at q = 3 and p = 0.5, then two variables at both
+@pytest.mark.parametrize(
+    "criterion, index", [("c2", 100), ("c2", 152), ("c6", 125), ("c6", 175)]
+)
+def test_a_settled_rows_est_error_is_its_last_step(criterion, index, monkeypatch):
+    # each rung evaluates the one side at p or q other than an even integer;
+    # the row's est_error is the |change| of computed plus that of bound
+    # from the rung before the one it settled on
+    name, inputs = _suite_row(criterion, index)
+    calls = []
+    fn = norms.bergman_norm
+
+    def recording(P, alpha, p, nodes=None, angles=None):
+        result = fn(P, alpha, p, nodes, angles)
+        calls.append((p, nodes, result.value))
+        return result
+
+    monkeypatch.setattr(norms, "bergman_norm", recording)
+    row = CHECKS[name].run(**inputs)
+    fixed = {e: value for e, _, value in calls if _even_half(e) is not None}
+    rungs = [{**fixed, e: value} for e, nodes, value in calls if _even_half(e) is None]
+    p, q = inputs["p"], inputs["q"]
+    if name == "hyper":
+        judged = [(side[q], side[p]) for side in rungs]
+    else:
+        judged = [(side[q] / side[p], row.target) for side in rungs]
+    assert calls[-1][1] is not None  # settled below the cap
+    assert (row.computed, row.target) == judged[-1]
+    (c0, b0), (c1, b1) = judged[-2:]
+    assert row.est_error == abs(c1 - c0) + abs(b1 - b0) > 0.0
+
+
 # rows of c2's and c6's tables at seed 1729: the two non-even spaces, c6's
 # univariate and bivariate corpora
 PATCHED_ROWS = [("c2", 100), ("c2", 151), ("c6", 101), ("c6", 126), ("c6", 152), ("c6", 177)]
@@ -461,12 +508,12 @@ def test_a_bound_next_to_computed_gives_the_default_grids_verdict(
     name, inputs = _suite_row(criterion, index)
     computed, _ = _on_the_default_grid(name, inputs)
     bound = computed * (1.0 + sign * 1e-4)
-    real = inequalities._two_norms
+    real = inequalities._climbed_norms
 
-    def patched(sides, judge, *args):
-        return real(sides, lambda a, b: (judge(a, b)[0], bound), *args)
+    def patched(sides, judge, settled):
+        return real(sides, lambda a, b: (judge(a, b)[0], bound), settled)
 
-    monkeypatch.setattr(inequalities, "_two_norms", patched)
+    monkeypatch.setattr(inequalities, "_climbed_norms", patched)
     row = CHECKS[name].run(**inputs)
     slack = NIKOLSKII_SLACK if name == "nikolskii" else INEQ_SLACK
     assert row.target == bound

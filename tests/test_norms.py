@@ -14,10 +14,11 @@ from berglab.norms import (
     _MIXED_DEFAULTS,
     _MIXED_GAP_TOL,
     _climb,
+    _climbed_norms,
+    _gap_settled,
     _grid_bytes,
     _grid_rule,
     _ladder,
-    _laddered_bergman_norm,
     _mc_norm,
     _quadrature_norm,
     _uses_fft,
@@ -645,6 +646,13 @@ def test_mixed_norm_is_unchanged_on_the_shared_ladder(case):
     assert (res.value, res.est_error) == MIXED_BEFORE_THE_SHARED_LADDER[case]
 
 
+def _gap_settled_norm(P, alpha, p):
+    """(value, gap) of the isometry rows' Bergman side: one norm climbed
+    with _gap_settled."""
+    (value,), gap = _climbed_norms([(P, alpha, p)], lambda v: (v,), _gap_settled)
+    return value, gap
+
+
 def test_laddered_bergman_norm_stops_early_only_without_zeros(monkeypatch):
     # zero-free: |P|^3.5 is analytic, and the cap's half (16, 33) agrees with
     # the doubling (6, 21) before it, so the cap is never evaluated
@@ -657,19 +665,19 @@ def test_laddered_bergman_norm_stops_early_only_without_zeros(monkeypatch):
         return fn(P, alpha, p, nodes, angles)
 
     monkeypatch.setattr(norms, "bergman_norm", recording)
-    res = _laddered_bergman_norm(P, 2.0, 3.5)
+    value, gap = _gap_settled_norm(P, 2.0, 3.5)
     monkeypatch.undo()
     assert rungs == [(3, 11), (6, 21), (16, 33)]
-    assert res.est_error <= _MIXED_GAP_TOL * res.value
+    assert gap <= _MIXED_GAP_TOL * value
     cap = bergman_norm(P, 2.0, 3.5).value
-    assert abs(res.value - cap) <= _MIXED_GAP_TOL * cap
+    assert abs(value - cap) <= _MIXED_GAP_TOL * cap
     # zeros on the bidisc: the ladder climbs to the cap, the default grid
     P = random_polynomials(1, 2, 5, 1729, "unit-box")[0]
-    res = _laddered_bergman_norm(P, 2.0, 3.5)
-    assert res.value == bergman_norm(P, 2.0, 3.5).value
-    assert res.est_error > _MIXED_GAP_TOL * res.value
+    value, gap = _gap_settled_norm(P, 2.0, 3.5)
+    assert value == bergman_norm(P, 2.0, 3.5).value
+    assert gap > _MIXED_GAP_TOL * value
     # at even p the default grid is exact, and it is the only one
-    assert _laddered_bergman_norm(P, 2.0, 4.0) == bergman_norm(P, 2.0, 4.0)
+    assert _gap_settled_norm(P, 2.0, 4.0) == (bergman_norm(P, 2.0, 4.0).value, 0.0)
 
 
 def test_mixed_norm_at_even_p_is_the_exact_grid_alone(monkeypatch):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from berglab import checks, inequalities, norms, sweep
+from berglab import checks, norms, sweep
 from berglab.corpus import random_polynomials
 from berglab.poly import parse_polynomial
 from berglab.report import CSV_HEADER, ReportRow, VerificationReport, fmt_value
@@ -227,7 +227,7 @@ def test_sweep_deterministic_and_parallel_identical():
     assert a == b == c
     assert a.count("\n") == 1 + 2 * 2 * 3  # header + checks x tuples x polys
     assert hashlib.sha256(a.encode("utf-8")).hexdigest() == (
-        "b3ea96b7f88cb8cbacf3630bd7ab59f0f84abf60d89057cbe5846cce9892a56e"
+        "bfd23a88de5c8c2d1c7f4fddfde557066ddc0e1f9d59593d526d9227e98ab799"
     )
 
 
@@ -437,13 +437,13 @@ def test_a_sweep_computes_each_distinct_norm_once_per_run(monkeypatch):
     # climbing the ladder share its rungs: every distinct call is one grid
     grids = count_calls(monkeypatch, norms, "_power_mean")
     asked = []
-    fn = inequalities.bergman_norm
+    fn = norms.bergman_norm
 
     def recording(P, alpha, p, nodes=None, angles=None):
         asked.append((P, float(alpha), float(p), nodes, angles))
         return fn(P, alpha, p, nodes, angles)
 
-    monkeypatch.setattr(inequalities, "bergman_norm", recording)
+    monkeypatch.setattr(norms, "bergman_norm", recording)
     cfg = sweep.load_sweep_config(str(SWEEP_BIVAR))
     for _ in range(2):  # a second run evaluates as many: nothing outlives a run
         grids.clear()
