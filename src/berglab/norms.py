@@ -26,21 +26,16 @@ the two are the same DFT).  The last axis is streamed in tiles of about
 is reduced at once to circle means of |P|^p by ``_shell_means``.  A circle
 variable is one more axis with the single node t = 1.
 
-Where the FFT sums the last axis, or its g coefficients alias onto fewer
-angles (g > M), ``_tiles`` gives P's values and |P|^p is formed from
-s = re^2 + im^2.  Elsewhere ``_squares`` never forms P's values: by
-Fejer-Riesz s = |P|^2 on a circle is a real trigonometric polynomial whose
-2g - 1 coefficients are the lag products of P's coefficients there, so s
-comes from one real matmul with a cosine and sine basis.  That s is a sum
-of terms as large as sum_b |u_b|^2, the u_b being P's coefficients on the
-circle, so its absolute error is a few eps times that sum (the tests allow
-4 g eps times it) wherever it is taken.  Near a zero of P, where s itself
-is that small, s may round below 0 and is then clamped at 0; an exact zero
-of P need not give s = 0 exactly.
-The profile's Phi'' (``circle_curvature``) needs P and z P' themselves and
-takes both from ``_tiles``, by the Laplacian identity.  |P|^p is formed from
-s by products and square roots of s when 2p is a positive integer and by
-np.power otherwise (see ``_sq_pow``).
+Every axis, the streamed one included, takes that one route, so
+``_tiles`` gives P's values on each tile of the last axis and
+``_shell_means`` forms |P|^p from s = re^2 + im^2.  The Fourier matrix is
+indexed from a table of the M roots of unity whose quarter turns are
+exactly 1, i, -1 and -i, so a zero of P where every phase a j is a quarter
+turn (1 + z at theta = pi) gives s = 0 exactly, as |P|^p does there.  The profile's Phi''
+(``circle_curvature``) needs P and z P' themselves and takes both from
+``_tiles``, by the Laplacian identity.  |P|^p is formed from s by products
+and square roots of s when 2p is a positive integer and by np.power
+otherwise (see ``_sq_pow``).
 
 ``_grid_rule`` is the one place where grids are sized: it turns the
 variables' degrees, alpha, p and the optional node and angle counts into
@@ -51,8 +46,8 @@ Only ``bergman_norm`` (nodes and angles) and ``hardy_norm`` (angles) take
 counts from their callers; the mixed norm pins them on the rungs of its
 ladder (below), and the circle profile always uses the default grid.
 ``_quadrature_norm`` refuses, before allocating anything, a grid whose
-kernel arrays (the Fourier matrices, the real basis and the first streamed
-tile included) would take more than ``_GRID_BYTES_BUDGET`` at once;
+kernel arrays (the Fourier matrices and the first streamed tile included)
+would take more than ``_GRID_BYTES_BUDGET`` at once;
 ``_grid_bytes`` counts them.
 
 The ladder: at p other than an even integer no finite grid is exact, and
@@ -66,8 +61,8 @@ on its exact default grid.  ``mixed_norm`` and the isometry rows' Bergman
 side stop at the first rung that agrees with the one before to
 ``_MIXED_GAP_TOL`` (``_gap_settled``).  The verdict rows (hyper,
 nikolskii, kulikov) on no pinned grid stop where the settle rule of
-``checks`` says their margin dwarfs the gap, and without a rule climb to
-the cap, their default grids.  ``bergman_norm`` itself never climbs:
+``checks`` says their margin dwarfs the gap, and without a rule evaluate
+only the cap's half and the cap, their default grids.  ``bergman_norm`` itself never climbs:
 `berglab norm` and every caller that names a grid get that grid.
 
 When a quadrature norm is exact: at even p = 2s, |P|^p = |P^s|^2 is a
@@ -145,20 +140,19 @@ _BLOCK_POINTS = 1 << 16
 # Fourier matmul costs about g multiply-adds per grid point and the FFT a
 # larger constant times log2(M); 16 is the crossover measured against that
 # complex matmul, with numpy 2.4's pocketfft and OpenBLAS 0.3.31 on a 2-core
-# Xeon VM for M from 257 to 12001.  Below it the streamed axis takes the real
-# matmul of ``_squares`` instead (where g <= M), whose own crossover was not
-# measured (the FFT still won at g = 201, M = 801 and 64 nodes: 2.0 against
-# 7.4 ms on one BLAS thread), so both axes share this value.
+# Xeon VM for M from 257 to 12001.  The streamed axis and the lead axes take
+# the same choice (``_uses_fft``).
 _FFT_COEFFS_PER_LOG2_ANGLE = 16
 
 # A quadrature norm whose kernel arrays (see ``_grid_bytes``) would take more
 # than this many bytes at once is refused with a ValueError before any of
 # them, or the coefficient array, is allocated.  No acceptance criterion or
-# benchmark workload counts more than 4.8 MiB, and no test that expects a
-# value more than 67 MiB (trivariate degree 6 at p = 3); bivariate degree
+# benchmark workload counts more than 5.3 MiB, and no test that expects a
+# value more than 68 MiB (trivariate degree 6 at p = 3); bivariate degree
 # (1000, 1000) at p = 4 counts 1.9 GiB, and one variable at 10^9 angles
-# 45 GiB at p = 2: the real basis with its phase and angle tables while it
-# is built, beside the s buffer of one tile (52 GiB at p = 3, with scratch).
+# 60 GiB at p = 2: its (2 x 10^9) Fourier matrix with the roots and phase
+# table it is indexed from, while it is built (67 GiB at p = 3, beside the
+# s buffer of one tile).
 _GRID_BYTES_BUDGET = 1 << 29
 
 # The (t, w) pair of a circle variable: one node at |z| = 1.
@@ -298,15 +292,6 @@ def _radial_powers(t: np.ndarray, g: int) -> np.ndarray:
     return np.power(t[:, None], 0.5 * np.arange(g)[None, :])
 
 
-def _uses_scratch(p: float) -> bool:
-    """True where ``_sq_pow`` writes into its scratch array."""
-    twice = 2.0 * float(p)
-    if twice <= 0.0 or not twice.is_integer():
-        return False
-    n, f = divmod(int(twice), 4)
-    return f == 3 if n == 0 else f > 0 or n & (n - 1) > 0
-
-
 def _uses_fft(g: int, m: int) -> bool:
     """True where an FFT is cheaper than a (g x m) Fourier matmul.
 
@@ -316,19 +301,22 @@ def _uses_fft(g: int, m: int) -> bool:
     return _FFT_COEFFS_PER_LOG2_ANGLE * math.log2(m) < g <= m
 
 
-def _uses_lags(g: int, m: int) -> bool:
-    """True where ``_squares`` streams an axis of g coefficients and m angles:
-    where a matmul sums it and g <= m.  Above m its (g x g) lag planes would
-    outgrow the (g x m) Fourier matrix, so aliased axes take ``_tiles``."""
-    return g <= m and not _uses_fft(g, m)
-
-
 def _fourier_matrix(g: int, m: int) -> np.ndarray | None:
-    """(g x m) matrix exp(2 pi i a j / m), or None where ``_uses_fft``."""
+    """(g x m) matrix exp(2 pi i a j / m), or None where ``_uses_fft``.
+
+    Its entries are the m roots of unity, indexed by the phase a j mod m;
+    those at a quarter turn (4 a j = 0 mod m) are exactly 1, i, -1 or -i,
+    so P's value at such an angle is an exact sum of its terms: 1 + z is
+    exactly 0 at z = -1.
+    """
     if _uses_fft(g, m):
         return None
-    phase = np.outer(np.arange(g), np.arange(m)) % m
-    return np.exp((2j * np.pi / m) * phase)
+    roots = np.exp((2j * np.pi / m) * np.arange(m))
+    quarter = math.gcd(4, m)
+    roots[:: m // quarter] = (1, 1j, -1, -1j)[:: 4 // quarter]
+    phase = np.outer(np.arange(g), np.arange(m))
+    phase %= m
+    return roots[phase]
 
 
 def _angular_sum(
@@ -378,14 +366,6 @@ def _tile_shape(rows: int, nodes: int, m: int) -> tuple[int, int]:
     return min(rows, max(1, _BLOCK_POINTS // (nodes_step * m))), nodes_step
 
 
-def _lag_tile_shape(rows: int, nodes: int, m: int, g: int) -> tuple[int, int]:
-    """``_tile_shape`` of ``_squares``: at most about _BLOCK_POINTS lag
-    products per row block, so few nodes and many rows do not make the
-    (g x g) lag planes of a block outgrow the tile."""
-    rows_step, nodes_step = _tile_shape(rows, nodes, m)
-    return min(rows_step, max(1, _BLOCK_POINTS // (g * g))), nodes_step
-
-
 def _tiles(lead: np.ndarray, t: np.ndarray, m: int):
     """Stream the last axis: P's values on tiles of lead rows x radial nodes.
 
@@ -408,100 +388,16 @@ def _tiles(lead: np.ndarray, t: np.ndarray, m: int):
             yield r0, k0, shells.shape[:2], grid
 
 
-def _square_basis(g: int, m: int) -> np.ndarray:
-    """(2g - 1, m) real matrix with rows -2 sin(d theta_j) for 0 < d < g, then
-    1, then 2 cos(d theta_j) for 0 < d < g, theta_j = 2 pi j / m, the phase
-    d j taken mod m as in ``_fourier_matrix`` so the angles stay below 2 pi."""
-    basis = np.empty((2 * g - 1, m))
-    basis[g - 1] = 1.0
-    phase = np.outer(np.arange(1, g), np.arange(m))
-    phase %= m
-    angle = phase * (2.0 * np.pi / m)
-    np.multiply(np.sin(angle, out=basis[: g - 1]), -2.0, out=basis[: g - 1])
-    np.multiply(np.cos(angle, out=basis[g:]), 2.0, out=basis[g:])
-    return basis
-
-
-def _lag_products(v: np.ndarray) -> np.ndarray:
-    """(2, g, rows, g) array holding the imaginary, then the real parts of
-    v[r, b + d] conj(v[r, b]) at [., d, r, b], zero where b + d >= g, for
-    the (rows, g) coefficient rows v.  The complex products are formed in
-    place, so at most two arrays of rows g^2 values are held."""
-    rows, g = v.shape
-    padded = np.zeros((rows, 2 * g - 1), dtype=complex)
-    padded[:, :g] = v
-    shifts = np.add.outer(np.arange(g), np.arange(g))[:, None, :]
-    lags = padded[np.arange(rows)[:, None], shifts]  # v[r, b + d] at [d, r, b]
-    lags *= v.conj()
-    planes = np.empty((2, g, rows, g))
-    planes[0] = lags.imag
-    planes[1] = lags.real
-    return planes
-
-
-def _lag_sums(lags: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """(2g - 1, rows nodes) array of the Im c_d (0 < d < g), then Re c_d
-    (0 <= d < g), c_d = t^(d/2) sum_b v_(b+d) conj(v_b) t^b, from the lag
-    planes of ``_lag_products`` and the (g, nodes) table ``half`` of
-    t_k^(d/2) at [d, k]; the column of (r, k) is r nodes + k."""
-    _, g, rows, _ = lags.shape
-    nodes = half.shape[1]
-    sums = (lags.reshape(-1, g) @ np.square(half)).reshape(2, g, rows, nodes)
-    sums *= half[:, None, :]
-    return sums.reshape(2 * g, rows * nodes)[1:]
-
-
-def _squares(lead: np.ndarray, t: np.ndarray, m: int, s: np.ndarray):
-    """Stream |P|^2 on the last axis without P's values: yields
-    (r0, k0, (rows, nodes), s) per tile of ``_lag_tile_shape``, written into
-    ``s`` and clamped at 0 against rounding.
-
-    By Fejer-Riesz, with u_b = v_b t^(b/2) the coefficients at lead row v and
-    node t, |sum_b u_b e^(i b theta)|^2 is the real trigonometric polynomial
-    c_0 + sum_(0<d<g) 2 (Re c_d cos(d theta) - Im c_d sin(d theta)), whose
-    coefficients are the lag products c_d = sum_b u_(b+d) conj(u_b)
-    = t^(d/2) sum_b v_(b+d) conj(v_b) t^b.  Per tile the sums over b are one
-    real (2 g rows, g) @ (g, nodes) matmul and s one real
-    (rows nodes, 2g - 1) @ ``_square_basis`` matmul; Im c_0 = 0 is dropped.
-    """
-    g = lead.shape[1]
-    radial = _radial_powers(t, g)
-    basis = _square_basis(g, m)
-    rows_step, nodes_step = _lag_tile_shape(lead.shape[0], len(t), m, g)
-    for r0 in range(0, lead.shape[0], rows_step):
-        lags = _lag_products(lead[r0 : r0 + rows_step])
-        rows = lags.shape[2]
-        for k0 in range(0, len(t), nodes_step):
-            half = radial[k0 : k0 + nodes_step].T  # t_k^(d/2) at [d, k]
-            size = rows * half.shape[1]
-            sq = np.matmul(_lag_sums(lags, half).T, basis, out=s[:size])
-            if sq.min() < 0.0:  # a read costs a third of the rewrite
-                np.maximum(sq, 0.0, out=sq)
-            yield r0, k0, (rows, half.shape[1]), sq
-        del lags  # the next block's products are formed without these
-
-
 def _shell_means(lead: np.ndarray, t: np.ndarray, m: int, p: float):
     """Yields (r0, k0, means) per tile, means[i, j] being the circle mean of
     |P|^p at lead row r0 + i and node k0 + j.
 
-    Where ``_uses_lags``, ``_squares`` writes s = |P|^2 directly; elsewhere
-    the tiles of P's values are squared into s, and once paired the first
-    half of a tile is the scratch of ``_sq_pow``.  The s buffer, and where
-    ``_uses_scratch`` the lag route's scratch, are allocated once, for the
-    first (largest) tile; at p = 2 the tiles of values need no s.
+    The tiles of P's values from ``_tiles`` are squared in place into
+    re^2 and im^2, then paired into s = |P|^2, and the first half of a
+    spent tile is the scratch of ``_sq_pow``.  The s buffer is allocated
+    once, for the first (largest) tile; at p = 2 the tiles need no s.
     """
-    g = lead.shape[1]
     mean_weights = np.full(m, 1.0 / m)
-    if _uses_lags(g, m):
-        rows_step, nodes_step = _lag_tile_shape(lead.shape[0], len(t), m, g)
-        shape = (rows_step * nodes_step, m)
-        s = np.empty(shape)
-        scratch = np.empty(shape) if _uses_scratch(p) else None
-        for r0, k0, tile, sq in _squares(lead, t, m, s):
-            part = None if scratch is None else scratch[: len(sq)]
-            yield r0, k0, (_sq_pow(sq, p, part) @ mean_weights).reshape(tile)
-        return
     rows_step, nodes_step = _tile_shape(lead.shape[0], len(t), m)
     s = None if p == 2.0 else np.empty((rows_step * nodes_step, m))
     pair_weights = np.full(2 * m, 1.0 / m)
@@ -525,9 +421,9 @@ def _axis_order(triples) -> list[int]:
 
 
 def _fourier_bytes(g: int, m: int) -> tuple[int, int]:
-    """(while built, once built) bytes of ``_fourier_matrix(g, m)``: an
-    8-byte phase table and two 16-byte complex tables, then one of these."""
-    return (0, 0) if _uses_fft(g, m) else (40 * g * m, 16 * g * m)
+    """(while built, once built) bytes of ``_fourier_matrix(g, m)``: the m
+    roots, an 8-byte phase table and the 16-byte matrix, then the matrix."""
+    return (0, 0) if _uses_fft(g, m) else (24 * g * m + 16 * m, 16 * g * m)
 
 
 def _grid_bytes(shape, triples, p: float) -> int:
@@ -535,14 +431,14 @@ def _grid_bytes(shape, triples, p: float) -> int:
     the coefficient shape, the (t, w, M) triples and p alone, at 16 bytes a
     complex value.  Counted: each lead step's input beside its Fourier
     matrix, first while that is built, then with the step's output; and the
-    lead array with the last axis's radial power table and the s and scratch
-    buffers that ``_shell_means`` allocates, then per route.  Where
-    ``_uses_lags``: ``_square_basis`` with its phase and angle tables while
-    it is built, then the basis with the first row block's lag products
-    while they are formed, and with its lag planes and the tile's lag sums.
-    Elsewhere: the Fourier matrix (none where ``_uses_fft``), likewise, then
-    with the first streamed tile (shells and values).  Smaller temporaries
-    are left out, so the count is a lower bound.
+    lead array with the last axis's radial power table and the s buffer
+    that ``_shell_means`` allocates, beside the last axis's Fourier matrix
+    (none where ``_uses_fft``), likewise, then with the first streamed tile:
+    its values and shells, and while the shells are formed, where they fit
+    in one numpy buffer (``np.getbufsize()`` values), the buffers numpy 2.4
+    takes for that product: one for the float radial powers and, where the
+    tile spans more than one node, one for the broadcast coefficient rows.
+    Smaller temporaries are left out, so the count is a lower bound.
     """
     order = _axis_order(triples)
     dims = [shape[i] for i in order]
@@ -554,19 +450,13 @@ def _grid_bytes(shape, triples, p: float) -> int:
         largest = max(largest, held + building, held + built + 16 * math.prod(dims))
     g, (t, _, m) = shape[order[-1]], triples[order[-1]]
     rows = math.prod(dims[:-1])
-    held = 16 * rows * g + 8 * len(t) * g
-    if _uses_lags(g, m):
-        tile_rows, tile_nodes = _lag_tile_shape(rows, len(t), m, g)
-        points = tile_rows * tile_nodes
-        held += 8 * points * m * (1 + _uses_scratch(p))
-        building, built = 8 * m * (4 * g - 3), 8 * m * (2 * g - 1)
-        planes = 16 * tile_rows * g * g
-        tile = max(2 * planes, planes + 16 * g * points)
-    else:
-        points = math.prod(_tile_shape(rows, len(t), m))
-        held += 0 if p == 2.0 else 8 * points * m
-        building, built = _fourier_bytes(g, m)
-        tile = 16 * points * (g + m)
+    tile_rows, tile_nodes = _tile_shape(rows, len(t), m)
+    points = tile_rows * tile_nodes
+    held = 16 * rows * g + 8 * len(t) * g + (0 if p == 2.0 else 8 * points * m)
+    building, built = _fourier_bytes(g, m)
+    tile = 16 * points * (g + m)
+    if points * g <= np.getbufsize():
+        tile += 16 * points * g * (1 + (tile_nodes > 1))
     return max(largest, held + building, held + built + tile)
 
 
@@ -763,14 +653,18 @@ def _climb(
     being the sum of the entries' |changes| from the rung before, else at
     the cap.  Returns (values, gap) of the last rung: the gap is the coarser
     rung's error less the finer one's, so it bounds the finer one's wherever
-    the step at least halves the error.
+    the step at least halves the error.  With ``settled`` None only the
+    cap's half and the cap, the last two rungs, are evaluated.
     """
+    rungs = list(_ladder(degree, cap))
+    if settled is None:  # no rule can stop the climb below the cap
+        rungs = rungs[-2:]
     last = None
-    for rung in _ladder(degree, cap):
+    for rung in rungs:
         values = values_on(rung)
         if last is not None:
             gap = sum(abs(new - old) for new, old in zip(values, last))
-            if settled(*values, gap):
+            if settled is not None and settled(*values, gap):
                 break
         last = values
     return values, gap
@@ -790,9 +684,9 @@ def _climbed_norms(sides, judge, settled=None) -> tuple[tuple[float, ...], float
     ``_climb`` together, each rung one ``bergman_norm`` per such side with
     the rung's counts pinned on every disk axis; the cap is the largest of
     their default grids, refused above _GRID_BYTES_BUDGET before any rung
-    runs.  The climb stops where ``settled`` holds (see ``_climb``) and,
-    without a rule, on the cap, whose values are the default grids'.  The gap
-    is 0.0 where every side is at even p.
+    runs.  The climb stops where ``settled`` holds (see ``_climb``);
+    without a rule it evaluates the cap's half and the cap, whose values are
+    the default grids'.  The gap is 0.0 where every side is at even p.
     """
     fixed, caps = [], []
     for P, alpha, p in sides:
@@ -818,7 +712,7 @@ def _climbed_norms(sides, judge, settled=None) -> tuple[tuple[float, ...], float
             for side, value in zip(sides, fixed)
         ))
 
-    return _climb(degree, cap, values_on, settled or (lambda *values_and_gap: False))
+    return _climb(degree, cap, values_on, settled)
 
 
 def mixed_norm(Q: ComplexPolynomial, alpha: float, p: float) -> NormResult:

@@ -25,10 +25,10 @@ from berglab.report import VerificationReport
 SEED = 1729
 # sha256 of the verify-suite CSV at SEED; a change that moves any number in
 # it updates this pin and says so
-SUITE_SHA256 = "92c92ed3ccd2a8e41fcbc8e23437789e7cf261442f9fe9e2593eef79199f7992"
+SUITE_SHA256 = "b37d7d7e723e15050a26c3b396910ea60a5aacfd9706787f4320aac71e7b7383"
 # the same at seed 7; with seed 31's below, the byte-identity gate covers
 # three seeds
-SUITE_SHA256_SEED_7 = "ca3c0d74b1951c89bbfb4dc4f0f796d780d031520664559fff172bd1b70307e7"
+SUITE_SHA256_SEED_7 = "59e1539efd17f81d6bd7589c24755182d4b2cd1b5e8cd298592d2a39977c4816"
 
 
 def emit(result, tolerance_note):
@@ -168,7 +168,7 @@ def test_c8_determinism_and_wall_clock(tmp_path):
     "seed, digest",
     [
         (7, SUITE_SHA256_SEED_7),
-        (31, "6db2c007fe772b499a60f997b525a9fc393ce463921a4680f1214fc177df22a5"),
+        (31, "a4f9908e89eee01ccca9fc6f4d81c915625c4f8bcbb27ee21cdc1ecb81a954de"),
     ],
     ids=["7", "31"],
 )

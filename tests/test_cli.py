@@ -175,7 +175,7 @@ UNLADDERED_OUTPUT = [
          "--poly", "0.5,-1,1", "--nodes", "12", "--angles", "40", "--out", "csv"],
         "check_id,params,computed,target,status,method,est_error,hypothesis_ok,note\n"
         "hyper,alpha=2.0;beta=4.0;p=0.5;q=2.0;r=0.7071067811865476;"
-        "poly=(0):0.5 (1):-1.0 (2):1.0,0.6324555320336759,0.7212961327272517,"
+        "poly=(0):0.5 (1):-1.0 (2):1.0,0.6324555320336759,0.7212961327272513,"
         "pass,quadrature,0.0,true,\n",
     ),
     (
@@ -188,7 +188,7 @@ UNLADDERED_OUTPUT = [
     ),
     (
         ["norm", "--space", "alpha=2,p=0.5", "--poly", "0.5,-1,1"],
-        '{"est_error": 0.0, "method": "quadrature", "value": 0.721307484914008}\n',
+        '{"est_error": 0.0, "method": "quadrature", "value": 0.7213074849140078}\n',
     ),
     (
         ["norm", "--space", "alpha=1.5,p=3", "--poly", "(1,0):1 (0,2):-0.5 (1,1):0.25j"],
@@ -337,7 +337,7 @@ def test_one_norm_has_one_value_in_every_command(capsys):
         code, out, _ = run(argv, capsys)
         assert code == 0
         values.append(json.loads(out)["value"])
-    assert values[0] == 0.721307484914008
+    assert values[0] == 0.7213074849140078
     code, out, _ = run(hyper_argv + grid, capsys)
     [row] = json.loads(out)
     assert float(row["target"]) == values[1] and float(row["est_error"]) == 0.0
@@ -765,26 +765,26 @@ def test_grid_counts_below_one_are_usage_errors_naming_the_input(
 TABLE_OUTPUTS = {
     ("norm", "json"): (
         ["norm", "--space", "alpha=2,p=4", "--poly", "1,1"],
-        '{"est_error": 0.0, "method": "quadrature", "value": 1.3512001548070345}\n',
+        '{"est_error": 0.0, "method": "quadrature", "value": 1.3512001548070343}\n',
     ),
     ("norm", "csv"): (
         ["norm", "--space", "alpha=2,p=4", "--poly", "1,1", "--out", "csv"],
-        "value,method,est_error\n1.3512001548070345,quadrature,0.0\n",
+        "value,method,est_error\n1.3512001548070343,quadrature,0.0\n",
     ),
     ("phi", "csv"): (
         ["phi", "--poly", "1,1", "--q", "4", "--ymin", "0.1", "--ymax", "0.5",
          "--count", "3"],
         "y,phi,phi2\n"
-        "0.1,1.4100000000000004,1.9999999999999973\n"
-        "0.30000000000000004,2.29,2.0000000000000004\n"
-        "0.5,3.2499999999999996,2.000000000000002\n",
+        "0.1,1.4100000000000001,1.9999999999999973\n"
+        "0.30000000000000004,2.2900000000000005,2.0000000000000004\n"
+        "0.5,3.25,2.000000000000002\n",
     ),
     ("phi", "json"): (
         ["phi", "--poly", "1,1", "--q", "4", "--ymin", "0.1", "--ymax", "0.5",
          "--count", "3", "--out", "json"],
-        '[{"phi": 1.4100000000000004, "phi2": 1.9999999999999973, "y": 0.1}, '
-        '{"phi": 2.29, "phi2": 2.0000000000000004, "y": 0.30000000000000004}, '
-        '{"phi": 3.2499999999999996, "phi2": 2.000000000000002, "y": 0.5}]\n',
+        '[{"phi": 1.4100000000000001, "phi2": 1.9999999999999973, "y": 0.1}, '
+        '{"phi": 2.2900000000000005, "phi2": 2.0000000000000004, "y": 0.30000000000000004}, '
+        '{"phi": 3.25, "phi2": 2.000000000000002, "y": 0.5}]\n',
     ),
     ("dump-rule", "csv"): (
         ["dump-rule", "--alpha", "2", "--nodes", "2", "--angles", "2"],

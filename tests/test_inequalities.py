@@ -4,6 +4,7 @@ The library functions only measure, so their verdicts are tested through
 the rows of the `checks.py` registry and its pass rules.
 """
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -443,6 +444,27 @@ def test_a_rows_even_side_is_one_call_on_its_exact_grid(monkeypatch):
     assert [nodes for e, nodes in calls if e == 4.0] == [None]
     assert len([e for e, _ in calls if e == 3.0]) > 2 and len(dilations) == 1
     assert row.computed == exact_side.value and row.est_error > 0.0
+
+
+@pytest.mark.parametrize(
+    "q, norms_taken",
+    [(3.0, {(3.0, 16): 2, (3.0, None): 2}),
+     (4.0, {(3.0, 16): 1, (3.0, None): 1, (4.0, None): 1})],
+)
+def test_a_check_without_a_rule_evaluates_only_the_cap_and_its_half(
+    q, norms_taken, monkeypatch
+):
+    # bivariate at p = 3: the ladder below the (32, 65) cap has 3 rungs, but
+    # only the cap's half (16 nodes) and the cap make the values and the
+    # gap, so each side at p or q other than an even integer takes 2 norms,
+    # and q = 4 one.  The result is that of a climb over every rung that
+    # never settles
+    f = random_polynomials(1, 2, 5, 1729)[0]
+    r = sharp_radius(2.0, 2.0, 3.0, q)
+    every_rung = hyper_check(f, 2.0, 2.0, 3.0, q, r, settled=lambda *args: False)
+    calls = _recording_norms(monkeypatch)
+    assert hyper_check(f, 2.0, 2.0, 3.0, q, r) == every_rung
+    assert Counter(calls) == norms_taken
 
 
 def test_a_check_without_a_rule_climbs_to_the_cap():

@@ -17,10 +17,8 @@ from berglab.norms import (
     _grid_rule,
     _power_mean,
     _quadrature_norm,
-    _squares,
-    _tile_shape,
+    _shell_means,
     _uses_fft,
-    _uses_lags,
     circle_curvature,
     circle_means,
     hardy_norm,
@@ -82,9 +80,9 @@ def test_power_mean_matches_brute_force(degrees, grid, p):
 
 
 def test_cases_cover_both_angular_methods():
-    # lead axes are summed by the Fourier matmul or the FFT; the streamed
-    # axis by the lag products of _squares, by the Fourier matmul of _tiles
-    # where g > M aliases, or the FFT
+    # every axis is summed by the Fourier matmul or the FFT; the streamed
+    # axes of the cases take the FFT, the matmul, and the matmul where g > M
+    # aliases
     sizes = [(d + 1, m) for degrees, grid in CASES for d, (_, m) in zip(degrees, grid)]
     assert any(_fourier_matrix(g, m) is None for g, m in sizes)
     assert any(_fourier_matrix(g, m) is not None for g, m in sizes)
@@ -92,8 +90,8 @@ def test_cases_cover_both_angular_methods():
     for degrees, grid in CASES:
         i = _axis_order([(range(k), None, m) for k, m in grid])[-1]
         g, m = degrees[i] + 1, grid[i][1]
-        routes.add("fft" if _uses_fft(g, m) else "lags" if _uses_lags(g, m) else "aliased")
-    assert routes == {"fft", "lags", "aliased"}
+        routes.add("fft" if _uses_fft(g, m) else "aliased" if g > m else "matmul")
+    assert routes == {"fft", "matmul", "aliased"}
 
 
 @pytest.mark.parametrize("coeffs, angles", [((-1, 0, 0, 0, 0, 1), None), ((1, 1), 64)])
@@ -116,28 +114,44 @@ def test_exact_zeros_of_p_on_the_grid(coeffs, angles):
     assert got == pytest.approx(want, rel=1e-12)
 
 
-@given(
-    st.lists(st.complex_numbers(max_magnitude=1.0), min_size=1, max_size=8),
-    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
-    st.integers(2, 40),
-)
-def test_streamed_squares_are_nonnegative_and_match_complex_evaluation(coeffs, t, m):
-    # s of _squares against |P|^2 evaluated in long double: off by at most
-    # 4 g eps sum_b |u_b|^2 (plus what underflows the double range), never
-    # negative or NaN
-    v, t = np.array([coeffs]), np.array(t)
+@st.composite
+def shell_inputs(draw):
+    """(coefficient rows, nodes, M): up to 4 rows of up to 12 coefficients
+    of modulus at most 1, nodes t in [0, 1], and M up to 40, a multiple of 4
+    every other draw, so that quarter-turn twiddles occur."""
+    g = draw(st.integers(1, 12))
+    row = st.lists(st.complex_numbers(max_magnitude=1.0), min_size=g, max_size=g)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    t = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+    m = draw(st.one_of(st.integers(1, 40), st.integers(1, 10).map(lambda k: 4 * k)))
+    return np.array(rows, dtype=complex), np.array(t), m
+
+
+@given(shell_inputs())
+def test_shell_means_at_p2_match_long_double_evaluation(inputs):
+    # the circle means of |P|^2 against their long-double values.  With
+    # S = sum_b |u_b| for the coefficients u_b = v_b t^(b/2) on a circle,
+    # each of P's values there is a sum of g products, each of a rounded u_b
+    # (2 eps) and a rounded root of unity (2 eps), so it is off by at most
+    # d = 4 (g + 2) eps S (an over-count of the complex dot product's
+    # error); |P|^2 is then off by 2 S d + d^2, and squaring, pairing and
+    # the 2M-term weighted mean add (2M + 4) eps S^2.  Never negative or NaN.
+    v, t, m = inputs
     g = v.shape[1]
-    assert not _uses_fft(g, m)
-    rows, nodes = _tile_shape(1, len(t), m)
-    [(_, _, _, s)] = _squares(v, t, m, np.empty((rows * nodes, m)))
-    assert not np.any(np.isnan(s)) and np.all(s >= 0.0)
+    got = np.empty((len(v), len(t)))
+    for r0, k0, means in _shell_means(v, t, m, 2.0):
+        got[r0 : r0 + means.shape[0], k0 : k0 + means.shape[1]] = means
+    assert not np.any(np.isnan(got)) and np.all(got >= 0.0)
     pi = 4 * np.arctan(np.longdouble(1))
     phase = (np.outer(np.arange(g), np.arange(m)) % m).astype(np.longdouble)
-    u = v[0] * np.sqrt(t.astype(np.longdouble))[:, None] ** np.arange(g)
-    want = np.abs(u @ np.exp(2j * pi * phase / m)) ** 2
-    mass = np.sum(np.abs(u) ** 2, axis=1)[:, None]
-    tol = 4 * g * np.finfo(float).eps * mass + np.finfo(float).tiny
-    assert np.all(np.abs(s - want) <= tol)
+    radial = np.sqrt(t.astype(np.longdouble))[:, None] ** np.arange(g)
+    u = v[:, None, :] * radial  # (rows, nodes, g)
+    want = np.mean(np.abs(u @ np.exp(2j * pi * phase / m)) ** 2, axis=-1)
+    eps = np.finfo(float).eps
+    mass = np.sum(np.abs(u), axis=-1).astype(float)
+    d = 4 * (g + 2) * eps * mass
+    tol = 2 * mass * d + d * d + (2 * m + 4) * eps * mass * mass
+    assert np.all(np.abs(got - want) <= tol + np.finfo(float).tiny)
 
 
 def test_power_mean_streams_many_blocks():

@@ -325,16 +325,16 @@ def test_grid_bytes_never_exceeds_the_traced_peak(text, p):
 )
 def test_univariate_grid_bytes_count_the_fourier_matrix_and_tile(coeffs, angles):
     # one variable has no lead step: where an FFT sums the streamed axis the
-    # count is its tile of values, elsewhere the real basis with its phase
-    # and angle tables while it is built, beside the s and scratch buffers;
-    # still within the traced peak
+    # count is its tile of values, elsewhere the Fourier matrix with the
+    # roots and phase table it is indexed from while it is built, beside the
+    # s buffer of at least one circle; still within the traced peak
     P, g = ComplexPolynomial.from_coeffs(coeffs), len(coeffs)
     triples = _grid_rule((P.degree,), 2.0, 3.0, nodes=2, angles=angles)
     counted = _grid_bytes((g,), triples, 3.0)
     if _uses_fft(g, angles):
         assert counted >= 16 * angles
     else:
-        assert counted >= 8 * angles * (4 * g - 3) + 16 * angles
+        assert counted >= (24 * g + 16) * angles + 8 * angles
     assert counted <= traced_peak(bergman_norm, P, 2.0, 3.0, nodes=2, angles=angles)
 
 
@@ -344,13 +344,14 @@ def test_univariate_grid_bytes_count_the_fourier_matrix_and_tile(coeffs, angles)
         (ComplexPolynomial.from_coeffs(np.linspace(-1.0, 1.0, 4001)), 1, 9),
         (parse_polynomial("(30,30):1 (1,0):1"), 2, 31),
     ],
-    ids=["aliased-4000", "lags-many-rows"],
+    ids=["aliased-4000", "many-rows-one-buffer"],
 )
 def test_grid_bytes_track_the_traced_peak(P, nodes, angles):
     # 4001 coefficients on 9 angles alias through the Fourier matmul, and
-    # 62 lead rows of 31 coefficients on 2 nodes take lag planes of up to
-    # _BLOCK_POINTS products per block: on both the count is close to the
-    # traced peak, so a refusal is not far off what the grid would take
+    # 62 lead rows of 31 coefficients on 2 nodes stream one tile whose shells
+    # fit in one numpy buffer, so numpy's buffers for forming them are as
+    # large as the shells: on both the count is close to the traced peak, so
+    # a refusal is not far off what the grid would take
     triples = _grid_rule(P.variable_degrees(), 2.0, 3.0, nodes=nodes, angles=angles)
     counted = _grid_bytes(tuple(d + 1 for d in P.variable_degrees()), triples, 3.0)
     peak = traced_peak(bergman_norm, P, 2.0, 3.0, nodes=nodes, angles=angles)
@@ -358,8 +359,8 @@ def test_grid_bytes_track_the_traced_peak(P, nodes, angles):
 
 
 def test_huge_angle_count_for_one_variable_is_refused(monkeypatch):
-    # the (3 x 10^9) real basis would take 22 GiB, 37 GiB while it is built,
-    # and the s buffer of the first tile 7.5 GiB
+    # the (2 x 10^9) Fourier matrix would take 30 GiB, 60 GiB while it is
+    # built, and the first tile of values 15 GiB
     def no_kernel(*args):
         raise AssertionError("kernel reached before the refusal")
 
@@ -628,13 +629,15 @@ def test_mixed_norm_stops_at_the_cap_s_half_like_every_climb(monkeypatch):
 # the companion to the half.  Each rung is one deterministic kernel call, so
 # the comparison is exact.  The values are those of the numpy-built radial
 # rule; scipy's roots_jacobi, used before, moved four of them in the last
-# digits.
+# digits, and the exact quarter-turn twiddles of the one streamed route,
+# which replaced the lag products, moved two values by 1 ulp and three
+# est_errors, each the gap of two such values, by at most 2 ulp of them.
 MIXED_BEFORE_THE_SHARED_LADDER = {
-    (1, "unit-box", 0.5): (1.1366513036699335, 3.3587053691608304e-06),
-    (2, "unit-box", 3.0): (1.8564569784211598, 1.0318464682690376e-07),
+    (1, "unit-box", 0.5): (1.1366513036699335, 3.358705368716741e-06),
+    (2, "unit-box", 3.0): (1.85645697842116, 1.0318464704894836e-07),
     (2, "zero-free", 3.5): (1.0003641916065475, 1.2592149545298525e-12),
-    (2, "zero-free", 0.5): (1.000052565208371, 1.9628743075372768e-13),
-    (1, "zero-free", 3.5): (1.0026025424735412, 2.220446049250313e-16),
+    (2, "zero-free", 0.5): (1.000052565208371, 1.9673151996357774e-13),
+    (1, "zero-free", 3.5): (1.002602542473541, 2.220446049250313e-16),
 }
 
 

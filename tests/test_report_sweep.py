@@ -227,7 +227,7 @@ def test_sweep_deterministic_and_parallel_identical():
     assert a == b == c
     assert a.count("\n") == 1 + 2 * 2 * 3  # header + checks x tuples x polys
     assert hashlib.sha256(a.encode("utf-8")).hexdigest() == (
-        "bfd23a88de5c8c2d1c7f4fddfde557066ddc0e1f9d59593d526d9227e98ab799"
+        "feeaae07d576a96a521382d90476153578dd0ba2890a585480340600dc9d00fb"
     )
 
 
