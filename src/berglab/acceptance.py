@@ -320,8 +320,8 @@ def verify_suite(
     t0 = time.perf_counter()
     # Handed over last entry first, so the long c6 and c7 rows start first:
     # on 2 cores, suites back to back in one process (perfbench `suite`, 3
-    # runs each) take 0.51-0.59 s and peak at 87.4-87.5 MB this way, and
-    # 0.79-0.87 s and 104.8-105.2 MB first entry first.
+    # runs each) take 0.47-0.50 s and peak at 88.2-88.3 MB this way, and
+    # 0.74-0.77 s and 104.9-105.4 MB first entry first.
     timed = map_on_pool(_timed_row, tasks[::-1], workers)[::-1]
     wall = time.perf_counter() - t0
     by_criterion = {cid: [] for cid in selected}

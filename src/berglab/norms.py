@@ -81,10 +81,23 @@ with the factor ``checks.SETTLE_MULTIPLE`` to spare.
 
 One ``sweep.map_on_pool`` call computes each distinct ``bergman_norm`` once
 (see ``memo_scope``); a call outside any pool always computes.
+
+The kernel's tables depend only on sizes and rules, so each is built once
+and kept in one cache, ``_TABLES``: the Fourier matrix per (g, M), the
+radial powers per (the rule's node values, g), the 1/M angle weights per M,
+and the byte count of each grid that passes the budget per (coefficient
+shape, each axis's (nodes, angles), p).  It keeps at most
+``_TABLE_CACHE_BYTES`` (4 MiB) of tables and keys, dropping the least
+recently used first, and no table above a sixteenth of that (256 KiB),
+which is rebuilt on every call instead.  Cached tables are read-only, so
+the threads of ``sweep.map_on_pool`` share them.
 """
 from __future__ import annotations
 
 import math
+import sys
+import threading
+from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -157,6 +170,61 @@ _GRID_BYTES_BUDGET = 1 << 29
 
 # The (t, w) pair of a circle variable: one node at |z| = 1.
 _CIRCLE = (np.ones(1), np.ones(1))
+
+# Bytes of tables and keys that ``_TABLES`` keeps, as sys.getsizeof counts
+# them; a table above a sixteenth of this (256 KiB) is not kept.  A serial
+# verify-suite pass at seed 1729 keeps all it builds, 473 KiB: 26 Fourier
+# matrices (342 KiB, the largest 144 KiB), 62 radial power tables, 19 angle
+# weight vectors and 63 grid counts.  The perfbench highdeg workload's
+# Fourier matrix of 949 KiB (degree 100 at p = 6) and its radial tables of
+# up to 750 KiB are rebuilt per call, as keeping them would raise its peak
+# memory.
+_TABLE_CACHE_BYTES = 1 << 22
+
+
+class _TableCache:
+    """Tables built once per key and shared: ``get(key, build, *args)``
+    returns the table kept under ``key``, or build(*args) made read-only.
+
+    A table is kept when it and its key's parts take at most a sixteenth of
+    ``budget`` bytes (sys.getsizeof), and the least recently used are
+    dropped once the kept ones take more than ``budget``.  A build that
+    raises keeps nothing.  Two threads that miss one key at once both build
+    it, and the first kept stays.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.nbytes = 0
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple, build, *args):
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                return entry[0]
+        table = build(*args)
+        if isinstance(table, np.ndarray):
+            table.flags.writeable = False
+        size = sys.getsizeof(table) + sum(map(sys.getsizeof, key))
+        if size <= self.budget // 16:
+            with self._lock:
+                if key not in self._entries:
+                    self._entries[key] = (table, size)
+                    self.nbytes += size
+                while self.nbytes > self.budget:
+                    self.nbytes -= self._entries.popitem(last=False)[1][1]
+        return table
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.nbytes = 0
+
+
+_TABLES = _TableCache(_TABLE_CACHE_BYTES)
 
 _MEMO: ContextVar[dict] = ContextVar("bergman_norm_memo")
 
@@ -288,8 +356,19 @@ def _sq_pow(s: np.ndarray, p: float, scratch: np.ndarray | None = None) -> np.nd
 
 
 def _radial_powers(t: np.ndarray, g: int) -> np.ndarray:
-    """(K, g) table of t_k^(a/2): |z|^a on the shell |z|^2 = t_k."""
+    """(K, g) table of t_k^(a/2): |z|^a on the shell |z|^2 = t_k (read-only)."""
+    t = np.asarray(t, dtype=float)
+    return _TABLES.get(("radial", t.tobytes(), g), _build_radial_powers, t, g)
+
+
+def _build_radial_powers(t: np.ndarray, g: int) -> np.ndarray:
     return np.power(t[:, None], 0.5 * np.arange(g)[None, :])
+
+
+def _angle_weights(m: int) -> np.ndarray:
+    """The 2 m weights 1/m (read-only): the first m take the mean over m
+    angles, and all of them sum re^2 and im^2 paired along the angles."""
+    return _TABLES.get(("angles", m), np.full, 2 * m, 1.0 / m)
 
 
 def _uses_fft(g: int, m: int) -> bool:
@@ -302,7 +381,8 @@ def _uses_fft(g: int, m: int) -> bool:
 
 
 def _fourier_matrix(g: int, m: int) -> np.ndarray | None:
-    """(g x m) matrix exp(2 pi i a j / m), or None where ``_uses_fft``.
+    """(g x m) matrix exp(2 pi i a j / m) (read-only), or None where
+    ``_uses_fft``.
 
     Its entries are the m roots of unity, indexed by the phase a j mod m;
     those at a quarter turn (4 a j = 0 mod m) are exactly 1, i, -1 or -i,
@@ -311,6 +391,10 @@ def _fourier_matrix(g: int, m: int) -> np.ndarray | None:
     """
     if _uses_fft(g, m):
         return None
+    return _TABLES.get(("fourier", g, m), _build_fourier_matrix, g, m)
+
+
+def _build_fourier_matrix(g: int, m: int) -> np.ndarray:
     roots = np.exp((2j * np.pi / m) * np.arange(m))
     quarter = math.gcd(4, m)
     roots[:: m // quarter] = (1, 1j, -1, -1j)[:: 4 // quarter]
@@ -373,19 +457,30 @@ def _tiles(lead: np.ndarray, t: np.ndarray, m: int):
     points, values[i * nodes + j] holding the m angles at lead row r0 + i and
     node k0 + j.  The values buffer is reused, so it is only valid (and may
     be overwritten) until the next tile.
+
+    Each tile's shells, the rows times the radial powers, are written into
+    one reused C-contiguous buffer, so the angular sum takes them without a
+    copy: the rows are copied in, then multiplied in place, for which numpy
+    takes one buffer to cast the float powers (two, and more time, to form
+    the product from the rows straight into the buffer).
     """
     g = lead.shape[1]
     radial = _radial_powers(t, g)
     fourier = _fourier_matrix(g, m)
     rows_step, nodes_step = _tile_shape(lead.shape[0], len(t), m)
+    shells = np.empty(rows_step * nodes_step * g, dtype=complex)
     values = np.empty((rows_step * nodes_step, m), dtype=complex)
     for r0 in range(0, lead.shape[0], rows_step):
         rows = lead[r0 : r0 + rows_step, None, :]
         for k0 in range(0, len(t), nodes_step):
-            shells = rows * radial[k0 : k0 + nodes_step]
-            size = shells.shape[0] * shells.shape[1]
-            grid = _angular_sum(shells, fourier, m, out=values[:size])
-            yield r0, k0, shells.shape[:2], grid
+            powers = radial[k0 : k0 + nodes_step]
+            tile = (len(rows), len(powers))
+            size = tile[0] * tile[1]
+            block = shells[: size * g].reshape(*tile, g)
+            np.copyto(block, rows)
+            np.multiply(block, powers, out=block)
+            grid = _angular_sum(block, fourier, m, out=values[:size])
+            yield r0, k0, tile, grid
 
 
 def _shell_means(lead: np.ndarray, t: np.ndarray, m: int, p: float):
@@ -397,10 +492,10 @@ def _shell_means(lead: np.ndarray, t: np.ndarray, m: int, p: float):
     spent tile is the scratch of ``_sq_pow``.  The s buffer is allocated
     once, for the first (largest) tile; at p = 2 the tiles need no s.
     """
-    mean_weights = np.full(m, 1.0 / m)
+    pair_weights = _angle_weights(m)
+    mean_weights = pair_weights[:m]
     rows_step, nodes_step = _tile_shape(lead.shape[0], len(t), m)
     s = None if p == 2.0 else np.empty((rows_step * nodes_step, m))
-    pair_weights = np.full(2 * m, 1.0 / m)
     for r0, k0, tile, grid in _tiles(lead, t, m):
         # re^2 and im^2 in place, a contiguous pass; at p = 2 the angle mean
         # sums them directly, otherwise they are paired into s first
@@ -427,18 +522,18 @@ def _fourier_bytes(g: int, m: int) -> tuple[int, int]:
 
 
 def _grid_bytes(shape, triples, p: float) -> int:
-    """Bytes that ``_power_mean`` holds at once at its peak, worked out from
-    the coefficient shape, the (t, w, M) triples and p alone, at 16 bytes a
-    complex value.  Counted: each lead step's input beside its Fourier
-    matrix, first while that is built, then with the step's output; and the
-    lead array with the last axis's radial power table and the s buffer
-    that ``_shell_means`` allocates, beside the last axis's Fourier matrix
-    (none where ``_uses_fft``), likewise, then with the first streamed tile:
-    its values and shells, and while the shells are formed, where they fit
-    in one numpy buffer (``np.getbufsize()`` values), the buffers numpy 2.4
-    takes for that product: one for the float radial powers and, where the
-    tile spans more than one node, one for the broadcast coefficient rows.
-    Smaller temporaries are left out, so the count is a lower bound.
+    """Bytes that ``_power_mean`` holds at once at its peak, from cold
+    caches, worked out from the coefficient shape, each axis's node count
+    len(t) and angle count M, and p alone, at 16 bytes a complex value.
+    Counted: each lead step's input beside its Fourier matrix, first while
+    that is built, then with the step's output; and the lead array with the
+    last axis's radial power table and the s buffer that ``_shell_means``
+    allocates, beside the last axis's Fourier matrix (none where
+    ``_uses_fft``), likewise, then with the first streamed tile: its values
+    and shells buffers, and while the shells are multiplied by the float
+    radial powers, the buffer numpy 2.4 casts those into, of the shells'
+    size up to ``np.getbufsize()`` values.  Smaller temporaries are left
+    out, so the count is a lower bound.
     """
     order = _axis_order(triples)
     dims = [shape[i] for i in order]
@@ -454,16 +549,22 @@ def _grid_bytes(shape, triples, p: float) -> int:
     points = tile_rows * tile_nodes
     held = 16 * rows * g + 8 * len(t) * g + (0 if p == 2.0 else 8 * points * m)
     building, built = _fourier_bytes(g, m)
-    tile = 16 * points * (g + m)
-    if points * g <= np.getbufsize():
-        tile += 16 * points * g * (1 + (tile_nodes > 1))
+    tile = 16 * points * (g + m) + 16 * min(points * g, np.getbufsize())
     return max(largest, held + building, held + built + tile)
 
 
 def _refuse_oversized(P: ComplexPolynomial, triples, p: float) -> None:
     """Raise ValueError where the kernel arrays of P on the tensor rule would
-    take more than _GRID_BYTES_BUDGET; nothing is allocated to find out."""
+    take more than _GRID_BYTES_BUDGET; nothing is allocated to find out.  A
+    grid within the budget is counted once per (coefficient shape, each
+    axis's (nodes, angles), p), and a refused one keeps nothing."""
     shape = tuple(d + 1 for d in P.variable_degrees())
+    sizes = tuple((len(t), m) for t, _, m in triples)
+    _TABLES.get(("grid bytes", shape, sizes, float(p)), _budgeted_bytes, shape, triples, p)
+
+
+def _budgeted_bytes(shape, triples, p: float) -> int:
+    """``_grid_bytes``, refused with ValueError above _GRID_BYTES_BUDGET."""
     need = _grid_bytes(shape, triples, p)
     if need > _GRID_BYTES_BUDGET:
         sizes = ", ".join(f"({len(t)}, {m})" for t, _, m in triples)
@@ -471,6 +572,7 @@ def _refuse_oversized(P: ComplexPolynomial, triples, p: float) -> None:
             f"quadrature grid too large: (nodes, angles) {sizes} need about "
             f"{need >> 20} MiB, above the budget of {_GRID_BYTES_BUDGET >> 20} MiB"
         )
+    return need
 
 
 def _quadrature_norm(P: ComplexPolynomial, triples, p: float) -> NormResult:

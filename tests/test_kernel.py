@@ -1,29 +1,39 @@
 """The tensor-grid kernel against brute-force evaluation on the explicit grid."""
 import itertools
 import math
+import sys
 import warnings
+from collections import Counter
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from berglab import acceptance, norms
 from berglab.measures import radial_rule
 from berglab.norms import (
     _CIRCLE,
+    _TABLE_CACHE_BYTES,
+    _TableCache,
     _abs_pow,
+    _angle_weights,
     _axis_order,
     _fourier_matrix,
     _grid_rule,
     _power_mean,
     _quadrature_norm,
+    _radial_powers,
     _shell_means,
+    _tiles,
     _uses_fft,
+    bergman_norm,
     circle_curvature,
     circle_means,
     hardy_norm,
+    mixed_norm,
 )
-from berglab.poly import ComplexPolynomial
+from berglab.poly import ComplexPolynomial, parse_polynomial
 
 
 def dense_polynomial(degrees, seed):
@@ -243,3 +253,132 @@ def test_abs_pow_matches_abs_power(p):
     got = _abs_pow(values, p)
     assert np.array_equal(values, keep)
     assert np.allclose(got, np.abs(values) ** p, rtol=1e-13, atol=0.0)
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """An empty table cache of the module's bound in place of the shared one."""
+    tables = _TableCache(_TABLE_CACHE_BYTES)
+    monkeypatch.setattr(norms, "_TABLES", tables)
+    return tables
+
+
+def kept_bytes(tables):
+    """The bytes of the tables a cache keeps, with their keys, recounted."""
+    return sum(
+        sys.getsizeof(table) + sum(map(sys.getsizeof, key))
+        for key, (table, _) in tables._entries.items()
+    )
+
+
+def test_cached_tables_are_read_only(fresh_tables):
+    t = radial_rule(2.0, 4)[0]
+    tables = [_fourier_matrix(5, 17), _radial_powers(t, 5), _angle_weights(17)]
+    again = [_fourier_matrix(5, 17), _radial_powers(t.copy(), 5), _angle_weights(17)]
+    assert all(a is b for a, b in zip(tables, again))
+    assert len(fresh_tables._entries) == 3
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            table *= 2.0
+
+
+def test_table_cache_keeps_within_its_bound(fresh_tables):
+    # tables above a sixteenth of the bound are built and never kept: a
+    # (400 x 100) aliasing Fourier matrix (640 kB) and (300 x 200) radial
+    # powers (480 kB)
+    big = [_fourier_matrix(400, 100), _radial_powers(np.linspace(0.0, 1.0, 300), 200)]
+    assert all(table is not None and not table.flags.writeable for table in big)
+    assert fresh_tables.nbytes == 0 and not fresh_tables._entries
+    # then about 10 MB of small Fourier matrices and angle weights: the least
+    # recently used go, and what is kept stays within the bound
+    for m in range(3, 400):
+        _fourier_matrix(8, m)
+        _angle_weights(m)
+        assert fresh_tables.nbytes <= _TABLE_CACHE_BYTES
+    assert fresh_tables.nbytes == kept_bytes(fresh_tables)
+    assert fresh_tables.nbytes > _TABLE_CACHE_BYTES - _TABLE_CACHE_BYTES // 16
+    assert ("fourier", 8, 3) not in fresh_tables._entries
+    assert _fourier_matrix(8, 399) is _fourier_matrix(8, 399)
+    assert max(size for _, size in fresh_tables._entries.values()) <= _TABLE_CACHE_BYTES // 16
+
+
+def cold_and_warm(fn, *args):
+    """fn's result from empty caches, then from the caches that call filled."""
+    norms._TABLES.clear()
+    return fn(*args), fn(*args)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (hardy_norm, (ComplexPolynomial.from_coeffs((1, 1)), 0.5, 64)),
+        (bergman_norm, (dense_polynomial((5,), seed=5), 2.0, 3.0)),
+        (bergman_norm, (dense_polynomial((5,), seed=5), 2.0, 0.5)),
+        (bergman_norm, (dense_polynomial((3, 4), seed=2), 1.5, 2.5)),
+        (bergman_norm, (dense_polynomial((2, 1, 3), seed=4), 3.0, 4.0)),
+        (mixed_norm, (dense_polynomial((2, 3), seed=6), 2.0, 3.0)),
+        (circle_means, (dense_polynomial((6,), seed=11), 3.0, np.linspace(0, 1, 7))),
+    ],
+    ids=[
+        "hardy-1+z-64", "univariate-p3", "univariate-p0.5", "bivariate",
+        "trivariate", "mixed", "circle",
+    ],
+)
+def test_a_warm_cache_gives_the_cold_value_bit_for_bit(fn, args):
+    cold, warm = (np.asarray(getattr(r, "value", r)) for r in cold_and_warm(fn, *args))
+    assert cold.tobytes() == warm.tobytes()
+
+
+def test_the_cached_fourier_matrix_keeps_the_zero_of_1_plus_z_at_pi(fresh_tables):
+    # 1 + z on 64 angles is exactly 0 at theta = pi, from a kept matrix
+    kept = _fourier_matrix(2, 64)
+    assert _fourier_matrix(2, 64) is kept and kept[1, 32] == -1.0
+    coeffs = np.ones((1, 2), dtype=complex)
+    [(_, _, _, grid)] = list(_tiles(coeffs, np.ones(1), 64))
+    assert grid[0, 32] == 0.0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bergman_norm(parse_polynomial("(1000,1000):1"), 2.0, 4.0),
+        lambda: hardy_norm(ComplexPolynomial.from_coeffs((1, 1)), 2.0, angles=10**9),
+        lambda: mixed_norm(parse_polynomial("(400,400,400):1"), 2.0, 3.0),
+    ],
+    ids=["bivariate", "angles", "mixed-cap"],
+)
+def test_a_refused_grid_adds_nothing_to_the_table_cache(fresh_tables, call):
+    with pytest.raises(ValueError, match="quadrature grid too large"):
+        call()
+    assert fresh_tables.nbytes == 0 and not fresh_tables._entries
+
+
+class CountingTables(_TableCache):
+    """A table cache that counts the builds of each key."""
+
+    def __init__(self) -> None:
+        super().__init__(_TABLE_CACHE_BYTES)
+        self.builds = Counter()
+
+    def get(self, key, build, *args):
+        def counted(*args):
+            self.builds[key] += 1
+            return build(*args)
+
+        return super().get(key, counted, *args)
+
+
+def test_a_serial_suite_pass_builds_each_table_once(monkeypatch):
+    # every criterion inline, so no two threads miss one key at once: each
+    # table is built once per key, and the suite's tables are all kept
+    tables = CountingTables()
+    monkeypatch.setattr(norms, "_TABLES", tables)
+    for cid in acceptance.CRITERION_IDS:
+        assert acceptance.run_criterion(cid, seed=1729).passed
+    assert set(tables.builds.values()) == {1}
+    assert {key[0] for key in tables.builds} == {"fourier", "radial", "angles", "grid bytes"}
+    assert len(tables._entries) == len(tables.builds)
+    assert tables.nbytes <= _TABLE_CACHE_BYTES

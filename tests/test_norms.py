@@ -280,7 +280,8 @@ def test_grid_counts_below_one_are_refused(kind, count):
 
 
 def traced_peak(fn, *args, **kwargs) -> int:
-    """Peak bytes tracemalloc sees while fn runs."""
+    """Peak bytes tracemalloc sees while fn runs from cold kernel caches."""
+    norms._TABLES.clear()
     tracemalloc.start()
     try:
         fn(*args, **kwargs)
