@@ -22,13 +22,13 @@ The library functions only measure.  Every pass rule is written here once:
   bounded side is at most the bound up to ``INEQ_SLACK``
   (``NIKOLSKII_SLACK`` for the degree-growth ratio);
 - the settle rule (``_settles``), a predicate of (computed, bound, gap) for
-  a row's slack: a hyper, nikolskii or kulikov row at p or q other than an
-  even integer, with no pinned nodes or angles, climbs the companion-grid
-  ladder with ``norms._climbed_norms``, which stops where the margin
-  |bound - computed| is at least ``SETTLE_MULTIPLE`` times the gap and
-  above the slack.  The check returns the gap, which is the row's
-  est_error; on a pinned grid, at even p and q, and by the exact method it
-  is 0.0;
+  a row's slack: ``norms._climbed_norms`` sizes the two norms of every
+  hyper, nikolskii and kulikov row, and at p or q other than an even
+  integer, with no pinned nodes or angles, climbs the companion-grid
+  ladder until the margin |bound - computed| is at least
+  ``SETTLE_MULTIPLE`` times the gap and above the slack.  The check
+  returns the gap, which is the row's est_error; on a pinned grid, at even
+  p and q, and by the exact method it is 0.0;
 - the agreement rule (``agreement_row``): rel = |computed - target| /
   max(|target|, 1e-300) is at most ``ORACLE_TOL``, ``CLOSED_FORM_TOL`` or
   ``ISOMETRY_TOL``, and is the row's est_error;

@@ -57,20 +57,6 @@ def sharp_radius(alpha: float, beta: float, p: float, q: float) -> float:
     return min(1.0, math.sqrt(beta * p / (alpha * q)))
 
 
-def _two_norms(sides, judge, nodes=None, angles=None, settled=None):
-    """judge(first, second) of the norms of two (P, alpha, p) sides, a
-    (computed, bound) pair, with its est_error: on a grid pinned by ``nodes``
-    or ``angles`` both norms are ``bergman_norm`` there, with est_error 0.0;
-    else ``norms._climbed_norms`` climbs them with the rule ``settled`` (to
-    the cap, the default grids, without one) and the est_error is its gap."""
-    if nodes is None and angles is None:
-        values, gap = _climbed_norms(sides, judge, settled)
-    else:
-        values = judge(*(bergman_norm(*side, nodes, angles).value for side in sides))
-        gap = 0.0
-    return (*values, gap)
-
-
 def hyper_check(
     f: ComplexPolynomial,
     alpha: float,
@@ -84,15 +70,16 @@ def hyper_check(
     settled=None,
 ) -> tuple[float, float, float]:
     """The two sides of ||f(r .)||_{A^q_beta} <= ||f||_{A^p_alpha} and their
-    est_error (see ``_two_norms``; 0.0 by the exact method); f is dilated
-    once."""
+    est_error, the gap of ``norms._climbed_norms`` (0.0 by the exact
+    method); f is dilated once."""
     _check_p(p)
     _check_p(q, "q")
     if not (0.0 <= r <= 1.0):
         raise ValueError(f"r must lie in [0, 1], got {r}")
     if method == "quad":
         sides = ((f.dilate(r), beta, q), (f, alpha, p))
-        return _two_norms(sides, lambda lhs, rhs: (lhs, rhs), nodes, angles, settled)
+        values, gap = _climbed_norms(sides, lambda *norms: norms, settled, nodes, angles)
+        return (*values, gap)
     if method == "exact":
         lhs = exact_norm_even_p(f.dilate(r), beta, q).value
         rhs = exact_norm_even_p(f, alpha, p).value
@@ -112,12 +99,15 @@ def nikolskii_check(
 ) -> tuple[float, float, float]:
     """The two sides of ||P||_{A^q_beta} / ||P||_{A^p_alpha} <= C^m, with
     C = sqrt(alpha q / (beta p)) and m the total degree of P, and their
-    est_error (see ``_two_norms``)."""
+    est_error, the gap of ``norms._climbed_norms``."""
     if P.is_zero:
         raise ValueError("the zero polynomial has no norm ratio")
     bound = math.sqrt(alpha * q / (beta * p)) ** P.degree
     sides = ((P, beta, q), (P, alpha, p))
-    return _two_norms(sides, lambda num, den: (num / den, bound), nodes, angles, settled)
+    values, gap = _climbed_norms(
+        sides, lambda num, den: (num / den, bound), settled, nodes, angles
+    )
+    return (*values, gap)
 
 
 def kulikov_check(
@@ -125,14 +115,15 @@ def kulikov_check(
 ) -> tuple[float, float, float]:
     """The two sides of the undilated embedding
     ||f||_{A^q_{q alpha / p}} <= ||f||_{A^p_alpha}, for q >= p, and their
-    est_error (see ``_two_norms``)."""
+    est_error, the gap of ``norms._climbed_norms``."""
     if q < p:
         raise ValueError("requires q >= p")
     check_alpha(alpha)  # the A^p_alpha side's checks, before q alpha / p
     _check_p(p)
     # the A^p_alpha side first, as its grid errors have always been the ones named
     sides = ((f, alpha, p), (f, q * alpha / p, q))
-    return _two_norms(sides, lambda rhs, lhs: (lhs, rhs), settled=settled)
+    values, gap = _climbed_norms(sides, lambda rhs, lhs: (lhs, rhs), settled)
+    return (*values, gap)
 
 
 @dataclass(frozen=True)

@@ -48,21 +48,22 @@ ladder (below), and the circle profile always uses the default grid.
 ``_quadrature_norm`` refuses, before allocating anything, a grid whose
 kernel arrays (the Fourier matrices and the first streamed tile included)
 would take more than ``_GRID_BYTES_BUDGET`` at once;
-``_grid_bytes`` counts them.
+``_grid_bytes`` counts them from sizes alone.
 
 The ladder: at p other than an even integer no finite grid is exact, and
 a norm can be climbed on the rungs of ``_ladder`` below a cap, its default
 grid: the companion grid exact for |P|^2, doublings of both counts within
 the cap's half, the cap's half, and the cap.  ``_climb`` is the one loop
 over those rungs, and a rule it is given decides where it stops.
-``mixed_norm`` climbs its own grid, ``_climbed_norms`` the Bergman norms:
-the sides at p other than an even integer together, a side at even p once
-on its exact default grid.  ``mixed_norm`` and the isometry rows' Bergman
-side stop at the first rung that agrees with the one before to
+``mixed_norm`` climbs its own grid, and ``_climbed_norms`` sizes every
+check row's Bergman norms: on a pinned grid each side once there, else the
+sides at p other than an even integer climbed together and a side at even
+p once on its exact default grid.  ``mixed_norm`` and the isometry rows'
+Bergman side stop at the first rung that agrees with the one before to
 ``_MIXED_GAP_TOL`` (``_gap_settled``).  The verdict rows (hyper,
-nikolskii, kulikov) on no pinned grid stop where the settle rule of
-``checks`` says their margin dwarfs the gap, and without a rule evaluate
-only the cap's half and the cap, their default grids.  ``bergman_norm`` itself never climbs:
+nikolskii, kulikov) stop where the settle rule of ``checks`` says their
+margin dwarfs the gap, and without a rule evaluate only the cap's half and
+the cap, their default grids.  ``bergman_norm`` itself never climbs:
 `berglab norm` and every caller that names a grid get that grid.
 
 When a quadrature norm is exact: at even p = 2s, |P|^p = |P^s|^2 is a
@@ -84,16 +85,16 @@ One ``sweep.map_on_pool`` call computes each distinct ``bergman_norm`` once
 
 The kernel's tables depend only on sizes and rules, so each is built once
 and kept in one cache, ``_TABLES``: the Fourier matrix per (g, M), the
-radial powers per (the rule's node values, g), the 1/M angle weights per M,
-and the byte count of each grid that passes the budget per (coefficient
-shape, each axis's (nodes, angles), p).  It keeps at most
-``_TABLE_CACHE_BYTES`` (4 MiB) of tables and keys, dropping the least
-recently used first, and no table above a sixteenth of that (256 KiB),
-which is rebuilt on every call instead.  Cached tables are read-only, so
-the threads of ``sweep.map_on_pool`` share them.
+radial powers per (the rule's node values, g) and the 1/M angle weights per
+M.  It keeps at most ``_TABLE_CACHE_BYTES`` (4 MiB) of tables and keys,
+dropping the least recently used first, and no table above a sixteenth of
+that (256 KiB), which is rebuilt on every call instead.  Cached tables are
+read-only, so the threads of ``sweep.map_on_pool`` share them.  Grid byte
+counts, a function of sizes alone, are memoized apart (``_GRID_COUNTS``).
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import threading
@@ -173,18 +174,23 @@ _CIRCLE = (np.ones(1), np.ones(1))
 
 # Bytes of tables and keys that ``_TABLES`` keeps, as sys.getsizeof counts
 # them; a table above a sixteenth of this (256 KiB) is not kept.  A serial
-# verify-suite pass at seed 1729 keeps all it builds, 473 KiB: 26 Fourier
-# matrices (342 KiB, the largest 144 KiB), 62 radial power tables, 19 angle
-# weight vectors and 63 grid counts.  The perfbench highdeg workload's
+# verify-suite pass at seed 1729 keeps all it builds, 460 KiB: 26 Fourier
+# matrices (342 KiB, the largest 144 KiB), 62 radial power tables and 19
+# angle weight vectors.  The perfbench highdeg workload's
 # Fourier matrix of 949 KiB (degree 100 at p = 6) and its radial tables of
 # up to 750 KiB are rebuilt per call, as keeping them would raise its peak
 # memory.
 _TABLE_CACHE_BYTES = 1 << 22
 
+# Grid byte counts that ``_grid_bytes`` keeps, least recently used dropped
+# first; a serial verify-suite pass at seed 1729 counts 63 in 1,825 calls.
+_GRID_COUNTS = 256
+
 
 class _TableCache:
     """Tables built once per key and shared: ``get(key, build, *args)``
-    returns the table kept under ``key``, or build(*args) made read-only.
+    returns the table kept under ``key``, or the array build(*args) made
+    read-only.
 
     A table is kept when it and its key's parts take at most a sixteenth of
     ``budget`` bytes (sys.getsizeof), and the least recently used are
@@ -206,8 +212,7 @@ class _TableCache:
                 self._entries.move_to_end(key)
                 return entry[0]
         table = build(*args)
-        if isinstance(table, np.ndarray):
-            table.flags.writeable = False
+        table.flags.writeable = False
         size = sys.getsizeof(table) + sum(map(sys.getsizeof, key))
         if size <= self.budget // 16:
             with self._lock:
@@ -432,6 +437,8 @@ def _lead_values(
     coefficients of the last variable there; weights (R,) are the products
     of the lead axes' quadrature weights w_k / M.
     """
+    if not triples:  # one variable: its coefficients are the one row
+        return coeff.reshape(1, -1), np.ones(1)
     values = coeff
     weights = np.ones(1)
     for t, w, m in triples:
@@ -510,9 +517,9 @@ def _shell_means(lead: np.ndarray, t: np.ndarray, m: int, p: float):
         yield r0, k0, means.reshape(tile)
 
 
-def _axis_order(triples) -> list[int]:
-    """Axes by grid size, smallest first: the last one is streamed."""
-    return sorted(range(len(triples)), key=lambda i: len(triples[i][0]) * triples[i][2])
+def _axis_order(sizes) -> list[int]:
+    """Axes by (nodes, angles) grid size, smallest first: the last is streamed."""
+    return sorted(range(len(sizes)), key=lambda i: sizes[i][0] * sizes[i][1])
 
 
 def _fourier_bytes(g: int, m: int) -> tuple[int, int]:
@@ -521,10 +528,11 @@ def _fourier_bytes(g: int, m: int) -> tuple[int, int]:
     return (0, 0) if _uses_fft(g, m) else (24 * g * m + 16 * m, 16 * g * m)
 
 
-def _grid_bytes(shape, triples, p: float) -> int:
+@functools.lru_cache(maxsize=_GRID_COUNTS)
+def _grid_bytes(shape: tuple, sizes: tuple, p: float) -> int:
     """Bytes that ``_power_mean`` holds at once at its peak, from cold
-    caches, worked out from the coefficient shape, each axis's node count
-    len(t) and angle count M, and p alone, at 16 bytes a complex value.
+    caches, worked out from the coefficient shape, each axis's (nodes,
+    angles) and p alone, at 16 bytes a complex value.
     Counted: each lead step's input beside its Fourier matrix, first while
     that is built, then with the step's output; and the lead array with the
     last axis's radial power table and the s buffer that ``_shell_means``
@@ -533,21 +541,21 @@ def _grid_bytes(shape, triples, p: float) -> int:
     and shells buffers, and while the shells are multiplied by the float
     radial powers, the buffer numpy 2.4 casts those into, of the shells'
     size up to ``np.getbufsize()`` values.  Smaller temporaries are left
-    out, so the count is a lower bound.
+    out, so the count is a lower bound.  It is memoized on its arguments.
     """
-    order = _axis_order(triples)
+    order = _axis_order(sizes)
     dims = [shape[i] for i in order]
     largest = 0
     for j, i in enumerate(order[:-1]):
         held = 16 * math.prod(dims)
-        building, built = _fourier_bytes(shape[i], triples[i][2])
-        dims[j] = len(triples[i][0]) * triples[i][2]
+        building, built = _fourier_bytes(shape[i], sizes[i][1])
+        dims[j] = sizes[i][0] * sizes[i][1]
         largest = max(largest, held + building, held + built + 16 * math.prod(dims))
-    g, (t, _, m) = shape[order[-1]], triples[order[-1]]
+    g, (nodes, m) = shape[order[-1]], sizes[order[-1]]
     rows = math.prod(dims[:-1])
-    tile_rows, tile_nodes = _tile_shape(rows, len(t), m)
+    tile_rows, tile_nodes = _tile_shape(rows, nodes, m)
     points = tile_rows * tile_nodes
-    held = 16 * rows * g + 8 * len(t) * g + (0 if p == 2.0 else 8 * points * m)
+    held = 16 * rows * g + 8 * nodes * g + (0 if p == 2.0 else 8 * points * m)
     building, built = _fourier_bytes(g, m)
     tile = 16 * points * (g + m) + 16 * min(points * g, np.getbufsize())
     return max(largest, held + building, held + built + tile)
@@ -555,24 +563,18 @@ def _grid_bytes(shape, triples, p: float) -> int:
 
 def _refuse_oversized(P: ComplexPolynomial, triples, p: float) -> None:
     """Raise ValueError where the kernel arrays of P on the tensor rule would
-    take more than _GRID_BYTES_BUDGET; nothing is allocated to find out.  A
-    grid within the budget is counted once per (coefficient shape, each
-    axis's (nodes, angles), p), and a refused one keeps nothing."""
+    take more than _GRID_BYTES_BUDGET, as ``_grid_bytes`` counts them from
+    P's coefficient shape and each axis's (nodes, angles); nothing is
+    allocated to find out."""
     shape = tuple(d + 1 for d in P.variable_degrees())
     sizes = tuple((len(t), m) for t, _, m in triples)
-    _TABLES.get(("grid bytes", shape, sizes, float(p)), _budgeted_bytes, shape, triples, p)
-
-
-def _budgeted_bytes(shape, triples, p: float) -> int:
-    """``_grid_bytes``, refused with ValueError above _GRID_BYTES_BUDGET."""
-    need = _grid_bytes(shape, triples, p)
+    need = _grid_bytes(shape, sizes, p)
     if need > _GRID_BYTES_BUDGET:
-        sizes = ", ".join(f"({len(t)}, {m})" for t, _, m in triples)
         raise ValueError(
-            f"quadrature grid too large: (nodes, angles) {sizes} need about "
+            f"quadrature grid too large: (nodes, angles) "
+            f"{', '.join(map(str, sizes))} need about "
             f"{need >> 20} MiB, above the budget of {_GRID_BYTES_BUDGET >> 20} MiB"
         )
-    return need
 
 
 def _quadrature_norm(P: ComplexPolynomial, triples, p: float) -> NormResult:
@@ -596,7 +598,7 @@ def _power_mean(
     """
     if coeff.ndim != len(triples):
         raise ValueError("rule does not match variable count")
-    order = _axis_order(triples)
+    order = _axis_order([(len(t), m) for t, _, m in triples])
     lead, w_lead = _lead_values(
         coeff.transpose(order), [triples[i] for i in order[:-1]]
     )
@@ -777,19 +779,23 @@ def _gap_settled(value: float, gap: float) -> bool:
     return gap <= _MIXED_GAP_TOL * value
 
 
-def _climbed_norms(sides, judge, settled=None) -> tuple[tuple[float, ...], float]:
-    """The one climb of Bergman norms: judge(*norms) of the ``bergman_norm``
+def _climbed_norms(sides, judge, settled=None, nodes=None, angles=None) -> tuple:
+    """Every check row's Bergman norms: judge(*norms) of the ``bergman_norm``
     of each (P, alpha, p) side, a tuple of floats, and its gap.
 
-    A side at even p is one ``bergman_norm`` on its exact default grid.  The
-    sides at other p, after the checks ``bergman_norm`` makes on them, climb
-    ``_climb`` together, each rung one ``bergman_norm`` per such side with
-    the rung's counts pinned on every disk axis; the cap is the largest of
-    their default grids, refused above _GRID_BYTES_BUDGET before any rung
-    runs.  The climb stops where ``settled`` holds (see ``_climb``);
-    without a rule it evaluates the cap's half and the cap, whose values are
-    the default grids'.  The gap is 0.0 where every side is at even p.
+    On a grid pinned by ``nodes`` or ``angles`` each side is one
+    ``bergman_norm`` there, and the gap is 0.0.  Otherwise a side at even p
+    is one ``bergman_norm`` on its exact default grid.  The sides at other
+    p, after the checks ``bergman_norm`` makes on them, climb ``_climb``
+    together, each rung one ``bergman_norm`` per such side with the rung's
+    counts pinned on every disk axis; the cap is the largest of their
+    default grids, refused above _GRID_BYTES_BUDGET before any rung runs.
+    The climb stops where ``settled`` holds (see ``_climb``); without a
+    rule it evaluates the cap's half and the cap, whose values are the
+    default grids'.  The gap is 0.0 where every side is at even p.
     """
+    if nodes is not None or angles is not None:
+        return judge(*(bergman_norm(*side, nodes, angles).value for side in sides)), 0.0
     fixed, caps = [], []
     for P, alpha, p in sides:
         if _even_half(p) is not None:

@@ -344,8 +344,8 @@ def _map_on_threads(fn, items: list, workers: int) -> list:
     first item's memory stays in one arena over repeated calls.  With a
     thread pool the exit order varies, and ``verify_suite`` calls back to
     back on 2 cores spread the memory of c6 and c7 over both arenas: a
-    ``ThreadPoolExecutor`` here peaked at 105.7-105.8 MB against
-    87.4-87.5 MB (perfbench `suite`, 3 runs each).
+    ``ThreadPoolExecutor`` here peaked at 106.06-106.59 MB against
+    87.80-88.04 MB (perfbench `suite`, 5 alternating runs each, 2-core VM).
     """
     context = contextvars.copy_context()  # new threads start empty
     claim = itertools.count(workers).__next__

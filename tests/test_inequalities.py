@@ -532,8 +532,8 @@ def test_a_bound_next_to_computed_gives_the_default_grids_verdict(
     bound = computed * (1.0 + sign * 1e-4)
     real = inequalities._climbed_norms
 
-    def patched(sides, judge, settled):
-        return real(sides, lambda a, b: (judge(a, b)[0], bound), settled)
+    def patched(sides, judge, settled, *pinned):
+        return real(sides, lambda a, b: (judge(a, b)[0], bound), settled, *pinned)
 
     monkeypatch.setattr(inequalities, "_climbed_norms", patched)
     row = CHECKS[name].run(**inputs)

@@ -295,9 +295,10 @@ def test_oversized_grid_is_refused_before_anything_is_allocated(monkeypatch):
     # coefficients beside the lead array of 32 * 4001 * 1001 values, 1.9 GiB
     P = parse_polynomial("(1000,1000):1")
     triples = _grid_rule((1000, 1000), 2.0, 4.0)
-    assert [(len(t), m) for t, _, m in triples] == [(32, 4001)] * 2
-    assert _grid_bytes((1001, 1001), triples, 4.0) == 16 * (1001 + 32 * 4001) * 1001
-    assert _grid_bytes((1001, 1001), triples, 4.0) > 3 * _GRID_BYTES_BUDGET
+    sizes = tuple((len(t), m) for t, _, m in triples)
+    assert sizes == ((32, 4001),) * 2
+    assert _grid_bytes((1001, 1001), sizes, 4.0) == 16 * (1001 + 32 * 4001) * 1001
+    assert _grid_bytes((1001, 1001), sizes, 4.0) > 3 * _GRID_BYTES_BUDGET
 
     def no_coefficients(self):
         raise AssertionError("coefficient array built before the refusal")
@@ -316,8 +317,8 @@ def test_grid_bytes_never_exceeds_the_traced_peak(text, p):
     # the count is a lower bound of what the kernel holds, so a refusal
     # never overstates the need
     P = parse_polynomial(text)
-    triples = _grid_rule(P.variable_degrees(), 2.0, p)
-    counted = _grid_bytes(tuple(d + 1 for d in P.variable_degrees()), triples, p)
+    sizes = tuple((len(t), m) for t, _, m in _grid_rule(P.variable_degrees(), 2.0, p))
+    counted = _grid_bytes(tuple(d + 1 for d in P.variable_degrees()), sizes, p)
     assert counted <= traced_peak(bergman_norm, P, 2.0, p)
 
 
@@ -330,8 +331,7 @@ def test_univariate_grid_bytes_count_the_fourier_matrix_and_tile(coeffs, angles)
     # roots and phase table it is indexed from while it is built, beside the
     # s buffer of at least one circle; still within the traced peak
     P, g = ComplexPolynomial.from_coeffs(coeffs), len(coeffs)
-    triples = _grid_rule((P.degree,), 2.0, 3.0, nodes=2, angles=angles)
-    counted = _grid_bytes((g,), triples, 3.0)
+    counted = _grid_bytes((g,), ((2, angles),), 3.0)
     if _uses_fft(g, angles):
         assert counted >= 16 * angles
     else:
@@ -353,8 +353,8 @@ def test_grid_bytes_track_the_traced_peak(P, nodes, angles):
     # fit in one numpy buffer, so numpy's buffers for forming them are as
     # large as the shells: on both the count is close to the traced peak, so
     # a refusal is not far off what the grid would take
-    triples = _grid_rule(P.variable_degrees(), 2.0, 3.0, nodes=nodes, angles=angles)
-    counted = _grid_bytes(tuple(d + 1 for d in P.variable_degrees()), triples, 3.0)
+    sizes = ((nodes, angles),) * P.nvars
+    counted = _grid_bytes(tuple(d + 1 for d in P.variable_degrees()), sizes, 3.0)
     peak = traced_peak(bergman_norm, P, 2.0, 3.0, nodes=nodes, angles=angles)
     assert counted <= peak <= 1.25 * counted
 
@@ -682,6 +682,30 @@ def test_laddered_bergman_norm_stops_early_only_without_zeros(monkeypatch):
     assert gap > _MIXED_GAP_TOL * value
     # at even p the default grid is exact, and it is the only one
     assert _gap_settled_norm(P, 2.0, 4.0) == (bergman_norm(P, 2.0, 4.0).value, 0.0)
+
+
+def test_climbed_norms_on_a_pinned_grid_take_each_side_once_there(monkeypatch):
+    # a side at p = 0.5 and one at even p: on pinned counts each is one
+    # bergman_norm there, with no rung climbed and gap 0.0, even with a rule
+    P = random_polynomials(1, 1, 5, 1729, "unit-box")[0]
+    sides = [(P, 2.0, 0.5), (P.dilate(0.5), 3.0, 4.0)]
+    calls = []
+    fn = norms.bergman_norm
+
+    def recording(P, alpha, p, nodes=None, angles=None):
+        calls.append((P, alpha, p, nodes, angles))
+        return fn(P, alpha, p, nodes, angles)
+
+    def no_climb(*args):
+        raise AssertionError("a rung was climbed on a pinned grid")
+
+    monkeypatch.setattr(norms, "bergman_norm", recording)
+    monkeypatch.setattr(norms, "_climb", no_climb)
+    values, gap = _climbed_norms(sides, lambda a, b: (a, b), _gap_settled, 5, 33)
+    monkeypatch.undo()
+    assert calls == [(*side, 5, 33) for side in sides]
+    assert gap == 0.0
+    assert values == tuple(bergman_norm(*side, 5, 33).value for side in sides)
 
 
 def test_mixed_norm_at_even_p_is_the_exact_grid_alone(monkeypatch):
