@@ -14,10 +14,12 @@ the worst drift as a share of the old margin, (|change of computed| + |change of
 change.  The share reads a margin only on rows that bound computed by
 target: on an agreement row, where computed is meant to equal target, a
 move of one rounding unit can read 1 or more, which is why those rows
-are kept apart.
+are kept apart.  A reader that closes the pipe early (``| head``) gets
+what it read, with no traceback, and the exit code is the comparison's.
 """
 import csv
 import math
+import os
 import sys
 
 FIELDS = ("computed", "target", "est_error")
@@ -43,21 +45,31 @@ def group(row: dict) -> str:
     return " ".join([row["check_id"], *entries])
 
 
+def emit(lines: list) -> None:
+    """Print the lines; once the reader has closed the pipe, drop the rest
+    (stdout then writes to the null device, flushes at exit included)."""
+    try:
+        print(*lines, sep="\n", flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def compare(old_path: str, new_path: str) -> int:
     with open(old_path, newline="") as f_old, open(new_path, newline="") as f_new:
         old, new = list(csv.DictReader(f_old)), list(csv.DictReader(f_new))
     if [(r["check_id"], r["params"]) for r in old] != [
         (r["check_id"], r["params"]) for r in new
     ]:
-        print("the reports do not hold the same rows in the same order")
+        emit(["the reports do not hold the same rows in the same order"])
         return 2
+    lines = []
     worst: dict = {}
     shares: dict = {}
     changed = 0
     for a, b in zip(old, new):
         if a["status"] != b["status"]:
             changed += 1
-            print(f"{a['check_id']},{a['params']}: {a['status']} -> {b['status']}")
+            lines.append(f"{a['check_id']},{a['params']}: {a['status']} -> {b['status']}")
         key = group(a)
         per = worst.setdefault(key, {f: (0.0, 0.0) for f in FIELDS})
         for f in FIELDS:
@@ -69,8 +81,9 @@ def compare(old_path: str, new_path: str) -> int:
         shares[key] = max(shares.get(key, 0.0), margin_share(a, b))
     for key, per in worst.items():
         drift = (f"{f} abs={g:.3g} rel={r:.3g}" for f, (g, r) in per.items())
-        print(key, " ".join(drift), f"drift/margin={shares[key]:.3g}")
-    print(f"{changed} status changes over {len(old)} rows")
+        lines.append(f"{key} {' '.join(drift)} drift/margin={shares[key]:.3g}")
+    lines.append(f"{changed} status changes over {len(old)} rows")
+    emit(lines)
     return 1 if changed else 0
 
 

@@ -21,17 +21,17 @@ place where coefficients become grid values.  It evaluates P one axis at a
 time: scale the coefficients by the radial powers t^(a/2), then sum over the
 equispaced angles, by a (g x M) Fourier matmul when the axis has few
 coefficients and by an inverse FFT when it has many (on equispaced angles
-the two are the same DFT).  The last axis is streamed in tiles of about
-2^16 grid points, so the full grid is never held in memory, and each tile
-is reduced at once to circle means of |P|^p by ``_shell_means``.  A circle
-variable is one more axis with the single node t = 1.
+the two are the same DFT).  Every axis is evaluated by ``_tiles``, in
+tiles of about 2^16 grid points: each lead axis into its step's output
+(``_lead_values``), and the last, streamed axis tile by tile, so the full
+grid is never held in memory, each tile reduced at once to circle means of
+|P|^p by ``_shell_means``, which forms |P|^p from s = re^2 + im^2.  A
+circle variable is one more axis with the single node t = 1.
 
-Every axis, the streamed one included, takes that one route, so
-``_tiles`` gives P's values on each tile of the last axis and
-``_shell_means`` forms |P|^p from s = re^2 + im^2.  The Fourier matrix is
-indexed from a table of the M roots of unity whose quarter turns are
-exactly 1, i, -1 and -i, so a zero of P where every phase a j is a quarter
-turn (1 + z at theta = pi) gives s = 0 exactly, as |P|^p does there.  The profile's Phi''
+The Fourier matrix is indexed from a table of the M roots of unity whose
+quarter turns are exactly 1, i, -1 and -i, so a zero of P where every phase
+a j is a quarter turn (1 + z at theta = pi) gives s = 0 exactly, as |P|^p
+does there.  The profile's Phi''
 (``circle_curvature``) needs P and z P' themselves and takes both from
 ``_tiles``, by the Laplacian identity.  |P|^p is formed from s by products
 and square roots of s when 2p is a positive integer and by np.power
@@ -46,9 +46,9 @@ Only ``bergman_norm`` (nodes and angles) and ``hardy_norm`` (angles) take
 counts from their callers; the mixed norm pins them on the rungs of its
 ladder (below), and the circle profile always uses the default grid.
 ``_quadrature_norm`` refuses, before allocating anything, a grid whose
-kernel arrays (the Fourier matrices and the first streamed tile included)
-would take more than ``_GRID_BYTES_BUDGET`` at once;
-``_grid_bytes`` counts them from sizes alone.
+kernel arrays (each axis's Fourier matrix and first tile included) would
+take more than ``_GRID_BYTES_BUDGET`` at once; ``_grid_bytes`` counts them
+from sizes alone.
 
 The ladder: at p other than an even integer no finite grid is exact, and
 a norm can be climbed on the rungs of ``_ladder`` below a cap, its default
@@ -154,8 +154,8 @@ _BLOCK_POINTS = 1 << 16
 # Fourier matmul costs about g multiply-adds per grid point and the FFT a
 # larger constant times log2(M); 16 is the crossover measured against that
 # complex matmul, with numpy 2.4's pocketfft and OpenBLAS 0.3.31 on a 2-core
-# Xeon VM for M from 257 to 12001.  The streamed axis and the lead axes take
-# the same choice (``_uses_fft``).
+# Xeon VM for M from 257 to 12001.  Every axis takes that choice in
+# ``_tiles``, which evaluates them all (``_uses_fft``).
 _FFT_COEFFS_PER_LOG2_ANGLE = 16
 
 # A quadrature norm whose kernel arrays (see ``_grid_bytes``) would take more
@@ -408,25 +408,6 @@ def _build_fourier_matrix(g: int, m: int) -> np.ndarray:
     return roots[phase]
 
 
-def _angular_sum(
-    shells: np.ndarray,
-    fourier: np.ndarray | None,
-    m: int,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """sum_a shells[..., a] exp(2 pi i a j / m) for j < m, along the last axis.
-
-    Multiplies by ``fourier`` from _fourier_matrix, writing to ``out`` when
-    given, or where that is None takes the unnormalized inverse FFT, the same
-    DFT on equispaced angles.  The result has shape (rows, m), rows being
-    the product of the lead axes.
-    """
-    shells = shells.reshape(-1, shells.shape[-1])
-    if fourier is None:
-        return np.fft.ifft(shells, n=m, axis=-1, norm="forward")
-    return np.matmul(shells, fourier, out=out)
-
-
 def _lead_values(
     coeff: np.ndarray, triples: list[tuple[np.ndarray, np.ndarray, int]]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -435,20 +416,22 @@ def _lead_values(
     Returns (values, weights): values has shape (R, g_last), one row per
     lead grid point (radial-major, angle-minor, axes in order), holding the
     coefficients of the last variable there; weights (R,) are the products
-    of the lead axes' quadrature weights w_k / M.
+    of the lead axes' quadrature weights w_k / M.  Each step hands its
+    coefficients to ``_tiles`` as (rows, g) rows, one per point of the
+    other axes, and writes each tile into the step's output, whose rows
+    hold the next axis's coefficients.
     """
     if not triples:  # one variable: its coefficients are the one row
         return coeff.reshape(1, -1), np.ones(1)
     values = coeff
     weights = np.ones(1)
-    for t, w, m in triples:
-        coeffs = np.moveaxis(values, 0, -1)
-        g = coeffs.shape[-1]
-        shells = coeffs[..., None, :] * _radial_powers(t, g)
-        values = _angular_sum(shells, _fourier_matrix(g, m), m)
-        values = values.reshape(*coeffs.shape[:-1], len(t) * m)
+    for g, (t, w, m) in zip(coeff.shape, triples):
+        lead = values.reshape(g, -1).T
+        values = np.empty((len(lead), len(t) * m), dtype=complex)
+        for r0, k0, (rows, nodes), grid in _tiles(lead, t, m):
+            values[r0 : r0 + rows, k0 * m : (k0 + nodes) * m] = grid.reshape(rows, -1)
         weights = np.multiply.outer(weights, np.repeat(w / m, m)).ravel()
-    return np.moveaxis(values, 0, -1).reshape(-1, coeff.shape[-1]), weights
+    return values.reshape(coeff.shape[-1], -1).T, weights
 
 
 def _tile_shape(rows: int, nodes: int, m: int) -> tuple[int, int]:
@@ -458,18 +441,24 @@ def _tile_shape(rows: int, nodes: int, m: int) -> tuple[int, int]:
 
 
 def _tiles(lead: np.ndarray, t: np.ndarray, m: int):
-    """Stream the last axis: P's values on tiles of lead rows x radial nodes.
+    """Evaluate one axis: P's values on tiles of lead rows x radial nodes.
 
-    Yields (r0, k0, (rows, nodes), values) per tile of about _BLOCK_POINTS
-    points, values[i * nodes + j] holding the m angles at lead row r0 + i and
-    node k0 + j.  The values buffer is reused, so it is only valid (and may
-    be overwritten) until the next tile.
+    ``lead`` holds one row of the axis's g coefficients per point of the
+    other axes.  Yields (r0, k0, (rows, nodes), values) per tile of about
+    _BLOCK_POINTS points, values[i * nodes + j] holding the m angles at lead
+    row r0 + i and node k0 + j.  The values buffer is reused, so it is only
+    valid (and may be overwritten) until the next tile.  Every axis is
+    evaluated here: the streamed one for ``_shell_means`` and each lead one
+    for ``_lead_values``.
 
     Each tile's shells, the rows times the radial powers, are written into
     one reused C-contiguous buffer, so the angular sum takes them without a
     copy: the rows are copied in, then multiplied in place, for which numpy
     takes one buffer to cast the float powers (two, and more time, to form
-    the product from the rows straight into the buffer).
+    the product from the rows straight into the buffer).  The angular sum
+    is sum_a shells[a] exp(2 pi i a j / m) for j < m: a matmul by the
+    Fourier matrix into the values buffer, or where ``_fourier_matrix`` is
+    None the unnormalized inverse FFT, the same DFT on equispaced angles.
     """
     g = lead.shape[1]
     radial = _radial_powers(t, g)
@@ -486,7 +475,11 @@ def _tiles(lead: np.ndarray, t: np.ndarray, m: int):
             block = shells[: size * g].reshape(*tile, g)
             np.copyto(block, rows)
             np.multiply(block, powers, out=block)
-            grid = _angular_sum(block, fourier, m, out=values[:size])
+            block = block.reshape(size, g)
+            if fourier is None:
+                grid = np.fft.ifft(block, n=m, axis=-1, norm="forward")
+            else:
+                grid = np.matmul(block, fourier, out=values[:size])
             yield r0, k0, tile, grid
 
 
@@ -522,43 +515,40 @@ def _axis_order(sizes) -> list[int]:
     return sorted(range(len(sizes)), key=lambda i: sizes[i][0] * sizes[i][1])
 
 
-def _fourier_bytes(g: int, m: int) -> tuple[int, int]:
-    """(while built, once built) bytes of ``_fourier_matrix(g, m)``: the m
-    roots, an 8-byte phase table and the 16-byte matrix, then the matrix."""
-    return (0, 0) if _uses_fft(g, m) else (24 * g * m + 16 * m, 16 * g * m)
-
-
 @functools.lru_cache(maxsize=_GRID_COUNTS)
 def _grid_bytes(shape: tuple, sizes: tuple, p: float) -> int:
     """Bytes that ``_power_mean`` holds at once at its peak, from cold
     caches, worked out from the coefficient shape, each axis's (nodes,
     angles) and p alone, at 16 bytes a complex value.
-    Counted: each lead step's input beside its Fourier matrix, first while
-    that is built, then with the step's output; and the lead array with the
-    last axis's radial power table and the s buffer that ``_shell_means``
-    allocates, beside the last axis's Fourier matrix (none where
-    ``_uses_fft``), likewise, then with the first streamed tile: its values
-    and shells buffers, and while the shells are multiplied by the float
+    Counted per axis, in ``_axis_order``, while ``_tiles`` evaluates it: the
+    axis's input (the coefficients, then each step's output) and its radial
+    power table; a lead step's output, or the s buffer that ``_shell_means``
+    allocates for the streamed axis; and the axis's Fourier matrix (none
+    where ``_uses_fft``), first while it is built (with the m roots and the
+    8-byte phase table it is indexed from), then beside one tile's values
+    and shells buffers and, while the shells are multiplied by the float
     radial powers, the buffer numpy 2.4 casts those into, of the shells'
     size up to ``np.getbufsize()`` values.  Smaller temporaries are left
     out, so the count is a lower bound.  It is memoized on its arguments.
     """
     order = _axis_order(sizes)
-    dims = [shape[i] for i in order]
+    held = math.prod(shape)  # values of the axis's input
     largest = 0
-    for j, i in enumerate(order[:-1]):
-        held = 16 * math.prod(dims)
-        building, built = _fourier_bytes(shape[i], sizes[i][1])
-        dims[j] = sizes[i][0] * sizes[i][1]
-        largest = max(largest, held + building, held + built + 16 * math.prod(dims))
-    g, (nodes, m) = shape[order[-1]], sizes[order[-1]]
-    rows = math.prod(dims[:-1])
-    tile_rows, tile_nodes = _tile_shape(rows, nodes, m)
-    points = tile_rows * tile_nodes
-    held = 16 * rows * g + 8 * nodes * g + (0 if p == 2.0 else 8 * points * m)
-    building, built = _fourier_bytes(g, m)
-    tile = 16 * points * (g + m) + 16 * min(points * g, np.getbufsize())
-    return max(largest, held + building, held + built + tile)
+    for i in order:
+        g, (nodes, m) = shape[i], sizes[i]
+        rows = held // g
+        tile_rows, tile_nodes = _tile_shape(rows, nodes, m)
+        points = tile_rows * tile_nodes
+        if i != order[-1]:
+            out = 16 * rows * nodes * m
+        else:
+            out = 0 if p == 2.0 else 8 * points * m
+        tile = 16 * points * (g + m) + 16 * min(points * g, np.getbufsize())
+        if not _uses_fft(g, m):  # the matrix, while built, then beside a tile
+            tile = max(24 * g * m + 16 * m, 16 * g * m + tile)
+        largest = max(largest, 16 * held + 8 * nodes * g + out + tile)
+        held = rows * nodes * m
+    return largest
 
 
 def _refuse_oversized(P: ComplexPolynomial, triples, p: float) -> None:

@@ -21,10 +21,12 @@ from berglab.norms import (
     _axis_order,
     _fourier_matrix,
     _grid_rule,
+    _lead_values,
     _power_mean,
     _quadrature_norm,
     _radial_powers,
     _shell_means,
+    _tile_shape,
     _tiles,
     _uses_fft,
     bergman_norm,
@@ -66,7 +68,8 @@ def rule(alpha, nodes, m):
 # (per-variable degrees, per-variable (nodes, angles)); a degree-120 axis
 # with 129 angles is past the matmul/FFT switch, once streamed and once as a
 # lead axis (the larger grid is streamed); the degree-9 and degree-59 axes
-# alias onto fewer angles than coefficients, below and above the switch.
+# alias onto fewer angles than coefficients, below and above the switch,
+# and a degree-9 lead axis aliases too.
 CASES = [
     ((5,), ((6, 17),)),
     ((120,), ((3, 129),)),
@@ -76,6 +79,7 @@ CASES = [
     ((120, 2), ((2, 129), (3, 9))),
     ((120, 2), ((2, 129), (30, 9))),
     ((2, 1, 3), ((3, 7), (2, 5), (3, 9))),
+    ((9, 3), ((5, 7), (6, 9))),
 ]
 
 
@@ -92,16 +96,37 @@ def test_power_mean_matches_brute_force(degrees, grid, p):
 def test_cases_cover_both_angular_methods():
     # every axis is summed by the Fourier matmul or the FFT; the streamed
     # axes of the cases take the FFT, the matmul, and the matmul where g > M
-    # aliases
+    # aliases, and so do their lead axes
     sizes = [(d + 1, m) for degrees, grid in CASES for d, (_, m) in zip(degrees, grid)]
     assert any(_fourier_matrix(g, m) is None for g, m in sizes)
     assert any(_fourier_matrix(g, m) is not None for g, m in sizes)
     routes = set()
+    lead_routes = set()
     for degrees, grid in CASES:
-        i = _axis_order(grid)[-1]
+        *lead, i = _axis_order(grid)
         g, m = degrees[i] + 1, grid[i][1]
         routes.add("fft" if _uses_fft(g, m) else "aliased" if g > m else "matmul")
+        for j in lead:
+            g, m = degrees[j] + 1, grid[j][1]
+            lead_routes.add("fft" if _uses_fft(g, m) else "aliased" if g > m else "matmul")
     assert routes == {"fft", "matmul", "aliased"}
+    assert lead_routes == {"fft", "matmul", "aliased"}
+
+
+def test_a_lead_step_that_spans_many_tiles_matches_einsum():
+    # a lead axis of 40 nodes x 2049 angles is evaluated in tiles of 1 row x
+    # 31 nodes, which split both its 3 rows and its nodes
+    rng = np.random.default_rng(11)
+    coeff = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    t, w, m = rule(2.0, 40, 2049)
+    assert _tile_shape(3, 40, m) == (1, 31)
+    values, weights = _lead_values(coeff, [(t, w, m)])
+    a = np.arange(4)
+    radial = t[:, None] ** (a / 2.0)
+    phases = np.exp(2j * np.pi * np.outer(a, np.arange(m)) / m)
+    want = np.einsum("ab,ka,aj->kjb", coeff, radial, phases).reshape(-1, 3)
+    assert np.max(np.abs(values - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(weights, np.repeat(w / m, m))
 
 
 @pytest.mark.parametrize("coeffs, angles", [((-1, 0, 0, 0, 0, 1), None), ((1, 1), 64)])

@@ -292,12 +292,19 @@ def traced_peak(fn, *args, **kwargs) -> int:
 
 def test_oversized_grid_is_refused_before_anything_is_allocated(monkeypatch):
     # (32, 4001) per axis, summed by FFT: the first lead step holds the
-    # coefficients beside the lead array of 32 * 4001 * 1001 values, 1.9 GiB
+    # coefficients beside the lead array of 32 * 4001 * 1001 values, 1.9 GiB,
+    # with its radial power table and its first tile of 1 row x 16 nodes:
+    # values and shells, and the cast buffer of np.getbufsize() values
     P = parse_polynomial("(1000,1000):1")
     triples = _grid_rule((1000, 1000), 2.0, 4.0)
     sizes = tuple((len(t), m) for t, _, m in triples)
     assert sizes == ((32, 4001),) * 2
-    assert _grid_bytes((1001, 1001), sizes, 4.0) == 16 * (1001 + 32 * 4001) * 1001
+    assert _grid_bytes((1001, 1001), sizes, 4.0) == (
+        16 * (1001 + 32 * 4001) * 1001
+        + 8 * 32 * 1001
+        + 16 * 16 * (1001 + 4001)
+        + 16 * 8192
+    )
     assert _grid_bytes((1001, 1001), sizes, 4.0) > 3 * _GRID_BYTES_BUDGET
 
     def no_coefficients(self):
@@ -344,15 +351,18 @@ def test_univariate_grid_bytes_count_the_fourier_matrix_and_tile(coeffs, angles)
     [
         (ComplexPolynomial.from_coeffs(np.linspace(-1.0, 1.0, 4001)), 1, 9),
         (parse_polynomial("(30,30):1 (1,0):1"), 2, 31),
+        (parse_polynomial("(6,6,6):1"), 16, 49),
     ],
-    ids=["aliased-4000", "many-rows-one-buffer"],
+    ids=["aliased-4000", "many-rows-one-buffer", "trivariate-lead-steps"],
 )
 def test_grid_bytes_track_the_traced_peak(P, nodes, angles):
     # 4001 coefficients on 9 angles alias through the Fourier matmul, and
     # 62 lead rows of 31 coefficients on 2 nodes stream one tile whose shells
     # fit in one numpy buffer, so numpy's buffers for forming them are as
-    # large as the shells: on both the count is close to the traced peak, so
-    # a refusal is not far off what the grid would take
+    # large as the shells; the trivariate default grid peaks in its second
+    # lead step, which holds 7 x 784 rows beside 7 x 784 x 784 values: on
+    # each the count is close to the traced peak, so a refusal is not far
+    # off what the grid would take
     sizes = ((nodes, angles),) * P.nvars
     counted = _grid_bytes(tuple(d + 1 for d in P.variable_degrees()), sizes, 3.0)
     peak = traced_peak(bergman_norm, P, 2.0, 3.0, nodes=nodes, angles=angles)

@@ -1,6 +1,8 @@
 """Smoke runs of the scripts on tiny inputs."""
 import csv
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -126,3 +128,27 @@ def test_compare_reports_prints_drift_as_a_share_of_the_margin(tmp_path, capsys)
         "c8 check=nikolskii": "drift/margin=0.02",
         "c8 check=isometry": "drift/margin=inf",
     }
+
+
+@pytest.mark.parametrize("flip, code", [(True, 1), (False, 0)])
+def test_compare_reports_on_a_closed_pipe_keeps_its_exit_code(tmp_path, flip, code):
+    # 6,000 rows print 160 KiB or more, a status change or a drift line per
+    # check= group, past the 64 KiB a pipe buffers, so the script is still
+    # writing when the reader closes the pipe after one line
+    rows = [("c1", f"check=k{i}", 0.5, 1.0) for i in range(6000)]
+    paths = []
+    for name, status in [("old", "pass"), ("new", "fail" if flip else "pass")]:
+        path = tmp_path / f"{name}.csv"
+        VerificationReport([ReportRow(*row, status) for row in rows]).write_csv(path)
+        paths.append(str(path))
+    proc = subprocess.Popen(
+        [sys.executable, str(SCRIPTS / "compare_reports.py"), *paths],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"c1")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == code
+    assert err == b""
