@@ -319,9 +319,9 @@ def verify_suite(
     workers = min(len(os.sched_getaffinity(0)), len(tasks))
     t0 = time.perf_counter()
     # Handed over last entry first, so the long c6 and c7 rows start first:
-    # on 2 cores, suites back to back in one process (perfbench `suite`, 3
-    # runs each) take 0.47-0.50 s and peak at 88.2-88.3 MB this way, and
-    # 0.74-0.77 s and 104.9-105.4 MB first entry first.
+    # on 2 cores, the median of 8 suites back to back in one process (6
+    # processes each way) is 0.26-0.28 s this way, peaking at 85-86 MB in 5
+    # of the 6, and 0.43-0.54 s at about 103 MB first entry first.
     timed = map_on_pool(_timed_row, tasks[::-1], workers)[::-1]
     wall = time.perf_counter() - t0
     by_criterion = {cid: [] for cid in selected}

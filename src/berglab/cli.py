@@ -7,14 +7,17 @@ there.  A subcommand takes only the options its handler reads, after its
 name: `--seed` (norm, extremal, verify-suite), `--jobs` (sweep), `--out
 csv|json` (all but verify-suite; JSON by default for norm and the checks,
 CSV for phi, dump-rule and sweep) and `--quiet` (the checks, sweep,
-verify-suite).  Summaries go to stderr so stdout stays parseable.  Exit
-codes: 0 when every in-hypothesis check passes, 1 on a verification
-failure, 2 on a usage or configuration error.
+verify-suite).  Summaries go to stderr so stdout stays parseable; a reader
+that closes stdout early (``| head``) gets what it read, the rest dropped.
+Exit codes: 0 when every in-hypothesis check passes, 1 on a verification
+failure, 2 on a usage or configuration error, such as a file that cannot
+be read or written.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -51,15 +54,24 @@ def _parse_space(text: str) -> tuple[float, float]:
     return values["alpha"], values["p"]
 
 
+def _write(text: str) -> None:
+    """Write text to stdout, or to the null device once its reader has gone."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(report, args, default_out: str, elapsed_s: float | None = None) -> int:
     """Print a report as JSON or CSV; return the aggregate exit code."""
     if (args.out or default_out) == "csv":
-        sys.stdout.write(report.to_csv())
+        _write(report.to_csv())
     else:
         payload = [
             dict(zip(CSV_HEADER, row.csv_fields())) for row in report.sorted_rows()
         ]
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if not args.quiet:
         print(report.summary(elapsed_s), file=sys.stderr)
     return 0 if report.aggregate_pass else 1
@@ -69,12 +81,11 @@ def _print_table(args, default_out: str, header, records, one=False) -> int:
     """Print records as CSV lines or as a JSON list of objects (one object
     alone with ``one``), sorted keys, floats in round-trip form."""
     if (args.out or default_out) == "csv":
-        print(",".join(header))
-        for record in records:
-            print(",".join(fmt_value(value) for value in record))
+        lines = [header, *([fmt_value(value) for value in r] for r in records)]
+        _write("".join(",".join(line) + "\n" for line in lines))
     else:
         payload = [dict(zip(header, record)) for record in records]
-        print(json.dumps(payload[0] if one else payload, sort_keys=True))
+        _write(json.dumps(payload[0] if one else payload, sort_keys=True) + "\n")
     return 0
 
 
@@ -147,6 +158,7 @@ def _cmd_verify_suite(args) -> int:
         csv_path=args.csv,
         nodes_override=args.nodes_override,
         quiet=args.quiet,
+        emit=lambda line: _write(line + "\n"),
     )
 
 
@@ -257,9 +269,10 @@ def main(argv=None) -> int:
     try:
         with _one_blas_thread():
             return args.handler(args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
+        # a closed stdout never gets here: ``_write`` drops what follows
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, ValueError) else 1
+        return 1 if isinstance(exc, RuntimeError) else 2
 
 
 if __name__ == "__main__":

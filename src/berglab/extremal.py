@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .inequalities import _nikolskii_constant
 from .measures import McSampler, check_alpha, stream_for
 from .norms import NormResult, _check_p, _even_half, _mc_norm
 
@@ -265,7 +266,7 @@ def sharpness_exhibit(
     rep = extremal_ratio(
         ExtremalSpec(n, m), alpha, beta, p, q, n_samples=n_samples, seed=seed
     )
-    constant = math.sqrt(alpha * q / (beta * p))
+    constant = _nikolskii_constant(alpha, beta, p, q)
     bound = constant ** m
     attainment = rep.ratio / bound
     limit_attainment = rep.target / bound

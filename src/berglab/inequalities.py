@@ -57,6 +57,12 @@ def sharp_radius(alpha: float, beta: float, p: float, q: float) -> float:
     return min(1.0, math.sqrt(beta * p / (alpha * q)))
 
 
+def _nikolskii_constant(alpha: float, beta: float, p: float, q: float) -> float:
+    """The base C = sqrt(alpha q / (beta p)) of the degree-growth bound C^m
+    on ||P||_{A^q_beta} / ||P||_{A^p_alpha}, for P of total degree m."""
+    return math.sqrt(alpha * q / (beta * p))
+
+
 def hyper_check(
     f: ComplexPolynomial,
     alpha: float,
@@ -102,7 +108,7 @@ def nikolskii_check(
     est_error, the gap of ``norms._climbed_norms``."""
     if P.is_zero:
         raise ValueError("the zero polynomial has no norm ratio")
-    bound = math.sqrt(alpha * q / (beta * p)) ** P.degree
+    bound = _nikolskii_constant(alpha, beta, p, q) ** P.degree
     sides = ((P, beta, q), (P, alpha, p))
     values, gap = _climbed_norms(
         sides, lambda num, den: (num / den, bound), settled, nodes, angles

@@ -17,54 +17,36 @@ another:
 
 All quadrature (Bergman, Hardy and mixed norms, and the circle profile of
 the inequality checks) goes through one kernel, ``_power_mean``, the only
-place where coefficients become grid values.  It evaluates P one axis at a
-time: scale the coefficients by the radial powers t^(a/2), then sum over the
-equispaced angles, by a (g x M) Fourier matmul when the axis has few
-coefficients and by an inverse FFT when it has many (on equispaced angles
-the two are the same DFT).  Every axis is evaluated by ``_tiles``, in
-tiles of about 2^16 grid points: each lead axis into its step's output
-(``_lead_values``), and the last, streamed axis tile by tile, so the full
-grid is never held in memory, each tile reduced at once to circle means of
-|P|^p by ``_shell_means``, which forms |P|^p from s = re^2 + im^2.  A
-circle variable is one more axis with the single node t = 1.
+place where radial rules are built and coefficients become grid values.
+It evaluates P one axis at a time: scale the coefficients by the radial
+powers t^(a/2), then sum over the equispaced angles, by a (g x M) Fourier
+matmul when the axis has few coefficients and by an inverse FFT when it
+has many (on equispaced angles the two are the same DFT).  Every axis is
+evaluated by ``_tiles``, in tiles of about 2^16 grid points: each lead
+axis into its step's output (``_lead_values``), and the last, streamed
+axis tile by tile, so the full grid is never held in memory, each tile
+reduced at once to circle means of |P|^p by ``_shell_means``.  A circle
+variable is one more axis with the single node t = 1.  Zeros of P at
+quarter-turn phases stay exact zeros (see ``_fourier_matrix``), and |P|^p
+is formed from s = |P|^2 by ``_sq_pow``.
 
-The Fourier matrix is indexed from a table of the M roots of unity whose
-quarter turns are exactly 1, i, -1 and -i, so a zero of P where every phase
-a j is a quarter turn (1 + z at theta = pi) gives s = 0 exactly, as |P|^p
-does there.  The profile's Phi''
-(``circle_curvature``) needs P and z P' themselves and takes both from
-``_tiles``, by the Laplacian identity.  |P|^p is formed from s by products
-and square roots of s when 2p is a positive integer and by np.power
-otherwise (see ``_sq_pow``).
-
-``_grid_rule`` is the one place where grids are sized: it turns the
-variables' degrees, alpha, p and the optional node and angle counts into
-the (t, w, M) triple of each axis, for ``bergman_norm``, the disk and
-circle axes of ``mixed_norm``, ``hardy_norm`` and the circle profile
-``circle_means`` and ``circle_curvature``, and refuses counts below 1.
-Only ``bergman_norm`` (nodes and angles) and ``hardy_norm`` (angles) take
-counts from their callers; the mixed norm pins them on the rungs of its
-ladder (below), and the circle profile always uses the default grid.
-``_quadrature_norm`` refuses, before allocating anything, a grid whose
-kernel arrays (each axis's Fourier matrix and first tile included) would
-take more than ``_GRID_BYTES_BUDGET`` at once; ``_grid_bytes`` counts them
-from sizes alone.
+``_grid_rule`` is the one place where grids are sized and sizing errors
+raised: it turns the variables' degrees, alpha, p and the optional counts
+into the grid, one (alpha, nodes, angles) triple per axis (alpha None and
+one node for a circle).  Only ``bergman_norm`` (nodes and angles) and
+``hardy_norm`` (angles) take counts from their callers; the mixed norm
+pins them on the rungs of its ladder (below), and the circle profile
+always uses the default grid.  A grid holds sizes only, so
+``_quadrature_norm`` refuses one whose kernel arrays would take more than
+``_GRID_BYTES_BUDGET`` at once, as ``_grid_bytes`` counts them, before
+anything is built.
 
 The ladder: at p other than an even integer no finite grid is exact, and
 a norm can be climbed on the rungs of ``_ladder`` below a cap, its default
-grid: the companion grid exact for |P|^2, doublings of both counts within
-the cap's half, the cap's half, and the cap.  ``_climb`` is the one loop
-over those rungs, and a rule it is given decides where it stops.
-``mixed_norm`` climbs its own grid, and ``_climbed_norms`` sizes every
-check row's Bergman norms: on a pinned grid each side once there, else the
-sides at p other than an even integer climbed together and a side at even
-p once on its exact default grid.  ``mixed_norm`` and the isometry rows'
-Bergman side stop at the first rung that agrees with the one before to
-``_MIXED_GAP_TOL`` (``_gap_settled``).  The verdict rows (hyper,
-nikolskii, kulikov) stop where the settle rule of ``checks`` says their
-margin dwarfs the gap, and without a rule evaluate only the cap's half and
-the cap, their default grids.  ``bergman_norm`` itself never climbs:
-`berglab norm` and every caller that names a grid get that grid.
+grid, by ``_climb``, the one loop over them, until a rule it is given
+holds.  ``mixed_norm`` climbs its own grid, and ``_climbed_norms`` sizes
+every check row's Bergman norms (see each).  ``bergman_norm`` itself never
+climbs: `berglab norm` and every caller that names a grid get that grid.
 
 When a quadrature norm is exact: at even p = 2s, |P|^p = |P^s|^2 is a
 polynomial, and the default grid sizes each axis from its own degree d so
@@ -83,14 +65,11 @@ with the factor ``checks.SETTLE_MULTIPLE`` to spare.
 One ``sweep.map_on_pool`` call computes each distinct ``bergman_norm`` once
 (see ``memo_scope``); a call outside any pool always computes.
 
-The kernel's tables depend only on sizes and rules, so each is built once
-and kept in one cache, ``_TABLES``: the Fourier matrix per (g, M), the
-radial powers per (the rule's node values, g) and the 1/M angle weights per
-M.  It keeps at most ``_TABLE_CACHE_BYTES`` (4 MiB) of tables and keys,
-dropping the least recently used first, and no table above a sixteenth of
-that (256 KiB), which is rebuilt on every call instead.  Cached tables are
-read-only, so the threads of ``sweep.map_on_pool`` share them.  Grid byte
-counts, a function of sizes alone, are memoized apart (``_GRID_COUNTS``).
+The kernel's tables (Fourier matrices, radial powers, angle weights)
+depend only on sizes and rules, so each is built once and kept, read-only
+and shared by threads, in one bounded cache, ``_TABLES`` (see
+``_TableCache`` and ``_TABLE_CACHE_BYTES``); grid byte counts are memoized
+apart (``_GRID_COUNTS``).
 """
 from __future__ import annotations
 
@@ -105,7 +84,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import McSampler, check_alpha, check_counts, radial_rule
+from .measures import McSampler, check_alpha, check_counts, check_nodes, radial_rule
 from .poly import ComplexPolynomial
 
 __all__ = [
@@ -169,9 +148,6 @@ _FFT_COEFFS_PER_LOG2_ANGLE = 16
 # s buffer of one tile).
 _GRID_BYTES_BUDGET = 1 << 29
 
-# The (t, w) pair of a circle variable: one node at |z| = 1.
-_CIRCLE = (np.ones(1), np.ones(1))
-
 # Bytes of tables and keys that ``_TABLES`` keeps, as sys.getsizeof counts
 # them; a table above a sixteenth of this (256 KiB) is not kept.  A serial
 # verify-suite pass at seed 1729 keeps all it builds, 460 KiB: 26 Fourier
@@ -183,7 +159,7 @@ _CIRCLE = (np.ones(1), np.ones(1))
 _TABLE_CACHE_BYTES = 1 << 22
 
 # Grid byte counts that ``_grid_bytes`` keeps, least recently used dropped
-# first; a serial verify-suite pass at seed 1729 counts 63 in 1,825 calls.
+# first; a serial verify-suite pass at seed 1729 counts 89 grids in 1,825 calls.
 _GRID_COUNTS = 256
 
 
@@ -409,23 +385,23 @@ def _build_fourier_matrix(g: int, m: int) -> np.ndarray:
 
 
 def _lead_values(
-    coeff: np.ndarray, triples: list[tuple[np.ndarray, np.ndarray, int]]
+    coeff: np.ndarray, rules: list[tuple[np.ndarray, np.ndarray, int]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate every axis but the last on its grid, one axis at a time.
 
     Returns (values, weights): values has shape (R, g_last), one row per
     lead grid point (radial-major, angle-minor, axes in order), holding the
     coefficients of the last variable there; weights (R,) are the products
-    of the lead axes' quadrature weights w_k / M.  Each step hands its
-    coefficients to ``_tiles`` as (rows, g) rows, one per point of the
-    other axes, and writes each tile into the step's output, whose rows
-    hold the next axis's coefficients.
+    of the lead axes' weights w_k / M, from their (t, w, M) ``rules``.
+    Each step hands its coefficients to ``_tiles`` as (rows, g) rows, one
+    per point of the other axes, and writes each tile into the step's
+    output, whose rows hold the next axis's coefficients.
     """
-    if not triples:  # one variable: its coefficients are the one row
+    if not rules:  # one variable: its coefficients are the one row
         return coeff.reshape(1, -1), np.ones(1)
     values = coeff
     weights = np.ones(1)
-    for g, (t, w, m) in zip(coeff.shape, triples):
+    for g, (t, w, m) in zip(coeff.shape, rules):
         lead = values.reshape(g, -1).T
         values = np.empty((len(lead), len(t) * m), dtype=complex)
         for r0, k0, (rows, nodes), grid in _tiles(lead, t, m):
@@ -446,10 +422,9 @@ def _tiles(lead: np.ndarray, t: np.ndarray, m: int):
     ``lead`` holds one row of the axis's g coefficients per point of the
     other axes.  Yields (r0, k0, (rows, nodes), values) per tile of about
     _BLOCK_POINTS points, values[i * nodes + j] holding the m angles at lead
-    row r0 + i and node k0 + j.  The values buffer is reused, so it is only
-    valid (and may be overwritten) until the next tile.  Every axis is
-    evaluated here: the streamed one for ``_shell_means`` and each lead one
-    for ``_lead_values``.
+    row r0 + i and node k0 + j, valid (and may be overwritten) until the
+    next tile.  Every axis is evaluated here: the streamed one for
+    ``_shell_means`` and each lead one for ``_lead_values``.
 
     Each tile's shells, the rows times the radial powers, are written into
     one reused C-contiguous buffer, so the angular sum takes them without a
@@ -458,14 +433,16 @@ def _tiles(lead: np.ndarray, t: np.ndarray, m: int):
     the product from the rows straight into the buffer).  The angular sum
     is sum_a shells[a] exp(2 pi i a j / m) for j < m: a matmul by the
     Fourier matrix into the values buffer, or where ``_fourier_matrix`` is
-    None the unnormalized inverse FFT, the same DFT on equispaced angles.
+    None the unnormalized inverse FFT (the same DFT on equispaced angles),
+    which returns a fresh array per tile and needs no values buffer.
     """
     g = lead.shape[1]
     radial = _radial_powers(t, g)
     fourier = _fourier_matrix(g, m)
     rows_step, nodes_step = _tile_shape(lead.shape[0], len(t), m)
     shells = np.empty(rows_step * nodes_step * g, dtype=complex)
-    values = np.empty((rows_step * nodes_step, m), dtype=complex)
+    if fourier is not None:
+        values = np.empty((rows_step * nodes_step, m), dtype=complex)
     for r0 in range(0, lead.shape[0], rows_step):
         rows = lead[r0 : r0 + rows_step, None, :]
         for k0 in range(0, len(t), nodes_step):
@@ -510,32 +487,33 @@ def _shell_means(lead: np.ndarray, t: np.ndarray, m: int, p: float):
         yield r0, k0, means.reshape(tile)
 
 
-def _axis_order(sizes) -> list[int]:
-    """Axes by (nodes, angles) grid size, smallest first: the last is streamed."""
-    return sorted(range(len(sizes)), key=lambda i: sizes[i][0] * sizes[i][1])
+def _axis_order(grid) -> list[int]:
+    """Axes by nodes x angles, smallest first: the last is streamed."""
+    return sorted(range(len(grid)), key=lambda i: grid[i][1] * grid[i][2])
 
 
 @functools.lru_cache(maxsize=_GRID_COUNTS)
-def _grid_bytes(shape: tuple, sizes: tuple, p: float) -> int:
+def _grid_bytes(shape: tuple, grid: tuple, p: float) -> int:
     """Bytes that ``_power_mean`` holds at once at its peak, from cold
-    caches, worked out from the coefficient shape, each axis's (nodes,
-    angles) and p alone, at 16 bytes a complex value.
+    caches, worked out from the coefficient shape, the grid's (nodes,
+    angles) per axis and p alone, at 16 bytes a complex value.
     Counted per axis, in ``_axis_order``, while ``_tiles`` evaluates it: the
     axis's input (the coefficients, then each step's output) and its radial
     power table; a lead step's output, or the s buffer that ``_shell_means``
     allocates for the streamed axis; and the axis's Fourier matrix (none
     where ``_uses_fft``), first while it is built (with the m roots and the
     8-byte phase table it is indexed from), then beside one tile's values
-    and shells buffers and, while the shells are multiplied by the float
-    radial powers, the buffer numpy 2.4 casts those into, of the shells'
-    size up to ``np.getbufsize()`` values.  Smaller temporaries are left
-    out, so the count is a lower bound.  It is memoized on its arguments.
+    (the matmul's buffer or the FFT's output) and shells and, while the
+    shells are multiplied by the float radial powers, the buffer numpy 2.4
+    casts those into, of the shells' size up to ``np.getbufsize()`` values.
+    Smaller temporaries are left out, so the count is a lower bound.  It is
+    memoized on its arguments.
     """
-    order = _axis_order(sizes)
+    order = _axis_order(grid)
     held = math.prod(shape)  # values of the axis's input
     largest = 0
     for i in order:
-        g, (nodes, m) = shape[i], sizes[i]
+        g, (_, nodes, m) = shape[i], grid[i]
         rows = held // g
         tile_rows, tile_nodes = _tile_shape(rows, nodes, m)
         points = tile_rows * tile_nodes
@@ -551,48 +529,46 @@ def _grid_bytes(shape: tuple, sizes: tuple, p: float) -> int:
     return largest
 
 
-def _refuse_oversized(P: ComplexPolynomial, triples, p: float) -> None:
-    """Raise ValueError where the kernel arrays of P on the tensor rule would
-    take more than _GRID_BYTES_BUDGET, as ``_grid_bytes`` counts them from
-    P's coefficient shape and each axis's (nodes, angles); nothing is
-    allocated to find out."""
-    shape = tuple(d + 1 for d in P.variable_degrees())
-    sizes = tuple((len(t), m) for t, _, m in triples)
-    need = _grid_bytes(shape, sizes, p)
+def _refuse_oversized(P: ComplexPolynomial, grid, p: float) -> None:
+    """Raise ValueError where the kernel arrays of P on the grid would take
+    more than _GRID_BYTES_BUDGET, as ``_grid_bytes`` counts them from P's
+    coefficient shape and the grid; nothing is built to find out."""
+    need = _grid_bytes(tuple(d + 1 for d in P.variable_degrees()), grid, p)
     if need > _GRID_BYTES_BUDGET:
         raise ValueError(
             f"quadrature grid too large: (nodes, angles) "
-            f"{', '.join(map(str, sizes))} need about "
+            f"{', '.join(str((nodes, m)) for _, nodes, m in grid)} need about "
             f"{need >> 20} MiB, above the budget of {_GRID_BYTES_BUDGET >> 20} MiB"
         )
 
 
-def _quadrature_norm(P: ComplexPolynomial, triples, p: float) -> NormResult:
-    """The norm of P on the tensor rule, refused above _GRID_BYTES_BUDGET
-    before the coefficient array or any grid array is allocated."""
+def _quadrature_norm(P: ComplexPolynomial, grid, p: float) -> NormResult:
+    """The norm of P on the grid, refused above _GRID_BYTES_BUDGET before
+    the coefficient array, any radial rule or any grid array is built."""
     if P.is_zero:
         return NormResult(0.0, "quadrature", 0.0)
-    _refuse_oversized(P, triples, p)
-    mean = _power_mean(P.coeff_array(), triples, p)
+    _refuse_oversized(P, grid, p)
+    mean = _power_mean(P.coeff_array(), grid, p)
     return NormResult(mean ** (1.0 / p), "quadrature", 0.0)
 
 
-def _power_mean(
-    coeff: np.ndarray, triples: list[tuple[np.ndarray, np.ndarray, int]], p: float
-) -> float:
-    """Mean of |P|^p over the tensor rule described by (t, w, M) triples.
-
-    Axes are reordered by grid size so that the largest one is streamed and
-    the lead array, (product of the other grids) x (last degree + 1), stays
-    small.
+def _power_mean(coeff: np.ndarray, grid, p: float) -> float:
+    """Mean of |P|^p over the tensor rule of the grid: each disk axis on the
+    Gauss rule of its alpha and nodes (``radial_rule``), built only here,
+    each circle on t = 1.  Axes are reordered by grid size so that the
+    largest one is streamed and the lead array, (product of the other
+    grids) x (last degree + 1), stays small.
     """
-    if coeff.ndim != len(triples):
+    if coeff.ndim != len(grid):
         raise ValueError("rule does not match variable count")
-    order = _axis_order([(len(t), m) for t, _, m in triples])
-    lead, w_lead = _lead_values(
-        coeff.transpose(order), [triples[i] for i in order[:-1]]
-    )
-    t, w, m = triples[order[-1]]
+    order = _axis_order(grid)
+    rules = []
+    for i in order:
+        alpha, nodes, m = grid[i]
+        t, w = (np.ones(1),) * 2 if alpha is None else radial_rule(alpha, nodes)
+        rules.append((t, w, m))
+    lead, w_lead = _lead_values(coeff.transpose(order), rules[:-1])
+    t, w, m = rules[-1]
     total = 0.0
     for r0, k0, means in _shell_means(lead, t, m, p):
         rows, nodes = means.shape
@@ -607,11 +583,11 @@ def _grid_rule(
     nodes: int | None = None,
     angles: int | None = None,
     defaults: dict = _TENSOR_DEFAULTS,
-) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """The (t, w, M) triple of each variable, given its degree.
+) -> tuple[tuple[float | None, int, int], ...]:
+    """The grid: the (alpha, nodes, angles) of each variable, given its degree.
 
-    A disk variable (alpha given) takes the Gauss rule of that weight with
-    ``nodes`` radial nodes and ``angles`` angles; with alpha None each
+    A disk variable (alpha given) has ``nodes`` radial nodes of the Gauss
+    rule of that weight and ``angles`` angles; with alpha None each
     variable is a circle, the single node t = 1.  Counts left at None are
     sized per axis.  At even p = 2s an axis of degree d carries |P^s|^2, of
     degree d*s in t = |z|^2 and trigonometric degree d*s in the angle, so
@@ -620,25 +596,33 @@ def _grid_rule(
     rule is exact: the nodes come from ``defaults`` for this many variables
     and the angles are 4*d*ceil(p/2) + 1 (p taken as at least 2), at least
     the table's floor, or _CUSP_FLOOR for a single variable at p < 1.
+
+    Raises, in this order, for a disk's alpha and its p, a count below 1,
+    more variables than the table has, and a disk's nodes above the cap of
+    ``radial_rule``; a circle takes any p, as the circle profile does.
     """
+    if alpha is not None:
+        alpha = check_alpha(alpha)
+        _check_p(p)
     check_counts(nodes=nodes, angles=angles)
     if len(degrees) not in defaults:
         raise ValueError(
             f"tensor quadrature takes at most 3 disk variables, got {len(degrees)}"
         )
+    if alpha is not None and nodes is not None:
+        check_nodes(nodes)
     k_table, floor = defaults[len(degrees)]
     if p < 1.0 and len(degrees) == 1:
         floor = _CUSP_FLOOR
     s = _even_half(p)
-    triples = []
+    grid = []
     for d in degrees:
         if s is not None:
             k, m = min(d * s // 2 + 1, k_table), 2 * d * s + 1
         else:
             k, m = k_table, max(floor, 4 * d * math.ceil(max(p, 2.0) / 2.0) + 1)
-        t, w = _CIRCLE if alpha is None else radial_rule(alpha, nodes or k)
-        triples.append((t, w, int(angles or m)))
-    return triples
+        grid.append((alpha, 1 if alpha is None else int(nodes or k), int(angles or m)))
+    return tuple(grid)
 
 
 def circle_means(P: ComplexPolynomial, p: float, radii_sq: np.ndarray) -> np.ndarray:
@@ -686,13 +670,11 @@ def bergman_norm(
     One ``sweep.map_on_pool`` call computes each distinct call once (see
     ``memo_scope``; a raise stores nothing); outside a pool every call computes.
     """
-    check_alpha(alpha)
-    _check_p(p)
     memo = _MEMO.get({})  # a throwaway dict outside any scope
     key = (P, float(alpha), float(p), nodes, angles)
     if key not in memo:
-        triples = _grid_rule(P.variable_degrees(), alpha, p, nodes, angles)
-        memo[key] = _quadrature_norm(P, triples, p)
+        grid = _grid_rule(P.variable_degrees(), alpha, p, nodes, angles)
+        memo[key] = _quadrature_norm(P, grid, p)
     return memo[key]
 
 
@@ -701,8 +683,8 @@ def hardy_norm(P: ComplexPolynomial, p: float, angles: int | None = None) -> Nor
     _check_p(p)
     if P.nvars != 1:
         raise ValueError("hardy_norm expects a univariate polynomial")
-    triples = _grid_rule(P.variable_degrees(), None, p, angles=angles)
-    return _quadrature_norm(P, triples, p)
+    grid = _grid_rule(P.variable_degrees(), None, p, angles=angles)
+    return _quadrature_norm(P, grid, p)
 
 
 def _ladder(degree: int, cap: tuple[int, int]):
@@ -733,9 +715,9 @@ def _ladder(degree: int, cap: tuple[int, int]):
     yield None
 
 
-def _cap_counts(triples) -> tuple[int, int]:
-    """(nodes, largest angle count) of the disk axes' (t, w, M) triples."""
-    return len(triples[0][0]), max(m for _, _, m in triples)
+def _cap_counts(grid) -> tuple[int, int]:
+    """(nodes, largest angle count) of a grid of disk axes."""
+    return grid[0][1], max(m for _, _, m in grid)
 
 
 def _climb(
@@ -776,10 +758,10 @@ def _climbed_norms(sides, judge, settled=None, nodes=None, angles=None) -> tuple
     On a grid pinned by ``nodes`` or ``angles`` each side is one
     ``bergman_norm`` there, and the gap is 0.0.  Otherwise a side at even p
     is one ``bergman_norm`` on its exact default grid.  The sides at other
-    p, after the checks ``bergman_norm`` makes on them, climb ``_climb``
-    together, each rung one ``bergman_norm`` per such side with the rung's
-    counts pinned on every disk axis; the cap is the largest of their
-    default grids, refused above _GRID_BYTES_BUDGET before any rung runs.
+    p climb ``_climb`` together, each rung one ``bergman_norm`` per such
+    side with the rung's counts pinned on every disk axis; the cap is the
+    largest of their default grids, which ``_grid_rule`` checks and
+    ``_refuse_oversized`` refuses above _GRID_BYTES_BUDGET before any rung.
     The climb stops where ``settled`` holds (see ``_climb``); without a
     rule it evaluates the cap's half and the cap, whose values are the
     default grids'.  The gap is 0.0 where every side is at even p.
@@ -791,13 +773,11 @@ def _climbed_norms(sides, judge, settled=None, nodes=None, angles=None) -> tuple
         if _even_half(p) is not None:
             fixed.append(bergman_norm(P, alpha, p).value)
             continue
-        check_alpha(alpha)
-        _check_p(p)
-        triples = _grid_rule(P.variable_degrees(), alpha, p)
+        grid = _grid_rule(P.variable_degrees(), alpha, p)
         if not P.is_zero:
-            _refuse_oversized(P, triples, p)
+            _refuse_oversized(P, grid, p)
         fixed.append(None)
-        caps.append(_cap_counts(triples))
+        caps.append(_cap_counts(grid))
     if not caps:
         return judge(*fixed), 0.0
     degree = max(max(P.variable_degrees()) for P, _, _ in sides)
@@ -834,16 +814,14 @@ def mixed_norm(Q: ComplexPolynomial, alpha: float, p: float) -> NormResult:
     agreement with the plain Bergman norm is a genuine consistency check
     rather than a grid coincidence.
     """
-    check_alpha(alpha)
-    _check_p(p)
     if Q.nvars < 2:
         raise ValueError("mixed_norm needs at least one disk variable plus w")
     *disk, d_w = Q.variable_degrees()
 
     def rule(nodes=None, angles=None):
-        triples = _grid_rule(disk, alpha, p, nodes, angles, defaults=_MIXED_DEFAULTS)
-        circle = None if _even_half(p) is not None else max(triples[0][2] - 1, 8)
-        return triples + _grid_rule((d_w,), None, p, angles=circle)
+        grid = _grid_rule(disk, alpha, p, nodes, angles, defaults=_MIXED_DEFAULTS)
+        circle = None if _even_half(p) is not None else max(grid[0][2] - 1, 8)
+        return grid + _grid_rule((d_w,), None, p, angles=circle)
 
     cap = rule()
     if _even_half(p) is not None or Q.is_zero:

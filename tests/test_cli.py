@@ -166,6 +166,18 @@ def test_huge_angle_count_is_a_usage_error_before_the_kernel(capsys, monkeypatch
     assert "quadrature grid too large" in err
 
 
+def test_an_oversized_grid_at_alpha_1e4_is_refused_before_its_rule(capsys):
+    # the 4096-node Gauss rule at alpha = 10^4 would take seconds and fail
+    # to settle; the grid's sizes alone are refused first
+    argv = ["norm", "--space", "alpha=10000,p=3", "--poly", "1,2,3",
+            "--nodes", "4096", "--angles", "100000000"]
+    start = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: quadrature grid too large: (nodes, angles) (4096, 100000000)")
+
+
 # Output at p or q other than an even integer on grids the ladder does not
 # reach: rows with pinned nodes or angles and `norm`, as printed before the
 # verdict rows climbed the ladder
@@ -516,6 +528,27 @@ def test_sweep_stdout_csv(capsys):
         code, out, _ = run(["sweep", "--config", cfg, "--quiet"], capsys)
     assert code == 0
     assert out.splitlines()[0].startswith("check_id,")
+
+
+def test_file_errors_are_configuration_errors(capsys, tmp_path):
+    # a config that cannot be read or a report that cannot be written is
+    # named on one line, exit 2, like any other configuration error
+    missing = tmp_path / "none" / "x.csv"
+    code, out, err = run(["sweep", "--config", str(tmp_path / "none.cfg")], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{tmp_path / 'none.cfg'}'\n"
+    argv = ["verify-suite", "--filter", "oracle", "--csv", str(missing), "--quiet"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    cfg = tmp_path / "demo.cfg"
+    cfg.write_text(
+        "[sweep]\nchecks = hyper\n[grid]\ntuples = 2 2 2 4\n"
+        f"[corpus]\npolys = 1,1\n[output]\npath = {missing}\n"
+    )
+    code, out, err = run(["sweep", "--config", str(cfg), "--quiet"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
 
 
 def test_verify_suite_filter_no_match_is_usage_error(capsys, tmp_path):

@@ -15,6 +15,7 @@ from berglab.extremal import (
     sharpness_exhibit,
     stirling_bounds_check,
 )
+from berglab.inequalities import _nikolskii_constant, nikolskii_check
 from berglab.measures import McSampler
 from berglab.norms import bergman_norm_mc, exact_norm_even_p
 from berglab.poly import ComplexPolynomial
@@ -150,6 +151,15 @@ def test_per_degree_attainment_grows_toward_limit():
     # whole-bound attainment shrinks with m even as the per-degree reading grows
     att = [r.attainment for r in reports]
     assert att[0] > att[1] > att[2]
+
+
+def test_sharpness_and_nikolskii_share_one_constant():
+    # the degree-growth base C = sqrt(alpha q / (beta p)), bit for bit, on a
+    # space where 1 / C is not sharp_radius's sqrt(beta p / (alpha q))
+    constant = math.sqrt(2.0 * 4.0 / (3.0 * 2.0))
+    rep = sharpness_exhibit(2.0, 3.0, 2.0, 4.0, 1, n=4, n_samples=2_000, seed=1)
+    _, bound, _ = nikolskii_check(ComplexPolynomial.from_coeffs((0, 1)), 2.0, 3.0, 2.0, 4.0)
+    assert rep.constant == bound == _nikolskii_constant(2.0, 3.0, 2.0, 4.0) == constant
 
 
 def test_stirling_bounds_frozen_point():

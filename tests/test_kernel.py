@@ -13,7 +13,6 @@ from hypothesis import given, strategies as st
 from berglab import acceptance, norms
 from berglab.measures import radial_rule
 from berglab.norms import (
-    _CIRCLE,
     _TABLE_CACHE_BYTES,
     _TableCache,
     _abs_pow,
@@ -48,21 +47,18 @@ def dense_polynomial(degrees, seed):
     return ComplexPolynomial.from_terms(len(degrees), coeffs)
 
 
-def brute_power_mean(P, triples, p):
-    """Weighted mean of |P|^p over the explicit tensor grid of (t, w, M) triples."""
+def brute_power_mean(P, grid, p):
+    """Weighted mean of |P|^p over the explicit tensor grid of (alpha, nodes,
+    angles) axes, alpha None being a circle."""
     axes = []
-    for t, w, m in triples:
+    for alpha, nodes, m in grid:
+        t, w = (np.ones(1),) * 2 if alpha is None else radial_rule(alpha, nodes)
         theta = 2.0 * np.pi * np.arange(m) / m
         z = (np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]).ravel()
         axes.append((z, np.repeat(w / m, m)))
     points = np.array(list(itertools.product(*(z for z, _ in axes))))
     weights = np.array([np.prod(c) for c in itertools.product(*(w for _, w in axes))])
     return float(weights @ (np.abs(P.evaluate_many(points)) ** p))
-
-
-def rule(alpha, nodes, m):
-    t, w = radial_rule(alpha, nodes)
-    return (t, w, m)
 
 
 # (per-variable degrees, per-variable (nodes, angles)); a degree-120 axis
@@ -87,9 +83,9 @@ CASES = [
 @pytest.mark.parametrize("p", [0.5, 2.0, 3.0, 4.0])
 def test_power_mean_matches_brute_force(degrees, grid, p):
     P = dense_polynomial(degrees, seed=sum(degrees))
-    triples = [rule(2.5, k, m) for k, m in grid]
-    got = _power_mean(P.coeff_array(), triples, p)
-    want = brute_power_mean(P, triples, p)
+    axes = [(2.5, k, m) for k, m in grid]
+    got = _power_mean(P.coeff_array(), axes, p)
+    want = brute_power_mean(P, axes, p)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -103,7 +99,7 @@ def test_cases_cover_both_angular_methods():
     routes = set()
     lead_routes = set()
     for degrees, grid in CASES:
-        *lead, i = _axis_order(grid)
+        *lead, i = _axis_order([(2.5, *axis) for axis in grid])
         g, m = degrees[i] + 1, grid[i][1]
         routes.add("fft" if _uses_fft(g, m) else "aliased" if g > m else "matmul")
         for j in lead:
@@ -118,7 +114,7 @@ def test_a_lead_step_that_spans_many_tiles_matches_einsum():
     # 31 nodes, which split both its 3 rows and its nodes
     rng = np.random.default_rng(11)
     coeff = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    t, w, m = rule(2.0, 40, 2049)
+    (t, w), m = radial_rule(2.0, 40), 2049
     assert _tile_shape(3, 40, m) == (1, 31)
     values, weights = _lead_values(coeff, [(t, w, m)])
     a = np.arange(4)
@@ -192,14 +188,14 @@ def test_shell_means_at_p2_match_long_double_evaluation(inputs):
 def test_power_mean_streams_many_blocks():
     # 72 lead rows x 2 x 1025 streamed points make three blocks
     P = dense_polynomial((3, 2), seed=3)
-    triples = [rule(2.0, 2, 1025), rule(2.0, 8, 9)]
-    got = _power_mean(P.coeff_array(), triples, 3.0)
-    assert got == pytest.approx(brute_power_mean(P, triples, 3.0), rel=1e-12)
+    grid = [(2.0, 2, 1025), (2.0, 8, 9)]
+    got = _power_mean(P.coeff_array(), grid, 3.0)
+    assert got == pytest.approx(brute_power_mean(P, grid, 3.0), rel=1e-12)
 
 
 def substitute_last_reference(Q, alpha, p, nodes, angles, angles_w):
     """The mixed norm as a loop over circle points w, one disk norm each."""
-    disk = [rule(alpha, nodes, angles)] * (Q.nvars - 1)
+    disk = [(alpha, nodes, angles)] * (Q.nvars - 1)
     acc = 0.0
     for j in range(angles_w):
         wj = complex(np.exp(2j * np.pi * j / angles_w))
@@ -212,8 +208,8 @@ def substitute_last_reference(Q, alpha, p, nodes, angles, angles_w):
 def test_mixed_norm_matches_substitute_last_loop(degrees, p):
     # the kernel with the last axis on the circle, as mixed_norm runs it
     Q = dense_polynomial(degrees, seed=7)
-    triples = [rule(2.0, 4, 9)] * (Q.nvars - 1) + [(*_CIRCLE, 11)]
-    got = _quadrature_norm(Q, triples, p).value
+    grid = ((2.0, 4, 9),) * (Q.nvars - 1) + ((None, 1, 11),)
+    got = _quadrature_norm(Q, grid, p).value
     want = substitute_last_reference(Q, 2.0, p, 4, 9, 11)
     assert got == pytest.approx(want, rel=1e-12)
 

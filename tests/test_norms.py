@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from berglab import checks, norms
+from berglab import checks, inequalities, norms
 from berglab.corpus import random_polynomials
 from berglab.measures import McSampler, stream_for
 from berglab.norms import (
@@ -296,16 +296,15 @@ def test_oversized_grid_is_refused_before_anything_is_allocated(monkeypatch):
     # with its radial power table and its first tile of 1 row x 16 nodes:
     # values and shells, and the cast buffer of np.getbufsize() values
     P = parse_polynomial("(1000,1000):1")
-    triples = _grid_rule((1000, 1000), 2.0, 4.0)
-    sizes = tuple((len(t), m) for t, _, m in triples)
-    assert sizes == ((32, 4001),) * 2
-    assert _grid_bytes((1001, 1001), sizes, 4.0) == (
+    grid = _grid_rule((1000, 1000), 2.0, 4.0)
+    assert grid == ((2.0, 32, 4001),) * 2
+    assert _grid_bytes((1001, 1001), grid, 4.0) == (
         16 * (1001 + 32 * 4001) * 1001
         + 8 * 32 * 1001
         + 16 * 16 * (1001 + 4001)
         + 16 * 8192
     )
-    assert _grid_bytes((1001, 1001), sizes, 4.0) > 3 * _GRID_BYTES_BUDGET
+    assert _grid_bytes((1001, 1001), grid, 4.0) > 3 * _GRID_BYTES_BUDGET
 
     def no_coefficients(self):
         raise AssertionError("coefficient array built before the refusal")
@@ -324,8 +323,8 @@ def test_grid_bytes_never_exceeds_the_traced_peak(text, p):
     # the count is a lower bound of what the kernel holds, so a refusal
     # never overstates the need
     P = parse_polynomial(text)
-    sizes = tuple((len(t), m) for t, _, m in _grid_rule(P.variable_degrees(), 2.0, p))
-    counted = _grid_bytes(tuple(d + 1 for d in P.variable_degrees()), sizes, p)
+    grid = _grid_rule(P.variable_degrees(), 2.0, p)
+    counted = _grid_bytes(tuple(d + 1 for d in P.variable_degrees()), grid, p)
     assert counted <= traced_peak(bergman_norm, P, 2.0, p)
 
 
@@ -338,7 +337,7 @@ def test_univariate_grid_bytes_count_the_fourier_matrix_and_tile(coeffs, angles)
     # roots and phase table it is indexed from while it is built, beside the
     # s buffer of at least one circle; still within the traced peak
     P, g = ComplexPolynomial.from_coeffs(coeffs), len(coeffs)
-    counted = _grid_bytes((g,), ((2, angles),), 3.0)
+    counted = _grid_bytes((g,), ((2.0, 2, angles),), 3.0)
     if _uses_fft(g, angles):
         assert counted >= 16 * angles
     else:
@@ -363,10 +362,23 @@ def test_grid_bytes_track_the_traced_peak(P, nodes, angles):
     # lead step, which holds 7 x 784 rows beside 7 x 784 x 784 values: on
     # each the count is close to the traced peak, so a refusal is not far
     # off what the grid would take
-    sizes = ((nodes, angles),) * P.nvars
-    counted = _grid_bytes(tuple(d + 1 for d in P.variable_degrees()), sizes, 3.0)
+    grid = ((2.0, nodes, angles),) * P.nvars
+    counted = _grid_bytes(tuple(d + 1 for d in P.variable_degrees()), grid, 3.0)
     peak = traced_peak(bergman_norm, P, 2.0, 3.0, nodes=nodes, angles=angles)
     assert counted <= peak <= 1.25 * counted
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_an_fft_axis_holds_no_values_buffer(p):
+    # perfbench highdeg's degree-1,500 norm: its streamed axis, 64 nodes x
+    # 3001 or 6001 angles, is summed by FFT, whose output is each tile's
+    # values, so a values buffer beside it (about 1 MiB) would push the
+    # traced peak past 1.7 times the count
+    P = random_polynomials(1, 1, 1500, 1729)[0]
+    grid = _grid_rule((1500,), 2.0, p)
+    assert _uses_fft(1501, grid[0][2])
+    counted = _grid_bytes((1501,), grid, p)
+    assert counted <= traced_peak(bergman_norm, P, 2.0, p) <= 1.6 * counted
 
 
 def test_huge_angle_count_for_one_variable_is_refused(monkeypatch):
@@ -387,8 +399,8 @@ def test_huge_angle_count_for_one_variable_is_refused(monkeypatch):
 def test_grid_rule_default_sizes():
     # (radial nodes, angles) per axis.  At other than even p: the tensor and
     # mixed tables, and the univariate floor for circle variables
-    def sizes(rule):
-        return [(len(t), m) for t, _, m in rule]
+    def sizes(grid):
+        return [(nodes, m) for _, nodes, m in grid]
 
     assert sizes(_grid_rule((5,), 2.0, 3.0)) == [(64, 257)]
     assert sizes(_grid_rule((100,), 2.0, 3.0)) == [(64, 801)]
@@ -478,9 +490,9 @@ def _on_the_cap(Q, alpha, p):
     integer: the _MIXED_DEFAULTS grid, the circle one angle below the first
     disk axis."""
     *disk, d_w = Q.variable_degrees()
-    triples = _grid_rule(disk, alpha, p, defaults=_MIXED_DEFAULTS)
-    triples += _grid_rule((d_w,), None, p, angles=max(triples[0][2] - 1, 8))
-    return _quadrature_norm(Q, triples, p).value
+    grid = _grid_rule(disk, alpha, p, defaults=_MIXED_DEFAULTS)
+    grid += _grid_rule((d_w,), None, p, angles=max(grid[0][2] - 1, 8))
+    return _quadrature_norm(Q, grid, p).value
 
 
 def test_mixed_gap_tol_is_a_hundredth_of_the_isometry_tol():
@@ -619,9 +631,9 @@ def test_mixed_norm_stops_at_the_cap_s_half_like_every_climb(monkeypatch):
     P = random_polynomials(1, 2, 5, 1729, "zero-free")[0]
     grids, values = [], []
 
-    def recording(Q, triples, p):
-        grids.append([(len(t), m) for t, _, m in triples])
-        res = _quadrature_norm(Q, triples, p)
+    def recording(Q, grid, p):
+        grids.append([(nodes, m) for _, nodes, m in grid])
+        res = _quadrature_norm(Q, grid, p)
         values.append(res.value)
         return res
 
@@ -721,9 +733,9 @@ def test_climbed_norms_on_a_pinned_grid_take_each_side_once_there(monkeypatch):
 def test_mixed_norm_at_even_p_is_the_exact_grid_alone(monkeypatch):
     seen = []
 
-    def record(Q, triples, p):
-        seen.append([(len(t), m) for t, _, m in triples])
-        return _quadrature_norm(Q, triples, p)
+    def record(Q, grid, p):
+        seen.append([(nodes, m) for _, nodes, m in grid])
+        return _quadrature_norm(Q, grid, p)
 
     monkeypatch.setattr(norms, "_quadrature_norm", record)
     Q = random_polynomials(1, 2, 5, 1729, "zero-free")[0].homogenize(5)
@@ -740,6 +752,46 @@ def test_mixed_norm_refuses_an_oversized_cap_before_any_rung(monkeypatch):
     # the cap: 24 nodes and 4 * 100 * 2 + 1 angles per disk axis
     with pytest.raises(ValueError, match=r"\(nodes, angles\) \(24, 801\), \(24, 801\)"):
         mixed_norm(Q, 2.0, 3.5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bergman_norm(parse_polynomial("(1000,1000):1"), 2.0, 4.0),
+        lambda: bergman_norm(one + z, 10_000.0, 3.0, nodes=4096, angles=10**8),
+        lambda: hardy_norm(one + z, 2.0, angles=10**9),
+        lambda: mixed_norm(parse_polynomial("(400,400,400):1"), 2.0, 3.0),
+        lambda: inequalities.hyper_check(
+            parse_polynomial("(400,400):1"), 2.0, 2.0, 3.0, 3.0, 0.5
+        ),
+    ],
+    ids=["bivariate", "alpha-1e4", "hardy-angles", "mixed-cap", "climbed-hyper"],
+)
+def test_an_oversized_grid_is_refused_before_any_rule_is_built(monkeypatch, call):
+    # a grid holds sizes only, so the refusal reads no radial rule: at
+    # alpha = 10^4 the 4096-node Gauss rule would take seconds and then fail
+    def no_rule(*args):
+        raise AssertionError("a radial rule was built before the refusal")
+
+    monkeypatch.setattr(norms, "radial_rule", no_rule)
+    with pytest.raises(ValueError, match="quadrature grid too large"):
+        call()
+
+
+def test_grid_rule_raises_sizing_errors_in_order():
+    # alpha, p, the counts, the variable table, then the node cap; a circle
+    # takes any p, as the circle profile does
+    with pytest.raises(ValueError, match="alpha must be"):
+        _grid_rule((1,) * 4, 0.5, 100.0, nodes=0)
+    with pytest.raises(ValueError, match="exponent p"):
+        _grid_rule((1,) * 4, 2.0, 100.0, nodes=0)
+    with pytest.raises(ValueError, match="nodes must be at least 1"):
+        _grid_rule((1,) * 4, 2.0, 3.0, nodes=0)
+    with pytest.raises(ValueError, match="at most 3 disk variables"):
+        _grid_rule((1,) * 4, 2.0, 3.0, nodes=5000)
+    with pytest.raises(ValueError, match="nodes must be at most 4096"):
+        _grid_rule((1,), 2.0, 3.0, nodes=5000)
+    assert _grid_rule((1,), None, 100.0) == ((None, 1, 101),)
 
 
 def test_quadrature_reports_zero_est_error():

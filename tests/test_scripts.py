@@ -1,15 +1,18 @@
 """Smoke runs of the scripts on tiny inputs."""
 import csv
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from berglab.acceptance import verify_suite
 from berglab.report import ReportRow, VerificationReport
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def load_script(name):
@@ -152,3 +155,36 @@ def test_compare_reports_on_a_closed_pipe_keeps_its_exit_code(tmp_path, flip, co
     proc.stderr.close()
     assert proc.wait(timeout=60) == code
     assert err == b""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["dump-rule", "--alpha", "2", "--angles", "100000"], 0),
+        (["hyper-check", "--alpha", "2", "--beta", "2", "--p", "2", "--q", "4",
+          "--r", "0.9", "--poly", "1,1"], 1),
+        (["verify-suite", "--seed", "1729"], 0),
+    ],
+    ids=["dump-rule", "failing-check", "verify-suite"],
+)
+def test_berglab_on_a_closed_pipe_keeps_its_exit_code(tmp_path, argv, code):
+    # the reader closes stdout before anything is written, as `| head -0`
+    # would: the command drops its output, still writes its report and
+    # exits with its own code, with no traceback
+    if argv[0] == "verify-suite":
+        argv = [*argv, "--csv", str(tmp_path / "piped.csv")]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "berglab.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == code
+    assert b"Traceback" not in err and b"Broken pipe" not in err
+    if argv[0] == "verify-suite":
+        verify_suite(seed=1729, csv_path=str(tmp_path / "direct.csv"), quiet=True)
+        assert (tmp_path / "piped.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
