@@ -8,8 +8,10 @@ the Gaussian moments.
 """
 import argparse
 import csv
+import io
 import sys
 
+from berglab.cli import _write
 from berglab.extremal import sharpness_exhibit
 
 
@@ -50,16 +52,17 @@ def main(argv=None) -> int:
             ]
         )
 
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            ["m", "ratio", "ci", "bound", "attainment", "per_degree", "limit_per_degree"]
-        )
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(
+        ["m", "ratio", "ci", "bound", "attainment", "per_degree", "limit_per_degree"]
+    )
+    writer.writerows(rows)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as out:
+            out.write(buf.getvalue())
+    else:  # a reader that closes the pipe early gets what it read
+        _write(buf.getvalue())
     return 0
 
 

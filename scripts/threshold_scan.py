@@ -8,9 +8,11 @@ the raw column.  Output is plot-ready CSV on stdout or --out.
 """
 import argparse
 import csv
+import io
 import sys
 
 from berglab.checks import INEQ_SLACK
+from berglab.cli import _write
 from berglab.inequalities import sharp_radius, threshold_search
 
 
@@ -55,8 +57,10 @@ def main(argv=None) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             run_scan(space, eps_values, args.tol, fh)
-    else:
-        run_scan(space, eps_values, args.tol, sys.stdout)
+    else:  # a reader that closes the pipe early gets what it read
+        buf = io.StringIO()
+        run_scan(space, eps_values, args.tol, buf)
+        _write(buf.getvalue())
     return 0
 
 

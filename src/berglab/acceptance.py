@@ -33,7 +33,7 @@ from .corpus import random_polynomials
 from .inequalities import sharp_radius
 from .norms import bergman_norm  # noqa: F401  perfbench's tracer tests patch it here
 from .poly import ComplexPolynomial
-from .report import ReportRow, VerificationReport
+from .report import ReportRow, VerificationReport, check_writable
 from .sweep import map_on_pool
 
 __all__ = ["CriterionResult", "CRITERION_IDS", "run_criterion", "verify_suite"]
@@ -316,6 +316,8 @@ def verify_suite(
         for cid, table in selected.items()
         for task in _tasks(cid, table, seed, nodes_override)
     ]
+    if csv_path:  # an unwritable report fails before any row runs
+        check_writable(csv_path)
     workers = min(len(os.sched_getaffinity(0)), len(tasks))
     t0 = time.perf_counter()
     # Handed over last entry first, so the long c6 and c7 rows start first:

@@ -29,7 +29,7 @@ from .inequalities import phi_profile
 from .measures import McSampler, check_alpha, check_counts, circle_rule, radial_rule
 from .norms import bergman_norm, bergman_norm_mc, exact_norm_even_p
 from .poly import parse_polynomial
-from .report import CSV_HEADER, VerificationReport, fmt_value
+from .report import CSV_HEADER, VerificationReport, check_writable, fmt_value
 from .sweep import _one_blas_thread, load_sweep_config, run_sweep
 
 __all__ = ["main"]
@@ -139,6 +139,8 @@ def _cmd_phi(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_sweep_config(args.config)
+    if cfg.output_path:  # an unwritable report fails before any row runs
+        check_writable(cfg.output_path)
     start = time.perf_counter()
     report = run_sweep(cfg, jobs=args.jobs)
     elapsed_s = time.perf_counter() - start

@@ -267,24 +267,19 @@ class PhiProfile:
 
 
 def phi_profile(f: ComplexPolynomial, q: float, y_grid) -> PhiProfile:
-    """Profile values and second derivatives on a grid inside (0, 1), q >= 2."""
-    if q < 2.0:  # circle_curvature's weight |f|^(q-2) is singular at zeros of f
+    """Profile values and second derivatives on a grid inside (0, 1), 2 <= q <= 64."""
+    if _check_p(q, "q") < 2.0:  # |f|^(q-2) in Phi'' is singular at zeros of f
         raise ValueError("the circle profile requires q >= 2")
     ys = np.asarray(y_grid, dtype=float)
     if not ys.size or np.any(ys <= 0.0) or np.any(ys >= 1.0):
         raise ValueError("the profile grid needs points, all inside (0, 1)")
     phi = circle_means(f, q, ys)
     phi2 = circle_curvature(f, q, ys) / ys ** 2
-    return PhiProfile(
-        q=float(q),
-        y_grid=tuple(float(y) for y in ys),
-        phi=tuple(float(v) for v in phi),
-        phi2=tuple(float(v) for v in phi2),
-    )
+    return PhiProfile(float(q), *(tuple(a.tolist()) for a in (ys, phi, phi2)))
 
 
 def phi_convexity_check(f: ComplexPolynomial, q: float, y_grid) -> tuple[float, float]:
-    """The smallest Phi'' on the grid and the y where it is taken, for q >= 2."""
+    """The smallest Phi'' on the grid and the y where it is taken, 2 <= q <= 64."""
     prof = phi_profile(f, q, y_grid)
     k = int(np.argmin(prof.phi2))
     return prof.phi2[k], prof.y_grid[k]
@@ -320,7 +315,7 @@ def ibp_identity_check(
     ``circle_means`` and ``circle_curvature``; the worst relative mismatch
     is reported.
     """
-    if q < 2.0:
+    if _check_p(q, "q") < 2.0:
         raise ValueError("requires q >= 2")
     check_alpha(beta)
     if beta_prime < beta:

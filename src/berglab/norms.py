@@ -31,15 +31,15 @@ quarter-turn phases stay exact zeros (see ``_fourier_matrix``), and |P|^p
 is formed from s = |P|^2 by ``_sq_pow``.
 
 ``_grid_rule`` is the one place where grids are sized and sizing errors
-raised: it turns the variables' degrees, alpha, p and the optional counts
-into the grid, one (alpha, nodes, angles) triple per axis (alpha None and
-one node for a circle).  Only ``bergman_norm`` (nodes and angles) and
-``hardy_norm`` (angles) take counts from their callers; the mixed norm
-pins them on the rungs of its ladder (below), and the circle profile
-always uses the default grid.  A grid holds sizes only, so
-``_quadrature_norm`` refuses one whose kernel arrays would take more than
-``_GRID_BYTES_BUDGET`` at once, as ``_grid_bytes`` counts them, before
-anything is built.
+raised, for circles as for disks: it turns the variables' degrees, alpha,
+p and the optional counts into the grid, one (alpha, nodes, angles) triple
+per axis (alpha None for a circle).  Only ``bergman_norm`` (nodes and
+angles) and ``hardy_norm`` (angles) take counts from their callers; the
+mixed norm pins them on the rungs of its ladder (below), and the circle
+profile counts its circles as the nodes of one circle axis on the default
+angles.  A grid holds sizes only, so ``_refuse_oversized`` refuses one
+whose kernel arrays would take more than ``_GRID_BYTES_BUDGET`` at once,
+as ``_grid_bytes`` counts them, before anything is built.
 
 The ladder: at p other than an even integer no finite grid is exact, and
 a norm can be climbed on the rungs of ``_ladder`` below a cap, its default
@@ -61,9 +61,6 @@ gap between its last two rungs instead, an estimate of the coarser rung's
 error that can fall short of the finer one's (at p = 0.5 with cusps, by up
 to 44 times on c6's univariate corpus); a verdict is judged on it only
 with the factor ``checks.SETTLE_MULTIPLE`` to spare.
-
-One ``sweep.map_on_pool`` call computes each distinct ``bergman_norm`` once
-(see ``memo_scope``); a call outside any pool always computes.
 
 The kernel's tables (Fourier matrices, radial powers, angle weights)
 depend only on sizes and rules, so each is built once and kept, read-only
@@ -159,7 +156,7 @@ _GRID_BYTES_BUDGET = 1 << 29
 _TABLE_CACHE_BYTES = 1 << 22
 
 # Grid byte counts that ``_grid_bytes`` keeps, least recently used dropped
-# first; a serial verify-suite pass at seed 1729 counts 89 grids in 1,825 calls.
+# first; a serial verify-suite pass at seed 1729 counts 96 grids in 1,993 calls.
 _GRID_COUNTS = 256
 
 
@@ -273,8 +270,7 @@ def exact_norm_p2(P: ComplexPolynomial, alpha: float) -> NormResult:
 def exact_norm_even_p(P: ComplexPolynomial, alpha: float, p: float) -> NormResult:
     """A^p_alpha norm for even integer p via |P|^p = |P^(p/2)|^2."""
     check_alpha(alpha)
-    _check_p(p)
-    s = _even_half(p)
+    s = _even_half(_check_p(p))
     if s is None:
         raise ValueError(f"p must be an even integer, got {p}")
     if s == 1:
@@ -397,10 +393,7 @@ def _lead_values(
     per point of the other axes, and writes each tile into the step's
     output, whose rows hold the next axis's coefficients.
     """
-    if not rules:  # one variable: its coefficients are the one row
-        return coeff.reshape(1, -1), np.ones(1)
-    values = coeff
-    weights = np.ones(1)
+    values, weights = coeff, np.ones(1)
     for g, (t, w, m) in zip(coeff.shape, rules):
         lead = values.reshape(g, -1).T
         values = np.empty((len(lead), len(t) * m), dtype=complex)
@@ -545,8 +538,6 @@ def _refuse_oversized(P: ComplexPolynomial, grid, p: float) -> None:
 def _quadrature_norm(P: ComplexPolynomial, grid, p: float) -> NormResult:
     """The norm of P on the grid, refused above _GRID_BYTES_BUDGET before
     the coefficient array, any radial rule or any grid array is built."""
-    if P.is_zero:
-        return NormResult(0.0, "quadrature", 0.0)
     _refuse_oversized(P, grid, p)
     mean = _power_mean(P.coeff_array(), grid, p)
     return NormResult(mean ** (1.0 / p), "quadrature", 0.0)
@@ -588,22 +579,23 @@ def _grid_rule(
 
     A disk variable (alpha given) has ``nodes`` radial nodes of the Gauss
     rule of that weight and ``angles`` angles; with alpha None each
-    variable is a circle, the single node t = 1.  Counts left at None are
-    sized per axis.  At even p = 2s an axis of degree d carries |P^s|^2, of
-    degree d*s in t = |z|^2 and trigonometric degree d*s in the angle, so
-    ceil((d*s + 1)/2) Gauss nodes (capped at the table's node count) and
-    M = 2*d*s + 1 > d*s angles integrate it exactly.  At other p no finite
-    rule is exact: the nodes come from ``defaults`` for this many variables
-    and the angles are 4*d*ceil(p/2) + 1 (p taken as at least 2), at least
-    the table's floor, or _CUSP_FLOOR for a single variable at p < 1.
+    variable is a circle, one node t = 1 or the profile's ``nodes`` radii.
+    Counts left at None are sized per axis.  At even p = 2s an axis of
+    degree d carries |P^s|^2, of degree d*s in t = |z|^2 and trigonometric
+    degree d*s in the angle, so ceil((d*s + 1)/2) Gauss nodes (capped at
+    the table's node count) and M = 2*d*s + 1 > d*s angles integrate it
+    exactly.  At other p no finite rule is exact: the nodes come from
+    ``defaults`` for this many variables and the angles are 4*d*ceil(p/2) +
+    1 (p taken as at least 2), at least the table's floor, or _CUSP_FLOOR
+    for a single variable at p < 1.
 
-    Raises, in this order, for a disk's alpha and its p, a count below 1,
-    more variables than the table has, and a disk's nodes above the cap of
-    ``radial_rule``; a circle takes any p, as the circle profile does.
+    Raises, in this order, for a disk's alpha, p (on circles as on disks),
+    a count below 1, more variables than the table has, and a disk's nodes
+    above the cap of ``radial_rule``.
     """
     if alpha is not None:
         alpha = check_alpha(alpha)
-        _check_p(p)
+    _check_p(p)
     check_counts(nodes=nodes, angles=angles)
     if len(degrees) not in defaults:
         raise ValueError(
@@ -621,17 +613,25 @@ def _grid_rule(
             k, m = min(d * s // 2 + 1, k_table), 2 * d * s + 1
         else:
             k, m = k_table, max(floor, 4 * d * math.ceil(max(p, 2.0) / 2.0) + 1)
-        grid.append((alpha, 1 if alpha is None else int(nodes or k), int(angles or m)))
+        grid.append((alpha, int(nodes or (1 if alpha is None else k)), int(angles or m)))
     return tuple(grid)
+
+
+def _finite(values: np.ndarray, name: str) -> np.ndarray:
+    """values, refused with a ValueError as a non-finite ``NormResult`` is."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} not finite on every circle: {float(values.max())}")
+    return values
 
 
 def circle_means(P: ComplexPolynomial, p: float, radii_sq: np.ndarray) -> np.ndarray:
     """Mean of |P|^p on each circle |z|^2 = y, over the angles ``_grid_rule``
-    gives a circle variable of P's degree (exact at even p)."""
-    coeffs = P.dense_coeffs()  # univariate P only
-    [(_, _, m)] = _grid_rule((P.degree,), None, p)
-    tiles = _shell_means(coeffs.reshape(1, -1), radii_sq, m, p)
-    return np.concatenate([means[0] for _, _, means in tiles])
+    gives a circle variable of P's degree (exact at even p), the circles
+    being that axis's nodes; a mean that is not finite raises ValueError."""
+    [(_, _, m)] = grid = _grid_rule((P.degree,), None, p, nodes=len(radii_sq))
+    _refuse_oversized(P, grid, p)
+    tiles = _shell_means(P.dense_coeffs().reshape(1, -1), radii_sq, m, p)
+    return _finite(np.concatenate([means[0] for _, _, means in tiles]), "circle mean")
 
 
 def circle_curvature(P: ComplexPolynomial, p: float, radii_sq: np.ndarray) -> np.ndarray:
@@ -639,11 +639,12 @@ def circle_curvature(P: ComplexPolynomial, p: float, radii_sq: np.ndarray) -> np
 
     With g = z P', Delta |P|^p = p^2 |P|^(p-2) |P'|^2 makes y^2 Phi'' the
     mean of |P|^(p-2) ((p^2/4) |g|^2 - (p/2) Re(conj(P) g)) over the angles
-    of ``circle_means``, which integrate it exactly at even p.  P and g are
-    evaluated in lockstep on the same tiles.
+    of ``circle_means``, on its grid, which integrate it exactly at even p.
+    P and g are evaluated in lockstep on the same tiles.
     """
+    [(_, _, m)] = grid = _grid_rule((P.degree,), None, p, nodes=len(radii_sq))
+    _refuse_oversized(P, grid, p)
     coeffs = P.dense_coeffs().reshape(1, -1)  # univariate P only
-    [(_, _, m)] = _grid_rule((P.degree,), None, p)
     slopes = coeffs * np.arange(coeffs.shape[1])
     out = []
     tiles = zip(_tiles(coeffs, radii_sq, m), _tiles(slopes, radii_sq, m))
@@ -651,7 +652,7 @@ def circle_curvature(P: ComplexPolynomial, p: float, radii_sq: np.ndarray) -> np
         cross = f.real * g.real + f.imag * g.imag
         both = (0.25 * p * p) * _abs_pow(g, 2.0) - (0.5 * p) * cross
         out.append(np.mean(_abs_pow(f, p - 2.0) * both, axis=1))
-    return np.concatenate(out)
+    return _finite(np.concatenate(out), "y^2 Phi''")
 
 
 def bergman_norm(
@@ -680,7 +681,6 @@ def bergman_norm(
 
 def hardy_norm(P: ComplexPolynomial, p: float, angles: int | None = None) -> NormResult:
     """H^p norm on the unit circle via the equispaced rule."""
-    _check_p(p)
     if P.nvars != 1:
         raise ValueError("hardy_norm expects a univariate polynomial")
     grid = _grid_rule(P.variable_degrees(), None, p, angles=angles)
@@ -774,8 +774,7 @@ def _climbed_norms(sides, judge, settled=None, nodes=None, angles=None) -> tuple
             fixed.append(bergman_norm(P, alpha, p).value)
             continue
         grid = _grid_rule(P.variable_degrees(), alpha, p)
-        if not P.is_zero:
-            _refuse_oversized(P, grid, p)
+        _refuse_oversized(P, grid, p)
         fixed.append(None)
         caps.append(_cap_counts(grid))
     if not caps:
@@ -824,7 +823,7 @@ def mixed_norm(Q: ComplexPolynomial, alpha: float, p: float) -> NormResult:
         return grid + _grid_rule((d_w,), None, p, angles=circle)
 
     cap = rule()
-    if _even_half(p) is not None or Q.is_zero:
+    if _even_half(p) is not None:
         return _quadrature_norm(Q, cap, p)
     _refuse_oversized(Q, cap, p)
     (value,), gap = _climb(

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from dataclasses import dataclass, field
 
 __all__ = ["CSV_HEADER", "ReportRow", "VerificationReport", "at_most", "fmt_value"]
@@ -50,6 +51,15 @@ def at_most(computed: float, bound: float, slack: float) -> bool:
     """computed <= bound * (1 + slack): the one upper-bound comparison, used
     by the inequality rows and the threshold bisection with a relative slack."""
     return computed <= bound * (1.0 + slack)
+
+
+def check_writable(path: str) -> None:
+    """Raise the OSError that writing a report to path would, and leave the
+    path as it was: an existing file is opened to append, a new one removed."""
+    new = not os.path.exists(path)
+    open(path, "a", encoding="utf-8").close()
+    if new:
+        os.remove(path)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import time
 import pytest
 
 import berglab
-from berglab import cli, corpus, inequalities, measures, norms, sweep
+from berglab import acceptance, cli, corpus, inequalities, measures, norms, sweep
 from berglab.cli import build_parser, main
 from berglab.checks import SETTLE_MULTIPLE
 from berglab.poly import ComplexPolynomial
@@ -452,6 +452,46 @@ def test_phi_below_q_two_is_a_usage_error(capsys):
     assert "requires q >= 2" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["phi", "--poly", "1,1", "--q", "3000"],
+         "exponent q must lie in (0, 64], got 3000.0"),
+        (["ibp-check", "--poly", "1,1", "--q", "100", "--beta", "2",
+          "--beta-prime", "4"],
+         "exponent q must lie in (0, 64], got 100.0"),
+    ],
+    ids=["phi", "ibp-check"],
+)
+def test_a_profile_q_above_64_is_a_usage_error_naming_q(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_a_profile_that_overflows_is_a_usage_error(capsys):
+    # |f|^64 = 10^320 on every circle: the means are inf and Phi'' nan
+    code, out, err = run(["phi", "--poly", "100000,1", "--q", "64"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: circle mean not finite on every circle: inf\n"
+
+
+def test_an_oversized_profile_is_refused_before_any_tile(capsys, monkeypatch):
+    # degree 10^6 at q = 64 sums 64,000,001 angles per circle by FFT
+    def no_tiles(*args):
+        raise AssertionError("a tile was evaluated before the refusal")
+
+    monkeypatch.setattr(norms, "_tiles", no_tiles)
+    argv = ["phi", "--poly", "(1000000):1", "--q", "64", "--count", "1"]
+    start = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        "error: quadrature grid too large: (nodes, angles) (1, 64000001) need about"
+    )
+
+
 def test_weissler_default_radius(capsys):
     code, out, _ = run(
         ["weissler", "--poly", "1,1", "--p", "2", "--q", "4", "--quiet"], capsys
@@ -549,6 +589,43 @@ def test_file_errors_are_configuration_errors(capsys, tmp_path):
     code, out, err = run(["sweep", "--config", str(cfg), "--quiet"], capsys)
     assert (code, out) == (2, "")
     assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
+def test_an_unwritable_report_fails_before_any_row_runs(capsys, tmp_path, monkeypatch):
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row ran before the report path was checked")
+
+    monkeypatch.setattr(acceptance, "_timed_row", no_rows)
+    monkeypatch.setattr(cli, "run_sweep", no_rows)
+    missing = tmp_path / "none" / "x.csv"
+    cfg = tmp_path / "demo.cfg"
+    cfg.write_text(
+        "[sweep]\nchecks = hyper\n[grid]\ntuples = 2 2 2 4\n"
+        f"[corpus]\npolys = 1,1\n[output]\npath = {missing}\n"
+    )
+    for argv in (
+        ["verify-suite", "--csv", str(missing), "--quiet"],
+        ["sweep", "--config", str(cfg), "--quiet"],
+    ):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
+def test_the_report_path_check_leaves_the_path_as_it_was(tmp_path, monkeypatch):
+    # a run that fails after the check neither empties an existing report
+    # nor leaves a new, empty one behind
+    def broken(*args):
+        raise RuntimeError("row failed")
+
+    monkeypatch.setattr(acceptance, "_timed_row", broken)
+    kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
+    kept.write_text("an earlier report\n")
+    for path in (kept, fresh):
+        with pytest.raises(RuntimeError, match="row failed"):
+            acceptance.verify_suite(filter_text="stirling", csv_path=str(path))
+    assert kept.read_text() == "an earlier report\n"
+    assert not fresh.exists()
 
 
 def test_verify_suite_filter_no_match_is_usage_error(capsys, tmp_path):

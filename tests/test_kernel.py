@@ -255,6 +255,32 @@ def test_circle_curvature_matches_brute_force(q, degree, count):
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
+@pytest.mark.parametrize("profile", [circle_means, circle_curvature])
+def test_the_circle_profile_is_checked_and_sized_like_a_norm(monkeypatch, profile):
+    # its circles are the nodes of one circle axis: p is checked and the
+    # grid refused above the byte budget before any tile is evaluated
+    def no_tiles(*args):
+        raise AssertionError("a tile was evaluated before the refusal")
+
+    monkeypatch.setattr(norms, "_tiles", no_tiles)
+    ys = np.linspace(0.05, 0.9, 35)
+    with pytest.raises(ValueError, match=r"\(nodes, angles\) \(35, 64000001\)"):
+        profile(parse_polynomial("(1000000):1"), 64.0, ys)
+    with pytest.raises(ValueError, match="exponent p must lie in"):
+        profile(ComplexPolynomial.from_coeffs((1, 1)), 100.0, ys)
+
+
+@pytest.mark.parametrize(
+    "profile, name", [(circle_means, "circle mean"), (circle_curvature, "y\\^2 Phi''")]
+)
+def test_a_profile_value_that_is_not_finite_raises(profile, name):
+    # |f|^64 = 10^320 overflows on every circle, as a norm value would
+    f = ComplexPolynomial.from_coeffs((1e5, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=f"{name} not finite on every circle"):
+            profile(f, 64.0, np.array([0.25, 0.5]))
+
+
 def test_abs_pow_keeps_exact_zeros():
     values = np.array([0.0, 0j, 3.0 + 4.0j, -2.0j])
     got = _abs_pow(values, 0.5)

@@ -780,7 +780,7 @@ def test_an_oversized_grid_is_refused_before_any_rule_is_built(monkeypatch, call
 
 def test_grid_rule_raises_sizing_errors_in_order():
     # alpha, p, the counts, the variable table, then the node cap; a circle
-    # takes any p, as the circle profile does
+    # checks p as a disk does
     with pytest.raises(ValueError, match="alpha must be"):
         _grid_rule((1,) * 4, 0.5, 100.0, nodes=0)
     with pytest.raises(ValueError, match="exponent p"):
@@ -791,7 +791,8 @@ def test_grid_rule_raises_sizing_errors_in_order():
         _grid_rule((1,) * 4, 2.0, 3.0, nodes=5000)
     with pytest.raises(ValueError, match="nodes must be at most 4096"):
         _grid_rule((1,), 2.0, 3.0, nodes=5000)
-    assert _grid_rule((1,), None, 100.0) == ((None, 1, 101),)
+    with pytest.raises(ValueError, match="exponent p"):
+        _grid_rule((1,), None, 100.0)
 
 
 def test_quadrature_reports_zero_est_error():
@@ -800,11 +801,25 @@ def test_quadrature_reports_zero_est_error():
     assert res.method == "quadrature"
 
 
-def test_zero_polynomial_all_methods():
+def test_zero_polynomial_all_methods(monkeypatch):
     Z = ComplexPolynomial.zero()
     assert exact_norm_p2(Z, 2.0).value == 0.0
     assert exact_norm_even_p(Z, 2.0, 4.0).value == 0.0
     assert bergman_norm(Z, 2.0, 2.0).value == 0.0
+    # on the shared path: a zero polynomial's grid is the degree-0 grid,
+    # never refused, and each rung's norm is 0.0
+    rungs = []
+
+    def record(P, grid, p):
+        rungs.append(grid)
+        return _quadrature_norm(P, grid, p)
+
+    monkeypatch.setattr(norms, "_quadrature_norm", record)
+    assert mixed_norm(ComplexPolynomial.zero(2), 2.0, 3.5) == norms.NormResult(
+        0.0, "quadrature", 0.0
+    )
+    assert len(rungs) == 2
+    assert inequalities.hyper_check(Z, 2.0, 2.0, 2.0, 3.0, 0.5) == (0.0, 0.0, 0.0)
 
 
 def test_norm_parse_integration():

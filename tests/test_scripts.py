@@ -157,25 +157,32 @@ def test_compare_reports_on_a_closed_pipe_keeps_its_exit_code(tmp_path, flip, co
     assert err == b""
 
 
+BERGLAB = ["-m", "berglab.cli"]
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
-        (["dump-rule", "--alpha", "2", "--angles", "100000"], 0),
-        (["hyper-check", "--alpha", "2", "--beta", "2", "--p", "2", "--q", "4",
-          "--r", "0.9", "--poly", "1,1"], 1),
-        (["verify-suite", "--seed", "1729"], 0),
+        ([*BERGLAB, "dump-rule", "--alpha", "2", "--angles", "100000"], 0),
+        ([*BERGLAB, "hyper-check", "--alpha", "2", "--beta", "2", "--p", "2",
+          "--q", "4", "--r", "0.9", "--poly", "1,1"], 1),
+        ([*BERGLAB, "verify-suite", "--seed", "1729"], 0),
+        ([str(SCRIPTS / "threshold_scan.py"), "--eps", "0.04", "--tol", "1e-3"], 0),
+        ([str(SCRIPTS / "sharpness_curve.py"), "--m-max", "1", "--n", "4",
+          "--samples", "2000"], 0),
     ],
-    ids=["dump-rule", "failing-check", "verify-suite"],
+    ids=["dump-rule", "failing-check", "verify-suite", "threshold-scan",
+         "sharpness-curve"],
 )
 def test_berglab_on_a_closed_pipe_keeps_its_exit_code(tmp_path, argv, code):
     # the reader closes stdout before anything is written, as `| head -0`
-    # would: the command drops its output, still writes its report and
-    # exits with its own code, with no traceback
-    if argv[0] == "verify-suite":
+    # would: the command (or script) drops its output, still writes its
+    # report and exits with its own code, with no traceback
+    if "verify-suite" in argv:
         argv = [*argv, "--csv", str(tmp_path / "piped.csv")]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.Popen(
-        [sys.executable, "-m", "berglab.cli", *argv],
+        [sys.executable, *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
@@ -185,6 +192,6 @@ def test_berglab_on_a_closed_pipe_keeps_its_exit_code(tmp_path, argv, code):
     proc.stderr.close()
     assert proc.wait(timeout=120) == code
     assert b"Traceback" not in err and b"Broken pipe" not in err
-    if argv[0] == "verify-suite":
+    if "verify-suite" in argv:
         verify_suite(seed=1729, csv_path=str(tmp_path / "direct.csv"), quiet=True)
         assert (tmp_path / "piped.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
