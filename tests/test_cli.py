@@ -452,30 +452,6 @@ def test_phi_below_q_two_is_a_usage_error(capsys):
     assert "requires q >= 2" in err
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["phi", "--poly", "1,1", "--q", "3000"],
-         "exponent q must lie in (0, 64], got 3000.0"),
-        (["ibp-check", "--poly", "1,1", "--q", "100", "--beta", "2",
-          "--beta-prime", "4"],
-         "exponent q must lie in (0, 64], got 100.0"),
-    ],
-    ids=["phi", "ibp-check"],
-)
-def test_a_profile_q_above_64_is_a_usage_error_naming_q(argv, message, capsys):
-    code, out, err = run(argv, capsys)
-    assert (code, out) == (2, "")
-    assert err == f"error: {message}\n"
-
-
-def test_a_profile_that_overflows_is_a_usage_error(capsys):
-    # |f|^64 = 10^320 on every circle: the means are inf and Phi'' nan
-    code, out, err = run(["phi", "--poly", "100000,1", "--q", "64"], capsys)
-    assert (code, out) == (2, "")
-    assert err == "error: circle mean not finite on every circle: inf\n"
-
-
 def test_an_oversized_profile_is_refused_before_any_tile(capsys, monkeypatch):
     # degree 10^6 at q = 64 sums 64,000,001 angles per circle by FFT
     def no_tiles(*args):
@@ -570,9 +546,15 @@ def test_sweep_stdout_csv(capsys):
     assert out.splitlines()[0].startswith("check_id,")
 
 
-def test_file_errors_are_configuration_errors(capsys, tmp_path):
+def test_file_errors_are_configuration_errors(capsys, tmp_path, monkeypatch):
     # a config that cannot be read or a report that cannot be written is
-    # named on one line, exit 2, like any other configuration error
+    # named on one line, exit 2, like any other configuration error; the
+    # report path is checked before any row runs
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row ran before the report path was checked")
+
+    monkeypatch.setattr(acceptance, "_timed_row", no_rows)
+    monkeypatch.setattr(cli, "run_sweep", no_rows)
     missing = tmp_path / "none" / "x.csv"
     code, out, err = run(["sweep", "--config", str(tmp_path / "none.cfg")], capsys)
     assert (code, out) == (2, "")
@@ -589,27 +571,6 @@ def test_file_errors_are_configuration_errors(capsys, tmp_path):
     code, out, err = run(["sweep", "--config", str(cfg), "--quiet"], capsys)
     assert (code, out) == (2, "")
     assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
-
-
-def test_an_unwritable_report_fails_before_any_row_runs(capsys, tmp_path, monkeypatch):
-    def no_rows(*args, **kwargs):
-        raise AssertionError("a row ran before the report path was checked")
-
-    monkeypatch.setattr(acceptance, "_timed_row", no_rows)
-    monkeypatch.setattr(cli, "run_sweep", no_rows)
-    missing = tmp_path / "none" / "x.csv"
-    cfg = tmp_path / "demo.cfg"
-    cfg.write_text(
-        "[sweep]\nchecks = hyper\n[grid]\ntuples = 2 2 2 4\n"
-        f"[corpus]\npolys = 1,1\n[output]\npath = {missing}\n"
-    )
-    for argv in (
-        ["verify-suite", "--csv", str(missing), "--quiet"],
-        ["sweep", "--config", str(cfg), "--quiet"],
-    ):
-        code, out, err = run(argv, capsys)
-        assert (code, out) == (2, "")
-        assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
 
 
 def test_the_report_path_check_leaves_the_path_as_it_was(tmp_path, monkeypatch):
@@ -855,11 +816,21 @@ def test_every_library_signature_is_snapshotted():
          "count must be at least 1, got 0"),
         (["phi", "--poly", "1,1", "--q", "4", "--count", "-3"],
          "count must be at least 1, got -3"),
+        # the circle profile checks q as every norm checks its exponent
+        (["phi", "--poly", "1,1", "--q", "3000"],
+         "exponent q must lie in (0, 64], got 3000.0"),
+        (["ibp-check", "--poly", "1,1", "--q", "100", "--beta", "2",
+          "--beta-prime", "4"],
+         "exponent q must lie in (0, 64], got 100.0"),
+        # |f|^64 = 10^320 on every circle: the means are inf, not printed
+        (["phi", "--poly", "100000,1", "--q", "64"],
+         "circle mean not finite on every circle: inf"),
     ],
     ids=["hyper-angles-0", "weissler-angles-neg", "nikolskii-nodes-0",
          "dump-rule-angles-0", "dump-rule-angles-neg", "weissler-q-0",
          "weissler-q-neg", "weissler-q-0-explicit-r", "hyper-q-0-explicit-r",
-         "hyper-exact-q-0-explicit-r", "phi-count-0", "phi-count-negative"],
+         "hyper-exact-q-0-explicit-r", "phi-count-0", "phi-count-negative",
+         "phi-q-3000", "ibp-check-q-100", "phi-overflow"],
 )
 def test_grid_counts_below_one_are_usage_errors_naming_the_input(
     argv, message, capsys
