@@ -8,8 +8,8 @@ the Gaussian moments.
 """
 import argparse
 import csv
-import io
 import sys
+from types import SimpleNamespace
 
 from berglab.cli import _write
 from berglab.extremal import sharpness_exhibit
@@ -52,17 +52,17 @@ def main(argv=None) -> int:
             ]
         )
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["m", "ratio", "ci", "bound", "attainment", "per_degree", "limit_per_degree"]
-    )
-    writer.writerows(rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as out:
-            out.write(buf.getvalue())
-    else:  # a reader that closes the pipe early gets what it read
-        _write(buf.getvalue())
+    stdout = SimpleNamespace(write=_write)  # a reader may close the pipe early
+    out = open(args.out, "w", encoding="utf-8") if args.out else stdout
+    try:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(
+            ["m", "ratio", "ci", "bound", "attainment", "per_degree", "limit_per_degree"]
+        )
+        writer.writerows(rows)
+    finally:
+        if args.out:
+            out.close()
     return 0
 
 

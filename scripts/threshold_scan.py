@@ -8,8 +8,8 @@ the raw column.  Output is plot-ready CSV on stdout or --out.
 """
 import argparse
 import csv
-import io
 import sys
+from types import SimpleNamespace
 
 from berglab.checks import INEQ_SLACK
 from berglab.cli import _write
@@ -57,10 +57,8 @@ def main(argv=None) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             run_scan(space, eps_values, args.tol, fh)
-    else:  # a reader that closes the pipe early gets what it read
-        buf = io.StringIO()
-        run_scan(space, eps_values, args.tol, buf)
-        _write(buf.getvalue())
+    else:  # rows as they come; a reader that closes the pipe early ends them
+        run_scan(space, eps_values, args.tol, SimpleNamespace(write=_write))
     return 0
 
 

@@ -165,8 +165,9 @@ def extremal_ratio(
         den = NormResult(exact, "exact-even-p", 0.0)
     ratio = num.value / den.value
     rel = math.hypot(num.est_error / num.value, den.est_error / den.value)
-    target = (alpha / beta) ** (0.5 * spec.m) * gaussian_moment(spec.m, q)
-    target /= gaussian_moment(spec.m, p)
+    target = (alpha / beta) ** (0.5 * spec.m) * gaussian_moment(
+        spec.m, q
+    ) / gaussian_moment(spec.m, p)
     return ExtremalRatioReport(ratio=ratio, ci=ratio * rel, target=target)
 
 
@@ -193,7 +194,10 @@ def stirling_bounds_check(x_grid) -> StirlingReport:
         lg = math.lgamma(x + 1.0)
         lowers.append(lg - base)
         uppers.append(base + 1.0 / (12.0 * x) - lg)
-    return StirlingReport(lower_margins=tuple(lowers), upper_margins=tuple(uppers))
+    return StirlingReport(
+        lower_margins=tuple(lowers),
+        upper_margins=tuple(uppers),
+    )
 
 
 @dataclass(frozen=True)
@@ -214,11 +218,16 @@ def gamma_ratio_limit_check(p: float, q: float, m_grid) -> GammaRatioReport:
     limit = math.sqrt(q / p)
     values = []
     for m in ms:
-        log_ratio = math.lgamma(0.5 * q * m + 1.0) / (q * m)
-        log_ratio -= math.lgamma(0.5 * p * m + 1.0) / (p * m)
+        log_ratio = math.lgamma(0.5 * q * m + 1.0) / (q * m) - math.lgamma(
+            0.5 * p * m + 1.0
+        ) / (p * m)
         values.append(math.exp(log_ratio))
     rel = [abs(v - limit) / limit for v in values]
-    return GammaRatioReport(limit=limit, values=tuple(values), rel_errors=tuple(rel))
+    return GammaRatioReport(
+        limit=limit,
+        values=tuple(values),
+        rel_errors=tuple(rel),
+    )
 
 
 @dataclass(frozen=True)

@@ -275,7 +275,12 @@ def phi_profile(f: ComplexPolynomial, q: float, y_grid) -> PhiProfile:
         raise ValueError("the profile grid needs points, all inside (0, 1)")
     phi = circle_means(f, q, ys)
     phi2 = circle_curvature(f, q, ys) / ys ** 2
-    return PhiProfile(float(q), *(tuple(a.tolist()) for a in (ys, phi, phi2)))
+    return PhiProfile(
+        q=float(q),
+        y_grid=tuple(float(y) for y in ys),
+        phi=tuple(float(v) for v in phi),
+        phi2=tuple(float(v) for v in phi2),
+    )
 
 
 def phi_convexity_check(f: ComplexPolynomial, q: float, y_grid) -> tuple[float, float]:

@@ -62,6 +62,9 @@ error that can fall short of the finer one's (at p = 0.5 with cusps, by up
 to 44 times on c6's univariate corpus); a verdict is judged on it only
 with the factor ``checks.SETTLE_MULTIPLE`` to spare.
 
+One ``sweep.map_on_pool`` call computes each distinct ``bergman_norm`` once
+(see ``memo_scope``); a call outside any pool always computes.
+
 The kernel's tables (Fourier matrices, radial powers, angle weights)
 depend only on sizes and rules, so each is built once and kept, read-only
 and shared by threads, in one bounded cache, ``_TABLES`` (see
@@ -270,7 +273,8 @@ def exact_norm_p2(P: ComplexPolynomial, alpha: float) -> NormResult:
 def exact_norm_even_p(P: ComplexPolynomial, alpha: float, p: float) -> NormResult:
     """A^p_alpha norm for even integer p via |P|^p = |P^(p/2)|^2."""
     check_alpha(alpha)
-    s = _even_half(_check_p(p))
+    _check_p(p)
+    s = _even_half(p)
     if s is None:
         raise ValueError(f"p must be an even integer, got {p}")
     if s == 1:
@@ -486,7 +490,7 @@ def _axis_order(grid) -> list[int]:
 
 
 @functools.lru_cache(maxsize=_GRID_COUNTS)
-def _grid_bytes(shape: tuple, grid: tuple, p: float) -> int:
+def _grid_bytes(shape: tuple, grid: tuple, p: float, streams: int = 1) -> int:
     """Bytes that ``_power_mean`` holds at once at its peak, from cold
     caches, worked out from the coefficient shape, the grid's (nodes,
     angles) per axis and p alone, at 16 bytes a complex value.
@@ -499,8 +503,14 @@ def _grid_bytes(shape: tuple, grid: tuple, p: float) -> int:
     (the matmul's buffer or the FFT's output) and shells and, while the
     shells are multiplied by the float radial powers, the buffer numpy 2.4
     casts those into, of the shells' size up to ``np.getbufsize()`` values.
-    Smaller temporaries are left out, so the count is a lower bound.  It is
-    memoized on its arguments.
+    ``streams`` polynomials of the shape are evaluated in lockstep, as
+    ``circle_curvature`` evaluates P and z P' on one circle axis: each holds
+    its input, its output or a float buffer of a tile's points (the s buffer,
+    which one stream at p = 2 does without), its tables (shared only where
+    ``_TABLES`` keeps them, which it does for small ones) and its tile's
+    values and shells, beside the one cast buffer.  Smaller temporaries are
+    left out, so the count is a lower bound but for a table two streams
+    share, which it counts twice.  It is memoized on its arguments.
     """
     order = _axis_order(grid)
     held = math.prod(shape)  # values of the axis's input
@@ -513,20 +523,21 @@ def _grid_bytes(shape: tuple, grid: tuple, p: float) -> int:
         if i != order[-1]:
             out = 16 * rows * nodes * m
         else:
-            out = 0 if p == 2.0 else 8 * points * m
-        tile = 16 * points * (g + m) + 16 * min(points * g, np.getbufsize())
-        if not _uses_fft(g, m):  # the matrix, while built, then beside a tile
-            tile = max(24 * g * m + 16 * m, 16 * g * m + tile)
-        largest = max(largest, 16 * held + 8 * nodes * g + out + tile)
+            out = 0 if p == 2.0 and streams == 1 else 8 * points * m
+        tables = 8 * nodes * g + (0 if _uses_fft(g, m) else 16 * g * m)
+        tile = streams * 16 * points * (g + m) + 16 * min(points * g, np.getbufsize())
+        if not _uses_fft(g, m):  # the matrix while built, then its tiles
+            tile = max(8 * g * m + 16 * m, tile)
+        largest = max(largest, streams * (16 * held + out + tables) + tile)
         held = rows * nodes * m
     return largest
 
 
-def _refuse_oversized(P: ComplexPolynomial, grid, p: float) -> None:
+def _refuse_oversized(P: ComplexPolynomial, grid, p: float, streams: int = 1) -> None:
     """Raise ValueError where the kernel arrays of P on the grid would take
     more than _GRID_BYTES_BUDGET, as ``_grid_bytes`` counts them from P's
-    coefficient shape and the grid; nothing is built to find out."""
-    need = _grid_bytes(tuple(d + 1 for d in P.variable_degrees()), grid, p)
+    coefficient shape, the grid and the streams; nothing is built to find out."""
+    need = _grid_bytes(tuple(d + 1 for d in P.variable_degrees()), grid, p, streams)
     if need > _GRID_BYTES_BUDGET:
         raise ValueError(
             f"quadrature grid too large: (nodes, angles) "
@@ -640,18 +651,31 @@ def circle_curvature(P: ComplexPolynomial, p: float, radii_sq: np.ndarray) -> np
     With g = z P', Delta |P|^p = p^2 |P|^(p-2) |P'|^2 makes y^2 Phi'' the
     mean of |P|^(p-2) ((p^2/4) |g|^2 - (p/2) Re(conj(P) g)) over the angles
     of ``circle_means``, on its grid, which integrate it exactly at even p.
-    P and g are evaluated in lockstep on the same tiles.
+    P and g are evaluated in lockstep on the same tiles, two streams to
+    ``_grid_bytes``, and each tile's parts are squared in place, so beside
+    the tiles only two float buffers of a tile's points are held.
     """
     [(_, _, m)] = grid = _grid_rule((P.degree,), None, p, nodes=len(radii_sq))
-    _refuse_oversized(P, grid, p)
+    _refuse_oversized(P, grid, p, streams=2)
     coeffs = P.dense_coeffs().reshape(1, -1)  # univariate P only
     slopes = coeffs * np.arange(coeffs.shape[1])
+    buffers = np.empty((2, _tile_shape(1, len(radii_sq), m)[1], m))
     out = []
     tiles = zip(_tiles(coeffs, radii_sq, m), _tiles(slopes, radii_sq, m))
     for (*_, f), (*_, g) in tiles:
-        cross = f.real * g.real + f.imag * g.imag
-        both = (0.25 * p * p) * _abs_pow(g, 2.0) - (0.5 * p) * cross
-        out.append(np.mean(_abs_pow(f, p - 2.0) * both, axis=1))
+        cross, both = buffers[:, : len(f)]
+        np.multiply(f.real, g.real, out=cross)
+        cross += np.multiply(f.imag, g.imag, out=both)
+        sq_g, sq_f = g.view(np.float64), f.view(np.float64)
+        np.square(sq_g, out=sq_g)
+        np.add(sq_g[:, 0::2], sq_g[:, 1::2], out=both)  # |g|^2
+        np.multiply(both, 0.25 * p * p, out=both)
+        both -= np.multiply(cross, 0.5 * p, out=cross)
+        np.square(sq_f, out=sq_f)
+        abs_f = np.add(sq_f[:, 0::2], sq_f[:, 1::2], out=cross)  # |P|^2
+        spent = sq_g.reshape(-1)[: abs_f.size].reshape(abs_f.shape)
+        both *= _sq_pow(abs_f, p - 2.0, spent)
+        out.append(np.mean(both, axis=1))
     return _finite(np.concatenate(out), "y^2 Phi''")
 
 

@@ -55,7 +55,9 @@ def at_most(computed: float, bound: float, slack: float) -> bool:
 
 def check_writable(path: str) -> None:
     """Raise the OSError that writing a report to path would, and leave the
-    path as it was: an existing file is opened to append, a new one removed."""
+    path as it was: an existing file is opened to append, a new one removed,
+    and a symlink kept while its target is checked so."""
+    path = os.path.realpath(path)
     new = not os.path.exists(path)
     open(path, "a", encoding="utf-8").close()
     if new:

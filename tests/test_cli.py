@@ -575,18 +575,21 @@ def test_file_errors_are_configuration_errors(capsys, tmp_path, monkeypatch):
 
 def test_the_report_path_check_leaves_the_path_as_it_was(tmp_path, monkeypatch):
     # a run that fails after the check neither empties an existing report
-    # nor leaves a new, empty one behind
+    # nor leaves a new, empty one behind, nor replaces a dangling symlink
     def broken(*args):
         raise RuntimeError("row failed")
 
     monkeypatch.setattr(acceptance, "_timed_row", broken)
     kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
     kept.write_text("an earlier report\n")
-    for path in (kept, fresh):
+    link, target = tmp_path / "link.csv", tmp_path / "target.csv"
+    link.symlink_to(target)
+    for path in (kept, fresh, link):
         with pytest.raises(RuntimeError, match="row failed"):
             acceptance.verify_suite(filter_text="stirling", csv_path=str(path))
     assert kept.read_text() == "an earlier report\n"
     assert not fresh.exists()
+    assert link.is_symlink() and not target.exists()
 
 
 def test_verify_suite_filter_no_match_is_usage_error(capsys, tmp_path):

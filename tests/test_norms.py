@@ -368,6 +368,22 @@ def test_grid_bytes_track_the_traced_peak(P, nodes, angles):
     assert counted <= peak <= 1.25 * counted
 
 
+@pytest.mark.parametrize(
+    "profile, streams", [(norms.circle_means, 1), (norms.circle_curvature, 2)]
+)
+@pytest.mark.parametrize("degree, q, circles", [(50, 3.0, 2000), (6, 4.0, 3000)])
+def test_the_profile_bytes_track_the_traced_peak(profile, streams, degree, q, circles):
+    # the curvature evaluates P and z P' as two streams, each building its
+    # own tables where they are too large for the table cache (2,000 radii
+    # of degree 50) and sharing them where it keeps them (degree 6), where
+    # the count, taking them per stream, is a little above the peak
+    P = random_polynomials(1, 1, degree, 1729)[0]
+    grid = _grid_rule((degree,), None, q, nodes=circles)
+    counted = _grid_bytes((degree + 1,), grid, q, streams)
+    peak = traced_peak(profile, P, q, np.linspace(0.01, 0.95, circles))
+    assert 0.9 * counted <= peak <= 1.25 * counted
+
+
 @pytest.mark.parametrize("p", [2.0, 4.0])
 def test_an_fft_axis_holds_no_values_buffer(p):
     # perfbench highdeg's degree-1,500 norm: its streamed axis, 64 nodes x
