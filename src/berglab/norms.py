@@ -140,9 +140,9 @@ _FFT_COEFFS_PER_LOG2_ANGLE = 16
 # A quadrature norm whose kernel arrays (see ``_grid_bytes``) would take more
 # than this many bytes at once is refused with a ValueError before any of
 # them, or the coefficient array, is allocated.  No acceptance criterion or
-# benchmark workload counts more than 5.3 MiB, and no test that expects a
+# benchmark workload counts more than 5.4 MiB, and no test that expects a
 # value more than 68 MiB (trivariate degree 6 at p = 3); bivariate degree
-# (1000, 1000) at p = 4 counts 1.9 GiB, and one variable at 10^9 angles
+# (1000, 1000) at p = 4 counts 995 MiB, and one variable at 10^9 angles
 # 60 GiB at p = 2: its (2 x 10^9) Fourier matrix with the roots and phase
 # table it is indexed from, while it is built (67 GiB at p = 3, beside the
 # s buffer of one tile).
@@ -150,12 +150,12 @@ _GRID_BYTES_BUDGET = 1 << 29
 
 # Bytes of tables and keys that ``_TABLES`` keeps, as sys.getsizeof counts
 # them; a table above a sixteenth of this (256 KiB) is not kept.  A serial
-# verify-suite pass at seed 1729 keeps all it builds, 460 KiB: 26 Fourier
-# matrices (342 KiB, the largest 144 KiB), 62 radial power tables and 19
+# verify-suite pass at seed 1729 keeps all it builds, 442 KiB: 28 Fourier
+# matrices (325 KiB, the largest 144 KiB), 62 radial power tables and 21
 # angle weight vectors.  The perfbench highdeg workload's
-# Fourier matrix of 949 KiB (degree 100 at p = 6) and its radial tables of
-# up to 750 KiB are rebuilt per call, as keeping them would raise its peak
-# memory.
+# Fourier matrix of 475 KiB (degree 100 at p = 6, 101 x 301) and its radial
+# tables of up to 750 KiB are rebuilt per call, as keeping them would raise
+# its peak memory.
 _TABLE_CACHE_BYTES = 1 << 22
 
 # Grid byte counts that ``_grid_bytes`` keeps, least recently used dropped
@@ -428,18 +428,17 @@ def _tiles(lead: np.ndarray, t: np.ndarray, m: int):
     copy: the rows are copied in, then multiplied in place, for which numpy
     takes one buffer to cast the float powers (two, and more time, to form
     the product from the rows straight into the buffer).  The angular sum
-    is sum_a shells[a] exp(2 pi i a j / m) for j < m: a matmul by the
-    Fourier matrix into the values buffer, or where ``_fourier_matrix`` is
-    None the unnormalized inverse FFT (the same DFT on equispaced angles),
-    which returns a fresh array per tile and needs no values buffer.
+    is sum_a shells[a] exp(2 pi i a j / m) for j < m, written into one
+    reused values buffer: a matmul by the Fourier matrix, or where
+    ``_fourier_matrix`` is None the unnormalized inverse FFT (the same DFT
+    on equispaced angles), so no tile's values outlive the next tile.
     """
     g = lead.shape[1]
     radial = _radial_powers(t, g)
     fourier = _fourier_matrix(g, m)
     rows_step, nodes_step = _tile_shape(lead.shape[0], len(t), m)
     shells = np.empty(rows_step * nodes_step * g, dtype=complex)
-    if fourier is not None:
-        values = np.empty((rows_step * nodes_step, m), dtype=complex)
+    values = np.empty((rows_step * nodes_step, m), dtype=complex)
     for r0 in range(0, lead.shape[0], rows_step):
         rows = lead[r0 : r0 + rows_step, None, :]
         for k0 in range(0, len(t), nodes_step):
@@ -451,7 +450,9 @@ def _tiles(lead: np.ndarray, t: np.ndarray, m: int):
             np.multiply(block, powers, out=block)
             block = block.reshape(size, g)
             if fourier is None:
-                grid = np.fft.ifft(block, n=m, axis=-1, norm="forward")
+                grid = np.fft.ifft(
+                    block, n=m, axis=-1, norm="forward", out=values[:size]
+                )
             else:
                 grid = np.matmul(block, fourier, out=values[:size])
             yield r0, k0, tile, grid
@@ -500,7 +501,7 @@ def _grid_bytes(shape: tuple, grid: tuple, p: float, streams: int = 1) -> int:
     allocates for the streamed axis; and the axis's Fourier matrix (none
     where ``_uses_fft``), first while it is built (with the m roots and the
     8-byte phase table it is indexed from), then beside one tile's values
-    (the matmul's buffer or the FFT's output) and shells and, while the
+    (the buffer the matmul or the FFT writes) and shells and, while the
     shells are multiplied by the float radial powers, the buffer numpy 2.4
     casts those into, of the shells' size up to ``np.getbufsize()`` values.
     ``streams`` polynomials of the shape are evaluated in lockstep, as
@@ -550,7 +551,8 @@ def _quadrature_norm(P: ComplexPolynomial, grid, p: float) -> NormResult:
     """The norm of P on the grid, refused above _GRID_BYTES_BUDGET before
     the coefficient array, any radial rule or any grid array is built."""
     _refuse_oversized(P, grid, p)
-    mean = _power_mean(P.coeff_array(), grid, p)
+    with np.errstate(over="ignore", invalid="ignore"):  # NormResult refuses inf, nan
+        mean = _power_mean(P.coeff_array(), grid, p)
     return NormResult(mean ** (1.0 / p), "quadrature", 0.0)
 
 
@@ -594,8 +596,12 @@ def _grid_rule(
     Counts left at None are sized per axis.  At even p = 2s an axis of
     degree d carries |P^s|^2, of degree d*s in t = |z|^2 and trigonometric
     degree d*s in the angle, so ceil((d*s + 1)/2) Gauss nodes (capped at
-    the table's node count) and M = 2*d*s + 1 > d*s angles integrate it
-    exactly.  At other p no finite rule is exact: the nodes come from
+    the table's node count) and M = d*s + 1 angles integrate it exactly.
+    Both counts are the least that do: the trapezoid rule on M equispaced
+    angles sums exp(i n theta) exactly unless M divides n != 0 (Trefethen &
+    Weideman, SIAM Rev. 56, 2014, section 2), so it is exact below degree M,
+    and on d*s angles the top frequency aliases onto the mean (1 + z^d at p
+    = 4 misses).  At other p no finite rule is exact: the nodes come from
     ``defaults`` for this many variables and the angles are 4*d*ceil(p/2) +
     1 (p taken as at least 2), at least the table's floor, or _CUSP_FLOOR
     for a single variable at p < 1.
@@ -621,7 +627,7 @@ def _grid_rule(
     grid = []
     for d in degrees:
         if s is not None:
-            k, m = min(d * s // 2 + 1, k_table), 2 * d * s + 1
+            k, m = min(d * s // 2 + 1, k_table), d * s + 1
         else:
             k, m = k_table, max(floor, 4 * d * math.ceil(max(p, 2.0) / 2.0) + 1)
         grid.append((alpha, int(nodes or (1 if alpha is None else k)), int(angles or m)))
@@ -642,7 +648,9 @@ def circle_means(P: ComplexPolynomial, p: float, radii_sq: np.ndarray) -> np.nda
     [(_, _, m)] = grid = _grid_rule((P.degree,), None, p, nodes=len(radii_sq))
     _refuse_oversized(P, grid, p)
     tiles = _shell_means(P.dense_coeffs().reshape(1, -1), radii_sq, m, p)
-    return _finite(np.concatenate([means[0] for _, _, means in tiles]), "circle mean")
+    with np.errstate(over="ignore", invalid="ignore"):  # ``_finite`` refuses inf, nan
+        means = np.concatenate([means[0] for _, _, means in tiles])
+    return _finite(means, "circle mean")
 
 
 def circle_curvature(P: ComplexPolynomial, p: float, radii_sq: np.ndarray) -> np.ndarray:
@@ -650,7 +658,10 @@ def circle_curvature(P: ComplexPolynomial, p: float, radii_sq: np.ndarray) -> np
 
     With g = z P', Delta |P|^p = p^2 |P|^(p-2) |P'|^2 makes y^2 Phi'' the
     mean of |P|^(p-2) ((p^2/4) |g|^2 - (p/2) Re(conj(P) g)) over the angles
-    of ``circle_means``, on its grid, which integrate it exactly at even p.
+    of ``circle_means``, on its grid.  At even p = 2s both terms,
+    |P^(s-1) g|^2 and Re(conj(P^s) P^(s-1) g), have trigonometric degree d*s
+    for P of degree d, as |P|^p has, so the d*s + 1 angles integrate them
+    exactly too.
     P and g are evaluated in lockstep on the same tiles, two streams to
     ``_grid_bytes``, and each tile's parts are squared in place, so beside
     the tiles only two float buffers of a tile's points are held.
@@ -662,20 +673,21 @@ def circle_curvature(P: ComplexPolynomial, p: float, radii_sq: np.ndarray) -> np
     buffers = np.empty((2, _tile_shape(1, len(radii_sq), m)[1], m))
     out = []
     tiles = zip(_tiles(coeffs, radii_sq, m), _tiles(slopes, radii_sq, m))
-    for (*_, f), (*_, g) in tiles:
-        cross, both = buffers[:, : len(f)]
-        np.multiply(f.real, g.real, out=cross)
-        cross += np.multiply(f.imag, g.imag, out=both)
-        sq_g, sq_f = g.view(np.float64), f.view(np.float64)
-        np.square(sq_g, out=sq_g)
-        np.add(sq_g[:, 0::2], sq_g[:, 1::2], out=both)  # |g|^2
-        np.multiply(both, 0.25 * p * p, out=both)
-        both -= np.multiply(cross, 0.5 * p, out=cross)
-        np.square(sq_f, out=sq_f)
-        abs_f = np.add(sq_f[:, 0::2], sq_f[:, 1::2], out=cross)  # |P|^2
-        spent = sq_g.reshape(-1)[: abs_f.size].reshape(abs_f.shape)
-        both *= _sq_pow(abs_f, p - 2.0, spent)
-        out.append(np.mean(both, axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # ``_finite`` refuses inf, nan
+        for (*_, f), (*_, g) in tiles:
+            cross, both = buffers[:, : len(f)]
+            np.multiply(f.real, g.real, out=cross)
+            cross += np.multiply(f.imag, g.imag, out=both)
+            sq_g, sq_f = g.view(np.float64), f.view(np.float64)
+            np.square(sq_g, out=sq_g)
+            np.add(sq_g[:, 0::2], sq_g[:, 1::2], out=both)  # |g|^2
+            np.multiply(both, 0.25 * p * p, out=both)
+            both -= np.multiply(cross, 0.5 * p, out=cross)
+            np.square(sq_f, out=sq_f)
+            abs_f = np.add(sq_f[:, 0::2], sq_f[:, 1::2], out=cross)  # |P|^2
+            spent = sq_g.reshape(-1)[: abs_f.size].reshape(abs_f.shape)
+            both *= _sq_pow(abs_f, p - 2.0, spent)
+            out.append(np.mean(both, axis=1))
     return _finite(np.concatenate(out), "y^2 Phi''")
 
 
@@ -688,10 +700,12 @@ def bergman_norm(
 ) -> NormResult:
     """Quadrature A^p_alpha(D^n) norm over the tensor rule.
 
-    At even p on the default grid, below the node cap of ``_grid_rule``, the
-    rule is exact for |P|^p and the result is exact up to rounding, so
-    est_error = 0 is honest.  Elsewhere (other p, capped high degree, pinned
-    nodes or angles) est_error is also reported as 0 but bounds nothing.
+    At even p = 2s on the default grid, below the node cap of ``_grid_rule``,
+    the rule is exact for |P|^p, with the least counts that are (d*s + 1
+    angles and ceil((d*s + 1)/2) nodes on an axis of degree d), and the
+    result is exact up to rounding, so est_error = 0 is honest.  Elsewhere
+    (other p, capped high degree, pinned nodes or angles) est_error is also
+    reported as 0 but bounds nothing.
     One ``sweep.map_on_pool`` call computes each distinct call once (see
     ``memo_scope``; a raise stores nothing); outside a pool every call computes.
     """

@@ -3,8 +3,12 @@ import argparse
 import inspect
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -453,7 +457,7 @@ def test_phi_below_q_two_is_a_usage_error(capsys):
 
 
 def test_an_oversized_profile_is_refused_before_any_tile(capsys, monkeypatch):
-    # degree 10^6 at q = 64 sums 64,000,001 angles per circle by FFT
+    # degree 10^6 at q = 64 sums 32,000,001 angles per circle by FFT
     def no_tiles(*args):
         raise AssertionError("a tile was evaluated before the refusal")
 
@@ -464,7 +468,7 @@ def test_an_oversized_profile_is_refused_before_any_tile(capsys, monkeypatch):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err.startswith(
-        "error: quadrature grid too large: (nodes, angles) (1, 64000001) need about"
+        "error: quadrature grid too large: (nodes, angles) (1, 32000001) need about"
     )
 
 
@@ -845,6 +849,26 @@ def test_grid_counts_below_one_are_usage_errors_naming_the_input(
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["norm", "--space", "alpha=2,p=64", "--poly", "100000,1"],
+     ["phi", "--poly", "100000,1", "--q", "64"]],
+    ids=["norm", "phi"],
+)
+def test_an_overflowing_power_prints_only_its_error_line(argv):
+    # |f|^64 = 10^320 overflows in the kernel's power step, and the value is
+    # refused: a fresh process, on Python's and numpy's default warning
+    # settings, writes that one error line and no RuntimeWarning before it
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(berglab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "berglab.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 # The exact stdout of each table command in both formats.
 TABLE_OUTPUTS = {
     ("norm", "json"): (
@@ -859,16 +883,16 @@ TABLE_OUTPUTS = {
         ["phi", "--poly", "1,1", "--q", "4", "--ymin", "0.1", "--ymax", "0.5",
          "--count", "3"],
         "y,phi,phi2\n"
-        "0.1,1.4100000000000001,1.9999999999999973\n"
-        "0.30000000000000004,2.2900000000000005,2.0000000000000004\n"
-        "0.5,3.25,2.000000000000002\n",
+        "0.1,1.4100000000000001,1.9999999999999958\n"
+        "0.30000000000000004,2.290000000000001,1.9999999999999976\n"
+        "0.5,3.249999999999999,2.0000000000000018\n",
     ),
     ("phi", "json"): (
         ["phi", "--poly", "1,1", "--q", "4", "--ymin", "0.1", "--ymax", "0.5",
          "--count", "3", "--out", "json"],
-        '[{"phi": 1.4100000000000001, "phi2": 1.9999999999999973, "y": 0.1}, '
-        '{"phi": 2.2900000000000005, "phi2": 2.0000000000000004, "y": 0.30000000000000004}, '
-        '{"phi": 3.25, "phi2": 2.000000000000002, "y": 0.5}]\n',
+        '[{"phi": 1.4100000000000001, "phi2": 1.9999999999999958, "y": 0.1}, '
+        '{"phi": 2.290000000000001, "phi2": 1.9999999999999976, "y": 0.30000000000000004}, '
+        '{"phi": 3.249999999999999, "phi2": 2.0000000000000018, "y": 0.5}]\n',
     ),
     ("dump-rule", "csv"): (
         ["dump-rule", "--alpha", "2", "--nodes", "2", "--angles", "2"],

@@ -264,7 +264,7 @@ def test_the_circle_profile_is_checked_and_sized_like_a_norm(monkeypatch, profil
 
     monkeypatch.setattr(norms, "_tiles", no_tiles)
     ys = np.linspace(0.05, 0.9, 35)
-    with pytest.raises(ValueError, match=r"\(nodes, angles\) \(35, 64000001\)"):
+    with pytest.raises(ValueError, match=r"\(nodes, angles\) \(35, 32000001\)"):
         profile(parse_polynomial("(1000000):1"), 64.0, ys)
     with pytest.raises(ValueError, match="exponent p must lie in"):
         profile(ComplexPolynomial.from_coeffs((1, 1)), 100.0, ys)

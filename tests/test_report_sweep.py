@@ -227,7 +227,7 @@ def test_sweep_deterministic_and_parallel_identical():
     assert a == b == c
     assert a.count("\n") == 1 + 2 * 2 * 3  # header + checks x tuples x polys
     assert hashlib.sha256(a.encode("utf-8")).hexdigest() == (
-        "feeaae07d576a96a521382d90476153578dd0ba2890a585480340600dc9d00fb"
+        "c31eff60904371cfc4fb3ed169226cd46144f4120f22c82f24257bfa6db1bba3"
     )
 
 
@@ -454,7 +454,7 @@ def test_a_sweep_computes_each_distinct_norm_once_per_run(monkeypatch):
     # the bivariate ladder's bits, as the perfbench sweep-bivar workload's
     # report pins them
     digest = hashlib.sha256(serial.encode()).hexdigest()
-    assert digest == "3d398fb1361e5b3a78ae955499c3e44aab75a1ee757b162a6d5fcc49a89f042c"
+    assert digest == "20fe60aa6a01560470523926f0b0c9c787b0fa74bc5dab7205225892cb05f4b1"
     # more workers than cores share the memo, switching threads often; two
     # rows run at once may both compute a norm, never change one
     grids.clear()
