@@ -325,7 +325,12 @@ def ibp_identity_check(
     check_alpha(beta)
     if beta_prime < beta:
         raise ValueError("requires beta_prime >= beta")
-    head = abs(f.coeff((0,))) ** q + _phi_slope_at_zero(f, q) / beta_prime
+    try:
+        head = abs(f.coeff((0,))) ** q + _phi_slope_at_zero(f, q) / beta_prime
+    except OverflowError:
+        head = math.inf
+    if not math.isfinite(head):
+        raise ValueError(f"Phi(0) + Phi'(0)/beta' not finite at q = {q}")
     sides = []  # (lhs, rhs) of the dilated display, then of the plain one
     for weight, scale in ((beta, beta / beta_prime), (beta_prime, 1.0)):
         t, w = radial_rule(weight, nodes)

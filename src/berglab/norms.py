@@ -3,13 +3,17 @@
 Four evaluation routes are provided and never silently substituted for one
 another:
 
-* ``exact_norm_p2``: Parseval route at p = 2 from monomial moments;
+* ``exact_norm_p2``: Parseval route at p = 2 from monomial moments, read
+  from a table kept per (alpha, top exponent) and summed in numpy in the
+  order of a term loop;
 * ``exact_norm_even_p``: the exact route for every even p, the one callers
   use; p = 2 is ``exact_norm_p2`` and larger p reduce to it via
   |P|^p = |P^(p/2)|^2.  Its cost is expanding P^(p/2) by repeated squaring,
   and each product (see ``poly``) is one vectorised multiply-add over the
   second factor's coefficients per term of the first, so squaring a
-  degree-d univariate P takes about d^2 flops in numpy and d Python steps;
+  degree-d univariate P takes about d^2 flops in numpy and d Python steps
+  (11 ms at d = 1500 on a 2-core Xeon VM, against 0.4 ms for the
+  ``exact_norm_p2`` of the square);
 * ``bergman_norm``: tensor Gauss x equispaced quadrature;
 * ``bergman_norm_mc``: Monte Carlo with a counter-based sampler, whose
   alpha and variable count it takes, and |P|^2 as control variate (see
@@ -65,15 +69,17 @@ with the factor ``checks.SETTLE_MULTIPLE`` to spare.
 One ``sweep.map_on_pool`` call computes each distinct ``bergman_norm`` once
 (see ``memo_scope``); a call outside any pool always computes.
 
-The kernel's tables (Fourier matrices, radial powers, angle weights)
-depend only on sizes and rules, so each is built once and kept, read-only
-and shared by threads, in one bounded cache, ``_TABLES`` (see
+The kernel's tables (Fourier matrices, radial powers, angle weights) and
+the exact route's moment tables depend only on sizes, rules and alpha, so
+each is built once and kept, read-only and shared by threads, in one
+bounded cache, ``_TABLES`` (see
 ``_TableCache`` and ``_TABLE_CACHE_BYTES``); grid byte counts are memoized
 apart (``_GRID_COUNTS``).
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 import threading
@@ -150,9 +156,10 @@ _GRID_BYTES_BUDGET = 1 << 29
 
 # Bytes of tables and keys that ``_TABLES`` keeps, as sys.getsizeof counts
 # them; a table above a sixteenth of this (256 KiB) is not kept.  A serial
-# verify-suite pass at seed 1729 keeps all it builds, 442 KiB: 28 Fourier
-# matrices (325 KiB, the largest 144 KiB), 62 radial power tables and 21
-# angle weight vectors.  The perfbench highdeg workload's
+# verify-suite pass at seed 1729 keeps all it builds, 448 KiB: 28 Fourier
+# matrices (325 KiB, the largest 144 KiB), 62 radial power tables, 21
+# angle weight vectors and 17 moment tables (6 KiB).  The perfbench highdeg
+# workload keeps 6 moment tables of up to 3,001 entries (61 KiB); its
 # Fourier matrix of 475 KiB (degree 100 at p = 6, 101 x 301) and its radial
 # tables of up to 750 KiB are rebuilt per call, as keeping them would raise
 # its peak memory.
@@ -261,13 +268,42 @@ def monomial_norm_sq(k: int, alpha: float) -> float:
 def exact_norm_p2(P: ComplexPolynomial, alpha: float) -> NormResult:
     """A^2_alpha norm from coefficient orthogonality of the monomials."""
     check_alpha(alpha)
-    total = 0.0
-    for gamma, c in P.terms:
-        mom = 1.0
-        for e in gamma:
-            mom *= monomial_norm_sq(e, alpha)
-        total += (c.real * c.real + c.imag * c.imag) * mom
+    if P.is_zero:
+        return NormResult(0.0, "exact-p2", 0.0)
+    gammas, coeffs = zip(*P.terms)
+    moments = _moments(gammas, alpha)
+    coeffs = np.array(coeffs, dtype=complex)
+    # the sum over terms of |c|^2 times the product of the variables' moments,
+    # multiplied variable by variable and added left to right, term by term
+    mom = np.ones(len(gammas))
+    for column in moments.T:
+        mom *= column
+    re, im = coeffs.real, coeffs.imag
+    total = np.cumsum((re * re + im * im) * mom)[-1]
     return NormResult(math.sqrt(total), "exact-p2", 0.0)
+
+
+def _moments(gammas, alpha: float) -> np.ndarray:
+    """monomial_norm_sq(e, alpha) for each exponent e of gammas, a row each.
+
+    They come from one table per (alpha, top exponent), kept in ``_TABLES``,
+    unless the table would be longer than the exponents are many, as for a
+    sparse polynomial of high degree; then from the distinct exponents alone.
+    """
+    flat = list(itertools.chain.from_iterable(gammas))
+    top = max(flat)
+    if top < len(flat):
+        key = ("moments", float(alpha), top)
+        table = _TABLES.get(key, _build_moments, alpha, top)
+        moments = table[np.array(flat, dtype=np.intp)]
+    else:
+        known = {k: monomial_norm_sq(k, alpha) for k in set(flat)}
+        moments = np.array([known[k] for k in flat])
+    return moments.reshape(len(gammas), -1)
+
+
+def _build_moments(alpha: float, top: int) -> np.ndarray:
+    return np.array([monomial_norm_sq(k, alpha) for k in range(top + 1)])
 
 
 def exact_norm_even_p(P: ComplexPolynomial, alpha: float, p: float) -> NormResult:
@@ -920,7 +956,10 @@ def _mc_norm(
     same samples, which biases the estimate by O(1/N), well below its
     1-sigma (tests/test_norms.py measures it).  At p = 2, where the control
     would be x itself, and below three samples the mean is plain.  est_error
-    carries the 1-sigma of the mean to the norm by the delta method.
+    carries the 1-sigma of the mean to the norm by the delta method.  Sums
+    that overflow are refused with a ValueError, as a non-finite
+    ``NormResult`` is; a finite estimate that is not positive raises a
+    RuntimeError.
     """
     p, n_samples = _mc_counts(p, n_samples)
     fit = control_mean is not None and p != 2.0 and n_samples > 2
@@ -930,17 +969,20 @@ def _mc_norm(
     for lo in range(0, n_samples, chunk):
         count = min(chunk, n_samples - lo)
         values = np.asarray(evaluate(sampler.sample_block(lo, count)))
-        if fit:
-            y = _abs_pow(values, 2.0)
-            x = _sq_pow(y.copy(), p)
-            d = y - control_mean
-            acc_d += float(d.sum())
-            acc_dd += float((d * d).sum())
-            acc_xd += float((x * d).sum())
-        else:
-            x = _abs_pow(values, p)
-        acc += float(x.sum())
-        acc_sq += float((x * x).sum())
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            if fit:
+                y = _abs_pow(values, 2.0)
+                x = _sq_pow(y.copy(), p)
+                d = y - control_mean
+                acc_d += float(d.sum())
+                acc_dd += float((d * d).sum())
+                acc_xd += float((x * d).sum())
+            else:
+                x = _abs_pow(values, p)
+            acc += float(x.sum())
+            acc_sq += float((x * x).sum())
+    if not all(map(math.isfinite, (acc, acc_sq, acc_d, acc_dd, acc_xd))):
+        raise ValueError(f"Monte Carlo sums of |f|^{p:g} not finite: {acc!r}")
     mean = acc / n_samples
     sxx = acc_sq - n_samples * mean * mean
     if mean == 0.0:

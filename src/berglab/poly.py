@@ -16,8 +16,13 @@ with the real and imaginary parts formed as Python's complex product forms
 them (re = a.re*b.re - a.im*b.im, im = a.re*b.im + a.im*b.re, no fused
 multiply-add).  Each coefficient thus receives the same roundings in the
 same order as in a term-pair loop over a dict, so the two routes give the
-same bits.  The term-pair loop is kept where the box would hold more entries
-than there are term pairs, as for sparse products in many variables.
+same bits.  Both parts of each term's product are written through two
+scratch arrays allocated once per product, and the result is read off the
+box's nonzero entries in C order, which are already sorted and unique, so
+it is not sorted again.  The term-pair loop is kept where the box would
+hold more entries than there are term pairs, as for sparse products in
+many variables.  P ** k squares and multiplies from P itself, so it takes
+popcount(k) + bitlength(k) - 2 products and none by the constant 1.
 
 Three textual formats are accepted by :func:`parse_polynomial`:
 
@@ -96,6 +101,15 @@ class ComplexPolynomial:
         gamma = tuple(1 if i == index else 0 for i in range(nvars))
         return cls(nvars, ((gamma, 1 + 0j),))
 
+    @classmethod
+    def _canonical(cls, nvars: int, terms) -> "ComplexPolynomial":
+        """A polynomial from terms already canonical (sorted, unique and
+        nonzero, as ``_canonical_terms`` returns them), kept as given."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "terms", terms)
+        return poly
+
     # ------------------------------------------------------------- inspection
 
     @property
@@ -162,15 +176,18 @@ class ComplexPolynomial:
     def __pow__(self, k: int) -> "ComplexPolynomial":
         if k < 0 or k != int(k):
             raise ValueError("exponent must be a nonnegative integer")
-        result = ComplexPolynomial.constant(1.0, self.nvars)
-        base = self
         k = int(k)
-        while k:  # square-and-multiply
+        if k == 0:
+            return ComplexPolynomial.constant(1.0, self.nvars)
+        result = None
+        base = self
+        while True:  # square-and-multiply, from the lowest set bit's power
             if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     # ------------------------------------------------------------- operations
 
@@ -271,18 +288,26 @@ def _pair_product(a: ComplexPolynomial, b: ComplexPolynomial) -> ComplexPolynomi
 def _dense_product(a: ComplexPolynomial, b: ComplexPolynomial) -> ComplexPolynomial:
     """a*b by shift-and-add over the dense box; same bits as the pair loop."""
     coeffs = b.coeff_array()
-    br, bi = coeffs.real, coeffs.imag
-    shape = tuple(d + n for d, n in zip(a.variable_degrees(), coeffs.shape))
-    real = np.zeros(shape)
-    imag = np.zeros(shape)
+    n = coeffs.shape
+    # the parts of c*b are c.re*(b.re, b.im) + c.im*(-b.im, b.re), with the
+    # same bits as c.re*b.re - c.im*b.im and c.re*b.im + c.im*b.re
+    parts = np.stack((coeffs.real, coeffs.imag))
+    turned = np.stack((-coeffs.imag, coeffs.real))
+    box = np.zeros((2,) + tuple(d + m for d, m in zip(a.variable_degrees(), n)))
+    left = np.empty_like(parts)  # scratch for each term's products
+    right = np.empty_like(parts)
     for g, c in a.terms:
-        window = tuple(slice(e, e + n) for e, n in zip(g, coeffs.shape))
-        real[window] += c.real * br - c.imag * bi
-        imag[window] += c.real * bi + c.imag * br
+        np.multiply(parts, c.real, out=left)
+        np.multiply(turned, c.imag, out=right)
+        left += right
+        box[(slice(None),) + tuple(slice(e, e + m) for e, m in zip(g, n))] += left
+    # the box's nonzero entries in C order: sorted, unique exponents, and no
+    # entry is -0.0, as each is a sum begun at +0.0
+    real, imag = box
     nonzero = np.nonzero((real != 0) | (imag != 0))
     exponents = zip(*(axis.tolist() for axis in nonzero))
     values = map(complex, real[nonzero].tolist(), imag[nonzero].tolist())
-    return ComplexPolynomial(a.nvars, tuple(zip(exponents, values)))
+    return ComplexPolynomial._canonical(a.nvars, tuple(zip(exponents, values)))
 
 
 def _format_complex(c: complex) -> str:

@@ -852,13 +852,17 @@ def test_grid_counts_below_one_are_usage_errors_naming_the_input(
 @pytest.mark.parametrize(
     "argv",
     [["norm", "--space", "alpha=2,p=64", "--poly", "100000,1"],
-     ["phi", "--poly", "100000,1", "--q", "64"]],
-    ids=["norm", "phi"],
+     ["phi", "--poly", "100000,1", "--q", "64"],
+     ["ibp-check", "--poly", "100000,1", "--q", "64", "--beta", "2",
+      "--beta-prime", "4"],
+     ["norm", "--method", "mc", "--space", "alpha=2,p=64", "--poly", "100000,1"]],
+    ids=["norm", "phi", "ibp", "mc"],
 )
 def test_an_overflowing_power_prints_only_its_error_line(argv):
-    # |f|^64 = 10^320 overflows in the kernel's power step, and the value is
-    # refused: a fresh process, on Python's and numpy's default warning
-    # settings, writes that one error line and no RuntimeWarning before it
+    # |f|^64 = 10^320 overflows in the power step of the kernel, of the Monte
+    # Carlo sums or of |f(0)|^q, and the value is refused: a fresh process,
+    # on Python's and numpy's default warning settings, writes that one
+    # error line and no RuntimeWarning or traceback before it
     env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
     env["PYTHONPATH"] = str(Path(berglab.__file__).resolve().parents[1])
     proc = subprocess.run(

@@ -1,4 +1,5 @@
 """Norm engine: exact oracles, quadrature, Monte Carlo, mixed norms."""
+import hashlib
 import math
 import tracemalloc
 
@@ -101,6 +102,78 @@ def test_exact_even_p_high_degree_matches_pair_loop_square():
     squared = _pair_product(P, P)
     want = (exact_norm_p2(squared, 2.0).value ** 2) ** (1.0 / 4.0)
     assert exact_norm_even_p(P, 2.0, 4.0).value == want
+
+
+def loop_norm_p2(P: ComplexPolynomial, alpha: float) -> float:
+    """The A^2_alpha norm by a plain loop over terms and variables."""
+    total = 0.0
+    for gamma, c in P.terms:
+        mom = 1.0
+        for e in gamma:
+            mom *= monomial_norm_sq(e, alpha)
+        total += (c.real * c.real + c.imag * c.imag) * mom
+    return math.sqrt(total)
+
+
+ALPHAS = st.sampled_from([1.000001, 1.3, 2.0, 6.0, 37.5])
+
+
+@st.composite
+def moment_polynomials(draw):
+    # exponents up to 90 reach the lgamma branch of monomial_norm_sq; few
+    # terms take the moments of their own exponents, many the kept table
+    n = draw(st.integers(1, 3))
+    top = draw(st.sampled_from([4, 90]))
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, top)] * n),
+        st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+        max_size=30,
+    ))
+    return ComplexPolynomial.from_terms(n, terms)
+
+
+@given(moment_polynomials(), ALPHAS)
+def test_exact_p2_same_bits_as_the_term_loop(P, alpha):
+    assert exact_norm_p2(P, alpha).value == loop_norm_p2(P, alpha)
+
+
+@pytest.mark.parametrize("alpha", [1.3, 2.0, 6.0])
+def test_exact_p2_same_bits_as_the_term_loop_dense_and_sparse(alpha):
+    rng = np.random.default_rng(17)
+    unit = lambda i: tuple(int(j == i) for j in range(16))
+    sparse = ComplexPolynomial.from_terms(
+        16, {unit(i): 0.25 + 0.1j * i for i in range(16)}
+    )
+    dense = rng.standard_normal(301) + 1j * rng.standard_normal(301)
+    cases = [
+        ComplexPolynomial.from_coeffs(dense),  # degree 300: the lgamma branch
+        _pair_product(sparse, sparse),  # 136 terms, top exponent 2
+        ComplexPolynomial.from_terms(16, {unit(3): 1.5, (0,) * 15 + (200,): -2j}),
+        ComplexPolynomial.from_terms(1, {(2,): 0.5, (10**20,): 1 + 1j}),  # > int64
+        ComplexPolynomial.zero(3),
+    ]
+    for P in cases:
+        assert exact_norm_p2(P, alpha).value == loop_norm_p2(P, alpha)
+
+
+# sha256 of the repr of the list of the exact norms of perfbench's highdeg
+# cases, (degree, p) below, at alpha = 2 on random_polynomials(1, 1, d, 1729)
+HIGHDEG_EXACT_CASES = (
+    (100, 6.0), (200, 4.0), (400, 4.0), (800, 2.0), (800, 4.0), (1500, 2.0), (1500, 4.0)
+)
+HIGHDEG_EXACT_SHA256 = (
+    "6c750423063684183f2463c6c5b4e8e21541281e6a1648a4195fc0c15fb45b04"
+)
+
+
+def test_the_highdeg_oracle_values_keep_their_bits():
+    values = []
+    for degree, p in HIGHDEG_EXACT_CASES:
+        P = random_polynomials(1, 1, degree, 1729)[0]
+        exact = exact_norm_p2(P, 2.0) if p == 2.0 else exact_norm_even_p(P, 2.0, p)
+        values.append(exact.value)
+    digest = hashlib.sha256(repr(values).encode()).hexdigest()
+    assert digest == HIGHDEG_EXACT_SHA256
 
 
 def test_quadrature_matches_oracles():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from berglab import poly
 from berglab.corpus import multi_indices
 from berglab.poly import (
     ComplexPolynomial,
@@ -177,6 +178,68 @@ def test_dense_powers_same_bits_as_pair_powers(nvars, degree):
     cube = _pair_product(P, square)
     assert _dense_product(P, square).terms == cube.terms
     assert (P ** 3).terms == cube.terms
+
+
+def bits(P: ComplexPolynomial) -> tuple:
+    """P's terms with each part as its exact bits, signed zeros told apart."""
+    return tuple((g, c.real.hex(), c.imag.hex()) for g, c in P.terms)
+
+
+def pair_power(P: ComplexPolynomial, k: int) -> ComplexPolynomial:
+    """P^k by term-pair products alone, squared and multiplied in the order of
+    ``__pow__`` but begun from the constant 1, which P ** k must match bit
+    for bit."""
+    result, base = ComplexPolynomial.constant(1.0, P.nvars), P
+    while k:
+        if k & 1:
+            result = _pair_product(result, base)
+        base = _pair_product(base, base)
+        k >>= 1
+    return result
+
+
+@given(polynomials())
+def test_powers_same_bits_as_pair_products_from_one(P):
+    assert (P ** 0).terms == (((0,) * P.nvars, 1 + 0j),)
+    assert P ** 1 is P
+    for k in range(1, 6):
+        assert bits(P ** k) == bits(pair_power(P, k))
+
+
+@pytest.mark.parametrize("text", ["1, 0.5, -2j, 0, 3+1j", "(0,0):1 (1,0):2 (2,3):-1j"])
+def test_a_power_makes_only_its_squarings_and_multiplies(monkeypatch, text):
+    # k = 5 is P * (P^2)^2: two squarings and one multiply, none by the
+    # constant 1, which P^0 is without any product
+    P = parse_polynomial(text)
+    one = ComplexPolynomial.constant(1.0, P.nvars)
+    factors = []
+
+    def counted(route):
+        def product(a, b):
+            factors.extend((a, b))
+            return route(a, b)
+
+        return product
+
+    monkeypatch.setattr(poly, "_dense_product", counted(_dense_product))
+    monkeypatch.setattr(poly, "_pair_product", counted(_pair_product))
+    for k in range(6):
+        factors.clear()
+        assert bits(P ** k) == bits(pair_power(P, k))
+        assert len(factors) == 2 * (k.bit_count() + k.bit_length() - 2 if k else 0)
+        assert one not in factors
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(polynomials(nvars=n), polynomials(nvars=n))
+    )
+)
+def test_dense_product_terms_are_canonical_as_built(factors):
+    P, Q = factors
+    product = _dense_product(P, Q)
+    assert bits(product) == bits(ComplexPolynomial(product.nvars, product.terms))
+    assert all(type(e) is int for g, _ in product.terms for e in g)
 
 
 def test_product_drops_exact_cancellation():
