@@ -3,17 +3,14 @@
 Four evaluation routes are provided and never silently substituted for one
 another:
 
-* ``exact_norm_p2``: Parseval route at p = 2 from monomial moments, read
-  from a table kept per (alpha, top exponent) and summed in numpy in the
-  order of a term loop;
+* ``exact_norm_p2``: Parseval route at p = 2 from monomial moments, one
+  per distinct exponent;
 * ``exact_norm_even_p``: the exact route for every even p, the one callers
   use; p = 2 is ``exact_norm_p2`` and larger p reduce to it via
   |P|^p = |P^(p/2)|^2.  Its cost is expanding P^(p/2) by repeated squaring,
   and each product (see ``poly``) is one vectorised multiply-add over the
   second factor's coefficients per term of the first, so squaring a
-  degree-d univariate P takes about d^2 flops in numpy and d Python steps
-  (11 ms at d = 1500 on a 2-core Xeon VM, against 0.4 ms for the
-  ``exact_norm_p2`` of the square);
+  degree-d univariate P takes about d^2 flops in numpy and d Python steps;
 * ``bergman_norm``: tensor Gauss x equispaced quadrature;
 * ``bergman_norm_mc``: Monte Carlo with a counter-based sampler, whose
   alpha and variable count it takes, and |P|^2 as control variate (see
@@ -69,10 +66,9 @@ with the factor ``checks.SETTLE_MULTIPLE`` to spare.
 One ``sweep.map_on_pool`` call computes each distinct ``bergman_norm`` once
 (see ``memo_scope``); a call outside any pool always computes.
 
-The kernel's tables (Fourier matrices, radial powers, angle weights) and
-the exact route's moment tables depend only on sizes, rules and alpha, so
-each is built once and kept, read-only and shared by threads, in one
-bounded cache, ``_TABLES`` (see
+The kernel's tables (Fourier matrices, radial powers, angle weights)
+depend only on sizes and rules, so each is built once and kept, read-only
+and shared by threads, in one bounded cache, ``_TABLES`` (see
 ``_TableCache`` and ``_TABLE_CACHE_BYTES``); grid byte counts are memoized
 apart (``_GRID_COUNTS``).
 """
@@ -156,10 +152,9 @@ _GRID_BYTES_BUDGET = 1 << 29
 
 # Bytes of tables and keys that ``_TABLES`` keeps, as sys.getsizeof counts
 # them; a table above a sixteenth of this (256 KiB) is not kept.  A serial
-# verify-suite pass at seed 1729 keeps all it builds, 448 KiB: 28 Fourier
-# matrices (325 KiB, the largest 144 KiB), 62 radial power tables, 21
-# angle weight vectors and 17 moment tables (6 KiB).  The perfbench highdeg
-# workload keeps 6 moment tables of up to 3,001 entries (61 KiB); its
+# verify-suite pass at seed 1729 keeps all it builds, 442 KiB: 28 Fourier
+# matrices (325 KiB, the largest 144 KiB), 62 radial power tables and 21
+# angle weight vectors.  The perfbench highdeg workload's
 # Fourier matrix of 475 KiB (degree 100 at p = 6, 101 x 301) and its radial
 # tables of up to 750 KiB are rebuilt per call, as keeping them would raise
 # its peak memory.
@@ -249,61 +244,43 @@ def monomial_norm_sq(k: int, alpha: float) -> float:
     """Moment of |z|^(2k) under dA_alpha: prod_{j<=k} j / (alpha-1+j).
 
     Evaluated as a running product for small k and in the log domain for
-    large k.
+    large k (see ``_moments``).
     """
     check_alpha(alpha)
     k = int(k)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k <= 64:
-        out = 1.0
-        for j in range(1, k + 1):
-            out *= j / (alpha - 1.0 + j)
-        return out
-    return math.exp(
-        math.lgamma(k + 1) + math.lgamma(alpha) - math.lgamma(alpha + k)
-    )
+    return _moments((k,), alpha)[k]
+
+
+def _moments(ks, alpha: float) -> dict[int, float]:
+    """monomial_norm_sq(k, alpha) for each distinct k of ks, nonnegative ints."""
+    log_gamma_alpha = math.lgamma(alpha)
+    out = {}
+    for k in set(ks):
+        if k <= 64:
+            mom = 1.0
+            for j in range(1, k + 1):
+                mom *= j / (alpha - 1.0 + j)
+        else:
+            mom = math.exp(
+                math.lgamma(k + 1) + log_gamma_alpha - math.lgamma(alpha + k)
+            )
+        out[k] = mom
+    return out
 
 
 def exact_norm_p2(P: ComplexPolynomial, alpha: float) -> NormResult:
     """A^2_alpha norm from coefficient orthogonality of the monomials."""
     check_alpha(alpha)
-    if P.is_zero:
-        return NormResult(0.0, "exact-p2", 0.0)
-    gammas, coeffs = zip(*P.terms)
-    moments = _moments(gammas, alpha)
-    coeffs = np.array(coeffs, dtype=complex)
-    # the sum over terms of |c|^2 times the product of the variables' moments,
-    # multiplied variable by variable and added left to right, term by term
-    mom = np.ones(len(gammas))
-    for column in moments.T:
-        mom *= column
-    re, im = coeffs.real, coeffs.imag
-    total = np.cumsum((re * re + im * im) * mom)[-1]
+    moment = _moments(itertools.chain.from_iterable(g for g, _ in P.terms), alpha)
+    total = 0.0
+    for gamma, c in P.terms:
+        mom = 1.0
+        for e in gamma:
+            mom *= moment[e]
+        total += (c.real * c.real + c.imag * c.imag) * mom
     return NormResult(math.sqrt(total), "exact-p2", 0.0)
-
-
-def _moments(gammas, alpha: float) -> np.ndarray:
-    """monomial_norm_sq(e, alpha) for each exponent e of gammas, a row each.
-
-    They come from one table per (alpha, top exponent), kept in ``_TABLES``,
-    unless the table would be longer than the exponents are many, as for a
-    sparse polynomial of high degree; then from the distinct exponents alone.
-    """
-    flat = list(itertools.chain.from_iterable(gammas))
-    top = max(flat)
-    if top < len(flat):
-        key = ("moments", float(alpha), top)
-        table = _TABLES.get(key, _build_moments, alpha, top)
-        moments = table[np.array(flat, dtype=np.intp)]
-    else:
-        known = {k: monomial_norm_sq(k, alpha) for k in set(flat)}
-        moments = np.array([known[k] for k in flat])
-    return moments.reshape(len(gammas), -1)
-
-
-def _build_moments(alpha: float, top: int) -> np.ndarray:
-    return np.array([monomial_norm_sq(k, alpha) for k in range(top + 1)])
 
 
 def exact_norm_even_p(P: ComplexPolynomial, alpha: float, p: float) -> NormResult:
@@ -956,10 +933,11 @@ def _mc_norm(
     same samples, which biases the estimate by O(1/N), well below its
     1-sigma (tests/test_norms.py measures it).  At p = 2, where the control
     would be x itself, and below three samples the mean is plain.  est_error
-    carries the 1-sigma of the mean to the norm by the delta method.  Sums
-    that overflow are refused with a ValueError, as a non-finite
-    ``NormResult`` is; a finite estimate that is not positive raises a
-    RuntimeError.
+    carries the 1-sigma of the mean to the norm by the delta method.  An
+    estimate that is not finite, as when the sum of x overflows, is refused
+    with a ValueError, as a non-finite ``NormResult`` is; a finite estimate
+    that is not positive raises a RuntimeError.  When only the sum of x^2
+    overflows, the estimate stands and est_error is inf.
     """
     p, n_samples = _mc_counts(p, n_samples)
     fit = control_mean is not None and p != 2.0 and n_samples > 2
@@ -981,8 +959,6 @@ def _mc_norm(
                 x = _abs_pow(values, p)
             acc += float(x.sum())
             acc_sq += float((x * x).sum())
-    if not all(map(math.isfinite, (acc, acc_sq, acc_d, acc_dd, acc_xd))):
-        raise ValueError(f"Monte Carlo sums of |f|^{p:g} not finite: {acc!r}")
     mean = acc / n_samples
     sxx = acc_sq - n_samples * mean * mean
     if mean == 0.0:
@@ -997,9 +973,17 @@ def _mc_norm(
             mean -= b * mean_d
             sxx -= b * b * sdd
             dof -= 1
-        if not mean > 0.0:
-            raise RuntimeError(f"control-variate estimate {mean!r} is not positive")
-    se_mean = math.sqrt(max(sxx, 0.0) / dof / n_samples)
+    if not math.isfinite(mean):
+        d = "(|f|^2 - E|f|^2)"
+        sums = ((acc, f"|f|^{p:g}"), (acc_xd, f"|f|^{p:g} {d}"), (acc_d, d),
+                (acc_dd, f"{d}^2"))
+        what = next((f"sum of {name}" for total, name in sums
+                     if not math.isfinite(total)), "control-variate fit")
+        raise ValueError(f"Monte Carlo {what} not finite at p = {p:g}")
+    if not mean > 0.0:
+        raise RuntimeError(f"control-variate estimate {mean!r} is not positive")
+    spread = max(sxx, 0.0) if math.isfinite(acc_sq) else math.inf
+    se_mean = math.sqrt(spread / dof / n_samples)
     value = mean ** (1.0 / p)
     est = se_mean * value / (p * mean)
     return NormResult(value, "monte-carlo", est)

@@ -873,6 +873,21 @@ def test_an_overflowing_power_prints_only_its_error_line(argv):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+def test_an_overflowing_mc_square_sum_leaves_the_value_with_est_error_inf():
+    # |f|^64 stays below 10^193, but its square overflows the sum of x^2 that
+    # gives the spread: the value stands, est_error is inf, nothing is warned
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(berglab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "berglab.cli", "norm", "--method", "mc",
+         "--space", "alpha=2,p=64", "--poly", "1000,1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    out = json.loads(proc.stdout)
+    assert math.isfinite(out["value"]) and out["est_error"] == math.inf
+
+
 # The exact stdout of each table command in both formats.
 TABLE_OUTPUTS = {
     ("norm", "json"): (

@@ -104,13 +104,23 @@ def test_exact_even_p_high_degree_matches_pair_loop_square():
     assert exact_norm_even_p(P, 2.0, 4.0).value == want
 
 
+def loop_moment(k: int, alpha: float) -> float:
+    """The moment of |z|^(2k), a running product up to k = 64 and by lgamma above."""
+    if k <= 64:
+        out = 1.0
+        for j in range(1, k + 1):
+            out *= j / (alpha - 1.0 + j)
+        return out
+    return math.exp(math.lgamma(k + 1) + math.lgamma(alpha) - math.lgamma(alpha + k))
+
+
 def loop_norm_p2(P: ComplexPolynomial, alpha: float) -> float:
     """The A^2_alpha norm by a plain loop over terms and variables."""
     total = 0.0
     for gamma, c in P.terms:
         mom = 1.0
         for e in gamma:
-            mom *= monomial_norm_sq(e, alpha)
+            mom *= loop_moment(e, alpha)
         total += (c.real * c.real + c.imag * c.imag) * mom
     return math.sqrt(total)
 
@@ -120,8 +130,7 @@ ALPHAS = st.sampled_from([1.000001, 1.3, 2.0, 6.0, 37.5])
 
 @st.composite
 def moment_polynomials(draw):
-    # exponents up to 90 reach the lgamma branch of monomial_norm_sq; few
-    # terms take the moments of their own exponents, many the kept table
+    # exponents up to 90 reach the lgamma branch of monomial_norm_sq
     n = draw(st.integers(1, 3))
     top = draw(st.sampled_from([4, 90]))
     terms = draw(st.dictionaries(
@@ -150,6 +159,7 @@ def test_exact_p2_same_bits_as_the_term_loop_dense_and_sparse(alpha):
         _pair_product(sparse, sparse),  # 136 terms, top exponent 2
         ComplexPolynomial.from_terms(16, {unit(3): 1.5, (0,) * 15 + (200,): -2j}),
         ComplexPolynomial.from_terms(1, {(2,): 0.5, (10**20,): 1 + 1j}),  # > int64
+        ComplexPolynomial.from_terms(2, {(64, 65): 1.0}),  # either side of the branch
         ComplexPolynomial.zero(3),
     ]
     for P in cases:
