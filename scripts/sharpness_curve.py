@@ -7,12 +7,12 @@ bound attainment column decreases because of the polynomial prefactors in
 the Gaussian moments.
 """
 import argparse
-import csv
 import sys
-from types import SimpleNamespace
 
-from berglab.cli import _write
 from berglab.extremal import sharpness_exhibit
+from berglab.report import table_text, write_text
+
+HEADER = ("m", "ratio", "ci", "bound", "attainment", "per_degree", "limit_per_degree")
 
 
 def main(argv=None) -> int:
@@ -41,28 +41,17 @@ def main(argv=None) -> int:
             seed=args.seed,
         )
         rows.append(
-            [
+            (
                 m,
-                repr(rep.ratio),
-                repr(rep.ci),
-                repr(rep.bound),
-                repr(rep.attainment),
-                repr(rep.per_degree_attainment),
-                repr(rep.limit_per_degree),
-            ]
+                rep.ratio,
+                rep.ci,
+                rep.bound,
+                rep.attainment,
+                rep.per_degree_attainment,
+                rep.limit_per_degree,
+            )
         )
-
-    stdout = SimpleNamespace(write=_write)  # a reader may close the pipe early
-    out = open(args.out, "w", encoding="utf-8") if args.out else stdout
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            ["m", "ratio", "ci", "bound", "attainment", "per_degree", "limit_per_degree"]
-        )
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
+    write_text(table_text(HEADER, rows), args.out)
     return 0
 
 

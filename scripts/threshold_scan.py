@@ -7,34 +7,22 @@ Richardson column should collapse onto the formula value much faster than
 the raw column.  Output is plot-ready CSV on stdout or --out.
 """
 import argparse
-import csv
 import sys
-from types import SimpleNamespace
 
 from berglab.checks import INEQ_SLACK
-from berglab.cli import _write
 from berglab.inequalities import sharp_radius, threshold_search
+from berglab.report import table_text, write_text
+
+HEADER = ("eps", "r_raw", "r_refined", "formula", "raw_error", "refined_error")
 
 
-def run_scan(space, eps_values, tol: float, out) -> None:
-    """One CSV row per eps for the (alpha, beta, p, q) space."""
+def run_scan(space, eps_values, tol: float):
+    """Yield one row per eps for the (alpha, beta, p, q) space."""
     r0 = sharp_radius(*space)
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["eps", "r_raw", "r_refined", "formula", "raw_error", "refined_error"]
-    )
     for eps in eps_values:
         rep = threshold_search(*space, slack=INEQ_SLACK, eps=eps, tol=tol)
-        writer.writerow(
-            [
-                repr(eps),
-                repr(rep.r_star_raw),
-                repr(rep.r_star_empirical),
-                repr(r0),
-                repr(abs(rep.r_star_raw - r0)),
-                repr(abs(rep.r_star_empirical - r0)),
-            ]
-        )
+        raw, refined = rep.r_star_raw, rep.r_star_empirical
+        yield eps, raw, refined, r0, abs(raw - r0), abs(refined - r0)
 
 
 def main(argv=None) -> int:
@@ -54,11 +42,7 @@ def main(argv=None) -> int:
 
     space = (args.alpha, args.beta, args.p, args.q)
     eps_values = [float(x) for x in args.eps.split(",") if x.strip()]
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            run_scan(space, eps_values, args.tol, fh)
-    else:  # rows as they come; a reader that closes the pipe early ends them
-        run_scan(space, eps_values, args.tol, SimpleNamespace(write=_write))
+    write_text(table_text(HEADER, run_scan(space, eps_values, args.tol)), args.out)
     return 0
 
 

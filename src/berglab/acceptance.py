@@ -5,11 +5,12 @@ Each criterion is one table: a function of the seed whose entries are
 each entry into a row: that `checks.py` check built on the inputs, under
 the criterion's id with the label as its params, and with the fields the
 criterion sets itself (a callable gets the check's value of that field).
-So every row takes its status from the registry; a criterion passes when
-every in-hypothesis row passes.  The suite prints one [PASS]/[FAIL] line
-per criterion, writes the combined machine CSV, and exits nonzero on any
-failure.  Everything is a pure function of the seed, so two runs with the
-same seed produce byte-identical CSV files.
+So every row takes its status from the registry (an error row when its
+check raises); a criterion passes when every in-hypothesis row passes.
+The suite prints one [PASS]/[FAIL] line per criterion, writes the combined
+machine CSV, and exits nonzero on any failure.  Everything is a pure
+function of the seed, so two runs with the same seed produce
+byte-identical CSV files.
 
 The rows of the selected criteria run concurrently, row by row, on one
 thread per available core (inline on one core), with every loaded
@@ -28,9 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import CHECKS, IBP_TOL, format_params, space_inputs
+from .checks import CHECKS, IBP_TOL, error_fields, format_params, space_inputs
 from .corpus import random_polynomials
 from .inequalities import sharp_radius
+from .measures import check_nodes
 from .norms import bergman_norm  # noqa: F401  perfbench's tracer tests patch it here
 from .poly import ComplexPolynomial
 from .report import ReportRow, VerificationReport, check_writable
@@ -261,13 +263,17 @@ def _tasks(cid: str, table, seed: int, nodes_override: int | None) -> list:
 
 
 def _timed_row(task) -> tuple:
-    """The row of a task's entry, and the seconds it took."""
+    """The row of a task's entry (an error row if its check raises), and its seconds."""
     t0 = time.perf_counter()
     cid, (name, inputs, label, *fields) = task
     check = CHECKS[name]
-    values = check.build(**check.filled(inputs))
-    for key, value in (fields[0] if fields else {}).items():
-        values[key] = value(values[key]) if callable(value) else value
+    try:
+        values = check.build(**check.filled(inputs))
+    except Exception as exc:
+        values = error_fields(exc)
+    else:
+        for key, value in (fields[0] if fields else {}).items():
+            values[key] = value(values[key]) if callable(value) else value
     row = ReportRow(cid, format_params(**label), **values)
     return row, time.perf_counter() - t0
 
@@ -311,6 +317,8 @@ def verify_suite(
             f"nodes_override reaches only {CRITERION_IDS[0]}, "
             f"which filter {filter_text!r} does not select"
         )
+    if nodes_override is not None:  # a usage error, not one error row per row
+        check_nodes(nodes_override)
     tasks = [
         task
         for cid, table in selected.items()

@@ -79,8 +79,9 @@ from .report import ReportRow, at_most, fmt_value
 
 __all__ = [
     "CHECKS", "CONVEXITY_FLOOR", "Check", "IBP_TOL", "INEQ_SLACK", "Param",
-    "THRESHOLD_GATE", "agreement_row", "convex", "cubic_decay", "format_params",
-    "hypotheses_hold", "majorant_holds", "profile_method", "space_inputs", "status",
+    "THRESHOLD_GATE", "agreement_row", "convex", "cubic_decay", "error_fields",
+    "format_params", "hypotheses_hold", "majorant_holds", "profile_method",
+    "space_inputs", "status",
 ]
 
 # Relative slack of the inequality rows: sharp up to rounding is a pass.
@@ -171,6 +172,13 @@ def _verdict(
     )
 
 
+def error_fields(exc: Exception) -> dict:
+    """The fields of a row whose check raised ``exc``, after its check_id and
+    params: no values, status error, ``Type: message`` as the note."""
+    note = f"{type(exc).__name__}: {exc}"
+    return dict(computed=None, target=None, status="error", note=note)
+
+
 def agreement_row(computed, target, tol, method, note="") -> dict:
     """The fields of a row whose value must match target to relative tol."""
     rel = abs(computed - target) / max(abs(target), 1e-300)
@@ -226,11 +234,6 @@ class Check:
         """The check's row, its params formed from the shown inputs."""
         inputs = self.filled(given)
         return ReportRow(self.name, self.describe(inputs), **self.build(**inputs))
-
-    def error_row(self, given: dict, exc: Exception) -> ReportRow:
-        """The row of a run on these inputs that raised ``exc``."""
-        note = f"{type(exc).__name__}: {exc}"
-        return ReportRow(self.name, self.describe(given), None, None, "error", note=note)
 
 
 CHECKS: dict[str, Check] = {}

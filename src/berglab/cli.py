@@ -7,17 +7,17 @@ there.  A subcommand takes only the options its handler reads, after its
 name: `--seed` (norm, extremal, verify-suite), `--jobs` (sweep), `--out
 csv|json` (all but verify-suite; JSON by default for norm and the checks,
 CSV for phi, dump-rule and sweep) and `--quiet` (the checks, sweep,
-verify-suite).  Summaries go to stderr so stdout stays parseable; a reader
-that closes stdout early (``| head``) gets what it read, the rest dropped.
-Exit codes: 0 when every in-hypothesis check passes, 1 on a verification
-failure, 2 on a usage or configuration error, such as a file that cannot
-be read or written.
+verify-suite).  Every table is printed by `_print_table` through the
+report module's one writer: CSV, or one line of strict JSON whose report
+rows hold their CSV text.  Summaries go to stderr so stdout stays
+parseable; a reader that closes stdout early (``| head``) gets what it
+read, the rest dropped.  Exit codes: 0 when every in-hypothesis check
+passes, 1 on a verification failure, 2 on a usage or configuration error,
+such as a file that cannot be read or written.
 """
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 import time
 
@@ -29,7 +29,9 @@ from .inequalities import phi_profile
 from .measures import McSampler, check_alpha, check_counts, circle_rule, radial_rule
 from .norms import bergman_norm, bergman_norm_mc, exact_norm_even_p
 from .poly import parse_polynomial
-from .report import CSV_HEADER, VerificationReport, check_writable, fmt_value
+from .report import (
+    CSV_HEADER, VerificationReport, check_writable, table_text, write_text
+)
 from .sweep import _one_blas_thread, load_sweep_config, run_sweep
 
 __all__ = ["main"]
@@ -54,39 +56,25 @@ def _parse_space(text: str) -> tuple[float, float]:
     return values["alpha"], values["p"]
 
 
-def _write(text: str) -> None:
-    """Write text to stdout, or to the null device once its reader has gone."""
-    try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+def _print_table(args, default_out: str, header, records, one=False) -> int:
+    """Print records in the --out format, default_out when it is not given
+    (one object alone in JSON with ``one``)."""
+    write_text(table_text(header, records, args.out or default_out, one))
+    return 0
 
 
-def _emit(report, args, default_out: str, elapsed_s: float | None = None) -> int:
-    """Print a report as JSON or CSV; return the aggregate exit code."""
-    if (args.out or default_out) == "csv":
-        _write(report.to_csv())
+def _emit(report, args, default_out: str, elapsed_s=None, path=None) -> int:
+    """Print a report's rows, or write them to path as CSV, and its summary
+    on stderr; return the exit code."""
+    if path:
+        report.write_csv(path)
     else:
-        payload = [
-            dict(zip(CSV_HEADER, row.csv_fields())) for row in report.sorted_rows()
-        ]
-        _write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _print_table(args, default_out, CSV_HEADER, report.records())
     if not args.quiet:
         print(report.summary(elapsed_s), file=sys.stderr)
+        if path:
+            print(f"report written to {path}", file=sys.stderr)
     return 0 if report.aggregate_pass else 1
-
-
-def _print_table(args, default_out: str, header, records, one=False) -> int:
-    """Print records as CSV lines or as a JSON list of objects (one object
-    alone with ``one``), sorted keys, floats in round-trip form."""
-    if (args.out or default_out) == "csv":
-        lines = [header, *([fmt_value(value) for value in r] for r in records)]
-        _write("".join(",".join(line) + "\n" for line in lines))
-    else:
-        payload = [dict(zip(header, record)) for record in records]
-        _write(json.dumps(payload[0] if one else payload, sort_keys=True) + "\n")
-    return 0
 
 
 # The `norm` options that one method reads; None stands for not given.
@@ -134,7 +122,7 @@ def _cmd_phi(args) -> int:
     ys = np.linspace(args.ymin, args.ymax, args.count)
     prof = phi_profile(f, args.q, ys)
     records = zip(prof.y_grid, prof.phi, prof.phi2)
-    return _print_table(args, "csv", ("y", "phi", "phi2"), list(records))
+    return _print_table(args, "csv", ("y", "phi", "phi2"), records)
 
 
 def _cmd_sweep(args) -> int:
@@ -143,14 +131,7 @@ def _cmd_sweep(args) -> int:
         check_writable(cfg.output_path)
     start = time.perf_counter()
     report = run_sweep(cfg, jobs=args.jobs)
-    elapsed_s = time.perf_counter() - start
-    if not cfg.output_path:
-        return _emit(report, args, "csv", elapsed_s)
-    report.write_csv(cfg.output_path)
-    if not args.quiet:
-        print(report.summary(elapsed_s), file=sys.stderr)
-        print(f"report written to {cfg.output_path}", file=sys.stderr)
-    return 0 if report.aggregate_pass else 1
+    return _emit(report, args, "csv", time.perf_counter() - start, cfg.output_path)
 
 
 def _cmd_verify_suite(args) -> int:
@@ -160,7 +141,7 @@ def _cmd_verify_suite(args) -> int:
         csv_path=args.csv,
         nodes_override=args.nodes_override,
         quiet=args.quiet,
-        emit=lambda line: _write(line + "\n"),
+        emit=lambda line: write_text(line + "\n"),
     )
 
 
@@ -170,15 +151,10 @@ def _cmd_dump_rule(args) -> int:
     if args.angles is not None and args.angles > _PHI_COUNT_CAP:
         raise ValueError(f"angles must be at most {_PHI_COUNT_CAP}, got {args.angles}")
     nodes, weights = radial_rule(args.alpha, args.nodes)
-    records = [
-        ("radial", i, float(t), float(w))
-        for i, (t, w) in enumerate(zip(nodes, weights))
-    ]
+    records = [("radial", i, t, w) for i, (t, w) in enumerate(zip(nodes, weights))]
     if args.angles is not None:
         thetas, wt = circle_rule(args.angles)
-        records.extend(
-            ("angular", j, float(th), float(wt)) for j, th in enumerate(thetas)
-        )
+        records.extend(("angular", j, th, wt) for j, th in enumerate(thetas))
     header = ("component", "index", "node", "weight")
     return _print_table(args, "csv", header, records)
 
@@ -272,7 +248,7 @@ def main(argv=None) -> int:
         with _one_blas_thread():
             return args.handler(args)
     except (ValueError, RuntimeError, OSError) as exc:
-        # a closed stdout never gets here: ``_write`` drops what follows
+        # a closed stdout never gets here: ``write_text`` drops what follows
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, RuntimeError) else 2
 

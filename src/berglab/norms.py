@@ -886,18 +886,15 @@ def mixed_norm(Q: ComplexPolynomial, alpha: float, p: float) -> NormResult:
     return NormResult(value, "quadrature", gap)
 
 
-def bergman_norm_mc(P, p: float, sampler: McSampler, n_samples: int) -> NormResult:
-    """Monte Carlo A^p_alpha(D^n) norm, alpha and n being the sampler's;
-    est_error is the delta-method 1-sigma.
-
-    P may be a ComplexPolynomial in the sampler's n variables or a callable
-    mapping an (N, n) complex array to values of the function.  For a
-    polynomial, |P|^2 is the control variate of ``_mc_norm``, its exact mean
-    being exact_norm_p2(P)^2; a callable is sampled plainly.
+def bergman_norm_mc(
+    P: ComplexPolynomial, p: float, sampler: McSampler, n_samples: int
+) -> NormResult:
+    """Monte Carlo A^p_alpha(D^n) norm of the ComplexPolynomial P in the
+    sampler's n variables, alpha being the sampler's; est_error is the
+    delta-method 1-sigma.  |P|^2 is the control variate of ``_mc_norm``,
+    its exact mean being exact_norm_p2(P)^2.
     """
     p, n_samples = _mc_counts(p, n_samples)
-    if not isinstance(P, ComplexPolynomial):
-        return _mc_norm(P, p, sampler, n_samples)
     if P.nvars != sampler.nvars:
         raise ValueError("sampler dimension does not match the polynomial")
     if P.is_zero:

@@ -2,16 +2,24 @@
 
 Row rendering rules keep the CSV byte-reproducible: floats are written with
 repr (shortest round-trip form) and rows are sorted by (check_id, params).
-Wall-clock time appears only in the human summary, never in the CSV.
+Wall-clock time appears only in the human summary, never in the CSV.  Every
+table the CLI and the scripts print, a report or not, is formatted by
+`table_text`, as CSV or one line of strict JSON, and written by `write_text`.
 """
 from __future__ import annotations
 
 import csv
 import io
+import json
+import math
 import os
+import sys
 from dataclasses import dataclass, field
 
-__all__ = ["CSV_HEADER", "ReportRow", "VerificationReport", "at_most", "fmt_value"]
+__all__ = [
+    "CSV_HEADER", "ReportRow", "VerificationReport", "at_most", "fmt_value",
+    "table_text", "write_text",
+]
 
 CSV_HEADER = (
     "check_id",
@@ -38,13 +46,44 @@ def fmt_value(x) -> str:
         return "true" if x else "false"
     if isinstance(x, int):
         return str(int(x))
-    if isinstance(x, float):
-        # force the builtin: numpy scalars subclass float but repr differently
-        return repr(float(x))
-    try:
+    try:  # the builtin's repr: numpy scalars subclass float but repr differently
         return repr(float(x))
     except (TypeError, ValueError):
         return str(x)
+
+
+def _json_value(x):
+    """x as strict JSON holds it: a non-finite float as its CSV text."""
+    return fmt_value(x) if isinstance(x, float) and not math.isfinite(x) else x
+
+
+def table_text(header, records, out: str = "csv", one: bool = False) -> str:
+    """records under header as CSV, every value through fmt_value, or as one
+    line of JSON: a list of objects with sorted keys (the one object alone
+    with ``one``), values as they are but a non-finite float as its text."""
+    if out == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(map(fmt_value, record) for record in records)
+        return buf.getvalue()
+    payload = [dict(zip(header, map(_json_value, record))) for record in records]
+    text = json.dumps(payload[0] if one else payload, sort_keys=True, allow_nan=False)
+    return text + "\n"
+
+
+def write_text(text: str, path: str | None = None) -> None:
+    """Write text to the file at path, or to stdout when no path is given;
+    once stdout's reader has gone (``| head``), the rest is dropped quietly."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        return
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def at_most(computed: float, bound: float, slack: float) -> bool:
@@ -124,17 +163,15 @@ class VerificationReport:
             out[row.status] += 1
         return out
 
+    def records(self) -> list:
+        """The CSV fields of the rows, in sorted order."""
+        return [row.csv_fields() for row in self.sorted_rows()]
+
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in self.sorted_rows():
-            writer.writerow(row.csv_fields())
-        return buf.getvalue()
+        return table_text(CSV_HEADER, self.records())
 
     def write_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(self.to_csv())
+        write_text(self.to_csv(), path)
 
     def summary(self, elapsed_s: float | None = None) -> str:
         """One-line verdict and status counts, with the elapsed time if given."""

@@ -39,12 +39,12 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .checks import CHECKS, space_inputs
+from .checks import CHECKS, error_fields, space_inputs
 from .corpus import KINDS, random_polynomials
 from .measures import check_counts, check_nodes
 from .norms import memo_scope
 from .poly import ComplexPolynomial, parse_polynomial
-from .report import VerificationReport
+from .report import ReportRow, VerificationReport
 
 __all__ = ["SweepConfig", "parse_sweep_config", "load_sweep_config", "run_sweep"]
 
@@ -412,6 +412,6 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> VerificationReport:
         try:
             return check.run(**inputs)
         except Exception as exc:
-            return check.error_row(inputs, exc)
+            return ReportRow(check.name, check.describe(inputs), **error_fields(exc))
 
     return VerificationReport(map_on_pool(run_one, _tasks(cfg), jobs))

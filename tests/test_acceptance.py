@@ -4,12 +4,15 @@ Each test prints a single [PASS]/[FAIL] line with the criterion's stated
 tolerance and asserts both the verdict and the runtime budget.
 """
 import argparse
+import csv
 import hashlib
+import io
 import os
 import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,7 +21,7 @@ import berglab
 from berglab import acceptance, norms, sweep
 from berglab.acceptance import _timed_row, run_criterion
 from berglab.checks import CHECKS, IBP_TOL
-from berglab.cli import build_parser
+from berglab.cli import build_parser, main
 from berglab.poly import ComplexPolynomial
 from berglab.report import VerificationReport
 
@@ -324,15 +327,62 @@ def test_a_criterion_run_alone_equals_its_rows_in_a_pooled_suite(tmp_path, monke
 
 
 @pytest.mark.parametrize("cores", [1, 2])
-def test_an_exception_in_a_criterion_propagates(cores, tmp_path, monkeypatch):
+def test_an_exception_in_a_criterion_becomes_an_error_row(
+    cores, tmp_path, monkeypatch
+):
     def broken(seed):
         # a grid the stirling check cannot parse makes its run raise
-        return [("stirling", dict(grid="0.1,broken"), {})]
+        return [("stirling", dict(grid="0.1,broken"), dict(grid="broken"))]
 
     criteria = acceptance._CRITERIA
     monkeypatch.setattr(
         acceptance, "_CRITERIA", (criteria[3], ("c9-broken", (), broken), criteria[2])
     )
-    with pytest.raises(ValueError, match="broken"):
-        _suite_on_cores(cores, tmp_path / "broken.csv", monkeypatch)
-    assert not (tmp_path / "broken.csv").exists()
+    code, csv_bytes, lines, _ = _suite_on_cores(
+        cores, tmp_path / "broken.csv", monkeypatch
+    )
+    assert code == 1
+    verdicts = [line.split(" (")[0] for line in lines if line.startswith("[")]
+    assert verdicts == [
+        "[PASS] c4-necessity-expansion",
+        "[FAIL] c9-broken",
+        "[PASS] c3-threshold-recovery",
+    ]
+    rows = list(csv.DictReader(io.StringIO(csv_bytes.decode())))
+    [error] = [row for row in rows if row["status"] == "error"]
+    assert (error["check_id"], error["params"]) == ("c9-broken", "grid=broken")
+    assert error["note"].startswith("ValueError: ") and "broken" in error["note"]
+    assert len(rows) == 1 + 6 + 4  # the error row beside c4's and c3's
+
+
+def test_a_raising_suite_row_keeps_no_field_override(tmp_path, monkeypatch):
+    # c7's Monte Carlo row appends ";samples=" to its note; the row of a
+    # check that raised keeps the exception as its note, and the suite still
+    # writes its CSV and exits 1 from the command line
+    def boom(**inputs):
+        raise ValueError("boom")
+
+    monkeypatch.setitem(CHECKS, "extremal", replace(CHECKS["extremal"], build=boom))
+    csv_path = tmp_path / "c7.csv"
+    argv = ["verify-suite", "--filter", "extremal", "--quiet", "--csv", str(csv_path)]
+    assert main(argv) == 1
+    rows = list(csv.DictReader(io.StringIO(csv_path.read_text())))
+    [mc] = [row for row in rows if "extremal" in row["params"]]
+    assert (mc["status"], mc["note"]) == ("error", "ValueError: boom")
+    assert [row["status"] for row in rows].count("pass") == 2
+
+
+@pytest.mark.parametrize("nodes", [0, 100_000])
+def test_a_bad_nodes_override_is_refused_before_any_row_runs(
+    nodes, tmp_path, monkeypatch
+):
+    def no_row(task):
+        raise AssertionError("a row ran")
+
+    monkeypatch.setattr(acceptance, "_timed_row", no_row)
+    csv_path = tmp_path / "suite.csv"
+    with pytest.raises(ValueError, match="nodes must be"):
+        acceptance.verify_suite(
+            filter_text="oracle", csv_path=str(csv_path), nodes_override=nodes
+        )
+    assert not csv_path.exists()

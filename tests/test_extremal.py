@@ -17,7 +17,7 @@ from berglab.extremal import (
 )
 from berglab.inequalities import _nikolskii_constant, nikolskii_check
 from berglab.measures import McSampler
-from berglab.norms import bergman_norm_mc, exact_norm_even_p
+from berglab.norms import _mc_norm, exact_norm_even_p
 from berglab.poly import ComplexPolynomial
 
 
@@ -118,7 +118,7 @@ def test_mc_cross_check_against_expanded_polynomial():
     spec = ExtremalSpec(16, 2)
     exact = exact_sum_power_norm(16, 2, 2.0, 2.0)
     sampler = McSampler(2.0, 16, seed=9)
-    est = bergman_norm_mc(extremal_evaluator(spec), 2.0, sampler, 100_000)
+    est = _mc_norm(extremal_evaluator(spec), 2.0, sampler, 100_000)
     assert abs(est.value - exact) <= 4.0 * est.est_error
 
 

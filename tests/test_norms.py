@@ -282,7 +282,7 @@ def test_mc_zero_polynomial_and_degenerate_path():
     assert bergman_norm_mc(ComplexPolynomial.zero(), 2.0, s, 2_000).value == 0.0
     dead = lambda pts: np.zeros(len(pts), dtype=complex)
     with pytest.raises(RuntimeError):
-        bergman_norm_mc(dead, 2.0, s, 2_000)
+        _mc_norm(dead, 2.0, s, 2_000)
 
 
 # A bivariate degree-5 polynomial of the corpus: the control variate's tests
@@ -303,7 +303,7 @@ def test_mc_control_variate_within_four_sigma_over_20_seeds():
         res = bergman_norm_mc(CV_POLY, 4.0, sampler, 20_000)
         hits += abs(res.value - exact) <= 4.0 * res.est_error
         # the same samples without the control: about twice the 1-sigma
-        plain = bergman_norm_mc(CV_POLY.evaluate_many, 4.0, sampler, 20_000)
+        plain = _mc_norm(CV_POLY.evaluate_many, 4.0, sampler, 20_000)
         assert res.est_error < 0.7 * plain.est_error
     assert hits >= 19
 
