@@ -27,12 +27,12 @@ from .acceptance import verify_suite
 from .checks import CHECKS
 from .inequalities import phi_profile
 from .measures import McSampler, check_alpha, check_counts, circle_rule, radial_rule
-from .norms import bergman_norm, bergman_norm_mc, exact_norm_even_p
+from .norms import ONE_BLAS_THREAD, bergman_norm, bergman_norm_mc, exact_norm_even_p
 from .poly import parse_polynomial
 from .report import (
     CSV_HEADER, VerificationReport, check_writable, table_text, write_text
 )
-from .sweep import _one_blas_thread, load_sweep_config, run_sweep
+from .sweep import load_sweep_config, run_sweep
 
 __all__ = ["main"]
 
@@ -56,20 +56,17 @@ def _parse_space(text: str) -> tuple[float, float]:
     return values["alpha"], values["p"]
 
 
-def _print_table(args, default_out: str, header, records, one=False) -> int:
+def _print_table(args, default_out: str, header, records, one=False, path=None) -> int:
     """Print records in the --out format, default_out when it is not given
-    (one object alone in JSON with ``one``)."""
-    write_text(table_text(header, records, args.out or default_out, one))
+    (one object alone in JSON with ``one``), or write them to path."""
+    write_text(table_text(header, records, args.out or default_out, one), path)
     return 0
 
 
 def _emit(report, args, default_out: str, elapsed_s=None, path=None) -> int:
-    """Print a report's rows, or write them to path as CSV, and its summary
-    on stderr; return the exit code."""
-    if path:
-        report.write_csv(path)
-    else:
-        _print_table(args, default_out, CSV_HEADER, report.records())
+    """Print a report's rows, or write them to path, in the --out format,
+    and its summary on stderr; return the exit code."""
+    _print_table(args, default_out, CSV_HEADER, report.records(), path=path)
     if not args.quiet:
         print(report.summary(elapsed_s), file=sys.stderr)
         if path:
@@ -245,7 +242,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with _one_blas_thread():
+        with ONE_BLAS_THREAD:
             return args.handler(args)
     except (ValueError, RuntimeError, OSError) as exc:
         # a closed stdout never gets here: ``write_text`` drops what follows

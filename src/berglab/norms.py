@@ -34,7 +34,11 @@ is formed from s = |P|^2 by ``_sq_pow``.
 ``_grid_rule`` is the one place where grids are sized and sizing errors
 raised, for circles as for disks: it turns the variables' degrees, alpha,
 p and the optional counts into the grid, one (alpha, nodes, angles) triple
-per axis (alpha None for a circle).  Only ``bergman_norm`` (nodes and
+per axis (alpha None for a circle).  A default angle count on an axis
+that ``_uses_fft`` sums is rounded up to the least count with no prime
+factor above 5 (``_five_smooth``), which pocketfft sums without falling
+back to the slower chirp-z; a matmul axis keeps the count, and so does
+any count a caller pins.  Only ``bergman_norm`` (nodes and
 angles) and ``hardy_norm`` (angles) take counts from their callers; the
 mixed norm pins them on the rungs of its ladder (below), and the circle
 profile counts its circles as the nodes of one circle axis on the default
@@ -64,7 +68,9 @@ to 44 times on c6's univariate corpus); a verdict is judged on it only
 with the factor ``checks.SETTLE_MULTIPLE`` to spare.
 
 One ``sweep.map_on_pool`` call computes each distinct ``bergman_norm`` once
-(see ``memo_scope``); a call outside any pool always computes.
+(see ``memo_scope``); a call outside any pool always computes.  The
+kernel's entry points, like the pool and the CLI, run under one
+refcounted pin of OpenBLAS to one thread (``ONE_BLAS_THREAD``).
 
 The kernel's tables (Fourier matrices, radial powers, angle weights)
 depend only on sizes and rules, so each is built once and kept, read-only
@@ -74,9 +80,11 @@ apart (``_GRID_COUNTS``).
 """
 from __future__ import annotations
 
+import ctypes
 import functools
 import itertools
 import math
+import os
 import sys
 import threading
 from collections import OrderedDict
@@ -144,7 +152,7 @@ _FFT_COEFFS_PER_LOG2_ANGLE = 16
 # them, or the coefficient array, is allocated.  No acceptance criterion or
 # benchmark workload counts more than 5.4 MiB, and no test that expects a
 # value more than 68 MiB (trivariate degree 6 at p = 3); bivariate degree
-# (1000, 1000) at p = 4 counts 995 MiB, and one variable at 10^9 angles
+# (1000, 1000) at p = 4 counts 1,007 MiB, and one variable at 10^9 angles
 # 60 GiB at p = 2: its (2 x 10^9) Fourier matrix with the roots and phase
 # table it is indexed from, while it is built (67 GiB at p = 3, beside the
 # s buffer of one tile).
@@ -220,6 +228,95 @@ def memo_scope():
         yield
     finally:
         _MEMO.reset(token)
+
+
+# (set, get) thread-count symbol pairs, by OpenBLAS build: the numpy and
+# scipy wheels rename them with a scipy_ prefix and a 64_ ILP64 suffix.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(set, get) thread-count functions of every OpenBLAS copy in the process.
+
+    Looked up once per process, on first use, so a copy loaded after that
+    is not among them.  Empty where none is found: another BLAS, or no
+    ``/proc/self/maps``.
+    """
+    try:
+        with open(
+            "/proc/self/maps", encoding="utf-8", errors="surrogateescape"
+        ) as maps:
+            # the last of the six fields is the mapped file, where there is one
+            paths = {line.split(None, 5)[-1].strip() for line in maps}
+    except OSError:
+        return ()
+    controls = []
+    for path in sorted(paths):
+        if "openblas" not in os.path.basename(path):
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+            try:
+                set_threads = getattr(lib, set_name)
+                get_threads = getattr(lib, get_name)
+            except AttributeError:
+                continue
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            controls.append((set_threads, get_threads))
+            break
+    return tuple(controls)
+
+
+class _OneBlasThread:
+    """A refcounted pin of every loaded OpenBLAS to one thread.
+
+    ``with ONE_BLAS_THREAD:`` sets each copy to one thread on the first
+    entry and restores the saved counts on the last exit; an entry while
+    another holds the pin, nested or from another thread, only counts.
+    The kernel's products are too small to gain from BLAS threads: beside
+    a thread pool they spin against it, and outside one a degree-100
+    ``bergman_norm`` at p = 6, whose (64 x 101) by (101 x 301) complex
+    matmul is the only BLAS call, took 16 ms per call in 2 of 10 fresh
+    processes, against 0.9-1.4 ms in all 10 with the pin (2-core Xeon VM).
+    The thread count is the process's, so the pin is one per process.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._saved = []
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if not self._holders:
+                self._saved = [
+                    (set_threads, get_threads())
+                    for set_threads, get_threads in _openblas_thread_controls()
+                ]
+                for set_threads, _ in self._saved:
+                    set_threads(1)
+            self._holders += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._holders -= 1
+            if not self._holders:
+                for set_threads, count in self._saved:
+                    set_threads(count)
+
+
+# Taken by the kernel's entry points, ``sweep.map_on_pool`` and the CLI.
+ONE_BLAS_THREAD = _OneBlasThread()
 
 
 @dataclass(frozen=True)
@@ -372,6 +469,30 @@ def _uses_fft(g: int, m: int) -> bool:
     angles and a length-m FFT would drop them.
     """
     return _FFT_COEFFS_PER_LOG2_ANGLE * math.log2(m) < g <= m
+
+
+def _five_smooth(m: int) -> int:
+    """The least count of at least m angles with no prime factor above 5.
+
+    pocketfft sums such a length by its radix-2, -3 and -5 passes, and a
+    larger prime factor by slower generic passes or, for a large prime, by
+    Bluestein's chirp-z: the inverse FFT of 21 rows of 1,501 coefficients
+    took 2.47 ms at 3,001 angles against 0.54 ms at 3,072 (2-core Xeon VM,
+    numpy 2.4).  Each 5^c 3^b below the power of two at or above m is
+    doubled up to m, and the least of those products is taken.
+    """
+    best = 1 << (m - 1).bit_length()
+    fives = 1
+    while fives < best:
+        odd = fives
+        while odd < best:
+            length = odd
+            while length < m:
+                length *= 2
+            best = min(best, length)
+            odd *= 3
+        fives *= 5
+    return best
 
 
 def _fourier_matrix(g: int, m: int) -> np.ndarray | None:
@@ -564,8 +685,8 @@ def _quadrature_norm(P: ComplexPolynomial, grid, p: float) -> NormResult:
     """The norm of P on the grid, refused above _GRID_BYTES_BUDGET before
     the coefficient array, any radial rule or any grid array is built."""
     _refuse_oversized(P, grid, p)
-    with np.errstate(over="ignore", invalid="ignore"):  # NormResult refuses inf, nan
-        mean = _power_mean(P.coeff_array(), grid, p)
+    with ONE_BLAS_THREAD, np.errstate(over="ignore", invalid="ignore"):
+        mean = _power_mean(P.coeff_array(), grid, p)  # NormResult refuses inf, nan
     return NormResult(mean ** (1.0 / p), "quadrature", 0.0)
 
 
@@ -617,7 +738,10 @@ def _grid_rule(
     = 4 misses).  At other p no finite rule is exact: the nodes come from
     ``defaults`` for this many variables and the angles are 4*d*ceil(p/2) +
     1 (p taken as at least 2), at least the table's floor, or _CUSP_FLOOR
-    for a single variable at p < 1.
+    for a single variable at p < 1.  Either angle count M, on an axis that
+    ``_uses_fft`` would sum at M (d + 1 coefficients), becomes
+    ``_five_smooth(M)``, at least M and so still exact at even p; an axis
+    summed by the Fourier matmul keeps M.
 
     Raises, in this order, for a disk's alpha, p (on circles as on disks),
     a count below 1, more variables than the table has, and a disk's nodes
@@ -643,6 +767,8 @@ def _grid_rule(
             k, m = min(d * s // 2 + 1, k_table), d * s + 1
         else:
             k, m = k_table, max(floor, 4 * d * math.ceil(max(p, 2.0) / 2.0) + 1)
+        if _uses_fft(d + 1, m):
+            m = _five_smooth(m)
         grid.append((alpha, int(nodes or (1 if alpha is None else k)), int(angles or m)))
     return tuple(grid)
 
@@ -661,8 +787,8 @@ def circle_means(P: ComplexPolynomial, p: float, radii_sq: np.ndarray) -> np.nda
     [(_, _, m)] = grid = _grid_rule((P.degree,), None, p, nodes=len(radii_sq))
     _refuse_oversized(P, grid, p)
     tiles = _shell_means(P.dense_coeffs().reshape(1, -1), radii_sq, m, p)
-    with np.errstate(over="ignore", invalid="ignore"):  # ``_finite`` refuses inf, nan
-        means = np.concatenate([means[0] for _, _, means in tiles])
+    with ONE_BLAS_THREAD, np.errstate(over="ignore", invalid="ignore"):
+        means = np.concatenate([means[0] for _, _, means in tiles])  # see ``_finite``
     return _finite(means, "circle mean")
 
 
@@ -673,8 +799,8 @@ def circle_curvature(P: ComplexPolynomial, p: float, radii_sq: np.ndarray) -> np
     mean of |P|^(p-2) ((p^2/4) |g|^2 - (p/2) Re(conj(P) g)) over the angles
     of ``circle_means``, on its grid.  At even p = 2s both terms,
     |P^(s-1) g|^2 and Re(conj(P^s) P^(s-1) g), have trigonometric degree d*s
-    for P of degree d, as |P|^p has, so the d*s + 1 angles integrate them
-    exactly too.
+    for P of degree d, as |P|^p has, so the angles of ``circle_means``, at
+    least d*s + 1, integrate them exactly too.
     P and g are evaluated in lockstep on the same tiles, two streams to
     ``_grid_bytes``, and each tile's parts are squared in place, so beside
     the tiles only two float buffers of a tile's points are held.
@@ -686,7 +812,7 @@ def circle_curvature(P: ComplexPolynomial, p: float, radii_sq: np.ndarray) -> np
     buffers = np.empty((2, _tile_shape(1, len(radii_sq), m)[1], m))
     out = []
     tiles = zip(_tiles(coeffs, radii_sq, m), _tiles(slopes, radii_sq, m))
-    with np.errstate(over="ignore", invalid="ignore"):  # ``_finite`` refuses inf, nan
+    with ONE_BLAS_THREAD, np.errstate(over="ignore", invalid="ignore"):  # see ``_finite``
         for (*_, f), (*_, g) in tiles:
             cross, both = buffers[:, : len(f)]
             np.multiply(f.real, g.real, out=cross)
@@ -714,19 +840,23 @@ def bergman_norm(
     """Quadrature A^p_alpha(D^n) norm over the tensor rule.
 
     At even p = 2s on the default grid, below the node cap of ``_grid_rule``,
-    the rule is exact for |P|^p, with the least counts that are (d*s + 1
-    angles and ceil((d*s + 1)/2) nodes on an axis of degree d), and the
-    result is exact up to rounding, so est_error = 0 is honest.  Elsewhere
-    (other p, capped high degree, pinned nodes or angles) est_error is also
-    reported as 0 but bounds nothing.
+    the rule is exact for |P|^p, with the least node count that is,
+    ceil((d*s + 1)/2) on an axis of degree d, and d*s + 1 angles, the
+    least exact count, rounded up to a 5-smooth one on an axis summed by
+    FFT; the result is exact up to rounding, so est_error = 0 is honest.
+    Elsewhere (other p, capped high degree, pinned nodes or angles)
+    est_error is also reported as 0 but bounds nothing.
     One ``sweep.map_on_pool`` call computes each distinct call once (see
     ``memo_scope``; a raise stores nothing); outside a pool every call computes.
     """
-    memo = _MEMO.get({})  # a throwaway dict outside any scope
-    key = (P, float(alpha), float(p), nodes, angles)
-    if key not in memo:
+    memo = _MEMO.get(None)  # outside any scope no key is built or hashed
+    key = None if memo is None else (P, float(alpha), float(p), nodes, angles)
+    if key is None or key not in memo:
         grid = _grid_rule(P.variable_degrees(), alpha, p, nodes, angles)
-        memo[key] = _quadrature_norm(P, grid, p)
+        result = _quadrature_norm(P, grid, p)
+        if key is None:
+            return result
+        memo[key] = result
     return memo[key]
 
 

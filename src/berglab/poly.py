@@ -70,6 +70,10 @@ class ComplexPolynomial:
     nvars: int
     terms: tuple[tuple[tuple[int, ...], complex], ...]
 
+    # ``variable_degrees()``, kept on the instance at its first call; a class
+    # attribute, not a field, so ``==``, ``hash`` and ``repr`` do not see it
+    _variable_degrees = None
+
     def __post_init__(self) -> None:
         if self.nvars < 1:
             raise ValueError("nvars must be >= 1")
@@ -124,11 +128,16 @@ class ComplexPolynomial:
         return max(sum(g) for g, _ in self.terms)
 
     def variable_degrees(self) -> tuple[int, ...]:
-        if not self.terms:
-            return (0,) * self.nvars
-        return tuple(
-            max(g[i] for g, _ in self.terms) for i in range(self.nvars)
-        )
+        """The largest exponent of each variable (0 for the zero polynomial),
+        worked out once per polynomial."""
+        degrees = self._variable_degrees
+        if degrees is None:
+            degrees = tuple(
+                max((g[i] for g, _ in self.terms), default=0)
+                for i in range(self.nvars)
+            )
+            object.__setattr__(self, "_variable_degrees", degrees)
+        return degrees
 
     def coeff(self, gamma: Sequence[int]) -> complex:
         key = tuple(int(e) for e in gamma)

@@ -32,17 +32,15 @@ pure function of its config: rerunning one produces byte-identical CSV.
 from __future__ import annotations
 
 import contextvars
-import ctypes
 import itertools
 import os
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .checks import CHECKS, error_fields, space_inputs
 from .corpus import KINDS, random_polynomials
 from .measures import check_counts, check_nodes
-from .norms import memo_scope
+from .norms import ONE_BLAS_THREAD, memo_scope
 from .poly import ComplexPolynomial, parse_polynomial
 from .report import ReportRow, VerificationReport
 
@@ -269,71 +267,6 @@ def _tasks(cfg: SweepConfig):
                     yield check, {k: v for k, v in pool.items() if k in check.names}
 
 
-# (set, get) thread-count symbol pairs, by OpenBLAS build: the numpy and
-# scipy wheels rename them with a scipy_ prefix and a 64_ ILP64 suffix.
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
-    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
-)
-
-
-def _openblas_thread_controls() -> list:
-    """(set, get) thread-count functions of every OpenBLAS copy in this process.
-
-    Empty where none is found: another BLAS, or no ``/proc/self/maps``.
-    """
-    try:
-        with open(
-            "/proc/self/maps", encoding="utf-8", errors="surrogateescape"
-        ) as maps:
-            # the last of the six fields is the mapped file, where there is one
-            paths = {line.split(None, 5)[-1].strip() for line in maps}
-    except OSError:
-        return []
-    controls = []
-    for path in sorted(paths):
-        if "openblas" not in os.path.basename(path):
-            continue
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
-            try:
-                set_threads = getattr(lib, set_name)
-                get_threads = getattr(lib, get_name)
-            except AttributeError:
-                continue
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-            controls.append((set_threads, get_threads))
-            break
-    return controls
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the body with every loaded OpenBLAS at one thread, then restore.
-
-    The products of a sweep row or an acceptance criterion are too small
-    to gain from BLAS threads: beside a thread pool they spin against it,
-    and inline they burn about twice the CPU for no shorter wall time.
-    """
-    saved = [
-        (set_threads, get_threads())
-        for set_threads, get_threads in _openblas_thread_controls()
-    ]
-    for set_threads, _ in saved:
-        set_threads(1)
-    try:
-        yield
-    finally:
-        for set_threads, count in saved:
-            set_threads(count)
-
-
 def _map_on_threads(fn, items: list, workers: int) -> list:
     """``[fn(item) for item in items]`` on ``workers`` new threads.
 
@@ -389,7 +322,7 @@ def map_on_pool(fn, items, workers: int) -> list:
     """
     items = list(items)
     workers = min(workers, len(items), len(os.sched_getaffinity(0)))
-    with _one_blas_thread(), memo_scope():
+    with ONE_BLAS_THREAD, memo_scope():
         if workers > 1:
             return _map_on_threads(fn, items, workers)
         return [fn(item) for item in items]

@@ -54,7 +54,7 @@ def test_norm_exact_and_mc_methods(capsys):
 
 
 def test_every_command_runs_with_one_blas_thread_and_restores(capsys, monkeypatch):
-    controls = sweep._openblas_thread_controls()
+    controls = norms._openblas_thread_controls()
     if not controls:
         pytest.skip("no OpenBLAS loaded in this process: no thread count to pin")
     original = [get_threads() for _, get_threads in controls]
@@ -62,7 +62,7 @@ def test_every_command_runs_with_one_blas_thread_and_restores(capsys, monkeypatc
 
     def handler(args):
         seen.append([get_threads() for _, get_threads in controls])
-        with sweep._one_blas_thread():  # a pool inside the command
+        with norms.ONE_BLAS_THREAD:  # a pool inside the command
             seen.append([get_threads() for _, get_threads in controls])
         seen.append([get_threads() for _, get_threads in controls])
         raise ValueError("bad input")
@@ -457,7 +457,8 @@ def test_phi_below_q_two_is_a_usage_error(capsys):
 
 
 def test_an_oversized_profile_is_refused_before_any_tile(capsys, monkeypatch):
-    # degree 10^6 at q = 64 sums 32,000,001 angles per circle by FFT
+    # degree 10^6 at q = 64 sums 32,400,000 angles per circle by FFT, the
+    # least 5-smooth count of at least 32,000,001
     def no_tiles(*args):
         raise AssertionError("a tile was evaluated before the refusal")
 
@@ -468,7 +469,7 @@ def test_an_oversized_profile_is_refused_before_any_tile(capsys, monkeypatch):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err.startswith(
-        "error: quadrature grid too large: (nodes, angles) (1, 32000001) need about"
+        "error: quadrature grid too large: (nodes, angles) (1, 32400000) need about"
     )
 
 
@@ -526,6 +527,31 @@ def test_sweep_cli_round_trip(tmp_path, capsys):
     code, _, err = run(["sweep", "--config", str(bad), "--quiet"], capsys)
     assert code == 2
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("out", ["csv", "json"])
+def test_a_sweep_output_path_is_written_in_the_out_format(out, tmp_path, capsys):
+    # the file holds exactly what stdout would: --out json is not dropped
+    rows = (
+        "[sweep]\nchecks = hyper\n[grid]\ntuples = 2 2 2 4, 2 3 2 4\n"
+        "[corpus]\npolys = 1,1\n"
+    )
+    to_stdout, to_file = tmp_path / "stdout.cfg", tmp_path / "file.cfg"
+    path = tmp_path / "rows.out"
+    to_stdout.write_text(rows)
+    to_file.write_text(rows + f"[output]\npath = {path}\n")
+    argv = ["sweep", "--out", out, "--config"]
+    code, printed, _ = run([*argv, str(to_stdout), "--quiet"], capsys)
+    assert code == 0
+    code, nothing, err = run([*argv, str(to_file)], capsys)
+    assert (code, nothing) == (0, "")
+    assert err.endswith(f"report written to {path}\n")
+    assert path.read_text() == printed
+    if out == "json":
+        assert len(printed.splitlines()) == 1
+        assert len(json.loads(printed)) == 2
+    else:
+        assert printed.startswith("check_id,params,")
 
 
 @pytest.mark.parametrize("key, value", [("nodes", 0), ("angles", 0), ("nodes", 4097)])

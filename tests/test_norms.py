@@ -374,17 +374,17 @@ def traced_peak(fn, *args, **kwargs) -> int:
 
 
 def test_oversized_grid_is_refused_before_anything_is_allocated(monkeypatch):
-    # (32, 2001) per axis, summed by FFT: the first lead step holds the
-    # coefficients beside the lead array of 32 * 2001 * 1001 values, 0.95 GiB,
+    # (32, 2025) per axis, summed by FFT: the first lead step holds the
+    # coefficients beside the lead array of 32 * 2025 * 1001 values, 0.97 GiB,
     # with its radial power table and its first tile of 1 row x 32 nodes:
     # values and shells, and the cast buffer of np.getbufsize() values
     P = parse_polynomial("(1000,1000):1")
     grid = _grid_rule((1000, 1000), 2.0, 4.0)
-    assert grid == ((2.0, 32, 2001),) * 2
+    assert grid == ((2.0, 32, 2025),) * 2
     assert _grid_bytes((1001, 1001), grid, 4.0) == (
-        16 * (1001 + 32 * 2001) * 1001
+        16 * (1001 + 32 * 2025) * 1001
         + 8 * 32 * 1001
-        + 16 * 32 * (1001 + 2001)
+        + 16 * 32 * (1001 + 2025)
         + 16 * 8192
     )
     assert _grid_bytes((1001, 1001), grid, 4.0) > 1.9 * _GRID_BYTES_BUDGET
@@ -520,7 +520,8 @@ def test_grid_rule_default_sizes():
     # table's count, and d*s + 1 angles
     assert sizes(_grid_rule((4,), 2.0, 2.0)) == [(3, 5)]
     assert sizes(_grid_rule((5,), 2.0, 4.0)) == [(6, 11)]
-    assert sizes(_grid_rule((1500,), 2.0, 4.0)) == [(64, 3001)]
+    # an axis summed by FFT (``_uses_fft``) rounds d*s + 1 up to a 5-smooth count
+    assert sizes(_grid_rule((1500,), 2.0, 4.0)) == [(64, 3072)]
     assert sizes(_grid_rule((5, 3), 2.0, 4.0)) == [(6, 11), (4, 7)]
     assert sizes(_grid_rule((40, 0), 2.0, 4.0)) == [(32, 81), (1, 1)]
     assert sizes(_grid_rule((40, 1), 2.0, 4.0, defaults=_MIXED_DEFAULTS)) == [
@@ -542,9 +543,51 @@ def test_grid_rule_angle_floor_and_growth():
     assert angles((12,), 5.5) == [257]
     assert angles((30,), 5.5) == [4 * 30 * 3 + 1]
     assert angles((100,), 1.5) == [4 * 100 + 1]
-    assert angles((300,), 0.5) == [4 * 300 + 1]
+    assert angles((300,), 0.5) == [1215]  # 4 * 300 + 1 by FFT, rounded 5-smooth
     assert angles((20, 3), 3.0) == [4 * 20 * 2 + 1, 65]
     assert angles((5, 5, 5), 2.5) == [4 * 5 * 2 + 1] * 3
+
+
+def _is_five_smooth(m: int) -> bool:
+    for prime in (2, 3, 5):
+        while m % prime == 0:
+            m //= prime
+    return m == 1
+
+
+@pytest.mark.parametrize("p", [0.5, 2.0, 3.0, 4.0, 6.0])
+def test_default_fft_axes_take_the_least_five_smooth_angle_count(p):
+    # the least count that is exact at even p (d*s + 1), or the count of
+    # other p, goes up to the next count with no prime factor above 5 on an
+    # axis it would have summed by FFT; a matmul axis keeps it
+    for alpha in (2.0, None):
+        for d in range(2001):
+            s = p / 2.0
+            if s.is_integer():
+                least = int(d * s) + 1
+            else:
+                floor = 1025 if p < 1.0 else 257
+                least = max(floor, 4 * d * math.ceil(max(p, 2.0) / 2.0) + 1)
+            [(_, _, m)] = _grid_rule((d,), alpha, p)
+            if _uses_fft(d + 1, least):
+                assert _is_five_smooth(m) and m >= least, (d, least, m)
+                assert not any(map(_is_five_smooth, range(least, m))), (d, least, m)
+            else:
+                assert m == least, (d, least, m)
+            assert _is_five_smooth(m) or not _uses_fft(d + 1, m), (d, m)
+
+
+def test_a_rounded_fft_axis_stays_exact_where_one_angle_fewer_misses():
+    # degree 120 at p = 2: 121 angles sum by FFT and go up to 125, still
+    # exact; the same grid on 120 angles aliases the top frequency onto the mean
+    P = random_polynomials(1, 1, 120, 1729)[0]
+    assert P.variable_degrees() == (120,)
+    grid = _grid_rule((120,), 2.0, 2.0)
+    assert grid == ((2.0, 61, 125),) and _uses_fft(121, 125)
+    exact = exact_norm_p2(P, 2.0).value
+    assert bergman_norm(P, 2.0, 2.0).value == pytest.approx(exact, rel=1e-14, abs=0.0)
+    fewer = bergman_norm(P, 2.0, 2.0, nodes=61, angles=120).value
+    assert abs(fewer - exact) > 1e-5 * exact
 
 
 def _box_polynomial(degrees, seed):

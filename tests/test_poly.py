@@ -143,6 +143,16 @@ def test_degree_bookkeeping():
     assert P.variable_degrees() == (3, 2)
 
 
+def test_variable_degrees_are_kept_outside_the_fields():
+    # worked out once, and neither == nor hash sees the kept tuple
+    P = ComplexPolynomial.from_terms(2, {(3, 1): 1.0, (0, 2): 1.0})
+    Q = ComplexPolynomial.from_terms(2, {(0, 2): 1.0, (3, 1): 1.0})
+    assert P.variable_degrees() is P.variable_degrees() == (3, 2)
+    assert P == Q and hash(P) == hash(Q) and repr(P) == repr(Q)
+    assert (P * P).variable_degrees() == (6, 4)
+    assert ComplexPolynomial.zero(3).variable_degrees() == (0, 0, 0)
+
+
 def test_dilation_radius_validation():
     P = ComplexPolynomial.from_terms(2, {(1, 2): 1.0})
     for r in (1.5, -0.1):

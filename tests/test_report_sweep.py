@@ -250,7 +250,7 @@ ERROR_CONFIG = (
     "text", [BASE_CONFIG, ERROR_CONFIG], ids=["rows", "error-rows"]
 )
 def test_sweep_pool_pins_openblas_to_one_thread_and_restores(text, monkeypatch):
-    controls = sweep._openblas_thread_controls()
+    controls = norms._openblas_thread_controls()
     if not controls:
         pytest.skip("no OpenBLAS loaded in this process: no thread count to pin")
     original = [get_threads() for _, get_threads in controls]
@@ -277,6 +277,52 @@ def test_sweep_pool_pins_openblas_to_one_thread_and_restores(text, monkeypatch):
             assert seen and all(counts == [1] * len(controls) for counts in seen)
             if text is ERROR_CONFIG:
                 assert [row.status for row in rep.rows] == ["error", "error"]
+    finally:
+        for (set_threads, _), count in zip(controls, original):
+            set_threads(count)
+
+
+def test_the_blas_pin_counts_its_holders_and_restores_once(monkeypatch):
+    # the counts are set and restored once, however deep the nesting and
+    # from however many threads; an entry inside costs no library call
+    calls = []
+    control = (lambda n: calls.append(("set", n)), lambda: calls.append("get") or 3)
+    monkeypatch.setattr(norms, "_openblas_thread_controls", lambda: (control,))
+    pin = norms.ONE_BLAS_THREAD
+    with pin:
+        assert calls == ["get", ("set", 1)]
+        with pin:
+            norm = lambda: norms.bergman_norm(parse_polynomial("1,1"), 2.0, 4.0)
+            thread = threading.Thread(target=norm)
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert calls == ["get", ("set", 1)]
+    assert calls == ["get", ("set", 1), ("set", 3)]
+
+
+def test_a_norm_outside_any_pool_runs_on_one_blas_thread(monkeypatch):
+    # the kernel's entry points pin BLAS themselves, and the library's
+    # thread-count functions are looked up once per process
+    controls = norms._openblas_thread_controls()
+    assert norms._openblas_thread_controls() is controls
+    if not controls:
+        pytest.skip("no OpenBLAS loaded in this process: no thread count to pin")
+    seen = []
+    kernel = norms._power_mean
+
+    def recording(*args):
+        seen.append([get_threads() for _, get_threads in controls])
+        return kernel(*args)
+
+    monkeypatch.setattr(norms, "_power_mean", recording)
+    original = [get_threads() for _, get_threads in controls]
+    try:
+        for set_threads, _ in controls:
+            set_threads(2)
+        norms.bergman_norm(parse_polynomial("1,1"), 2.0, 4.0)
+        assert seen == [[1] * len(controls)]
+        assert [get_threads() for _, get_threads in controls] == [2] * len(controls)
     finally:
         for (set_threads, _), count in zip(controls, original):
             set_threads(count)
@@ -351,7 +397,7 @@ def test_pool_starts_at_most_one_thread_per_core(cores, expected, monkeypatch):
 def test_sweep_pool_without_openblas_gives_same_csv(monkeypatch):
     cfg = parse_sweep_config(BASE_CONFIG)
     serial = run_sweep(cfg).to_csv()
-    monkeypatch.setattr(sweep, "_openblas_thread_controls", lambda: [])
+    monkeypatch.setattr(norms, "_openblas_thread_controls", lambda: ())
     assert run_sweep(cfg, jobs=2).to_csv() == serial
 
 
@@ -472,6 +518,20 @@ def test_a_sweep_computes_each_distinct_norm_once_per_run(monkeypatch):
     P = cfg.polys[0]
     assert norms.bergman_norm(P, 2.0, 0.5) == norms.bergman_norm(P, 2.0, 0.5)
     assert len(grids) == 2
+
+
+def test_outside_a_scope_no_memo_key_is_built(monkeypatch):
+    # the key hashes P; outside any pool nothing is kept, so nothing is hashed
+    P = random_polynomials(1, 1, 6, 3)[0]
+    want = norms.bergman_norm(P, 2.0, 4.0)
+
+    def unhashable(self):
+        raise AssertionError("a memo key was hashed")
+
+    monkeypatch.setattr(type(P), "__hash__", unhashable)
+    assert norms.bergman_norm(P, 2.0, 4.0) == want
+    with norms.memo_scope(), pytest.raises(AssertionError, match="memo key"):
+        norms.bergman_norm(P, 2.0, 4.0)
 
 
 def test_a_raising_norm_is_never_served_from_the_memo(monkeypatch):
