@@ -2,9 +2,15 @@
 """Scan the perturbation size used in the empirical threshold search.
 
 For each eps the bisection returns an empirical critical radius for the
-family 1 + eps*z; the theory says the bias is even in eps, so the printed
-Richardson column should collapse onto the formula value much faster than
-the raw column.  Output is plot-ready CSV on stdout or --out.
+family 1 + eps*z, raw and Richardson-refined (the bias is even in eps).
+The refined column does not collapse onto the formula value.  At the
+default --tol 1e-4 both columns are limited by the bisection's step: at
+small eps they print the same radius, about 4e-5 off.  At a tighter --tol
+the refined error grows as eps shrinks, since the search compares with
+``checks.INEQ_SLACK``, which moves the crossover by about
+slack / (2 A_q r0 eps^2), A_q = q / (4 beta): a shift that grows 4 times
+each time eps halves.  ROADMAP item 19 plans the search without slack.
+Output is plot-ready CSV on stdout or --out.
 """
 import argparse
 import sys

@@ -259,20 +259,25 @@ class PhiProfile:
     phi2: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        ys = np.asarray(self.y_grid)
-        if np.any(np.diff(ys) <= 0):
-            raise ValueError("y grid must be strictly increasing")
         if np.any(np.asarray(self.phi) < 0):
             raise ValueError("profile values must be nonnegative")
 
 
-def phi_profile(f: ComplexPolynomial, q: float, y_grid) -> PhiProfile:
-    """Profile values and second derivatives on a grid inside (0, 1), 2 <= q <= 64."""
+def _profile_grid(q: float, y_grid) -> np.ndarray:
+    """y_grid as an array, checked: 2 <= q <= 64, points, all in (0, 1), rising."""
     if _check_p(q, "q") < 2.0:  # |f|^(q-2) in Phi'' is singular at zeros of f
         raise ValueError("the circle profile requires q >= 2")
     ys = np.asarray(y_grid, dtype=float)
     if not ys.size or np.any(ys <= 0.0) or np.any(ys >= 1.0):
         raise ValueError("the profile grid needs points, all inside (0, 1)")
+    if np.any(np.diff(ys) <= 0):
+        raise ValueError("y grid must be strictly increasing")
+    return ys
+
+
+def phi_profile(f: ComplexPolynomial, q: float, y_grid) -> PhiProfile:
+    """Profile values and second derivatives on a grid inside (0, 1), 2 <= q <= 64."""
+    ys = _profile_grid(q, y_grid)
     phi = circle_means(f, q, ys)
     phi2 = circle_curvature(f, q, ys) / ys ** 2
     return PhiProfile(
@@ -284,10 +289,10 @@ def phi_profile(f: ComplexPolynomial, q: float, y_grid) -> PhiProfile:
 
 
 def phi_convexity_check(f: ComplexPolynomial, q: float, y_grid) -> tuple[float, float]:
-    """The smallest Phi'' on the grid and the y where it is taken, 2 <= q <= 64."""
-    prof = phi_profile(f, q, y_grid)
-    k = int(np.argmin(prof.phi2))
-    return prof.phi2[k], prof.y_grid[k]
+    """The smallest Phi'' on ``phi_profile``'s grid and the y where it is taken."""
+    ys = _profile_grid(q, y_grid)
+    phi2 = circle_curvature(f, q, ys) / ys ** 2  # Phi itself is not needed
+    return float(phi2.min()), float(ys[np.argmin(phi2)])
 
 
 @dataclass(frozen=True)

@@ -31,25 +31,25 @@ variable is one more axis with the single node t = 1.  Zeros of P at
 quarter-turn phases stay exact zeros (see ``_fourier_matrix``), and |P|^p
 is formed from s = |P|^2 by ``_sq_pow``.
 
-``_grid_rule`` is the one place where grids are sized and sizing errors
-raised, for circles as for disks: it turns the variables' degrees, alpha,
-p and the optional counts into the grid, one (alpha, nodes, angles) triple
-per axis (alpha None for a circle).  A default angle count on an axis
-that ``_uses_fft`` sums is rounded up to the least count with no prime
-factor above 5 (``_five_smooth``), which pocketfft sums without falling
-back to the slower chirp-z; a matmul axis keeps the count, and so does
-any count a caller pins.  Only ``bergman_norm`` (nodes and
-angles) and ``hardy_norm`` (angles) take counts from their callers; the
-mixed norm pins them on the rungs of its ladder (below), and the circle
-profile counts its circles as the nodes of one circle axis on the default
-angles.  A grid holds sizes only, so ``_refuse_oversized`` refuses one
-whose kernel arrays would take more than ``_GRID_BYTES_BUDGET`` at once,
-as ``_grid_bytes`` counts them, before anything is built.
+``_grid_rule`` is the one place where grids are sized, tables chosen and
+sizing errors raised: it turns the variables' degrees, weights (one alpha,
+or one per variable with None for a circle), p and the optional counts
+into the grid, one (alpha, nodes, angles) triple per axis.  A default
+angle count on an axis that ``_uses_fft`` sums is rounded up to the least
+count with no prime factor above 5 (``_five_smooth``), which pocketfft
+sums without falling back to the slower chirp-z; a matmul axis keeps the
+count, and so does any count a caller pins.  Every quadrature norm is a
+``bergman_norm`` on such weights (the Hardy norm one circle, the mixed
+norm a circle beside disks); the circle profile counts its circles as the
+nodes of one circle axis.  A grid holds sizes only, so
+``_refuse_oversized`` refuses one whose kernel arrays would take more than
+``_GRID_BYTES_BUDGET`` at once, as ``_grid_bytes`` counts them, before
+anything is built.
 
 The ladder: at p other than an even integer no finite grid is exact, and
 a norm can be climbed on the rungs of ``_ladder`` below a cap, its default
 grid, by ``_climb``, the one loop over them, until a rule it is given
-holds.  ``mixed_norm`` climbs its own grid, and ``_climbed_norms`` sizes
+holds.  Its one caller, ``_climbed_norms``, sizes the mixed norm and
 every check row's Bergman norms (see each).  ``bergman_norm`` itself never
 climbs: `berglab norm` and every caller that names a grid get that grid.
 
@@ -67,8 +67,8 @@ error that can fall short of the finer one's (at p = 0.5 with cusps, by up
 to 44 times on c6's univariate corpus); a verdict is judged on it only
 with the factor ``checks.SETTLE_MULTIPLE`` to spare.
 
-One ``sweep.map_on_pool`` call computes each distinct ``bergman_norm`` once
-(see ``memo_scope``); a call outside any pool always computes.  The
+One ``sweep.map_on_pool`` call computes each distinct quadrature norm
+once (see ``memo_scope``); a call outside any pool always computes.  The
 kernel's entry points, like the pool and the CLI, run under one
 refcounted pin of OpenBLAS to one thread (``ONE_BLAS_THREAD``).
 
@@ -113,9 +113,9 @@ __all__ = [
 # Tensor quadrature table per variable count: (radial nodes, angular floor).
 # It sizes the grid at p other than an even integer, where no finite rule is
 # exact; product grids use smaller floors (and a reduced node count) because
-# the cost is multiplicative.  Circle variables use the univariate floor.  At
-# even p the grid is sized from the degree instead, and the node count here
-# only caps it, so high degrees cost no more than the table.
+# the cost is multiplicative.  Circles alone take it as disks do.  At even
+# p the grid is sized from the degree instead, and the node count here only
+# caps it, so high degrees cost no more than the table.
 _TENSOR_DEFAULTS = {1: (64, 257), 2: (32, 65), 3: (16, 33)}
 
 # The angle floor of a single variable at p < 1, where |P|^p has cusps at the
@@ -123,9 +123,9 @@ _TENSOR_DEFAULTS = {1: (64, 257), 2: (32, 65), 3: (16, 33)}
 _CUSP_FLOOR = 1025
 
 # The mixed norm wraps a circle average around the disk rule, so its inner
-# grids are leaner again; key is the number of disk variables.  At even p it
-# only caps the node count, as above; at other p it sizes the ladder's cap,
-# the finest rung ``mixed_norm`` evaluates.
+# grids are leaner again; key is the number of disks beside circles.  At even
+# p it only caps the node count, as above; at other p it sizes the ladder's
+# cap, the finest rung ``mixed_norm`` evaluates.
 _MIXED_DEFAULTS = {1: (64, 257), 2: (24, 33), 3: (12, 17)}
 
 # The mixed norm, and the Bergman side of the isometry rows, at p other
@@ -716,60 +716,68 @@ def _power_mean(coeff: np.ndarray, grid, p: float) -> float:
 
 def _grid_rule(
     degrees,
-    alpha: float | None,
+    alpha: float | None | tuple[float | None, ...],
     p: float,
     nodes: int | None = None,
     angles: int | None = None,
-    defaults: dict = _TENSOR_DEFAULTS,
 ) -> tuple[tuple[float | None, int, int], ...]:
     """The grid: the (alpha, nodes, angles) of each variable, given its degree.
 
-    A disk variable (alpha given) has ``nodes`` radial nodes of the Gauss
-    rule of that weight and ``angles`` angles; with alpha None each
-    variable is a circle, one node t = 1 or the profile's ``nodes`` radii.
-    Counts left at None are sized per axis.  At even p = 2s an axis of
-    degree d carries |P^s|^2, of degree d*s in t = |z|^2 and trigonometric
-    degree d*s in the angle, so ceil((d*s + 1)/2) Gauss nodes (capped at
-    the table's node count) and M = d*s + 1 angles integrate it exactly.
-    Both counts are the least that do: the trapezoid rule on M equispaced
-    angles sums exp(i n theta) exactly unless M divides n != 0 (Trefethen &
-    Weideman, SIAM Rev. 56, 2014, section 2), so it is exact below degree M,
-    and on d*s angles the top frequency aliases onto the mean (1 + z^d at p
-    = 4 misses).  At other p no finite rule is exact: the nodes come from
-    ``defaults`` for this many variables and the angles are 4*d*ceil(p/2) +
-    1 (p taken as at least 2), at least the table's floor, or _CUSP_FLOOR
-    for a single variable at p < 1.  Either angle count M, on an axis that
+    ``alpha`` is one weight for every variable or one per variable, None
+    marking a circle.  A disk has ``nodes`` Gauss nodes of its weight and
+    ``angles`` angles, a circle one node t = 1 (among circles alone, the
+    profile's ``nodes`` radii).  Counts left at None are sized per axis.  At
+    even p = 2s an axis of degree d carries |P^s|^2, of degree d*s in t =
+    |z|^2 and trigonometric degree d*s in the angle, so ceil((d*s + 1)/2)
+    Gauss nodes (capped at the table's node count) and M = d*s + 1 angles
+    integrate it exactly.  Both counts are the least that do: the trapezoid
+    rule on M equispaced angles sums exp(i n theta) exactly unless M divides
+    n != 0 (Trefethen & Weideman, SIAM Rev. 56, 2014, section 2), so it is
+    exact below degree M, and on d*s angles the top frequency aliases onto
+    the mean (1 + z^d at p = 4 misses).  At other p no finite rule is exact:
+    the nodes come from the table, ``_TENSOR_DEFAULTS`` by variable count or
+    for circles beside disks ``_MIXED_DEFAULTS`` by disk count, and the
+    angles are 4*d*ceil(p/2) + 1 (p taken as at least 2), at least the
+    table's floor, or _CUSP_FLOOR for one variable or disk at p < 1; a
+    circle beside disks takes one angle less than the first disk (at least
+    8), pinned counts included.  Either default count M, on an axis that
     ``_uses_fft`` would sum at M (d + 1 coefficients), becomes
-    ``_five_smooth(M)``, at least M and so still exact at even p; an axis
-    summed by the Fourier matmul keeps M.
+    ``_five_smooth(M)``, at least M and so still exact at even p.
 
-    Raises, in this order, for a disk's alpha, p (on circles as on disks),
-    a count below 1, more variables than the table has, and a disk's nodes
-    above the cap of ``radial_rule``.
+    Raises, in this order, for weights not one per variable, a disk's alpha,
+    p (on circles as on disks), a count below 1, more variables than the
+    table has, and a disk's nodes above the cap of ``radial_rule``.
     """
-    if alpha is not None:
-        alpha = check_alpha(alpha)
+    weights = alpha if isinstance(alpha, tuple) else (alpha,) * len(degrees)
+    if len(weights) != len(degrees):
+        raise ValueError(f"{len(weights)} weights for {len(degrees)} variables")
+    weights = [None if a is None else check_alpha(a) for a in weights]
     _check_p(p)
     check_counts(nodes=nodes, angles=angles)
-    if len(degrees) not in defaults:
-        raise ValueError(
-            f"tensor quadrature takes at most 3 disk variables, got {len(degrees)}"
-        )
-    if alpha is not None and nodes is not None:
+    disks = len(degrees) - weights.count(None)
+    mixed = 0 < disks < len(degrees)
+    table, key = (_MIXED_DEFAULTS, disks) if mixed else (_TENSOR_DEFAULTS, len(degrees))
+    if key not in table:
+        raise ValueError(f"tensor quadrature takes at most 3 disk variables, got {key}")
+    if disks and nodes is not None:
         check_nodes(nodes)
-    k_table, floor = defaults[len(degrees)]
-    if p < 1.0 and len(degrees) == 1:
+    k_table, floor = table[key]
+    if p < 1.0 and key == 1:
         floor = _CUSP_FLOOR
     s = _even_half(p)
     grid = []
-    for d in degrees:
+    for d, a in zip(degrees, weights):
         if s is not None:
             k, m = min(d * s // 2 + 1, k_table), d * s + 1
         else:
             k, m = k_table, max(floor, 4 * d * math.ceil(max(p, 2.0) / 2.0) + 1)
         if _uses_fft(d + 1, m):
             m = _five_smooth(m)
-        grid.append((alpha, int(nodes or (1 if alpha is None else k)), int(angles or m)))
+        k = (nodes or k) if a is not None else 1 if mixed else (nodes or 1)
+        grid.append((a, int(k), int(angles or m)))
+    if mixed and s is None:
+        circle = max(next(m for a, _, m in grid if a is not None) - 1, 8)
+        grid = [(a, k, m if a is not None else circle) for a, k, m in grid]
     return tuple(grid)
 
 
@@ -832,14 +840,15 @@ def circle_curvature(P: ComplexPolynomial, p: float, radii_sq: np.ndarray) -> np
 
 def bergman_norm(
     P: ComplexPolynomial,
-    alpha: float,
+    alpha: float | tuple[float | None, ...],
     p: float,
     nodes: int | None = None,
     angles: int | None = None,
 ) -> NormResult:
     """Quadrature A^p_alpha(D^n) norm over the tensor rule.
 
-    At even p = 2s on the default grid, below the node cap of ``_grid_rule``,
+    ``alpha`` is one weight or one per variable, None for a circle.  At
+    even p = 2s on the default grid, below the node cap of ``_grid_rule``,
     the rule is exact for |P|^p, with the least node count that is,
     ceil((d*s + 1)/2) on an axis of degree d, and d*s + 1 angles, the
     least exact count, rounded up to a 5-smooth one on an axis summed by
@@ -850,7 +859,7 @@ def bergman_norm(
     ``memo_scope``; a raise stores nothing); outside a pool every call computes.
     """
     memo = _MEMO.get(None)  # outside any scope no key is built or hashed
-    key = None if memo is None else (P, float(alpha), float(p), nodes, angles)
+    key = None if memo is None else (P, alpha, float(p), nodes, angles)
     if key is None or key not in memo:
         grid = _grid_rule(P.variable_degrees(), alpha, p, nodes, angles)
         result = _quadrature_norm(P, grid, p)
@@ -861,11 +870,8 @@ def bergman_norm(
 
 
 def hardy_norm(P: ComplexPolynomial, p: float, angles: int | None = None) -> NormResult:
-    """H^p norm on the unit circle via the equispaced rule."""
-    if P.nvars != 1:
-        raise ValueError("hardy_norm expects a univariate polynomial")
-    grid = _grid_rule(P.variable_degrees(), None, p, angles=angles)
-    return _quadrature_norm(P, grid, p)
+    """H^p norm on the unit circle: ``bergman_norm`` on one circle axis."""
+    return bergman_norm(P, (None,), p, angles=angles)
 
 
 def _ladder(degree: int, cap: tuple[int, int]):
@@ -894,11 +900,6 @@ def _ladder(degree: int, cap: tuple[int, int]):
     if rung != half:
         yield half
     yield None
-
-
-def _cap_counts(grid) -> tuple[int, int]:
-    """(nodes, largest angle count) of a grid of disk axes."""
-    return grid[0][1], max(m for _, _, m in grid)
 
 
 def _climb(
@@ -933,15 +934,15 @@ def _gap_settled(value: float, gap: float) -> bool:
 
 
 def _climbed_norms(sides, judge, settled=None, nodes=None, angles=None) -> tuple:
-    """Every check row's Bergman norms: judge(*norms) of the ``bergman_norm``
-    of each (P, alpha, p) side, a tuple of floats, and its gap.
+    """judge(*norms) of the ``bergman_norm`` of each (P, alpha, p) side, a
+    tuple of floats, and its gap: a check row's norms, or the mixed norm.
 
     On a grid pinned by ``nodes`` or ``angles`` each side is one
     ``bergman_norm`` there, and the gap is 0.0.  Otherwise a side at even p
     is one ``bergman_norm`` on its exact default grid.  The sides at other
     p climb ``_climb`` together, each rung one ``bergman_norm`` per such
-    side with the rung's counts pinned on every disk axis; the cap is the
-    largest of their default grids, which ``_grid_rule`` checks and
+    side with the rung's counts pinned (see ``_grid_rule``); the cap is the
+    largest counts of their default grids, which ``_grid_rule`` checks and
     ``_refuse_oversized`` refuses above _GRID_BYTES_BUDGET before any rung.
     The climb stops where ``settled`` holds (see ``_climb``); without a
     rule it evaluates the cap's half and the cap, whose values are the
@@ -957,7 +958,7 @@ def _climbed_norms(sides, judge, settled=None, nodes=None, angles=None) -> tuple
         grid = _grid_rule(P.variable_degrees(), alpha, p)
         _refuse_oversized(P, grid, p)
         fixed.append(None)
-        caps.append(_cap_counts(grid))
+        caps.extend(axis[1:] for axis in grid)
     if not caps:
         return judge(*fixed), 0.0
     degree = max(max(P.variable_degrees()) for P, _, _ in sides)
@@ -976,43 +977,22 @@ def _climbed_norms(sides, judge, settled=None, nodes=None, angles=None) -> tuple
 def mixed_norm(Q: ComplexPolynomial, alpha: float, p: float) -> NormResult:
     """Mixed norm with the last variable on the circle, the rest on disks.
 
-    The circle variable is one more axis of the tensor rule.  At even p the
-    grid is the one ``_grid_rule`` sizes with the ``_MIXED_DEFAULTS`` table,
-    each axis from its own degree, which is exact (est_error = 0).  At other
-    p no grid is exact, and the table's grid is only the cap of ``_ladder``,
-    d being the largest of Q's variable degrees, the circle's included, and
-    the cap's angle count the largest of its disk axes'; each rung pins its
-    counts alike on every disk axis, and ``_climb`` stops at
+    The side (Q, (alpha, ..., alpha, None), p) of ``_climbed_norms``: the
+    circle is one more axis of the tensor rule, one angle off the disks'
+    grids at other than even p (see ``_grid_rule``), so agreement with the
+    plain Bergman norm is a genuine consistency check rather than a grid
+    coincidence.  At even p the default grid is exact (est_error = 0).  At
+    other p it is the cap of ``_ladder``, d being the largest of Q's
+    variable degrees, the circle's included, and the climb stops at
     ``_gap_settled``.  On a zero-free Q, |Q|^p is analytic and both rules
     converge geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014), so a
     few coarse rungs settle it; where Q has zeros on the polydisc, |Q|^p has
     cusps or kinks there and the ladder climbs higher, often to the cap.
-    The cap is refused above _GRID_BYTES_BUDGET before any rung runs.
-
-    On every grid at other p the circle takes one angle less than the first
-    disk axis (at least 8), incommensurate with the disk angular grids, so
-    agreement with the plain Bergman norm is a genuine consistency check
-    rather than a grid coincidence.
     """
     if Q.nvars < 2:
         raise ValueError("mixed_norm needs at least one disk variable plus w")
-    *disk, d_w = Q.variable_degrees()
-
-    def rule(nodes=None, angles=None):
-        grid = _grid_rule(disk, alpha, p, nodes, angles, defaults=_MIXED_DEFAULTS)
-        circle = None if _even_half(p) is not None else max(grid[0][2] - 1, 8)
-        return grid + _grid_rule((d_w,), None, p, angles=circle)
-
-    cap = rule()
-    if _even_half(p) is not None:
-        return _quadrature_norm(Q, cap, p)
-    _refuse_oversized(Q, cap, p)
-    (value,), gap = _climb(
-        max(*disk, d_w),
-        _cap_counts(cap[:-1]),
-        lambda rung: (_quadrature_norm(Q, rule(*rung) if rung else cap, p).value,),
-        _gap_settled,
-    )
+    side = (Q, (alpha,) * (Q.nvars - 1) + (None,), p)
+    (value,), gap = _climbed_norms([side], lambda v: (v,), _gap_settled)
     return NormResult(value, "quadrature", gap)
 
 

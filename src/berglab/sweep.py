@@ -317,8 +317,8 @@ def map_on_pool(fn, items, workers: int) -> list:
     (see ``_map_on_threads``).  Either way every loaded OpenBLAS runs one
     thread meanwhile, and results come back in input order; an exception
     from ``fn`` propagates once every item is done.  The call is one
-    ``norms.memo_scope``: it computes each distinct Bergman quadrature norm
-    once, in its workers too; a nested call shares the memo.
+    ``norms.memo_scope``: it computes each distinct quadrature norm once
+    (Hardy and mixed included), in its workers too; a nested call shares it.
     """
     items = list(items)
     workers = min(workers, len(items), len(os.sched_getaffinity(0)))
@@ -333,8 +333,8 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> VerificationReport:
 
     With ``jobs > 1`` rows run on a pool of that many threads, at most one
     per available core.  Either way OpenBLAS, where loaded, runs one
-    thread per row meanwhile, and each distinct Bergman quadrature norm is
-    computed once.  A row whose check raises becomes an error row naming
+    thread per row meanwhile, and each distinct quadrature norm is computed
+    once.  A row whose check raises becomes an error row naming
     the row's inputs; it fails the aggregate but does not abort the sweep.
     """
     if jobs < 1:

@@ -255,6 +255,38 @@ def test_phi_convexity_requires_q_at_least_two():
         phi_convexity_check(one + z, 1.5, np.linspace(0.1, 0.8, 5))
 
 
+@pytest.mark.parametrize(
+    "ys, message",
+    [
+        ([0.0, 0.5], "the profile grid needs points"),
+        ([0.5, 1.0], "the profile grid needs points"),
+        ([], "the profile grid needs points"),
+        ([0.5, 0.5], "strictly increasing"),
+        ([0.6, 0.3], "strictly increasing"),
+    ],
+)
+@pytest.mark.parametrize("check", [phi_profile, phi_convexity_check])
+def test_the_profile_and_the_convexity_check_refuse_a_grid_alike(check, ys, message):
+    with pytest.raises(ValueError, match=message):
+        check(one + z, 4.0, ys)
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0, 4.0])
+def test_phi_convexity_computes_no_circle_means(monkeypatch, q):
+    # only Phi'' is read, so Phi is never computed, and the minimum and its
+    # place are the profile's bit for bit
+    f = random_polynomials(1, 1, 5, 1729)[0]
+    ys = np.linspace(0.05, 0.9, 35)
+    prof = phi_profile(f, q, ys)
+    k = int(np.argmin(prof.phi2))
+
+    def no_means(*args):
+        raise AssertionError("circle_means called")
+
+    monkeypatch.setattr(inequalities, "circle_means", no_means)
+    assert phi_convexity_check(f, q, ys) == (prof.phi2[k], prof.y_grid[k])
+
+
 @pytest.mark.parametrize("q", [2.0, 3.0, 4.0])
 def test_phi_convexity_passes(q):
     ys = np.linspace(0.05, 0.9, 20)

@@ -12,7 +12,6 @@ from berglab.corpus import random_polynomials
 from berglab.measures import McSampler, stream_for
 from berglab.norms import (
     _GRID_BYTES_BUDGET,
-    _MIXED_DEFAULTS,
     _MIXED_GAP_TOL,
     _climb,
     _climbed_norms,
@@ -184,6 +183,22 @@ def test_the_highdeg_oracle_values_keep_their_bits():
         values.append(exact.value)
     digest = hashlib.sha256(repr(values).encode()).hexdigest()
     assert digest == HIGHDEG_EXACT_SHA256
+
+
+# sha256 of the repr of the list of the bergman_norm values of the same
+# cases on their default grids, the quadrature side of perfbench's highdeg
+HIGHDEG_QUADRATURE_SHA256 = (
+    "dad87a8a01d11a12d9b1abc6cfdb514eca10ae1677deb2d7d96287dc6a10cc32"
+)
+
+
+def test_the_highdeg_quadrature_values_keep_their_bits():
+    values = [
+        bergman_norm(random_polynomials(1, 1, degree, 1729)[0], 2.0, p).value
+        for degree, p in HIGHDEG_EXACT_CASES
+    ]
+    digest = hashlib.sha256(repr(values).encode()).hexdigest()
+    assert digest == HIGHDEG_QUADRATURE_SHA256
 
 
 def test_quadrature_matches_oracles():
@@ -496,16 +511,17 @@ def test_huge_angle_count_for_one_variable_is_refused(monkeypatch):
 
 
 def test_grid_rule_default_sizes():
-    # (radial nodes, angles) per axis.  At other than even p: the tensor and
-    # mixed tables, and the univariate floor for circle variables
+    # (radial nodes, angles) per axis.  At other than even p: the tensor
+    # table, the mixed table where circles sit beside disks (each circle one
+    # angle below the first disk), and the univariate floor for one circle
     def sizes(grid):
         return [(nodes, m) for _, nodes, m in grid]
 
     assert sizes(_grid_rule((5,), 2.0, 3.0)) == [(64, 257)]
     assert sizes(_grid_rule((100,), 2.0, 3.0)) == [(64, 801)]
     assert sizes(_grid_rule((5, 3), 2.0, 3.0)) == [(32, 65), (32, 65)]
-    assert sizes(_grid_rule((5, 3), 2.0, 3.0, defaults=_MIXED_DEFAULTS)) == [
-        (24, 41), (24, 33)
+    assert sizes(_grid_rule((5, 3, 0), (2.0, 2.0, None), 3.0)) == [
+        (24, 41), (24, 33), (1, 40)
     ]
     assert sizes(_grid_rule((1, 1, 1), 2.0, 0.5)) == [(16, 33)] * 3
     assert sizes(_grid_rule((7,), None, 3.0)) == [(1, 257)]
@@ -513,7 +529,7 @@ def test_grid_rule_default_sizes():
     # has 1025 angles unless they are given
     assert sizes(_grid_rule((5,), 2.0, 0.5)) == [(64, 1025)]
     assert sizes(_grid_rule((5,), None, 0.5)) == [(1, 1025)]
-    assert sizes(_grid_rule((5,), 2.0, 0.5, defaults=_MIXED_DEFAULTS)) == [(64, 1025)]
+    assert sizes(_grid_rule((5, 0), (2.0, None), 0.5)) == [(64, 1025), (1, 1024)]
     assert sizes(_grid_rule((5,), 2.0, 0.5, angles=257)) == [(64, 257)]
     assert sizes(_grid_rule((5, 3), 2.0, 0.5)) == [(32, 65), (32, 65)]
     # at p = 2s each axis of degree d: ceil((d*s + 1)/2) nodes, capped at the
@@ -524,13 +540,74 @@ def test_grid_rule_default_sizes():
     assert sizes(_grid_rule((1500,), 2.0, 4.0)) == [(64, 3072)]
     assert sizes(_grid_rule((5, 3), 2.0, 4.0)) == [(6, 11), (4, 7)]
     assert sizes(_grid_rule((40, 0), 2.0, 4.0)) == [(32, 81), (1, 1)]
-    assert sizes(_grid_rule((40, 1), 2.0, 4.0, defaults=_MIXED_DEFAULTS)) == [
-        (24, 81), (2, 3)
+    # beside disks a circle is sized from its own degree at even p
+    assert sizes(_grid_rule((40, 1, 3), (2.0, 2.0, None), 4.0)) == [
+        (24, 81), (2, 3), (1, 7)
     ]
     assert sizes(_grid_rule((3,), None, 6.0)) == [(1, 10)]
     assert sizes(_grid_rule((5, 3), 2.0, 4.0, nodes=3, angles=9)) == [(3, 9)] * 2
     with pytest.raises(ValueError, match="at most 3 disk variables, got 4"):
         _grid_rule((1, 1, 1, 1), 2.0, 2.0)
+    # a circle beside disks keys the mixed table by the disk count alone
+    assert len(_grid_rule((1, 1, 1, 1), (2.0, 2.0, 2.0, None), 3.0)) == 4
+    with pytest.raises(ValueError, match="at most 3 disk variables, got 4"):
+        _grid_rule((1,) * 5, (2.0,) * 4 + (None,), 3.0)
+
+
+@pytest.mark.parametrize("p", [0.5, 3.0, 4.0])
+@pytest.mark.parametrize("degrees", [(7,), (5, 3), (1, 5, 2)])
+def test_one_weight_is_that_weight_on_every_axis(degrees, p):
+    n = len(degrees)
+    assert _grid_rule(degrees, 2.0, p) == _grid_rule(degrees, (2.0,) * n, p)
+    assert _grid_rule(degrees, None, p) == _grid_rule(degrees, (None,) * n, p)
+    pinned = _grid_rule(degrees, (2.0,) * n, p, nodes=5, angles=9)
+    assert pinned == _grid_rule(degrees, 2.0, p, nodes=5, angles=9)
+
+
+@pytest.mark.parametrize("weights", [(2.0,), (2.0, 2.0, None), ()])
+def test_a_weight_tuple_of_the_wrong_length_is_refused(weights):
+    message = f"{len(weights)} weights for 2 variables"
+    with pytest.raises(ValueError, match=message):
+        _grid_rule((3, 1), weights, 3.0)
+    with pytest.raises(ValueError, match="weights for"):
+        bergman_norm(parse_polynomial("(3,1):1"), weights, 3.0)
+
+
+def test_hardy_norm_refuses_a_bivariate_polynomial():
+    with pytest.raises(ValueError, match="1 weights for 2 variables"):
+        hardy_norm(parse_polynomial("(1,1):1"), 3.0)
+
+
+@pytest.mark.parametrize(
+    "call, grids",
+    [
+        (lambda: hardy_norm(one + 0.5 * z ** 3, 3.0), 1),
+        (lambda: hardy_norm(one + 0.5 * z ** 3, 4.0, angles=20), 1),
+        (lambda: mixed_norm((one + 0.5 * z ** 3).homogenize(3), 2.0, 4.0), 1),
+        # zero-free: the companion and three doublings, where the climb settles
+        (lambda: mixed_norm((one + 0.5 * z ** 3).homogenize(3), 2.0, 3.5), 4),
+    ],
+    ids=["hardy", "hardy-pinned", "mixed-even", "mixed-climbed"],
+)
+def test_a_repeated_quadrature_norm_is_computed_once_in_a_memo_scope(
+    monkeypatch, call, grids
+):
+    # Hardy norms and every rung of a mixed norm are bergman_norm calls, so
+    # inside one scope a repeat runs no kernel; outside a scope it does
+    kernel = norms._power_mean
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return kernel(*args)
+
+    monkeypatch.setattr(norms, "_power_mean", counting)
+    with norms.memo_scope():
+        first = call()
+        assert call() == first
+    assert len(calls) == grids
+    call()
+    assert len(calls) == 2 * grids
 
 
 def test_grid_rule_angle_floor_and_growth():
@@ -633,11 +710,12 @@ def test_mixed_norm_circle_axis_sized_from_its_own_degree():
     # Deriving the circle axis from the disk axis, max(3 - 1, 8) = 8 angles,
     # aliases it
     Q = parse_polynomial("(0,0):1;(1,0):1;(0,4):1")
-    disk = _grid_rule((1,), 2.0, 4.0, defaults=_MIXED_DEFAULTS)
+    grid = _grid_rule((1, 4), (2.0, None), 4.0)
+    assert grid[1] == (None, 1, 9)
 
     def on_circle_angles(count):
         circle = _grid_rule((4,), None, 4.0, angles=count)
-        return _quadrature_norm(Q, disk + circle, 4.0)
+        return _quadrature_norm(Q, grid[:1] + circle, 4.0)
 
     reference = on_circle_angles(101).value
     assert mixed_norm(Q, 2.0, 4.0).value == pytest.approx(reference, rel=1e-13)
@@ -648,9 +726,8 @@ def _on_the_cap(Q, alpha, p):
     """The mixed norm of Q on the ladder's cap at p other than an even
     integer: the _MIXED_DEFAULTS grid, the circle one angle below the first
     disk axis."""
-    *disk, d_w = Q.variable_degrees()
-    grid = _grid_rule(disk, alpha, p, defaults=_MIXED_DEFAULTS)
-    grid += _grid_rule((d_w,), None, p, angles=max(grid[0][2] - 1, 8))
+    grid = _grid_rule(Q.variable_degrees(), (alpha,) * (Q.nvars - 1) + (None,), p)
+    assert grid[-1] == (None, 1, max(grid[0][2] - 1, 8))
     return _quadrature_norm(Q, grid, p).value
 
 
