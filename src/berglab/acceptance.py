@@ -18,8 +18,10 @@ OpenBLAS pinned to one thread meanwhile.  They are handed over last entry
 first (see `verify_suite`).  A criterion's rows come back in table order,
 criteria in criterion order, and the Monte Carlo samples are
 counter-based, so the lines and the CSV are the same on any number of
-cores.  A criterion's time is the sum of its row times, which overlap
-other rows; the closing line gives the suite's wall time.
+cores.  A criterion's time is the CPU time its rows' threads spent on its
+rows, which rows running beside them on the pool do not inflate (with BLAS
+pinned, each row's products run on its own thread); the closing line gives
+the suite's wall time.
 """
 from __future__ import annotations
 
@@ -211,7 +213,7 @@ def c7_sharpness_asymptotics(seed: int):
 class CriterionResult:
     criterion_id: str
     passed: bool
-    runtime_s: float
+    runtime_s: float  # CPU seconds of its rows' threads
     rows: tuple
 
     @property
@@ -263,8 +265,9 @@ def _tasks(cid: str, table, seed: int, nodes_override: int | None) -> list:
 
 
 def _timed_row(task) -> tuple:
-    """The row of a task's entry (an error row if its check raises), and its seconds."""
-    t0 = time.perf_counter()
+    """The row of a task's entry (an error row if its check raises), and the
+    CPU seconds its thread spent on it."""
+    t0 = time.thread_time()
     cid, (name, inputs, label, *fields) = task
     check = CHECKS[name]
     try:
@@ -275,7 +278,7 @@ def _timed_row(task) -> tuple:
         for key, value in (fields[0] if fields else {}).items():
             values[key] = value(values[key]) if callable(value) else value
     row = ReportRow(cid, format_params(**label), **values)
-    return row, time.perf_counter() - t0
+    return row, time.thread_time() - t0
 
 
 def _result(cid: str, timed) -> CriterionResult:
@@ -348,7 +351,7 @@ def verify_suite(
             verdict = "PASS" if result.passed else "FAIL"
             emit(
                 f"[{verdict}] {result.criterion_id} "
-                f"({result.runtime_s:.2f} s): {result.detail}"
+                f"({result.runtime_s:.2f} s CPU): {result.detail}"
             )
     if csv_path:
         report.write_csv(csv_path)

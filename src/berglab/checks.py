@@ -538,6 +538,6 @@ def _majorant(beta, beta_prime, y_grid) -> dict:
 )
 def _isometry(poly, alpha, p) -> dict:
     mixed = mixed_norm(poly.homogenize(poly.degree), alpha, p).value
-    (bergman,), _ = _climbed_norms([(poly, alpha, p)], lambda v: (v,), _gap_settled)
+    bergman, _ = _climbed_norms([(poly, alpha, p)], lambda v: (v,), _gap_settled)
     note = format_params(degree=poly.degree, nvars=poly.nvars)
     return agreement_row(mixed, bergman, ISOMETRY_TOL, "mixed-vs-quadrature", note)

@@ -76,16 +76,15 @@ def hyper_check(
     settled=None,
 ) -> tuple[float, float, float]:
     """The two sides of ||f(r .)||_{A^q_beta} <= ||f||_{A^p_alpha} and their
-    est_error, the gap of ``norms._climbed_norms`` (0.0 by the exact
-    method); f is dilated once."""
+    est_error: by quadrature, the tuple of ``norms._climbed_norms``; by the
+    exact method, est_error 0.0.  f is dilated once."""
     _check_p(p)
     _check_p(q, "q")
     if not (0.0 <= r <= 1.0):
         raise ValueError(f"r must lie in [0, 1], got {r}")
     if method == "quad":
         sides = ((f.dilate(r), beta, q), (f, alpha, p))
-        values, gap = _climbed_norms(sides, lambda *norms: norms, settled, nodes, angles)
-        return (*values, gap)
+        return _climbed_norms(sides, lambda *norms: norms, settled, nodes, angles)
     if method == "exact":
         lhs = exact_norm_even_p(f.dilate(r), beta, q).value
         rhs = exact_norm_even_p(f, alpha, p).value
@@ -105,15 +104,14 @@ def nikolskii_check(
 ) -> tuple[float, float, float]:
     """The two sides of ||P||_{A^q_beta} / ||P||_{A^p_alpha} <= C^m, with
     C = sqrt(alpha q / (beta p)) and m the total degree of P, and their
-    est_error, the gap of ``norms._climbed_norms``."""
+    est_error: the tuple of ``norms._climbed_norms``."""
     if P.is_zero:
         raise ValueError("the zero polynomial has no norm ratio")
     bound = _nikolskii_constant(alpha, beta, p, q) ** P.degree
     sides = ((P, beta, q), (P, alpha, p))
-    values, gap = _climbed_norms(
+    return _climbed_norms(
         sides, lambda num, den: (num / den, bound), settled, nodes, angles
     )
-    return (*values, gap)
 
 
 def kulikov_check(
@@ -121,15 +119,14 @@ def kulikov_check(
 ) -> tuple[float, float, float]:
     """The two sides of the undilated embedding
     ||f||_{A^q_{q alpha / p}} <= ||f||_{A^p_alpha}, for q >= p, and their
-    est_error, the gap of ``norms._climbed_norms``."""
+    est_error: the tuple of ``norms._climbed_norms``."""
     if q < p:
         raise ValueError("requires q >= p")
     check_alpha(alpha)  # the A^p_alpha side's checks, before q alpha / p
     _check_p(p)
     # the A^p_alpha side first, as its grid errors have always been the ones named
     sides = ((f, alpha, p), (f, q * alpha / p, q))
-    values, gap = _climbed_norms(sides, lambda rhs, lhs: (lhs, rhs), settled)
-    return (*values, gap)
+    return _climbed_norms(sides, lambda rhs, lhs: (lhs, rhs), settled)
 
 
 @dataclass(frozen=True)
@@ -147,7 +144,9 @@ class ThresholdReport:
 def _bisect_threshold(
     space: tuple, slack: float, eps: float, tol: float
 ) -> tuple[float, float]:
-    """Largest passing radius for the test family 1 + eps*z, with bracket width."""
+    """Largest passing radius for the test family 1 + eps*z, with the width
+    of the bracket the bisection reached: at most tol, or two adjacent
+    floats where tol is below their spacing."""
     alpha, beta, p, q = space
     f = ComplexPolynomial.from_coeffs([1.0, eps])
     rhs = bergman_norm(f, alpha, p).value
@@ -169,6 +168,8 @@ def _bisect_threshold(
     lo, hi = float(grid[hi_idx - 1]), float(grid[hi_idx])
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent floats: the bracket cannot narrow
+            break
         if passes(mid):
             lo = mid
         else:
@@ -196,7 +197,7 @@ def threshold_search(
     """
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0, 1)")
-    if not (tol > 0):  # the bisection cannot narrow below adjacent floats
+    if not (tol > 0):
         raise ValueError(f"tol must be positive, got {tol}")
     space = (alpha, beta, p, q)
     r_raw, width = _bisect_threshold(space, slack, eps, tol)

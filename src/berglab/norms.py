@@ -47,11 +47,12 @@ nodes of one circle axis.  A grid holds sizes only, so
 anything is built.
 
 The ladder: at p other than an even integer no finite grid is exact, and
-a norm can be climbed on the rungs of ``_ladder`` below a cap, its default
-grid, by ``_climb``, the one loop over them, until a rule it is given
-holds.  Its one caller, ``_climbed_norms``, sizes the mixed norm and
-every check row's Bergman norms (see each).  ``bergman_norm`` itself never
-climbs: `berglab norm` and every caller that names a grid get that grid.
+a norm can be climbed on the rungs of ``_ladder``, the one rung generator,
+below a cap, its default grid, until a rule it is given holds.
+``_climbed_norms`` is the one loop over them: it sizes the mixed norm and
+every check row's Bergman norms (see each), pinned, exact or climbed.
+``bergman_norm`` itself never climbs: `berglab norm` and every caller that
+names a grid get that grid.
 
 When a quadrature norm is exact: at even p = 2s, |P|^p = |P^s|^2 is a
 polynomial, and the default grid sizes each axis from its own degree d so
@@ -240,14 +241,22 @@ _OPENBLAS_THREAD_SYMBOLS = (
 )
 
 
-@functools.cache
 def _openblas_thread_controls() -> tuple:
     """(set, get) thread-count functions of every OpenBLAS copy in the process.
 
-    Looked up once per process, on first use, so a copy loaded after that
-    is not among them.  Empty where none is found: another BLAS, or no
+    Looked up again only once a module has been imported since the last
+    lookup, so a copy that an import loads is pinned from the next first
+    entry of ``ONE_BLAS_THREAD`` on; the count of ``sys.modules`` is all
+    an entry checks.  Empty where none is found: another BLAS, or no
     ``/proc/self/maps``.
     """
+    return _openblas_thread_controls_at(len(sys.modules))
+
+
+@functools.lru_cache(maxsize=1)
+def _openblas_thread_controls_at(modules: int) -> tuple:
+    """``_openblas_thread_controls`` looked up while ``modules`` modules
+    are imported."""
     try:
         with open(
             "/proc/self/maps", encoding="utf-8", errors="surrogateescape"
@@ -878,8 +887,8 @@ def _ladder(degree: int, cap: tuple[int, int]):
     """The rungs of the companion-grid ladder below a cap of (nodes, angles),
     for polynomials whose largest variable degree is ``degree``.
 
-    Yields (nodes, angles) pairs to pin on every disk axis, with the cap's
-    half being its node count and its angle count halved ((M + 1) // 2):
+    Yields (nodes, angles) pairs for ``bergman_norm`` to pin on every disk
+    axis, the cap's half being both its counts halved ((M + 1) // 2):
 
     * the companion, degree // 2 + 1 nodes and 2 degree + 1 angles, the grid
       that integrates |P|^2 exactly, so that no two rungs alias P alike;
@@ -887,9 +896,9 @@ def _ladder(degree: int, cap: tuple[int, int]):
       and 2 m - 1) while it stays within the cap's half;
     * the cap's half, unless the last doubling is it;
 
-    then None for the cap itself, which its caller evaluates on its default
-    grid.  So the last two rungs always differ by about a doubling of both
-    counts.  The companion is clipped to the cap's half.
+    then (None, None) for the cap itself, the default grid.  So the last two
+    rungs differ by about a doubling of both counts.  The companion is
+    clipped to the cap's half.
     """
     half = ((cap[0] + 1) // 2, (cap[1] + 1) // 2)
     rung = (min(degree // 2 + 1, half[0]), min(2 * degree + 1, half[1]))
@@ -899,79 +908,63 @@ def _ladder(degree: int, cap: tuple[int, int]):
         yield rung
     if rung != half:
         yield half
-    yield None
-
-
-def _climb(
-    degree: int, cap: tuple[int, int], values_on, settled
-) -> tuple[tuple[float, ...], float]:
-    """The one climb of ``_ladder(degree, cap)``: ``values_on(rung)`` is a
-    tuple of floats on a rung (None for the cap), and the climb stops at the
-    first rung after the companion where settled(*values, gap) holds, gap
-    being the sum of the entries' |changes| from the rung before, else at
-    the cap.  Returns (values, gap) of the last rung: the gap is the coarser
-    rung's error less the finer one's, so it bounds the finer one's wherever
-    the step at least halves the error.  With ``settled`` None only the
-    cap's half and the cap, the last two rungs, are evaluated.
-    """
-    rungs = list(_ladder(degree, cap))
-    if settled is None:  # no rule can stop the climb below the cap
-        rungs = rungs[-2:]
-    last = None
-    for rung in rungs:
-        values = values_on(rung)
-        if last is not None:
-            gap = sum(abs(new - old) for new, old in zip(values, last))
-            if settled is not None and settled(*values, gap):
-                break
-        last = values
-    return values, gap
+    yield None, None
 
 
 def _gap_settled(value: float, gap: float) -> bool:
-    """``_climb``'s stop for one norm: two rungs agree to ``_MIXED_GAP_TOL``."""
+    """``_climbed_norms``'s stop for one norm: two rungs agree to
+    ``_MIXED_GAP_TOL``."""
     return gap <= _MIXED_GAP_TOL * value
 
 
 def _climbed_norms(sides, judge, settled=None, nodes=None, angles=None) -> tuple:
     """judge(*norms) of the ``bergman_norm`` of each (P, alpha, p) side, a
-    tuple of floats, and its gap: a check row's norms, or the mixed norm.
+    tuple of floats, and its gap last: a check row's norms, or the mixed norm.
 
     On a grid pinned by ``nodes`` or ``angles`` each side is one
-    ``bergman_norm`` there, and the gap is 0.0.  Otherwise a side at even p
-    is one ``bergman_norm`` on its exact default grid.  The sides at other
-    p climb ``_climb`` together, each rung one ``bergman_norm`` per such
-    side with the rung's counts pinned (see ``_grid_rule``); the cap is the
-    largest counts of their default grids, which ``_grid_rule`` checks and
+    ``bergman_norm`` there, else a side at even p is one on its exact
+    default grid.  The sides at other p climb the rungs of ``_ladder``
+    together, one ``bergman_norm`` per such side and rung with the rung's
+    counts pinned (see ``_grid_rule``); the cap is the largest counts of
+    their default grids, which ``_grid_rule`` checks and
     ``_refuse_oversized`` refuses above _GRID_BYTES_BUDGET before any rung.
-    The climb stops where ``settled`` holds (see ``_climb``); without a
-    rule it evaluates the cap's half and the cap, whose values are the
-    default grids'.  The gap is 0.0 where every side is at even p.
+    The climb stops at the first rung after the companion where
+    settled(*values, gap) holds, gap being the sum of the values' |changes|
+    from the rung before, else at the cap, the default grids.  The gap is
+    the coarser rung's error less the finer one's, so it bounds the finer
+    one's wherever the step at least halves the error.  Without a rule only
+    the last two rungs, the cap's half and the cap, are evaluated.  Where
+    no side climbs the gap is 0.0.
     """
-    if nodes is not None or angles is not None:
-        return judge(*(bergman_norm(*side, nodes, angles).value for side in sides)), 0.0
+    pinned = nodes is not None or angles is not None
     fixed, caps = [], []
     for P, alpha, p in sides:
-        if _even_half(p) is not None:
-            fixed.append(bergman_norm(P, alpha, p).value)
+        if pinned or _even_half(p) is not None:
+            fixed.append(bergman_norm(P, alpha, p, nodes, angles).value)
             continue
         grid = _grid_rule(P.variable_degrees(), alpha, p)
         _refuse_oversized(P, grid, p)
         fixed.append(None)
         caps.extend(axis[1:] for axis in grid)
-    if not caps:
-        return judge(*fixed), 0.0
-    degree = max(max(P.variable_degrees()) for P, _, _ in sides)
-    cap = (max(k for k, _ in caps), max(m for _, m in caps))
-
-    def values_on(rung):
-        counts = rung or (None, None)
-        return judge(*(
-            bergman_norm(*side, *counts).value if value is None else value
+    rungs = [(None, None)]
+    if caps:
+        degree = max(max(P.variable_degrees()) for P, _, _ in sides)
+        cap = (max(k for k, _ in caps), max(m for _, m in caps))
+        rungs = list(_ladder(degree, cap))
+        if settled is None:  # no rule can stop the climb below the cap
+            rungs = rungs[-2:]
+    last, gap = None, 0.0
+    for rung in rungs:
+        values = judge(*(
+            bergman_norm(*side, *rung).value if value is None else value
             for side, value in zip(sides, fixed)
         ))
-
-    return _climb(degree, cap, values_on, settled)
+        if last is not None:
+            gap = sum(abs(new - old) for new, old in zip(values, last))
+            if settled is not None and settled(*values, gap):
+                break
+        last = values
+    return (*values, gap)
 
 
 def mixed_norm(Q: ComplexPolynomial, alpha: float, p: float) -> NormResult:
@@ -982,17 +975,18 @@ def mixed_norm(Q: ComplexPolynomial, alpha: float, p: float) -> NormResult:
     grids at other than even p (see ``_grid_rule``), so agreement with the
     plain Bergman norm is a genuine consistency check rather than a grid
     coincidence.  At even p the default grid is exact (est_error = 0).  At
-    other p it is the cap of ``_ladder``, d being the largest of Q's
-    variable degrees, the circle's included, and the climb stops at
-    ``_gap_settled``.  On a zero-free Q, |Q|^p is analytic and both rules
-    converge geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014), so a
-    few coarse rungs settle it; where Q has zeros on the polydisc, |Q|^p has
-    cusps or kinks there and the ladder climbs higher, often to the cap.
+    other p it is the cap of ``_ladder`` for the largest of Q's variable
+    degrees, the circle's included, and the climb stops at
+    ``_gap_settled``, its gap being est_error.  On a zero-free Q, |Q|^p is
+    analytic and both rules converge geometrically (Trefethen & Weideman,
+    SIAM Rev. 56, 2014), so a few coarse rungs settle it; where Q has zeros
+    on the polydisc, |Q|^p has cusps or kinks there and the ladder climbs
+    higher, often to the cap.
     """
     if Q.nvars < 2:
         raise ValueError("mixed_norm needs at least one disk variable plus w")
     side = (Q, (alpha,) * (Q.nvars - 1) + (None,), p)
-    (value,), gap = _climbed_norms([side], lambda v: (v,), _gap_settled)
+    value, gap = _climbed_norms([side], lambda v: (v,), _gap_settled)
     return NormResult(value, "quadrature", gap)
 
 

@@ -303,6 +303,30 @@ def test_the_last_entry_starts_first_and_lines_print_in_criterion_order(monkeypa
     assert [line.split(" (")[0] for line in lines[:-1]] == [f"[PASS] {c}" for c in ids]
 
 
+def test_a_criterion_s_time_is_its_rows_thread_cpu_time(monkeypatch):
+    # each thread's clock advances 0.25 s a reading, so each of c4's 6 rows
+    # takes 0.25 s of CPU, inline and on two pool threads alike; the closing
+    # line keeps the wall time
+    clocks = threading.local()
+
+    def thread_time():
+        clocks.now = getattr(clocks, "now", 0.0) + 0.25
+        return clocks.now
+
+    monkeypatch.setattr(acceptance.time, "thread_time", thread_time)
+    for cores in (1, 2):
+        monkeypatch.setattr(
+            acceptance.os, "sched_getaffinity", lambda pid: set(range(cores))
+        )
+        lines = []
+        code = acceptance.verify_suite(
+            seed=SEED, filter_text="c4", csv_path="", emit=lines.append
+        )
+        assert code == 0
+        assert lines[0] == "[PASS] c4-necessity-expansion (1.50 s CPU): 6/6 rows pass"
+        assert lines[1].endswith(f" s wall, {cores} worker{'s' * (cores > 1)})")
+
+
 def test_run_criterion_takes_criterion_ids_only():
     with pytest.raises(ValueError, match="unknown criterion"):
         run_criterion("c6-nikolskii-isometry/1")

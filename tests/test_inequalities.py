@@ -147,6 +147,24 @@ def test_threshold_all_pass_degenerate():
     assert rep.r_star_theoretical == 1.0
 
 
+def test_threshold_below_the_float_spacing_stops_at_adjacent_floats(monkeypatch):
+    # at tol = 1e-300 the bracket stops narrowing once lo and hi are adjacent
+    # floats; a loop that runs on is stopped by the norm raising
+    calls = []
+    fn = inequalities.bergman_norm
+
+    def counting(*args):
+        calls.append(args)
+        if len(calls) > 400:
+            raise AssertionError("the bisection did not stop")
+        return fn(*args)
+
+    monkeypatch.setattr(inequalities, "bergman_norm", counting)
+    rep = threshold_search(2.0, 2.0, 2.0, 4.0, slack=INEQ_SLACK, tol=1e-300)
+    assert 0.0 < rep.bracket_width <= 2.0 * math.ulp(rep.r_star_raw)
+    assert abs(rep.r_star_empirical - rep.r_star_theoretical) < 1e-3
+
+
 def test_necessity_expansion_closed_form():
     rep = necessity_expansion_check(2.0, 2.0)
     assert rep.method == "exact"

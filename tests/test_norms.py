@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from berglab import checks, inequalities, norms
+from berglab.acceptance import run_criterion
 from berglab.corpus import random_polynomials
 from berglab.measures import McSampler, stream_for
 from berglab.norms import (
     _GRID_BYTES_BUDGET,
     _MIXED_GAP_TOL,
-    _climb,
     _climbed_norms,
     _gap_settled,
     _grid_bytes,
@@ -812,48 +812,59 @@ def test_mixed_norm_ladder_is_not_fooled_by_aliasing():
     ],
 )
 def test_ladder_rungs_end_with_the_half_and_the_cap(degree, cap, rungs):
-    assert list(_ladder(degree, cap)) == rungs + [None]
+    assert list(_ladder(degree, cap)) == rungs + [(None, None)]
 
 
 def test_ladder_does_not_repeat_a_half_it_doubled_into():
-    assert list(_ladder(1, (8, 17))) == [(1, 3), (2, 5), (4, 9), None]
+    assert list(_ladder(1, (8, 17))) == [(1, 3), (2, 5), (4, 9), (None, None)]
 
 
 # _ladder(8, (64, 1025)): the companion, two doublings, the half, the cap
-CLIMB_RUNGS = [(5, 17), (10, 33), (20, 65), (32, 513), None]
+CLIMB_RUNGS = [(5, 17), (10, 33), (20, 65), (32, 513), (None, None)]
 
 
-def _synthetic_climb(values, settled):
-    """_climb over CLIMB_RUNGS with values[i] on the i-th rung; returns its
-    result, the rungs it evaluated and the arguments settled was given."""
+def _synthetic_climb(values, settled, monkeypatch):
+    """_climbed_norms of one side per entry of values[i], each the same
+    degree-8 P at p = 0.5 (cap (64, 1025)) with its own alpha, judged as
+    they are, on a bergman_norm that gives values[i] on the i-th of
+    CLIMB_RUNGS; returns its result, the rungs it evaluated and the
+    arguments settled was given."""
     table = dict(zip(CLIMB_RUNGS, values))
+    alphas = [2.0 + i for i in range(len(values[0]))]
     evaluated, judged = [], []
 
-    def values_on(rung):
-        evaluated.append(rung)
-        return table[rung]
+    def synthetic(P, alpha, p, nodes=None, angles=None):
+        if alpha == alphas[0]:
+            evaluated.append((nodes, angles))
+        return norms.NormResult(table[nodes, angles][alphas.index(alpha)], "fake", 0.0)
 
     def judging(*args):
         judged.append(args)
         return settled(*args)
 
-    return _climb(8, (64, 1025), values_on, judging), evaluated, judged
+    monkeypatch.setattr(norms, "bergman_norm", synthetic)
+    sides = [(one + z ** 8, alpha, 0.5) for alpha in alphas]
+    return _climbed_norms(sides, lambda *norms: norms, judging), evaluated, judged
 
 
-def test_climb_judges_each_rung_after_the_companion_against_the_one_before():
+def test_climb_judges_each_rung_after_the_companion_against_the_one_before(monkeypatch):
     values = [(1.0, 4.0), (1.5, 3.75), (1.25, 3.5), (1.125, 3.5), (1.0, 3.5)]
     # settled first at the third rung: gap 0.25 + 0.25, not at the second's
     # 0.5 + 0.25; the companion is never judged alone
-    result, evaluated, judged = _synthetic_climb(values, lambda a, b, gap: gap <= 0.5)
-    assert result == ((1.25, 3.5), 0.5)
+    result, evaluated, judged = _synthetic_climb(
+        values, lambda a, b, gap: gap <= 0.5, monkeypatch
+    )
+    assert result == (1.25, 3.5, 0.5)
     assert evaluated == CLIMB_RUNGS[:3]
     assert judged == [(1.5, 3.75, 0.75), (1.25, 3.5, 0.5)]
 
 
-def test_climb_that_never_settles_ends_on_the_cap():
+def test_climb_that_never_settles_ends_on_the_cap(monkeypatch):
     values = [(1.0,), (2.0,), (4.0,), (8.0,), (8.5,)]
-    result, evaluated, judged = _synthetic_climb(values, lambda value, gap: False)
-    assert result == ((8.5,), 0.5)  # the cap's value and its gap to the half
+    result, evaluated, judged = _synthetic_climb(
+        values, lambda value, gap: False, monkeypatch
+    )
+    assert result == (8.5, 0.5)  # the cap's value and its gap to the half
     assert evaluated == CLIMB_RUNGS
     assert [gap for _, gap in judged] == [1.0, 2.0, 4.0, 0.5]
 
@@ -908,11 +919,32 @@ def test_mixed_norm_is_unchanged_on_the_shared_ladder(case):
     assert (res.value, res.est_error) == MIXED_BEFORE_THE_SHARED_LADDER[case]
 
 
+# The (p, nodes, angles) of every bergman_norm call that _climbed_norms makes
+# on c2's and c6's rows at seed 1729, run inline, in order: their count and
+# the sha256 of their repr.  The suite digests show values only; this shows
+# which rungs are evaluated.
+CLIMBED_RUNGS = (1240, "0a87bf2a4db46152e3969c08b0983ed9740453edf1848e378dade39e3a9a1564")
+
+
+def test_the_rungs_the_suite_climbs_are_pinned(monkeypatch):
+    calls = []
+    fn = norms.bergman_norm
+
+    def recording(P, alpha, p, nodes=None, angles=None):
+        calls.append((p, nodes, angles))
+        return fn(P, alpha, p, nodes, angles)
+
+    monkeypatch.setattr(norms, "bergman_norm", recording)
+    for cid in ("c2-sharp-radius-contraction", "c6-nikolskii-isometry"):
+        assert run_criterion(cid, seed=1729).passed
+    digest = hashlib.sha256(repr(calls).encode()).hexdigest()
+    assert (len(calls), digest) == CLIMBED_RUNGS
+
+
 def _gap_settled_norm(P, alpha, p):
     """(value, gap) of the isometry rows' Bergman side: one norm climbed
     with _gap_settled."""
-    (value,), gap = _climbed_norms([(P, alpha, p)], lambda v: (v,), _gap_settled)
-    return value, gap
+    return _climbed_norms([(P, alpha, p)], lambda v: (v,), _gap_settled)
 
 
 def test_laddered_bergman_norm_stops_early_only_without_zeros(monkeypatch):
@@ -954,16 +986,16 @@ def test_climbed_norms_on_a_pinned_grid_take_each_side_once_there(monkeypatch):
         calls.append((P, alpha, p, nodes, angles))
         return fn(P, alpha, p, nodes, angles)
 
-    def no_climb(*args):
-        raise AssertionError("a rung was climbed on a pinned grid")
+    def no_ladder(*args):
+        raise AssertionError("a ladder was built on a pinned grid")
 
     monkeypatch.setattr(norms, "bergman_norm", recording)
-    monkeypatch.setattr(norms, "_climb", no_climb)
-    values, gap = _climbed_norms(sides, lambda a, b: (a, b), _gap_settled, 5, 33)
+    monkeypatch.setattr(norms, "_ladder", no_ladder)
+    *values, gap = _climbed_norms(sides, lambda a, b: (a, b), _gap_settled, 5, 33)
     monkeypatch.undo()
     assert calls == [(*side, 5, 33) for side in sides]
     assert gap == 0.0
-    assert values == tuple(bergman_norm(*side, 5, 33).value for side in sides)
+    assert values == [bergman_norm(*side, 5, 33).value for side in sides]
 
 
 def test_mixed_norm_at_even_p_is_the_exact_grid_alone(monkeypatch):

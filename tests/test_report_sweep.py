@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 from dataclasses import fields
 from pathlib import Path
 
@@ -301,9 +302,25 @@ def test_the_blas_pin_counts_its_holders_and_restores_once(monkeypatch):
     assert calls == ["get", ("set", 1), ("set", 3)]
 
 
+def test_the_blas_lookup_reruns_only_after_an_import(monkeypatch):
+    # an OpenBLAS copy that an import loads after the first kernel call is
+    # looked for again at the next lookup, and without an import it is not
+    scans = norms._openblas_thread_controls_at.cache_info
+    controls = norms._openblas_thread_controls()
+    misses = scans().misses
+    assert norms._openblas_thread_controls() is controls
+    assert scans().misses == misses
+    monkeypatch.setitem(sys.modules, "berglab_probe", types.ModuleType("berglab_probe"))
+    again = norms._openblas_thread_controls()
+    assert scans().misses == misses + 1
+    assert len(again) == len(controls)
+    assert norms._openblas_thread_controls() is again
+    assert scans().misses == misses + 1
+
+
 def test_a_norm_outside_any_pool_runs_on_one_blas_thread(monkeypatch):
     # the kernel's entry points pin BLAS themselves, and the library's
-    # thread-count functions are looked up once per process
+    # thread-count functions are not looked up again without an import
     controls = norms._openblas_thread_controls()
     assert norms._openblas_thread_controls() is controls
     if not controls:
